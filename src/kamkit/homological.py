@@ -92,7 +92,6 @@ class HomologicalSolution:
     divisor_log: dict             # (k, ci, cj, channel) -> tuple of divisors
     guard: DivisorGuard
     picard_updates: list
-    residual_norm_terms: dict = field(default_factory=dict)
 
 
 # -- class tables ---------------------------------------------------------------

@@ -107,6 +107,22 @@ def test_scan_is_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_kam_is_deterministic(tmp_path):
+    outs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        cfg = write_cfg(tmp_path, {
+            "output_dir": str(out), "model": BEAM_MODEL,
+            "schedule": {"max_super": 1},
+        }, name=f"{name}.json")
+        assert main(["kam", cfg]) == 0
+        files = read_all(out)
+        outs.append({n: files[n] for n in ("metrics.jsonl",
+                                           "final_report.txt",
+                                           "manifest.json")})
+    assert outs[0] == outs[1]
+
+
 def test_kam_zero_perturbation_exits_clean(tmp_path):
     out = tmp_path / "out"
     model = dict(BEAM_MODEL, nonlinearity=[])

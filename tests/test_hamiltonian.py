@@ -1,7 +1,9 @@
 import math
+from operator import add
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kamkit.algebra import WeightedMatrix, WeightParams
 from kamkit.hamiltonian import (
@@ -9,6 +11,8 @@ from kamkit.hamiltonian import (
     HamiltonianJet,
     NormalFormHamiltonian,
     Polynomial,
+    _mul_dict,
+    _mul_packed,
     class_norm,
     hessian_decay_check,
     jet_extract,
@@ -46,6 +50,97 @@ def test_polynomial_ring_ops():
     assert prod.terms[((1,), (1,), ())] == 6.0
     assert len(p + q) == 2
     assert len(p - p) == 0
+
+
+# B is the hyperbolic node of the flow-oracle test below and (0, 1) that of
+# the normal-form test; to a product every (site, component) variable is alike
+SITES = (A, B, (0, 1))
+# small exact values make sums cancel to exactly zero; the rest are generic
+COEFFS = st.sampled_from([1.0, -1.0, 2.0, 0.5, 1j, -1j, 1 - 1j]) | \
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                       allow_infinity=False)
+
+
+@st.composite
+def polynomials(draw, n, kscale=1):
+    p = Polynomial(n)
+    for _ in range(draw(st.integers(1, 10))):
+        k = tuple(kscale * x for x in draw(st.lists(
+            st.integers(-3, 3), min_size=n, max_size=n)))
+        m = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        z = draw(st.dictionaries(st.tuples(st.sampled_from(SITES),
+                                           st.integers(0, 1)),
+                                 st.integers(1, 3), max_size=3))
+        p.add_term(draw(COEFFS), k=k, m=m, z=z)
+    return p
+
+
+def _pair_scale(P, Q) -> dict:
+    """Product monomial -> largest |c1*c2| over the pairs forming it."""
+    scale = {}
+    for (k1, m1, z1), c1 in P.terms.items():
+        for (k2, m2, z2), c2 in Q.terms.items():
+            z = dict(z1)
+            for v, p in z2:
+                z[v] = z.get(v, 0) + p
+            key = (tuple(map(add, k1, k2)), tuple(map(add, m1, m2)),
+                   tuple(sorted(z.items())))
+            scale[key] = max(scale.get(key, 0.0), abs(c1 * c2))
+    return scale
+
+
+def assert_same_product(P, Q, max_degree, tol):
+    ref = _mul_dict(P, Q, max_degree, tol).terms
+    got = _mul_packed(P, Q, max_degree, tol).terms
+    scale = _pair_scale(P, Q)
+    for key in ref.keys() | got.keys():
+        margin = 1e-14 * scale[key]
+        if key in ref and key in got:
+            assert abs(ref[key] - got[key]) <= margin, key
+        else:           # kept by one side only: must sit at the tol cut
+            c = ref.get(key, got.get(key))
+            assert abs(abs(c) - tol) <= margin, key
+
+
+@given(st.data())
+def test_packed_product_matches_dict_loop(data):
+    n = data.draw(st.integers(1, 3))
+    kscale = data.draw(st.sampled_from([1, 2 ** 40]))   # 2**40: wide keys
+    P = data.draw(polynomials(n, kscale))
+    Q = data.draw(polynomials(n, kscale))
+    max_degree = data.draw(st.none() | st.integers(0, 8))
+    tol = data.draw(st.sampled_from([0.0, 0.5, 1e-3]))
+    assert_same_product(P, Q, max_degree, tol)
+
+
+def test_packed_product_cancels_exactly():
+    x, y = ((A, 0), 1), ((B, 1), 1)
+    P, Q = Polynomial(1), Polynomial(1)
+    for c, z in ((1.0, x), (1.0, y)):
+        P.add_term(c, z=(z,))
+    for c, z in ((1.0, x), (-1.0, y)):
+        Q.add_term(c, z=(z,))
+    prod = _mul_packed(P, Q, None, 0.0)
+    assert prod.terms == _mul_dict(P, Q, None, 0.0).terms
+    assert prod.terms == {((0,), (0,), (((A, 0), 2),)): 1.0,
+                          ((0,), (0,), (((B, 1), 2),)): -1.0}
+
+
+def test_packed_product_wide_keys_stay_distinct():
+    # k digits spanning 2**32 each put the stride of the first m digit at
+    # 2**64: a packed int64 key would wrap and merge monomials that differ
+    # only in m, so this product must be grouped without packing
+    big = 2 ** 31
+    P, Q = Polynomial(2), Polynomial(2)
+    for k in ((0, 0), (big, big)):
+        for i, m in enumerate(((0, 0), (1, 0), (0, 1))):
+            P.add_term(1.0 + i, k=k, m=m, z={(A, 0): 1})
+    for k in ((0, 0), (big - 1, big - 1)):
+        Q.add_term(1.0, k=k, m=(0, 0))
+        Q.add_term(0.5j, k=k, m=(1, 1), z={(A, 0): 2})
+    prod = _mul_packed(P, Q, None, 0.0)
+    assert len(prod) == len(P) * len(Q)       # all pairs are distinct
+    assert prod.terms == _mul_dict(P, Q, None, 0.0).terms
 
 
 def test_evaluate_and_diff():
