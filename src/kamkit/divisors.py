@@ -63,9 +63,6 @@ class ParameterGrid:
                              resolution=self.resolution, ball=self.ball,
                              mask=self.mask.copy())
 
-    def survivor_centers(self) -> np.ndarray:
-        return self.centers()[self.mask.ravel()]
-
     def mask_bits(self) -> bytes:
         """Row-major bitmap of surviving cells (for external plotting)."""
         return np.packbits(self.mask.ravel().astype(np.uint8)).tobytes()

@@ -177,20 +177,6 @@ class Polynomial:
                 out.add_term(c * m[j], k, tuple(mm), z)
         return out
 
-    def diff_z(self, var) -> "Polynomial":
-        out = Polynomial(self.n)
-        for (k, m, z), c in self.terms.items():
-            for i, (v, p) in enumerate(z):
-                if v == var:
-                    zz = list(z)
-                    if p == 1:
-                        zz.pop(i)
-                    else:
-                        zz[i] = (v, p - 1)
-                    out.add_term(c * p, k, m, tuple(zz))
-                    break
-        return out
-
     def z_vars(self) -> list:
         s = set()
         for (_, _, z) in self.terms:
@@ -581,10 +567,6 @@ class HamiltonianJet:
         return self.to_polynomial().dump_lines(tag="jet")
 
 
-def jet_extract(poly: Polynomial) -> HamiltonianJet:
-    return HamiltonianJet.from_polynomial(poly)
-
-
 # -- normal-form Hamiltonians --------------------------------------------------
 
 @dataclass
@@ -678,19 +660,14 @@ def _site_geometry(sites: list):
     return pd, br
 
 
-def _weighted_block_norm(B: np.ndarray, pd, br, w: WeightParams) -> float:
-    """Row/col weighted sums of 2x2-block spectral norms (vectorized)."""
+def _block_norms(B: np.ndarray) -> np.ndarray:
+    """Spectral norms of the 2x2 blocks B[a, b], in closed form from the
+    trace and determinant of each block's Gram matrix."""
     G = np.einsum("abki,abkj->abij", B.conj(), B)
     t = (G[..., 0, 0] + G[..., 1, 1]).real
     det = (G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]).real
     disc = np.clip(t * t - 4 * det, 0.0, None)
-    bn = np.sqrt(np.clip((t + np.sqrt(disc)) / 2, 0.0, None))
-    wt = (np.exp(w.gamma1 * pd) * np.maximum(pd, 1.0) ** w.gamma2
-          * np.minimum(br[:, None], br[None, :]) ** w.kappa)
-    wb = bn * wt
-    if wb.size == 0:
-        return 0.0
-    return max(wb.sum(axis=1).max(), wb.sum(axis=0).max())
+    return np.sqrt(np.clip((t + np.sqrt(disc)) / 2, 0.0, None))
 
 
 def _halving_grid(top: float, floor: float) -> list[float]:
@@ -711,6 +688,12 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
     weighted norm <= mu, at weights gamma' in {0, gamma/2, gamma}.  The
     halving grids share a fixed floor, so doubling sigma or mu (or refining
     the grids) enlarges the sample set and never decreases the value.
+
+    The sample set is evaluated one angle at a time, as the columns of one
+    (terms, samples) array, so memory is bounded by one angle's samples.
+    Each column is reduced on its own, never by a matrix product across
+    columns, so a sample's value does not depend on its batch.  The hessian
+    is taken at each angle's first sample.
     """
     if not poly.terms:
         return 0.0
@@ -720,10 +703,11 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
     zvars = poly.z_vars()
     V = len(zvars)
     C, K, M, Zid = _pack(poly, {v: i for i, v in enumerate(zvars)})
+    N = len(C)
     rows, cols = np.nonzero(Zid >= 0)
     Z = _sparse.csr_matrix((np.ones(len(rows)), (rows, Zid[rows, cols])),
-                           shape=(len(C), V))     # repeated ids sum to powers
-    has_quad = Zid.shape[1] >= 2
+                           shape=(N, V))          # repeated ids sum to powers
+    Zt = Z.T.tocsr()
 
     # angle samples along a fixed direction; nested under n_theta doubling
     direction = np.array([1.0 + 0.61803398875 * j for j in range(n)])
@@ -750,49 +734,68 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
     gammas = [WeightParams(0.0, 0.0, w.kappa, w.m_star),
               WeightParams(w.gamma1 / 2, w.gamma2 / 2, w.kappa, w.m_star),
               w]
-    grad_w = [site_br ** gp.gamma2 * np.exp(gp.gamma1 * site_norm)
-              for gp in gammas]
+    grad_w = np.array([site_br ** gp.gamma2 * np.exp(gp.gamma1 * site_norm)
+                       for gp in gammas]).reshape(3, V, 1)
 
-    # padded site/block layout for vectorized hessian norms
-    sites = sorted({v[0] for v in zvars})
-    si = {s: i for i, s in enumerate(sites)}
-    pad = np.array([2 * si[v[0]] + v[1] for v in zvars], dtype=int)
-    pd, br = _site_geometry(sites) if sites else (np.zeros((0, 0)),
-                                                  np.zeros(0))
+    # per-term factors r^m (terms, actions) and zeta^p (terms, (dir, radius))
+    Rf = np.stack([np.exp(M @ np.log(np.full(n, rmag))) for rmag in r_vals],
+                  axis=1)
+    if V:
+        ZV = np.stack([rad * dvec for dvec in dirs for rad in radii], axis=1)
+        Zf = np.exp(Z @ np.log(ZV))
+        ZVs = np.repeat(ZV, len(r_vals), axis=1)   # zeta of each sample
+    else:
+        Zf = np.ones((N, 1))
+
+    # hessian pattern P[(a, b), t] = Z_ta Z_tb - [a == b] Z_ta: the ordered
+    # pairs of distinct slots of term t's id row, in the padded site layout
+    has_quad = Zid.shape[1] >= 2
+    if has_quad:
+        sites = sorted({v[0] for v in zvars})
+        si = {s: i for i, s in enumerate(sites)}
+        S2 = 2 * len(sites)
+        pad = np.array([2 * si[v[0]] + v[1] for v in zvars], dtype=np.int64)
+        slot = np.where(Zid >= 0, pad[Zid], -1)
+        i, j = np.nonzero(~np.eye(Zid.shape[1], dtype=bool))
+        Pa, Pb = slot[:, i], slot[:, j]
+        t, q = np.nonzero((Pa >= 0) & (Pb >= 0))
+        P = _sparse.csc_matrix((np.ones(len(t)), (Pa[t, q] * S2 + Pb[t, q], t)),
+                               shape=(S2 * S2, N))     # repeated pairs sum
+        zpad = np.ones(S2, dtype=complex)
+        zpad[pad] = ZV[:, 0]
+        pd, br = _site_geometry(sites)
+        block_w = [np.exp(gp.gamma1 * pd) * np.maximum(pd, 1.0) ** gp.gamma2
+                   * np.minimum(br[:, None], br[None, :]) ** gp.kappa
+                   for gp in gammas]
+
+    def sample_norm(phase):
+        # column (d, a) of T is phase * r^m * zeta^p at direction-radius
+        # pair d and action a, in the loop order (direction, radius, action)
+        T = ((phase[:, None] * Rf)[:, None, :] * Zf[:, :, None]).reshape(N, -1)
+        val = np.abs(T.sum(axis=0)).max()
+        if V:
+            ag2 = np.abs((Zt @ T) / ZVs) ** 2
+            val = max(val, p.mu * np.sqrt((ag2 * grad_w * grad_w)
+                                          .sum(axis=1)).max())
+        return val
+
+    def hessian_norm(t0):
+        H = (P @ t0).reshape(S2, S2)
+        H /= zpad[:, None]
+        H /= zpad[None, :]
+        bn = _block_norms(H.reshape(len(sites), 2, len(sites), 2)
+                          .transpose(0, 2, 1, 3))
+        return p.mu ** 2 * max(max(wb.sum(axis=1).max(), wb.sum(axis=0).max())
+                               for wb in (bn * wt for wt in block_w))
+
+    # one angle's samples at a time: T and H are freed before the next
     best = 0.0
     for th in thetas:
         phase = np.exp(1j * (K @ th)) * C
-        first = True
-        for dvec in (dirs or [np.zeros(0)]):
-            for rad in radii:
-                zv = rad * dvec
-                logz = np.log(zv) if V else None
-                zfac = np.exp(Z @ logz) if V else 1.0
-                for rmag in r_vals:
-                    rfac = np.exp(M @ np.log(np.full(n, rmag))) if n else 1.0
-                    tv = phase * rfac * zfac
-                    best = max(best, abs(tv.sum()))
-                    if V:
-                        grad = np.asarray(Z.T @ tv).ravel() / zv
-                        ag2 = np.abs(grad) ** 2
-                        for gw in grad_w:
-                            best = max(best, p.mu
-                                       * math.sqrt(float((ag2 * gw * gw).sum())))
-                    if has_quad and first:
-                        first = False
-                        D = _sparse.diags(tv)
-                        H = np.asarray((Z.T @ D @ Z).todense(), dtype=complex)
-                        H[np.diag_indices(V)] -= np.asarray(Z.T @ tv).ravel()
-                        H = H / zv[:, None] / zv[None, :]
-                        Hp = np.zeros((2 * len(sites), 2 * len(sites)),
-                                      dtype=complex)
-                        Hp[np.ix_(pad, pad)] = H
-                        B = Hp.reshape(len(sites), 2, len(sites), 2) \
-                            .transpose(0, 2, 1, 3)
-                        for gp in gammas:
-                            best = max(best, p.mu ** 2
-                                       * _weighted_block_norm(B, pd, br, gp))
-    return best
+        best = max(best, sample_norm(phase))
+        if has_quad:         # at the angle's first sample, column 0 of T
+            best = max(best, hessian_norm(phase * Rf[:, 0] * Zf[:, 0]))
+    return float(best)
 
 
 def hessian_decay_check(M: WeightedMatrix, w: WeightParams,

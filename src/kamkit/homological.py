@@ -517,7 +517,6 @@ def _emit_quadratic(S, k, cla, clb, Y, interleaved: bool):
 def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
                       guard: DivisorGuard, gamma1: float = 1.0,
                       max_picard: int = 3, tol: float = 1e-14,
-                      work_degree: int = 4,
                       prune_tol: float = 1e-20,
                       tables: dict | None = None) -> HomologicalSolution:
     """Solve {h,S} + jet({f - jet(f), S}) + jet(f) = h_tilde.

@@ -128,7 +128,6 @@ def inner_step(state: IterationState, schedule: Schedule,
     F = state.h_acc + state.f
     sol = solve_homological(h, F, guard, gamma1=state.gamma,
                             max_picard=schedule.max_picard,
-                            work_degree=schedule.work_degree,
                             prune_tol=schedule.prune_tol, tables=tables)
     _merge_divisors(state.divisor_table, sol.divisor_log)
     _excise_failures(state, guard.failures, guard_delta0)

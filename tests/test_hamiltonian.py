@@ -13,14 +13,16 @@ from kamkit.hamiltonian import (
     Polynomial,
     _mul_dict,
     _mul_packed,
+    _z_derivative_table,
     class_norm,
     hessian_decay_check,
-    jet_extract,
     lie_transform,
     poisson,
 )
 from kamkit.algebra import NormalFormMatrix
 from kamkit.lattice import build_partition
+
+from _reference_class_norm import reference_class_norm
 
 A = (2, 1)
 B = (1, 2)
@@ -151,7 +153,7 @@ def test_evaluate_and_diff():
     assert val == pytest.approx(2.0 * np.exp(0.3j) * 0.7 * (1.5 + 0.5j) ** 2)
     dp = p.diff_r(0)
     assert dp.evaluate(th, r, zv) == pytest.approx(val / 0.7)
-    dz = p.diff_z(((1, 0), 0))
+    dz = _z_derivative_table(p)[((1, 0), 0)]
     assert dz.evaluate(th, r, zv) == pytest.approx(2 * val / (1.5 + 0.5j))
 
 
@@ -159,14 +161,14 @@ def test_jet_extract_examples():
     # H = r_1 -> jet with f_r = e_1 at k=0 only
     p = Polynomial(2)
     p.add_term(1.0, m=(1, 0))
-    jet = jet_extract(p)
+    jet = HamiltonianJet.from_polynomial(p)
     assert list(jet.f_r.keys()) == [(0, 0)]
     assert np.allclose(jet.f_r[(0, 0)], [1.0, 0.0])
     assert not jet.f_theta and not jet.f_zeta and not jet.f_zetazeta
     # H = |zeta_a|^2 r_1 -> empty jet
     q = Polynomial(2)
     q.add_term(1.0, m=(1, 0), z={((2, 1), 0): 1, ((2, 1), 1): 1})
-    jet2 = jet_extract(q)
+    jet2 = HamiltonianJet.from_polynomial(q)
     assert not (jet2.f_theta or jet2.f_r or jet2.f_zeta or jet2.f_zetazeta)
 
 
@@ -301,6 +303,42 @@ def test_class_norm_monotone():
     fine = ClassNormParams(sigma=0.2, mu=0.125, n_theta=16, n_dirs=5,
                            radial_levels=3)
     assert class_norm(f, fine, w) >= base
+
+
+@st.composite
+def norm_operands(draw, n):
+    """Empty, constant-only, or up to 8 terms of z-degree 0-3 over SITES'
+    variables (a repeated variable gives a square or a cube)."""
+    p = Polynomial(n)
+    kind = draw(st.sampled_from(["empty", "constant", "terms"]))
+    if kind == "constant":
+        p.add_term(draw(COEFFS))
+    for _ in range(draw(st.integers(1, 8)) if kind == "terms" else 0):
+        k = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        m = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        z = {}
+        for v in draw(st.lists(st.tuples(st.sampled_from(SITES),
+                                         st.integers(0, 1)), max_size=3)):
+            z[v] = z.get(v, 0) + 1
+        p.add_term(draw(COEFFS), k=k, m=m, z=z)
+    return p
+
+
+@given(st.data())
+def test_class_norm_matches_sample_loop(data):
+    n = data.draw(st.integers(0, 2))
+    poly = data.draw(norm_operands(n))
+    params = ClassNormParams(sigma=data.draw(st.sampled_from([0.3, 0.1, 1.0])),
+                             mu=data.draw(st.sampled_from([0.25, 0.05, 1.0])),
+                             n_dirs=data.draw(st.integers(1, 4)),
+                             radial_levels=data.draw(st.integers(1, 3)))
+    w = data.draw(st.sampled_from([W, WeightParams(0.0, 0.0, 0.0, 1.0)]))
+    ref = reference_class_norm(poly, params, w)
+    # the hessian's closed-form 2x2 block norm takes sigma_max from
+    # t^2 - 4 det, which is ill-conditioned when a block's singular values
+    # nearly coincide: summing the hessian in another order moves it by
+    # ~1e-10 relative, so this is the singular margin check's tolerance
+    assert class_norm(poly, params, w) == pytest.approx(ref, rel=1e-9, abs=0)
 
 
 def test_class_norm_homogeneous():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kamkit.hamiltonian import ETA, XI, Polynomial
+from kamkit.hamiltonian import ETA, XI, Polynomial, _z_derivative_table
 from kamkit.lattice import ball_points, norm_sq
 from kamkit.models import (BeamModel, NlsModel, SingularBeamModel,
                            action_angle, build_beam, build_nls,
@@ -158,8 +158,9 @@ def test_beam_unperturbed_torus_invariant():
     h, f = build_beam(model)
     poly = h.to_polynomial()
     sites = [s for s in h.partition.sites()]
-    dxi = {s: poly.diff_z((s, ETA)).scale(1j) for s in sites}
-    deta = {s: poly.diff_z((s, XI)).scale(-1j) for s in sites}
+    dpoly = _z_derivative_table(poly)
+    dxi = {s: dpoly[(s, ETA)].scale(1j) for s in sites}
+    deta = {s: dpoly[(s, XI)].scale(-1j) for s in sites}
     rng = np.random.default_rng(3)
     z = {(s, c): complex(*rng.normal(scale=0.1, size=2))
          for s in sites for c in (XI, ETA)}
