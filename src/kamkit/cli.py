@@ -213,6 +213,13 @@ def cmd_blocks(cfg: dict) -> int:
     d = int(_require(section, "d", "blocks"))
     R = float(_require(section, "R", "blocks"))
     deltas = _require(section, "deltas", "blocks")
+    for raw in deltas:
+        if not (raw in ("inf", "Infinity")
+                or (isinstance(raw, (int, float))
+                    and not isinstance(raw, bool) and raw >= 0)):
+            raise ConfigError(
+                "field 'blocks.deltas' takes nonnegative numbers or 'inf', "
+                f"got {raw!r}")
     outdir = Path(cfg.get("output_dir", "out"))
     outdir.mkdir(parents=True, exist_ok=True)
     table = ["delta max_diameter classes"]

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import NormalFormMatrix, SeqVector, WeightParams, WeightedMatrix
-from .lattice import norm_sq, pseudo_dist
+from .lattice import norm_sq, pseudo_dist, pseudo_dist_sq
 
 XI, ETA = 0, 1
 
@@ -648,16 +648,16 @@ class ClassNormParams:
     def __post_init__(self):
         if not (0 < self.sigma <= 1 and 0 < self.mu <= 1):
             raise ValueError("sigma and mu must lie in (0, 1]")
+        for name in ("n_theta", "n_dirs", "radial_levels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 def _site_geometry(sites: list):
     """Pairwise pseudo-distances and site brackets, shared by norm weights."""
-    X = np.array(sites, dtype=float)
+    X = np.array(sites, dtype=np.int64)
     br = np.maximum(np.sqrt((X * X).sum(axis=1)), 1.0)
-    d2m = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-    d2p = ((X[:, None, :] + X[None, :, :]) ** 2).sum(axis=2)
-    pd = np.sqrt(np.minimum(d2m, d2p))
-    return pd, br
+    return np.sqrt(pseudo_dist_sq(X)), br
 
 
 def _block_norms(B: np.ndarray) -> np.ndarray:
@@ -728,7 +728,7 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
         nrm = math.sqrt(float(np.sum(np.abs(raw * sw) ** 2)))
         if nrm > 0:
             dirs.append(raw / nrm)
-    radii = _halving_grid(p.mu, 0.02)[:max(p.radial_levels, 1) + 2]
+    radii = _halving_grid(p.mu, 0.02)[:p.radial_levels + 2]
     r_vals = _halving_grid(p.mu ** 2, 4e-4)[:3]
 
     gammas = [WeightParams(0.0, 0.0, w.kappa, w.m_star),

@@ -57,6 +57,33 @@ def test_blocks_missing_radius_names_the_field(tmp_path, capsys):
     assert "'R'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [-1, "two", -0.5, None, True])
+def test_blocks_rejects_bad_deltas(tmp_path, capsys, bad):
+    cfg = write_cfg(tmp_path, {"output_dir": str(tmp_path / "out"),
+                               "blocks": {"d": 2, "R": 4,
+                                          "deltas": [1, bad]}})
+    assert main(["blocks", cfg]) == 2
+    assert "blocks.deltas" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "partition_delta_1.txt").exists()
+
+
+def test_blocks_artifacts_match_golden(tmp_path):
+    """Partition dumps and the diameter table, frozen from the per-sphere
+    partition and per-class diameters (``tests/_reference_lattice.py``)."""
+    golden = Path(__file__).parent / "golden" / "blocks_d3_R6"
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {
+        "output_dir": str(out),
+        "blocks": {"d": 3, "R": 6, "deltas": [1, 2, "inf"]},
+    })
+    assert main(["blocks", cfg]) == 0
+    names = sorted(p.name for p in golden.iterdir())
+    assert names == ["diameters.txt", "partition_delta_1.txt",
+                     "partition_delta_2.txt", "partition_delta_inf.txt"]
+    for name in names:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"blocks": {"d": 2, "R": 4, "deltas": [1],
                                           "Rmax": 9}})

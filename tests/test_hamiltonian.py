@@ -283,6 +283,13 @@ def test_class_norm_basics():
     assert class_norm(c, p, w) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("field", ["n_theta", "n_dirs", "radial_levels"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_class_norm_params_reject_empty_samples(field, value):
+    with pytest.raises(ValueError, match=field):
+        ClassNormParams(**{field: value})
+
+
 def test_class_norm_linear_gradient_dominates():
     w = WeightParams(0.0, 0.0, 0.0, m_star=1.0)
     p = ClassNormParams(sigma=0.2, mu=0.25)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kamkit.lattice import (
     angle_relation,
@@ -11,8 +12,11 @@ from kamkit.lattice import (
     class_diameters,
     max_diameter,
     pseudo_dist,
+    pseudo_dist_sq,
     sphere_points,
 )
+
+import _reference_lattice as ref
 
 
 def test_pseudo_dist_basic():
@@ -110,6 +114,53 @@ def test_class_diameters_match_bruteforce():
             continue
         brute = max((pseudo_dist(a, b) for a in cl for b in cl), default=0.0)
         assert dv == pytest.approx(brute)
+
+
+def test_pseudo_dist_sq_matches_pairwise():
+    rng = np.random.default_rng(1)
+    for d in (1, 2, 3):
+        X = rng.integers(-9, 10, size=(2, 7, d))
+        got = pseudo_dist_sq(X)
+        assert got.dtype == np.int64 and got.shape == (2, 7, 7)
+        for b in range(2):
+            for i in range(7):
+                for j in range(7):
+                    assert math.sqrt(got[b, i, j]) == pseudo_dist(
+                        tuple(X[b, i]), tuple(X[b, j]))
+
+
+@st.composite
+def partition_args(draw):
+    d = draw(st.integers(1, 3))
+    R = draw(st.sampled_from([1, 2, 3, 4.5, 5, 6, 7.5, 8]))
+    core_cutoff = draw(st.sampled_from([c for c in (0.0, 1.0, 1.5, 2.0)
+                                        if c <= R]))
+    delta = draw(st.sampled_from([0, 1, 1.5, 2, 3, math.inf]))
+    ball = ball_points(R, d)
+    finite_set = draw(st.lists(st.sampled_from(ball), max_size=3,
+                               unique=True))
+    rest = [p for p in ball if p not in finite_set]
+    exclude = draw(st.lists(st.sampled_from(rest), max_size=4, unique=True))
+    return delta, R, d, tuple(finite_set), core_cutoff, tuple(exclude)
+
+
+# delta 0 joins a and -a only; excluding (1, 1, 1) isolates (-1, -1, -1)
+@example((0, 6, 3, (), 1.0, ()))
+@example((0, 6, 3, ((2, 0, 0),), 1.0, ((1, 1, 1), (0, -3, 4))))
+@example((math.inf, 8, 3, ((0, 0, 3),), 2.0, ((8, 0, 0),)))
+@given(partition_args())
+def test_partition_matches_per_sphere_oracle(args):
+    got = build_partition(*args)
+    want = ref.build_partition(*args)
+    assert got == want      # classes, flags, class_of, indices, ...
+    assert list(got.class_of.items()) == list(want.class_of.items())
+    assert class_diameters(got) == ref.class_diameters(want)
+    assert got.diameters == ref.class_diameters(want)
+
+
+def test_partition_rejects_negative_delta():
+    with pytest.raises(ValueError, match="delta"):
+        build_partition(-1, 4, 2)
 
 
 def test_angle_relation():
