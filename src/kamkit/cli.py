@@ -189,7 +189,7 @@ def write_manifest(outdir: Path, cfg: dict, extra: dict):
     manifest = {
         "seed": cfg.get("seed", 0),
         "workers": int(cfg.get("workers", 1)),
-        "core_cutoff": 1.0,
+        "core_cutoff": 1.0,     # model partitions; cmd_blocks passes its own
         "grid_resolution": (cfg.get("grid") or {}).get("resolution", 64),
         "unstable_real_part_factor": 10,
     }
@@ -220,6 +220,12 @@ def cmd_blocks(cfg: dict) -> int:
             raise ConfigError(
                 "field 'blocks.deltas' takes nonnegative numbers or 'inf', "
                 f"got {raw!r}")
+    core_cutoff = section.get("core_cutoff", 1.0)
+    if not (isinstance(core_cutoff, (int, float))
+            and not isinstance(core_cutoff, bool) and 0 <= core_cutoff <= R):
+        raise ConfigError(
+            "field 'blocks.core_cutoff' takes a nonnegative number no larger "
+            f"than R = {R:g}, got {core_cutoff!r}")
     outdir = Path(cfg.get("output_dir", "out"))
     outdir.mkdir(parents=True, exist_ok=True)
     table = ["delta max_diameter classes"]
@@ -227,11 +233,12 @@ def cmd_blocks(cfg: dict) -> int:
         delta = math.inf if raw in ("inf", "Infinity") else raw
         p = build_partition(delta, R, d,
                             finite_set=_pairs(section.get("finite_set", ())),
-                            core_cutoff=section.get("core_cutoff", 1.0))
+                            core_cutoff=core_cutoff)
         _write(outdir / f"partition_delta_{raw}.txt", p.dump_lines())
         table.append(f"{raw} {max_diameter(p):.6g} {len(p.classes)}")
     _write(outdir / "diameters.txt", table)
-    write_manifest(outdir, cfg, {"command": "blocks", "blocks": section})
+    write_manifest(outdir, cfg, {"command": "blocks", "blocks": section,
+                                 "core_cutoff": core_cutoff})
     return EXIT_OK
 
 

@@ -396,11 +396,14 @@ def _zkeys(Z: np.ndarray, zvars: list) -> list:
             for g in start.sum(axis=1).tolist()]
 
 
-def _z_derivative_table(P: Polynomial) -> dict:
-    """var -> dP/dvar for every mode variable, in one pass over P."""
+def _z_derivative_table(P: Polynomial, sites=None) -> dict:
+    """var -> dP/dvar for every mode variable, or only for those on
+    ``sites`` when given, in one pass over P."""
     table: dict = {}
     for (k, m, z), c in P.terms.items():
         for i, (v, p) in enumerate(z):
+            if sites is not None and v[0] not in sites:
+                continue
             zz = list(z)
             if p == 1:
                 zz.pop(i)
@@ -445,8 +448,9 @@ def poisson(F: Polynomial, G: Polynomial, finite_set=(),
         if dGr.terms:
             out._iadd(k_scale(F, j).mul(dGr, max_degree, tol), sign=-1.0)
 
-    dF = _z_derivative_table(F)
+    # G is the small side of most brackets: differentiate F only on its sites
     dG = _z_derivative_table(G)
+    dF = _z_derivative_table(F, {v[0] for v in dG})
     sites = {v[0] for v in dF} & {v[0] for v in dG}
     empty = Polynomial(n)
     for s in sorted(sites):

@@ -6,21 +6,34 @@ partial Birkhoff normal form.
 All space integrals are computed exactly as zero-momentum Fourier
 convolutions; the field is expanded as
 u(x) = (2 pi)^{-d/2} sum_a (xi_a e^{iax} + eta_a e^{-iax}) / sqrt(2 L_a).
+
+``expand_product`` enumerates the monomials of such an integral as index
+arrays.  The choices of each head pool and the fronts of the tail pool (its
+first count - 1 letters) are rows of combinations with replacement; momenta
+are integer codes summed by gather-add; the closing letter is found by
+``searchsorted`` on the tail's sorted codes; multiplicities are exact
+integers from run lengths, and each coefficient is pref * mult times the
+letter amplitudes, one letter at a time.  Rows come out in the order of the
+nested loop this replaces (head choice, front, closing letter) and like
+monomials merge as ``Polynomial.add_term`` merges them, so the result has
+the loop's keys, order and coefficient bits.  Fronts are built in blocks of
+``_BLOCK_ROWS`` rows to bound memory.  The quartic of the singular beam at
+d=2, R=5 (165,357 monomials) takes 0.18 s as rows against 3.4 s for the
+loop (Python 3.11, numpy 2.4, one core of a 2-vCPU Xeon VM);
+``build_singular`` classifies those rows in arrays and turns only the 4,313
+resonant ones into terms.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import binom as _binom
 
-from .hamiltonian import ETA, XI, NormalFormHamiltonian, Polynomial
+from .hamiltonian import ETA, XI, NormalFormHamiltonian, Polynomial, _zkeys
 from .algebra import NormalFormMatrix
-from .lattice import (BlockPartition, ball_points, build_partition,
-                      check_admissible, norm_sq)
+from .lattice import ball_points, build_partition, check_admissible, norm_sq
 
 TWO_PI = 2 * math.pi
 
@@ -49,20 +62,180 @@ def field_letters(sites, lam: dict) -> list:
     return out
 
 
-def _perm_count(idx: tuple) -> int:
-    c = math.factorial(len(idx))
-    for m in Counter(idx).values():
-        c //= math.factorial(m)
-    return c
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of range(s, s + c) over the pairs, in order."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) \
+        + np.repeat(starts - ends + counts, counts)
 
 
-def _add_monomial(poly: Polynomial, coeff, letters, k=None):
-    z = {}
-    for L in letters:
-        z[L.var] = z.get(L.var, 0) + 1
-    for L in letters:
-        coeff *= L.amp
-    poly.add_term(coeff, k=k, z=z)
+def _prepend(S: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows (h, *s) for h in range(lo, hi) and every row s of S with
+    s[0] >= h.  S lists combinations with replacement in lexicographic
+    order, so for each h those rows are a suffix of S."""
+    heads = np.arange(lo, hi)
+    start = np.searchsorted(S[:, 0], heads) if S.shape[1] \
+        else np.zeros_like(heads)
+    counts = len(S) - start
+    return np.hstack([np.repeat(heads, counts)[:, None],
+                      S[_ranges(start, counts)]])
+
+
+def _cwr(L: int, r: int) -> np.ndarray:
+    """itertools.combinations_with_replacement(range(L), r) as rows."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(r):
+        rows = _prepend(rows, 0, L)
+    return rows
+
+
+def _cwr_chunks(L: int, r: int, budget: int):
+    """``_cwr(L, r)`` in consecutive blocks of at most ``budget`` rows, or
+    of one first index when that alone has more."""
+    if r == 0:
+        yield _cwr(L, r)
+        return
+    S = _cwr(L, r - 1)
+    step = max(1, budget // max(1, len(S)))
+    for lo in range(0, L, step):
+        yield _prepend(S, lo, min(lo + step, L))
+
+
+def _multinomial(rows: np.ndarray) -> np.ndarray:
+    """Distinct orderings of each sorted row: w! / prod(run lengths!)."""
+    w = rows.shape[1]
+    run = np.ones(len(rows), dtype=np.int64)
+    denom = np.ones(len(rows), dtype=np.int64)
+    for j in range(1, w):
+        run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
+        denom *= run
+    return math.factorial(w) // denom
+
+
+# rows per block of the expansion: bounds the temporaries of one block
+_BLOCK_ROWS = 1 << 16
+
+
+def _expansion(pools, xwave, d: int, coeff):
+    """The monomials of ``expand_product`` as arrays, in the order the
+    monomial loop visits them (head choice, then tail front, then closing
+    letter).
+
+    Returns (zvars, Z, c): the sorted variables, Z (N, total) sorted rows of
+    variable ids (one entry per letter) and c (N,) complex coefficients,
+    exact zeros dropped.  A row is a monomial; rows repeat a monomial only
+    when pools share variables.  ``pools`` holds positive counts only.
+    """
+    total = sum(c for c, _ in pools)
+    pref = complex(coeff * TWO_PI ** (d * (1 - total / 2.0)))
+    letters = [L for _, ls in pools for L in ls]
+    zvars = sorted({L.var for L in letters})
+    vid = {v: i for i, v in enumerate(zvars)}
+    var = np.array([vid[L.var] for L in letters], dtype=np.intp)
+    amp = np.array([L.amp for L in letters], dtype=float)
+    # momenta as balanced base-B digits: B exceeds twice any partial sum,
+    # so sums of letter codes are equal exactly when the momenta are
+    mom = np.array([L.mom for L in letters],
+                   dtype=np.int64).reshape(len(letters), d)
+    B = 2 * (total * int(np.abs(mom).max(initial=0))
+             + max(map(abs, xwave), default=0)) + 1
+    radix = B ** np.arange(d, dtype=np.int64)
+    mcode = mom @ radix
+    offsets = np.cumsum([0] + [len(ls) for _, ls in pools])
+    if any(not ls for _, ls in pools):
+        return zvars, np.zeros((0, total), dtype=np.intp), \
+            np.zeros(0, dtype=complex)
+
+    # head choices in itertools.product order, as global letter ids
+    *head, (cl, tail) = pools
+    hrows = [_cwr(len(ls), c) + off for (c, ls), off in zip(head, offsets)]
+    shape = [len(r) for r in hrows]
+    grid = np.indices(shape).reshape(len(hrows), math.prod(shape))
+    H = np.hstack([r[g] for r, g in zip(hrows, grid)] +
+                  [np.zeros((grid.shape[1], 0), dtype=np.intp)])
+    hmult = np.ones(len(H), dtype=np.int64)
+    for r, g in zip(hrows, grid):
+        hmult *= _multinomial(r)[g]
+    hcode = np.asarray(xwave, dtype=np.int64) @ radix + mcode[H].sum(axis=1)
+
+    # closing letters sorted by momentum (stable: ascending index within a
+    # momentum)
+    toff = offsets[-2]
+    tcode = mcode[toff:]
+    tord = np.argsort(tcode, kind="stable")
+    tsorted = tcode[tord]
+
+    def block(h: np.ndarray, F: np.ndarray):
+        """Rows for head choices h crossed with tail fronts F."""
+        hi = np.repeat(h, len(F))
+        fi = np.tile(np.arange(len(F)), len(h))
+        want = -(hcode[hi] + tcode[F].sum(axis=1)[fi])
+        first = np.searchsorted(tsorted, want, "left")
+        count = np.searchsorted(tsorted, want, "right") - first
+        row = np.repeat(np.arange(len(want)), count)
+        last = tord[_ranges(first, count)]
+        if cl > 1:
+            keep = last >= F[fi[row], -1]
+            row, last = row[keep], last[keep]
+        T = np.hstack([F[fi[row]], last[:, None]])
+        hrow = hi[row]
+        mult = hmult[hrow] * _multinomial(T)
+        ids = np.hstack([H[hrow], T + toff])
+        # the loop's arithmetic: pref * mult, then one amplitude per letter
+        # in letter order.  A complex pref runs as two real chains; they
+        # agree with Python's complex-by-real products up to signed zeros,
+        # which adding 0.0 clears as the dict's first 0.0 + c does
+        parts = []
+        for p in (pref.real, pref.imag):
+            x = p * mult
+            for j in range(total):
+                x *= amp[ids[:, j]]
+            parts.append(x)
+        c = np.empty(len(ids), dtype=complex)
+        c.real, c.imag = parts
+        nz = c != 0
+        return np.sort(var[ids[nz]], axis=1), c[nz] + 0.0
+
+    step = _BLOCK_ROWS // math.comb(len(tail) + cl - 2, cl - 1)
+    if step:        # all fronts fit one block: several head choices per block
+        F = _cwr(len(tail), cl - 1)
+        out = [block(np.arange(h, min(h + step, len(H))), F)
+               for h in range(0, len(H), step)]
+    else:
+        out = [block(np.array([h]), F) for h in range(len(H))
+               for F in _cwr_chunks(len(tail), cl - 1, _BLOCK_ROWS)]
+    return zvars, np.vstack([z for z, _ in out]), \
+        np.concatenate([c for _, c in out])
+
+
+def _polynomial(n: int, zvars: list, Z: np.ndarray, c: np.ndarray,
+                k=None) -> Polynomial:
+    """Sum of the rows c * z^Z as a Polynomial, merged like ``add_term``:
+    first-occurrence order, keys dropped while their sum is zero."""
+    kk = tuple(k) if k is not None else (0,) * n
+    mm = (0,) * n
+    V, w = len(zvars), Z.shape[1]
+    if V ** w <= np.iinfo(np.int64).max:
+        code = Z @ np.cumprod([1] + [V] * (w - 1), dtype=np.int64)[::-1]
+        _, first, inv = np.unique(code, return_index=True,
+                                  return_inverse=True)
+    else:
+        _, first, inv = np.unique(Z, axis=0, return_index=True,
+                                  return_inverse=True)
+    vals = c.tolist()
+    if len(first) == len(Z):          # no repeated monomial: rows are terms
+        keys = [(kk, mm, zk) for zk in _zkeys(Z, zvars)]
+        return Polynomial(n, dict(zip(keys, vals)))
+    zks = _zkeys(Z[first], zvars)
+    terms: dict = {}
+    for u, v in zip(inv.ravel().tolist(), vals):
+        key = (kk, mm, zks[u])
+        val = terms.get(key, 0.0) + v
+        if val == 0:
+            terms.pop(key, None)
+        else:
+            terms[key] = val
+    return Polynomial(n, terms)
 
 
 def expand_product(n: int, pools, xwave, d: int, coeff, k=None) -> Polynomial:
@@ -73,46 +246,13 @@ def expand_product(n: int, pools, xwave, d: int, coeff, k=None) -> Polynomial:
     as combinatorial factor and (2 pi)^{d(1 - total/2)} normalization.
     """
     total = sum(c for c, _ in pools)
-    pref = coeff * TWO_PI ** (d * (1 - total / 2.0))
-    poly = Polynomial(n)
     xwave = tuple(xwave) if xwave else (0,) * d
     pools = [(c, ls) for c, ls in pools if c > 0]
     if not pools:
-        poly.add_term(pref, k=k)
+        poly = Polynomial(n)
+        poly.add_term(coeff * TWO_PI ** (d * (1 - total / 2.0)), k=k)
         return poly
-    *head, (cl, tail) = pools
-    lookup = {}
-    for idx, L in enumerate(tail):
-        lookup.setdefault(L.mom, []).append(idx)
-    head_lists = [list(itertools.combinations_with_replacement(
-        range(len(ls)), c)) for c, ls in head]
-
-    for choice in itertools.product(*head_lists):
-        hmult = 1
-        hmom = list(xwave)
-        hletters = []
-        for (c, ls), idx in zip(head, choice):
-            hmult *= _perm_count(idx)
-            for i in idx:
-                hletters.append(ls[i])
-                for t in range(d):
-                    hmom[t] += ls[i].mom[t]
-        for front in itertools.combinations_with_replacement(
-                range(len(tail)), cl - 1):
-            need = list(hmom)
-            for i in front:
-                for t in range(d):
-                    need[t] += tail[i].mom[t]
-            cands = lookup.get(tuple(-x for x in need), ())
-            lo = front[-1] if front else -1
-            for last in cands:
-                if last < lo:
-                    continue
-                idxs = front + (last,)
-                mult = hmult * _perm_count(idxs)
-                _add_monomial(poly, pref * mult,
-                              hletters + [tail[i] for i in idxs], k=k)
-    return poly
+    return _polynomial(n, *_expansion(pools, xwave, d, coeff), k=k)
 
 
 def _half_power_poly(n: int, j: int, e2: int, Ij: float,
@@ -436,6 +576,7 @@ def _gauge_r_shift(poly: Polynomial, node_of: dict, max_degree: int,
         m[j] = 1
         shifts[j].add_term(1.0, m=m)      # r_j itself
     out = Polynomial(n)
+    terms = out.terms
     for (k, m, zk), c in poly.terms.items():
         if not any(m[j] for j in shifts):
             out.add_term(c, k=k, m=m, z=zk)
@@ -446,8 +587,40 @@ def _gauge_r_shift(poly: Polynomial, node_of: dict, max_degree: int,
         for j, sp in shifts.items():
             for _ in range(m[j]):
                 base = base.mul(sp, max_degree=max_degree)
-        out = out + base
+        for key, cb in base.terms.items():
+            val = terms.get(key, 0.0) + cb
+            if val == 0:
+                terms.pop(key, None)
+            else:
+                terms[key] = val
     return out
+
+
+def _classify_quartic(zvars: list, Z: np.ndarray, lam: dict):
+    """Resonance and Birkhoff divisor of each quartic row.
+
+    A row is resonant when its sorted xi-slot norms equal its sorted
+    eta-slot norms.  The divisor sums sign * power * Lambda over the row's
+    variables in z-tuple order, as a loop over the monomial would.
+    """
+    comp = np.array([v[1] for v in zvars], dtype=np.intp)[Z]
+    nsq = np.array([norm_sq(v[0]) for v in zvars], dtype=np.int64)[Z]
+    xi = comp == XI
+    top = np.iinfo(np.int64).max
+    xs = np.sort(np.where(xi, nsq, top), axis=1)[:, :2]
+    es = np.sort(np.where(xi, top, nsq), axis=1)[:, :2]
+    resonant = (xi.sum(axis=1) == 2) & (xs == es).all(axis=1)
+    # power of each variable at its first slot, zero on the repeats
+    w = Z.shape[1]
+    power = np.ones(Z.shape, dtype=np.int64)
+    for j in range(w - 2, -1, -1):
+        power[:, j] += np.where(Z[:, j + 1] == Z[:, j], power[:, j + 1], 0)
+    power[:, 1:][Z[:, 1:] == Z[:, :-1]] = 0
+    lamv = np.array([lam[v[0]] for v in zvars])[Z]
+    div = np.zeros(len(Z))
+    for j in range(w):
+        div += np.where(xi[:, j], 1, -1) * power[:, j] * lamv[:, j]
+    return resonant, div
 
 
 def build_singular(model: SingularBeamModel) -> SingularNormalForm:
@@ -469,36 +642,37 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
     n = len(nodes)
     letters = field_letters(sites, lam)
 
-    key = (model.d, model.radius, model.mass, n)
+    # the quartic integral as classified rows; only the resonant rows
+    # become terms, the others are counted as killed by the Birkhoff step
+    key = (model.d, model.radius, model.mass)
     if key not in _F4_CACHE:
-        _F4_CACHE[key] = expand_product(n, [(4, letters)], None, model.d,
-                                        1.0)
-    f4 = _F4_CACHE[key]
-    killed, min_div = 0, math.inf
-    z4 = Polynomial(n)
-    frest = Polynomial(n)
+        zvars, Z, c = _expansion([(4, letters)], (0,) * model.d, model.d,
+                                 1.0)
+        _F4_CACHE[key] = (zvars, Z, c) + _classify_quartic(zvars, Z, lam)
+    zvars, Z, c, resonant, div = _F4_CACHE[key]
+    nint = np.array([v[0] in nodes for v in zvars])[Z].sum(axis=1)
+    three = resonant & (nint == 3)
+    small = ~resonant & (np.abs(div) < model.birkhoff_threshold)
+    bad = np.flatnonzero(three | small)
+    if len(bad):
+        i = bad[0]
+        zk = _zkeys(Z[i:i + 1], zvars)[0]
+        if three[i]:
+            raise AssertionError(
+                "resonant quartic with three node slots contradicts "
+                "admissibility: %r" % (zk,))
+        raise ValueError("non-generic mass: Birkhoff divisor %.3e at %r"
+                         % (div[i], zk))
+    killed = int(np.count_nonzero(~resonant))
+    min_div = float(np.abs(div[~resonant]).min(initial=math.inf))
     g4 = Polynomial(n)          # all four slots on nodes
     gPQ = Polynomial(n)         # exactly two slots on nodes
-    for (k, m, zk), c in f4.terms.items():
-        if _is_resonant_quartic(zk, nsq_of):
-            z4.add_term(c, k=k, m=m, z=zk)
-            nint = sum(p for (site, comp), p in zk if site in nodes)
-            if nint == 3:
-                raise AssertionError(
-                    "resonant quartic with three node slots contradicts "
-                    "admissibility: %r" % (zk,))
-            target = {4: g4, 2: gPQ}.get(nint, frest)
-            target.add_term(c, k=k, m=m, z=zk)
-        else:
-            div = 0.0
-            for (site, comp), p in zk:
-                div += (1 if comp == XI else -1) * p * lam[site]
-            if abs(div) < model.birkhoff_threshold:
-                raise ValueError(
-                    "non-generic mass: Birkhoff divisor %.3e at %r"
-                    % (div, zk))
-            min_div = min(min_div, abs(div))
-            killed += 1
+    frest = Polynomial(n)
+    zero = (0,) * n
+    rows = np.flatnonzero(resonant)
+    for zk, cz, ni in zip(_zkeys(Z[rows], zvars), c[rows].tolist(),
+                          nint[rows].tolist()):
+        {4: g4, 2: gPQ}.get(ni, frest).terms[(zero, zero, zk)] = cz
 
     if model.quintic:
         int_letters = [L for L in letters if L.var[0] in nodes]

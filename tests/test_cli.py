@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from kamkit.cli import main
+from kamkit.lattice import build_partition
 
 BEAM_MODEL = {
     "kind": "beam", "d": 2, "R": 2, "nodes": [[1, 0], [0, 2]],
@@ -65,6 +66,29 @@ def test_blocks_rejects_bad_deltas(tmp_path, capsys, bad):
     assert main(["blocks", cfg]) == 2
     assert "blocks.deltas" in capsys.readouterr().err
     assert not (tmp_path / "out" / "partition_delta_1.txt").exists()
+
+
+@pytest.mark.parametrize("bad", [10, -1, "x", True])
+def test_blocks_rejects_bad_core_cutoff(tmp_path, capsys, bad):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"output_dir": str(out),
+                               "blocks": {"d": 2, "R": 4, "deltas": [1],
+                                          "core_cutoff": bad}})
+    assert main(["blocks", cfg]) == 2
+    assert "blocks.core_cutoff" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_records_effective_core_cutoff(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"output_dir": str(out),
+                               "blocks": {"d": 2, "R": 3, "deltas": [2],
+                                          "core_cutoff": 2}})
+    assert main(["blocks", cfg]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["core_cutoff"] == 2
+    lines = (out / "partition_delta_2.txt").read_text().splitlines()
+    assert lines == build_partition(2, 3.0, 2, core_cutoff=2).dump_lines()
 
 
 def test_blocks_artifacts_match_golden(tmp_path):

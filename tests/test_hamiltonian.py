@@ -265,6 +265,30 @@ def test_poisson_antisymmetry_and_reality():
     assert br.reality_defect() < 1e-12
 
 
+def test_poisson_restricted_tables_match_full_tables():
+    """poisson differentiates F only on G's sites; the bracket must equal
+    the one built from F's and G's full derivative tables."""
+    rng = np.random.default_rng(7)
+    grid = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+    F = random_poly(rng, n=0, nterms=400, sites=grid)
+    G = Polynomial(0)
+    for site in (grid[4], grid[13], (5, 5, 5), (6, 0, 0)):
+        G.add_term(rng.standard_normal() + 1j, z={(site, 0): 1, (A, 1): 1})
+    fset = (grid[13],)
+    assert len(F.sites()) == 27 and len(G.sites()) == 5
+
+    dF, dG = _z_derivative_table(F), _z_derivative_table(G)
+    want = Polynomial(0)
+    for s in sorted({v[0] for v in dF} & {v[0] for v in dG}):
+        unit = 1.0 if s in fset else 1j
+        for a, b, sign in ((0, 1, unit), (1, 0, -unit)):
+            if (s, a) in dF and (s, b) in dG:
+                want._iadd(dF[(s, a)].mul(dG[(s, b)]), sign=sign)
+    got = poisson(F, G, finite_set=fset)
+    assert want.terms
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
 def test_lie_transform_consistency():
     # first order: F o flow = F + {F,S} + O(S^2)
     rng = np.random.default_rng(3)

@@ -1,14 +1,21 @@
+import itertools
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kamkit.hamiltonian import ETA, XI, Polynomial, _z_derivative_table
 from kamkit.lattice import ball_points, norm_sq
-from kamkit.models import (BeamModel, NlsModel, SingularBeamModel,
+from kamkit.models import (BeamModel, Letter, NlsModel, SingularBeamModel,
                            action_angle, build_beam, build_nls,
                            build_singular, enumerate_Z4, expand_product,
                            field_letters, _is_resonant_quartic)
+
+import _reference_models
+from kamkit import models
 
 TWO_PI = 2 * math.pi
 
@@ -22,6 +29,73 @@ def test_expand_u2_closed_form():
     p = expand_product(0, [(2, field_letters(sites, lam))], None, 1, 1.0)
     key = ((), (), ((((0,), XI), 1), (((0,), ETA), 1)))
     assert p.terms[key] == pytest.approx(1.0 / lam[(0,)])
+
+
+def assert_same_terms(got: Polynomial, want: Polynomial):
+    """Same keys in the same order, coefficients equal bit for bit."""
+    assert list(got.terms) == list(want.terms)
+    bits = lambda c: struct.pack("<dd", c.real, c.imag)
+    assert [bits(c) for c in got.terms.values()] == \
+        [bits(c) for c in want.terms.values()]
+
+
+@st.composite
+def expansion_cases(draw):
+    d = draw(st.integers(1, 3))
+    sites = list(itertools.product((-1, 0, 1), repeat=d))[:2]
+    vec = st.tuples(*[st.integers(-1, 1)] * d)
+    # shared variables and +-1 amplitudes make rows repeat and cancel
+    letter = st.builds(Letter, mom=vec,
+                       var=st.tuples(st.sampled_from(sites),
+                                     st.sampled_from((XI, ETA))),
+                       amp=st.sampled_from((1.0, -1.0, 0.5, 0.3, 0.0)))
+    letters = st.one_of(st.just([]), st.lists(letter, min_size=1,
+                                              max_size=6))
+    pools = [(draw(st.integers(0, 5)), draw(letters))
+             for _ in range(draw(st.integers(1, 2)))]
+    xwave = draw(st.one_of(st.none(), st.tuples(*[st.integers(-2, 2)] * d)))
+    k = draw(st.one_of(st.none(), st.tuples(st.integers(-2, 2))))
+    coeff = draw(st.sampled_from((1.0, -0.75, 3e-3, 0.3 + 0.4j, -1j)))
+    return (1, pools, xwave, d, coeff), k
+
+
+@given(expansion_cases())
+def test_expand_product_matches_monomial_loop(case):
+    args, k = case
+    assert_same_terms(expand_product(*args, k=k),
+                      _reference_models.expand_product(*args, k=k))
+
+
+def test_expand_product_cancelled_monomial_is_reinserted_last():
+    v, u, w = ((0,), XI), ((1,), XI), ((0,), ETA)
+    heads = [Letter((0,), v, 1.0), Letter((0,), u, 1.0),
+             Letter((0,), v, -1.0), Letter((0,), v, 0.5)]
+    args = (0, [(1, heads), (1, [Letter((0,), w, 1.0)])], None, 1, 1.0)
+    got = expand_product(*args)
+    assert [z for _, _, z in got.terms] == [((w, 1), (u, 1)),
+                                           ((v, 1), (w, 1))]
+    assert_same_terms(got, _reference_models.expand_product(*args))
+
+
+@pytest.mark.parametrize("block_rows", [None, 7])
+def test_expand_product_field_letters_match_monomial_loop(monkeypatch,
+                                                          block_rows):
+    if block_rows:      # many small blocks: fronts split, one head per block
+        monkeypatch.setattr(models, "_BLOCK_ROWS", block_rows)
+    sites = ball_points(2.5, 2)
+    lam = {a: math.sqrt(norm_sq(a) ** 2 + 1.37) for a in sites}
+    letters = field_letters(sites, lam)
+    nodes = ((0, 1), (1, -1))
+    inner = [L for L in letters if L.var[0] in nodes]
+    outer = [L for L in letters if L.var[0] not in nodes]
+    for pools, xwave, k in (([(4, letters)], None, None),
+                            ([(3, letters)], (1, 0), (1, -1)),
+                            ([(3, inner), (2, outer)], None, None),
+                            ([(2, letters), (0, outer)], (0, 0), None),
+                            ([(0, letters)], None, (2, 0))):
+        args = (2, pools, xwave, 2, 0.37)
+        assert_same_terms(expand_product(*args, k=k),
+                          _reference_models.expand_product(*args, k=k))
 
 
 def beam_quartic_model(**kw):
@@ -304,6 +378,30 @@ def test_singular_nongeneric_mass_detected():
         build_singular(singular_model(radius=2, birkhoff_threshold=10.0))
 
 
+@pytest.mark.parametrize("threshold", [10.0, 3.0])
+def test_singular_nongeneric_mass_names_first_monomial(threshold):
+    """The error names the first offending quartic monomial in the order
+    of the per-monomial expansion, with its divisor."""
+    model = singular_model(radius=2, birkhoff_threshold=threshold)
+    sites = ball_points(2, 2)
+    nsq_of = {a: norm_sq(a) for a in sites}
+    lam = {a: math.sqrt(nsq_of[a] ** 2 + model.mass) for a in sites}
+    f4 = _reference_models.expand_product(
+        2, [(4, field_letters(sites, lam))], None, 2, 1.0)
+    for (_, _, zk), _ in f4.terms.items():
+        if _is_resonant_quartic(zk, nsq_of):
+            continue
+        div = 0.0
+        for (site, comp), p in zk:
+            div += (1 if comp == XI else -1) * p * lam[site]
+        if abs(div) < threshold:
+            break
+    with pytest.raises(ValueError) as err:
+        build_singular(model)
+    assert str(err.value) == ("non-generic mass: Birkhoff divisor %.3e at %r"
+                              % (div, zk))
+
+
 def test_singular_empty_node_set():
     nf = build_singular(singular_model(radius=2, nodes=(), actions=(),
                                        quintic=0.0))
@@ -343,3 +441,71 @@ def test_singular_scaling_probes():
     (a1, j1), (a2, j2) = vals
     assert a1 / a2 == pytest.approx(4.0, rel=0.05)          # linear in |I|
     assert j1 / j2 == pytest.approx(8.0, rel=0.1)           # |I|^{3/2}
+
+
+# -- golden regression ---------------------------------------------------
+#
+# Frozen outputs of a small singular build and a two-pool NLS build.  The
+# files were written by ``_write_goldens`` before the expansion became an
+# array pass; regenerate them only for an intended change of results:
+#     cd tests && PYTHONPATH=../src python -c \
+#         "import test_models as t; t._write_goldens()"
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_singular_model():
+    return singular_model(radius=3)
+
+
+def golden_nls_model():
+    return NlsModel(d=2, radius=2, mass=1.0, alpha=0.5, rho=(1.3, 0.7),
+                    forcing=(((1, 0), 1, 1, None, 1.0),
+                             ((0, 1), 2, 1, (1, 0), 0.5),
+                             ((1, -1), 1, 2, (0, 1), -0.3),
+                             ((0, 0), 0, 3, (-1, 1), 0.25),
+                             ((2, 0), 3, 0, None, 0.125)),
+                    epsilon=0.7)
+
+
+def singular_golden_files(nf) -> dict:
+    summary = [f"omega_I {' '.join(map(repr, nf.omega_I.tolist()))}",
+               f"const {nf.const!r}",
+               f"birkhoff_killed {nf.birkhoff_killed}",
+               f"birkhoff_min_divisor {nf.birkhoff_min_divisor!r}",
+               f"lambda_h {' '.join(','.join(map(str, a)) for a in nf.lambda_h)}",
+               f"H_I {nf.H_I.shape[0]}x{nf.H_I.shape[1]}"]
+    summary += [" ".join(map(repr, row)) for row in nf.H_I.tolist()]
+    summary += [f"lambda {','.join(map(str, a))} {v!r}"
+                for a, v in nf.lambda_sites.items()]
+    return {"summary.txt": "\n".join(summary) + "\n",
+            "f_tilde.txt": "\n".join(nf.f_tilde.dump_lines()) + "\n"}
+
+
+def nls_golden_files(f) -> dict:
+    return {"f.txt": "\n".join(f.dump_lines()) + "\n"}
+
+
+def _golden_outputs() -> dict:
+    return {"singular_d2_R3": singular_golden_files(
+                build_singular(golden_singular_model())),
+            "nls_d2_R2": nls_golden_files(build_nls(golden_nls_model())[1])}
+
+
+def _write_goldens():
+    for case, files in _golden_outputs().items():
+        (GOLDEN / case).mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (GOLDEN / case / name).write_text(text)
+
+
+def test_singular_build_matches_golden():
+    files = singular_golden_files(build_singular(golden_singular_model()))
+    for name, text in files.items():
+        assert text == (GOLDEN / "singular_d2_R3" / name).read_text(), name
+
+
+def test_nls_build_matches_golden():
+    files = nls_golden_files(build_nls(golden_nls_model())[1])
+    for name, text in files.items():
+        assert text == (GOLDEN / "nls_d2_R2" / name).read_text(), name
