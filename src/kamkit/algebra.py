@@ -5,7 +5,15 @@ Vectors over the truncated lattice carry a 2-component entry per site; in
 complex coordinates the components are (xi_s, eta_s), related to the real
 pair (p_s, q_s) by xi = (p + iq)/sqrt(2), eta = (p - iq)/sqrt(2) on the
 infinite part of the lattice.  The finite hyperbolic node set keeps real
-coordinates throughout.
+coordinates throughout, with the Poisson matrix ``symplectic(F)``.
+
+A ``WeightedMatrix`` stores its 2x2 blocks in a dict keyed by site pairs.
+Every product, application and norm stacks that dict once into int row and
+column indices over a sorted site list plus an (nnz, 2, 2) block array, and
+works on the arrays: products and the operator norm through
+``scipy.sparse.bsr_array``, the decay norm through batched block norms
+(``spectral_norm_2x2``) times vectorised decay weights (``decay_weight``).
+The scalar ``weight`` is the definition those arrays are checked against.
 """
 from __future__ import annotations
 
@@ -13,11 +21,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import bsr_array
 
-from .lattice import BlockPartition, norm_sq, pseudo_dist
+from .lattice import BlockPartition, norm_sq, pseudo_dist, pseudo_dist_sq
+
+
+def symplectic(F: int) -> np.ndarray:
+    """Poisson matrix of F real pairs: kron(I_F, [[0, 1], [-1, 0]])."""
+    return np.kron(np.eye(F), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
 
 I2 = np.eye(2)
-J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+J2 = symplectic(1)
 
 
 @dataclass(frozen=True)
@@ -45,6 +60,40 @@ def weight(a, b, w: WeightParams) -> float:
             * min(bracket(a), bracket(b)) ** w.kappa)
 
 
+def decay_weight(Xa, Xb, w: WeightParams) -> np.ndarray:
+    """``weight(a, b, w)`` for the paired rows of the int point arrays Xa
+    and Xb (..., d), which broadcast against each other."""
+    Xa, Xb = np.broadcast_arrays(np.asarray(Xa, dtype=np.int64),
+                                 np.asarray(Xb, dtype=np.int64))
+    pd = np.sqrt(pseudo_dist_sq(np.stack([Xa, Xb], axis=-2))[..., 0, 1])
+    nsq = np.minimum((Xa * Xa).sum(axis=-1), (Xb * Xb).sum(axis=-1))
+    return (np.exp(w.gamma1 * pd) * np.maximum(pd, 1.0) ** w.gamma2
+            * np.maximum(np.sqrt(nsq), 1.0) ** w.kappa)
+
+
+def site_weight(X, w: WeightParams) -> np.ndarray:
+    """Sequence-space weight <s>^{g2} e^{g1 |s|} of the rows of X (..., d)."""
+    X = np.asarray(X, dtype=np.int64)
+    nrm = np.sqrt((X * X).sum(axis=-1))
+    return np.maximum(nrm, 1.0) ** w.gamma2 * np.exp(w.gamma1 * nrm)
+
+
+def spectral_norm_2x2(M):
+    """Operator norms of 2x2 complex blocks M (..., 2, 2); a scalar for one
+    block.
+
+    sigma_max^2 = (g00 + g11)/2 + hypot((g00 - g11)/2, |g01|) from the Gram
+    matrix G = M^H M: every term is nonnegative, so no digits cancel when
+    the two singular values nearly coincide.
+    """
+    M = np.asarray(M, dtype=complex)
+    c0, c1 = M[..., :, 0], M[..., :, 1]
+    g00 = (c0.real ** 2 + c0.imag ** 2).sum(axis=-1)
+    g11 = (c1.real ** 2 + c1.imag ** 2).sum(axis=-1)
+    g01 = np.abs((c0.conj() * c1).sum(axis=-1))
+    return np.sqrt((g00 + g11) / 2 + np.hypot((g00 - g11) / 2, g01))[()]
+
+
 @dataclass
 class SeqVector:
     """Finitely supported map site -> 2-component complex entry."""
@@ -55,23 +104,20 @@ class SeqVector:
 
     def set(self, s, val):
         v = np.asarray(val, dtype=complex).reshape(2)
-        if np.any(v != 0):
+        if v.any():
             self.entries[tuple(s)] = v
         else:
             self.entries.pop(tuple(s), None)
 
-    def copy(self) -> "SeqVector":
-        return SeqVector({s: v.copy() for s, v in self.entries.items()})
-
 
 def seq_norm(z: SeqVector, w: WeightParams) -> float:
     """Weighted l2 norm: sum over sites of |z_s|^2 <s>^{2g2} e^{2g1|s|}."""
-    total = 0.0
-    for s, v in z.entries.items():
-        ns = math.sqrt(norm_sq(s))
-        total += float(np.vdot(v, v).real) * bracket(s) ** (2 * w.gamma2) \
-            * math.exp(2 * w.gamma1 * ns)
-    return math.sqrt(total)
+    if not z.entries:
+        return 0.0
+    v = np.array(list(z.entries.values()))
+    ws = site_weight(list(z.entries), w)
+    return math.sqrt(float(((v.real ** 2 + v.imag ** 2).sum(axis=1)
+                            * ws * ws).sum()))
 
 
 def involution(z: SeqVector, finite_set=()) -> SeqVector:
@@ -87,16 +133,6 @@ def involution(z: SeqVector, finite_set=()) -> SeqVector:
     return out
 
 
-def spectral_norm_2x2(M) -> float:
-    """Operator norm of a 2x2 complex matrix via closed-form singular values."""
-    M = np.asarray(M, dtype=complex)
-    G = M.conj().T @ M
-    t = G[0, 0].real + G[1, 1].real
-    det = (G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]).real
-    disc = max(t * t - 4 * det, 0.0)
-    return math.sqrt(max((t + math.sqrt(disc)) / 2, 0.0))
-
-
 @dataclass
 class WeightedMatrix:
     """Sparse block matrix over the truncated lattice; absent blocks are 0."""
@@ -110,32 +146,13 @@ class WeightedMatrix:
     def set(self, a, b, M):
         M = np.asarray(M, dtype=complex).reshape(2, 2)
         key = (tuple(a), tuple(b))
-        if np.any(M != 0):
+        if M.any():
             self.blocks[key] = M
         else:
             self.blocks.pop(key, None)
 
     def add(self, a, b, M):
         self.set(a, b, self.get(a, b) + np.asarray(M, dtype=complex))
-
-    def sites(self) -> list:
-        s = set()
-        for a, b in self.blocks:
-            s.add(a)
-            s.add(b)
-        return sorted(s)
-
-    def transpose(self) -> "WeightedMatrix":
-        out = WeightedMatrix(truncation=self.truncation)
-        for (a, b), M in self.blocks.items():
-            out.set(b, a, M.T)
-        return out
-
-    def conj(self) -> "WeightedMatrix":
-        out = WeightedMatrix(truncation=self.truncation)
-        for (a, b), M in self.blocks.items():
-            out.set(a, b, np.conj(M))
-        return out
 
     def scale(self, c) -> "WeightedMatrix":
         out = WeightedMatrix(truncation=self.truncation)
@@ -150,56 +167,62 @@ class WeightedMatrix:
             out.add(a, b, M)
         return out
 
-    def __sub__(self, other: "WeightedMatrix") -> "WeightedMatrix":
-        return self + other.scale(-1.0)
-
     def matmul(self, other: "WeightedMatrix") -> "WeightedMatrix":
-        by_row: dict = {}
-        for (a, c), M in other.blocks.items():
-            by_row.setdefault(a, []).append((c, M))
+        sites, (A, B) = _stack(self, other)
+        C = _bsr(*A, len(sites)) @ _bsr(*B, len(sites))
+        rows = np.repeat(np.arange(len(sites)), np.diff(C.indptr))
+        keep = C.data.reshape(-1, 4).any(axis=1)
         out = WeightedMatrix(truncation=self.truncation)
-        for (a, b), M in self.blocks.items():
-            for c, N in by_row.get(b, ()):
-                out.add(a, c, M @ N)
+        out.blocks = {(sites[i], sites[j]): M for i, j, M in
+                      zip(rows[keep].tolist(), C.indices[keep].tolist(),
+                          C.data[keep])}
         return out
 
     def apply(self, z: SeqVector) -> SeqVector:
-        out: dict = {}
-        for (a, b), M in self.blocks.items():
-            v = z.entries.get(b)
-            if v is None:
-                continue
-            out[a] = out.get(a, np.zeros(2, dtype=complex)) + M @ v
-        res = SeqVector()
-        for a, v in out.items():
-            res.set(a, v)
-        return res
+        sites, ((rows, cols, data),) = _stack(self)
+        x = np.array([z.get(s) for s in sites], dtype=complex).reshape(-1)
+        y = (_bsr(rows, cols, data, len(sites)) @ x).reshape(-1, 2)
+        return SeqVector({sites[i]: y[i] for i in
+                          np.flatnonzero(y.any(axis=1)).tolist()})
 
-    def dump_lines(self) -> list[str]:
-        lines = []
-        for (a, b), M in sorted(self.blocks.items()):
-            ent = " ".join(f"{c.real:.12g}{c.imag:+.12g}j" for c in M.ravel())
-            astr = ",".join(str(x) for x in a)
-            bstr = ",".join(str(x) for x in b)
-            lines.append(f"a={astr} b={bstr} entries={ent}")
-        return lines
+
+def _stack(*mats: WeightedMatrix):
+    """The blocks of ``mats`` as arrays over one shared site list.
+
+    Returns (sites, per-matrix (rows, cols, data)): ``sites`` is the sorted
+    union of the sites the matrices touch, rows and cols index into it, and
+    data is the (nnz, 2, 2) block array, all in ``.blocks`` order.
+    """
+    sites = sorted({s for A in mats for key in A.blocks for s in key})
+    index = {s: i for i, s in enumerate(sites)}
+    out = []
+    for A in mats:
+        n = len(A.blocks)
+        ij = np.array([(index[a], index[b]) for a, b in A.blocks],
+                      dtype=np.int64).reshape(n, 2)
+        data = np.array(list(A.blocks.values()), dtype=complex)
+        out.append((ij[:, 0], ij[:, 1], data.reshape(n, 2, 2)))
+    return sites, out
+
+
+def _bsr(rows, cols, data, n: int) -> bsr_array:
+    """The (2n x 2n) BSR matrix with block data[k] at (rows[k], cols[k])."""
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return bsr_array((data[order], cols[order], indptr),
+                     shape=(2 * n, 2 * n), blocksize=(2, 2))
 
 
 def matrix_norm(A: WeightedMatrix, w: WeightParams) -> float:
     """Decay norm: max over rows/cols of the weighted sum of 2x2 block norms."""
-    rows: dict = {}
-    cols: dict = {}
-    for (a, b), M in A.blocks.items():
-        v = spectral_norm_2x2(M) * weight(a, b, w)
-        rows[a] = rows.get(a, 0.0) + v
-        cols[b] = cols.get(b, 0.0) + v
-    rmax = max(rows.values(), default=0.0)
-    cmax = max(cols.values(), default=0.0)
-    return max(rmax, cmax)
-
-
-def _site_weight(s, w: WeightParams) -> float:
-    return bracket(s) ** w.gamma2 * math.exp(w.gamma1 * math.sqrt(norm_sq(s)))
+    sites, ((rows, cols, data),) = _stack(A)
+    if not sites:
+        return 0.0
+    X = np.array(sites)
+    v = spectral_norm_2x2(data) * decay_weight(X[rows], X[cols], w)
+    return float(max(np.bincount(rows, v, len(sites)).max(),
+                     np.bincount(cols, v, len(sites)).max()))
 
 
 def operator_norm(A: WeightedMatrix, w: WeightParams, tol=1e-10,
@@ -207,42 +230,23 @@ def operator_norm(A: WeightedMatrix, w: WeightParams, tol=1e-10,
     """Operator norm of A on the weighted sequence space.
 
     Conjugates by the diagonal site weight and takes the largest singular
-    value: dense SVD for small supports, power iteration otherwise.
+    value: dense SVD up to 600 sites, power iteration on A^H A otherwise.
     """
-    sts = A.sites()
-    if not sts:
+    sites, ((rows, cols, data),) = _stack(A)
+    if not sites:
         return 0.0
-    idx = {s: i for i, s in enumerate(sts)}
-    n = len(sts)
-    ws = np.array([_site_weight(s, w) for s in sts])
-    dense_ok = n <= 600
-    if dense_ok:
-        M = np.zeros((2 * n, 2 * n), dtype=complex)
-        for (a, b), blk in A.blocks.items():
-            i, j = idx[a], idx[b]
-            M[2 * i:2 * i + 2, 2 * j:2 * j + 2] = blk * (ws[i] / ws[j])
-        return float(np.linalg.norm(M, 2))
-    # power iteration on W A W^{-1} (via A^H A)
+    ws = site_weight(sites, w)
+    B = _bsr(rows, cols, data * (ws[rows] / ws[cols])[:, None, None],
+             len(sites))
+    if len(sites) <= 600:
+        return float(np.linalg.norm(B.toarray(), 2))
+    BH = B.conj().T
     rng = np.random.default_rng(12345)
-    x = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    x = rng.standard_normal(B.shape[0]) + 1j * rng.standard_normal(B.shape[0])
     x /= np.linalg.norm(x)
-    scaled = {}
-    for (a, b), blk in A.blocks.items():
-        i, j = idx[a], idx[b]
-        scaled[(i, j)] = blk * (ws[i] / ws[j])
-
-    def mv(v, herm=False):
-        out = np.zeros_like(v)
-        for (i, j), blk in scaled.items():
-            if herm:
-                out[2 * j:2 * j + 2] += blk.conj().T @ v[2 * i:2 * i + 2]
-            else:
-                out[2 * i:2 * i + 2] += blk @ v[2 * j:2 * j + 2]
-        return out
-
     prev = 0.0
     for _ in range(max_iter):
-        y = mv(mv(x), herm=True)
+        y = BH @ (B @ x)
         ny = np.linalg.norm(y)
         if ny == 0:
             return 0.0

@@ -65,9 +65,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
-    _check_keys(cfg, {"seed", "output_dir", "workers", "blocks", "model",
-                      "grid", "guard", "schedule", "weights", "norm",
-                      "threshold"}, "config")
+    _check_keys(cfg, {"seed", "output_dir", "blocks", "model", "grid",
+                      "guard", "schedule", "weights", "norm", "threshold"},
+                "config")
     return cfg
 
 
@@ -188,7 +188,6 @@ def write_manifest(outdir: Path, cfg: dict, extra: dict):
     """Every ledgered tunable with its effective value, plus run extras."""
     manifest = {
         "seed": cfg.get("seed", 0),
-        "workers": int(cfg.get("workers", 1)),
         "core_cutoff": 1.0,     # model partitions; cmd_blocks passes its own
         "grid_resolution": (cfg.get("grid") or {}).get("resolution", 64),
         "unstable_real_part_factor": 10,

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebra import symplectic
 from .lattice import BlockPartition, norm_sq
 
 
@@ -131,10 +132,7 @@ def check_A1(sites, lambda_fn, partition: BlockPartition, grid: ParameterGrid,
     centers = grid.centers()
     alive = grid.mask.ravel()
     F = len(partition.finite_set)
-    J = np.zeros((2 * F, 2 * F))
-    for i in range(F):
-        J[2 * i, 2 * i + 1] = 1.0
-        J[2 * i + 1, 2 * i] = -1.0
+    J = symplectic(F)
     for ic, rho in enumerate(centers):
         if not alive[ic]:
             continue

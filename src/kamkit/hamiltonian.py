@@ -38,8 +38,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import NormalFormMatrix, SeqVector, WeightParams, WeightedMatrix
-from .lattice import norm_sq, pseudo_dist, pseudo_dist_sq
+from .algebra import (NormalFormMatrix, SeqVector, WeightParams,
+                      WeightedMatrix, _stack, decay_weight, site_weight,
+                      spectral_norm_2x2)
 
 XI, ETA = 0, 1
 
@@ -657,23 +658,6 @@ class ClassNormParams:
                 raise ValueError(f"{name} must be at least 1")
 
 
-def _site_geometry(sites: list):
-    """Pairwise pseudo-distances and site brackets, shared by norm weights."""
-    X = np.array(sites, dtype=np.int64)
-    br = np.maximum(np.sqrt((X * X).sum(axis=1)), 1.0)
-    return np.sqrt(pseudo_dist_sq(X)), br
-
-
-def _block_norms(B: np.ndarray) -> np.ndarray:
-    """Spectral norms of the 2x2 blocks B[a, b], in closed form from the
-    trace and determinant of each block's Gram matrix."""
-    G = np.einsum("abki,abkj->abij", B.conj(), B)
-    t = (G[..., 0, 0] + G[..., 1, 1]).real
-    det = (G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]).real
-    disc = np.clip(t * t - 4 * det, 0.0, None)
-    return np.sqrt(np.clip((t + np.sqrt(disc)) / 2, 0.0, None))
-
-
 def _halving_grid(top: float, floor: float) -> list[float]:
     vals = []
     v = top
@@ -723,12 +707,12 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
         for i in range(p.n_theta) for im in imag_levels]
 
     # seeded mode directions of weighted norm 1, scaled by the radial grid
-    site_norm = np.array([math.sqrt(norm_sq(v[0])) for v in zvars])
-    site_br = np.maximum(site_norm, 1.0)
+    zsites = np.array([v[0] for v in zvars], dtype=np.int64)
+    zsites = zsites.reshape(V, -1 if V else 0)
+    sw = site_weight(zsites, w)
     dirs = []
     for _ in range(p.n_dirs):
         raw = rng.standard_normal(V) + 1j * rng.standard_normal(V)
-        sw = site_br ** w.gamma2 * np.exp(w.gamma1 * site_norm)
         nrm = math.sqrt(float(np.sum(np.abs(raw * sw) ** 2)))
         if nrm > 0:
             dirs.append(raw / nrm)
@@ -738,7 +722,7 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
     gammas = [WeightParams(0.0, 0.0, w.kappa, w.m_star),
               WeightParams(w.gamma1 / 2, w.gamma2 / 2, w.kappa, w.m_star),
               w]
-    grad_w = np.array([site_br ** gp.gamma2 * np.exp(gp.gamma1 * site_norm)
+    grad_w = np.array([site_weight(zsites, gp)
                        for gp in gammas]).reshape(3, V, 1)
 
     # per-term factors r^m (terms, actions) and zeta^p (terms, (dir, radius))
@@ -767,10 +751,8 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
                                shape=(S2 * S2, N))     # repeated pairs sum
         zpad = np.ones(S2, dtype=complex)
         zpad[pad] = ZV[:, 0]
-        pd, br = _site_geometry(sites)
-        block_w = [np.exp(gp.gamma1 * pd) * np.maximum(pd, 1.0) ** gp.gamma2
-                   * np.minimum(br[:, None], br[None, :]) ** gp.kappa
-                   for gp in gammas]
+        X = np.array(sites, dtype=np.int64)
+        block_w = [decay_weight(X[:, None], X[None], gp) for gp in gammas]
 
     def sample_norm(phase):
         # column (d, a) of T is phase * r^m * zeta^p at direction-radius
@@ -787,8 +769,8 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
         H = (P @ t0).reshape(S2, S2)
         H /= zpad[:, None]
         H /= zpad[None, :]
-        bn = _block_norms(H.reshape(len(sites), 2, len(sites), 2)
-                          .transpose(0, 2, 1, 3))
+        bn = spectral_norm_2x2(H.reshape(len(sites), 2, len(sites), 2)
+                               .transpose(0, 2, 1, 3))
         return p.mu ** 2 * max(max(wb.sum(axis=1).max(), wb.sum(axis=0).max())
                                for wb in (bn * wt for wt in block_w))
 
@@ -809,16 +791,17 @@ def hessian_decay_check(M: WeightedMatrix, w: WeightParams,
     Returns (minimal C making the bound hold, list of violations for the
     supplied C).
     """
-    from .algebra import spectral_norm_2x2
-    min_C = 0.0
+    if not M.blocks:
+        return 0.0, []
+    sites, ((rows, cols, data),) = _stack(M)
+    X = np.array(sites, dtype=np.int64)
+    brk = site_weight(X, WeightParams(0.0, w.kappa))        # <s>^kappa
+    bound = 1.0 / (decay_weight(X[rows], X[cols], WeightParams(w.gamma1, 0.0))
+                   * brk[rows] * brk[cols])
+    nb = spectral_norm_2x2(data)
     violations = []
-    for (a, b), blk in M.blocks.items():
-        bound_unit = (math.exp(-w.gamma1 * pseudo_dist(a, b))
-                      * max(1.0, math.sqrt(norm_sq(a))) ** (-w.kappa)
-                      * max(1.0, math.sqrt(norm_sq(b))) ** (-w.kappa))
-        nb = spectral_norm_2x2(blk)
-        need = nb / bound_unit
-        min_C = max(min_C, need)
-        if C is not None and nb > C * bound_unit * (1 + 1e-12):
-            violations.append((a, b, nb, C * bound_unit))
-    return min_C, violations
+    if C is not None:
+        for i in np.flatnonzero(nb > C * bound * (1 + 1e-12)).tolist():
+            violations.append((sites[rows[i]], sites[cols[i]], float(nb[i]),
+                               C * float(bound[i])))
+    return float((nb / bound).max()), violations

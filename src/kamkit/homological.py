@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import NormalFormMatrix, spectral_norm_2x2
+from .algebra import (WeightParams, _stack, decay_weight, spectral_norm_2x2,
+                      symplectic)
 from .hamiltonian import (
     ETA,
     XI,
@@ -26,7 +27,7 @@ from .hamiltonian import (
     Polynomial,
     poisson,
 )
-from .lattice import norm_sq
+from .lattice import norm_sq, pseudo_dist_sq
 
 
 @dataclass
@@ -117,10 +118,7 @@ def class_tables(h: NormalFormHamiltonian) -> dict:
             H = h.nf.hyperbolic_block
             if H is None:
                 H = np.zeros((2 * F, 2 * F))
-            J = np.zeros((2 * F, 2 * F))
-            for i in range(F):
-                J[2 * i, 2 * i + 1] = 1.0
-                J[2 * i + 1, 2 * i] = -1.0
+            J = symplectic(F)
             tables[ci] = _ClassData(ci, cl, True, H=np.asarray(H, float),
                                     JH=J @ H, HJ=H @ J)
         else:
@@ -255,11 +253,14 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
     # fitted decay constant for the skip-rule bound
     C_fit = 0.0
     for M in jet.f_zetazeta.values():
-        for (a, b), blk in M.blocks.items():
-            if a != b:
-                from .lattice import pseudo_dist
-                C_fit = max(C_fit, spectral_norm_2x2(blk)
-                            * math.exp(gamma1 * pseudo_dist(a, b)))
+        sites, ((rows, cols, data),) = _stack(M)
+        off = rows != cols
+        if off.any():
+            X = np.array(sites, dtype=np.int64)
+            C_fit = max(C_fit, float(
+                (spectral_norm_2x2(data[off])
+                 * decay_weight(X[rows[off]], X[cols[off]],
+                                WeightParams(gamma1, 0.0))).max()))
 
     # -- theta part ------------------------------------------------------
     for k, c in jet.f_theta.items():
@@ -340,13 +341,17 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
     for k, M in jet.f_zetazeta.items():
         kw = float(np.dot(k, omega))
         k_is_zero = all(x == 0 for x in k)
-        pairs = {}
-        for (a, b) in M.blocks:
-            ci, cj = p.class_of[a], p.class_of[b]
-            if ci > cj:
-                continue
-            pairs.setdefault((ci, cj), set()).add((a, b))
-        for (ci, cj) in sorted(pairs):
+        # largest block norm per class pair (ci <= cj) that holds blocks
+        sites, ((rows, cols, data),) = _stack(M)
+        cls = np.array([p.class_of[s] for s in sites], dtype=np.int64)
+        ci_, cj_ = cls[rows], cls[cols]
+        up = ci_ <= cj_
+        pair_ids, inv = np.unique(ci_[up] * len(p.classes) + cj_[up],
+                                  return_inverse=True)
+        coeffs = np.zeros(len(pair_ids))
+        np.maximum.at(coeffs, inv, spectral_norm_2x2(data[up]))
+        for pid, coeff in zip(pair_ids.tolist(), coeffs.tolist()):
+            ci, cj = divmod(pid, len(p.classes))
             ca, cb = tables[ci], tables[cj]
             cla, clb = ca.sites, cb.sites
             na, nb = len(cla), len(clb)
@@ -355,10 +360,7 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
             # skip rule: same sphere, different classes, elliptic pair
             if (ci != cj and not ca.hyperbolic and not cb.hyperbolic
                     and norm_sq(cla[0]) == norm_sq(clb[0])):
-                from .lattice import pseudo_dist
-                coeff = max(spectral_norm_2x2(M.blocks[(a, b)])
-                            for (a, b) in pairs[(ci, cj)])
-                gap = min(pseudo_dist(a, b) for a in cla for b in clb)
+                gap = math.sqrt(pseudo_dist_sq(cla + clb)[:na, na:].min())
                 skipped.append((k, ci, cj, coeff,
                                 C_fit * math.exp(-gamma1 * gap)))
                 continue

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import J2, NormalFormMatrix, WeightParams
+from .algebra import I2, J2, NormalFormMatrix, WeightParams, symplectic
 from .divisors import ParameterGrid, excise
 from .hamiltonian import (ClassNormParams, ETA, XI, NormalFormHamiltonian,
                           Polynomial, class_norm, lie_transform)
@@ -280,8 +280,7 @@ def _spectrum_report(h: NormalFormHamiltonian):
     Hf = h.nf.hyperbolic_block
     if Hf is not None and Hf.size:
         F = Hf.shape[0] // 2
-        J = np.kron(np.eye(F), J2)
-        ev = np.linalg.eigvals(J @ Hf)
+        ev = np.linalg.eigvals(symplectic(F) @ Hf)
         tol = 1e-10 * max(1.0, np.abs(ev).max())
         unstable = int((ev.real > 10 * tol).sum())
     p = h.partition
@@ -292,13 +291,8 @@ def _spectrum_report(h: NormalFormHamiltonian):
         if not Q.size:
             continue
         # real form of the Hermitian block: eigenvalues come in +-i pairs
-        m = Q.shape[0]
-        R = np.zeros((2 * m, 2 * m))
-        for i in range(m):
-            for j in range(m):
-                R[2 * i:2 * i + 2, 2 * j:2 * j + 2] = \
-                    Q[i, j].real * np.eye(2) + Q[i, j].imag * J2
-        ev = np.linalg.eigvals(np.kron(np.eye(m), J2) @ R)
+        R = np.kron(Q.real, I2) + np.kron(Q.imag, J2)
+        ev = np.linalg.eigvals(symplectic(Q.shape[0]) @ R)
         a_inf_real = max(a_inf_real, float(np.abs(ev.real).max()))
     return unstable, a_inf_real
 

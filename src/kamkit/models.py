@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import binom as _binom
 
 from .hamiltonian import ETA, XI, NormalFormHamiltonian, Polynomial, _zkeys
-from .algebra import NormalFormMatrix
+from .algebra import NormalFormMatrix, symplectic
 from .lattice import ball_points, build_partition, check_admissible, norm_sq
 
 TWO_PI = 2 * math.pi
@@ -787,13 +787,12 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
                     comp_of[vv] = len(comps)
                     stack.append(vv)
         comps.append(sorted(comp))
-    J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     lambda_e, lambda_h = [], []
     a2_floor = math.inf
     for comp in comps:
         sel = np.array([c2 for i in comp for c2 in (2 * i, 2 * i + 1)])
         Cc = C[np.ix_(sel, sel)]
-        Jc = np.kron(np.eye(len(comp)), J2)
+        Jc = symplectic(len(comp))
         ev = np.linalg.eigvals(Jc @ Cc)
         mags = np.abs(ev)
         if mags.max() > 0:

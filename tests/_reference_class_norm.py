@@ -11,8 +11,17 @@ import numpy as np
 
 from kamkit.algebra import WeightParams
 from kamkit.hamiltonian import (ClassNormParams, Polynomial, _halving_grid,
-                                _pack, _site_geometry)
+                                _pack)
 from kamkit.lattice import norm_sq
+
+
+def _site_geometry(sites: list):
+    """Pairwise pseudo-distances min(|a-b|, |a+b|) and site brackets."""
+    X = np.array(sites, dtype=np.int64)
+    dm = ((X[:, None] - X[None]) ** 2).sum(axis=2)
+    dp = ((X[:, None] + X[None]) ** 2).sum(axis=2)
+    br = np.maximum(np.sqrt((X * X).sum(axis=1)), 1.0)
+    return np.sqrt(np.minimum(dm, dp)), br
 
 
 def _weighted_block_norm(B: np.ndarray, pd, br, w: WeightParams) -> float:

@@ -11,6 +11,7 @@ from kamkit.algebra import (
     WeightParams,
     WeightedMatrix,
     b_norm,
+    bracket,
     check_normal_form,
     involution,
     matrix_norm,
@@ -82,11 +83,122 @@ def test_matrix_norm_bruteforce():
     assert matrix_norm(A, w) == pytest.approx(expect, rel=1e-10)
 
 
+def _random_unitary(rng):
+    Q, R = np.linalg.qr(rng.standard_normal((2, 2))
+                        + 1j * rng.standard_normal((2, 2)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
 def test_spectral_norm_2x2():
     rng = np.random.default_rng(2)
     for _ in range(30):
         M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert spectral_norm_2x2(M) == pytest.approx(np.linalg.norm(M, 2))
+    # nearly coincident singular values 1 + t and 1, t in [1e-16, 1e-6]
+    for t in np.logspace(-16, -6, 200):
+        M = _random_unitary(rng) @ np.diag([1 + t, 1.0]) @ _random_unitary(rng)
+        assert spectral_norm_2x2(M) == pytest.approx(np.linalg.norm(M, 2),
+                                                     rel=1e-14)
+    # batched (k, 2, 2) input
+    Ms = rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2))
+    Ms[:10] = [_random_unitary(rng) @ np.diag([1 + 1e-12, 1.0])
+               @ _random_unitary(rng) for _ in range(10)]
+    got = spectral_norm_2x2(Ms)
+    assert got.shape == (50,)
+    assert got == pytest.approx(np.linalg.norm(Ms, 2, axis=(1, 2)), rel=1e-14)
+
+
+def _dense(A, sites):
+    """Blocks -> (2n x 2n) array over the given site order."""
+    idx = {s: i for i, s in enumerate(sites)}
+    D = np.zeros((2 * len(sites), 2 * len(sites)), dtype=complex)
+    for (a, b), M in A.blocks.items():
+        i, j = idx[a], idx[b]
+        D[2 * i:2 * i + 2, 2 * j:2 * j + 2] = M
+    return D
+
+
+def _dense_matrix_norm(D, sites, w):
+    n = len(sites)
+    bn = np.linalg.norm(D.reshape(n, 2, n, 2), 2, axis=(1, 3))
+    wt = np.array([[weight(a, b, w) for b in sites] for a in sites])
+    return max((bn * wt).sum(axis=1).max(), (bn * wt).sum(axis=0).max())
+
+
+def test_stacked_paths_match_dense():
+    rng = np.random.default_rng(11)
+    w = WeightParams(0.3, 1.5, 0.5)
+    pts = ball_points(3, 2)
+    S1, S2, S3 = pts[:9], pts[9:18], pts[18:]
+    sites = pts
+
+    def on(rows, cols):
+        A = WeightedMatrix()
+        for a in rows:
+            for b in cols:
+                if rng.random() < 0.5:
+                    A.set(a, b, rng.standard_normal((2, 2))
+                          + 1j * rng.standard_normal((2, 2)))
+        return A
+
+    A, B, E = on(S1, S2), on(S2, S3), WeightedMatrix()
+    full = on(pts, pts)
+    z = SeqVector()
+    for s in S2 + S3:
+        z.set(s, rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    # an empty operand
+    assert E.matmul(A).blocks == {} and A.matmul(E).blocks == {}
+    assert E.apply(z).entries == {} and matrix_norm(E, w) == 0.0
+    # operands on disjoint site sets: A B lives on S1 x S3, B A vanishes
+    assert B.matmul(A).blocks == {}
+    for X, Y in ((A, B), (full, A), (B, full), (full, full)):
+        P = X.matmul(Y)
+        want = _dense(X, sites) @ _dense(Y, sites)
+        err = np.abs(_dense(P, sites) - want).max()
+        assert err <= 1e-13 * np.abs(want).max()
+        assert all(np.any(M != 0) for M in P.blocks.values())
+        assert matrix_norm(P, w) == pytest.approx(
+            _dense_matrix_norm(want, sites, w), rel=1e-12)
+    for X in (A, B, full):
+        y = X.apply(z)
+        v = np.concatenate([z.get(s) for s in sites])
+        want = (_dense(X, sites) @ v).reshape(-1, 2)
+        got = np.array([y.get(s) for s in sites])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert set(y.entries) == {s for s, r in zip(sites, want) if r.any()}
+    # a product whose blocks cancel exactly (integer entries, so every
+    # partial sum is exact) is absent from .blocks
+    a, b, c, d = pts[:4]
+    M = rng.integers(-5, 6, (2, 2)) + 1j * rng.integers(-5, 6, (2, 2))
+    N = rng.integers(-5, 6, (2, 2)).astype(float)
+    X, Y = WeightedMatrix(), WeightedMatrix()
+    X.set(a, b, M)
+    X.set(a, c, -M)
+    X.set(d, c, I2)
+    Y.set(b, d, N)
+    Y.set(c, d, N)
+    P = X.matmul(Y)
+    assert set(P.blocks) == {(d, d)}
+    assert np.array_equal(P.get(d, d), N)
+
+
+def test_operator_norm_power_iteration_matches_svd():
+    rng = np.random.default_rng(12)
+    sites = ball_points(15, 2)
+    assert len(sites) > 600            # past the dense-SVD cut-over
+    A = WeightedMatrix()
+    for a in sites:
+        A.set(a, a, 0.1 * rng.standard_normal((2, 2)))
+        for _ in range(2):
+            b = sites[rng.integers(len(sites))]
+            A.add(a, b, 0.1 * (rng.standard_normal((2, 2))
+                               + 1j * rng.standard_normal((2, 2))))
+    A.set(sites[0], sites[1], np.array([[3.0, 1.0], [0.0, 2.0]]))
+    w = WeightParams(0.0, 0.5)
+    ws = np.array([bracket(s) ** 0.5 for s in sites])
+    D = _dense(A, sites) * np.repeat(ws, 2)[:, None] / np.repeat(ws, 2)[None]
+    assert operator_norm(A, w) == pytest.approx(np.linalg.norm(D, 2),
+                                                rel=1e-9)
 
 
 def test_b_norm_zero_and_diagonal():

@@ -115,6 +115,10 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "Rmax" in capsys.readouterr().err
     cfg = write_cfg(tmp_path, {"blockz": {}})
     assert main(["blocks", cfg]) == 2
+    cfg = write_cfg(tmp_path, {"workers": 2,
+                               "blocks": {"d": 2, "R": 4, "deltas": [1]}})
+    assert main(["blocks", cfg]) == 2
+    assert "workers" in capsys.readouterr().err
 
 
 def test_scan_beam_defaults_pass_and_record_tau(tmp_path):
@@ -227,7 +231,7 @@ def test_manifest_lists_effective_tunables(tmp_path):
     assert main(["blocks", cfg]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     for key in ("core_cutoff", "grid_resolution", "schedule", "weights",
-                "norm", "seed", "workers", "unstable_real_part_factor"):
+                "norm", "seed", "unstable_real_part_factor"):
         assert key in manifest
     assert manifest["schedule"]["delta_theta"] == 2.0
     assert manifest["norm"]["n_theta"] == 8
