@@ -52,6 +52,22 @@ _JET_DEGREES = ((0, 0), (1, 0), (0, 1), (0, 2))
 _LOOP_MAX_PAIRS = 128
 
 
+class StageAbort(RuntimeError):
+    """A deliberate stop of the iteration, named by its stage.
+
+    ``stage`` is one of ``divisors``, ``excision``, ``fold``, ``picard`` or
+    ``lie``; ``key`` locates the failure inside the stage (a divisor key, a
+    class index, a Fourier index, a round or an order) or is None."""
+
+    def __init__(self, stage: str, key, detail: str):
+        super().__init__(stage, key, detail)
+        self.stage, self.key, self.detail = stage, key, detail
+
+    def __str__(self) -> str:
+        where = "" if self.key is None else f" at {self.key}"
+        return f"{self.stage}{where}: {self.detail}"
+
+
 def _zkey(z: dict) -> tuple:
     return tuple(sorted((v, p) for v, p in z.items() if p))
 
@@ -475,7 +491,9 @@ def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
 
     ``rest_tol``, when given, prunes terms outside the normal-form jet
     directions at a looser threshold: those terms only influence later jets
-    through further brackets, so they tolerate a coarser cut.
+    through further brackets, so they tolerate a coarser cut.  A series
+    whose term of order ``max_order`` is still above ``tol`` raises
+    ``StageAbort("lie", ...)`` rather than being cut there.
     """
     out = F.truncate_degree(max_degree)
     term = out
@@ -486,6 +504,10 @@ def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
         if not term.terms or term.max_coeff() < tol:
             break
         out = out + term
+    else:
+        raise StageAbort("lie", max_order,
+                         f"term of order {max_order} is "
+                         f"{term.max_coeff():.3e}, above tol {tol:.3e}")
     if rest_tol is not None:
         return out.prune_split(tol, rest_tol)
     return out.prune(tol)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .hamiltonian import (
     HamiltonianJet,
     NormalFormHamiltonian,
     Polynomial,
+    StageAbort,
     poisson,
 )
 from .lattice import norm_sq, pseudo_dist_sq
@@ -88,11 +90,26 @@ class HTilde:
 class HomologicalSolution:
     S: Polynomial
     h_tilde: HTilde
-    residual: Polynomial
     skipped_report: list          # (k, ci, cj, coeff_norm, bound)
     divisor_log: dict             # (k, ci, cj, channel) -> tuple of divisors
     guard: DivisorGuard
     picard_updates: list
+    h: NormalFormHamiltonian      # operands of the residual
+    f_T: Polynomial
+    f_rest: Polynomial
+    prune_tol: float
+
+    @cached_property
+    def residual(self) -> Polynomial:
+        """{h,S} + jet({f - jet(f), S}) + jet(f) - h_tilde, evaluated
+        independently with full polynomial brackets on first read."""
+        fset = self.h.finite_set
+        residual = (poisson(self.h.to_polynomial(), self.S, finite_set=fset,
+                            max_degree=2, tol=self.prune_tol).jet()
+                    + poisson(self.f_rest, self.S, finite_set=fset,
+                              max_degree=2, tol=self.prune_tol).jet()
+                    + self.f_T - self.h_tilde.to_polynomial(self.h))
+        return residual.prune(self.prune_tol)
 
 
 # -- class tables ---------------------------------------------------------------
@@ -525,7 +542,8 @@ def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
 
     Picard rounds: the first solve is linear; each following round feeds the
     nonlinear bracket of the previous S back into the right-hand side.  The
-    residual is evaluated independently with full polynomial brackets.
+    residual is evaluated independently with full polynomial brackets, on
+    the first read of ``residual``.
     """
     fset = h.finite_set
     f_T = f.jet()
@@ -553,18 +571,10 @@ def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
         if upd <= tol * max(S.max_coeff(), scale):
             break
         if len(updates) >= 2 and updates[-1] > updates[-2]:
-            raise RuntimeError(
-                "nonlinear feedback is not contracting: "
-                f"updates {updates}")
-
-    h_poly = h.to_polynomial()
-    ht_poly = ht.to_polynomial(h)
-    residual = (poisson(h_poly, S, finite_set=fset, max_degree=2,
-                        tol=prune_tol).jet()
-                + poisson(f_rest, S, finite_set=fset,
-                          max_degree=2, tol=prune_tol).jet()
-                + f_T - ht_poly)
-    residual.prune(prune_tol)
-    return HomologicalSolution(S=S, h_tilde=ht, residual=residual,
-                               skipped_report=skipped, divisor_log=divlog,
-                               guard=guard, picard_updates=updates)
+            raise StageAbort("picard", len(updates),
+                             "nonlinear feedback is not contracting: "
+                             f"updates {updates}")
+    return HomologicalSolution(S=S, h_tilde=ht, skipped_report=skipped,
+                               divisor_log=divlog, guard=guard,
+                               picard_updates=updates, h=h, f_T=f_T,
+                               f_rest=f_rest, prune_tol=prune_tol)

@@ -2,6 +2,15 @@
 partition and frozen divisors, separated by super steps that fold the
 accumulated normal-form corrections, coarsen the partition and shrink the
 analyticity domain.
+
+A block runs at most K = ceil(log 1/eps) inner steps.  It ends early when
+eps reaches the target, or when a step leaves eps above ``STALL_RATIO``
+(one half) times its value before that step: past that point the step no
+longer contracts, whether at the roundoff floor or because skipped terms
+wait for a coarser partition, and only the next super step can help.  Each
+block's reason, ``target``, ``stalled`` or ``count``, is kept in the
+metrics and the report.  Deliberate aborts raise ``StageAbort``, which
+names the stage; ``run`` reports those and lets any other error through.
 """
 from __future__ import annotations
 
@@ -13,14 +22,22 @@ import numpy as np
 from .algebra import I2, J2, NormalFormMatrix, WeightParams, symplectic
 from .divisors import ParameterGrid, excise
 from .hamiltonian import (ClassNormParams, ETA, XI, NormalFormHamiltonian,
-                          Polynomial, class_norm, lie_transform)
+                          Polynomial, StageAbort, class_norm, lie_transform)
 from .homological import DivisorGuard, class_tables, solve_homological
 from .lattice import build_partition
+
+# a block ends once a step leaves eps above this fraction of its old value
+STALL_RATIO = 0.5
 
 
 @dataclass
 class Schedule:
-    """Outer-loop knobs: partition growth, domain decay, stop rules."""
+    """Outer-loop knobs: partition growth, domain decay, stop rules.
+
+    Inner blocks also stop on a stall, a step that leaves eps above
+    ``STALL_RATIO`` (0.5) times its previous value; that ratio is a module
+    constant, not a knob.
+    """
     delta0: float = 2.0
     delta_theta: float = 2.0          # Delta_{k+1} = ceil(Delta_k ** theta)
     gamma_decay: float = 0.9
@@ -91,7 +108,8 @@ def _merge_divisors(table: dict, log: dict):
     for key, val in log.items():
         old = table.get(key)
         if old is not None and old != val:
-            raise RuntimeError(f"divisor drift within a super block at {key}")
+            raise StageAbort("divisors", key,
+                             "divisor drift within a super block")
         table[key] = val
 
 
@@ -114,7 +132,8 @@ def _excise_failures(state: IterationState, failures, delta0: float):
         fam.append(fn)
     bad, state.grid = excise(fam, state.grid, delta0)
     if state.grid.measure() == 0.0:
-        raise RuntimeError("empty surviving grid after divisor excision")
+        raise StageAbort("excision", None,
+                         "empty surviving grid after divisor excision")
 
 
 def inner_step(state: IterationState, schedule: Schedule,
@@ -173,7 +192,8 @@ def _fold_h_acc(h: NormalFormHamiltonian, h_acc: Polynomial,
     H_add = np.zeros((len(fin_comps), len(fin_comps)))
     for (k, m, zk), c in h_acc.terms.items():
         if k != zero:
-            raise RuntimeError("accumulated correction has angle dependence")
+            raise StageAbort("fold", k,
+                             "accumulated correction has angle dependence")
         if sum(m) == 1 and not zk:
             chi[m.index(1)] += c.real
             continue
@@ -218,7 +238,10 @@ def _fold_h_acc(h: NormalFormHamiltonian, h_acc: Polynomial,
                 if oa == ob:
                     Q[i, j] += h.nf.block_for(oa)[ia, ib]
                 Q[i, j] += quad.get((a, b), 0.0)
-        nf.set_block(ci, Q)      # Hermitian check = normal-form gate
+        try:
+            nf.set_block(ci, Q)      # Hermitian check = normal-form gate
+        except ValueError as exc:
+            raise StageAbort("fold", ci, str(exc)) from exc
     if p_new.finite_index is not None:
         H = np.zeros((len(fin_comps), len(fin_comps)))
         if h.nf.hyperbolic_block is not None:
@@ -256,8 +279,9 @@ class RunReport:
     unstable_count: int
     a_inf_max_real: float
     eps_history: list                 # eps at each super-step boundary
+    block_stops: list                 # per block: target, stalled or count
     reached_target: bool
-    aborted: str | None = None
+    aborted: StageAbort | None = None
 
     def dump_lines(self) -> list[str]:
         lines = [
@@ -267,8 +291,9 @@ class RunReport:
             f"unstable_count={self.unstable_count} "
             f"a_inf_max_real={self.a_inf_max_real:.3e}",
             "eps_history=" + " ".join(f"{e:.6g}" for e in self.eps_history),
+            "stops=" + " ".join(self.block_stops),
         ]
-        if self.aborted:
+        if self.aborted is not None:
             lines.append(f"aborted={self.aborted}")
         return lines
 
@@ -303,13 +328,14 @@ def run(h: NormalFormHamiltonian, f: Polynomial, schedule: Schedule,
         grid: ParameterGrid | None = None) -> RunReport:
     """Full two-level iteration; see the step operations for the bookkeeping.
 
-    Stops at the eps target, the super-step budget, or a stage abort
-    (reported, never swallowed).
+    Stops at the eps target, the super-step budget, or a ``StageAbort``,
+    which is reported in ``aborted``; any other exception propagates.
     """
     state = initial_state(h, f, schedule, base_w, sigma=sigma, mu=mu,
                           grid=grid)
     omega0 = np.array(state.h.omega, dtype=float)
     eps_history = [state.eps]
+    block_stops = []
     aborted = None
     try:
         for _ in range(schedule.max_super):
@@ -317,18 +343,26 @@ def run(h: NormalFormHamiltonian, f: Polynomial, schedule: Schedule,
                 break
             tables = class_tables(state.h)
             state.divisor_table = {}
+            stop = "count"
             for _ in range(state.K):
+                eps_before = state.eps
                 state = inner_step(state, schedule, base_w, guard_delta0,
                                    tables=tables)
                 if state.eps <= schedule.eps_target:
+                    stop = "target"
                     break
-            if state.eps <= schedule.eps_target:
+                if state.eps > STALL_RATIO * eps_before:
+                    stop = "stalled"
+                    break
+            state.metrics[-1]["stop"] = stop
+            block_stops.append(stop)
+            if stop == "target":
                 eps_history.append(state.eps)
                 break
             state = super_step(state, schedule, base_w)
             eps_history.append(state.eps)
-    except (RuntimeError, ValueError) as exc:
-        aborted = str(exc)
+    except StageAbort as exc:
+        aborted = exc
     h_final = (_fold_h_acc(state.h, state.h_acc, state.delta)
                if state.h_acc.terms else state.h)
     unstable, a_inf_real = _spectrum_report(h_final)
@@ -337,7 +371,7 @@ def run(h: NormalFormHamiltonian, f: Polynomial, schedule: Schedule,
         state=state, omega_initial=omega0, omega_final=omega_final,
         omega_drift=float(np.abs(omega_final - omega0).max()),
         unstable_count=unstable, a_inf_max_real=a_inf_real,
-        eps_history=eps_history,
+        eps_history=eps_history, block_stops=block_stops,
         reached_target=state.eps <= schedule.eps_target, aborted=aborted)
 
 

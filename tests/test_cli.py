@@ -201,6 +201,39 @@ def test_kam_beam_eps_series_decreases(tmp_path):
     assert all(b < a for a, b in zip(eps, eps[1:]))
 
 
+def test_kam_records_why_each_block_stopped(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {
+        "output_dir": str(out), "model": BEAM_MODEL,
+        "schedule": {"max_super": 3, "eps_target": 1e-30},
+    })
+    assert main(["kam", cfg]) == 0
+    rows = [json.loads(line)
+            for line in (out / "metrics.jsonl").read_text().splitlines()]
+    stops = [row["stop"] for row in rows if "stop" in row]
+    assert stops and set(stops) <= {"target", "stalled", "count"}
+    assert "stop" in rows[-1]
+    report = (out / "final_report.txt").read_text().splitlines()
+    assert "stops=" + " ".join(stops) in report
+
+
+def test_kam_stage_abort_exits_4(tmp_path, capsys, monkeypatch):
+    from kamkit import kam
+    from kamkit.hamiltonian import StageAbort
+
+    def diverging(*args, **kwargs):
+        raise StageAbort("lie", 16, "series still growing")
+
+    monkeypatch.setattr(kam, "lie_transform", diverging)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"output_dir": str(out), "model": BEAM_MODEL})
+    assert main(["kam", cfg]) == 4
+    message = "lie at 16: series still growing"
+    assert f"stage abort: {message}" in capsys.readouterr().err
+    report = (out / "final_report.txt").read_text().splitlines()
+    assert report[-1] == f"aborted={message}"
+
+
 def test_kam_singular_threshold_gate(tmp_path, capsys):
     out = tmp_path / "out"
     base = {"kind": "singular", "d": 2, "R": 4, "nodes": [[0, 1], [1, -1]],

@@ -11,6 +11,7 @@ from kamkit.hamiltonian import (
     HamiltonianJet,
     NormalFormHamiltonian,
     Polynomial,
+    StageAbort,
     _mul_dict,
     _mul_packed,
     _z_derivative_table,
@@ -297,6 +298,17 @@ def test_lie_transform_consistency():
     G = lie_transform(F, S, max_degree=8)
     lin = F + poisson(F, S, max_degree=8)
     assert (G - lin).max_coeff() < 1e-6 * max(1.0, F.max_coeff())
+
+
+def test_lie_series_cut_at_max_order_aborts():
+    rng = np.random.default_rng(3)
+    F = random_poly(rng, n=1)
+    S = random_poly(rng, n=1).scale(1e-4)
+    with pytest.raises(StageAbort) as err:
+        lie_transform(F, S, max_degree=8, max_order=1)
+    assert err.value.stage == "lie"
+    assert err.value.key == 1
+    assert str(err.value).startswith("lie at 1: term of order 1 is ")
 
 
 def test_class_norm_basics():

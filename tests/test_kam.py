@@ -5,7 +5,8 @@ import pytest
 
 from kamkit.algebra import WeightParams
 from kamkit.divisors import ParameterGrid
-from kamkit.hamiltonian import Polynomial, poisson, lie_transform
+from kamkit import kam
+from kamkit.hamiltonian import Polynomial, StageAbort, poisson, lie_transform
 from kamkit.homological import class_tables, solve_homological, DivisorGuard
 from kamkit.kam import (Schedule, inner_count, inner_step, initial_state,
                         run, singular_threshold, super_step)
@@ -144,6 +145,49 @@ def test_run_with_grid_keeps_survivors():
     report = run(h, f, Schedule(max_super=2), W, grid=grid)
     assert report.aborted is None
     assert 0 < report.state.grid.measure() <= m0
+
+
+def test_divisor_drift_aborts_at_a_named_stage(monkeypatch):
+    h, f = beam_instance()
+    calls = []
+
+    def drifting_solve(*args, **kwargs):
+        sol = solve_homological(*args, **kwargs)
+        key = min(sol.divisor_log, key=repr)
+        sol.divisor_log[key] = (float(len(calls)),)
+        calls.append(key)
+        return sol
+
+    monkeypatch.setattr(kam, "solve_homological", drifting_solve)
+    report = run(h, f, Schedule(max_super=2), W)
+    assert len(calls) == 2
+    assert isinstance(report.aborted, StageAbort)
+    assert report.aborted.stage == "divisors"
+    assert report.aborted.key == calls[0]
+    assert report.block_stops == []
+    assert report.dump_lines()[-1] == f"aborted={report.aborted}"
+    assert str(report.aborted).startswith("divisors at ")
+
+
+def test_unrelated_error_in_an_inner_step_propagates(monkeypatch):
+    h, f = beam_instance()
+
+    def broken(*args, **kwargs):
+        raise ValueError("not a stage abort")
+
+    monkeypatch.setattr(kam, "lie_transform", broken)
+    with pytest.raises(ValueError, match="not a stage abort"):
+        run(h, f, Schedule(max_super=2), W)
+
+
+def test_angle_dependent_correction_aborts_the_fold():
+    h, _ = beam_instance()
+    h_acc = Polynomial(h.n)
+    h_acc.add_term(1e-6, k=(1,) + (0,) * (h.n - 1))
+    with pytest.raises(StageAbort) as err:
+        kam._fold_h_acc(h, h_acc, 4)
+    assert err.value.stage == "fold"
+    assert err.value.key == (1,) + (0,) * (h.n - 1)
 
 
 def test_singular_threshold_gate():
