@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import WeightParams
 from .divisors import ParameterGrid, check_A1, melnikov_scan
-from .hamiltonian import ClassNormParams, class_norm
+from .hamiltonian import ClassNormParams, StageAbort, class_norm
 from .kam import Schedule, run, singular_threshold
 from .lattice import build_partition, max_diameter, norm_sq
 from .models import (BeamModel, NlsModel, SingularBeamModel, build_beam,
@@ -51,6 +51,14 @@ def _positive(value, key: str):
     if not (isinstance(value, (int, float)) and value > 0):
         raise ConfigError(f"field '{key}' must be a positive number")
     return value
+
+
+def _construct(cls, cfg: dict, section: str):
+    """cls(**cfg), with the class's own validation as a config error."""
+    try:
+        return cls(**cfg)
+    except ValueError as exc:
+        raise ConfigError(f"invalid '{section}': {exc}") from exc
 
 
 def _pairs(seq):
@@ -110,72 +118,75 @@ def parse_weights(cfg: dict | None) -> WeightParams:
     _check_keys(cfg, set(WeightParams.__dataclass_fields__), "weights")
     cfg.setdefault("gamma1", 0.4)
     cfg.setdefault("kappa", 0.5)
-    return WeightParams(**cfg)
+    return _construct(WeightParams, cfg, "weights")
 
 
 def parse_norm(cfg: dict | None, seed: int) -> ClassNormParams:
     cfg = dict(cfg or {})
     _check_keys(cfg, set(ClassNormParams.__dataclass_fields__), "norm")
     cfg.setdefault("seed", seed)
-    return ClassNormParams(**cfg)
+    return _construct(ClassNormParams, cfg, "norm")
 
 
 def build_model(cfg: dict):
     cfg = dict(cfg or {})
     kind = _require(cfg, "kind", "model")
-    common = {"kind"}
-    if kind == "beam":
-        _check_keys(cfg, common | {"d", "R", "nodes", "rho", "actions",
-                                   "tail", "nonlinearity", "epsilon",
-                                   "delta", "r_degree", "max_degree"},
-                    "model")
-        model = BeamModel(
-            d=int(_require(cfg, "d", "model")),
-            radius=float(_require(cfg, "R", "model")),
-            nodes=_pairs(cfg.get("nodes", ())),
-            rho=tuple(cfg.get("rho", ())),
-            actions=tuple(cfg.get("actions", ())),
-            tail={int(k): v for k, v in cfg.get("tail", {}).items()},
-            nonlinearity=tuple((int(p), tuple(x), c)
-                               for p, x, c in cfg.get("nonlinearity", ())),
-            epsilon=float(cfg.get("epsilon", 1.0)),
-            delta=float(cfg.get("delta", 2)),
-            r_degree=int(cfg.get("r_degree", 1)),
-            max_degree=int(cfg.get("max_degree", 4)))
-        return kind, model, build_beam(model)
-    if kind == "nls":
-        _check_keys(cfg, common | {"d", "R", "mass", "alpha", "rho",
-                                   "forcing", "epsilon", "delta",
-                                   "max_degree"}, "model")
-        model = NlsModel(
-            d=int(_require(cfg, "d", "model")),
-            radius=float(_require(cfg, "R", "model")),
-            mass=float(_require(cfg, "mass", "model")),
-            alpha=float(_require(cfg, "alpha", "model")),
-            rho=tuple(_require(cfg, "rho", "model")),
-            forcing=tuple((tuple(kt), int(p), int(q), tuple(x), c)
-                          for kt, p, q, x, c in cfg.get("forcing", ())),
-            epsilon=float(cfg.get("epsilon", 1.0)),
-            delta=float(cfg.get("delta", 2)),
-            max_degree=int(cfg.get("max_degree", 4)))
-        return kind, model, build_nls(model)
-    if kind == "singular":
-        _check_keys(cfg, common | {"d", "R", "nodes", "mass", "actions",
-                                   "nu", "birkhoff_threshold", "quintic",
-                                   "r_degree", "max_degree"}, "model")
-        model = SingularBeamModel(
-            d=int(_require(cfg, "d", "model")),
-            radius=float(_require(cfg, "R", "model")),
-            nodes=_pairs(_require(cfg, "nodes", "model")),
-            mass=float(_require(cfg, "mass", "model")),
-            actions=tuple(_require(cfg, "actions", "model")),
-            nu=float(cfg.get("nu", 1.0)),
-            birkhoff_threshold=float(cfg.get("birkhoff_threshold", 1e-6)),
-            quintic=float(cfg.get("quintic", 0.0)),
-            r_degree=int(cfg.get("r_degree", 1)),
-            max_degree=int(cfg.get("max_degree", 5)))
-        return kind, model, build_singular(model)
-    raise ConfigError(f"unknown model kind '{kind}'")
+    try:
+        common = {"kind"}
+        if kind == "beam":
+            _check_keys(cfg, common | {"d", "R", "nodes", "rho", "actions",
+                                       "tail", "nonlinearity", "epsilon",
+                                       "delta", "r_degree", "max_degree"},
+                        "model")
+            model = BeamModel(
+                d=int(_require(cfg, "d", "model")),
+                radius=float(_require(cfg, "R", "model")),
+                nodes=_pairs(cfg.get("nodes", ())),
+                rho=tuple(cfg.get("rho", ())),
+                actions=tuple(cfg.get("actions", ())),
+                tail={int(k): v for k, v in cfg.get("tail", {}).items()},
+                nonlinearity=tuple((int(p), tuple(x), c)
+                                   for p, x, c in cfg.get("nonlinearity", ())),
+                epsilon=float(cfg.get("epsilon", 1.0)),
+                delta=float(cfg.get("delta", 2)),
+                r_degree=int(cfg.get("r_degree", 1)),
+                max_degree=int(cfg.get("max_degree", 4)))
+            return kind, model, build_beam(model)
+        if kind == "nls":
+            _check_keys(cfg, common | {"d", "R", "mass", "alpha", "rho",
+                                       "forcing", "epsilon", "delta",
+                                       "max_degree"}, "model")
+            model = NlsModel(
+                d=int(_require(cfg, "d", "model")),
+                radius=float(_require(cfg, "R", "model")),
+                mass=float(_require(cfg, "mass", "model")),
+                alpha=float(_require(cfg, "alpha", "model")),
+                rho=tuple(_require(cfg, "rho", "model")),
+                forcing=tuple((tuple(kt), int(p), int(q), tuple(x), c)
+                              for kt, p, q, x, c in cfg.get("forcing", ())),
+                epsilon=float(cfg.get("epsilon", 1.0)),
+                delta=float(cfg.get("delta", 2)),
+                max_degree=int(cfg.get("max_degree", 4)))
+            return kind, model, build_nls(model)
+        if kind == "singular":
+            _check_keys(cfg, common | {"d", "R", "nodes", "mass", "actions",
+                                       "nu", "birkhoff_threshold", "quintic",
+                                       "r_degree", "max_degree"}, "model")
+            model = SingularBeamModel(
+                d=int(_require(cfg, "d", "model")),
+                radius=float(_require(cfg, "R", "model")),
+                nodes=_pairs(_require(cfg, "nodes", "model")),
+                mass=float(_require(cfg, "mass", "model")),
+                actions=tuple(_require(cfg, "actions", "model")),
+                nu=float(cfg.get("nu", 1.0)),
+                birkhoff_threshold=float(cfg.get("birkhoff_threshold", 1e-6)),
+                quintic=float(cfg.get("quintic", 0.0)),
+                r_degree=int(cfg.get("r_degree", 1)),
+                max_degree=int(cfg.get("max_degree", 5)))
+            return kind, model, build_singular(model)
+        raise ConfigError(f"unknown model kind '{kind}'")
+    except ValueError as exc:     # a value the model or its builder rejects
+        raise ConfigError(str(exc)) from exc
 
 
 # -- artifacts ------------------------------------------------------------------
@@ -369,7 +380,7 @@ def main(argv=None) -> int:
     except (ConfigError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RuntimeError, ValueError) as exc:
+    except StageAbort as exc:
         print(f"stage abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
 

@@ -38,9 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (NormalFormMatrix, SeqVector, WeightParams,
-                      WeightedMatrix, _stack, decay_weight, site_weight,
-                      spectral_norm_2x2)
+from .algebra import (NormalFormMatrix, WeightParams, WeightedMatrix, _stack,
+                      decay_weight, site_weight, spectral_norm_2x2)
 
 XI, ETA = 0, 1
 
@@ -112,14 +111,7 @@ class Polynomial:
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = self.copy()
-        for key, c in other.terms.items():
-            val = out.terms.get(key, 0.0) + c
-            if val == 0:
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = val
-        return out
+        return self.copy()._iadd(other)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1.0)
@@ -251,14 +243,13 @@ class Polynomial:
             worst = max(worst, abs(np.conj(c) - self.terms.get(mate, 0.0)))
         return worst
 
-    def dump_lines(self, tag: str = "") -> list[str]:
+    def dump_lines(self) -> list[str]:
         lines = []
-        prefix = f"part={tag} " if tag else ""
         for (k, m, z), c in sorted(self.terms.items()):
             zs = ";".join(
                 f"{','.join(str(x) for x in v[0])}:{v[1]}:{p}" for v, p in z)
             lines.append(
-                f"{prefix}k={','.join(map(str, k))} m={','.join(map(str, m))} "
+                f"k={','.join(map(str, k))} m={','.join(map(str, m))} "
                 f"z={zs} c={c.real:.17g}{c.imag:+.17g}j")
         return lines
 
@@ -513,85 +504,195 @@ def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
     return out.prune(tol)
 
 
-# -- jets as structured tables ------------------------------------------------
+# -- the codec: rows of (k, m, variable ids, coefficient) <-> polynomials ------
+
+def site_layout(sites) -> dict:
+    """Variable ids over a site set: (s, comp) -> 2 i + comp, i the rank of
+    s among the sorted sites.  Ids follow the sorted variable order, and
+    the two components of a site are adjacent, interleaved (s, 0), (s, 1)."""
+    return {(s, c): 2 * i + c for i, s in enumerate(sorted(sites))
+            for c in (0, 1)}
+
+
+def class_ids(var_id: dict, sites) -> np.ndarray:
+    """(2, len(sites)) ids of the (s, 0) and of the (s, 1) variables:
+    ``.ravel()`` groups them by component, ``.T.ravel()`` interleaves."""
+    return np.array([[var_id[(s, c)] for s in sites] for c in (0, 1)],
+                    dtype=np.int64).reshape(2, len(sites))
+
+
+def block_rows(n: int, blocks: list) -> tuple:
+    """``encode``'s (Z, C, K, M) for the entries of blocks (k, m, u, v, X),
+    in order.  X[i, j], row-major, is the coefficient of z_{u_i} z_{v_j};
+    with v None, X[i] is that of z_{u_i}, and u_i = -1 stands for no
+    variable.  Every entry carries e^{ik.theta}, and r^m for m an
+    (len(X), n) array of exponents, or none for m None."""
+    if not blocks:
+        return (np.zeros((0, 2), dtype=np.int64), np.zeros(0),
+                np.zeros((0, n), dtype=np.int64), np.zeros((0, n)))
+    ks, ms, us, vs, xs = zip(*blocks)
+    vs = [[-1] if v is None else v for v in vs]
+    a, b = np.array([len(u) for u in us]), np.array([len(v) for v in vs])
+    size = a * b
+    at = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    width = np.repeat(b, size)
+    U = np.concatenate(us)[np.repeat(np.cumsum(a) - a, size) + at // width]
+    V = np.concatenate(vs)[np.repeat(np.cumsum(b) - b, size) + at % width]
+    pair = V >= 0
+    Z = np.stack([np.where(pair, np.minimum(U, V), U),
+                  np.where(pair, np.maximum(U, V), V)], axis=1)
+    M = [np.zeros((s, n)) if m is None else m for m, s in zip(ms, size)]
+    return (Z, np.concatenate([np.ravel(x) for x in xs]),
+            np.repeat(np.array(ks).reshape(len(ks), n), size, axis=0),
+            np.concatenate(M))
+
+
+def encode(n: int, zvars: list, Z, C, K=None, M=None) -> Polynomial:
+    """The sum of the rows C e^{i K.theta} r^M z^Z as a Polynomial.
+
+    Z rows hold ascending ids into the sorted variable list ``zvars``, an id
+    repeated p times for power p, padded with -1 at the end (``_pack``'s
+    layout); K and M broadcast to (N, n) int rows and default to zero.  The
+    result has the keys, order and coefficient bits of feeding the rows to
+    ``add_term`` one at a time: zero rows are skipped, keys keep their
+    first-occurrence order, and a key is dropped while its sum is zero.
+    """
+    C = np.asarray(C, dtype=complex)
+    live = C != 0
+    if not live.any():
+        return Polynomial(n)
+    K, M = (np.broadcast_to(np.asarray(0 if X is None else X, dtype=np.int64),
+                            (len(C), n))[live] for X in (K, M))
+    Z, C = np.asarray(Z, dtype=np.int64)[live], C[live]
+    X = np.hstack([K, M, Z])
+    lo = X.min(axis=0)
+    spans = (X.max(axis=0) - lo + 1).tolist()
+    if math.prod(spans) <= np.iinfo(np.int64).max:
+        code = (X - lo) @ np.cumprod([1] + spans, dtype=np.int64)[:-1]
+        _, first, inv = np.unique(code, return_index=True,
+                                  return_inverse=True)
+    else:
+        _, first, inv = np.unique(X, axis=0, return_index=True,
+                                  return_inverse=True)
+    inv = inv.ravel()
+    Z = np.where(Z < 0, len(zvars), Z)         # _zkeys pads past every id
+    intern = {}.setdefault
+
+    def keys(rows):
+        return list(zip([intern(t, t) for t in _tuples(K[rows])],
+                        [intern(t, t) for t in _tuples(M[rows])],
+                        _zkeys(Z[rows], zvars)))
+
+    U = len(first)
+    if np.bincount(inv, minlength=U).max() <= 2:
+        # a running sum can vanish only at a key's last row: add in arrays
+        order = np.argsort(first)
+        c = np.empty(U, dtype=complex)
+        c.real = np.bincount(inv, weights=C.real, minlength=U)[order]
+        c.imag = np.bincount(inv, weights=C.imag, minlength=U)[order]
+        keep = c != 0
+        return Polynomial(n, dict(zip(keys(first[order][keep]),
+                                      c[keep].tolist())))
+    table, P = keys(first), Polynomial(n)
+    for u, v in zip(inv.tolist(), C.tolist()):
+        P.add_term(v, *table[u])
+    return P
+
+
+def decode_jet(P: Polynomial, var_id: dict | None = None):
+    """The degree <= 2 jet of P as rows: ``encode``'s inverse, and the one
+    place that reads a quadratic monomial as a form entry.
+
+    Returns (var_id, K, M, U, V, C).  ``var_id`` maps variables to ids; by
+    default it numbers the jet's variables in sorted order, and variables
+    missing from a given map get the next free ids.  Each jet term gives a
+    row, in term order: K and M its (N, n) k and m, U and V its variable
+    ids or -1 (both -1 without z, V = -1 for a linear term), C its
+    coefficient.  Quadratic rows hold entries of the symmetric H of
+    1/2 <Hz, z>: a z_v^2 monomial carries H_vv/2, so its row holds 2c; a
+    distinct pair z_u z_v carries H_uv, so its row holds c, and a mirror
+    row (v, u) after all term rows holds H_vu = c.  Over ``site_layout``
+    ids the hyperbolic variables are interleaved, (s, 0), (s, 1), which is
+    the layout of the real hyperbolic block.
+    """
+    J = P.jet()
+    if var_id is None:
+        var_id = {v: i for i, v in enumerate(J.z_vars())}
+    C, K, M, Z = _pack(J, var_id)
+    U, V = np.hstack([Z, np.full((len(C), 2 - Z.shape[1]), -1)]).T
+    C = np.where((U == V) & (U >= 0), 2 * C, C)
+    two = (U != V) & (V >= 0)
+    return (var_id, np.vstack([K, K[two]]), np.vstack([M, M[two]]),
+            np.concatenate([U, V[two]]), np.concatenate([V, U[two]]),
+            np.concatenate([C, C[two]]))
+
+
+def normal_form_polynomial(p, n: int, const, chi, blocks: dict,
+                           H) -> Polynomial:
+    """c + <chi, r> + sum_ab Q_ab xi_a eta_b + 1/2 <w, H w> on partition p.
+
+    ``blocks`` maps class indices to Hermitian Q (the finite class is
+    skipped); H is the real block over the interleaved components w of the
+    finite node set, or None; chi may be None.
+    """
+    var_id = site_layout(p.sites())
+    zero = (0,) * n
+    parts = [(zero, None, [-1], None, [const])]
+    if chi is not None:
+        parts.append((zero, np.eye(n), [-1] * n, None, chi))
+    for ci, Q in blocks.items():
+        if ci != p.finite_index:
+            ids = class_ids(var_id, p.classes[ci])
+            parts.append((zero, None, ids[XI], ids[ETA], Q))
+    if H is not None and p.finite_index is not None:
+        # the monomials of 1/2 <w, Hw>, as decode_jet reads them
+        w = class_ids(var_id, p.classes[p.finite_index]).T.ravel()
+        parts.append((zero, None, w, w,
+                      np.triu(H, 1) + np.diag(np.diag(H) / 2)))
+    return encode(n, list(var_id), *block_rows(n, parts))
+
 
 @dataclass
 class HamiltonianJet:
-    """Fourier-in-angle tables of the degree <= 2 part of a Hamiltonian."""
+    """Fourier tables of the degree <= 2 part of a Hamiltonian over the
+    variable list ``zvars``: f_theta[k] a number, f_r[k] an n-vector,
+    f_zeta[k] a vector over zvars and f_zetazeta[k] the matrix H of
+    1/2 <Hz, z>; read and written through ``decode_jet`` and ``encode``."""
     n: int
-    f_theta: dict = field(default_factory=dict)      # k -> complex
-    f_r: dict = field(default_factory=dict)          # k -> complex n-vector
-    f_zeta: dict = field(default_factory=dict)       # k -> SeqVector
-    f_zetazeta: dict = field(default_factory=dict)   # k -> WeightedMatrix
+    zvars: list = field(default_factory=list)
+    f_theta: dict = field(default_factory=dict)
+    f_r: dict = field(default_factory=dict)
+    f_zeta: dict = field(default_factory=dict)
+    f_zetazeta: dict = field(default_factory=dict)
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial) -> "HamiltonianJet":
-        jet = cls(n=poly.n)
-        for (k, m, z), c in poly.jet().terms.items():
-            sr, sz = sum(m), sum(p for _, p in z)
-            if sr == 0 and sz == 0:
-                jet.f_theta[k] = jet.f_theta.get(k, 0.0) + c
-            elif sr == 1:
-                vec = jet.f_r.setdefault(k, np.zeros(poly.n, dtype=complex))
-                vec[m.index(1)] += c
-            elif sz == 1:
-                sv = jet.f_zeta.setdefault(k, SeqVector())
-                (s, comp), _ = z[0]
-                v = sv.get(s).copy()
-                v[comp] += c
-                sv.set(s, v)
+        var_id, K, M, U, V, C = decode_jet(poly)
+        jet = cls(poly.n, list(var_id))
+        nv = len(var_id)
+        for k, m, u, v, c in zip(_tuples(K), M.tolist(), U.tolist(),
+                                 V.tolist(), C.tolist()):
+            if v >= 0:
+                jet.f_zetazeta.setdefault(
+                    k, np.zeros((nv, nv), dtype=complex))[u, v] = c
+            elif u >= 0:
+                jet.f_zeta.setdefault(k, np.zeros(nv, dtype=complex))[u] = c
+            elif any(m):
+                jet.f_r.setdefault(k, np.zeros(poly.n, dtype=complex))[
+                    m.index(1)] = c
             else:
-                M = jet.f_zetazeta.setdefault(k, WeightedMatrix())
-                if len(z) == 1:
-                    (s, comp), _ = z[0]
-                    blk = np.zeros((2, 2), dtype=complex)
-                    blk[comp, comp] = 2 * c
-                    M.add(s, s, blk)
-                else:
-                    (s1, c1), _ = z[0]
-                    (s2, c2), _ = z[1]
-                    b1 = np.zeros((2, 2), dtype=complex)
-                    b1[c1, c2] = c
-                    M.add(s1, s2, b1)
-                    b2 = np.zeros((2, 2), dtype=complex)
-                    b2[c2, c1] = c
-                    M.add(s2, s1, b2)
+                jet.f_theta[k] = c
         return jet
 
     def to_polynomial(self) -> Polynomial:
-        poly = Polynomial(self.n)
-        for k, c in self.f_theta.items():
-            poly.add_term(c, k=k)
-        for k, vec in self.f_r.items():
-            for j, c in enumerate(vec):
-                if c != 0:
-                    m = [0] * self.n
-                    m[j] = 1
-                    poly.add_term(c, k=k, m=m)
-        for k, sv in self.f_zeta.items():
-            for s, v in sv.entries.items():
-                for comp in (0, 1):
-                    if v[comp] != 0:
-                        poly.add_term(v[comp], k=k, z={(s, comp): 1})
-        for k, M in self.f_zetazeta.items():
-            # the stored matrix is symmetric over (site, comp); each
-            # off-diagonal monomial appears at two storage positions, so
-            # adding val/2 everywhere reconstructs the 1/2 <M z, z> form
-            for (a, b), blk in M.blocks.items():
-                for c1 in (0, 1):
-                    for c2 in (0, 1):
-                        val = blk[c1, c2]
-                        if val == 0:
-                            continue
-                        if (a, c1) == (b, c2):
-                            poly.add_term(val / 2, k=k, z={(a, c1): 2})
-                        else:
-                            poly.add_term(val / 2, k=k,
-                                          z={(a, c1): 1, (b, c2): 1})
-        return poly
-
-    def dump_lines(self) -> list[str]:
-        return self.to_polynomial().dump_lines(tag="jet")
+        ids = np.arange(len(self.zvars))
+        blocks = [(k, None, [-1], None, [c]) for k, c in self.f_theta.items()]
+        blocks += [(k, np.eye(self.n), [-1] * self.n, None, vec)
+                   for k, vec in self.f_r.items()]
+        blocks += [(k, None, ids, None, vec) for k, vec in self.f_zeta.items()]
+        blocks += [(k, None, ids, ids, H / 2)
+                   for k, H in self.f_zetazeta.items()]
+        return encode(self.n, self.zvars, *block_rows(self.n, blocks))
 
 
 # -- normal-form Hamiltonians --------------------------------------------------
@@ -627,36 +728,9 @@ class NormalFormHamiltonian:
         return self.nf.block_for(ci)
 
     def to_polynomial(self) -> Polynomial:
-        p = self.partition
-        poly = Polynomial(len(self.omega))
-        if self.const:
-            poly.add_term(self.const)
-        for j, wj in enumerate(self.omega):
-            if wj != 0:
-                m = [0] * len(self.omega)
-                m[j] = 1
-                poly.add_term(wj, m=m)
-        for ci, Q in self.nf.elliptic_blocks.items():
-            if ci == p.finite_index:
-                continue
-            cl = p.classes[ci]
-            for i, a in enumerate(cl):
-                for j, b in enumerate(cl):
-                    if Q[i, j] != 0:
-                        poly.add_term(Q[i, j], z={(a, XI): 1, (b, ETA): 1}
-                                      if (a, XI) != (b, ETA) else {(a, XI): 2})
-        if self.nf.hyperbolic_block is not None and p.finite_index is not None:
-            cl = p.classes[p.finite_index]
-            H = self.nf.hyperbolic_block
-            comps = [(s, c) for s in cl for c in (0, 1)]
-            for i, v1 in enumerate(comps):
-                for j, v2 in enumerate(comps):
-                    if H[i, j] != 0:
-                        if i == j:
-                            poly.add_term(H[i, i] / 2, z={v1: 2})
-                        elif i < j:
-                            poly.add_term(H[i, j], z={v1: 1, v2: 1})
-        return poly
+        return normal_form_polynomial(
+            self.partition, self.n, self.const, self.omega,
+            self.nf.elliptic_blocks, self.nf.hyperbolic_block)
 
 
 # -- sampled domain norm -------------------------------------------------------

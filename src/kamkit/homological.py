@@ -18,16 +18,22 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (WeightParams, _stack, decay_weight, spectral_norm_2x2,
+from .algebra import (WeightParams, decay_weight, spectral_norm_2x2,
                       symplectic)
 from .hamiltonian import (
     ETA,
     XI,
-    HamiltonianJet,
     NormalFormHamiltonian,
     Polynomial,
     StageAbort,
+    _tuples,
+    block_rows,
+    class_ids,
+    decode_jet,
+    encode,
+    normal_form_polynomial,
     poisson,
+    site_layout,
 )
 from .lattice import norm_sq, pseudo_dist_sq
 
@@ -55,35 +61,9 @@ class HTilde:
     B_hyperbolic: np.ndarray | None = None
 
     def to_polynomial(self, h: NormalFormHamiltonian) -> Polynomial:
-        p = h.partition
-        poly = Polynomial(self.n)
-        for k, c in self.c.items():
-            poly.add_term(c, k=k)
-        if self.chi is not None:
-            for j, c in enumerate(self.chi):
-                if c != 0:
-                    m = [0] * self.n
-                    m[j] = 1
-                    poly.add_term(c, m=m)
-        for ci, Q in self.B_elliptic.items():
-            cl = p.classes[ci]
-            for i, a in enumerate(cl):
-                for j, b in enumerate(cl):
-                    if Q[i, j] != 0:
-                        poly.add_term(Q[i, j], z={(a, XI): 1, (b, ETA): 1})
-        if self.B_hyperbolic is not None and p.finite_index is not None:
-            cl = p.classes[p.finite_index]
-            comps = [(s, c) for s in cl for c in (0, 1)]
-            H = self.B_hyperbolic
-            for i in range(len(comps)):
-                for j in range(len(comps)):
-                    if H[i, j] != 0:
-                        if i == j:
-                            poly.add_term(H[i, i] / 2, z={comps[i]: 2})
-                        elif i < j:
-                            poly.add_term(H[i, j],
-                                          z={comps[i]: 1, comps[j]: 1})
-        return poly
+        return normal_form_polynomial(
+            h.partition, self.n, self.c.get((0,) * self.n, 0.0), self.chi,
+            self.B_elliptic, self.B_hyperbolic)
 
 
 @dataclass
@@ -116,32 +96,33 @@ class HomologicalSolution:
 
 @dataclass
 class _ClassData:
-    index: int
     sites: tuple
     hyperbolic: bool
+    ids: np.ndarray               # class_ids over the partition's layout
     lam: np.ndarray | None = None
-    U: np.ndarray | None = None
-    H: np.ndarray | None = None
+    V: tuple = ()                 # eigenbases of the xi and eta components
     JH: np.ndarray | None = None
     HJ: np.ndarray | None = None
 
 
 def class_tables(h: NormalFormHamiltonian) -> dict:
     p = h.partition
+    var_id = site_layout(p.sites())
     tables = {}
     F = len(p.finite_set)
     for ci, cl in enumerate(p.classes):
+        ids = class_ids(var_id, cl)
         if ci == p.finite_index:
             H = h.nf.hyperbolic_block
             if H is None:
                 H = np.zeros((2 * F, 2 * F))
             J = symplectic(F)
-            tables[ci] = _ClassData(ci, cl, True, H=np.asarray(H, float),
-                                    JH=J @ H, HJ=H @ J)
+            tables[ci] = _ClassData(cl, True, ids, JH=J @ H, HJ=H @ J)
         else:
             Q = h.class_Q(ci)
             lam, U = np.linalg.eigh(Q)
-            tables[ci] = _ClassData(ci, cl, False, lam=lam, U=U)
+            tables[ci] = _ClassData(cl, False, ids, lam=lam,
+                                    V=(U, np.conj(U)))
     return tables
 
 
@@ -173,10 +154,7 @@ def invert_L_mixed(coef: complex, JH: np.ndarray, F_rows: np.ndarray,
 
     Records the smallest singular value of the operator.
     """
-    m = JH.shape[0]
-    if m == 0:
-        return np.zeros_like(F_rows), 0.0
-    L = coef * np.eye(m) - JH
+    L = coef * np.eye(JH.shape[0]) - JH
     smin = float(np.linalg.svd(L, compute_uv=False)[-1])
     if not guard.check(smin, *key):
         return None, smin
@@ -188,8 +166,6 @@ def invert_L_hyperbolic(kw: float, HJ: np.ndarray, JH: np.ndarray,
                         G: np.ndarray, guard: DivisorGuard, key):
     """Solve i(kw)Y + HJ Y - Y JH = -G densely via the Kronecker form."""
     m = HJ.shape[0]
-    if m == 0:
-        return np.zeros_like(G), 0.0
     L = (1j * kw * np.eye(m * m)
          + np.kron(HJ, np.eye(m)) - np.kron(np.eye(m), JH.T))
     smin = float(np.linalg.svd(L, compute_uv=False)[-1])
@@ -221,32 +197,13 @@ def det_certificate(L_of_t, delta0: float, j_max: int, t_span=(0.0, 1.0),
 
 # -- the main solver ----------------------------------------------------------------
 
-
-def _gather_block(M, rows_sites, cols_sites):
-    """Stack 2x2 site blocks into a (2ra x 2cb) comp matrix (xi/eta grouped)."""
-    ra, cb = len(rows_sites), len(cols_sites)
-    G = np.zeros((2 * ra, 2 * cb), dtype=complex)
-    for i, a in enumerate(rows_sites):
-        for j, b in enumerate(cols_sites):
-            blk = M.blocks.get((a, b))
-            if blk is None:
-                continue
-            for c1 in (0, 1):
-                for c2 in (0, 1):
-                    G[c1 * ra + i, c2 * cb + j] = blk[c1, c2]
-    return G
-
-
-def _interleave(G_grouped, na, nb):
-    """xi/eta-grouped (2na x 2nb) -> per-site interleaved comp layout."""
-    out = np.zeros_like(G_grouped)
-    for i in range(na):
-        for c1 in (0, 1):
-            for j in range(nb):
-                for c2 in (0, 1):
-                    out[2 * i + c1, 2 * j + c2] = G_grouped[c1 * na + i,
-                                                            c2 * nb + j]
-    return out
+def _k_groups(K: np.ndarray, sel: np.ndarray) -> list:
+    """(k, row indices) for the distinct rows of K among the rows ``sel``,
+    in order of first occurrence."""
+    groups: dict = {}
+    for i, k in zip(np.flatnonzero(sel).tolist(), _tuples(K[sel])):
+        groups.setdefault(k, []).append(i)
+    return [(k, np.array(ix)) for k, ix in groups.items()]
 
 
 def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
@@ -254,283 +211,169 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
                  tables: dict | None = None):
     """One linear homological solve {h,S} + F = h_tilde.
 
-    Returns (S polynomial, HTilde, skipped_report, divisor_log).
+    F's jet is decoded once over the partition's variables.  Each Fourier
+    index k fills one form matrix, and each class pair reads its block by
+    index.  The solved rows of S are collected in solve order and encoded
+    once.  Returns (S polynomial, HTilde, skipped_report, divisor_log).
     """
     p = h.partition
     n = h.n
     omega = np.asarray(h.omega, dtype=float)
-    jet = HamiltonianJet.from_polynomial(F_poly)
     if tables is None:
         tables = class_tables(h)
-    S = Polynomial(n)
+    var_id = site_layout(p.sites())
+    nv = len(var_id)
+    sites = sorted(p.sites())      # in the order of site_layout
+    class_of = np.array([p.class_of[s] for s in sites], dtype=np.int64)
+    _, K, M, U, V, C = decode_jet(F_poly, var_id)
     ht = HTilde(n=n, chi=np.zeros(n, dtype=complex))
     skipped = []
     divlog = {}
+    solved = []                # S as block_rows blocks, in solve order
 
-    # fitted decay constant for the skip-rule bound
-    C_fit = 0.0
-    for M in jet.f_zetazeta.values():
-        sites, ((rows, cols, data),) = _stack(M)
-        off = rows != cols
-        if off.any():
-            X = np.array(sites, dtype=np.int64)
-            C_fit = max(C_fit, float(
-                (spectral_norm_2x2(data[off])
-                 * decay_weight(X[rows[off]], X[cols[off]],
-                                WeightParams(gamma1, 0.0))).max()))
-
-    # -- theta part ------------------------------------------------------
-    for k, c in jet.f_theta.items():
+    # -- theta and r parts ----------------------------------------------------
+    none, on_r = U < 0, M.any(axis=1)
+    for k, (i,) in _k_groups(K, none & ~on_r):
+        c = C[i].item()
         kw = float(np.dot(k, omega))
-        if all(x == 0 for x in k):
+        if not any(k):
             ht.c[k] = ht.c.get(k, 0.0) + c
             continue
-        key = (k, (), "theta")
-        divlog[key] = (kw,)
+        divlog[(k, (), "theta")] = (kw,)
         if guard.check(abs(kw), k, (), "theta"):
-            S.add_term(c / (-1j * kw), k=k)
-
-    # -- r part ------------------------------------------------------------
-    for k, vec in jet.f_r.items():
+            solved.append((k, None, [-1], None, [c / (-1j * kw)]))
+    for k, gi in _k_groups(K, none & on_r):
+        vec = np.zeros(n, dtype=complex)
+        vec[M[gi].argmax(axis=1)] += C[gi]
         kw = float(np.dot(k, omega))
-        if all(x == 0 for x in k):
+        if not any(k):
             ht.chi = ht.chi + vec
             continue
-        key = (k, (), "r")
-        divlog[key] = (kw,)
+        divlog[(k, (), "r")] = (kw,)
         if guard.check(abs(kw), k, (), "r"):
-            for j, c in enumerate(vec):
-                if c != 0:
-                    m = [0] * n
-                    m[j] = 1
-                    S.add_term(c / (-1j * kw), k=k, m=m)
+            solved.append((k, np.eye(n), [-1] * n, None, vec / (-1j * kw)))
 
     # -- zeta-linear part -----------------------------------------------------
-    for k, sv in jet.f_zeta.items():
+    for k, gi in _k_groups(K, (U >= 0) & (V < 0)):
         kw = float(np.dot(k, omega))
-        by_class = {}
-        for s, v in sv.entries.items():
-            by_class.setdefault(p.class_of[s], {})[s] = v
-        for ci, entries in sorted(by_class.items()):
+        Fk = np.zeros(nv, dtype=complex)
+        Fk[U[gi]] += C[gi]
+        for ci in np.unique(class_of[U[gi] // 2]).tolist():
             cd = tables[ci]
-            cl = cd.sites
             if cd.hyperbolic:
-                mdim = 2 * len(cl)
-                Fv = np.zeros(mdim, dtype=complex)
-                for i, s in enumerate(cl):
-                    if s in entries:
-                        Fv[2 * i:2 * i + 2] = entries[s]
-                L = 1j * kw * np.eye(mdim) + cd.HJ
+                w = cd.ids.T.ravel()
+                L = 1j * kw * np.eye(len(w)) + cd.HJ
                 smin = float(np.linalg.svd(L, compute_uv=False)[-1])
-                key = (k, (ci,), "lin-hyp")
-                divlog[key] = (smin,)
+                divlog[(k, (ci,), "lin-hyp")] = (smin,)
                 if guard.check(smin, k, (ci,), "lin-hyp"):
-                    x = np.linalg.solve(L, -Fv)
-                    for i, s in enumerate(cl):
-                        for c2 in (0, 1):
-                            if x[2 * i + c2] != 0:
-                                S.add_term(x[2 * i + c2], k=k,
-                                           z={(s, c2): 1})
+                    solved.append((k, None, w, None,
+                                   np.linalg.solve(L, -Fk[w])))
                 continue
-            na = len(cl)
-            Fxi = np.array([entries.get(s, np.zeros(2))[0] for s in cl])
-            Feta = np.array([entries.get(s, np.zeros(2))[1] for s in cl])
             # i[(kw)I - Q] v_xi = -F_xi ; i[(kw)I + conj(Q)] v_eta = -F_eta
-            key = (k, (ci,), "lin-xi")
-            x, div = invert_L_elliptic(kw, cd.lam, cd.U, -1, None, None, 0,
-                                       1j * Fxi, guard, (k, (ci,), "lin-xi"))
-            divlog[key] = tuple(np.sort(div))
-            if x is not None:
-                for i, s in enumerate(cl):
-                    if x[i] != 0:
-                        S.add_term(x[i], k=k, z={(s, XI): 1})
-            key = (k, (ci,), "lin-eta")
-            x, div = invert_L_elliptic(kw, cd.lam, np.conj(cd.U), 1, None,
-                                       None, 0, 1j * Feta, guard,
-                                       (k, (ci,), "lin-eta"))
-            divlog[key] = tuple(np.sort(div))
-            if x is not None:
-                for i, s in enumerate(cl):
-                    if x[i] != 0:
-                        S.add_term(x[i], k=k, z={(s, ETA): 1})
+            for comp in (XI, ETA):
+                tag = ("lin-xi", "lin-eta")[comp]
+                x, div = invert_L_elliptic(kw, cd.lam, cd.V[comp], 2 * comp - 1,
+                                           None, None, 0, 1j * Fk[cd.ids[comp]],
+                                           guard, (k, (ci,), tag))
+                divlog[(k, (ci,), tag)] = tuple(np.sort(div))
+                if x is not None:
+                    solved.append((k, None, cd.ids[comp], None, x))
 
-    # -- zeta-quadratic part -----------------------------------------------------
-    for k, M in jet.f_zetazeta.items():
+    # -- zeta-quadratic part: one form matrix per k, blocks by class pair -----
+    pts = np.array(sites, dtype=np.int64)
+    C_fit = 0.0                # fitted decay constant for the skip-rule bound
+    ncl = len(p.classes)
+    for k, gi in _k_groups(K, V >= 0):
         kw = float(np.dot(k, omega))
-        k_is_zero = all(x == 0 for x in k)
-        # largest block norm per class pair (ci <= cj) that holds blocks
-        sites, ((rows, cols, data),) = _stack(M)
-        cls = np.array([p.class_of[s] for s in sites], dtype=np.int64)
-        ci_, cj_ = cls[rows], cls[cols]
-        up = ci_ <= cj_
-        pair_ids, inv = np.unique(ci_[up] * len(p.classes) + cj_[up],
-                                  return_inverse=True)
-        coeffs = np.zeros(len(pair_ids))
-        np.maximum.at(coeffs, inv, spectral_norm_2x2(data[up]))
-        for pid, coeff in zip(pair_ids.tolist(), coeffs.tolist()):
-            ci, cj = divmod(pid, len(p.classes))
+        Mk = np.zeros((nv, nv), dtype=complex)
+        Mk[U[gi], V[gi]] += C[gi]
+        a, b = np.divmod(np.unique(U[gi] // 2 * len(sites) + V[gi] // 2),
+                         len(sites))
+        norms = spectral_norm_2x2(
+            Mk.reshape(len(sites), 2, len(sites), 2)[a, :, b, :])
+        off = a != b
+        if off.any():
+            C_fit = max(C_fit, float((norms[off] * decay_weight(
+                pts[a[off]], pts[b[off]], WeightParams(gamma1, 0.0))).max()))
+        # class pairs (ci <= cj) that hold blocks, with their largest norm
+        pairs = class_of[a] * ncl + class_of[b]
+        for pid in np.unique(pairs[class_of[a] <= class_of[b]]).tolist():
+            ci, cj = divmod(pid, ncl)
             ca, cb = tables[ci], tables[cj]
-            cla, clb = ca.sites, cb.sites
-            na, nb = len(cla), len(clb)
-            G = _gather_block(M, cla, clb)
 
             # skip rule: same sphere, different classes, elliptic pair
             if (ci != cj and not ca.hyperbolic and not cb.hyperbolic
-                    and norm_sq(cla[0]) == norm_sq(clb[0])):
-                gap = math.sqrt(pseudo_dist_sq(cla + clb)[:na, na:].min())
-                skipped.append((k, ci, cj, coeff,
-                                C_fit * math.exp(-gamma1 * gap)))
+                    and norm_sq(ca.sites[0]) == norm_sq(cb.sites[0])):
+                na = len(ca.sites)
+                gap = math.sqrt(
+                    pseudo_dist_sq(ca.sites + cb.sites)[:na, na:].min())
+                skipped.append((k, ci, cj, float(norms[pairs == pid].max()),
+                                gap))
                 continue
 
             if ca.hyperbolic and cb.hyperbolic:
-                if k_is_zero:
-                    add = _interleave_identity(G, na)
-                    if ht.B_hyperbolic is None:
-                        ht.B_hyperbolic = np.zeros_like(add)
-                    ht.B_hyperbolic = ht.B_hyperbolic + add
+                w = ca.ids.T.ravel()
+                Gi = Mk[np.ix_(w, w)]
+                if not any(k):
+                    ht.B_hyperbolic = ((Gi + Gi.T) / 2).real
                     continue
-                Gi = _interleave(G, na, nb)
                 Y, smin = invert_L_hyperbolic(kw, ca.HJ, cb.JH, Gi, guard,
                                               (k, (ci, cj), "hyp"))
                 divlog[(k, (ci, cj), "hyp")] = (smin,)
                 if Y is not None:
-                    _emit_quadratic(S, k, cla, clb, Y, interleaved=True)
+                    solved.append((k, None, w, w, Y / 2))
                 continue
 
             if ca.hyperbolic or cb.hyperbolic:
-                # canonicalize: elliptic class on the left
-                if ca.hyperbolic:
-                    ca, cb = cb, ca
-                    cla, clb = ca.sites, cb.sites
-                    na, nb = len(cla), len(clb)
-                    G = _gather_block(M, cla, clb)
-                Gi_right = _interleave_cols(G, na, nb)
-                Y = np.zeros((2 * na, 2 * nb), dtype=complex)
-                ok = True
-                divs = []
-                for crow, sgn, V in ((0, -1, ca.U), (1, 1, np.conj(ca.U))):
-                    Grow = Gi_right[crow * na:(crow + 1) * na, :]
-                    Gt = V.conj().T @ Grow
-                    Xt = np.zeros_like(Gt)
-                    for idx in range(na):
-                        lam = ca.lam[idx]
-                        coef = 1j * (kw + sgn * lam)
-                        tag = f"mix-{'xi' if crow == 0 else 'eta'}-{idx}"
-                        x, smin = invert_L_mixed(coef, cb.JH, -Gt[idx],
-                                                 guard, (k, (ci, cj), tag))
+                # rows of the elliptic class per component, columns of the
+                # hyperbolic class interleaved
+                ell, hyp = (cb, ca) if ca.hyperbolic else (ca, cb)
+                w = hyp.ids.T.ravel()
+                divs, rows_x = [], []
+                for crow in (XI, ETA):
+                    Gt = ell.V[crow].conj().T @ Mk[np.ix_(ell.ids[crow], w)]
+                    for i, lam in enumerate(ell.lam):
+                        tag = f"mix-{('xi', 'eta')[crow]}-{i}"
+                        x, smin = invert_L_mixed(
+                            1j * (kw + (2 * crow - 1) * lam), hyp.JH, -Gt[i],
+                            guard, (k, (ci, cj), tag))
                         divs.append(smin)
                         if x is None:
-                            ok = False
                             break
-                        Xt[idx] = x
-                    if not ok:
+                        rows_x.append(x)
+                    if x is None:
                         break
-                    Y[crow * na:(crow + 1) * na, :] = V @ Xt
                 divlog[(k, (ci, cj), "mixed")] = tuple(divs)
-                if ok:
-                    _emit_mixed(S, k, cla, clb, Y)
+                if x is not None:
+                    ne = len(ell.sites)
+                    solved.append((k, None, ell.ids.ravel(), w, np.vstack(
+                        [ell.V[c] @ np.array(rows_x[c * ne:][:ne])
+                         for c in (XI, ETA)])))
                 continue
 
             # elliptic-elliptic: solve per channel
-            channels = {
-                (XI, XI): (-1, ca.U, -1, np.conj(cb.U)),
-                (XI, ETA): (-1, ca.U, 1, cb.U),
-                (ETA, XI): (1, np.conj(ca.U), -1, np.conj(cb.U)),
-                (ETA, ETA): (1, np.conj(ca.U), 1, cb.U),
-            }
-            for (c1, c2), (sL, VL, sR, VR) in channels.items():
-                Gc = G[c1 * na:(c1 + 1) * na, c2 * nb:(c2 + 1) * nb]
-                tag = f"q-{c1}{c2}"
-                if k_is_zero and ci == cj and {c1, c2} == {XI, ETA}:
+            for c1, c2 in ((XI, XI), (XI, ETA), (ETA, XI), (ETA, ETA)):
+                Gc = Mk[np.ix_(ca.ids[c1], cb.ids[c2])]
+                if not any(k) and ci == cj and c1 != c2:
                     if c1 == XI:
-                        Q = (Gc + Gc.conj().T) / 2
-                        prev = ht.B_elliptic.get(ci,
-                                                 np.zeros_like(Q))
-                        ht.B_elliptic[ci] = prev + Q
+                        ht.B_elliptic[ci] = (Gc + Gc.conj().T) / 2
                     continue
                 if not np.any(Gc):
                     continue
-                X, div = invert_L_elliptic(kw, ca.lam, VL, sL, cb.lam, VR,
-                                           sR, 1j * Gc, guard,
-                                           (k, (ci, cj), tag))
+                tag = f"q-{c1}{c2}"
+                X, div = invert_L_elliptic(
+                    kw, ca.lam, ca.V[c1], 2 * c1 - 1, cb.lam, cb.V[1 - c2],
+                    2 * c2 - 1, 1j * Gc, guard, (k, (ci, cj), tag))
                 divlog[(k, (ci, cj), tag)] = tuple(np.sort(div.ravel()))
                 if X is not None:
-                    _emit_channel(S, k, cla, clb, c1, c2, X, same=(ci == cj))
-    S.prune(0.0)
+                    # a pair of classes also holds the mirror block (cj, ci)
+                    solved += [(k, None, ca.ids[c1], cb.ids[c2], X / 2)] \
+                        * (1 if ci == cj else 2)
+
+    skipped = [(k, ci, cj, coeff, C_fit * math.exp(-gamma1 * gap))
+               for k, ci, cj, coeff, gap in skipped]
+    S = encode(n, list(var_id), *block_rows(n, solved))
     return S, ht, skipped, divlog
-
-
-def _interleave_identity(G_grouped, n):
-    """Grouped (2n x 2n) symmetric block -> interleaved real symmetric."""
-    Gi = _interleave(G_grouped, n, n)
-    return ((Gi + Gi.T) / 2).real
-
-
-def _interleave_cols(G, na, nb):
-    """Group rows by comp, interleave columns per site."""
-    out = np.zeros_like(G)
-    for c1 in (0, 1):
-        for j in range(nb):
-            for c2 in (0, 1):
-                out[c1 * na:(c1 + 1) * na, 2 * j + c2] = \
-                    G[c1 * na:(c1 + 1) * na, c2 * nb + j]
-    return out
-
-
-def _emit_channel(S, k, cla, clb, c1, c2, X, same):
-    """Add the solved channel to S as 1/2-form monomials.
-
-    X holds the form-matrix entries for (row site, c1) x (col site, c2);
-    the mirror positions are implied by symmetry, so each entry contributes
-    half, exactly like the jet round trip.
-    """
-    for i, a in enumerate(cla):
-        for j, b in enumerate(clb):
-            val = X[i, j]
-            if val == 0:
-                continue
-            v1, v2 = (a, c1), (b, c2)
-            if v1 == v2:
-                S.add_term(val / 2, k=k, z={v1: 2})
-            else:
-                S.add_term(val / 2, k=k, z={v1: 1, v2: 1})
-    if not same:
-        # mirror sub-block (cj, ci) carries the transpose; same weight again
-        for i, a in enumerate(cla):
-            for j, b in enumerate(clb):
-                val = X[i, j]
-                if val == 0:
-                    continue
-                v1, v2 = (a, c1), (b, c2)
-                if v1 != v2:
-                    S.add_term(val / 2, k=k, z={v1: 1, v2: 1})
-
-
-def _emit_mixed(S, k, cla, clb, Y):
-    """Elliptic (grouped rows) x hyperbolic (interleaved cols) block."""
-    na = len(cla)
-    for crow in (0, 1):
-        for i, a in enumerate(cla):
-            for j, b in enumerate(clb):
-                for c2 in (0, 1):
-                    val = Y[crow * na + i, 2 * j + c2]
-                    if val != 0:
-                        S.add_term(val, k=k, z={(a, crow): 1, (b, c2): 1})
-
-
-def _emit_quadratic(S, k, cla, clb, Y, interleaved: bool):
-    """Hyperbolic-hyperbolic interleaved symmetric block -> monomials."""
-    comps_a = [(s, c) for s in cla for c in (0, 1)]
-    comps_b = [(s, c) for s in clb for c in (0, 1)]
-    for i, v1 in enumerate(comps_a):
-        for j, v2 in enumerate(comps_b):
-            val = Y[i, j]
-            if val == 0:
-                continue
-            if v1 == v2:
-                S.add_term(val / 2, k=k, z={v1: 2})
-            else:
-                S.add_term(val / 2, k=k, z={v1: 1, v2: 1})
 
 
 def solve_homological(h: NormalFormHamiltonian, f: Polynomial,

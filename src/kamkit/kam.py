@@ -22,7 +22,8 @@ import numpy as np
 from .algebra import I2, J2, NormalFormMatrix, WeightParams, symplectic
 from .divisors import ParameterGrid, excise
 from .hamiltonian import (ClassNormParams, ETA, XI, NormalFormHamiltonian,
-                          Polynomial, StageAbort, class_norm, lie_transform)
+                          Polynomial, StageAbort, class_ids, class_norm,
+                          decode_jet, lie_transform, site_layout)
 from .homological import DivisorGuard, class_tables, solve_homological
 from .lattice import build_partition
 
@@ -178,78 +179,47 @@ def inner_step(state: IterationState, schedule: Schedule,
 
 def _fold_h_acc(h: NormalFormHamiltonian, h_acc: Polynomial,
                 delta_next: float) -> NormalFormHamiltonian:
-    """Fold corrections into a new normal form on the coarser partition."""
+    """Fold corrections into a new normal form on the coarser partition.
+
+    The jet of h + h_acc is read back through the codec: Hermitian Q_ab
+    from the xi_a eta_b entries, gathered per class of the new partition,
+    and the hyperbolic block from the entries over the finite node set."""
     p_old = h.partition
-    n = h.n
-    zero = (0,) * n
-    const_add = h_acc.terms.get((zero, zero, ()), 0.0)
-    chi = np.zeros(n)
-    quad = {}
-    fin = set(p_old.finite_set)
-    fin_comps = [(s, c) for s in p_old.classes[p_old.finite_index]
-                 for c in (0, 1)] if p_old.finite_index is not None else []
-    fin_pos = {v: i for i, v in enumerate(fin_comps)}
-    H_add = np.zeros((len(fin_comps), len(fin_comps)))
-    for (k, m, zk), c in h_acc.terms.items():
-        if k != zero:
-            raise StageAbort("fold", k,
-                             "accumulated correction has angle dependence")
-        if sum(m) == 1 and not zk:
-            chi[m.index(1)] += c.real
-            continue
-        if not zk:
-            continue
-        sites = [v[0] for v, _ in zk]
-        if all(s in fin for s in sites):
-            if len(zk) == 1:
-                (v, pw), = zk
-                H_add[fin_pos[v], fin_pos[v]] += 2 * c.real
-            else:
-                (v1, _), (v2, _) = zk
-                H_add[fin_pos[v1], fin_pos[v2]] += c.real
-                H_add[fin_pos[v2], fin_pos[v1]] += c.real
-            continue
-        (v1, p1), *rest = zk
-        if rest:
-            (v2, p2), = rest
-        else:
-            v2, p2 = v1, p1
-        a = v1[0] if v1[1] == XI else v2[0]
-        b = v2[0] if v2[1] == ETA else v1[0]
-        quad[(a, b)] = quad.get((a, b), 0.0) + c
+    var_id = site_layout(p_old.sites())
+    _, K, M, U, V, C = decode_jet(h.to_polynomial() + h_acc, var_id)
+    bad = np.flatnonzero(K.any(axis=1))
+    if len(bad):
+        raise StageAbort("fold", tuple(K[bad[0]].tolist()),
+                         "accumulated correction has angle dependence")
+    omega = np.zeros(h.n)
+    on_r = (U < 0) & M.any(axis=1)
+    omega[np.nonzero(M[on_r])[1]] += C[on_r].real
+    ell = (V >= 0) & (U % 2 == XI) & (V % 2 == ETA)
+    Q_all = np.zeros((len(var_id) // 2,) * 2, dtype=complex)
+    Q_all[U[ell] // 2, V[ell] // 2] += C[ell]
 
     p_new = build_partition(delta_next, p_old.radius, p_old.d,
                             finite_set=p_old.finite_set,
                             core_cutoff=p_old.core_cutoff,
                             exclude=p_old.exclude)
-    where_old = {}
-    for ci, cl in enumerate(p_old.classes):
-        for i, a in enumerate(cl):
-            where_old[a] = (ci, i)
     nf = NormalFormMatrix(partition=p_new)
     for ci, cl in enumerate(p_new.classes):
         if ci == p_new.finite_index:
             continue
-        Q = np.zeros((len(cl), len(cl)), dtype=complex)
-        for i, a in enumerate(cl):
-            for j, b in enumerate(cl):
-                oa, ia = where_old[a]
-                ob, ib = where_old[b]
-                if oa == ob:
-                    Q[i, j] += h.nf.block_for(oa)[ia, ib]
-                Q[i, j] += quad.get((a, b), 0.0)
-        try:
-            nf.set_block(ci, Q)      # Hermitian check = normal-form gate
+        ix = class_ids(var_id, cl)[XI] // 2
+        try:                # the Hermitian check is the normal-form gate
+            nf.set_block(ci, Q_all[np.ix_(ix, ix)])
         except ValueError as exc:
             raise StageAbort("fold", ci, str(exc)) from exc
     if p_new.finite_index is not None:
-        H = np.zeros((len(fin_comps), len(fin_comps)))
-        if h.nf.hyperbolic_block is not None:
-            H += h.nf.hyperbolic_block
-        H += H_add
-        nf.hyperbolic_block = H
+        w = class_ids(var_id, p_new.classes[p_new.finite_index]).T.ravel()
+        fin = np.full(len(var_id), -1)
+        fin[w] = np.arange(len(w))
+        hyp = (V >= 0) & (fin[U] >= 0) & (fin[V] >= 0)
+        nf.hyperbolic_block = np.zeros((len(w), len(w)))
+        nf.hyperbolic_block[fin[U[hyp]], fin[V[hyp]]] += C[hyp].real
     return NormalFormHamiltonian(
-        omega=h.omega + chi, nf=nf, const=h.const + const_add.real,
+        omega=omega, nf=nf, const=float(C[(U < 0) & ~on_r].real.sum()),
         rho_star=h.rho_star, omega_fn=h.omega_fn, lambda_fn=h.lambda_fn)
 
 

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import binom as _binom
 
-from .hamiltonian import ETA, XI, NormalFormHamiltonian, Polynomial, _zkeys
+from .hamiltonian import (ETA, XI, NormalFormHamiltonian, Polynomial, _zkeys,
+                          class_ids, decode_jet, encode, site_layout)
 from .algebra import NormalFormMatrix, symplectic
 from .lattice import ball_points, build_partition, check_admissible, norm_sq
 
@@ -208,36 +209,6 @@ def _expansion(pools, xwave, d: int, coeff):
         np.concatenate([c for _, c in out])
 
 
-def _polynomial(n: int, zvars: list, Z: np.ndarray, c: np.ndarray,
-                k=None) -> Polynomial:
-    """Sum of the rows c * z^Z as a Polynomial, merged like ``add_term``:
-    first-occurrence order, keys dropped while their sum is zero."""
-    kk = tuple(k) if k is not None else (0,) * n
-    mm = (0,) * n
-    V, w = len(zvars), Z.shape[1]
-    if V ** w <= np.iinfo(np.int64).max:
-        code = Z @ np.cumprod([1] + [V] * (w - 1), dtype=np.int64)[::-1]
-        _, first, inv = np.unique(code, return_index=True,
-                                  return_inverse=True)
-    else:
-        _, first, inv = np.unique(Z, axis=0, return_index=True,
-                                  return_inverse=True)
-    vals = c.tolist()
-    if len(first) == len(Z):          # no repeated monomial: rows are terms
-        keys = [(kk, mm, zk) for zk in _zkeys(Z, zvars)]
-        return Polynomial(n, dict(zip(keys, vals)))
-    zks = _zkeys(Z[first], zvars)
-    terms: dict = {}
-    for u, v in zip(inv.ravel().tolist(), vals):
-        key = (kk, mm, zks[u])
-        val = terms.get(key, 0.0) + v
-        if val == 0:
-            terms.pop(key, None)
-        else:
-            terms[key] = val
-    return Polynomial(n, terms)
-
-
 def expand_product(n: int, pools, xwave, d: int, coeff, k=None) -> Polynomial:
     """Integral over the torus of a product of field-factor powers.
 
@@ -252,7 +223,7 @@ def expand_product(n: int, pools, xwave, d: int, coeff, k=None) -> Polynomial:
         poly = Polynomial(n)
         poly.add_term(coeff * TWO_PI ** (d * (1 - total / 2.0)), k=k)
         return poly
-    return _polynomial(n, *_expansion(pools, xwave, d, coeff), k=k)
+    return encode(n, *_expansion(pools, xwave, d, coeff), K=k)
 
 
 def _half_power_poly(n: int, j: int, e2: int, Ij: float,
@@ -576,7 +547,6 @@ def _gauge_r_shift(poly: Polynomial, node_of: dict, max_degree: int,
         m[j] = 1
         shifts[j].add_term(1.0, m=m)      # r_j itself
     out = Polynomial(n)
-    terms = out.terms
     for (k, m, zk), c in poly.terms.items():
         if not any(m[j] for j in shifts):
             out.add_term(c, k=k, m=m, z=zk)
@@ -587,12 +557,7 @@ def _gauge_r_shift(poly: Polynomial, node_of: dict, max_degree: int,
         for j, sp in shifts.items():
             for _ in range(m[j]):
                 base = base.mul(sp, max_degree=max_degree)
-        for key, cb in base.terms.items():
-            val = terms.get(key, 0.0) + cb
-            if val == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = val
+        out._iadd(base)
     return out
 
 
@@ -710,52 +675,38 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
     node_of = {a: max(j for j, b in enumerate(nodes)
                       if nsq_of[b] == nsq_of[a]) for a in lam_f}
 
+    # the resonant quadratic part, read as form entries over the sites
     gPQ_aa = _gauge_k_shift(aa(gPQ), node_of)
-    quad = {}                   # (var, var) -> complex coefficient
-    for (k, m, zk), c in gPQ_aa.terms.items():
-        zdeg = sum(p for _, p in zk)
-        if any(m) or zdeg != 2:
-            frest.add_term(c, k=k, m=m, z=zk)
-            continue
-        if k != zero_k:
-            raise AssertionError("gauge left an angle factor on a resonant "
-                                 "quadratic term: %r" % ((k, zk),))
-        if len(zk) == 1:
-            (v, p), = zk
-            quad[(v, v)] = quad.get((v, v), 0) + 2 * c
-        else:
-            (v1, _), (v2, _) = zk
-            quad[(v1, v2)] = quad.get((v1, v2), 0) + c
-            quad[(v2, v1)] = quad.get((v2, v1), 0) + c
+    frest = frest + gPQ_aa.without_jet()
+    var_id = site_layout(sites)
+    zvars = list(var_id)
+    _, K, _, U, V, C = decode_jet(gPQ_aa, var_id)
+    bad = K.any(axis=1) | (V < 0)
+    if bad.any():
+        raise AssertionError("gauge left a resonant term that is not an "
+                             "angle-free mode quadratic: k=%r"
+                             % (K[bad][0].tolist(),))
 
-    # external diagonal shifts (node-diagonal quartic terms, any sphere)
-    lambda_sites = {}
-    for a in sites:
-        if a in nodes:
-            continue
-        shift = quad.pop(((a, XI), (a, ETA)), 0.0)
-        quad.pop(((a, ETA), (a, XI)), None)
-        if a in lam_f:
-            # resonant site: keep the shift inside the quadratic form
-            if shift:
-                quad[((a, XI), (a, ETA))] = shift
-                quad[((a, ETA), (a, XI))] = shift
-            continue
-        lambda_sites[a] = lam[a] + shift.real
+    # external diagonal shifts (node-diagonal quartic terms, any sphere);
+    # on a resonant site the shift stays inside the quadratic form
+    diag = (U // 2 == V // 2) & (U % 2 != V % 2)
+    shift = dict(zip([zvars[u][0] for u in U[diag & (U % 2 == XI)]],
+                     C[diag & (U % 2 == XI)].real.tolist()))
+    lambda_sites = {a: lam[a] + shift.get(a, 0.0) for a in sites
+                    if a not in nodes and a not in lam_f}
 
     # quadratic form over the resonant external modes, real coordinates
     M = len(lam_f)
-    pos = {}
-    for i, a in enumerate(lam_f):
-        pos[(a, XI)] = 2 * i
-        pos[(a, ETA)] = 2 * i + 1
+    pos = np.full(len(zvars), -1)
+    pos[class_ids(var_id, lam_f).T.ravel()] = np.arange(2 * M)
+    keep = ~diag | (pos[U] >= 0)
+    outside = np.flatnonzero(keep & ((pos[U] < 0) | (pos[V] < 0)))
+    if len(outside):
+        i = outside[0]
+        raise AssertionError("resonant coupling leaves the resonant "
+                             "external set: %r" % ((zvars[U[i]], zvars[V[i]]),))
     G = np.zeros((2 * M, 2 * M), dtype=complex)
-    for (v1, v2), c in quad.items():
-        if v1 in pos and v2 in pos:
-            G[pos[v1], pos[v2]] += c
-        else:
-            raise AssertionError("resonant coupling leaves the resonant "
-                                 "external set: %r" % ((v1, v2),))
+    G[pos[U[keep]], pos[V[keep]]] += C[keep]
     for i, a in enumerate(lam_f):
         gap = lam[a] - omega_I[node_of[a]]
         G[2 * i, 2 * i + 1] += gap

@@ -234,6 +234,36 @@ def test_kam_stage_abort_exits_4(tmp_path, capsys, monkeypatch):
     assert report[-1] == f"aborted={message}"
 
 
+def test_kam_unrelated_error_propagates(tmp_path, monkeypatch):
+    from kamkit import kam
+
+    def broken(*args, **kwargs):
+        raise ValueError("bug in a bracket")
+
+    monkeypatch.setattr(kam, "lie_transform", broken)
+    cfg = write_cfg(tmp_path, {"output_dir": str(tmp_path / "out"),
+                               "model": BEAM_MODEL})
+    with pytest.raises(ValueError, match="bug in a bracket"):
+        main(["kam", cfg])
+
+
+def test_kam_degenerate_model_is_a_config_error(tmp_path, capsys):
+    # mu = |a|^4 + rho = -1 on the node (1, 0)
+    cfg = write_cfg(tmp_path, {"output_dir": str(tmp_path / "out"),
+                               "model": dict(BEAM_MODEL, rho=[-2.0, 1.3])})
+    assert main(["kam", cfg]) == 2
+    assert ("config error: node with nonpositive mu"
+            in capsys.readouterr().err)
+
+
+def test_kam_invalid_weights_are_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"output_dir": str(tmp_path / "out"),
+                               "model": BEAM_MODEL,
+                               "weights": {"gamma1": -1.0}})
+    assert main(["kam", cfg]) == 2
+    assert "invalid 'weights'" in capsys.readouterr().err
+
+
 def test_kam_singular_threshold_gate(tmp_path, capsys):
     out = tmp_path / "out"
     base = {"kind": "singular", "d": 2, "R": 4, "nodes": [[0, 1], [1, -1]],

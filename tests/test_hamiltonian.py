@@ -3,7 +3,7 @@ from operator import add
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kamkit.algebra import WeightedMatrix, WeightParams
 from kamkit.hamiltonian import (
@@ -16,6 +16,8 @@ from kamkit.hamiltonian import (
     _mul_packed,
     _z_derivative_table,
     class_norm,
+    decode_jet,
+    encode,
     hessian_decay_check,
     lie_transform,
     poisson,
@@ -182,6 +184,47 @@ def test_jet_idempotent_and_roundtrip():
         back = HamiltonianJet.from_polynomial(p).to_polynomial()
         diff = back - jp
         assert diff.max_coeff() < 1e-12
+
+
+def _normal(P) -> bool:
+    """No subnormal parts: halving a form entry back is then exact."""
+    return all(x == 0 or abs(x) > 1e-300
+               for c in P.terms.values() for x in (c.real, c.imag))
+
+
+@given(polynomials(2).filter(_normal))
+def test_decode_then_encode_gives_back_the_jet(P):
+    var_id, K, M, U, V, C = decode_jet(P)
+    quad = V >= 0
+    Z = np.stack([np.where(quad, np.minimum(U, V), U),
+                  np.where(quad, np.maximum(U, V), V)], axis=1)
+    # each form entry of 1/2 <Hz, z> carries half of its monomial
+    back = encode(P.n, list(var_id), Z, np.where(quad, C / 2, C), K=K, M=M)
+    assert repr(list(back.terms.items())) == repr(list(P.jet().terms.items()))
+
+
+# (k, m, id pair over MERGE_VARS, z-key): a few monomials, so rows repeat
+MERGE_VARS = [(A, 0), (A, 1), (B, 0)]
+MONOMIALS = [((0,), (0,), (-1, -1), ()),
+             ((1,), (0,), (0, -1), (((A, 0), 1),)),
+             ((0,), (1,), (0, 2), (((A, 0), 1), ((B, 0), 1))),
+             ((-1,), (0,), (1, 1), (((A, 1), 2),))]
+
+
+@given(st.lists(st.tuples(st.integers(0, len(MONOMIALS) - 1),
+                          st.sampled_from([1.0, -1.0, 2.0, 0.5j, -0.5j,
+                                           0.0])), max_size=12))
+@example(rows=[(1, 1.0), (2, 2.0), (1, -1.0), (1, 3.0)])  # cancel, revive
+@example(rows=[(3, 0.5j), (0, 1.0), (3, -0.5j)])          # cancel for good
+def test_encode_merges_rows_like_add_term(rows):
+    ref = Polynomial(1)
+    for i, c in rows:
+        k, m, _, z = MONOMIALS[i]
+        ref.add_term(c, k=k, m=m, z=z)
+    got = encode(1, MERGE_VARS, [MONOMIALS[i][2] for i, _ in rows],
+                 [c for _, c in rows], K=[MONOMIALS[i][0] for i, _ in rows],
+                 M=[MONOMIALS[i][1] for i, _ in rows])
+    assert repr(list(got.terms.items())) == repr(list(ref.terms.items()))
 
 
 def test_poisson_angle_action():
