@@ -12,23 +12,17 @@ hyperbolic node set.  Degree counts r twice and each zeta once; the jet is
 the part of degree <= 2 with no mixed r*zeta terms.
 
 A ``Polynomial`` is a dict keyed by (k, m, z), z the sorted tuple of
-(variable, power) pairs.  Products of more than ``_LOOP_MAX_PAIRS`` term
-pairs are computed on a packed layout (after Monagan & Pearce's packed
-sparse-polynomial arithmetic in Maple's POLY): each operand becomes int64
-rows of k and m, plus z as a fixed-width row of variable ids in which a
-variable of power p repeats p times.  Ids follow the sorted variable order,
-so a sorted id row decodes straight back to a z-tuple.  The pairs passing
-the degree filter are formed in one broadcast; their monomials get a
-mixed-radix int64 key (k and m digits, then the sorted z ids), or, when the
-product of the digit spans would not fit in int64, are grouped as rows;
-``np.unique`` and ``bincount`` merge like terms.  The sums run in the same
-order as the dict loop, so both give the same coefficients.
-
-Smaller products stay on the dict loop: the array path costs a fixed
-0.35-0.5 ms per call, while the loop takes 0.05-0.2 ms below 32 pairs and
-about 1 ms at 128-256 (Python 3.11, numpy 2.4, one core of a 2-vCPU Xeon
-VM).  Over the products a beam run makes, the summed multiply time is
-lowest for a crossover of 96-128 pairs and grows by 24-30% at 512.
+(variable, power) pairs.  Every product is computed on a packed layout
+(after Monagan & Pearce's packed sparse-polynomial arithmetic in Maple's
+POLY): each operand becomes int64 rows of k and m, plus z as a fixed-width
+row of variable ids in which a variable of power p repeats p times.  Ids
+follow the sorted variable order, so a sorted id row decodes straight back
+to a z-tuple.  The pairs passing the degree filter are formed in one
+broadcast; their monomials get a mixed-radix int64 key (k and m digits, then
+the sorted z ids), or, when the product of the digit spans would not fit in
+int64, are grouped as rows; ``np.unique`` and ``bincount`` merge like terms
+in pair order, left term outer, so each sum runs in the order of a loop
+over term pairs.
 """
 from __future__ import annotations
 
@@ -45,10 +39,6 @@ XI, ETA = 0, 1
 
 # (action degree, mode degree) pairs forming the normal-form jet
 _JET_DEGREES = ((0, 0), (1, 0), (0, 1), (0, 2))
-
-# products of at most this many term pairs run on the dict loop; the
-# module docstring gives the measured crossover
-_LOOP_MAX_PAIRS = 128
 
 
 class StageAbort(RuntimeError):
@@ -125,8 +115,6 @@ class Polynomial:
             tol: float = 0.0) -> "Polynomial":
         """Product pruned at ``tol`` (|c| <= tol) with exact zeros dropped;
         pairs whose degrees sum above ``max_degree`` are skipped."""
-        if len(self.terms) * len(other.terms) <= _LOOP_MAX_PAIRS:
-            return _mul_dict(self, other, max_degree, tol)
         return _mul_packed(self, other, max_degree, tol)
 
     def _iadd(self, other: "Polynomial", sign: complex = 1.0):
@@ -211,20 +199,20 @@ class Polynomial:
         return total
 
     # -- structure -----------------------------------------------------------
+    def _jet_part(self, inside: bool) -> "Polynomial":
+        """The terms inside (or outside) the jet, in term order."""
+        return Polynomial(self.n, {
+            key: c for key, c in self.terms.items()
+            if ((sum(key[1]), sum(p for _, p in key[2])) in _JET_DEGREES)
+            == inside})
+
     def jet(self) -> "Polynomial":
         """Degree <= 2 part: constant, r-linear, zeta-linear, zeta-quadratic."""
-        out = Polynomial(self.n)
-        for key, c in self.terms.items():
-            _, m, z = key
-            sr, sz = sum(m), sum(p for _, p in z)
-            if (sr, sz) in _JET_DEGREES:
-                out.terms[key] = c
-        return out
+        return self._jet_part(True)
 
     def without_jet(self) -> "Polynomial":
-        jet_keys = set(self.jet().terms)
-        return Polynomial(self.n, {key: c for key, c in self.terms.items()
-                                   if key not in jet_keys})
+        """The terms ``jet`` leaves out, in term order."""
+        return self._jet_part(False)
 
     def reality_defect(self, finite_set=()) -> float:
         """Max mismatch of coefficients under the reality involution.
@@ -256,39 +244,6 @@ class Polynomial:
 
 # -- products -------------------------------------------------------------------
 
-def _mul_dict(A: Polynomial, B: Polynomial, max_degree: int | None,
-              tol: float) -> Polynomial:
-    """Product by a loop over term pairs, accumulating into a dict."""
-    out = Polynomial(A.n)
-    terms = out.terms
-    rhs = [(key, c, 2 * sum(key[1]) + sum(p for _, p in key[2]))
-           for key, c in B.terms.items()]
-    if max_degree is not None:
-        rhs.sort(key=lambda t: t[2])     # enables early exit by degree
-    for (k1, m1, z1), c1 in A.terms.items():
-        d1 = 2 * sum(m1) + sum(p for _, p in z1)
-        for (k2, m2, z2), c2, d2 in rhs:
-            if max_degree is not None and d1 + d2 > max_degree:
-                break
-            m = tuple(x + y for x, y in zip(m1, m2))
-            if z2:
-                zd = dict(z1)
-                for v, p in z2:
-                    zd[v] = zd.get(v, 0) + p
-                zk = _zkey(zd)
-            else:
-                zk = z1
-            key = (tuple(x + y for x, y in zip(k1, k2)), m, zk)
-            val = terms.get(key, 0.0) + c1 * c2
-            if val == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = val
-    if tol:
-        out.prune(tol)
-    return out
-
-
 def _pack(P: Polynomial, var_id: dict):
     """Columns of P in term order: C (N,) complex, K and M (N, n) int64,
     and Z (N, w) int64 rows of variable ids, where a variable of power p
@@ -313,9 +268,9 @@ def _mul_packed(A: Polynomial, B: Polynomial, max_degree: int | None,
                 tol: float) -> Polynomial:
     """Product as one broadcast over term pairs, merged by packed key.
 
-    Same terms as ``_mul_dict`` and, since each key receives at most one
-    contribution per left-hand term and bincount adds in pair order, the
-    same floating-point sums; the output keeps the loop's insertion order.
+    Like terms merge in pair order, left term outer and, under a degree
+    filter, right terms by ascending degree; the output keeps their
+    first-occurrence order.
     """
     var_id: dict = {}
     C1, K1, M1, Z1 = _pack(A, var_id)
@@ -332,7 +287,7 @@ def _mul_packed(A: Polynomial, B: Polynomial, max_degree: int | None,
     else:
         d1 = 2 * M1.sum(axis=1) + (Z1 < V).sum(axis=1)
         d2 = 2 * M2.sum(axis=1) + (Z2 < V).sum(axis=1)
-        # visit B by degree, as the loop does, so first occurrences agree
+        # visit B by ascending degree, stably: this fixes first occurrences
         order = np.argsort(d2, kind="stable")
         C2, K2, M2, Z2, d2 = C2[order], K2[order], M2[order], Z2[order], \
             d2[order]

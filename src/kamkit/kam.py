@@ -339,7 +339,7 @@ def run(h: NormalFormHamiltonian, f: Polynomial, schedule: Schedule,
     omega_final = np.array(h_final.omega, dtype=float)
     return RunReport(
         state=state, omega_initial=omega0, omega_final=omega_final,
-        omega_drift=float(np.abs(omega_final - omega0).max()),
+        omega_drift=float(np.abs(omega_final - omega0).max(initial=0.0)),
         unstable_count=unstable, a_inf_max_real=a_inf_real,
         eps_history=eps_history, block_stops=block_stops,
         reached_target=state.eps <= schedule.eps_target, aborted=aborted)

@@ -226,30 +226,31 @@ def expand_product(n: int, pools, xwave, d: int, coeff, k=None) -> Polynomial:
     return encode(n, *_expansion(pools, xwave, d, coeff), K=k)
 
 
-def _half_power_poly(n: int, j: int, e2: int, Ij: float,
-                     r_degree: int) -> Polynomial:
-    """(I_j + r_j)^(e2/2) as a polynomial in r_j (exact when e2 is even,
-    truncated at r_degree otherwise)."""
-    out = Polynomial(n)
-    half = e2 / 2.0
-    tmax = e2 // 2 if e2 % 2 == 0 else r_degree
-    for t in range(tmax + 1):
-        m = [0] * n
-        m[j] = t
-        out.add_term(_binom(half, t) * Ij ** (half - t), m=m)
-    return out
-
-
 def action_angle(poly: Polynomial, nodes, actions, r_degree: int = 1,
                  max_degree: int | None = None) -> Polynomial:
     """Substitute xi_a = sqrt(I_a + r_a) e^{i theta_a} on the node sites.
 
-    Square roots are Taylor-expanded in r to r_degree (exact for even total
-    powers).  Node-site mode variables disappear; their phases feed the
-    angle index k.
+    Each term is expanded directly.  A node j with xi power px and eta
+    power pe turns into the phase k_j += px - pe times the series of
+    (I_j + r_j)^(e/2), e = px + pe, which is exact for even e and
+    Taylor-truncated at r_degree otherwise.  The series multiply in the
+    order the nodes appear in the term's z-tuple, one rounding per factor;
+    the rows are merged by ``add_term`` in that order, and rows of degree
+    above ``max_degree`` are dropped.
     """
     n = poly.n
     node_index = {a: j for j, a in enumerate(nodes)}
+    series: dict = {}       # (j, e) -> [(t, coefficient of r_j^t)]
+
+    def half_power(j: int, e2: int) -> list:
+        if (j, e2) not in series:
+            half = e2 / 2.0
+            tmax = e2 // 2 if e2 % 2 == 0 else r_degree
+            coeffs = [(t, _binom(half, t) * actions[j] ** (half - t))
+                      for t in range(tmax + 1)]
+            series[j, e2] = [(t, float(v)) for t, v in coeffs if v]
+        return series[j, e2]
+
     out = Polynomial(n)
     for (k, m, zk), c in poly.terms.items():
         knew = list(k)
@@ -262,18 +263,17 @@ def action_angle(poly: Polynomial, nodes, actions, r_degree: int = 1,
             else:
                 pc = counts.setdefault(j, [0, 0])
                 pc[comp] += p
-        base = Polynomial(n)
-        base.add_term(c, k=None, m=m, z=tuple(zrest))
+        rows = [(list(m), c)]
         for j, (px, pe) in counts.items():
             knew[j] += px - pe
-            base = base.mul(_half_power_poly(n, j, px + pe, actions[j],
-                                             r_degree),
-                            max_degree=max_degree)
-        for (kb, mb, zb), cb in base.terms.items():
-            out.add_term(cb, k=tuple(a + b for a, b in zip(kb, knew)),
-                         m=mb, z=zb)
-    if max_degree is not None:
-        out = out.truncate_degree(max_degree)
+            rows = [(mb[:j] + [mb[j] + t] + mb[j + 1:], cb * s)
+                    for mb, cb in rows for t, s in half_power(j, px + pe)]
+        zrest = tuple(zrest)
+        top = math.inf if max_degree is None \
+            else max_degree - sum(p for _, p in zrest)
+        for mb, cb in rows:
+            if 2 * sum(mb) <= top:
+                out.add_term(cb, knew, mb, zrest)
     return out
 
 
@@ -537,27 +537,55 @@ def _gauge_k_shift(poly: Polynomial, node_of: dict) -> Polynomial:
 def _gauge_r_shift(poly: Polynomial, node_of: dict, max_degree: int,
                    n: int) -> Polynomial:
     """Compensating action shift r_j -> r_j - sum_{node_of[b]=j}
-    xi_b eta_b."""
-    shifts = {}
+    xi_b eta_b.
+
+    Each term is expanded directly.  (r_j - sum_b xi_b eta_b)^(m_j) is the
+    sum over the combinations with replacement of node j's shift terms
+    (its sites in ``node_of`` order, then r_j) of their multinomial count
+    times (-1)^(number of xi_b eta_b factors); the nodes follow their first
+    appearance in ``node_of``.  A term with a shifted action and a degree
+    above ``max_degree`` drops out.  The rows are merged by ``add_term`` in
+    combination order.
+    """
+    sites_of: dict = {}
     for site, j in node_of.items():
-        sp = shifts.setdefault(j, Polynomial(n))
-        sp.add_term(-1.0, z={(site, XI): 1, (site, ETA): 1})
-    for j in shifts:
-        m = [0] * n
-        m[j] = 1
-        shifts[j].add_term(1.0, m=m)      # r_j itself
+        sites_of.setdefault(j, []).append(site)
+    powers: dict = {}       # (j, m_j) -> [(sites, r power, signed count)]
+
+    def expansion(j: int, mj: int) -> list:
+        if (j, mj) not in powers:
+            pool = sites_of[j]            # id len(pool) stands for r_j
+            rows = _cwr(len(pool) + 1, mj)
+            t = (rows == len(pool)).sum(axis=1)
+            count = (-1) ** (mj - t) * _multinomial(rows)
+            powers[j, mj] = [([pool[i] for i in row[:mj - r]], r, c)
+                             for row, r, c in zip(rows.tolist(), t.tolist(),
+                                                  count.tolist())]
+        return powers[j, mj]
+
     out = Polynomial(n)
     for (k, m, zk), c in poly.terms.items():
-        if not any(m[j] for j in shifts):
+        shifted = [(j, m[j]) for j in sites_of if m[j]]
+        if not shifted:
             out.add_term(c, k=k, m=m, z=zk)
             continue
-        base = Polynomial(n)
-        mres = tuple(0 if j in shifts else mj for j, mj in enumerate(m))
-        base.add_term(c, k=k, m=mres, z=zk)
-        for j, sp in shifts.items():
-            for _ in range(m[j]):
-                base = base.mul(sp, max_degree=max_degree)
-        out._iadd(base)
+        if max_degree is not None and \
+                2 * sum(m) + sum(p for _, p in zk) > max_degree:
+            continue
+        rows = [(list(m), [], c)]
+        for j, mj in shifted:
+            rows = [(mb[:j] + [t] + mb[j + 1:], sb + sites, count * cb)
+                    for mb, sb, cb in rows
+                    for sites, t, count in expansion(j, mj)]
+        for mb, sites, cb in rows:
+            z = zk
+            if sites:
+                zz = dict(zk)
+                for b in sites:
+                    for v in ((b, XI), (b, ETA)):
+                        zz[v] = zz.get(v, 0) + 1
+                z = tuple(sorted(zz.items()))
+            out.add_term(cb, k, mb, z)
     return out
 
 

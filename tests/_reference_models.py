@@ -1,13 +1,16 @@
-"""The per-monomial loop that ``kamkit.models.expand_product`` replaced,
-kept verbatim as an oracle for the array expansion.  Not used by the
-package."""
+"""Loops that ``kamkit.models`` replaced, kept verbatim as oracles: the
+per-monomial loop of ``expand_product`` (now an array expansion), and
+``action_angle`` and ``_gauge_r_shift`` as per-term ``Polynomial.mul``
+chains (now direct expansions).  Not used by the package."""
 from __future__ import annotations
 
 import itertools
 import math
 from collections import Counter
 
-from kamkit.hamiltonian import Polynomial
+from scipy.special import binom as _binom
+
+from kamkit.hamiltonian import ETA, XI, Polynomial
 from kamkit.models import TWO_PI
 
 
@@ -75,3 +78,79 @@ def expand_product(n: int, pools, xwave, d: int, coeff, k=None) -> Polynomial:
                 _add_monomial(poly, pref * mult,
                               hletters + [tail[i] for i in idxs], k=k)
     return poly
+
+
+def _half_power_poly(n: int, j: int, e2: int, Ij: float,
+                     r_degree: int) -> Polynomial:
+    """(I_j + r_j)^(e2/2) as a polynomial in r_j (exact when e2 is even,
+    truncated at r_degree otherwise)."""
+    out = Polynomial(n)
+    half = e2 / 2.0
+    tmax = e2 // 2 if e2 % 2 == 0 else r_degree
+    for t in range(tmax + 1):
+        m = [0] * n
+        m[j] = t
+        out.add_term(_binom(half, t) * Ij ** (half - t), m=m)
+    return out
+
+
+def action_angle(poly: Polynomial, nodes, actions, r_degree: int = 1,
+                 max_degree: int | None = None) -> Polynomial:
+    """Substitute xi_a = sqrt(I_a + r_a) e^{i theta_a} on the node sites.
+
+    Square roots are Taylor-expanded in r to r_degree (exact for even total
+    powers).  Node-site mode variables disappear; their phases feed the
+    angle index k.
+    """
+    n = poly.n
+    node_index = {a: j for j, a in enumerate(nodes)}
+    out = Polynomial(n)
+    for (k, m, zk), c in poly.terms.items():
+        knew = list(k)
+        counts = {}          # node j -> [xi power, eta power]
+        zrest = []
+        for (site, comp), p in zk:
+            j = node_index.get(site)
+            if j is None:
+                zrest.append(((site, comp), p))
+            else:
+                pc = counts.setdefault(j, [0, 0])
+                pc[comp] += p
+        base = Polynomial(n)
+        base.add_term(c, k=None, m=m, z=tuple(zrest))
+        for j, (px, pe) in counts.items():
+            knew[j] += px - pe
+            base = base.mul(_half_power_poly(n, j, px + pe, actions[j],
+                                             r_degree),
+                            max_degree=max_degree)
+        for (kb, mb, zb), cb in base.terms.items():
+            out.add_term(cb, k=tuple(a + b for a, b in zip(kb, knew)),
+                         m=mb, z=zb)
+    if max_degree is not None:
+        out = out.truncate_degree(max_degree)
+    return out
+def _gauge_r_shift(poly: Polynomial, node_of: dict, max_degree: int,
+                   n: int) -> Polynomial:
+    """Compensating action shift r_j -> r_j - sum_{node_of[b]=j}
+    xi_b eta_b."""
+    shifts = {}
+    for site, j in node_of.items():
+        sp = shifts.setdefault(j, Polynomial(n))
+        sp.add_term(-1.0, z={(site, XI): 1, (site, ETA): 1})
+    for j in shifts:
+        m = [0] * n
+        m[j] = 1
+        shifts[j].add_term(1.0, m=m)      # r_j itself
+    out = Polynomial(n)
+    for (k, m, zk), c in poly.terms.items():
+        if not any(m[j] for j in shifts):
+            out.add_term(c, k=k, m=m, z=zk)
+            continue
+        base = Polynomial(n)
+        mres = tuple(0 if j in shifts else mj for j, mj in enumerate(m))
+        base.add_term(c, k=k, m=mres, z=zk)
+        for j, sp in shifts.items():
+            for _ in range(m[j]):
+                base = base.mul(sp, max_degree=max_degree)
+        out._iadd(base)
+    return out

@@ -12,7 +12,6 @@ from kamkit.hamiltonian import (
     NormalFormHamiltonian,
     Polynomial,
     StageAbort,
-    _mul_dict,
     _mul_packed,
     _z_derivative_table,
     class_norm,
@@ -26,6 +25,7 @@ from kamkit.algebra import NormalFormMatrix
 from kamkit.lattice import build_partition
 
 from _reference_class_norm import reference_class_norm
+from _reference_hamiltonian import _mul_dict
 
 A = (2, 1)
 B = (1, 2)
@@ -181,6 +181,11 @@ def test_jet_idempotent_and_roundtrip():
         p = random_poly(rng, n=2)
         jp = p.jet()
         assert jp.jet().terms == jp.terms
+        # jet() and without_jet() split P's terms, each in P's order
+        items = list(p.terms.items())
+        assert ([kv for kv in items if kv[0] in jp.terms],
+                [kv for kv in items if kv[0] not in jp.terms]) == \
+            (list(jp.terms.items()), list(p.without_jet().terms.items()))
         back = HamiltonianJet.from_polynomial(p).to_polynomial()
         diff = back - jp
         assert diff.max_coeff() < 1e-12
@@ -307,6 +312,47 @@ def test_poisson_antisymmetry_and_reality():
     assert Fr.reality_defect() < 1e-12
     br = poisson(Fr, Gr)
     assert br.reality_defect() < 1e-12
+
+
+def _size(P: Polynomial) -> float:
+    """sum |c| (1 + |k|_1 + |m|_1 + deg z)^2.  A bracket multiplies pairs
+    of coefficients by derivative factors below these weights, so the
+    product of three sizes bounds every coefficient, and its rounding,
+    of brackets nested two deep."""
+    return sum(abs(c) * (1 + sum(map(abs, k)) + sum(m)
+                         + sum(p for _, p in z)) ** 2
+               for (k, m, z), c in P.terms.items())
+
+
+@st.composite
+def bracket_cases(draw):
+    """Three polynomials and a finite set with at least one hyperbolic
+    site among the variables' sites."""
+    n = draw(st.integers(1, 2))
+    fset = draw(st.lists(st.sampled_from(SITES), min_size=1, unique=True))
+    return [draw(polynomials(n)) for _ in range(3)], fset
+
+
+# relative to the product of the operands' sizes
+BRACKET_RTOL = 1e-12
+
+
+@given(bracket_cases())
+def test_poisson_leibniz_rule(case):
+    (F, G, H), fset = case
+    lhs = poisson(F, G.mul(H), fset)
+    rhs = poisson(F, G, fset).mul(H) + G.mul(poisson(F, H, fset))
+    assert (lhs - rhs).max_coeff() <= \
+        BRACKET_RTOL * _size(F) * _size(G) * _size(H)
+
+
+@given(bracket_cases())
+def test_poisson_jacobi_identity(case):
+    (F, G, H), fset = case
+    br = lambda P, Q: poisson(P, Q, fset)
+    cyclic = br(F, br(G, H)) + br(G, br(H, F)) + br(H, br(F, G))
+    assert cyclic.max_coeff() <= \
+        BRACKET_RTOL * _size(F) * _size(G) * _size(H)
 
 
 def test_poisson_restricted_tables_match_full_tables():

@@ -138,6 +138,18 @@ def test_run_two_super_steps_superexponential():
     assert report.a_inf_max_real <= 1e-8
 
 
+def test_run_without_internal_nodes_finishes():
+    # n = 0: no frequencies to drift, so the report's drift is 0
+    h, f = build_beam(BeamModel(d=2, radius=2, nodes=(), rho=(), actions=(),
+                                tail={0: 0.5},
+                                nonlinearity=((3, (0, 0), 1.0),),
+                                epsilon=1e-4, delta=2, max_degree=4))
+    report = run(h, f, Schedule(max_super=1), W)
+    assert report.aborted is None
+    assert report.omega_drift == 0.0
+    assert "omega_drift=0" in report.dump_lines()
+
+
 def test_run_with_grid_keeps_survivors():
     h, f = beam_instance()
     grid = ParameterGrid(bounds=[(0.5, 0.9), (1.1, 1.5)], resolution=8)

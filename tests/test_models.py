@@ -182,6 +182,60 @@ def test_action_angle_phase_and_sqrt_truncation():
     assert out2.terms[((2,), (1,), ())] == pytest.approx(1.0)
 
 
+NODES = ((1, 0), (0, 2))
+OFF_NODES = ((2, 1), (1, 1), (-1, 2))
+TERM_COEFFS = st.sampled_from([1.0, -1.0, 0.5, 1j, 1 - 1j, 0.3 + 0.1j]) | \
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                       allow_infinity=False)
+
+
+@st.composite
+def node_polynomials(draw, n):
+    """Terms over node and non-node variables, powers up to 3; nodes are
+    drawn twice as often, so terms often carry two of them."""
+    sites = 2 * NODES[:n] + OFF_NODES
+    p = Polynomial(n)
+    for _ in range(draw(st.integers(1, 8))):
+        k = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        m = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        z = draw(st.dictionaries(st.tuples(st.sampled_from(sites),
+                                           st.sampled_from((XI, ETA))),
+                                 st.integers(1, 3), max_size=3))
+        p.add_term(draw(TERM_COEFFS), k=k, m=m, z=z)
+    return p
+
+
+def assert_same_repr(got: Polynomial, want: Polynomial):
+    assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
+
+
+@given(st.data())
+def test_action_angle_matches_per_term_products(data):
+    n = data.draw(st.integers(1, 2))
+    poly = data.draw(node_polynomials(n))
+    actions = data.draw(st.lists(st.sampled_from((0.05, 0.04, 0.25, 1.3e-2)),
+                                 min_size=n, max_size=n))
+    kw = dict(r_degree=data.draw(st.integers(1, 2)),
+              max_degree=data.draw(st.sampled_from((None, 4, 6))))
+    assert_same_repr(action_angle(poly, NODES[:n], actions, **kw),
+                     _reference_models.action_angle(poly, NODES[:n], actions,
+                                                    **kw))
+
+
+@given(st.data())
+def test_gauge_r_shift_matches_per_term_products(data):
+    shifted = data.draw(st.integers(1, 2))       # nodes carrying shifts
+    n = data.draw(st.integers(shifted, 2))
+    poly = data.draw(node_polynomials(n))
+    sites = data.draw(st.lists(st.sampled_from(OFF_NODES), min_size=1,
+                               unique=True))
+    node_of = {b: data.draw(st.integers(0, shifted - 1)) for b in sites}
+    max_degree = data.draw(st.sampled_from((None, 4, 6)))
+    assert_same_repr(models._gauge_r_shift(poly, node_of, max_degree, n),
+                     _reference_models._gauge_r_shift(poly, node_of,
+                                                      max_degree, n))
+
+
 # -- beam model ----------------------------------------------------------
 
 def test_beam_zero_nonlinearity_quadratic():
