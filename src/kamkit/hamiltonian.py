@@ -12,17 +12,37 @@ hyperbolic node set.  Degree counts r twice and each zeta once; the jet is
 the part of degree <= 2 with no mixed r*zeta terms.
 
 A ``Polynomial`` is a dict keyed by (k, m, z), z the sorted tuple of
-(variable, power) pairs.  Every product is computed on a packed layout
+(variable, power) pairs.  Products and brackets run on a packed layout
 (after Monagan & Pearce's packed sparse-polynomial arithmetic in Maple's
 POLY): each operand becomes int64 rows of k and m, plus z as a fixed-width
 row of variable ids in which a variable of power p repeats p times.  Ids
 follow the sorted variable order, so a sorted id row decodes straight back
-to a z-tuple.  The pairs passing the degree filter are formed in one
-broadcast; their monomials get a mixed-radix int64 key (k and m digits, then
-the sorted z ids), or, when the product of the digit spans would not fit in
-int64, are grouped as rows; ``np.unique`` and ``bincount`` merge like terms
-in pair order, left term outer, so each sum runs in the order of a loop
-over term pairs.
+to a z-tuple.  One kernel, ``_product``, forms the pairs of two operands
+that pass the degree filter in one broadcast; their monomials get a
+mixed-radix int64 key (k and m digits, then the sorted z ids), or, when
+the product of the digit spans would not fit in int64, are grouped as
+rows; ``np.unique`` and ``bincount`` merge like terms in pair order, left
+term outer, so each sum runs in the order of a loop over term pairs.
+``Polynomial.mul`` is one call of it.
+
+``poisson`` packs F and G once, over one variable map, and builds one
+dict, at the end.  In between everything is rows: d/dr_j keeps the rows
+with m_j > 0, d/dtheta_j scales the rows with k_j != 0 by i k_j, and d/dz_v
+drops one v from each id row that holds it.  The products run through
+``_product`` one at a time, so the pairs of only one exist at once, in
+this order: for each action j, dF/dr_j dG/dtheta_j (sign +1) then
+dF/dtheta_j dG/dr_j (sign -1); then for each site that F and G share, in
+ascending order, dF/dz_(s,0) dG/dz_(s,1) (sign +u) then dF/dz_(s,1)
+dG/dz_(s,0) (sign -u), with u = 1 on the hyperbolic sites of
+``finite_set`` and i elsewhere.  ``_merge`` adds the signed rows into
+their monomials in that order by ``add_term``'s rule: a sum starts at 0.0,
+a monomial whose sum reaches exactly zero is dropped, and its next row
+puts it back at the end.  With every coefficient formed by Python's
+complex formulas, part by part, the keys, their order and the coefficient
+bits are those of adding each product into a dict in turn.
+``lie_transform`` packs F and S once for the whole series and keeps each
+order's bracket as rows until it is cut at ``tol``, scaled by 1/m and cut by
+``prune_split``; only the rows that survive become dict keys.
 """
 from __future__ import annotations
 
@@ -165,15 +185,6 @@ class Polynomial:
         return len(self.terms)
 
     # -- calculus -----------------------------------------------------------
-    def diff_r(self, j: int) -> "Polynomial":
-        out = Polynomial(self.n)
-        for (k, m, z), c in self.terms.items():
-            if m[j]:
-                mm = list(m)
-                mm[j] -= 1
-                out.add_term(c * m[j], k, tuple(mm), z)
-        return out
-
     def z_vars(self) -> list:
         s = set()
         for (_, _, z) in self.terms:
@@ -242,7 +253,7 @@ class Polynomial:
         return lines
 
 
-# -- products -------------------------------------------------------------------
+# -- products and brackets on packed rows -------------------------------------
 
 def _pack(P: Polynomial, var_id: dict):
     """Columns of P in term order: C (N,) complex, K and M (N, n) int64,
@@ -253,35 +264,80 @@ def _pack(P: Polynomial, var_id: dict):
     zidx: dict = {}
     zi = np.fromiter((zidx.setdefault(z, len(zidx)) for _, _, z in P.terms),
                      dtype=np.int64, count=N)
-    rows = [[var_id.setdefault(v, len(var_id)) for v, p in z
-             for _ in range(p)] for z in zidx]
-    w = max(map(len, rows), default=0)
-    Z = np.array([row + [-1] * (w - len(row)) for row in rows],
-                 dtype=np.int64).reshape(len(rows), w)[zi]
+    # each distinct z once: its (variable, power) runs, then rows of ids
+    runs = [vp for z in zidx for vp in z]
+    ids = np.fromiter((var_id.setdefault(v, len(var_id)) for v, _ in runs),
+                      dtype=np.int64, count=len(runs))
+    power = np.fromiter((p for _, p in runs), dtype=np.int64, count=len(runs))
+    nruns = np.fromiter(map(len, zidx), dtype=np.int64, count=len(zidx))
+    deg = np.bincount(np.repeat(np.arange(len(zidx)), nruns), weights=power,
+                      minlength=len(zidx)).astype(np.int64)
+    Z = np.full((len(zidx), deg.max(initial=0)), -1, dtype=np.int64)
+    row = np.repeat(np.arange(len(zidx)), deg)
+    Z[row, np.arange(len(row)) - np.repeat(np.cumsum(deg) - deg, deg)] = \
+        np.repeat(ids, power)
+    Z = Z[zi]
     K = np.array([key[0] for key in P.terms], dtype=np.int64).reshape(N, n)
     M = np.array([key[1] for key in P.terms], dtype=np.int64).reshape(N, n)
     C = np.fromiter(P.terms.values(), dtype=complex, count=N)
     return C, K, M, Z
 
 
-def _mul_packed(A: Polynomial, B: Polynomial, max_degree: int | None,
-                tol: float) -> Polynomial:
-    """Product as one broadcast over term pairs, merged by packed key.
-
-    Like terms merge in pair order, left term outer and, under a degree
-    filter, right terms by ascending degree; the output keeps their
-    first-occurrence order.
-    """
+def _pack_ranked(*polys) -> tuple:
+    """``_pack`` each polynomial over one shared variable map, with ids
+    renumbered in sorted variable order and pads turned into V, the number
+    of variables: (sorted variables, [(C, K, M, Z) per polynomial]).  Z is
+    int16 (int32 from 2**15 variables on): the ids only index and compare,
+    and a product's pairs copy and sort them."""
     var_id: dict = {}
-    C1, K1, M1, Z1 = _pack(A, var_id)
-    C2, K2, M2, Z2 = _pack(B, var_id)
-    # renumber in sorted-variable order, pads last: rank[-1] is V
+    cols = [_pack(P, var_id) for P in polys]
     zvars = sorted(var_id)
-    V = len(zvars)
-    rank = np.empty(V + 1, dtype=np.int64)
-    rank[[var_id[v] for v in zvars]] = np.arange(V)
-    rank[V] = V
-    Z1, Z2 = rank[Z1], rank[Z2]
+    rank = np.empty(len(zvars) + 1,
+                    dtype=np.int16 if len(zvars) < 2 ** 15 else np.int32)
+    rank[[var_id[v] for v in zvars]] = np.arange(len(zvars))
+    rank[-1] = len(zvars)                  # the -1 pads
+    return zvars, [(C, K, M, rank[Z]) for C, K, M, Z in cols]
+
+
+def _polynomial(n: int, zvars: list, C, K, M, Z) -> Polynomial:
+    """Rows of distinct monomials, in order, as a Polynomial: Z rows hold
+    ascending ids into ``zvars``, padded with len(zvars)."""
+    intern = {}.setdefault
+    keys = zip([intern(t, t) for t in _tuples(K)],
+               [intern(t, t) for t in _tuples(M)], _zkeys(Z, zvars))
+    return Polynomial(n, dict(zip(keys, C.tolist())))
+
+
+def _complex(re, im) -> np.ndarray:
+    c = np.empty(len(re), dtype=complex)
+    c.real, c.imag = re, im
+    return c
+
+
+def _cmul(ar, ai, br, bi) -> tuple:
+    """Python's complex product (ar + i ai)(br + i bi), part by part; a
+    real factor enters with imaginary part 0.0, as Python converts it."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _live_width(Z, V: int):
+    """Z without the columns that hold only pads (pads sort last)."""
+    return Z[:, :(Z < V).sum(axis=1).max(initial=0)]
+
+
+def _product(A: tuple, B: tuple, V: int, max_degree: int | None,
+             tol: float) -> tuple:
+    """The product of two packed operands (``_pack_ranked`` rows, ids below
+    V) as one broadcast over term pairs, merged by packed key.
+
+    Pairs run left term outer and, under a degree filter, right terms by
+    ascending degree, stably; like terms sum in that pair order.  Returns
+    the rows (C, K, M, Z) of the product's monomials in the order of their
+    first pair, without those with |c| <= ``tol`` (exact zeros for tol 0).
+    """
+    C1, K1, M1, Z1 = A
+    C2, K2, M2, Z2 = B
+    Z1, Z2 = _live_width(Z1, V), _live_width(Z2, V)
     if max_degree is None:
         i, j = np.divmod(np.arange(len(C1) * len(C2)), len(C2))
     else:
@@ -292,12 +348,11 @@ def _mul_packed(A: Polynomial, B: Polynomial, max_degree: int | None,
         C2, K2, M2, Z2, d2 = C2[order], K2[order], M2[order], Z2[order], \
             d2[order]
         i, j = np.nonzero(d1[:, None] + d2[None, :] <= max_degree)
-    out = Polynomial(A.n)
     if not len(i):
-        return out
+        return _no_rows(K1.shape[1], Z1.shape[1] + Z2.shape[1])
     a, b = C1[i], C2[j]
-    re = a.real * b.real - a.imag * b.imag   # Python's complex product
-    im = a.real * b.imag + a.imag * b.real
+    re, im = _cmul(a.real, a.imag, b.real, b.imag)
+    del a, b
     Z = np.sort(np.concatenate([Z1[i], Z2[j]], axis=1), axis=1)
 
     # mixed-radix key: k and m digits from each operand's offsets, then z
@@ -309,8 +364,8 @@ def _mul_packed(A: Polynomial, B: Polynomial, max_degree: int | None,
         strides = np.cumprod([1] + spans[:-1], dtype=np.int64)
         nkm = X1.shape[1]
         key = ((X1 - lo1) @ strides[:nkm])[i] + ((X2 - lo2) @ strides[:nkm])[j]
-        if Z.shape[1]:
-            key += Z @ strides[nkm:]
+        for col, stride in zip(Z.T, strides[nkm:]):
+            key += col * stride               # in int64, a column at a time
         _, first, inv = np.unique(key, return_index=True, return_inverse=True)
     else:
         rows = np.hstack([X1[i] + X2[j], Z])
@@ -320,17 +375,25 @@ def _mul_packed(A: Polynomial, B: Polynomial, max_degree: int | None,
     U = len(first)
     order = np.argsort(first)
     rep = first[order]
-    c = np.empty(U, dtype=complex)
-    c.real = np.bincount(inv, weights=re, minlength=U)[order]
-    c.imag = np.bincount(inv, weights=im, minlength=U)[order]
+    c = _complex(np.bincount(inv, weights=re, minlength=U)[order],
+                 np.bincount(inv, weights=im, minlength=U)[order])
     keep = np.abs(c) > tol if tol else c != 0
     rep, c = rep[keep], c[keep]
-
     iz, jz = i[rep], j[rep]
-    keys = zip(_tuples(K1[iz] + K2[jz]), _tuples(M1[iz] + M2[jz]),
-               _zkeys(Z[rep], zvars))
-    out.terms = dict(zip(keys, c.tolist()))
-    return out
+    return c, K1[iz] + K2[jz], M1[iz] + M2[jz], Z[rep]
+
+
+def _no_rows(n: int, w: int) -> tuple:
+    return (np.zeros(0, dtype=complex), np.zeros((0, n), dtype=np.int64),
+            np.zeros((0, n), dtype=np.int64), np.zeros((0, w), dtype=np.int64))
+
+
+def _mul_packed(A: Polynomial, B: Polynomial, max_degree: int | None,
+                tol: float) -> Polynomial:
+    """``Polynomial.mul``: one ``_product`` between packings and a dict."""
+    zvars, (PA, PB) = _pack_ranked(A, B)
+    return _polynomial(A.n, zvars, *_product(PA, PB, len(zvars), max_degree,
+                                             tol))
 
 
 def _tuples(X: np.ndarray) -> list:
@@ -338,50 +401,182 @@ def _tuples(X: np.ndarray) -> list:
     return list(zip(*X.T.tolist())) if X.shape[1] else [()] * len(X)
 
 
-def _zkeys(Z: np.ndarray, zvars: list) -> list:
-    """``_pack``'s sorted id rows back to z-tuples ((var, p), ...)."""
-    live = Z < len(zvars)
+def _runs(Z: np.ndarray, V: int) -> tuple:
+    """The runs of equal ids in sorted id rows padded with V, row-major:
+    their rows, first columns and lengths (a variable and its power)."""
+    live = Z < V
     start = live.copy()
     start[:, 1:] &= Z[:, 1:] != Z[:, :-1]
-    rows, cols = np.nonzero(start)       # one entry per run, row-major
+    rows, cols = np.nonzero(start)
     if not len(rows):
-        return [()] * len(Z)
+        return rows, cols, cols
     ends = np.append(cols[1:], 0)
     last = np.append(rows[1:] != rows[:-1], True)
     ends[last] = live.sum(axis=1)[rows[last]]
+    return rows, cols, ends - cols
+
+
+def _zkeys(Z: np.ndarray, zvars: list) -> list:
+    """``_pack``'s sorted id rows back to z-tuples ((var, p), ...)."""
+    rows, cols, p = _runs(Z, len(zvars))
+    if not len(rows):
+        return [()] * len(Z)
     q = Z.shape[1] + 1
-    codes, inv = np.unique(Z[rows, cols] * q + ends - cols,
+    codes, inv = np.unique(Z[rows, cols].astype(np.int64) * q + p,
                            return_inverse=True)
     table = [(zvars[v], p) for v, p in zip(*(x.tolist()
                                              for x in np.divmod(codes, q)))]
     runs = iter(list(map(table.__getitem__, inv.tolist())))
     return [tuple(itertools.islice(runs, g))
-            for g in start.sum(axis=1).tolist()]
+            for g in np.bincount(rows, minlength=len(Z)).tolist()]
 
 
-def _z_derivative_table(P: Polynomial, sites=None) -> dict:
-    """var -> dP/dvar for every mode variable, or only for those on
-    ``sites`` when given, in one pass over P."""
-    table: dict = {}
-    for (k, m, z), c in P.terms.items():
-        for i, (v, p) in enumerate(z):
-            if sites is not None and v[0] not in sites:
+def _group(X: np.ndarray) -> np.ndarray:
+    """The group of each row of the int64 matrix X (shifted in place),
+    equal rows alike: by a mixed-radix int64 code of the row when the
+    product of the column spans fits in int64, else by ``np.unique`` over
+    whole rows."""
+    X -= X.min(axis=0)
+    spans = (X.max(axis=0) + 1).tolist()
+    if math.prod(spans) <= np.iinfo(np.int64).max:
+        X = X @ np.cumprod([1] + spans, dtype=np.int64)[:-1]
+        return np.unique(X, return_inverse=True)[1]
+    return np.unique(X, axis=0, return_inverse=True)[1].ravel()
+
+
+def _merge(inv: np.ndarray, re, im) -> tuple:
+    """Sums of rows into their groups ``inv``, in row order, by
+    ``add_term``'s rule: a group's sum starts at 0.0, a sum that reaches
+    exactly zero drops the group, and its next row starts it again at the
+    end of the order.  One array pass adds the r-th row of every group
+    that has one.  Returns the surviving groups in order: the row that
+    last inserted each, and the real and imaginary parts of its sum."""
+    counts = np.bincount(inv)
+    U = len(counts)
+    by_group = np.argsort(inv, kind="stable")
+    start = np.cumsum(counts) - counts
+    by_count = np.argsort(-counts, kind="stable")
+    active = U - np.cumsum(np.bincount(counts))   # groups with > r rows
+    s_re, s_im = np.zeros(U), np.zeros(U)
+    live = np.zeros(U, dtype=bool)
+    at = np.zeros(U, dtype=np.int64)
+    for r in range(counts.max(initial=0)):
+        g = by_count[:active[r]]
+        rows = by_group[start[g] + r]
+        a, b = s_re[g] + re[rows], s_im[g] + im[rows]
+        gone = (a == 0) & (b == 0)
+        a[gone] = 0.0                       # a dropped key restarts at 0.0
+        b[gone] = 0.0
+        s_re[g], s_im[g] = a, b
+        new = ~gone & ~live[g]
+        at[g[new]] = rows[new]
+        live[g] = ~gone
+    keep = np.flatnonzero(live)
+    keep = keep[np.argsort(at[keep])]
+    return at[keep], s_re[keep], s_im[keep]
+
+
+def _cut(rows: tuple, keep) -> tuple:
+    return tuple(x[keep] for x in rows)
+
+
+def _abs(C) -> np.ndarray:
+    """|c| as Python's ``abs`` computes it (``np.abs`` can differ in the
+    last bit)."""
+    return np.hypot(C.real, C.imag)
+
+
+def _times(C, p) -> tuple:
+    """c p for integer counts p, and the mask of the nonzero results.  (The
+    sign of a zero part never reaches a bracket: every sum of products
+    starts at 0.0.)"""
+    c = _complex(*_cmul(C.real, C.imag, p.astype(float), 0.0))
+    return c, c != 0
+
+
+def _diff_r(P: tuple, j: int) -> tuple:
+    """dP/dr_j: the rows with m_j > 0 times m_j, exact zeros dropped, and
+    m_j lowered by one."""
+    C, K, M, Z = P
+    sel = np.flatnonzero(M[:, j])
+    c, nz = _times(C[sel], M[sel, j])
+    sel = sel[nz]
+    M = M[sel]
+    M[:, j] -= 1
+    return c[nz], K[sel], M, Z[sel]
+
+
+def _k_scale(P: tuple, j: int) -> tuple:
+    """dP/dtheta_j: the rows with k_j != 0, times (1j k_j)."""
+    C, K, M, Z = P
+    sel = np.flatnonzero(K[:, j])
+    fr, fi = _cmul(0.0, 1.0, K[sel, j].astype(float), 0.0)
+    return (_complex(*_cmul(fr, fi, C.real[sel], C.imag[sel])), K[sel],
+            M[sel], Z[sel])
+
+
+def _diff_z(P: tuple, V: int) -> tuple:
+    """dP/dz_v for every variable id v of P: the ids, ascending, one per
+    derivative row, and the rows (C, K, M, Z), grouped by id and in P's
+    order within each.  A row of power p in v gives c p, exact zeros
+    dropped, and its Z row with one v removed."""
+    C, K, M, Z = P
+    rows, cols, p = _runs(Z, V)
+    order = np.argsort(Z[rows, cols], kind="stable")
+    c, nz = _times(C[rows[order]], p[order])
+    rows, cols = rows[order][nz], cols[order][nz]
+    w = np.arange(Z.shape[1] - 1)
+    drop = Z[rows[:, None], w + (w >= cols[:, None])]
+    return Z[rows, cols], (c[nz], K[rows], M[rows], drop)
+
+
+def _bracket(F: tuple, G: tuple, zvars: list, finite_set,
+             max_degree: int | None, tol: float) -> tuple:
+    """{F, G} on ``_pack_ranked`` rows over ``zvars``, in ``poisson``'s
+    term order (see the module docstring): the derivatives are array
+    passes over F's and G's rows, each product goes through ``_product``,
+    and ``_merge`` accumulates the products' rows in bracket order."""
+    V = len(zvars)
+    n = F[1].shape[1]
+    factors = []
+    for j in range(n):
+        factors.append((_diff_r(F, j), _k_scale(G, j), 1.0))
+        factors.append((_k_scale(F, j), _diff_r(G, j), -1.0))
+    (vf, dF), (vg, dG) = _diff_z(F, V), _diff_z(G, V)
+    fset = {tuple(s) for s in finite_set}
+    var_id = {v: i for i, v in enumerate(zvars)}
+
+    def part(var, D, v):              # the rows of dD/dz_v
+        i = var_id.get(v, V)
+        return _cut(D, slice(np.searchsorted(var, i, "left"),
+                             np.searchsorted(var, i, "right")))
+
+    sites = {zvars[v][0] for v in set(vf.tolist())} \
+        & {zvars[v][0] for v in set(vg.tolist())}
+    for s in sorted(sites):
+        unit = 1.0 if s in fset else 1j
+        factors.append((part(vf, dF, (s, 0)), part(vg, dG, (s, 1)), unit))
+        factors.append((part(vf, dF, (s, 1)), part(vg, dG, (s, 0)), -unit))
+
+    outs = []
+    for A, B, sign in factors:
+        if len(A[0]) and len(B[0]):
+            C, K, M, Z = _product(A, B, V, max_degree, tol)
+            if not len(C):
                 continue
-            zz = list(z)
-            if p == 1:
-                zz.pop(i)
-            else:
-                zz[i] = (v, p - 1)
-            d = table.get(v)
-            if d is None:
-                d = table[v] = Polynomial(P.n)
-            key = (k, m, tuple(zz))
-            val = d.terms.get(key, 0.0) + c * p
-            if val == 0:
-                d.terms.pop(key, None)
-            else:
-                d.terms[key] = val
-    return table
+            sign = complex(sign)
+            outs.append((*_cmul(sign.real, sign.imag, C.real, C.imag),
+                         K, M, Z))
+    if not outs:
+        return _no_rows(n, 0)
+    re, im, K, M, Z = zip(*outs)
+    del outs                     # each product's rows go once stacked
+    re, im, K, M = (np.concatenate(x) for x in (re, im, K, M))
+    W = max(z.shape[1] for z in Z)
+    Z = _live_width(np.vstack([np.pad(z, ((0, 0), (0, W - z.shape[1])),
+                                      constant_values=V) for z in Z]), V)
+    at, re, im = _merge(_group(np.hstack([K, M, Z])), re, im)
+    return _complex(re, im), K[at], M[at], Z[at]
 
 
 def poisson(F: Polynomial, G: Polynomial, finite_set=(),
@@ -390,43 +585,15 @@ def poisson(F: Polynomial, G: Polynomial, finite_set=(),
 
     Convention: {F,G} = sum_j (dF/dr_j dG/dtheta_j - dF/dtheta_j dG/dr_j)
     plus, per lattice site, i(dF/dxi dG/deta - dF/deta dG/dxi) on elliptic
-    sites and (dF/dp dG/dq - dF/dq dG/dp) on hyperbolic ones.
+    sites and (dF/dp dG/dq - dF/dq dG/dp) on hyperbolic ones.  Products
+    skip pairs above ``max_degree``; each product and the bracket drop
+    terms with |c| <= ``tol``.
     """
-    n = F.n
-    fset = set(tuple(p) for p in finite_set)
-    out = Polynomial(n)
-
-    def k_scale(P: Polynomial, j: int) -> Polynomial:
-        res = Polynomial(n)
-        for (k, m, z), c in P.terms.items():
-            if k[j]:
-                res.terms[(k, m, z)] = 1j * k[j] * c
-        return res
-
-    for j in range(n):
-        dFr = F.diff_r(j)
-        if dFr.terms:
-            out._iadd(dFr.mul(k_scale(G, j), max_degree, tol))
-        dGr = G.diff_r(j)
-        if dGr.terms:
-            out._iadd(k_scale(F, j).mul(dGr, max_degree, tol), sign=-1.0)
-
-    # G is the small side of most brackets: differentiate F only on its sites
-    dG = _z_derivative_table(G)
-    dF = _z_derivative_table(F, {v[0] for v in dG})
-    sites = {v[0] for v in dF} & {v[0] for v in dG}
-    empty = Polynomial(n)
-    for s in sorted(sites):
-        dF0, dF1 = dF.get((s, 0), empty), dF.get((s, 1), empty)
-        dG0, dG1 = dG.get((s, 0), empty), dG.get((s, 1), empty)
-        unit = 1.0 if s in fset else 1j
-        if dF0.terms and dG1.terms:
-            out._iadd(dF0.mul(dG1, max_degree, tol), sign=unit)
-        if dF1.terms and dG0.terms:
-            out._iadd(dF1.mul(dG0, max_degree, tol), sign=-unit)
+    zvars, (PF, PG) = _pack_ranked(F, G)
+    rows = _bracket(PF, PG, zvars, finite_set, max_degree, tol)
     if tol:
-        out.prune(tol)
-    return out
+        rows = _cut(rows, _abs(rows[0]) > tol)
+    return _polynomial(F.n, zvars, *rows)
 
 
 def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
@@ -440,20 +607,34 @@ def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
     through further brackets, so they tolerate a coarser cut.  A series
     whose term of order ``max_order`` is still above ``tol`` raises
     ``StageAbort("lie", ...)`` rather than being cut there.
+
+    F and S are packed once; each order's bracket stays in packed rows
+    until it is cut at ``tol``, scaled by 1/m and cut again by
+    ``prune_split``, and feeds the next order as rows, so only the terms
+    that survive the cuts become dict keys.
     """
     out = F.truncate_degree(max_degree)
-    term = out
+    zvars, (term, PS) = _pack_ranked(out, S)
+    V = len(zvars)
     for m in range(1, max_order + 1):
-        term = poisson(term, S, finite_set, max_degree, tol).scale(1.0 / m)
+        term = _bracket(term, PS, zvars, finite_set, max_degree, tol)
+        if tol:
+            term = _cut(term, _abs(term[0]) > tol)
+        C = term[0]
+        term = (_complex(*_cmul(1.0 / m, 0.0, C.real, C.imag)), *term[1:])
+        size = _abs(term[0])
         if rest_tol is not None:
-            term.prune_split(tol, rest_tol)
-        if not term.terms or term.max_coeff() < tol:
+            sm, zd = term[2].sum(axis=1), (term[3] < V).sum(axis=1)
+            jet = ((sm == 0) & (zd <= 2)) | ((sm == 1) & (zd == 0))
+            keep = size > np.where(jet, tol, rest_tol)
+            term, size = _cut(term, keep), size[keep]
+        if not len(size) or size.max() < tol:
             break
-        out = out + term
+        out = out + _polynomial(out.n, zvars, *term)
     else:
         raise StageAbort("lie", max_order,
                          f"term of order {max_order} is "
-                         f"{term.max_coeff():.3e}, above tol {tol:.3e}")
+                         f"{size.max():.3e}, above tol {tol:.3e}")
     if rest_tol is not None:
         return out.prune_split(tol, rest_tol)
     return out.prune(tol)
@@ -509,8 +690,9 @@ def encode(n: int, zvars: list, Z, C, K=None, M=None) -> Polynomial:
     repeated p times for power p, padded with -1 at the end (``_pack``'s
     layout); K and M broadcast to (N, n) int rows and default to zero.  The
     result has the keys, order and coefficient bits of feeding the rows to
-    ``add_term`` one at a time: zero rows are skipped, keys keep their
-    first-occurrence order, and a key is dropped while its sum is zero.
+    ``add_term`` one at a time (``_merge``): zero rows are skipped, keys keep
+    their first-occurrence order, and a key is dropped while its sum is
+    zero and comes back last at its next row.
     """
     C = np.asarray(C, dtype=complex)
     live = C != 0
@@ -519,39 +701,9 @@ def encode(n: int, zvars: list, Z, C, K=None, M=None) -> Polynomial:
     K, M = (np.broadcast_to(np.asarray(0 if X is None else X, dtype=np.int64),
                             (len(C), n))[live] for X in (K, M))
     Z, C = np.asarray(Z, dtype=np.int64)[live], C[live]
-    X = np.hstack([K, M, Z])
-    lo = X.min(axis=0)
-    spans = (X.max(axis=0) - lo + 1).tolist()
-    if math.prod(spans) <= np.iinfo(np.int64).max:
-        code = (X - lo) @ np.cumprod([1] + spans, dtype=np.int64)[:-1]
-        _, first, inv = np.unique(code, return_index=True,
-                                  return_inverse=True)
-    else:
-        _, first, inv = np.unique(X, axis=0, return_index=True,
-                                  return_inverse=True)
-    inv = inv.ravel()
     Z = np.where(Z < 0, len(zvars), Z)         # _zkeys pads past every id
-    intern = {}.setdefault
-
-    def keys(rows):
-        return list(zip([intern(t, t) for t in _tuples(K[rows])],
-                        [intern(t, t) for t in _tuples(M[rows])],
-                        _zkeys(Z[rows], zvars)))
-
-    U = len(first)
-    if np.bincount(inv, minlength=U).max() <= 2:
-        # a running sum can vanish only at a key's last row: add in arrays
-        order = np.argsort(first)
-        c = np.empty(U, dtype=complex)
-        c.real = np.bincount(inv, weights=C.real, minlength=U)[order]
-        c.imag = np.bincount(inv, weights=C.imag, minlength=U)[order]
-        keep = c != 0
-        return Polynomial(n, dict(zip(keys(first[order][keep]),
-                                      c[keep].tolist())))
-    table, P = keys(first), Polynomial(n)
-    for u, v in zip(inv.tolist(), C.tolist()):
-        P.add_term(v, *table[u])
-    return P
+    at, re, im = _merge(_group(np.hstack([K, M, Z])), C.real, C.imag)
+    return _polynomial(n, zvars, _complex(re, im), K[at], M[at], Z[at])
 
 
 def decode_jet(P: Polynomial, var_id: dict | None = None):

@@ -139,19 +139,25 @@ def _excise_failures(state: IterationState, failures, delta0: float):
 
 def inner_step(state: IterationState, schedule: Schedule,
                base_w: WeightParams, guard_delta0: float,
-               tables: dict | None = None) -> IterationState:
-    """One homological solve and jet transform at frozen normal form."""
+               tables: dict | None = None,
+               h_poly: Polynomial | None = None) -> IterationState:
+    """One homological solve and jet transform at frozen normal form.
+
+    ``tables`` and ``h_poly`` (h's class tables and polynomial) depend on h
+    alone, which a block holds fixed; they are built here when not given.
+    """
     h = state.h
     guard = DivisorGuard(delta0=guard_delta0)
     if tables is None:
         tables = class_tables(h)
+    if h_poly is None:
+        h_poly = h.to_polynomial()
     F = state.h_acc + state.f
     sol = solve_homological(h, F, guard, gamma1=state.gamma,
                             max_picard=schedule.max_picard,
                             prune_tol=schedule.prune_tol, tables=tables)
     _merge_divisors(state.divisor_table, sol.divisor_log)
     _excise_failures(state, guard.failures, guard_delta0)
-    h_poly = h.to_polynomial()
     ht_poly = sol.h_tilde.to_polynomial(h)
     scale = F.max_coeff()
     cut = max(schedule.prune_tol, schedule.rel_prune * scale)
@@ -311,13 +317,13 @@ def run(h: NormalFormHamiltonian, f: Polynomial, schedule: Schedule,
         for _ in range(schedule.max_super):
             if state.eps <= schedule.eps_target:
                 break
-            tables = class_tables(state.h)
+            tables, h_poly = class_tables(state.h), state.h.to_polynomial()
             state.divisor_table = {}
             stop = "count"
             for _ in range(state.K):
                 eps_before = state.eps
                 state = inner_step(state, schedule, base_w, guard_delta0,
-                                   tables=tables)
+                                   tables=tables, h_poly=h_poly)
                 if state.eps <= schedule.eps_target:
                     stop = "target"
                     break

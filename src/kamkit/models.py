@@ -511,15 +511,6 @@ class SingularNormalForm:
         return self.f_tilde.jet()
 
 
-def _is_resonant_quartic(zk, nsq_of) -> bool:
-    xi_norms, eta_norms = [], []
-    for (site, comp), p in zk:
-        (xi_norms if comp == XI else eta_norms).extend([nsq_of[site]] * p)
-    if len(xi_norms) != 2 or len(eta_norms) != 2:
-        return False
-    return sorted(xi_norms) == sorted(eta_norms)
-
-
 def _gauge_k_shift(poly: Polynomial, node_of: dict) -> Polynomial:
     """Rotating frame xi_b -> e^{i theta_j} xi_b on the resonant external
     sites: the phases move into the angle index."""

@@ -1,7 +1,9 @@
 """Loops that ``kamkit.models`` replaced, kept verbatim as oracles: the
 per-monomial loop of ``expand_product`` (now an array expansion), and
 ``action_angle`` and ``_gauge_r_shift`` as per-term ``Polynomial.mul``
-chains (now direct expansions).  Not used by the package."""
+chains (now direct expansions).  Also ``_is_resonant_quartic``, the
+per-monomial resonance test that ``build_singular`` replaced with
+``_classify_quartic``.  Not used by the package."""
 from __future__ import annotations
 
 import itertools
@@ -154,3 +156,12 @@ def _gauge_r_shift(poly: Polynomial, node_of: dict, max_degree: int,
                 base = base.mul(sp, max_degree=max_degree)
         out._iadd(base)
     return out
+
+
+def _is_resonant_quartic(zk, nsq_of) -> bool:
+    xi_norms, eta_norms = [], []
+    for (site, comp), p in zk:
+        (xi_norms if comp == XI else eta_norms).extend([nsq_of[site]] * p)
+    if len(xi_norms) != 2 or len(eta_norms) != 2:
+        return False
+    return sorted(xi_norms) == sorted(eta_norms)

@@ -3,7 +3,7 @@ from operator import add
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from kamkit.algebra import WeightedMatrix, WeightParams
 from kamkit.hamiltonian import (
@@ -13,7 +13,6 @@ from kamkit.hamiltonian import (
     Polynomial,
     StageAbort,
     _mul_packed,
-    _z_derivative_table,
     class_norm,
     decode_jet,
     encode,
@@ -25,7 +24,8 @@ from kamkit.algebra import NormalFormMatrix
 from kamkit.lattice import build_partition
 
 from _reference_class_norm import reference_class_norm
-from _reference_hamiltonian import _mul_dict
+import _reference_hamiltonian as ref
+from _reference_hamiltonian import _mul_dict, _z_derivative_table, diff_r
 
 A = (2, 1)
 B = (1, 2)
@@ -154,7 +154,7 @@ def test_evaluate_and_diff():
     th, r, zv = np.array([0.3]), np.array([0.7]), {((1, 0), 0): 1.5 + 0.5j}
     val = p.evaluate(th, r, zv)
     assert val == pytest.approx(2.0 * np.exp(0.3j) * 0.7 * (1.5 + 0.5j) ** 2)
-    dp = p.diff_r(0)
+    dp = diff_r(p, 0)
     assert dp.evaluate(th, r, zv) == pytest.approx(val / 0.7)
     dz = _z_derivative_table(p)[((1, 0), 0)]
     assert dz.evaluate(th, r, zv) == pytest.approx(2 * val / (1.5 + 0.5j))
@@ -398,6 +398,106 @@ def test_lie_series_cut_at_max_order_aborts():
     assert err.value.stage == "lie"
     assert err.value.key == 1
     assert str(err.value).startswith("lie at 1: term of order 1 is ")
+
+
+def _items(P: Polynomial) -> str:
+    """Keys, order and coefficient bits of P's terms."""
+    return repr(list(P.terms.items()))
+
+
+@st.composite
+def bracket_oracle_cases(draw):
+    """F, G and a finite set over n = 0..2 actions; k scaled by 2**40 makes
+    the mixed-radix keys of the products and of the merge overflow int64."""
+    n = draw(st.integers(0, 2))
+    kscale = draw(st.sampled_from([1, 2 ** 40]))
+    fset = draw(st.lists(st.sampled_from(SITES), unique=True))
+    return draw(polynomials(n, kscale)), draw(polynomials(n, kscale)), fset
+
+
+@given(bracket_oracle_cases(), st.sampled_from([None, 2, 4]),
+       st.sampled_from([0.0, 1e-3, 0.5]))
+def test_poisson_matches_dict_oracle(case, max_degree, tol):
+    F, G, fset = case
+    assert _items(poisson(F, G, fset, max_degree, tol)) == \
+        _items(ref.poisson(F, G, fset, max_degree, tol))
+
+
+def test_poisson_cancelled_key_comes_back_last():
+    """Sites come in sorted order: (0, 1) adds i q, A = (2, 1) takes it
+    away exactly and adds 2i r, and the hyperbolic (3, 3) brings q back,
+    which must then follow r, as in the dict accumulation."""
+    q, r = ((B, 0), 1), ((B, 1), 1)
+    F, G = Polynomial(0), Polynomial(0)
+    for s in ((0, 1), A, (3, 3)):
+        F.add_term(1.0, z=(((s, 0), 1),))
+    for c, s, v in ((1.0, (0, 1), q), (-1.0, A, q), (2.0, A, r),
+                    (1.0, (3, 3), q)):
+        G.add_term(c, z=tuple(sorted([((s, 1), 1), v])))
+    want = ref.poisson(F, G, [(3, 3)])
+    assert list(want.terms) == [((), (), (r,)), ((), (), (q,))]
+    assert _items(poisson(F, G, [(3, 3)])) == _items(want)
+
+
+def test_poisson_wide_keys_match_dict_oracle():
+    # k digits spanning 2**32 push the merge's mixed-radix code past int64
+    big = 2 ** 31
+    F, G = Polynomial(2), Polynomial(2)
+    for k in ((0, 0), (big, -big), (-big, big)):
+        F.add_term(1.0 + 1j, k=k, m=(1, 0), z={(A, 0): 1})
+        G.add_term(0.5, k=k, m=(0, 1), z={(A, 1): 1, (B, 0): 1})
+    got = poisson(F, G, [B])
+    assert len(got) > 1
+    assert _items(got) == _items(ref.poisson(F, G, [B]))
+
+
+def _jet_window_case():
+    """F = z_a z_b and S = 5 z_a' z_a: at eps 1e-2 the order-1 term is
+    0.05i z_a z_b, a jet direction between tol 1e-3 and rest_tol 1."""
+    F, S = Polynomial(0), Polynomial(0)
+    F.add_term(1.0, z={(A, 0): 1, (B, 0): 1})
+    S.add_term(5.0, z={(A, 0): 1, (A, 1): 1})
+    return F, S, []
+
+
+@given(bracket_oracle_cases(), st.sampled_from([2, 4]),
+       st.sampled_from([0.0, 1e-12, 1e-3]),
+       st.sampled_from([None, 1e-2, 1.0]), st.sampled_from([1e-2, 1e-3]))
+@example(case=_jet_window_case(), max_degree=4, tol=1e-3, rest_tol=1.0,
+         eps=1e-2)
+def test_lie_transform_matches_dict_oracle(case, max_degree, tol, rest_tol,
+                                           eps):
+    F, S, fset = case
+    S = S.scale(eps)
+    args = (fset, max_degree, tol, 16, rest_tol)
+    try:
+        want = _items(ref.lie_transform(F, S, *args))
+    except StageAbort as exc:          # e.g. tol 0 on a series that goes on
+        with pytest.raises(StageAbort) as err:
+            lie_transform(F, S, *args)
+        assert str(err.value) == str(exc)
+    else:
+        assert _items(lie_transform(F, S, *args)) == want
+
+
+# relative to |S|^2 |F| in _size; the truncated series compose exactly, so
+# only roundoff and the tol cuts remain (largest seen: 1.3e-12)
+LIE_ROUND_TRIP_RTOL = 1e-8
+
+
+@given(bracket_cases(), st.sampled_from([1e-2, 1e-3, 1e-4]))
+def test_lie_transform_round_trip(case, eps):
+    """Flowing by S then by -S gives back F up to the truncation degree:
+    with L = the bracket with S cut at degree 4, the two series are
+    exp(L) and exp(-L) on the polynomials of degree <= 4."""
+    (F, S, _), fset = case
+    assume(F.terms and S.terms)
+    S = S.scale(eps / _size(S))
+    tol = 1e-20 * _size(F)
+    back = lie_transform(lie_transform(F, S, fset, 4, tol), S.scale(-1.0),
+                         fset, 4, tol)
+    assert (back - F.truncate_degree(4)).max_coeff() <= \
+        LIE_ROUND_TRIP_RTOL * _size(S) ** 2 * _size(F)
 
 
 def test_class_norm_basics():
