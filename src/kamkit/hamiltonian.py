@@ -365,7 +365,9 @@ def _product(A: tuple, B: tuple, V: int, max_degree: int | None,
         nkm = X1.shape[1]
         key = ((X1 - lo1) @ strides[:nkm])[i] + ((X2 - lo2) @ strides[:nkm])[j]
         for col, stride in zip(Z.T, strides[nkm:]):
-            key += col * stride               # in int64, a column at a time
+            # in int64: NumPy 1.x would multiply an int16 column by a small
+            # np.int64 stride in int16, and wrap
+            key += np.multiply(col, stride, dtype=np.int64)
         _, first, inv = np.unique(key, return_index=True, return_inverse=True)
     else:
         rows = np.hstack([X1[i] + X2[j], Z])
@@ -474,6 +476,16 @@ def _merge(inv: np.ndarray, re, im) -> tuple:
     keep = np.flatnonzero(live)
     keep = keep[np.argsort(at[keep])]
     return at[keep], s_re[keep], s_im[keep]
+
+
+def _jet_rows(M, Z, V: int) -> np.ndarray:
+    """The mask of the rows whose (action degree, mode degree) is one of
+    ``_JET_DEGREES``, the rule of ``prune_split`` and ``jet``."""
+    sm, zd = M.sum(axis=1), (Z < V).sum(axis=1)
+    jet = np.zeros(len(M), dtype=bool)
+    for a, b in _JET_DEGREES:
+        jet |= (sm == a) & (zd == b)
+    return jet
 
 
 def _cut(rows: tuple, keep) -> tuple:
@@ -624,9 +636,8 @@ def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
         term = (_complex(*_cmul(1.0 / m, 0.0, C.real, C.imag)), *term[1:])
         size = _abs(term[0])
         if rest_tol is not None:
-            sm, zd = term[2].sum(axis=1), (term[3] < V).sum(axis=1)
-            jet = ((sm == 0) & (zd <= 2)) | ((sm == 1) & (zd == 0))
-            keep = size > np.where(jet, tol, rest_tol)
+            keep = size > np.where(_jet_rows(term[2], term[3], V), tol,
+                                   rest_tol)
             term, size = _cut(term, keep), size[keep]
         if not len(size) or size.max() < tol:
             break

@@ -148,6 +148,35 @@ def test_packed_product_wide_keys_stay_distinct():
     assert prod.terms == _mul_dict(P, Q, None, 0.0).terms
 
 
+def _all_pairs_case():
+    """U = sum_u c_u z_u and W = sum_v d_v z_v over 400 variables z: their
+    product holds every z_u z_v, some 80,000 monomials, too many for their
+    packed keys (ids times strides) to fit in 2**16 values, while the ids
+    themselves are packed as int16."""
+    rng = np.random.default_rng(5)
+    U, W = Polynomial(0), Polynomial(0)
+    for P in (U, W):
+        for s in range(200):
+            for c in (0, 1):
+                P.add_term(complex(*rng.standard_normal(2)),
+                           z={((s, 0), c): 1})
+    return U, W
+
+
+def test_packed_keys_past_int16_stay_distinct():
+    U, W = _all_pairs_case()
+    assert_same_product(U, W, None, 0.0)
+    # the first product of {x U, y W}, x and y the pair of a hyperbolic
+    # site, is U W
+    x, y = Polynomial(0), Polynomial(0)
+    x.add_term(1.0, z={(B, 0): 1})
+    y.add_term(1.0, z={(B, 1): 1})
+    F, G = x.mul(U), y.mul(W)
+    got, want = poisson(F, G, [B]), ref.poisson(F, G, [B])
+    assert len(got) == len(want)        # fails fast, without a long diff
+    assert _items(got) == _items(want)
+
+
 def test_evaluate_and_diff():
     p = Polynomial(1)
     p.add_term(2.0, k=(1,), m=(1,), z={((1, 0), 0): 2})
