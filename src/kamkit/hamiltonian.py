@@ -11,38 +11,40 @@ where k, m run over n internal angle/action pairs and the zeta variables are
 hyperbolic node set.  Degree counts r twice and each zeta once; the jet is
 the part of degree <= 2 with no mixed r*zeta terms.
 
-A ``Polynomial`` is a dict keyed by (k, m, z), z the sorted tuple of
-(variable, power) pairs.  Products and brackets run on a packed layout
-(after Monagan & Pearce's packed sparse-polynomial arithmetic in Maple's
-POLY): each operand becomes int64 rows of k and m, plus z as a fixed-width
-row of variable ids in which a variable of power p repeats p times.  Ids
-follow the sorted variable order, so a sorted id row decodes straight back
-to a z-tuple.  One kernel, ``_product``, forms the pairs of two operands
-that pass the degree filter in one broadcast; their monomials get a
-mixed-radix int64 key (k and m digits, then the sorted z ids), or, when
-the product of the digit spans would not fit in int64, are grouped as
-rows; ``np.unique`` and ``bincount`` merge like terms in pair order, left
-term outer, so each sum runs in the order of a loop over term pairs.
-``Polynomial.mul`` is one call of it.
+A ``Polynomial`` is rows of distinct monomials, the packed layout of
+Monagan & Pearce's sparse-polynomial arithmetic in Maple's POLY: C (N,)
+complex, K and M (N, n) int64 rows of k and m, and Z, a row of ids into the
+sorted variable list ``zvars`` per monomial, a variable of power p
+repeated p times, ascending, padded at the end with len(zvars), the one
+pad.  ``zvars`` may hold variables no row uses.  ``terms`` is a read-only
+copy as a dict {(k, m, z): c} in row order, z the sorted (variable, power)
+pairs, for ``dump_lines`` and the tests; ``Polynomial(n, terms)`` and
+``add_term`` take such keys in.  Each operation is an array pass over the
+rows, after aligning its operands' variable lists (``_align``).
 
-``poisson`` packs F and G once, over one variable map, and builds one
-dict, at the end.  In between everything is rows: d/dr_j keeps the rows
-with m_j > 0, d/dtheta_j scales the rows with k_j != 0 by i k_j, and d/dz_v
-drops one v from each id row that holds it.  The products run through
-``_product`` one at a time, so the pairs of only one exist at once, in
-this order: for each action j, dF/dr_j dG/dtheta_j (sign +1) then
-dF/dtheta_j dG/dr_j (sign -1); then for each site that F and G share, in
-ascending order, dF/dz_(s,0) dG/dz_(s,1) (sign +u) then dF/dz_(s,1)
+Sums follow ``add_term``'s rule (``_merge``): a key's sum starts at 0.0, a
+key whose sum reaches exactly zero is dropped, and its next row puts it
+back at the end; the left operand of ``+`` holds its values as a dict
+would.  With every coefficient formed by Python's complex formulas, part
+by part (``_cmul``, ``_abs``), the keys, their order and the coefficient
+bits are those of the dict loops this code replaced.
+
+One kernel, ``_product``, forms the pairs of two operands that pass the
+degree filter in one broadcast; their monomials get a mixed-radix int64 key
+(k and m digits, then the sorted z ids), or, when the product of the digit
+spans would not fit in int64, are grouped as rows; ``np.unique`` and
+``bincount`` merge like terms in pair order, left term outer, so each sum
+runs in the order of a loop over term pairs.  ``Polynomial.mul`` is one
+call of it.  In ``poisson``, d/dr_j keeps the rows with m_j > 0,
+d/dtheta_j scales the rows with k_j != 0 by i k_j, and d/dz_v drops one v
+from each id row that holds it.  The products run through ``_product`` one
+at a time, in this order: for each action j, dF/dr_j dG/dtheta_j (sign +1)
+then dF/dtheta_j dG/dr_j (sign -1); then for each site that F and G share,
+in ascending order, dF/dz_(s,0) dG/dz_(s,1) (sign +u) then dF/dz_(s,1)
 dG/dz_(s,0) (sign -u), with u = 1 on the hyperbolic sites of
-``finite_set`` and i elsewhere.  ``_merge`` adds the signed rows into
-their monomials in that order by ``add_term``'s rule: a sum starts at 0.0,
-a monomial whose sum reaches exactly zero is dropped, and its next row
-puts it back at the end.  With every coefficient formed by Python's
-complex formulas, part by part, the keys, their order and the coefficient
-bits are those of adding each product into a dict in turn.
-``lie_transform`` packs F and S once for the whole series and keeps each
-order's bracket as rows until it is cut at ``tol``, scaled by 1/m and cut by
-``prune_split``; only the rows that survive become dict keys.
+``finite_set`` and i elsewhere; ``_merge`` adds the signed rows in that
+order.  ``lie_transform`` cuts each order's bracket at ``tol``, scales it
+by 1/m and cuts it by the jet rule (``_jet_rows``) before adding it.
 """
 from __future__ import annotations
 
@@ -77,33 +79,70 @@ class StageAbort(RuntimeError):
         return f"{self.stage}{where}: {self.detail}"
 
 
-def _zkey(z: dict) -> tuple:
-    return tuple(sorted((v, p) for v, p in z.items() if p))
+def _id_type(V: int):
+    """Variable ids only index and compare, and a product's pairs copy and
+    sort them: int16, or int32 from 2**15 variables on."""
+    return np.int16 if V < 2 ** 15 else np.int32
 
 
 class Polynomial:
-    """Sparse polynomial keyed by (k, m, z) monomial signatures."""
+    """Sparse polynomial as rows of distinct monomials (module docstring)."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "zvars", "C", "K", "M", "Z")
 
     def __init__(self, n: int, terms: dict | None = None):
-        self.n = n
-        self.terms = terms if terms is not None else {}
+        """From a dict {(k, m, z): c}, z the sorted (variable, power)
+        pairs, keeping its order: the one way in from dict keys, for tests
+        and hand-written inputs."""
+        terms = terms or {}
+        N = len(terms)
+        zvars = sorted({v for _, _, z in terms for v, _ in z})
+        at = {v: i for i, v in enumerate(zvars)}
+        ids = [[at[v] for v, p in z for _ in range(p)] for _, _, z in terms]
+        w = max(map(len, ids), default=0)
+        Z = np.array([r + [len(zvars)] * (w - len(r)) for r in ids],
+                     dtype=_id_type(len(zvars))).reshape(N, w)
+        self.n, self.zvars, self.Z = n, zvars, np.sort(Z, axis=1)
+        self.K, self.M = (np.array([key[i] for key in terms], dtype=np.int64)
+                          .reshape(N, n) for i in (0, 1))
+        self.C = np.array(list(terms.values()), dtype=complex).reshape(N)
+
+    @classmethod
+    def _of(cls, n: int, zvars: list, C, K, M, Z) -> "Polynomial":
+        P = object.__new__(cls)
+        P.n, P.zvars, P.C, P.K, P.M, P.Z = n, zvars, C, K, M, Z
+        return P
+
+    @property
+    def rows(self) -> tuple:
+        return self.C, self.K, self.M, self.Z
+
+    def _take(self, keep) -> "Polynomial":
+        return Polynomial._of(self.n, self.zvars, *_cut(self.rows, keep))
+
+    def _keep(self, keep) -> "Polynomial":
+        """Drop the other rows, in place."""
+        self.C, self.K, self.M, self.Z = _cut(self.rows, keep)
+        return self
+
+    @property
+    def terms(self) -> dict:
+        """The monomials as a new dict {(k, m, z): c} in row order: a
+        read-only copy, for ``dump_lines`` and the tests."""
+        intern = {}.setdefault
+        keys = zip([intern(t, t) for t in _tuples(self.K)],
+                   [intern(t, t) for t in _tuples(self.M)],
+                   _zkeys(self.Z, self.zvars))
+        return dict(zip(keys, self.C.tolist()))
 
     # -- construction -----------------------------------------------------
     @classmethod
     def zero(cls, n: int) -> "Polynomial":
-        return cls(n)
+        return cls._of(n, [], *_no_rows(n, 0))
 
     @classmethod
     def constant(cls, n: int, c) -> "Polynomial":
-        p = cls(n)
-        if c != 0:
-            p.terms[(((0,) * n), ((0,) * n), ())] = complex(c)
-        return p
-
-    def copy(self) -> "Polynomial":
-        return Polynomial(self.n, dict(self.terms))
+        return cls(n, {((0,) * n, (0,) * n, ()): complex(c)} if c != 0 else {})
 
     def add_term(self, c, k=None, m=None, z=()):
         """Accumulate one monomial; z is a dict var->power or a zkey tuple."""
@@ -111,136 +150,104 @@ class Polynomial:
             return
         k = tuple(k) if k is not None else (0,) * self.n
         m = tuple(m) if m is not None else (0,) * self.n
-        zk = _zkey(z) if isinstance(z, dict) else tuple(z)
-        key = (k, m, zk)
-        val = self.terms.get(key, 0.0) + complex(c)
-        if val == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = val
+        z = tuple(dict(z).items())        # Polynomial() sorts, skips p = 0
+        zvars, (A, B) = _align(self,
+                               Polynomial(self.n, {(k, m, z): complex(c)}))
+        self.zvars = zvars
+        self.C, self.K, self.M, self.Z = _add(A, B, len(zvars))
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self.copy()._iadd(other)
+        zvars, (A, (C, K, M, Z)) = _align(self, other)
+        # other's terms enter as 1.0 * c, Python's complex product
+        C = _complex(*_cmul(1.0, 0.0, C.real, C.imag))
+        return Polynomial._of(self.n, zvars,
+                              *_add(A, (C, K, M, Z), len(zvars)))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1.0)
 
     def scale(self, c) -> "Polynomial":
         if c == 0:
-            return Polynomial(self.n)
-        return Polynomial(self.n, {key: c * v for key, v in self.terms.items()})
+            return Polynomial.zero(self.n)
+        c = complex(c)
+        return Polynomial._of(
+            self.n, self.zvars,
+            _complex(*_cmul(c.real, c.imag, self.C.real, self.C.imag)),
+            self.K, self.M, self.Z)
 
     def mul(self, other: "Polynomial", max_degree: int | None = None,
             tol: float = 0.0) -> "Polynomial":
         """Product pruned at ``tol`` (|c| <= tol) with exact zeros dropped;
         pairs whose degrees sum above ``max_degree`` are skipped."""
-        return _mul_packed(self, other, max_degree, tol)
-
-    def _iadd(self, other: "Polynomial", sign: complex = 1.0):
-        terms = self.terms
-        for key, c in other.terms.items():
-            val = terms.get(key, 0.0) + sign * c
-            if val == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = val
-        return self
+        zvars, (A, B) = _align(self, other)
+        return Polynomial._of(self.n, zvars, *_product(A, B, len(zvars),
+                                                       max_degree, tol))
 
     def prune(self, tol: float):
-        if not self.terms:
-            return self
-        drop = [key for key, c in self.terms.items() if abs(c) <= tol]
-        for key in drop:
-            del self.terms[key]
-        return self
+        """Drop the terms with |c| <= tol, in place."""
+        return self._keep(~(_abs(self.C) <= tol))
 
     def prune_split(self, jet_tol: float, rest_tol: float):
         """Prune with a tighter tolerance on normal-form-direction terms."""
-        if not self.terms:
-            return self
-        drop = []
-        for key, c in self.terms.items():
-            _, m, z = key
-            deg = (sum(m), sum(p for _, p in z))
-            cut = jet_tol if deg in _JET_DEGREES else rest_tol
-            if abs(c) <= cut:
-                drop.append(key)
-        for key in drop:
-            del self.terms[key]
-        return self
+        cut = np.where(self._in_jet(), jet_tol, rest_tol)
+        return self._keep(~(_abs(self.C) <= cut))
 
     def truncate_degree(self, max_degree: int) -> "Polynomial":
-        out = Polynomial(self.n)
-        for key, c in self.terms.items():
-            _, m, z = key
-            if 2 * sum(m) + sum(p for _, p in z) <= max_degree:
-                out.terms[key] = c
-        return out
+        return self._take(_degree(self.M, self.Z, len(self.zvars))
+                          <= max_degree)
 
     def max_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return float(_abs(self.C).max(initial=0.0))
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.C)
 
     # -- calculus -----------------------------------------------------------
     def z_vars(self) -> list:
-        s = set()
-        for (_, _, z) in self.terms:
-            for v, _ in z:
-                s.add(v)
-        return sorted(s)
+        """The variables the terms use, sorted."""
+        return _live(self)[0]
 
     def sites(self) -> list:
         return sorted({v[0] for v in self.z_vars()})
 
     def evaluate(self, theta, r, zvals: dict) -> complex:
+        """The sum of c e^{i k.theta} r^m z^p over the terms, in one pass;
+        variables missing from ``zvals`` are 0."""
         theta = np.asarray(theta, dtype=complex)
         r = np.asarray(r, dtype=complex)
-        total = 0.0 + 0.0j
-        for (k, m, z), c in self.terms.items():
-            val = c * np.exp(1j * np.dot(k, theta))
-            for j, mj in enumerate(m):
-                if mj:
-                    val *= r[j] ** mj
-            for v, p in z:
-                val *= zvals.get(v, 0.0) ** p
-            total += val
-        return total
+        z = np.array([zvals.get(v, 0.0) for v in self.zvars] + [1.0],
+                     dtype=complex)          # the pad reads 1
+        return complex((self.C * np.exp(1j * (self.K @ theta))
+                        * np.prod(r ** self.M, axis=1)
+                        * np.prod(z[self.Z], axis=1)).sum())
 
     # -- structure -----------------------------------------------------------
-    def _jet_part(self, inside: bool) -> "Polynomial":
-        """The terms inside (or outside) the jet, in term order."""
-        return Polynomial(self.n, {
-            key: c for key, c in self.terms.items()
-            if ((sum(key[1]), sum(p for _, p in key[2])) in _JET_DEGREES)
-            == inside})
+    def _in_jet(self) -> np.ndarray:
+        return _jet_rows(self.M, self.Z, len(self.zvars))
 
     def jet(self) -> "Polynomial":
         """Degree <= 2 part: constant, r-linear, zeta-linear, zeta-quadratic."""
-        return self._jet_part(True)
+        return self._take(self._in_jet())
 
     def without_jet(self) -> "Polynomial":
         """The terms ``jet`` leaves out, in term order."""
-        return self._jet_part(False)
+        return self._take(~self._in_jet())
 
     def reality_defect(self, finite_set=()) -> float:
         """Max mismatch of coefficients under the reality involution.
 
         Real Hamiltonians satisfy conj(c(k, m, z)) = c(-k, m, z*) where z*
         swaps xi <-> eta on elliptic sites and fixes hyperbolic components.
+        The mismatches are the terms of P* - P, P* the terms conj(c) at
+        (-k, m, z*).
         """
         fset = set(tuple(p) for p in finite_set)
-        worst = 0.0
-        for (k, m, z), c in self.terms.items():
-            zz = {}
-            for (s, comp), p in z:
-                cc = comp if s in fset else 1 - comp
-                zz[(s, cc)] = p
-            mate = (tuple(-x for x in k), m, _zkey(zz))
-            worst = max(worst, abs(np.conj(c) - self.terms.get(mate, 0.0)))
-        return worst
+        mates = [(s, c if s in fset else 1 - c) for s, c in self.zvars]
+        zvars = sorted(set(self.zvars) | set(mates))
+        mate = Polynomial._of(self.n, zvars, self.C.conj(), -self.K, self.M,
+                              np.sort(_remap(self.Z, mates, zvars), axis=1))
+        return (mate - self).max_coeff()
 
     def dump_lines(self) -> list[str]:
         lines = []
@@ -253,60 +260,64 @@ class Polynomial:
         return lines
 
 
+# -- rows: alignment, merging, views ------------------------------------------
+
+def _remap(Z, zvars: list, onto: list) -> np.ndarray:
+    """Z's ids into ``zvars`` as ids into ``onto``, which holds them all;
+    pads become len(onto).  For sorted lists the rows stay sorted."""
+    at = {v: i for i, v in enumerate(onto)}
+    lookup = np.array([at[v] for v in zvars] + [len(onto)],
+                      dtype=_id_type(len(onto)))
+    return lookup[Z]
+
+
+def _align(*polys) -> tuple:
+    """The rows of each polynomial over the union of their variable lists:
+    (sorted variables, [(C, K, M, Z) per polynomial])."""
+    zvars = polys[0].zvars
+    if any(P.zvars != zvars for P in polys):
+        zvars = sorted(set().union(*(P.zvars for P in polys)))
+    return zvars, [P.rows if P.zvars == zvars else
+                   (P.C, P.K, P.M, _remap(P.Z, P.zvars, zvars))
+                   for P in polys]
+
+
+def _stack_z(Zs: list, V: int) -> np.ndarray:
+    """Z blocks padded with V to one width and stacked."""
+    W = max(z.shape[1] for z in Zs)
+    return np.vstack([np.pad(z, ((0, 0), (0, W - z.shape[1])),
+                             constant_values=V) for z in Zs])
+
+
+def _add(A: tuple, B: tuple, V: int) -> tuple:
+    """The rows of a dict that holds A's terms after B's rows are added to
+    it one at a time by ``add_term``'s rule (``_merge``, A's rows held)."""
+    if not len(B[0]):
+        return A
+    C, K, M = (np.concatenate([a, b]) for a, b in zip(A[:3], B[:3]))
+    Z = _stack_z([A[3], B[3]], V)
+    at, re, im = _merge(_group(np.hstack([K, M, Z])), C.real, C.imag,
+                        held=len(A[0]))
+    return _complex(re, im), K[at], M[at], Z[at]
+
+
+def _live(P: Polynomial) -> tuple:
+    """The variables P's rows use, sorted, and P's Z over them: ids ranked
+    among them, pads -1, without pad-only columns."""
+    V = len(P.zvars)
+    Z = _live_width(P.Z, V)
+    used = np.unique(Z[Z < V])
+    rank = np.full(V + 1, -1, dtype=np.int64)
+    rank[used] = np.arange(len(used))
+    return [P.zvars[i] for i in used.tolist()], rank[Z]
+
+
+def _degree(M, Z, V: int) -> np.ndarray:
+    """The degree of each row: r counts twice, each z once."""
+    return 2 * M.sum(axis=1) + (Z < V).sum(axis=1)
+
+
 # -- products and brackets on packed rows -------------------------------------
-
-def _pack(P: Polynomial, var_id: dict):
-    """Columns of P in term order: C (N,) complex, K and M (N, n) int64,
-    and Z (N, w) int64 rows of variable ids, where a variable of power p
-    repeats p times, padded with -1 to P's largest z-degree w.  Variables
-    missing from ``var_id`` get the next free id."""
-    N, n = len(P.terms), P.n
-    zidx: dict = {}
-    zi = np.fromiter((zidx.setdefault(z, len(zidx)) for _, _, z in P.terms),
-                     dtype=np.int64, count=N)
-    # each distinct z once: its (variable, power) runs, then rows of ids
-    runs = [vp for z in zidx for vp in z]
-    ids = np.fromiter((var_id.setdefault(v, len(var_id)) for v, _ in runs),
-                      dtype=np.int64, count=len(runs))
-    power = np.fromiter((p for _, p in runs), dtype=np.int64, count=len(runs))
-    nruns = np.fromiter(map(len, zidx), dtype=np.int64, count=len(zidx))
-    deg = np.bincount(np.repeat(np.arange(len(zidx)), nruns), weights=power,
-                      minlength=len(zidx)).astype(np.int64)
-    Z = np.full((len(zidx), deg.max(initial=0)), -1, dtype=np.int64)
-    row = np.repeat(np.arange(len(zidx)), deg)
-    Z[row, np.arange(len(row)) - np.repeat(np.cumsum(deg) - deg, deg)] = \
-        np.repeat(ids, power)
-    Z = Z[zi]
-    K = np.array([key[0] for key in P.terms], dtype=np.int64).reshape(N, n)
-    M = np.array([key[1] for key in P.terms], dtype=np.int64).reshape(N, n)
-    C = np.fromiter(P.terms.values(), dtype=complex, count=N)
-    return C, K, M, Z
-
-
-def _pack_ranked(*polys) -> tuple:
-    """``_pack`` each polynomial over one shared variable map, with ids
-    renumbered in sorted variable order and pads turned into V, the number
-    of variables: (sorted variables, [(C, K, M, Z) per polynomial]).  Z is
-    int16 (int32 from 2**15 variables on): the ids only index and compare,
-    and a product's pairs copy and sort them."""
-    var_id: dict = {}
-    cols = [_pack(P, var_id) for P in polys]
-    zvars = sorted(var_id)
-    rank = np.empty(len(zvars) + 1,
-                    dtype=np.int16 if len(zvars) < 2 ** 15 else np.int32)
-    rank[[var_id[v] for v in zvars]] = np.arange(len(zvars))
-    rank[-1] = len(zvars)                  # the -1 pads
-    return zvars, [(C, K, M, rank[Z]) for C, K, M, Z in cols]
-
-
-def _polynomial(n: int, zvars: list, C, K, M, Z) -> Polynomial:
-    """Rows of distinct monomials, in order, as a Polynomial: Z rows hold
-    ascending ids into ``zvars``, padded with len(zvars)."""
-    intern = {}.setdefault
-    keys = zip([intern(t, t) for t in _tuples(K)],
-               [intern(t, t) for t in _tuples(M)], _zkeys(Z, zvars))
-    return Polynomial(n, dict(zip(keys, C.tolist())))
-
 
 def _complex(re, im) -> np.ndarray:
     c = np.empty(len(re), dtype=complex)
@@ -327,8 +338,8 @@ def _live_width(Z, V: int):
 
 def _product(A: tuple, B: tuple, V: int, max_degree: int | None,
              tol: float) -> tuple:
-    """The product of two packed operands (``_pack_ranked`` rows, ids below
-    V) as one broadcast over term pairs, merged by packed key.
+    """The product of two operands' rows over one variable list of length
+    V (``_align``) as one broadcast over term pairs, merged by packed key.
 
     Pairs run left term outer and, under a degree filter, right terms by
     ascending degree, stably; like terms sum in that pair order.  Returns
@@ -341,8 +352,7 @@ def _product(A: tuple, B: tuple, V: int, max_degree: int | None,
     if max_degree is None:
         i, j = np.divmod(np.arange(len(C1) * len(C2)), len(C2))
     else:
-        d1 = 2 * M1.sum(axis=1) + (Z1 < V).sum(axis=1)
-        d2 = 2 * M2.sum(axis=1) + (Z2 < V).sum(axis=1)
+        d1, d2 = _degree(M1, Z1, V), _degree(M2, Z2, V)
         # visit B by ascending degree, stably: this fixes first occurrences
         order = np.argsort(d2, kind="stable")
         C2, K2, M2, Z2, d2 = C2[order], K2[order], M2[order], Z2[order], \
@@ -390,14 +400,6 @@ def _no_rows(n: int, w: int) -> tuple:
             np.zeros((0, n), dtype=np.int64), np.zeros((0, w), dtype=np.int64))
 
 
-def _mul_packed(A: Polynomial, B: Polynomial, max_degree: int | None,
-                tol: float) -> Polynomial:
-    """``Polynomial.mul``: one ``_product`` between packings and a dict."""
-    zvars, (PA, PB) = _pack_ranked(A, B)
-    return _polynomial(A.n, zvars, *_product(PA, PB, len(zvars), max_degree,
-                                             tol))
-
-
 def _tuples(X: np.ndarray) -> list:
     """Rows of an int matrix as tuples of Python ints."""
     return list(zip(*X.T.tolist())) if X.shape[1] else [()] * len(X)
@@ -419,7 +421,8 @@ def _runs(Z: np.ndarray, V: int) -> tuple:
 
 
 def _zkeys(Z: np.ndarray, zvars: list) -> list:
-    """``_pack``'s sorted id rows back to z-tuples ((var, p), ...)."""
+    """Sorted id rows padded with len(zvars) back to z-tuples
+    ((var, p), ...)."""
     rows, cols, p = _runs(Z, len(zvars))
     if not len(rows):
         return [()] * len(Z)
@@ -446,13 +449,16 @@ def _group(X: np.ndarray) -> np.ndarray:
     return np.unique(X, axis=0, return_inverse=True)[1].ravel()
 
 
-def _merge(inv: np.ndarray, re, im) -> tuple:
+def _merge(inv: np.ndarray, re, im, held: int = 0) -> tuple:
     """Sums of rows into their groups ``inv``, in row order, by
     ``add_term``'s rule: a group's sum starts at 0.0, a sum that reaches
     exactly zero drops the group, and its next row starts it again at the
-    end of the order.  One array pass adds the r-th row of every group
-    that has one.  Returns the surviving groups in order: the row that
-    last inserted each, and the real and imaginary parts of its sum."""
+    end of the order.  The first ``held`` rows, at most one per group, are
+    values a dict already holds: their groups start at them exactly (the
+    sum starts at -0.0, which adds exactly) and keep them even at zero.
+    One array pass adds the r-th row of every group that has one.  Returns
+    the surviving groups in order: the row that last inserted each, and
+    the real and imaginary parts of its sum."""
     counts = np.bincount(inv)
     U = len(counts)
     by_group = np.argsort(inv, kind="stable")
@@ -460,13 +466,14 @@ def _merge(inv: np.ndarray, re, im) -> tuple:
     by_count = np.argsort(-counts, kind="stable")
     active = U - np.cumsum(np.bincount(counts))   # groups with > r rows
     s_re, s_im = np.zeros(U), np.zeros(U)
+    s_re[inv[:held]] = s_im[inv[:held]] = -0.0
     live = np.zeros(U, dtype=bool)
     at = np.zeros(U, dtype=np.int64)
     for r in range(counts.max(initial=0)):
         g = by_count[:active[r]]
         rows = by_group[start[g] + r]
         a, b = s_re[g] + re[rows], s_im[g] + im[rows]
-        gone = (a == 0) & (b == 0)
+        gone = (a == 0) & (b == 0) & (rows >= held)
         a[gone] = 0.0                       # a dropped key restarts at 0.0
         b[gone] = 0.0
         s_re[g], s_im[g] = a, b
@@ -480,7 +487,8 @@ def _merge(inv: np.ndarray, re, im) -> tuple:
 
 def _jet_rows(M, Z, V: int) -> np.ndarray:
     """The mask of the rows whose (action degree, mode degree) is one of
-    ``_JET_DEGREES``, the rule of ``prune_split`` and ``jet``."""
+    ``_JET_DEGREES``: the one jet rule, of ``jet``, ``prune_split`` and the
+    Lie series cut."""
     sm, zd = M.sum(axis=1), (Z < V).sum(axis=1)
     jet = np.zeros(len(M), dtype=bool)
     for a, b in _JET_DEGREES:
@@ -544,7 +552,7 @@ def _diff_z(P: tuple, V: int) -> tuple:
 
 def _bracket(F: tuple, G: tuple, zvars: list, finite_set,
              max_degree: int | None, tol: float) -> tuple:
-    """{F, G} on ``_pack_ranked`` rows over ``zvars``, in ``poisson``'s
+    """{F, G} on rows over ``zvars`` (``_align``), in ``poisson``'s
     term order (see the module docstring): the derivatives are array
     passes over F's and G's rows, each product goes through ``_product``,
     and ``_merge`` accumulates the products' rows in bracket order."""
@@ -559,7 +567,8 @@ def _bracket(F: tuple, G: tuple, zvars: list, finite_set,
     var_id = {v: i for i, v in enumerate(zvars)}
 
     def part(var, D, v):              # the rows of dD/dz_v
-        i = var_id.get(v, V)
+        # in var's dtype: with a Python int, searchsorted copies var to int64
+        i = var.dtype.type(var_id.get(v, V))
         return _cut(D, slice(np.searchsorted(var, i, "left"),
                              np.searchsorted(var, i, "right")))
 
@@ -584,9 +593,7 @@ def _bracket(F: tuple, G: tuple, zvars: list, finite_set,
     re, im, K, M, Z = zip(*outs)
     del outs                     # each product's rows go once stacked
     re, im, K, M = (np.concatenate(x) for x in (re, im, K, M))
-    W = max(z.shape[1] for z in Z)
-    Z = _live_width(np.vstack([np.pad(z, ((0, 0), (0, W - z.shape[1])),
-                                      constant_values=V) for z in Z]), V)
+    Z = _live_width(_stack_z(Z, V), V)
     at, re, im = _merge(_group(np.hstack([K, M, Z])), re, im)
     return _complex(re, im), K[at], M[at], Z[at]
 
@@ -601,11 +608,11 @@ def poisson(F: Polynomial, G: Polynomial, finite_set=(),
     skip pairs above ``max_degree``; each product and the bracket drop
     terms with |c| <= ``tol``.
     """
-    zvars, (PF, PG) = _pack_ranked(F, G)
+    zvars, (PF, PG) = _align(F, G)
     rows = _bracket(PF, PG, zvars, finite_set, max_degree, tol)
     if tol:
         rows = _cut(rows, _abs(rows[0]) > tol)
-    return _polynomial(F.n, zvars, *rows)
+    return Polynomial._of(F.n, zvars, *rows)
 
 
 def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
@@ -620,13 +627,12 @@ def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
     whose term of order ``max_order`` is still above ``tol`` raises
     ``StageAbort("lie", ...)`` rather than being cut there.
 
-    F and S are packed once; each order's bracket stays in packed rows
-    until it is cut at ``tol``, scaled by 1/m and cut again by
-    ``prune_split``, and feeds the next order as rows, so only the terms
-    that survive the cuts become dict keys.
+    F and S are aligned once; each order's bracket is cut at ``tol``,
+    scaled by 1/m and cut again by the jet rule before it is added to the
+    sum and feeds the next order.
     """
     out = F.truncate_degree(max_degree)
-    zvars, (term, PS) = _pack_ranked(out, S)
+    zvars, (term, PS) = _align(out, S)
     V = len(zvars)
     for m in range(1, max_order + 1):
         term = _bracket(term, PS, zvars, finite_set, max_degree, tol)
@@ -641,7 +647,7 @@ def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
             term, size = _cut(term, keep), size[keep]
         if not len(size) or size.max() < tol:
             break
-        out = out + _polynomial(out.n, zvars, *term)
+        out = out + Polynomial._of(out.n, zvars, *term)
     else:
         raise StageAbort("lie", max_order,
                          f"term of order {max_order} is "
@@ -698,23 +704,24 @@ def encode(n: int, zvars: list, Z, C, K=None, M=None) -> Polynomial:
     """The sum of the rows C e^{i K.theta} r^M z^Z as a Polynomial.
 
     Z rows hold ascending ids into the sorted variable list ``zvars``, an id
-    repeated p times for power p, padded with -1 at the end (``_pack``'s
-    layout); K and M broadcast to (N, n) int rows and default to zero.  The
-    result has the keys, order and coefficient bits of feeding the rows to
-    ``add_term`` one at a time (``_merge``): zero rows are skipped, keys keep
-    their first-occurrence order, and a key is dropped while its sum is
-    zero and comes back last at its next row.
+    repeated p times for power p, padded at the end with -1 or len(zvars)
+    (``Polynomial``'s layout); K and M broadcast to (N, n) int rows and
+    default to zero.  The result has the keys, order and coefficient bits of
+    feeding the rows to ``add_term`` one at a time (``_merge``): zero rows
+    are skipped, keys keep their first-occurrence order, and a key is
+    dropped while its sum is zero and comes back last at its next row.
     """
     C = np.asarray(C, dtype=complex)
     live = C != 0
     if not live.any():
-        return Polynomial(n)
+        return Polynomial.zero(n)
     K, M = (np.broadcast_to(np.asarray(0 if X is None else X, dtype=np.int64),
                             (len(C), n))[live] for X in (K, M))
     Z, C = np.asarray(Z, dtype=np.int64)[live], C[live]
-    Z = np.where(Z < 0, len(zvars), Z)         # _zkeys pads past every id
+    Z = np.where(Z < 0, len(zvars), Z).astype(_id_type(len(zvars)))
     at, re, im = _merge(_group(np.hstack([K, M, Z])), C.real, C.imag)
-    return _polynomial(n, zvars, _complex(re, im), K[at], M[at], Z[at])
+    return Polynomial._of(n, list(zvars), _complex(re, im), K[at], M[at],
+                          Z[at])
 
 
 def decode_jet(P: Polynomial, var_id: dict | None = None):
@@ -723,7 +730,9 @@ def decode_jet(P: Polynomial, var_id: dict | None = None):
 
     Returns (var_id, K, M, U, V, C).  ``var_id`` maps variables to ids; by
     default it numbers the jet's variables in sorted order, and variables
-    missing from a given map get the next free ids.  Each jet term gives a
+    missing from a given map get the next free ids, in sorted order.  The
+    jet's rows are sliced from P's, not copied into a new polynomial.  Each
+    jet term gives a
     row, in term order: K and M its (N, n) k and m, U and V its variable
     ids or -1 (both -1 without z, V = -1 for a linear term), C its
     coefficient.  Quadratic rows hold entries of the symmetric H of
@@ -733,11 +742,13 @@ def decode_jet(P: Polynomial, var_id: dict | None = None):
     ids the hyperbolic variables are interleaved, (s, 0), (s, 1), which is
     the layout of the real hyperbolic block.
     """
-    J = P.jet()
-    if var_id is None:
-        var_id = {v: i for i, v in enumerate(J.z_vars())}
-    C, K, M, Z = _pack(J, var_id)
-    U, V = np.hstack([Z, np.full((len(C), 2 - Z.shape[1]), -1)]).T
+    J = P._take(P._in_jet())
+    zvars, Z = _live(J)
+    var_id = {} if var_id is None else var_id
+    ids = np.array([var_id.setdefault(v, len(var_id)) for v in zvars] + [-1],
+                   dtype=np.int64)                 # the -1 pads stay -1
+    C, K, M = J.C, J.K, J.M
+    U, V = np.hstack([ids[Z], np.full((len(C), 2 - Z.shape[1]), -1)]).T
     C = np.where((U == V) & (U >= 0), 2 * C, C)
     two = (U != V) & (V >= 0)
     return (var_id, np.vstack([K, K[two]]), np.vstack([M, M[two]]),
@@ -897,14 +908,14 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
     columns, so a sample's value does not depend on its batch.  The hessian
     is taken at each angle's first sample.
     """
-    if not poly.terms:
+    if not len(poly):
         return 0.0
     from scipy import sparse as _sparse
     n = poly.n
     rng = np.random.default_rng(p.seed)
-    zvars = poly.z_vars()
+    zvars, Zid = _live(poly)      # ids over the variables in use, pads -1
     V = len(zvars)
-    C, K, M, Zid = _pack(poly, {v: i for i, v in enumerate(zvars)})
+    C, K, M = poly.C, poly.K, poly.M
     N = len(C)
     rows, cols = np.nonzero(Zid >= 0)
     Z = _sparse.csr_matrix((np.ones(len(rows)), (rows, Zid[rows, cols])),

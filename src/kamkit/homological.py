@@ -389,20 +389,20 @@ def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
     the first read of ``residual``.
     """
     fset = h.finite_set
-    f_T = f.jet()
-    f_rest = f.without_jet()
+    inside = f._in_jet()
+    f_T, f_rest = f._take(inside), f._take(~inside)
     if tables is None:
         tables = class_tables(h)
     updates = []
     S, ht, skipped, divlog = solve_linear(h, f_T, guard, gamma1, tables)
     scale = max(f_T.max_coeff(), 1e-300)
     for _ in range(max_picard - 1):
-        if not f_rest.terms or not S.terms:
+        if not len(f_rest) or not len(S):
             break
         # only the jet of the bracket feeds back, so degree 2 suffices
         corr = poisson(f_rest, S, finite_set=fset,
                        max_degree=2, tol=prune_tol).jet()
-        if not corr.terms:
+        if not len(corr):
             break
         guard2 = DivisorGuard(delta0=guard.delta0)
         S_new, ht, skipped, divlog = solve_linear(h, f_T + corr, guard2,

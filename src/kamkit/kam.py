@@ -340,7 +340,7 @@ def run(h: NormalFormHamiltonian, f: Polynomial, schedule: Schedule,
     except StageAbort as exc:
         aborted = exc
     h_final = (_fold_h_acc(state.h, state.h_acc, state.delta)
-               if state.h_acc.terms else state.h)
+               if len(state.h_acc) else state.h)
     unstable, a_inf_real = _spectrum_report(h_final)
     omega_final = np.array(h_final.omega, dtype=float)
     return RunReport(

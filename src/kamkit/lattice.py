@@ -310,17 +310,6 @@ class AdmissibleReport:
     strongly_admissible: bool
     witnesses: list  # (a, b, kind, count)
 
-    def as_dict(self) -> dict:
-        return {
-            "set": [list(p) for p in self.set],
-            "admissible": self.admissible,
-            "strongly_admissible": self.strongly_admissible,
-            "witnesses": [
-                {"a": list(a), "b": list(b), "kind": kind, "count": count}
-                for a, b, kind, count in self.witnesses
-            ],
-        }
-
 
 def check_admissible(points) -> AdmissibleReport:
     """Admissible: pairwise distinct norms.  Strongly: plus a angle b for all

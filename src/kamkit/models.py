@@ -15,13 +15,13 @@ are integer codes summed by gather-add; the closing letter is found by
 integers from run lengths, and each coefficient is pref * mult times the
 letter amplitudes, one letter at a time.  Rows come out in the order of the
 nested loop this replaces (head choice, front, closing letter) and like
-monomials merge as ``Polynomial.add_term`` merges them, so the result has
-the loop's keys, order and coefficient bits.  Fronts are built in blocks of
-``_BLOCK_ROWS`` rows to bound memory.  The quartic of the singular beam at
-d=2, R=5 (165,357 monomials) takes 0.18 s as rows against 3.4 s for the
-loop (Python 3.11, numpy 2.4, one core of a 2-vCPU Xeon VM);
-``build_singular`` classifies those rows in arrays and turns only the 4,313
-resonant ones into terms.
+monomials merge by the package's one merge rule (``encode``), so the
+result has the loop's keys, order and coefficient bits.  Fronts are built
+in blocks of ``_BLOCK_ROWS`` rows to bound memory.  The quartic of the
+singular beam at d=2, R=5 (165,357 monomials) takes 0.18 s as rows
+against 3.4 s for the loop (Python 3.11, numpy 2.4, one core of a 2-vCPU
+Xeon VM); ``build_singular`` classifies those rows in arrays and keeps
+only the 4,313 resonant ones as terms.
 """
 from __future__ import annotations
 
@@ -31,8 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import binom as _binom
 
-from .hamiltonian import (ETA, XI, NormalFormHamiltonian, Polynomial, _zkeys,
-                          class_ids, decode_jet, encode, site_layout)
+from .hamiltonian import (ETA, XI, NormalFormHamiltonian, Polynomial, _cmul,
+                          _complex, _cut, _degree, _remap,
+                          _stack_z, _zkeys, class_ids, decode_jet, encode,
+                          site_layout)
 from .algebra import NormalFormMatrix, symplectic
 from .lattice import ball_points, build_partition, check_admissible, norm_sq
 
@@ -220,61 +222,66 @@ def expand_product(n: int, pools, xwave, d: int, coeff, k=None) -> Polynomial:
     xwave = tuple(xwave) if xwave else (0,) * d
     pools = [(c, ls) for c, ls in pools if c > 0]
     if not pools:
-        poly = Polynomial(n)
-        poly.add_term(coeff * TWO_PI ** (d * (1 - total / 2.0)), k=k)
-        return poly
+        return encode(n, [], np.zeros((1, 0)),
+                      [coeff * TWO_PI ** (d * (1 - total / 2.0))], K=k)
     return encode(n, *_expansion(pools, xwave, d, coeff), K=k)
+
+
+def _half_power(e2: int, I: float, r_degree: int) -> list:
+    """(I + r)^(e2/2) as [(t, coefficient of r^t)]: exact for even e2,
+    Taylor-truncated at r_degree otherwise; zero coefficients left out."""
+    half = e2 / 2.0
+    tmax = e2 // 2 if e2 % 2 == 0 else r_degree
+    coeffs = [(t, _binom(half, t) * I ** (half - t)) for t in range(tmax + 1)]
+    return [(t, float(v)) for t, v in coeffs if v]
+
+
+def _expand(e: np.ndarray, keys: list, sizes: list) -> tuple:
+    """Row r repeated once per entry of its key e[r], in order, where key
+    keys[i] (ascending) has sizes[i] entries: the row of each repeat and
+    its index among the entries of all keys, stacked in key order."""
+    size = np.array(sizes, dtype=np.int64)
+    at = np.searchsorted(keys, e)
+    return (np.repeat(np.arange(len(e)), size[at]),
+            _ranges((np.cumsum(size) - size)[at], size[at]))
 
 
 def action_angle(poly: Polynomial, nodes, actions, r_degree: int = 1,
                  max_degree: int | None = None) -> Polynomial:
     """Substitute xi_a = sqrt(I_a + r_a) e^{i theta_a} on the node sites.
 
-    Each term is expanded directly.  A node j with xi power px and eta
-    power pe turns into the phase k_j += px - pe times the series of
-    (I_j + r_j)^(e/2), e = px + pe, which is exact for even e and
-    Taylor-truncated at r_degree otherwise.  The series multiply in the
-    order the nodes appear in the term's z-tuple, one rounding per factor;
-    the rows are merged by ``add_term`` in that order, and rows of degree
-    above ``max_degree`` are dropped.
+    All terms are expanded at once.  A node j with xi power px and eta
+    power pe in a term turns into the phase k_j += px - pe times the
+    series of (I_j + r_j)^(e/2), e = px + pe (``_half_power``).  Each row
+    takes the nodes in sorted site order, the order of a term's z-tuple,
+    and repeats once per series term, one rounding per factor; a node
+    missing from the term has the series 1.0, an exact factor.  Rows of
+    degree above ``max_degree`` are dropped and the rest merged in order.
     """
-    n = poly.n
+    n, zvars = poly.n, poly.zvars
+    V = len(zvars)
     node_index = {a: j for j, a in enumerate(nodes)}
-    series: dict = {}       # (j, e) -> [(t, coefficient of r_j^t)]
-
-    def half_power(j: int, e2: int) -> list:
-        if (j, e2) not in series:
-            half = e2 / 2.0
-            tmax = e2 // 2 if e2 % 2 == 0 else r_degree
-            coeffs = [(t, _binom(half, t) * actions[j] ** (half - t))
-                      for t in range(tmax + 1)]
-            series[j, e2] = [(t, float(v)) for t, v in coeffs if v]
-        return series[j, e2]
-
-    out = Polynomial(n)
-    for (k, m, zk), c in poly.terms.items():
-        knew = list(k)
-        counts = {}          # node j -> [xi power, eta power]
-        zrest = []
-        for (site, comp), p in zk:
-            j = node_index.get(site)
-            if j is None:
-                zrest.append(((site, comp), p))
-            else:
-                pc = counts.setdefault(j, [0, 0])
-                pc[comp] += p
-        rows = [(list(m), c)]
-        for j, (px, pe) in counts.items():
-            knew[j] += px - pe
-            rows = [(mb[:j] + [mb[j] + t] + mb[j + 1:], cb * s)
-                    for mb, cb in rows for t, s in half_power(j, px + pe)]
-        zrest = tuple(zrest)
-        top = math.inf if max_degree is None \
-            else max_degree - sum(p for _, p in zrest)
-        for mb, cb in rows:
-            if 2 * sum(mb) <= top:
-                out.add_term(cb, knew, mb, zrest)
-    return out
+    # per slot of Z: the node of its variable or -1, and +1 on xi, -1 on eta
+    node = np.array([node_index.get(s, -1) for s, _ in zvars] + [-1])[poly.Z]
+    sign = np.array([1 if c == XI else -1 for _, c in zvars] + [0])[poly.Z]
+    K = poly.K + np.array([(sign * (node == j)).sum(axis=1)
+                           for j in range(n)], dtype=np.int64) \
+        .reshape(n, len(poly)).T
+    Z = np.sort(np.where(node >= 0, V, poly.Z), axis=1)    # the other modes
+    src, M, re, im = np.arange(len(poly)), poly.M, poly.C.real, poly.C.imag
+    for j in sorted(range(n), key=lambda j: nodes[j]):
+        e = (node == j).sum(axis=1)[src]
+        keys = np.unique(e).tolist()
+        series = [_half_power(u, actions[j], r_degree) for u in keys]
+        rep, idx = _expand(e, keys, list(map(len, series)))
+        t, s = np.array(sum(series, []), dtype=float).reshape(-1, 2).T
+        src, M = src[rep], M[rep]
+        M[:, j] += t[idx].astype(np.int64)
+        re, im = _cmul(re[rep], im[rep], s[idx], 0.0)
+    K, M, Z, C = K[src], M, Z[src], _complex(re, im)
+    if max_degree is not None:
+        K, M, Z, C = _cut((K, M, Z, C), _degree(M, Z, V) <= max_degree)
+    return encode(n, zvars, Z, C, K, M)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +363,7 @@ def build_beam(model: BeamModel):
                               rho_star=np.array(model.rho),
                               omega_fn=omega_fn, lambda_fn=lambda_fn)
     letters = field_letters(sites, lam)
-    f = Polynomial(n)
+    f = Polynomial.zero(n)
     for power, xwave, coeff in model.nonlinearity:
         f = f + expand_product(n, [(power, letters)], xwave, model.d,
                                model.epsilon * coeff)
@@ -414,7 +421,7 @@ def build_nls(model: NlsModel):
         s = norm_sq(a) ** (-model.alpha)
         v_letters.append(Letter(a, (a, XI), s))
         vb_letters.append(Letter(tuple(-x for x in a), (a, ETA), s))
-    f = Polynomial(n)
+    f = Polynomial.zero(n)
     for ktheta, p, q, xwave, coeff in model.forcing:
         f = f + expand_product(n, [(p, v_letters), (q, vb_letters)], xwave,
                                model.d, model.epsilon * coeff, k=ktheta)
@@ -514,15 +521,21 @@ class SingularNormalForm:
 def _gauge_k_shift(poly: Polynomial, node_of: dict) -> Polynomial:
     """Rotating frame xi_b -> e^{i theta_j} xi_b on the resonant external
     sites: the phases move into the angle index."""
-    out = Polynomial(poly.n)
-    for (k, m, zk), c in poly.terms.items():
-        knew = list(k)
-        for (site, comp), p in zk:
-            j = node_of.get(site)
-            if j is not None:
-                knew[j] += p if comp == XI else -p
-        out.add_term(c, k=knew, m=m, z=zk)
-    return out
+    shift = np.zeros((len(poly.zvars) + 1, poly.n), dtype=np.int64)
+    for i, (site, comp) in enumerate(poly.zvars):     # the pad shifts none
+        if site in node_of:
+            shift[i, node_of[site]] = 1 if comp == XI else -1
+    C, K, M, Z = poly.rows
+    return encode(poly.n, poly.zvars, Z, C, K + shift[Z].sum(axis=1), M)
+
+
+def _shift_power(P: int, u: int) -> tuple:
+    """(r - sum_{b < P} x_b)^u over the combinations with replacement of
+    the ids 0..P, P standing for r: their rows, the power of r in each,
+    and each one's multinomial count times (-1)^(number of x factors)."""
+    rows = _cwr(P + 1, u)
+    t = (rows == P).sum(axis=1)
+    return rows, t, (-1) ** (u - t) * _multinomial(rows)
 
 
 def _gauge_r_shift(poly: Polynomial, node_of: dict, max_degree: int,
@@ -530,54 +543,44 @@ def _gauge_r_shift(poly: Polynomial, node_of: dict, max_degree: int,
     """Compensating action shift r_j -> r_j - sum_{node_of[b]=j}
     xi_b eta_b.
 
-    Each term is expanded directly.  (r_j - sum_b xi_b eta_b)^(m_j) is the
+    All terms are expanded at once.  (r_j - sum_b xi_b eta_b)^(m_j) is the
     sum over the combinations with replacement of node j's shift terms
     (its sites in ``node_of`` order, then r_j) of their multinomial count
-    times (-1)^(number of xi_b eta_b factors); the nodes follow their first
-    appearance in ``node_of``.  A term with a shifted action and a degree
-    above ``max_degree`` drops out.  The rows are merged by ``add_term`` in
-    combination order.
+    times (-1)^(number of xi_b eta_b factors); the nodes follow their
+    first appearance in ``node_of``, and each row repeats once per
+    combination (m_j = 0 has one, empty, of count 1).  A term with a
+    shifted action and a degree above ``max_degree`` drops out.  The rows
+    are merged in combination order.
     """
     sites_of: dict = {}
     for site, j in node_of.items():
         sites_of.setdefault(j, []).append(site)
-    powers: dict = {}       # (j, m_j) -> [(sites, r power, signed count)]
-
-    def expansion(j: int, mj: int) -> list:
-        if (j, mj) not in powers:
-            pool = sites_of[j]            # id len(pool) stands for r_j
-            rows = _cwr(len(pool) + 1, mj)
-            t = (rows == len(pool)).sum(axis=1)
-            count = (-1) ** (mj - t) * _multinomial(rows)
-            powers[j, mj] = [([pool[i] for i in row[:mj - r]], r, c)
-                             for row, r, c in zip(rows.tolist(), t.tolist(),
-                                                  count.tolist())]
-        return powers[j, mj]
-
-    out = Polynomial(n)
-    for (k, m, zk), c in poly.terms.items():
-        shifted = [(j, m[j]) for j in sites_of if m[j]]
-        if not shifted:
-            out.add_term(c, k=k, m=m, z=zk)
-            continue
-        if max_degree is not None and \
-                2 * sum(m) + sum(p for _, p in zk) > max_degree:
-            continue
-        rows = [(list(m), [], c)]
-        for j, mj in shifted:
-            rows = [(mb[:j] + [t] + mb[j + 1:], sb + sites, count * cb)
-                    for mb, sb, cb in rows
-                    for sites, t, count in expansion(j, mj)]
-        for mb, sites, cb in rows:
-            z = zk
-            if sites:
-                zz = dict(zk)
-                for b in sites:
-                    for v in ((b, XI), (b, ETA)):
-                        zz[v] = zz.get(v, 0) + 1
-                z = tuple(sorted(zz.items()))
-            out.add_term(cb, k, mb, z)
-    return out
+    zvars = sorted(set(poly.zvars)
+                   | {(b, c) for b in node_of for c in (XI, ETA)})
+    V = len(zvars)
+    at = {v: i for i, v in enumerate(zvars)}
+    rows = poly.C, poly.K, poly.M, _remap(poly.Z, poly.zvars, zvars)
+    if max_degree is not None:
+        shifted = rows[2][:, list(sites_of)].any(axis=1)
+        rows = _cut(rows, ~shifted | (_degree(*rows[2:], V) <= max_degree))
+    C, K, M, Z = rows
+    if not len(C):
+        return Polynomial.zero(n)
+    src, re, im, added = np.arange(len(C)), C.real, C.imag, []
+    for j, pool in sites_of.items():
+        keys = np.unique(M[:, j]).tolist()
+        parts = [_shift_power(len(pool), u) for u in keys]
+        rep, idx = _expand(M[:, j], keys, [len(p[1]) for p in parts])
+        combo = _stack_z([p[0] for p in parts], len(pool))[idx]
+        t, count = (np.concatenate([p[i] for p in parts])[idx] for i in (1, 2))
+        src, M = src[rep], M[rep]
+        M[:, j] = t
+        re, im = _cmul(count.astype(float), 0.0, re[rep], im[rep])
+        # a site b of the combination adds xi_b eta_b; r_j adds nothing
+        ids = np.array([[at[(b, c)] for b in pool] + [V] for c in (XI, ETA)])
+        added = [a[rep] for a in added] + [ids[0][combo], ids[1][combo]]
+    Z = np.sort(np.hstack([Z[src]] + added), axis=1)
+    return encode(n, zvars, Z, _complex(re, im), K[src], M)
 
 
 def _classify_quartic(zvars: list, Z: np.ndarray, lam: dict):
@@ -649,14 +652,11 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
                          % (div[i], zk))
     killed = int(np.count_nonzero(~resonant))
     min_div = float(np.abs(div[~resonant]).min(initial=math.inf))
-    g4 = Polynomial(n)          # all four slots on nodes
-    gPQ = Polynomial(n)         # exactly two slots on nodes
-    frest = Polynomial(n)
-    zero = (0,) * n
-    rows = np.flatnonzero(resonant)
-    for zk, cz, ni in zip(_zkeys(Z[rows], zvars), c[rows].tolist(),
-                          nint[rows].tolist()):
-        {4: g4, 2: gPQ}.get(ni, frest).terms[(zero, zero, zk)] = cz
+    f4 = encode(n, zvars, Z[resonant], c[resonant])    # distinct monomials
+    ni = nint[resonant]
+    g4 = f4._take(ni == 4)          # all four slots on nodes
+    gPQ = f4._take(ni == 2)         # exactly two slots on nodes
+    frest = f4._take((ni != 4) & (ni != 2))
 
     if model.quintic:
         int_letters = [L for L in letters if L.var[0] in nodes]
@@ -674,20 +674,16 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
                                 r_degree=model.r_degree,
                                 max_degree=model.max_degree)
     g4_aa = aa(g4)
-    zero_k = (0,) * n
+    C, K, M, Z = g4_aa.rows
+    if K.any() or (Z < len(g4_aa.zvars)).any():
+        raise AssertionError("node-only resonant term with angle or "
+                             "mode dependence")
+    # the constant and the frequency shifts sum in term order
+    deg = M.sum(axis=1)
+    const = float(np.cumsum(np.append(0.0, C.real[deg == 0]))[-1])
     omega_I = np.array([lam[a] for a in nodes], dtype=float)
-    const = 0.0
-    for (k, m, zk), c in g4_aa.terms.items():
-        if zk or k != zero_k:
-            raise AssertionError("node-only resonant term with angle or "
-                                 "mode dependence")
-        deg = sum(m)
-        if deg == 0:
-            const += c.real
-        elif deg == 1:
-            omega_I[m.index(1)] += c.real
-        else:
-            frest.add_term(c, k=k, m=m, z=zk)
+    np.add.at(omega_I, np.nonzero(M[deg == 1])[1], C.real[deg == 1])
+    frest = frest + g4_aa._take(deg >= 2)
 
     lam_f = tuple(sorted(a for a in sites if a not in nodes
                          and any(nsq_of[a] == nsq_of[b] for b in nodes)))

@@ -10,9 +10,10 @@ import math
 import numpy as np
 
 from kamkit.algebra import WeightParams
-from kamkit.hamiltonian import (ClassNormParams, Polynomial, _halving_grid,
-                                _pack)
+from kamkit.hamiltonian import ClassNormParams, Polynomial, _halving_grid
 from kamkit.lattice import norm_sq
+
+from _reference_hamiltonian import _pack
 
 
 def _site_geometry(sites: list):

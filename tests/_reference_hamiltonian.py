@@ -1,15 +1,236 @@
-"""Loops that ``kamkit.hamiltonian`` replaced, kept verbatim as oracles:
-the term-pair loop of ``Polynomial.mul`` (now the packed product kernel),
-and ``poisson``, its derivative tables and ``lie_transform`` as dict passes
-over per-product ``Polynomial.mul`` calls (now one packed bracket).  Not
-used by the package."""
+"""Code that ``kamkit.hamiltonian`` replaced, kept verbatim as oracles: the
+dict ``Polynomial`` (now packed rows), with its per-term ``evaluate`` loop;
+``_pack``, its dict-to-columns packing; the term-pair loop of
+``Polynomial.mul`` (now the packed product kernel); and ``poisson``, its
+derivative tables and ``lie_transform`` as dict passes over per-product
+``Polynomial.mul`` calls (now one packed bracket).  The dict class's
+``mul`` runs the package's product through ``as_rows``.  Not used by the
+package."""
 from __future__ import annotations
 
-from kamkit.hamiltonian import Polynomial, StageAbort
+import numpy as np
+
+from kamkit import hamiltonian as rows
+from kamkit.hamiltonian import _JET_DEGREES, StageAbort
 
 
 def _zkey(z: dict) -> tuple:
     return tuple(sorted((v, p) for v, p in z.items() if p))
+
+
+class Polynomial:
+    """Sparse polynomial keyed by (k, m, z) monomial signatures."""
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms: dict | None = None):
+        self.n = n
+        self.terms = terms if terms is not None else {}
+
+    # -- construction -----------------------------------------------------
+    @classmethod
+    def zero(cls, n: int) -> "Polynomial":
+        return cls(n)
+
+    @classmethod
+    def constant(cls, n: int, c) -> "Polynomial":
+        p = cls(n)
+        if c != 0:
+            p.terms[(((0,) * n), ((0,) * n), ())] = complex(c)
+        return p
+
+    def copy(self) -> "Polynomial":
+        return Polynomial(self.n, dict(self.terms))
+
+    def add_term(self, c, k=None, m=None, z=()):
+        """Accumulate one monomial; z is a dict var->power or a zkey tuple."""
+        if c == 0:
+            return
+        k = tuple(k) if k is not None else (0,) * self.n
+        m = tuple(m) if m is not None else (0,) * self.n
+        zk = _zkey(z) if isinstance(z, dict) else tuple(z)
+        key = (k, m, zk)
+        val = self.terms.get(key, 0.0) + complex(c)
+        if val == 0:
+            self.terms.pop(key, None)
+        else:
+            self.terms[key] = val
+
+    # -- ring operations ---------------------------------------------------
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self.copy()._iadd(other)
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self + other.scale(-1.0)
+
+    def scale(self, c) -> "Polynomial":
+        if c == 0:
+            return Polynomial(self.n)
+        return Polynomial(self.n, {key: c * v for key, v in self.terms.items()})
+
+    def mul(self, other: "Polynomial", max_degree: int | None = None,
+            tol: float = 0.0) -> "Polynomial":
+        """Product pruned at ``tol`` (|c| <= tol) with exact zeros dropped;
+        pairs whose degrees sum above ``max_degree`` are skipped."""
+        return _mul_packed(self, other, max_degree, tol)
+
+    def _iadd(self, other: "Polynomial", sign: complex = 1.0):
+        terms = self.terms
+        for key, c in other.terms.items():
+            val = terms.get(key, 0.0) + sign * c
+            if val == 0:
+                terms.pop(key, None)
+            else:
+                terms[key] = val
+        return self
+
+    def prune(self, tol: float):
+        if not self.terms:
+            return self
+        drop = [key for key, c in self.terms.items() if abs(c) <= tol]
+        for key in drop:
+            del self.terms[key]
+        return self
+
+    def prune_split(self, jet_tol: float, rest_tol: float):
+        """Prune with a tighter tolerance on normal-form-direction terms."""
+        if not self.terms:
+            return self
+        drop = []
+        for key, c in self.terms.items():
+            _, m, z = key
+            deg = (sum(m), sum(p for _, p in z))
+            cut = jet_tol if deg in _JET_DEGREES else rest_tol
+            if abs(c) <= cut:
+                drop.append(key)
+        for key in drop:
+            del self.terms[key]
+        return self
+
+    def truncate_degree(self, max_degree: int) -> "Polynomial":
+        out = Polynomial(self.n)
+        for key, c in self.terms.items():
+            _, m, z = key
+            if 2 * sum(m) + sum(p for _, p in z) <= max_degree:
+                out.terms[key] = c
+        return out
+
+    def max_coeff(self) -> float:
+        return max((abs(c) for c in self.terms.values()), default=0.0)
+
+    def __len__(self):
+        return len(self.terms)
+
+    # -- calculus -----------------------------------------------------------
+    def z_vars(self) -> list:
+        s = set()
+        for (_, _, z) in self.terms:
+            for v, _ in z:
+                s.add(v)
+        return sorted(s)
+
+    def sites(self) -> list:
+        return sorted({v[0] for v in self.z_vars()})
+
+    def evaluate(self, theta, r, zvals: dict) -> complex:
+        theta = np.asarray(theta, dtype=complex)
+        r = np.asarray(r, dtype=complex)
+        total = 0.0 + 0.0j
+        for (k, m, z), c in self.terms.items():
+            val = c * np.exp(1j * np.dot(k, theta))
+            for j, mj in enumerate(m):
+                if mj:
+                    val *= r[j] ** mj
+            for v, p in z:
+                val *= zvals.get(v, 0.0) ** p
+            total += val
+        return total
+
+    # -- structure -----------------------------------------------------------
+    def _jet_part(self, inside: bool) -> "Polynomial":
+        """The terms inside (or outside) the jet, in term order."""
+        return Polynomial(self.n, {
+            key: c for key, c in self.terms.items()
+            if ((sum(key[1]), sum(p for _, p in key[2])) in _JET_DEGREES)
+            == inside})
+
+    def jet(self) -> "Polynomial":
+        """Degree <= 2 part: constant, r-linear, zeta-linear, zeta-quadratic."""
+        return self._jet_part(True)
+
+    def without_jet(self) -> "Polynomial":
+        """The terms ``jet`` leaves out, in term order."""
+        return self._jet_part(False)
+
+    def reality_defect(self, finite_set=()) -> float:
+        """Max mismatch of coefficients under the reality involution.
+
+        Real Hamiltonians satisfy conj(c(k, m, z)) = c(-k, m, z*) where z*
+        swaps xi <-> eta on elliptic sites and fixes hyperbolic components.
+        """
+        fset = set(tuple(p) for p in finite_set)
+        worst = 0.0
+        for (k, m, z), c in self.terms.items():
+            zz = {}
+            for (s, comp), p in z:
+                cc = comp if s in fset else 1 - comp
+                zz[(s, cc)] = p
+            mate = (tuple(-x for x in k), m, _zkey(zz))
+            worst = max(worst, abs(np.conj(c) - self.terms.get(mate, 0.0)))
+        return worst
+
+    def dump_lines(self) -> list[str]:
+        lines = []
+        for (k, m, z), c in sorted(self.terms.items()):
+            zs = ";".join(
+                f"{','.join(str(x) for x in v[0])}:{v[1]}:{p}" for v, p in z)
+            lines.append(
+                f"k={','.join(map(str, k))} m={','.join(map(str, m))} "
+                f"z={zs} c={c.real:.17g}{c.imag:+.17g}j")
+        return lines
+
+
+def as_dict(P) -> Polynomial:
+    """A package polynomial as the dict class, same keys, order and bits."""
+    return Polynomial(P.n, P.terms)
+
+
+def as_rows(P: Polynomial) -> rows.Polynomial:
+    return rows.Polynomial(P.n, P.terms)
+
+
+def _mul_packed(A: Polynomial, B: Polynomial, max_degree: int | None,
+                tol: float) -> Polynomial:
+    """The package's product of two dict polynomials, as a dict one."""
+    return as_dict(as_rows(A).mul(as_rows(B), max_degree, tol))
+
+
+def _pack(P: Polynomial, var_id: dict):
+    """Columns of P in term order: C (N,) complex, K and M (N, n) int64,
+    and Z (N, w) int64 rows of variable ids, where a variable of power p
+    repeats p times, padded with -1 to P's largest z-degree w.  Variables
+    missing from ``var_id`` get the next free id."""
+    N, n = len(P.terms), P.n
+    zidx: dict = {}
+    zi = np.fromiter((zidx.setdefault(z, len(zidx)) for _, _, z in P.terms),
+                     dtype=np.int64, count=N)
+    # each distinct z once: its (variable, power) runs, then rows of ids
+    runs = [vp for z in zidx for vp in z]
+    ids = np.fromiter((var_id.setdefault(v, len(var_id)) for v, _ in runs),
+                      dtype=np.int64, count=len(runs))
+    power = np.fromiter((p for _, p in runs), dtype=np.int64, count=len(runs))
+    nruns = np.fromiter(map(len, zidx), dtype=np.int64, count=len(zidx))
+    deg = np.bincount(np.repeat(np.arange(len(zidx)), nruns), weights=power,
+                      minlength=len(zidx)).astype(np.int64)
+    Z = np.full((len(zidx), deg.max(initial=0)), -1, dtype=np.int64)
+    row = np.repeat(np.arange(len(zidx)), deg)
+    Z[row, np.arange(len(row)) - np.repeat(np.cumsum(deg) - deg, deg)] = \
+        np.repeat(ids, power)
+    Z = Z[zi]
+    K = np.array([key[0] for key in P.terms], dtype=np.int64).reshape(N, n)
+    M = np.array([key[1] for key in P.terms], dtype=np.int64).reshape(N, n)
+    C = np.fromiter(P.terms.values(), dtype=complex, count=N)
+    return C, K, M, Z
 
 
 def _mul_dict(A: Polynomial, B: Polynomial, max_degree: int | None,

@@ -1,9 +1,12 @@
 """Loops that ``kamkit.models`` replaced, kept verbatim as oracles: the
-per-monomial loop of ``expand_product`` (now an array expansion), and
+per-monomial loop of ``expand_product`` (now an array expansion);
 ``action_angle`` and ``_gauge_r_shift`` as per-term ``Polynomial.mul``
-chains (now direct expansions).  Also ``_is_resonant_quartic``, the
+chains, and ``action_angle_per_term``, ``_gauge_k_shift`` and
+``_gauge_r_shift_per_term``, the per-term expansions that replaced those
+chains (all three now row passes).  Also ``_is_resonant_quartic``, the
 per-monomial resonance test that ``build_singular`` replaced with
-``_classify_quartic``.  Not used by the package."""
+``_classify_quartic``.  All run on the dict ``Polynomial`` of
+``_reference_hamiltonian``.  Not used by the package."""
 from __future__ import annotations
 
 import itertools
@@ -12,8 +15,10 @@ from collections import Counter
 
 from scipy.special import binom as _binom
 
-from kamkit.hamiltonian import ETA, XI, Polynomial
-from kamkit.models import TWO_PI
+from kamkit.hamiltonian import ETA, XI
+from kamkit.models import TWO_PI, _cwr, _multinomial
+
+from _reference_hamiltonian import Polynomial
 
 
 def _perm_count(idx: tuple) -> int:
@@ -165,3 +170,124 @@ def _is_resonant_quartic(zk, nsq_of) -> bool:
     if len(xi_norms) != 2 or len(eta_norms) != 2:
         return False
     return sorted(xi_norms) == sorted(eta_norms)
+
+
+def action_angle_per_term(poly: Polynomial, nodes, actions,
+                          r_degree: int = 1,
+                          max_degree: int | None = None) -> Polynomial:
+    """Substitute xi_a = sqrt(I_a + r_a) e^{i theta_a} on the node sites.
+
+    Each term is expanded directly.  A node j with xi power px and eta
+    power pe turns into the phase k_j += px - pe times the series of
+    (I_j + r_j)^(e/2), e = px + pe, which is exact for even e and
+    Taylor-truncated at r_degree otherwise.  The series multiply in the
+    order the nodes appear in the term's z-tuple, one rounding per factor;
+    the rows are merged by ``add_term`` in that order, and rows of degree
+    above ``max_degree`` are dropped.
+    """
+    n = poly.n
+    node_index = {a: j for j, a in enumerate(nodes)}
+    series: dict = {}       # (j, e) -> [(t, coefficient of r_j^t)]
+
+    def half_power(j: int, e2: int) -> list:
+        if (j, e2) not in series:
+            half = e2 / 2.0
+            tmax = e2 // 2 if e2 % 2 == 0 else r_degree
+            coeffs = [(t, _binom(half, t) * actions[j] ** (half - t))
+                      for t in range(tmax + 1)]
+            series[j, e2] = [(t, float(v)) for t, v in coeffs if v]
+        return series[j, e2]
+
+    out = Polynomial(n)
+    for (k, m, zk), c in poly.terms.items():
+        knew = list(k)
+        counts = {}          # node j -> [xi power, eta power]
+        zrest = []
+        for (site, comp), p in zk:
+            j = node_index.get(site)
+            if j is None:
+                zrest.append(((site, comp), p))
+            else:
+                pc = counts.setdefault(j, [0, 0])
+                pc[comp] += p
+        rows = [(list(m), c)]
+        for j, (px, pe) in counts.items():
+            knew[j] += px - pe
+            rows = [(mb[:j] + [mb[j] + t] + mb[j + 1:], cb * s)
+                    for mb, cb in rows for t, s in half_power(j, px + pe)]
+        zrest = tuple(zrest)
+        top = math.inf if max_degree is None \
+            else max_degree - sum(p for _, p in zrest)
+        for mb, cb in rows:
+            if 2 * sum(mb) <= top:
+                out.add_term(cb, knew, mb, zrest)
+    return out
+
+
+def _gauge_k_shift(poly: Polynomial, node_of: dict) -> Polynomial:
+    """Rotating frame xi_b -> e^{i theta_j} xi_b on the resonant external
+    sites: the phases move into the angle index."""
+    out = Polynomial(poly.n)
+    for (k, m, zk), c in poly.terms.items():
+        knew = list(k)
+        for (site, comp), p in zk:
+            j = node_of.get(site)
+            if j is not None:
+                knew[j] += p if comp == XI else -p
+        out.add_term(c, k=knew, m=m, z=zk)
+    return out
+
+
+def _gauge_r_shift_per_term(poly: Polynomial, node_of: dict,
+                            max_degree: int, n: int) -> Polynomial:
+    """Compensating action shift r_j -> r_j - sum_{node_of[b]=j}
+    xi_b eta_b.
+
+    Each term is expanded directly.  (r_j - sum_b xi_b eta_b)^(m_j) is the
+    sum over the combinations with replacement of node j's shift terms
+    (its sites in ``node_of`` order, then r_j) of their multinomial count
+    times (-1)^(number of xi_b eta_b factors); the nodes follow their first
+    appearance in ``node_of``.  A term with a shifted action and a degree
+    above ``max_degree`` drops out.  The rows are merged by ``add_term`` in
+    combination order.
+    """
+    sites_of: dict = {}
+    for site, j in node_of.items():
+        sites_of.setdefault(j, []).append(site)
+    powers: dict = {}       # (j, m_j) -> [(sites, r power, signed count)]
+
+    def expansion(j: int, mj: int) -> list:
+        if (j, mj) not in powers:
+            pool = sites_of[j]            # id len(pool) stands for r_j
+            rows = _cwr(len(pool) + 1, mj)
+            t = (rows == len(pool)).sum(axis=1)
+            count = (-1) ** (mj - t) * _multinomial(rows)
+            powers[j, mj] = [([pool[i] for i in row[:mj - r]], r, c)
+                             for row, r, c in zip(rows.tolist(), t.tolist(),
+                                                  count.tolist())]
+        return powers[j, mj]
+
+    out = Polynomial(n)
+    for (k, m, zk), c in poly.terms.items():
+        shifted = [(j, m[j]) for j in sites_of if m[j]]
+        if not shifted:
+            out.add_term(c, k=k, m=m, z=zk)
+            continue
+        if max_degree is not None and \
+                2 * sum(m) + sum(p for _, p in zk) > max_degree:
+            continue
+        rows = [(list(m), [], c)]
+        for j, mj in shifted:
+            rows = [(mb[:j] + [t] + mb[j + 1:], sb + sites, count * cb)
+                    for mb, sb, cb in rows
+                    for sites, t, count in expansion(j, mj)]
+        for mb, sites, cb in rows:
+            z = zk
+            if sites:
+                zz = dict(zk)
+                for b in sites:
+                    for v in ((b, XI), (b, ETA)):
+                        zz[v] = zz.get(v, 0) + 1
+                z = tuple(sorted(zz.items()))
+            out.add_term(cb, k, mb, z)
+    return out

@@ -12,7 +12,6 @@ from kamkit.hamiltonian import (
     NormalFormHamiltonian,
     Polynomial,
     StageAbort,
-    _mul_packed,
     class_norm,
     decode_jet,
     encode,
@@ -66,6 +65,88 @@ COEFFS = st.sampled_from([1.0, -1.0, 2.0, 0.5, 1j, -1j, 1 - 1j]) | \
                        allow_infinity=False)
 
 
+# -- row operations against the dict class they replaced ----------------------
+
+@st.composite
+def row_cases(draw, kscales=(1, 2 ** 40)):
+    """n = 0..2 and two lists of (monomial, coefficient) rows drawn from one
+    pool of up to four monomials, so that sums cancel to exactly zero and
+    come back.  Lists may be empty, monomials may have no z variables, and
+    k scaled by 2**40 takes the merge past its int64 key (``_group``)."""
+    n = draw(st.integers(0, 2))
+    kscale = draw(st.sampled_from(kscales))
+    ints = lambda lo, hi: st.lists(st.integers(lo, hi), min_size=n,
+                                   max_size=n)
+    z = st.dictionaries(st.tuples(st.sampled_from(SITES), st.integers(0, 1)),
+                        st.integers(1, 3), max_size=3)
+    pool = draw(st.lists(st.tuples(
+        ints(-3, 3).map(lambda k: tuple(kscale * x for x in k)),
+        ints(0, 2).map(tuple), st.just({}) | z), min_size=1, max_size=4))
+    rows = st.lists(st.tuples(st.sampled_from(pool), COEFFS), max_size=12)
+    return n, draw(rows), draw(rows)
+
+
+def _built(n, rows):
+    """The package polynomial and the dict oracle after the same
+    ``add_term`` calls."""
+    P, R = Polynomial(n), ref.Polynomial(n)
+    for (k, m, z), c in rows:
+        P.add_term(c, k=k, m=m, z=z)
+        R.add_term(c, k=k, m=m, z=z)
+    return P, R
+
+
+@given(row_cases(), COEFFS | st.sampled_from([0.0, -1.0]),
+       st.sampled_from([0.0, 1e-3, 0.5, 2.0]), st.integers(0, 8))
+def test_row_operations_match_dict_oracle(case, c, tol, degree):
+    """Keys, order and coefficient bits of every row operation, against the
+    dict class.  N = Q.scale(-1.0) holds -0.0 parts and T = P.scale(5e-324)
+    exact zeros, which a sum with them on the left keeps as the dict keeps
+    them."""
+    n, rows1, rows2 = case
+    (P, R), (Q, S) = _built(n, rows1), _built(n, rows2)
+    assert _items(P) == _items(R) and _items(Q) == _items(S)
+    assert P.z_vars() == R.z_vars() and P.max_coeff() == R.max_coeff()
+    D, E = P - Q, R - S
+    N, O = Q.scale(-1.0), S.scale(-1.0)
+    T, U = P.scale(5e-324), R.scale(5e-324)
+    pairs = [(P + Q, R + S), (D, E), (N + P, O + R), (N + N, O + O),
+             (T + Q, U + S), (P.scale(c), R.scale(c)),
+             (D.truncate_degree(degree), E.truncate_degree(degree)),
+             (D.jet(), E.jet()), (D.without_jet(), E.without_jet())]
+    for got, want in pairs:
+        assert _items(got) == _items(want)
+        assert got.z_vars() == want.z_vars()
+        assert got.max_coeff() == want.max_coeff()
+    for (k, m, z), c1 in rows1[:2]:
+        N.add_term(c1, k=k, m=m, z=z)
+        O.add_term(c1, k=k, m=m, z=z)
+    assert _items(N) == _items(O)
+    F, G = D - P, E - R
+    assert F.prune(tol) is F and _items(F) == _items(G.prune(tol))
+    F, G = D + Q, E + S
+    assert F.prune_split(tol / 4, tol) is F
+    assert _items(F) == _items(G.prune_split(tol / 4, tol))
+    top = P.max_coeff()                # a cut at a coefficient drops it
+    assert _items(P.prune(top)) == _items(R.prune(top))
+
+
+@given(row_cases(kscales=(1,)), st.integers(0, 2 ** 32 - 1))
+def test_evaluate_matches_term_loop(case, seed):
+    n, rows, _ = case
+    P, R = _built(n, rows)
+    rng = np.random.default_rng(seed)
+    theta = rng.standard_normal(n) + 0.1j * rng.standard_normal(n)
+    r = rng.standard_normal(n)
+    # the variables of (0, 1) are missing, so they evaluate to 0
+    zvals = {(s, c): complex(*rng.standard_normal(2)) for s in (A, B)
+             for c in (0, 1)}
+    each = [ref.Polynomial(n, {key: c}).evaluate(theta, r, zvals)
+            for key, c in R.terms.items()]
+    assert abs(P.evaluate(theta, r, zvals) - R.evaluate(theta, r, zvals)) \
+        <= 1e-13 * sum(map(abs, each))
+
+
 @st.composite
 def polynomials(draw, n, kscale=1):
     p = Polynomial(n)
@@ -96,7 +177,7 @@ def _pair_scale(P, Q) -> dict:
 
 def assert_same_product(P, Q, max_degree, tol):
     ref = _mul_dict(P, Q, max_degree, tol).terms
-    got = _mul_packed(P, Q, max_degree, tol).terms
+    got = P.mul(Q, max_degree, tol).terms
     scale = _pair_scale(P, Q)
     for key in ref.keys() | got.keys():
         margin = 1e-14 * scale[key]
@@ -125,7 +206,7 @@ def test_packed_product_cancels_exactly():
         P.add_term(c, z=(z,))
     for c, z in ((1.0, x), (-1.0, y)):
         Q.add_term(c, z=(z,))
-    prod = _mul_packed(P, Q, None, 0.0)
+    prod = P.mul(Q)
     assert prod.terms == _mul_dict(P, Q, None, 0.0).terms
     assert prod.terms == {((0,), (0,), (((A, 0), 2),)): 1.0,
                           ((0,), (0,), (((B, 1), 2),)): -1.0}
@@ -143,7 +224,7 @@ def test_packed_product_wide_keys_stay_distinct():
     for k in ((0, 0), (big - 1, big - 1)):
         Q.add_term(1.0, k=k, m=(0, 0))
         Q.add_term(0.5j, k=k, m=(1, 1), z={(A, 0): 2})
-    prod = _mul_packed(P, Q, None, 0.0)
+    prod = P.mul(Q)
     assert len(prod) == len(P) * len(Q)       # all pairs are distinct
     assert prod.terms == _mul_dict(P, Q, None, 0.0).terms
 
@@ -251,14 +332,14 @@ MONOMIALS = [((0,), (0,), (-1, -1), ()),
 @example(rows=[(1, 1.0), (2, 2.0), (1, -1.0), (1, 3.0)])  # cancel, revive
 @example(rows=[(3, 0.5j), (0, 1.0), (3, -0.5j)])          # cancel for good
 def test_encode_merges_rows_like_add_term(rows):
-    ref = Polynomial(1)
+    want = ref.Polynomial(1)
     for i, c in rows:
         k, m, _, z = MONOMIALS[i]
-        ref.add_term(c, k=k, m=m, z=z)
+        want.add_term(c, k=k, m=m, z=z)
     got = encode(1, MERGE_VARS, [MONOMIALS[i][2] for i, _ in rows],
                  [c for _, c in rows], K=[MONOMIALS[i][0] for i, _ in rows],
                  M=[MONOMIALS[i][1] for i, _ in rows])
-    assert repr(list(got.terms.items())) == repr(list(ref.terms.items()))
+    assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
 
 
 def test_poisson_angle_action():
@@ -397,7 +478,7 @@ def test_poisson_restricted_tables_match_full_tables():
     assert len(F.sites()) == 27 and len(G.sites()) == 5
 
     dF, dG = _z_derivative_table(F), _z_derivative_table(G)
-    want = Polynomial(0)
+    want = ref.Polynomial(0)
     for s in sorted({v[0] for v in dF} & {v[0] for v in dG}):
         unit = 1.0 if s in fset else 1j
         for a, b, sign in ((0, 1, unit), (1, 0, -unit)):
@@ -500,7 +581,8 @@ def test_lie_transform_matches_dict_oracle(case, max_degree, tol, rest_tol,
     S = S.scale(eps)
     args = (fset, max_degree, tol, 16, rest_tol)
     try:
-        want = _items(ref.lie_transform(F, S, *args))
+        want = _items(ref.lie_transform(ref.as_dict(F), ref.as_dict(S),
+                                        *args))
     except StageAbort as exc:          # e.g. tol 0 on a series that goes on
         with pytest.raises(StageAbort) as err:
             lie_transform(F, S, *args)

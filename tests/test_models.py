@@ -224,6 +224,53 @@ def test_action_angle_matches_per_term_products(data):
                                                     **kw))
 
 
+def _gauge_case(data, n):
+    """node_of over the off-node sites, onto the first one or two nodes."""
+    sites = data.draw(st.lists(st.sampled_from(OFF_NODES), min_size=1,
+                               unique=True))
+    return {b: data.draw(st.integers(0, n - 1)) for b in sites}
+
+
+def assert_builders_match_per_term_loops(poly, n, actions, node_of, kw):
+    assert_same_repr(action_angle(poly, NODES[:n], actions, **kw),
+                     _reference_models.action_angle_per_term(
+                         poly, NODES[:n], actions, **kw))
+    assert_same_repr(models._gauge_k_shift(poly, node_of),
+                     _reference_models._gauge_k_shift(poly, node_of))
+    max_degree = kw["max_degree"]
+    assert_same_repr(models._gauge_r_shift(poly, node_of, max_degree, n),
+                     _reference_models._gauge_r_shift_per_term(
+                         poly, node_of, max_degree, n))
+
+
+@given(st.data())
+def test_row_builders_match_per_term_loops(data):
+    n = data.draw(st.integers(1, 2))
+    poly = data.draw(node_polynomials(n))
+    actions = data.draw(st.lists(st.sampled_from((0.05, 0.04, 0.25, 1.3e-2)),
+                                 min_size=n, max_size=n))
+    kw = dict(r_degree=data.draw(st.integers(1, 2)),
+              max_degree=data.draw(st.sampled_from((None, 4, 6, 9))))
+    assert_builders_match_per_term_loops(poly, n, actions,
+                                         _gauge_case(data, n), kw)
+
+
+def test_row_builders_two_nodes_and_cubed_actions():
+    # NODES[1] sorts first: the series multiply in site order, not node order
+    poly = Polynomial(2)
+    poly.add_term(0.3 + 0.1j, k=(1, -2), m=(3, 2),
+                  z={(NODES[0], XI): 2, (NODES[1], ETA): 1,
+                     (OFF_NODES[0], XI): 1})
+    poly.add_term(-1.0, m=(1, 3), z={(NODES[0], ETA): 1, (NODES[1], XI): 3})
+    poly.add_term(0.7j, k=(0, 1), m=(3, 0), z={(OFF_NODES[1], ETA): 2})
+    node_of = {OFF_NODES[0]: 1, OFF_NODES[1]: 0, OFF_NODES[2]: 0}
+    for r_degree in (1, 2):
+        for max_degree in (None, 8, 12):
+            assert_builders_match_per_term_loops(
+                poly, 2, (0.05, 1.3e-2), node_of,
+                dict(r_degree=r_degree, max_degree=max_degree))
+
+
 @given(st.data())
 def test_gauge_r_shift_matches_per_term_products(data):
     shifted = data.draw(st.integers(1, 2))       # nodes carrying shifts
