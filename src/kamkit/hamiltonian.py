@@ -22,29 +22,31 @@ pairs, for ``dump_lines`` and the tests; ``Polynomial(n, terms)`` and
 ``add_term`` take such keys in.  Each operation is an array pass over the
 rows, after aligning its operands' variable lists (``_align``).
 
-Sums follow ``add_term``'s rule (``_merge``): a key's sum starts at 0.0, a
-key whose sum reaches exactly zero is dropped, and its next row puts it
-back at the end; the left operand of ``+`` holds its values as a dict
-would.  With every coefficient formed by Python's complex formulas, part
-by part (``_cmul``, ``_abs``), the keys, their order and the coefficient
-bits are those of the dict loops this code replaced.
+Like terms sum by one rule (``_merge``): a monomial's sum starts at 0.0
+and adds its rows in row order, the monomial keeps the place of its first
+row, and sums that are exactly zero are dropped at the end of the
+operation.  ``add_term`` adds one row, so a key whose sum reaches zero
+there is dropped and a later ``add_term`` puts it back last.  With every
+coefficient formed by Python's complex formulas, part by part (``_cmul``,
+``_abs``), the keys, their order and the coefficient bits are those of the
+dict loops kept as the tests' oracles.
 
 One kernel, ``_product``, forms the pairs of two operands that pass the
 degree filter in one broadcast; their monomials get a mixed-radix int64 key
 (k and m digits, then the sorted z ids), or, when the product of the digit
-spans would not fit in int64, are grouped as rows; ``np.unique`` and
-``bincount`` merge like terms in pair order, left term outer, so each sum
-runs in the order of a loop over term pairs.  ``Polynomial.mul`` is one
-call of it.  In ``poisson``, d/dr_j keeps the rows with m_j > 0,
-d/dtheta_j scales the rows with k_j != 0 by i k_j, and d/dz_v drops one v
-from each id row that holds it.  The products run through ``_product`` one
-at a time, in this order: for each action j, dF/dr_j dG/dtheta_j (sign +1)
-then dF/dtheta_j dG/dr_j (sign -1); then for each site that F and G share,
-in ascending order, dF/dz_(s,0) dG/dz_(s,1) (sign +u) then dF/dz_(s,1)
-dG/dz_(s,0) (sign -u), with u = 1 on the hyperbolic sites of
-``finite_set`` and i elsewhere; ``_merge`` adds the signed rows in that
-order.  ``lie_transform`` cuts each order's bracket at ``tol``, scales it
-by 1/m and cuts it by the jet rule (``_jet_rows``) before adding it.
+spans would not fit in int64, are grouped as rows; ``_merge`` sums like
+terms in pair order, left term outer, so each sum runs in the order of a
+loop over term pairs.  ``Polynomial.mul`` is one call of it.  In
+``poisson``, d/dr_j keeps the rows with m_j > 0, d/dtheta_j scales the rows
+with k_j != 0 by i k_j, and d/dz_v drops one v from each id row that holds
+it.  The products run through ``_product`` one at a time, in this order:
+for each action j, dF/dr_j dG/dtheta_j (sign +1) then dF/dtheta_j dG/dr_j
+(sign -1); then for each site that F and G share, in ascending order,
+dF/dz_(s,0) dG/dz_(s,1) (sign +u) then dF/dz_(s,1) dG/dz_(s,0) (sign -u),
+with u = 1 on the hyperbolic sites of ``finite_set`` and i elsewhere;
+``_merge`` adds the signed rows in that order.  ``lie_transform`` cuts each
+order's bracket at ``tol``, scales it by 1/m and cuts it by the jet rule
+(``_jet_rows``) before adding it.
 """
 from __future__ import annotations
 
@@ -158,11 +160,8 @@ class Polynomial:
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        zvars, (A, (C, K, M, Z)) = _align(self, other)
-        # other's terms enter as 1.0 * c, Python's complex product
-        C = _complex(*_cmul(1.0, 0.0, C.real, C.imag))
-        return Polynomial._of(self.n, zvars,
-                              *_add(A, (C, K, M, Z), len(zvars)))
+        zvars, (A, B) = _align(self, other)
+        return Polynomial._of(self.n, zvars, *_add(A, B, len(zvars)))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1.0)
@@ -290,15 +289,13 @@ def _stack_z(Zs: list, V: int) -> np.ndarray:
 
 
 def _add(A: tuple, B: tuple, V: int) -> tuple:
-    """The rows of a dict that holds A's terms after B's rows are added to
-    it one at a time by ``add_term``'s rule (``_merge``, A's rows held)."""
-    if not len(B[0]):
-        return A
+    """The rows of A + B: A's rows then B's, summed by ``_merge``."""
     C, K, M = (np.concatenate([a, b]) for a, b in zip(A[:3], B[:3]))
+    if not len(C):
+        return A
     Z = _stack_z([A[3], B[3]], V)
-    at, re, im = _merge(_group(np.hstack([K, M, Z])), C.real, C.imag,
-                        held=len(A[0]))
-    return _complex(re, im), K[at], M[at], Z[at]
+    at, C = _merge(_key(np.hstack([K, M, Z])), C.real, C.imag)
+    return C, K[at], M[at], Z[at]
 
 
 def _live(P: Polynomial) -> tuple:
@@ -339,7 +336,8 @@ def _live_width(Z, V: int):
 def _product(A: tuple, B: tuple, V: int, max_degree: int | None,
              tol: float) -> tuple:
     """The product of two operands' rows over one variable list of length
-    V (``_align``) as one broadcast over term pairs, merged by packed key.
+    V (``_align``) as one broadcast over term pairs, summed by ``_merge``
+    on a packed key.
 
     Pairs run left term outer and, under a degree filter, right terms by
     ascending degree, stably; like terms sum in that pair order.  Returns
@@ -378,21 +376,14 @@ def _product(A: tuple, B: tuple, V: int, max_degree: int | None,
             # in int64: NumPy 1.x would multiply an int16 column by a small
             # np.int64 stride in int16, and wrap
             key += np.multiply(col, stride, dtype=np.int64)
-        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
     else:
-        rows = np.hstack([X1[i] + X2[j], Z])
-        _, first, inv = np.unique(rows, axis=0, return_index=True,
-                                  return_inverse=True)
-    inv = inv.ravel()
-    U = len(first)
-    order = np.argsort(first)
-    rep = first[order]
-    c = _complex(np.bincount(inv, weights=re, minlength=U)[order],
-                 np.bincount(inv, weights=im, minlength=U)[order])
-    keep = np.abs(c) > tol if tol else c != 0
-    rep, c = rep[keep], c[keep]
-    iz, jz = i[rep], j[rep]
-    return c, K1[iz] + K2[jz], M1[iz] + M2[jz], Z[rep]
+        key = np.hstack([X1[i] + X2[j], Z])
+    at, c = _merge(key, re, im)
+    if tol:
+        keep = _abs(c) > tol
+        at, c = at[keep], c[keep]
+    iz, jz = i[at], j[at]
+    return c, K1[iz] + K2[jz], M1[iz] + M2[jz], Z[at]
 
 
 def _no_rows(n: int, w: int) -> tuple:
@@ -436,53 +427,32 @@ def _zkeys(Z: np.ndarray, zvars: list) -> list:
             for g in np.bincount(rows, minlength=len(Z)).tolist()]
 
 
-def _group(X: np.ndarray) -> np.ndarray:
-    """The group of each row of the int64 matrix X (shifted in place),
-    equal rows alike: by a mixed-radix int64 code of the row when the
-    product of the column spans fits in int64, else by ``np.unique`` over
-    whole rows."""
+def _key(X: np.ndarray) -> np.ndarray:
+    """A key of each row of the int64 matrix X (shifted in place), equal
+    rows alike: a mixed-radix int64 code of the row when the product of the
+    column spans fits in int64, else the row itself."""
     X -= X.min(axis=0)
     spans = (X.max(axis=0) + 1).tolist()
     if math.prod(spans) <= np.iinfo(np.int64).max:
-        X = X @ np.cumprod([1] + spans, dtype=np.int64)[:-1]
-        return np.unique(X, return_inverse=True)[1]
-    return np.unique(X, axis=0, return_inverse=True)[1].ravel()
+        return X @ np.cumprod([1] + spans, dtype=np.int64)[:-1]
+    return X
 
 
-def _merge(inv: np.ndarray, re, im, held: int = 0) -> tuple:
-    """Sums of rows into their groups ``inv``, in row order, by
-    ``add_term``'s rule: a group's sum starts at 0.0, a sum that reaches
-    exactly zero drops the group, and its next row starts it again at the
-    end of the order.  The first ``held`` rows, at most one per group, are
-    values a dict already holds: their groups start at them exactly (the
-    sum starts at -0.0, which adds exactly) and keep them even at zero.
-    One array pass adds the r-th row of every group that has one.  Returns
-    the surviving groups in order: the row that last inserted each, and
-    the real and imaginary parts of its sum."""
-    counts = np.bincount(inv)
-    U = len(counts)
-    by_group = np.argsort(inv, kind="stable")
-    start = np.cumsum(counts) - counts
-    by_count = np.argsort(-counts, kind="stable")
-    active = U - np.cumsum(np.bincount(counts))   # groups with > r rows
-    s_re, s_im = np.zeros(U), np.zeros(U)
-    s_re[inv[:held]] = s_im[inv[:held]] = -0.0
-    live = np.zeros(U, dtype=bool)
-    at = np.zeros(U, dtype=np.int64)
-    for r in range(counts.max(initial=0)):
-        g = by_count[:active[r]]
-        rows = by_group[start[g] + r]
-        a, b = s_re[g] + re[rows], s_im[g] + im[rows]
-        gone = (a == 0) & (b == 0) & (rows >= held)
-        a[gone] = 0.0                       # a dropped key restarts at 0.0
-        b[gone] = 0.0
-        s_re[g], s_im[g] = a, b
-        new = ~gone & ~live[g]
-        at[g[new]] = rows[new]
-        live[g] = ~gone
-    keep = np.flatnonzero(live)
-    keep = keep[np.argsort(at[keep])]
-    return at[keep], s_re[keep], s_im[keep]
+def _merge(key: np.ndarray, re, im) -> tuple:
+    """Like rows summed, the one rule of every sum: rows with equal keys
+    (entries of a 1-d ``key``, rows of a 2-d one) are one monomial.  Its
+    sum starts at 0.0 and adds its rows in row order (``bincount``), the
+    monomial keeps the place of its first row, and sums that are exactly
+    zero are dropped.  Returns the first row of each kept monomial, in row
+    order, and its sum."""
+    _, first, inv = np.unique(key, axis=None if key.ndim == 1 else 0,
+                              return_index=True, return_inverse=True)
+    inv = inv.ravel()
+    order = np.argsort(first)
+    c = _complex(np.bincount(inv, weights=re)[order],
+                 np.bincount(inv, weights=im)[order])
+    keep = c != 0
+    return first[order][keep], c[keep]
 
 
 def _jet_rows(M, Z, V: int) -> np.ndarray:
@@ -555,7 +525,7 @@ def _bracket(F: tuple, G: tuple, zvars: list, finite_set,
     """{F, G} on rows over ``zvars`` (``_align``), in ``poisson``'s
     term order (see the module docstring): the derivatives are array
     passes over F's and G's rows, each product goes through ``_product``,
-    and ``_merge`` accumulates the products' rows in bracket order."""
+    and ``_merge`` sums the products' rows in bracket order."""
     V = len(zvars)
     n = F[1].shape[1]
     factors = []
@@ -594,8 +564,8 @@ def _bracket(F: tuple, G: tuple, zvars: list, finite_set,
     del outs                     # each product's rows go once stacked
     re, im, K, M = (np.concatenate(x) for x in (re, im, K, M))
     Z = _live_width(_stack_z(Z, V), V)
-    at, re, im = _merge(_group(np.hstack([K, M, Z])), re, im)
-    return _complex(re, im), K[at], M[at], Z[at]
+    at, C = _merge(_key(np.hstack([K, M, Z])), re, im)
+    return C, K[at], M[at], Z[at]
 
 
 def poisson(F: Polynomial, G: Polynomial, finite_set=(),
@@ -706,10 +676,10 @@ def encode(n: int, zvars: list, Z, C, K=None, M=None) -> Polynomial:
     Z rows hold ascending ids into the sorted variable list ``zvars``, an id
     repeated p times for power p, padded at the end with -1 or len(zvars)
     (``Polynomial``'s layout); K and M broadcast to (N, n) int rows and
-    default to zero.  The result has the keys, order and coefficient bits of
-    feeding the rows to ``add_term`` one at a time (``_merge``): zero rows
-    are skipped, keys keep their first-occurrence order, and a key is
-    dropped while its sum is zero and comes back last at its next row.
+    default to zero.  Zero rows are skipped and the others summed by
+    ``_merge``: each monomial's sum starts at 0.0 and adds its rows in row
+    order, the monomial keeps the place of its first row, and exactly zero
+    sums are dropped.
     """
     C = np.asarray(C, dtype=complex)
     live = C != 0
@@ -719,9 +689,8 @@ def encode(n: int, zvars: list, Z, C, K=None, M=None) -> Polynomial:
                             (len(C), n))[live] for X in (K, M))
     Z, C = np.asarray(Z, dtype=np.int64)[live], C[live]
     Z = np.where(Z < 0, len(zvars), Z).astype(_id_type(len(zvars)))
-    at, re, im = _merge(_group(np.hstack([K, M, Z])), C.real, C.imag)
-    return Polynomial._of(n, list(zvars), _complex(re, im), K[at], M[at],
-                          Z[at])
+    at, C = _merge(_key(np.hstack([K, M, Z])), C.real, C.imag)
+    return Polynomial._of(n, list(zvars), C, K[at], M[at], Z[at])
 
 
 def decode_jet(P: Polynomial, var_id: dict | None = None):

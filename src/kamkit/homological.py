@@ -207,9 +207,9 @@ def _k_groups(K: np.ndarray, sel: np.ndarray) -> list:
 
 
 def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
-                 guard: DivisorGuard, gamma1: float = 1.0,
-                 tables: dict | None = None):
-    """One linear homological solve {h,S} + F = h_tilde.
+                 guard: DivisorGuard, gamma1: float, tables: dict):
+    """One linear homological solve {h,S} + F = h_tilde, with the class
+    tables of h (``class_tables``).
 
     F's jet is decoded once over the partition's variables.  Each Fourier
     index k fills one form matrix, and each class pair reads its block by
@@ -219,8 +219,6 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
     p = h.partition
     n = h.n
     omega = np.asarray(h.omega, dtype=float)
-    if tables is None:
-        tables = class_tables(h)
     var_id = site_layout(p.sites())
     nv = len(var_id)
     sites = sorted(p.sites())      # in the order of site_layout

@@ -15,9 +15,11 @@ are integer codes summed by gather-add; the closing letter is found by
 integers from run lengths, and each coefficient is pref * mult times the
 letter amplitudes, one letter at a time.  Rows come out in the order of the
 nested loop this replaces (head choice, front, closing letter) and like
-monomials merge by the package's one merge rule (``encode``), so the
-result has the loop's keys, order and coefficient bits.  Fronts are built
-in blocks of ``_BLOCK_ROWS`` rows to bound memory.  The quartic of the
+monomials merge by the package's one rule of sums (``encode``): each
+monomial's sum starts at 0.0 and adds its rows in loop order, and the
+monomial keeps the place of its first row, so the result has the keys,
+order and coefficient bits of the loop summed by that rule.  Fronts are
+built in blocks of ``_BLOCK_ROWS`` rows to bound memory.  The quartic of the
 singular beam at d=2, R=5 (165,357 monomials) takes 0.18 s as rows
 against 3.4 s for the loop (Python 3.11, numpy 2.4, one core of a 2-vCPU
 Xeon VM); ``build_singular`` classifies those rows in arrays and keeps
@@ -29,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 from scipy.special import binom as _binom
 
 from .hamiltonian import (ETA, XI, NormalFormHamiltonian, Polynomial, _cmul,
@@ -187,7 +190,7 @@ def _expansion(pools, xwave, d: int, coeff):
         # the loop's arithmetic: pref * mult, then one amplitude per letter
         # in letter order.  A complex pref runs as two real chains; they
         # agree with Python's complex-by-real products up to signed zeros,
-        # which adding 0.0 clears as the dict's first 0.0 + c does
+        # which the sums of ``encode``, starting at 0.0, clear
         parts = []
         for p in (pref.real, pref.imag):
             x = p * mult
@@ -197,7 +200,7 @@ def _expansion(pools, xwave, d: int, coeff):
         c = np.empty(len(ids), dtype=complex)
         c.real, c.imag = parts
         nz = c != 0
-        return np.sort(var[ids[nz]], axis=1), c[nz] + 0.0
+        return np.sort(var[ids[nz]], axis=1), c[nz]
 
     step = _BLOCK_ROWS // math.comb(len(tail) + cl - 2, cl - 1)
     if step:        # all fronts fit one block: several head choices per block
@@ -735,24 +738,11 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
 
     # split into symplectically invariant components
     scale = max(1.0, np.abs(C).max()) if M else 1.0
-    adj = [[j for j in range(M) if j != i and
-            np.abs(C[2 * i:2 * i + 2, 2 * j:2 * j + 2]).max() > 1e-12 * scale]
-           for i in range(M)]
-    comp_of = [-1] * M
-    comps = []
-    for i in range(M):
-        if comp_of[i] >= 0:
-            continue
-        stack, comp = [i], []
-        comp_of[i] = len(comps)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for vv in adj[u]:
-                if comp_of[vv] < 0:
-                    comp_of[vv] = len(comps)
-                    stack.append(vv)
-        comps.append(sorted(comp))
+    adj = np.abs(C).reshape(M, 2, M, 2).max(axis=(1, 3)) > 1e-12 * scale
+    _, label = connected_components(adj, directed=False)
+    # numbered by their smallest member, each ascending
+    comps = [np.flatnonzero(label == c).tolist()
+             for c in dict.fromkeys(label.tolist())]
     lambda_e, lambda_h = [], []
     a2_floor = math.inf
     for comp in comps:

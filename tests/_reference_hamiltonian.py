@@ -1,11 +1,16 @@
-"""Code that ``kamkit.hamiltonian`` replaced, kept verbatim as oracles: the
-dict ``Polynomial`` (now packed rows), with its per-term ``evaluate`` loop;
+"""Code that ``kamkit.hamiltonian`` replaced, kept as oracles: the dict
+``Polynomial`` (now packed rows), with its per-term ``evaluate`` loop;
 ``_pack``, its dict-to-columns packing; the term-pair loop of
 ``Polynomial.mul`` (now the packed product kernel); and ``poisson``, its
 derivative tables and ``lie_transform`` as dict passes over per-product
 ``Polynomial.mul`` calls (now one packed bracket).  The dict class's
-``mul`` runs the package's product through ``as_rows``.  Not used by the
-package."""
+``mul`` runs the package's product through ``as_rows``.
+
+Sums follow the package's rule: ``+``, the term-pair loop and the bracket
+sum each key from complex 0 in term order, a key keeps its first place
+even while its sum is zero, and zero sums are dropped at the end of the
+operation.  ``add_term`` adds one term at a time, dropping a key whose sum
+reaches zero.  Not used by the package."""
 from __future__ import annotations
 
 import numpy as np
@@ -39,26 +44,21 @@ class Polynomial:
             p.terms[(((0,) * n), ((0,) * n), ())] = complex(c)
         return p
 
-    def copy(self) -> "Polynomial":
-        return Polynomial(self.n, dict(self.terms))
-
     def add_term(self, c, k=None, m=None, z=()):
-        """Accumulate one monomial; z is a dict var->power or a zkey tuple."""
+        """Accumulate one monomial; z is a dict var->power or a zkey tuple.
+        The sum is ``self + c z``, so a key whose sum reaches zero is
+        dropped, and a later ``add_term`` puts it back last."""
         if c == 0:
             return
         k = tuple(k) if k is not None else (0,) * self.n
         m = tuple(m) if m is not None else (0,) * self.n
         zk = _zkey(z) if isinstance(z, dict) else tuple(z)
-        key = (k, m, zk)
-        val = self.terms.get(key, 0.0) + complex(c)
-        if val == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = val
+        one = Polynomial(self.n, {(k, m, zk): complex(c)})
+        self.terms = (self + one).terms
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self.copy()._iadd(other)
+        return Polynomial(self.n)._iadd(self)._iadd(other).prune(0.0)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1.0)
@@ -75,13 +75,11 @@ class Polynomial:
         return _mul_packed(self, other, max_degree, tol)
 
     def _iadd(self, other: "Polynomial", sign: complex = 1.0):
+        """Add sign * c for each term of other; a new key's sum starts at
+        complex 0, and zero sums stay until the operation's ``prune``."""
         terms = self.terms
         for key, c in other.terms.items():
-            val = terms.get(key, 0.0) + sign * c
-            if val == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = val
+            terms[key] = terms.get(key, 0j) + sign * c
         return self
 
     def prune(self, tol: float):
@@ -256,14 +254,8 @@ def _mul_dict(A: Polynomial, B: Polynomial, max_degree: int | None,
             else:
                 zk = z1
             key = (tuple(x + y for x, y in zip(k1, k2)), m, zk)
-            val = terms.get(key, 0.0) + c1 * c2
-            if val == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = val
-    if tol:
-        out.prune(tol)
-    return out
+            terms[key] = terms.get(key, 0j) + c1 * c2
+    return out.prune(tol)
 
 
 def diff_r(P: Polynomial, j: int) -> Polynomial:
@@ -341,9 +333,7 @@ def poisson(F: Polynomial, G: Polynomial, finite_set=(),
             out._iadd(dF0.mul(dG1, max_degree, tol), sign=unit)
         if dF1.terms and dG0.terms:
             out._iadd(dF1.mul(dG0, max_degree, tol), sign=-unit)
-    if tol:
-        out.prune(tol)
-    return out
+    return out.prune(tol)
 
 
 def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),

@@ -1,5 +1,7 @@
-"""Loops that ``kamkit.models`` replaced, kept verbatim as oracles: the
-per-monomial loop of ``expand_product`` (now an array expansion);
+"""Loops that ``kamkit.models`` replaced, kept as oracles: the
+per-monomial loop of ``expand_product`` (now an array expansion), which
+sums like monomials by the package's rule (from complex 0, in loop order,
+each at its first place, zero sums dropped at the end);
 ``action_angle`` and ``_gauge_r_shift`` as per-term ``Polynomial.mul``
 chains, and ``action_angle_per_term``, ``_gauge_k_shift`` and
 ``_gauge_r_shift_per_term``, the per-term expansions that replaced those
@@ -18,7 +20,7 @@ from scipy.special import binom as _binom
 from kamkit.hamiltonian import ETA, XI
 from kamkit.models import TWO_PI, _cwr, _multinomial
 
-from _reference_hamiltonian import Polynomial
+from _reference_hamiltonian import Polynomial, _zkey
 
 
 def _perm_count(idx: tuple) -> int:
@@ -29,12 +31,17 @@ def _perm_count(idx: tuple) -> int:
 
 
 def _add_monomial(poly: Polynomial, coeff, letters, k=None):
+    """Add a nonzero monomial to its key's sum, which starts at complex 0;
+    zero sums stay until ``expand_product`` drops them at its end."""
     z = {}
     for L in letters:
         z[L.var] = z.get(L.var, 0) + 1
     for L in letters:
         coeff *= L.amp
-    poly.add_term(coeff, k=k, z=z)
+    if coeff != 0:
+        zero = (0,) * poly.n
+        key = (zero if k is None else tuple(k), zero, _zkey(z))
+        poly.terms[key] = poly.terms.get(key, 0j) + complex(coeff)
 
 
 def expand_product(n: int, pools, xwave, d: int, coeff, k=None) -> Polynomial:
@@ -84,7 +91,7 @@ def expand_product(n: int, pools, xwave, d: int, coeff, k=None) -> Polynomial:
                 mult = hmult * _perm_count(idxs)
                 _add_monomial(poly, pref * mult,
                               hletters + [tail[i] for i in idxs], k=k)
-    return poly
+    return poly.prune(0.0)
 
 
 def _half_power_poly(n: int, j: int, e2: int, Ij: float,

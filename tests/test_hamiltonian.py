@@ -1,5 +1,4 @@
 import math
-from operator import add
 
 import numpy as np
 import pytest
@@ -101,8 +100,7 @@ def _built(n, rows):
 def test_row_operations_match_dict_oracle(case, c, tol, degree):
     """Keys, order and coefficient bits of every row operation, against the
     dict class.  N = Q.scale(-1.0) holds -0.0 parts and T = P.scale(5e-324)
-    exact zeros, which a sum with them on the left keeps as the dict keeps
-    them."""
+    exact zeros; a sum with them starts at 0, so it holds neither."""
     n, rows1, rows2 = case
     (P, R), (Q, S) = _built(n, rows1), _built(n, rows2)
     assert _items(P) == _items(R) and _items(Q) == _items(S)
@@ -161,31 +159,10 @@ def polynomials(draw, n, kscale=1):
     return p
 
 
-def _pair_scale(P, Q) -> dict:
-    """Product monomial -> largest |c1*c2| over the pairs forming it."""
-    scale = {}
-    for (k1, m1, z1), c1 in P.terms.items():
-        for (k2, m2, z2), c2 in Q.terms.items():
-            z = dict(z1)
-            for v, p in z2:
-                z[v] = z.get(v, 0) + p
-            key = (tuple(map(add, k1, k2)), tuple(map(add, m1, m2)),
-                   tuple(sorted(z.items())))
-            scale[key] = max(scale.get(key, 0.0), abs(c1 * c2))
-    return scale
-
-
 def assert_same_product(P, Q, max_degree, tol):
-    ref = _mul_dict(P, Q, max_degree, tol).terms
-    got = P.mul(Q, max_degree, tol).terms
-    scale = _pair_scale(P, Q)
-    for key in ref.keys() | got.keys():
-        margin = 1e-14 * scale[key]
-        if key in ref and key in got:
-            assert abs(ref[key] - got[key]) <= margin, key
-        else:           # kept by one side only: must sit at the tol cut
-            c = ref.get(key, got.get(key))
-            assert abs(abs(c) - tol) <= margin, key
+    """Keys, order and coefficient bits of the product and the pair loop."""
+    assert _items(P.mul(Q, max_degree, tol)) == \
+        _items(_mul_dict(P, Q, max_degree, tol))
 
 
 @given(st.data())
@@ -210,6 +187,35 @@ def test_packed_product_cancels_exactly():
     assert prod.terms == _mul_dict(P, Q, None, 0.0).terms
     assert prod.terms == {((0,), (0,), (((A, 0), 2),)): 1.0,
                           ((0,), (0,), (((B, 1), 2),)): -1.0}
+
+
+def test_square_keeps_each_monomial_at_its_first_pair():
+    """(1 + x - x^2)^2: the x^2 pairs sum -1, +1, -1, and x^3 first comes
+    between them.  ``mul``, ``encode`` of the same pair rows and the pair
+    loop each keep x^2 at its first pair, before x^3."""
+    x = (A, 0)
+    P = Polynomial(0, {((), (), ()): 1.0, ((), (), ((x, 1),)): 1.0,
+                       ((), (), ((x, 2),)): -1.0})
+    powers = [0, 1, 2]
+    pairs = [(c1 * c2, p1 + p2) for p1, c1 in zip(powers, P.terms.values())
+             for p2, c2 in zip(powers, P.terms.values())]
+    Z = [[0] * p + [-1] * (4 - p) for _, p in pairs]
+    rows = encode(0, [x], Z, [c for c, _ in pairs])
+    got = P.mul(P)
+    assert [z for _, _, z in got.terms] == \
+        [(), ((x, 1),), ((x, 2),), ((x, 3),), ((x, 4),)]
+    assert _items(got) == _items(rows) == _items(_mul_dict(P, P, None, 0.0))
+
+
+def test_product_tol_cut_is_pythons_abs():
+    """|c| is a hair above tol by Python's ``abs`` (hypot), at or below it
+    by ``np.abs``: the product keeps the term, as the pair loop does."""
+    c, tol = 0.345584192064786 + 0.8216181435011584j, 0.8913387725973558
+    assert abs(c) > tol
+    P, Q = Polynomial.constant(0, c), Polynomial.constant(0, 1.0)
+    got = P.mul(Q, tol=tol)
+    assert len(got) == 1
+    assert _items(got) == _items(_mul_dict(P, Q, None, tol))
 
 
 def test_packed_product_wide_keys_stay_distinct():
@@ -331,11 +337,16 @@ MONOMIALS = [((0,), (0,), (-1, -1), ()),
                                            0.0])), max_size=12))
 @example(rows=[(1, 1.0), (2, 2.0), (1, -1.0), (1, 3.0)])  # cancel, revive
 @example(rows=[(3, 0.5j), (0, 1.0), (3, -0.5j)])          # cancel for good
-def test_encode_merges_rows_like_add_term(rows):
+def test_encode_sums_rows_from_zero_at_first_place(rows):
+    """Zero rows are skipped; each monomial's sum starts at 0 and adds its
+    rows in order, and it keeps the place of its first row even when its
+    sum passes through zero."""
     want = ref.Polynomial(1)
     for i, c in rows:
         k, m, _, z = MONOMIALS[i]
-        want.add_term(c, k=k, m=m, z=z)
+        if c != 0:
+            want._iadd(ref.Polynomial(1, {(k, m, z): c}))
+    want.prune(0.0)
     got = encode(1, MERGE_VARS, [MONOMIALS[i][2] for i, _ in rows],
                  [c for _, c in rows], K=[MONOMIALS[i][0] for i, _ in rows],
                  M=[MONOMIALS[i][1] for i, _ in rows])
@@ -533,10 +544,10 @@ def test_poisson_matches_dict_oracle(case, max_degree, tol):
         _items(ref.poisson(F, G, fset, max_degree, tol))
 
 
-def test_poisson_cancelled_key_comes_back_last():
+def test_poisson_cancelled_key_keeps_its_first_place():
     """Sites come in sorted order: (0, 1) adds i q, A = (2, 1) takes it
     away exactly and adds 2i r, and the hyperbolic (3, 3) brings q back,
-    which must then follow r, as in the dict accumulation."""
+    which keeps its first place, before r."""
     q, r = ((B, 0), 1), ((B, 1), 1)
     F, G = Polynomial(0), Polynomial(0)
     for s in ((0, 1), A, (3, 3)):
@@ -545,7 +556,7 @@ def test_poisson_cancelled_key_comes_back_last():
                     (1.0, (3, 3), q)):
         G.add_term(c, z=tuple(sorted([((s, 1), 1), v])))
     want = ref.poisson(F, G, [(3, 3)])
-    assert list(want.terms) == [((), (), (r,)), ((), (), (q,))]
+    assert list(want.terms) == [((), (), (q,)), ((), (), (r,))]
     assert _items(poisson(F, G, [(3, 3)])) == _items(want)
 
 

@@ -68,14 +68,14 @@ def test_expand_product_matches_monomial_loop(case):
                       _reference_models.expand_product(*args, k=k))
 
 
-def test_expand_product_cancelled_monomial_is_reinserted_last():
+def test_expand_product_cancelled_monomial_keeps_its_first_place():
     v, u, w = ((0,), XI), ((1,), XI), ((0,), ETA)
     heads = [Letter((0,), v, 1.0), Letter((0,), u, 1.0),
              Letter((0,), v, -1.0), Letter((0,), v, 0.5)]
     args = (0, [(1, heads), (1, [Letter((0,), w, 1.0)])], None, 1, 1.0)
     got = expand_product(*args)
-    assert [z for _, _, z in got.terms] == [((w, 1), (u, 1)),
-                                           ((v, 1), (w, 1))]
+    assert [z for _, _, z in got.terms] == [((v, 1), (w, 1)),
+                                           ((w, 1), (u, 1))]
     assert_same_terms(got, _reference_models.expand_product(*args))
 
 
