@@ -3,42 +3,23 @@
 # compares the jet norm and the frequency corrections against powers of
 # the action floor; shrinking the actions makes every margin grow.
 
-import math
-
-import numpy as np
-
 from kamkit.algebra import WeightParams
-from kamkit.hamiltonian import ClassNormParams, class_norm
-from kamkit.kam import singular_threshold
-from kamkit.lattice import norm_sq
+from kamkit.hamiltonian import ClassNormParams
+from kamkit.kam import singular_gate_inputs, singular_threshold
 from kamkit.models import SingularBeamModel, build_singular
-
-
-def gate_inputs(nform):
-    w = WeightParams(gamma1=0.4, gamma2=1.0, kappa=0.5, m_star=1.0)
-    eps = class_norm(nform.jet(), ClassNormParams(), w)
-    lam0 = np.array([math.sqrt(norm_sq(a) ** 2 + nform.model.mass)
-                     for a in nform.model.nodes])
-    chi = float(np.abs(nform.omega_I - lam0).max())
-    xi = float(np.abs(nform.C_real).max()) if nform.C_real.size else 0.0
-    resonant = set(nform.lambda_f_sites)
-    for a, lam in nform.lambda_sites.items():
-        if a in resonant:
-            continue
-        xi = max(xi, abs(lam - math.sqrt(norm_sq(a) ** 2
-                                         + nform.model.mass)))
-    return eps, nform.a2_floor, chi, xi
 
 
 def run():
     constants = {"aleph": 0.25, "eps0": 100.0, "c29": 2.0}
+    w = WeightParams(gamma1=0.4, gamma2=1.0, kappa=0.5, m_star=1.0)
     for scale in (1.0, 1e-2, 1e-4):
         model = SingularBeamModel(d=2, radius=5.0, mass=1.37,
                                   nodes=((0, 1), (1, -1)),
                                   actions=(scale, 1.3 * scale),
                                   quintic=1.0)
         nform = build_singular(model)
-        eps, delta0, chi, xi = gate_inputs(nform)
+        eps, delta0, chi, xi = singular_gate_inputs(nform, ClassNormParams(),
+                                                    w)
         ok, margins = singular_threshold(eps, delta0, chi, xi, constants)
         print(f"action scale {scale:8.0e}: eps={eps:.3e} delta0={delta0:.3e}"
               f" chi={chi:.3e} xi={xi:.3e} -> {'PASS' if ok else 'FAIL'}")

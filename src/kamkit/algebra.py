@@ -1,5 +1,4 @@
-"""Weighted sequence space, block-matrix norm stack, and normal-form
-matrix structure.
+"""Weighted sequence space and the block-matrix norm stack.
 
 Vectors over the truncated lattice carry a 2-component entry per site; in
 complex coordinates the components are (xi_s, eta_s), related to the real
@@ -10,10 +9,11 @@ coordinates throughout, with the Poisson matrix ``symplectic(F)``.
 A ``WeightedMatrix`` stores its 2x2 blocks in a dict keyed by site pairs.
 Every product, application and norm stacks that dict once into int row and
 column indices over a sorted site list plus an (nnz, 2, 2) block array, and
-works on the arrays: products and the operator norm through
+works on the arrays: products and applications through
 ``scipy.sparse.bsr_array``, the decay norm through batched block norms
 (``spectral_norm_2x2``) times vectorised decay weights (``decay_weight``).
 The scalar ``weight`` is the definition those arrays are checked against.
+Quadratic forms in normal form are ``hamiltonian.NormalFormHamiltonian``.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import bsr_array
 
-from .lattice import BlockPartition, norm_sq, pseudo_dist, pseudo_dist_sq
+from .lattice import norm_sq, pseudo_dist, pseudo_dist_sq
 
 
 def symplectic(F: int) -> np.ndarray:
@@ -120,19 +120,6 @@ def seq_norm(z: SeqVector, w: WeightParams) -> float:
                             * ws * ws).sum()))
 
 
-def involution(z: SeqVector, finite_set=()) -> SeqVector:
-    """Reality involution: (xi, eta) -> (conj(eta), conj(xi)) on the infinite
-    part; complex conjugation on the finite hyperbolic sites."""
-    fset = set(tuple(p) for p in finite_set)
-    out = SeqVector()
-    for s, v in z.entries.items():
-        if s in fset:
-            out.set(s, np.conj(v))
-        else:
-            out.set(s, np.array([np.conj(v[1]), np.conj(v[0])]))
-    return out
-
-
 @dataclass
 class WeightedMatrix:
     """Sparse block matrix over the truncated lattice; absent blocks are 0."""
@@ -223,145 +210,3 @@ def matrix_norm(A: WeightedMatrix, w: WeightParams) -> float:
     v = spectral_norm_2x2(data) * decay_weight(X[rows], X[cols], w)
     return float(max(np.bincount(rows, v, len(sites)).max(),
                      np.bincount(cols, v, len(sites)).max()))
-
-
-def operator_norm(A: WeightedMatrix, w: WeightParams, tol=1e-10,
-                  max_iter=500) -> float:
-    """Operator norm of A on the weighted sequence space.
-
-    Conjugates by the diagonal site weight and takes the largest singular
-    value: dense SVD up to 600 sites, power iteration on A^H A otherwise.
-    """
-    sites, ((rows, cols, data),) = _stack(A)
-    if not sites:
-        return 0.0
-    ws = site_weight(sites, w)
-    B = _bsr(rows, cols, data * (ws[rows] / ws[cols])[:, None, None],
-             len(sites))
-    if len(sites) <= 600:
-        return float(np.linalg.norm(B.toarray(), 2))
-    BH = B.conj().T
-    rng = np.random.default_rng(12345)
-    x = rng.standard_normal(B.shape[0]) + 1j * rng.standard_normal(B.shape[0])
-    x /= np.linalg.norm(x)
-    prev = 0.0
-    for _ in range(max_iter):
-        y = BH @ (B @ x)
-        ny = np.linalg.norm(y)
-        if ny == 0:
-            return 0.0
-        x = y / ny
-        est = math.sqrt(ny)
-        if abs(est - prev) <= tol * max(est, 1.0):
-            return est
-        prev = est
-    return prev
-
-
-def b_norm(A: WeightedMatrix, w: WeightParams) -> float:
-    """Operator norm on the weighted space plus the decay norm at the weight
-    shifted down by the algebra threshold."""
-    if w.gamma2 < w.m_star:
-        raise ValueError("gamma2 must be >= m_star for the boundary norm")
-    shifted = WeightParams(w.gamma1, w.gamma2 - w.m_star, w.kappa, w.m_star)
-    return operator_norm(A, w) + matrix_norm(A, shifted)
-
-
-def pi_project(M) -> np.ndarray:
-    """Hilbert-Schmidt orthogonal projection of a 2x2 matrix onto
-    span{I, J} (J the rotation by pi/2)."""
-    M = np.asarray(M, dtype=complex).reshape(2, 2)
-    cI = np.trace(M) / 2.0
-    cJ = np.trace(J2.T @ M) / 2.0
-    return cI * I2 + cJ * J2
-
-
-@dataclass
-class NormalFormMatrix:
-    """Block-diagonal real symmetric matrix: one Pi-invariant block per
-    partition class on the infinite part, one unconstrained symmetric block
-    on the finite hyperbolic node set.
-
-    Elliptic class blocks are stored in complex coordinates as Hermitian
-    matrices Q (site x site); the corresponding real block has 2x2 entries
-    q_re*I + q_im*J which are automatically Pi-invariant.  The hyperbolic
-    block is a real symmetric (2F x 2F) matrix in real coordinates.
-    """
-    partition: BlockPartition
-    elliptic_blocks: dict = field(default_factory=dict)  # class idx -> Hermitian
-    hyperbolic_block: np.ndarray | None = None
-
-    def block_for(self, ci: int) -> np.ndarray:
-        cl = self.partition.classes[ci]
-        Q = self.elliptic_blocks.get(ci)
-        if Q is None:
-            return np.zeros((len(cl), len(cl)), dtype=complex)
-        return Q
-
-    def set_block(self, ci: int, Q):
-        Q = np.asarray(Q, dtype=complex)
-        if np.linalg.norm(Q - Q.conj().T) > 1e-10 * max(1.0, np.linalg.norm(Q)):
-            raise ValueError("elliptic class block must be Hermitian")
-        self.elliptic_blocks[ci] = Q
-
-    def to_real_matrix(self) -> WeightedMatrix:
-        """Assemble the real-coordinate block matrix."""
-        p = self.partition
-        A = WeightedMatrix(truncation=p.radius)
-        for ci, Q in self.elliptic_blocks.items():
-            if ci == p.finite_index:
-                continue
-            cl = p.classes[ci]
-            for i, a in enumerate(cl):
-                for j, b in enumerate(cl):
-                    q = Q[i, j]
-                    blk = q.real * I2 + q.imag * J2
-                    if np.any(blk != 0):
-                        A.set(a, b, blk)
-        if self.hyperbolic_block is not None and p.finite_index is not None:
-            cl = p.classes[p.finite_index]
-            H = np.asarray(self.hyperbolic_block, dtype=float)
-            for i, a in enumerate(cl):
-                for j, b in enumerate(cl):
-                    blk = H[2 * i:2 * i + 2, 2 * j:2 * j + 2]
-                    if np.any(blk != 0):
-                        A.set(a, b, blk)
-        return A
-
-
-def check_normal_form(A: WeightedMatrix, p: BlockPartition,
-                      tol: float = 1e-12) -> list:
-    """Violations of: (i) real, (ii) symmetric, (iii) block diagonal over the
-    partition, (iv) Pi-invariance of each 2x2 entry outside the finite set.
-
-    Returns a list of (a, b, kind) records; empty means normal form.
-    """
-    bad = []
-    fset = set(p.finite_set)
-    for (a, b), M in A.blocks.items():
-        scale = max(1.0, float(np.abs(M).max()))
-        if np.abs(M.imag).max() > tol * scale:
-            bad.append((a, b, "real"))
-        if np.abs(M - A.get(b, a).T).max() > tol * scale:
-            bad.append((a, b, "symmetric"))
-        if p.class_of.get(a) != p.class_of.get(b):
-            bad.append((a, b, "block"))
-        if a not in fset and b not in fset:
-            if np.abs(pi_project(M) - M).max() > tol * scale:
-                bad.append((a, b, "pi"))
-    return bad
-
-
-def to_complex(A1, A2, H=None):
-    """Real quadratic data (A1 symmetric, A2 skew) -> Hermitian Q = A1 + iA2;
-    the hyperbolic block is passed through unchanged."""
-    A1 = np.asarray(A1, dtype=float)
-    A2 = np.asarray(A2, dtype=float)
-    if np.abs(A1 - A1.T).max() > 1e-10 * max(1.0, np.abs(A1).max()):
-        raise ValueError("A1 must be symmetric")
-    if np.abs(A2 + A2.T).max() > 1e-10 * max(1.0, np.abs(A2).max()):
-        raise ValueError("A2 must be skew-symmetric")
-    Q = A1 + 1j * A2
-    if H is None:
-        return Q
-    return Q, np.asarray(H, dtype=float)

@@ -13,13 +13,12 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .algebra import WeightParams
 from .divisors import ParameterGrid, check_A1, melnikov_scan
-from .hamiltonian import ClassNormParams, StageAbort, class_norm
-from .kam import Schedule, run, singular_threshold
-from .lattice import build_partition, max_diameter, norm_sq
+# class_norm is not called here, but perfbench's tracer wraps cli.class_norm
+from .hamiltonian import ClassNormParams, StageAbort, class_norm  # noqa: F401
+from .kam import Schedule, run, singular_gate_inputs, singular_threshold
+from .lattice import build_partition, max_diameter
 from .models import (BeamModel, NlsModel, SingularBeamModel, build_beam,
                      build_nls, build_singular)
 
@@ -170,7 +169,7 @@ def build_model(cfg: dict):
             return kind, model, build_nls(model)
         if kind == "singular":
             _check_keys(cfg, common | {"d", "R", "nodes", "mass", "actions",
-                                       "nu", "birkhoff_threshold", "quintic",
+                                       "birkhoff_threshold", "quintic",
                                        "r_degree", "max_degree"}, "model")
             model = SingularBeamModel(
                 d=int(_require(cfg, "d", "model")),
@@ -178,7 +177,6 @@ def build_model(cfg: dict):
                 nodes=_pairs(_require(cfg, "nodes", "model")),
                 mass=float(_require(cfg, "mass", "model")),
                 actions=tuple(_require(cfg, "actions", "model")),
-                nu=float(cfg.get("nu", 1.0)),
                 birkhoff_threshold=float(cfg.get("birkhoff_threshold", 1e-6)),
                 quintic=float(cfg.get("quintic", 0.0)),
                 r_degree=int(cfg.get("r_degree", 1)),
@@ -273,8 +271,8 @@ def cmd_scan(cfg: dict) -> int:
     rep_a1 = check_A1(sites, h.lambda_fn, sphere_p, grid,
                       delta0=guard["delta0"], beta=guard["beta"],
                       c_const=guard["c"],
-                      H_fn=(lambda rho: h.nf.hyperbolic_block)
-                      if h.nf.hyperbolic_block is not None else None)
+                      H_fn=(lambda rho: h.hyperbolic_block)
+                      if h.hyperbolic_block is not None else None)
     rep_mel = melnikov_scan(h.omega_fn, h.lambda_fn, p, grid,
                             C=guard["C"], tau=guard["tau"],
                             K_max=guard["K_max"])
@@ -299,25 +297,6 @@ def cmd_scan(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _singular_gate(cfg: dict, nform) -> tuple:
-    """(eps, delta0, chi, xi) smallness inputs from the built normal form."""
-    seed = cfg.get("seed", 2024)
-    norm_p = parse_norm(cfg.get("norm"), seed)
-    w = parse_weights(cfg.get("weights"))
-    eps = class_norm(nform.jet(), norm_p, w)
-    lam0 = np.array([math.sqrt(norm_sq(a) ** 2 + nform.model.mass)
-                     for a in nform.model.nodes])
-    chi = float(np.abs(nform.omega_I - lam0).max())
-    xi = float(np.abs(nform.C_real).max()) if nform.C_real.size else 0.0
-    resonant = set(nform.lambda_f_sites)
-    for a, lam in nform.lambda_sites.items():
-        if a in resonant:
-            continue
-        xi = max(xi, abs(lam - math.sqrt(norm_sq(a) ** 2
-                                         + nform.model.mass)))
-    return eps, nform.a2_floor, chi, xi
-
-
 def cmd_kam(cfg: dict) -> int:
     kind, model, built = build_model(_require(cfg, "model", "config"))
     outdir = Path(cfg.get("output_dir", "out"))
@@ -331,11 +310,13 @@ def cmd_kam(cfg: dict) -> int:
         nform = built
         gate_cfg = dict(cfg.get("threshold") or {})
         _check_keys(gate_cfg, {"constants"}, "threshold")
-        eps, delta0, chi, xi = _singular_gate(cfg, nform)
+        eps, delta0, chi, xi = singular_gate_inputs(
+            nform, parse_norm(cfg.get("norm"), cfg.get("seed", 2024)),
+            weights)
         ok, margins = singular_threshold(eps, delta0, chi, xi,
                                          gate_cfg.get("constants"))
         extra.update({"threshold_inputs": [eps, delta0, chi, xi],
-                      "threshold_margins": margins, "nu": nform.nu,
+                      "threshold_margins": margins,
                       "birkhoff_threshold": model.birkhoff_threshold})
         write_manifest(outdir, cfg, extra)
         if not ok:

@@ -91,17 +91,21 @@ class DivisorReport:
 
 
 def _min_abs_sum_pairs(vals: np.ndarray) -> float:
-    """min over ordered pairs (a, b), a != b, of |v_a + v_b|."""
+    """min over ordered pairs (a, b), a != b, of |v_a + v_b|.
+
+    In one array pass: each value is summed with the three neighbours
+    p - 1, p, p + 1 of its negative's place p in the sorted values, less
+    its own slot (the a == b coincidence)."""
+    n = len(vals)
     order = np.argsort(vals)
     s = vals[order]
-    best = math.inf
-    pos = np.searchsorted(s, -vals)
-    for i, p in enumerate(pos):
-        oi = order == i  # exclusion of the a == b coincidence
-        for j in (p - 1, p, p + 1):
-            if 0 <= j < len(s) and not oi[j]:
-                best = min(best, abs(s[j] + vals[i]))
-    return best
+    own = np.empty(n, dtype=np.int64)
+    own[order] = np.arange(n)
+    j = np.searchsorted(s, -vals)[:, None] + np.arange(-1, 2)
+    ok = (j >= 0) & (j < n) & (j != own[:, None])
+    if not ok.any():
+        return math.inf
+    return float(np.abs(s[np.clip(j, 0, n - 1)] + vals[:, None])[ok].min())
 
 
 def _min_cross_class_gap(vals: np.ndarray, labels: np.ndarray) -> float:

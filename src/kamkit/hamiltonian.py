@@ -1,5 +1,5 @@
 """Polynomial Hamiltonians in angle-Fourier form, jets, Poisson brackets,
-Lie transforms, and the sampled domain norm.
+Lie transforms, the normal-form Hamiltonian and the sampled domain norm.
 
 A Hamiltonian is a finite sum of monomials
 
@@ -47,6 +47,12 @@ with u = 1 on the hyperbolic sites of ``finite_set`` and i elsewhere;
 ``_merge`` adds the signed rows in that order.  ``lie_transform`` cuts each
 order's bracket at ``tol``, scales it by 1/m and cuts it by the jet rule
 (``_jet_rows``) before adding it.
+
+``NormalFormHamiltonian`` is the one normal-form type: a constant, a
+frequency vector, one Hermitian block per partition class and one real
+hyperbolic block.  The model builders' h, the homological solver's h_tilde
+and the super step's fold are all of this type, and ``to_polynomial``
+writes each through ``encode``.
 """
 from __future__ import annotations
 
@@ -56,8 +62,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (NormalFormMatrix, WeightParams, WeightedMatrix, _stack,
-                      decay_weight, site_weight, spectral_norm_2x2)
+from .algebra import (WeightParams, decay_weight, site_weight,
+                      spectral_norm_2x2)
+from .lattice import BlockPartition
 
 XI, ETA = 0, 1
 
@@ -232,21 +239,6 @@ class Polynomial:
     def without_jet(self) -> "Polynomial":
         """The terms ``jet`` leaves out, in term order."""
         return self._take(~self._in_jet())
-
-    def reality_defect(self, finite_set=()) -> float:
-        """Max mismatch of coefficients under the reality involution.
-
-        Real Hamiltonians satisfy conj(c(k, m, z)) = c(-k, m, z*) where z*
-        swaps xi <-> eta on elliptic sites and fixes hyperbolic components.
-        The mismatches are the terms of P* - P, P* the terms conj(c) at
-        (-k, m, z*).
-        """
-        fset = set(tuple(p) for p in finite_set)
-        mates = [(s, c if s in fset else 1 - c) for s, c in self.zvars]
-        zvars = sorted(set(self.zvars) | set(mates))
-        mate = Polynomial._of(self.n, zvars, self.C.conj(), -self.K, self.M,
-                              np.sort(_remap(self.Z, mates, zvars), axis=1))
-        return (mate - self).max_coeff()
 
     def dump_lines(self) -> list[str]:
         lines = []
@@ -725,87 +717,24 @@ def decode_jet(P: Polynomial, var_id: dict | None = None):
             np.concatenate([C, C[two]]))
 
 
-def normal_form_polynomial(p, n: int, const, chi, blocks: dict,
-                           H) -> Polynomial:
-    """c + <chi, r> + sum_ab Q_ab xi_a eta_b + 1/2 <w, H w> on partition p.
-
-    ``blocks`` maps class indices to Hermitian Q (the finite class is
-    skipped); H is the real block over the interleaved components w of the
-    finite node set, or None; chi may be None.
-    """
-    var_id = site_layout(p.sites())
-    zero = (0,) * n
-    parts = [(zero, None, [-1], None, [const])]
-    if chi is not None:
-        parts.append((zero, np.eye(n), [-1] * n, None, chi))
-    for ci, Q in blocks.items():
-        if ci != p.finite_index:
-            ids = class_ids(var_id, p.classes[ci])
-            parts.append((zero, None, ids[XI], ids[ETA], Q))
-    if H is not None and p.finite_index is not None:
-        # the monomials of 1/2 <w, Hw>, as decode_jet reads them
-        w = class_ids(var_id, p.classes[p.finite_index]).T.ravel()
-        parts.append((zero, None, w, w,
-                      np.triu(H, 1) + np.diag(np.diag(H) / 2)))
-    return encode(n, list(var_id), *block_rows(n, parts))
-
-
-@dataclass
-class HamiltonianJet:
-    """Fourier tables of the degree <= 2 part of a Hamiltonian over the
-    variable list ``zvars``: f_theta[k] a number, f_r[k] an n-vector,
-    f_zeta[k] a vector over zvars and f_zetazeta[k] the matrix H of
-    1/2 <Hz, z>; read and written through ``decode_jet`` and ``encode``."""
-    n: int
-    zvars: list = field(default_factory=list)
-    f_theta: dict = field(default_factory=dict)
-    f_r: dict = field(default_factory=dict)
-    f_zeta: dict = field(default_factory=dict)
-    f_zetazeta: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_polynomial(cls, poly: Polynomial) -> "HamiltonianJet":
-        var_id, K, M, U, V, C = decode_jet(poly)
-        jet = cls(poly.n, list(var_id))
-        nv = len(var_id)
-        for k, m, u, v, c in zip(_tuples(K), M.tolist(), U.tolist(),
-                                 V.tolist(), C.tolist()):
-            if v >= 0:
-                jet.f_zetazeta.setdefault(
-                    k, np.zeros((nv, nv), dtype=complex))[u, v] = c
-            elif u >= 0:
-                jet.f_zeta.setdefault(k, np.zeros(nv, dtype=complex))[u] = c
-            elif any(m):
-                jet.f_r.setdefault(k, np.zeros(poly.n, dtype=complex))[
-                    m.index(1)] = c
-            else:
-                jet.f_theta[k] = c
-        return jet
-
-    def to_polynomial(self) -> Polynomial:
-        ids = np.arange(len(self.zvars))
-        blocks = [(k, None, [-1], None, [c]) for k, c in self.f_theta.items()]
-        blocks += [(k, np.eye(self.n), [-1] * self.n, None, vec)
-                   for k, vec in self.f_r.items()]
-        blocks += [(k, None, ids, None, vec) for k, vec in self.f_zeta.items()]
-        blocks += [(k, None, ids, ids, H / 2)
-                   for k, H in self.f_zetazeta.items()]
-        return encode(self.n, self.zvars, *block_rows(self.n, blocks))
-
-
 # -- normal-form Hamiltonians --------------------------------------------------
 
 @dataclass
 class NormalFormHamiltonian:
-    """h = const + omega.r + sum of Hermitian class forms + hyperbolic form.
+    """h = const + <omega, r> + sum_ab Q_ab xi_a eta_b + 1/2 <w, H w> on a
+    partition: the one normal-form type, of the model builders' h, the
+    solver's h_tilde and the super step's fold.
 
-    The elliptic quadratic part is stored per partition class as a Hermitian
-    matrix Q with h_cl = sum_{a,b} Q_ab xi_a eta_b; the hyperbolic part is
-    1/2 <w, H w> over the real components of the finite node set.
+    ``elliptic_blocks`` maps a class index to the Hermitian Q over the
+    class's sites, set through ``set_block``; the finite class has none.
+    ``hyperbolic_block`` is the real symmetric H over the interleaved
+    components w of the finite node set, or None.
     """
     omega: np.ndarray
-    nf: NormalFormMatrix
-    const: float = 0.0
+    partition: BlockPartition
+    const: complex = 0.0
+    elliptic_blocks: dict = field(default_factory=dict)  # class idx -> Q
+    hyperbolic_block: np.ndarray | None = None
     rho_star: np.ndarray | None = None
     omega_fn: object = None       # rho -> n-vector (model closed form)
     lambda_fn: object = None      # (site, rho) -> real (model closed form)
@@ -815,20 +744,39 @@ class NormalFormHamiltonian:
         return len(self.omega)
 
     @property
-    def partition(self):
-        return self.nf.partition
-
-    @property
     def finite_set(self):
-        return self.nf.partition.finite_set
+        return self.partition.finite_set
 
     def class_Q(self, ci: int) -> np.ndarray:
-        return self.nf.block_for(ci)
+        Q = self.elliptic_blocks.get(ci)
+        if Q is None:
+            m = len(self.partition.classes[ci])
+            return np.zeros((m, m), dtype=complex)
+        return Q
+
+    def set_block(self, ci: int, Q):
+        Q = np.asarray(Q, dtype=complex)
+        if np.linalg.norm(Q - Q.conj().T) > 1e-10 * max(1.0, np.linalg.norm(Q)):
+            raise ValueError("elliptic class block must be Hermitian")
+        self.elliptic_blocks[ci] = Q
 
     def to_polynomial(self) -> Polynomial:
-        return normal_form_polynomial(
-            self.partition, self.n, self.const, self.omega,
-            self.nf.elliptic_blocks, self.nf.hyperbolic_block)
+        p, n = self.partition, self.n
+        var_id = site_layout(p.sites())
+        zero = (0,) * n
+        parts = [(zero, None, [-1], None, [self.const]),
+                 (zero, np.eye(n), [-1] * n, None, self.omega)]
+        for ci, Q in self.elliptic_blocks.items():
+            if ci != p.finite_index:
+                ids = class_ids(var_id, p.classes[ci])
+                parts.append((zero, None, ids[XI], ids[ETA], Q))
+        H = self.hyperbolic_block
+        if H is not None and p.finite_index is not None:
+            # the monomials of 1/2 <w, Hw>, as decode_jet reads them
+            w = class_ids(var_id, p.classes[p.finite_index]).T.ravel()
+            parts.append((zero, None, w, w,
+                          np.triu(H, 1) + np.diag(np.diag(H) / 2)))
+        return encode(n, list(var_id), *block_rows(n, parts))
 
 
 # -- sampled domain norm -------------------------------------------------------
@@ -838,7 +786,6 @@ class ClassNormParams:
     """Sampling controls for the analytic-domain norm."""
     sigma: float = 0.3
     mu: float = 0.25
-    s_star: int = 0
     n_theta: int = 8
     n_dirs: int = 3
     radial_levels: int = 2
@@ -934,9 +881,9 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
     has_quad = Zid.shape[1] >= 2
     if has_quad:
         sites = sorted({v[0] for v in zvars})
-        si = {s: i for i, s in enumerate(sites)}
         S2 = 2 * len(sites)
-        pad = np.array([2 * si[v[0]] + v[1] for v in zvars], dtype=np.int64)
+        var_id = site_layout(sites)
+        pad = np.array([var_id[v] for v in zvars], dtype=np.int64)
         slot = np.where(Zid >= 0, pad[Zid], -1)
         i, j = np.nonzero(~np.eye(Zid.shape[1], dtype=bool))
         Pa, Pb = slot[:, i], slot[:, j]
@@ -976,26 +923,3 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
         if has_quad:         # at the angle's first sample, column 0 of T
             best = max(best, hessian_norm(phase * Rf[:, 0] * Zf[:, 0]))
     return float(best)
-
-
-def hessian_decay_check(M: WeightedMatrix, w: WeightParams,
-                        C: float | None = None):
-    """Compare hessian blocks against C e^{-g1 [a-b]} <a>^{-kappa} <b>^{-kappa}.
-
-    Returns (minimal C making the bound hold, list of violations for the
-    supplied C).
-    """
-    if not M.blocks:
-        return 0.0, []
-    sites, ((rows, cols, data),) = _stack(M)
-    X = np.array(sites, dtype=np.int64)
-    brk = site_weight(X, WeightParams(0.0, w.kappa))        # <s>^kappa
-    bound = 1.0 / (decay_weight(X[rows], X[cols], WeightParams(w.gamma1, 0.0))
-                   * brk[rows] * brk[cols])
-    nb = spectral_norm_2x2(data)
-    violations = []
-    if C is not None:
-        for i in np.flatnonzero(nb > C * bound * (1 + 1e-12)).tolist():
-            violations.append((sites[rows[i]], sites[cols[i]], float(nb[i]),
-                               C * float(bound[i])))
-    return float((nb / bound).max()), violations

@@ -6,7 +6,8 @@ perturbation f, find a generating jet S with
     {h, S} + jet({f - jet(f), S}) + jet(f) = h_tilde,
 
 where h_tilde keeps only the parts that cannot be removed: a constant, an
-r-linear term, and a quadratic part in normal form.  Everything is solved
+r-linear term, and a quadratic part in normal form, so it is a
+``NormalFormHamiltonian`` on h's partition.  Everything is solved
 per Fourier index k and per partition class pair; small divisors below the
 guard threshold are recorded and the corresponding terms left in place.
 """
@@ -31,7 +32,6 @@ from .hamiltonian import (
     class_ids,
     decode_jet,
     encode,
-    normal_form_polynomial,
     poisson,
     site_layout,
 )
@@ -52,24 +52,9 @@ class DivisorGuard:
 
 
 @dataclass
-class HTilde:
-    """The unremovable part: c + <chi, r> + normal-form quadratic."""
-    n: int
-    c: dict = field(default_factory=dict)        # k=0 constants; keyed k for logs
-    chi: np.ndarray | None = None
-    B_elliptic: dict = field(default_factory=dict)   # class idx -> Hermitian
-    B_hyperbolic: np.ndarray | None = None
-
-    def to_polynomial(self, h: NormalFormHamiltonian) -> Polynomial:
-        return normal_form_polynomial(
-            h.partition, self.n, self.c.get((0,) * self.n, 0.0), self.chi,
-            self.B_elliptic, self.B_hyperbolic)
-
-
-@dataclass
 class HomologicalSolution:
     S: Polynomial
-    h_tilde: HTilde
+    h_tilde: NormalFormHamiltonian    # on h's partition, chi as its omega
     skipped_report: list          # (k, ci, cj, coeff_norm, bound)
     divisor_log: dict             # (k, ci, cj, channel) -> tuple of divisors
     guard: DivisorGuard
@@ -88,7 +73,7 @@ class HomologicalSolution:
                             max_degree=2, tol=self.prune_tol).jet()
                     + poisson(self.f_rest, self.S, finite_set=fset,
                               max_degree=2, tol=self.prune_tol).jet()
-                    + self.f_T - self.h_tilde.to_polynomial(self.h))
+                    + self.f_T - self.h_tilde.to_polynomial())
         return residual.prune(self.prune_tol)
 
 
@@ -113,7 +98,7 @@ def class_tables(h: NormalFormHamiltonian) -> dict:
     for ci, cl in enumerate(p.classes):
         ids = class_ids(var_id, cl)
         if ci == p.finite_index:
-            H = h.nf.hyperbolic_block
+            H = h.hyperbolic_block
             if H is None:
                 H = np.zeros((2 * F, 2 * F))
             J = symplectic(F)
@@ -175,26 +160,6 @@ def invert_L_hyperbolic(kw: float, HJ: np.ndarray, JH: np.ndarray,
     return Y, smin
 
 
-def det_certificate(L_of_t, delta0: float, j_max: int, t_span=(0.0, 1.0),
-                    samples: int = 33):
-    """First derivative order j <= j_max with |d^j det L / dt^j| >= delta0
-    everywhere on the section; returns (j, min |d^j det|) or (None, best)."""
-    ts = np.linspace(t_span[0], t_span[1], samples)
-    dets = np.array([complex(np.linalg.det(np.atleast_2d(L_of_t(t))))
-                     for t in ts])
-    dt = ts[1] - ts[0]
-    cur = dets
-    best = (None, 0.0)
-    for j in range(1, j_max + 1):
-        cur = np.diff(cur) / dt
-        m = float(np.abs(cur).min()) if len(cur) else 0.0
-        if m >= delta0:
-            return j, m
-        if m > best[1]:
-            best = (None, m)
-    return None, best[1]
-
-
 # -- the main solver ----------------------------------------------------------------
 
 def _k_groups(K: np.ndarray, sel: np.ndarray) -> list:
@@ -214,7 +179,9 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
     F's jet is decoded once over the partition's variables.  Each Fourier
     index k fills one form matrix, and each class pair reads its block by
     index.  The solved rows of S are collected in solve order and encoded
-    once.  Returns (S polynomial, HTilde, skipped_report, divisor_log).
+    once.  Returns (S polynomial, h_tilde, skipped_report, divisor_log):
+    h_tilde is a ``NormalFormHamiltonian`` on h's partition, with the
+    k = 0 constant as its ``const`` and chi as its ``omega``.
     """
     p = h.partition
     n = h.n
@@ -224,7 +191,7 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
     sites = sorted(p.sites())      # in the order of site_layout
     class_of = np.array([p.class_of[s] for s in sites], dtype=np.int64)
     _, K, M, U, V, C = decode_jet(F_poly, var_id)
-    ht = HTilde(n=n, chi=np.zeros(n, dtype=complex))
+    ht = NormalFormHamiltonian(omega=np.zeros(n, dtype=complex), partition=p)
     skipped = []
     divlog = {}
     solved = []                # S as block_rows blocks, in solve order
@@ -235,7 +202,7 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
         c = C[i].item()
         kw = float(np.dot(k, omega))
         if not any(k):
-            ht.c[k] = ht.c.get(k, 0.0) + c
+            ht.const = ht.const + c
             continue
         divlog[(k, (), "theta")] = (kw,)
         if guard.check(abs(kw), k, (), "theta"):
@@ -245,7 +212,7 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
         vec[M[gi].argmax(axis=1)] += C[gi]
         kw = float(np.dot(k, omega))
         if not any(k):
-            ht.chi = ht.chi + vec
+            ht.omega = ht.omega + vec
             continue
         divlog[(k, (), "r")] = (kw,)
         if guard.check(abs(kw), k, (), "r"):
@@ -313,7 +280,7 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
                 w = ca.ids.T.ravel()
                 Gi = Mk[np.ix_(w, w)]
                 if not any(k):
-                    ht.B_hyperbolic = ((Gi + Gi.T) / 2).real
+                    ht.hyperbolic_block = ((Gi + Gi.T) / 2).real
                     continue
                 Y, smin = invert_L_hyperbolic(kw, ca.HJ, cb.JH, Gi, guard,
                                               (k, (ci, cj), "hyp"))
@@ -354,7 +321,7 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
                 Gc = Mk[np.ix_(ca.ids[c1], cb.ids[c2])]
                 if not any(k) and ci == cj and c1 != c2:
                     if c1 == XI:
-                        ht.B_elliptic[ci] = (Gc + Gc.conj().T) / 2
+                        ht.set_block(ci, (Gc + Gc.conj().T) / 2)
                     continue
                 if not np.any(Gc):
                     continue

@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import I2, J2, NormalFormMatrix, WeightParams, symplectic
+from .algebra import I2, J2, WeightParams, symplectic
 from .divisors import ParameterGrid, excise
 from .hamiltonian import (ClassNormParams, ETA, XI, NormalFormHamiltonian,
                           Polynomial, StageAbort, class_ids, class_norm,
                           decode_jet, lie_transform, site_layout)
 from .homological import DivisorGuard, class_tables, solve_homological
-from .lattice import build_partition
+from .lattice import build_partition, norm_sq
 
 # a block ends once a step leaves eps above this fraction of its old value
 STALL_RATIO = 0.5
@@ -158,7 +158,7 @@ def inner_step(state: IterationState, schedule: Schedule,
                             prune_tol=schedule.prune_tol, tables=tables)
     _merge_divisors(state.divisor_table, sol.divisor_log)
     _excise_failures(state, guard.failures, guard_delta0)
-    ht_poly = sol.h_tilde.to_polynomial(h)
+    ht_poly = sol.h_tilde.to_polynomial()
     scale = F.max_coeff()
     cut = max(schedule.prune_tol, schedule.rel_prune * scale)
     cut_rest = max(cut, schedule.rel_prune_rest * scale)
@@ -208,13 +208,16 @@ def _fold_h_acc(h: NormalFormHamiltonian, h_acc: Polynomial,
                             finite_set=p_old.finite_set,
                             core_cutoff=p_old.core_cutoff,
                             exclude=p_old.exclude)
-    nf = NormalFormMatrix(partition=p_new)
+    h_new = NormalFormHamiltonian(
+        omega=omega, partition=p_new,
+        const=float(C[(U < 0) & ~on_r].real.sum()),
+        rho_star=h.rho_star, omega_fn=h.omega_fn, lambda_fn=h.lambda_fn)
     for ci, cl in enumerate(p_new.classes):
         if ci == p_new.finite_index:
             continue
         ix = class_ids(var_id, cl)[XI] // 2
         try:                # the Hermitian check is the normal-form gate
-            nf.set_block(ci, Q_all[np.ix_(ix, ix)])
+            h_new.set_block(ci, Q_all[np.ix_(ix, ix)])
         except ValueError as exc:
             raise StageAbort("fold", ci, str(exc)) from exc
     if p_new.finite_index is not None:
@@ -222,11 +225,10 @@ def _fold_h_acc(h: NormalFormHamiltonian, h_acc: Polynomial,
         fin = np.full(len(var_id), -1)
         fin[w] = np.arange(len(w))
         hyp = (V >= 0) & (fin[U] >= 0) & (fin[V] >= 0)
-        nf.hyperbolic_block = np.zeros((len(w), len(w)))
-        nf.hyperbolic_block[fin[U[hyp]], fin[V[hyp]]] += C[hyp].real
-    return NormalFormHamiltonian(
-        omega=omega, nf=nf, const=float(C[(U < 0) & ~on_r].real.sum()),
-        rho_star=h.rho_star, omega_fn=h.omega_fn, lambda_fn=h.lambda_fn)
+        H = np.zeros((len(w), len(w)))
+        H[fin[U[hyp]], fin[V[hyp]]] += C[hyp].real
+        h_new.hyperbolic_block = H
+    return h_new
 
 
 def super_step(state: IterationState, schedule: Schedule,
@@ -278,7 +280,7 @@ def _spectrum_report(h: NormalFormHamiltonian):
     """Eigenvalue classification of the final quadratic part."""
     unstable = 0
     a_inf_real = 0.0
-    Hf = h.nf.hyperbolic_block
+    Hf = h.hyperbolic_block
     if Hf is not None and Hf.size:
         F = Hf.shape[0] // 2
         ev = np.linalg.eigvals(symplectic(F) @ Hf)
@@ -288,7 +290,7 @@ def _spectrum_report(h: NormalFormHamiltonian):
     for ci in range(len(p.classes)):
         if ci == p.finite_index:
             continue
-        Q = h.nf.block_for(ci)
+        Q = h.class_Q(ci)
         if not Q.size:
             continue
         # real form of the Hermitian block: eigenvalues come in +-i pairs
@@ -349,6 +351,27 @@ def run(h: NormalFormHamiltonian, f: Polynomial, schedule: Schedule,
         unstable_count=unstable, a_inf_max_real=a_inf_real,
         eps_history=eps_history, block_stops=block_stops,
         reached_target=state.eps <= schedule.eps_target, aborted=aborted)
+
+
+def singular_gate_inputs(nform, norm_params: ClassNormParams,
+                         weights: WeightParams) -> tuple:
+    """(eps, delta0, chi, xi), the inputs of ``singular_threshold`` from a
+    ``SingularNormalForm``: eps the class norm of its jet, delta0 its
+    smallest resonant frequency magnitude, chi the largest shift of the
+    internal frequencies, and xi the larger of the resonant form's largest
+    entry and the largest shift of a nonresonant external frequency."""
+    eps = class_norm(nform.jet(), norm_params, weights)
+    lam0 = np.array([math.sqrt(norm_sq(a) ** 2 + nform.model.mass)
+                     for a in nform.model.nodes])
+    chi = float(np.abs(nform.omega_I - lam0).max())
+    xi = float(np.abs(nform.C_real).max()) if nform.C_real.size else 0.0
+    resonant = set(nform.lambda_f_sites)
+    for a, lam in nform.lambda_sites.items():
+        if a in resonant:
+            continue
+        xi = max(xi, abs(lam - math.sqrt(norm_sq(a) ** 2
+                                         + nform.model.mass)))
+    return eps, nform.a2_floor, chi, xi
 
 
 def singular_threshold(eps: float, delta0: float, chi: float, xi: float,

@@ -87,9 +87,6 @@ class BlockPartition:
     def class_index(self, a) -> int:
         return self.class_of[_as_point(a)]
 
-    def class_points(self, a) -> tuple[Point, ...]:
-        return self.classes[self.class_index(a)]
-
     def sites(self) -> list[Point]:
         out = []
         for cl in self.classes:

@@ -38,7 +38,7 @@ from .hamiltonian import (ETA, XI, NormalFormHamiltonian, Polynomial, _cmul,
                           _complex, _cut, _degree, _remap,
                           _stack_z, _zkeys, class_ids, decode_jet, encode,
                           site_layout)
-from .algebra import NormalFormMatrix, symplectic
+from .algebra import symplectic
 from .lattice import ball_points, build_partition, check_admissible, norm_sq
 
 TWO_PI = 2 * math.pi
@@ -341,17 +341,6 @@ def build_beam(model: BeamModel):
     fin = tuple(sorted(a for a in sites if mu[a] < 0 and a not in model.nodes))
     part = build_partition(model.delta, model.radius, model.d,
                            finite_set=fin, exclude=model.nodes)
-    nf = NormalFormMatrix(partition=part)
-    for ci, cl in enumerate(part.classes):
-        if ci == part.finite_index:
-            continue
-        nf.set_block(ci, np.diag([lam[a] for a in cl]))
-    if fin:
-        H = np.zeros((2 * len(fin), 2 * len(fin)))
-        for i, a in enumerate(fin):
-            H[2 * i, 2 * i + 1] = H[2 * i + 1, 2 * i] = lam[a]
-        nf.hyperbolic_block = H
-
     n = len(model.nodes)
     omega = np.array([lam[a] for a in model.nodes])
 
@@ -362,9 +351,18 @@ def build_beam(model: BeamModel):
     def lambda_fn(site, rho):
         return math.sqrt(abs(_beam_mu(model, site, rho=tuple(rho))))
 
-    h = NormalFormHamiltonian(omega=omega, nf=nf,
+    h = NormalFormHamiltonian(omega=omega, partition=part,
                               rho_star=np.array(model.rho),
                               omega_fn=omega_fn, lambda_fn=lambda_fn)
+    for ci, cl in enumerate(part.classes):
+        if ci == part.finite_index:
+            continue
+        h.set_block(ci, np.diag([lam[a] for a in cl]))
+    if fin:
+        H = np.zeros((2 * len(fin), 2 * len(fin)))
+        for i, a in enumerate(fin):
+            H[2 * i, 2 * i + 1] = H[2 * i + 1, 2 * i] = lam[a]
+        h.hyperbolic_block = H
     letters = field_letters(sites, lam)
     f = Polynomial.zero(n)
     for power, xwave, coeff in model.nonlinearity:
@@ -408,15 +406,14 @@ def build_nls(model: NlsModel):
         raise ValueError("mass must be positive")
     sites = ball_points(model.radius, model.d)
     part = build_partition(model.delta, model.radius, model.d)
-    nf = NormalFormMatrix(partition=part)
-    for ci, cl in enumerate(part.classes):
-        nf.set_block(ci, np.diag([norm_sq(a) + model.mass for a in cl]))
     n = len(model.rho)
     h = NormalFormHamiltonian(
-        omega=np.array(model.rho, dtype=float), nf=nf,
+        omega=np.array(model.rho, dtype=float), partition=part,
         rho_star=np.array(model.rho),
         omega_fn=lambda rho: np.asarray(rho, dtype=float),
         lambda_fn=lambda site, rho: norm_sq(site) + model.mass)
+    for ci, cl in enumerate(part.classes):
+        h.set_block(ci, np.diag([norm_sq(a) + model.mass for a in cl]))
     v_letters, vb_letters = [], []
     for a in sites:
         if norm_sq(a) == 0:
@@ -490,7 +487,6 @@ class SingularBeamModel:
     nodes: tuple
     mass: float
     actions: tuple
-    nu: float = 1.0
     birkhoff_threshold: float = 1e-6
     quintic: float = 0.0             # coefficient of the u^5 correction
     r_degree: int = 1
@@ -513,7 +509,6 @@ class SingularNormalForm:
     C_real: np.ndarray               # full resonant quadratic form
     f_tilde: Polynomial              # remainder (gauged variables)
     a2_floor: float                  # smallest resonant frequency magnitude
-    nu: float
     birkhoff_killed: int
     birkhoff_min_divisor: float
 
@@ -775,5 +770,5 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
         model=model, omega_I=omega_I, const=const,
         lambda_sites=lambda_sites, lambda_f_sites=lam_f,
         lambda_e=tuple(sorted(lambda_e)), lambda_h=lambda_h, H_I=H_I,
-        C_real=C, f_tilde=f_tilde, a2_floor=a2_floor, nu=model.nu,
+        C_real=C, f_tilde=f_tilde, a2_floor=a2_floor,
         birkhoff_killed=killed, birkhoff_min_divisor=min_div)

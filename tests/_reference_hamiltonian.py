@@ -10,13 +10,20 @@ Sums follow the package's rule: ``+``, the term-pair loop and the bracket
 sum each key from complex 0 in term order, a key keeps its first place
 even while its sum is zero, and zero sums are dropped at the end of the
 operation.  ``add_term`` adds one term at a time, dropping a key whose sum
-reaches zero.  Not used by the package."""
+reaches zero.
+
+Two checks that only the tests call moved here from the package
+unchanged: ``reality_defect`` of a package polynomial (once its method)
+and ``hessian_decay_check`` of a ``WeightedMatrix``.  Not used by the
+package."""
 from __future__ import annotations
 
 import numpy as np
 
 from kamkit import hamiltonian as rows
-from kamkit.hamiltonian import _JET_DEGREES, StageAbort
+from kamkit.algebra import (WeightedMatrix, WeightParams, _stack,
+                            decay_weight, site_weight, spectral_norm_2x2)
+from kamkit.hamiltonian import _JET_DEGREES, StageAbort, _remap
 
 
 def _zkey(z: dict) -> tuple:
@@ -364,3 +371,42 @@ def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
     if rest_tol is not None:
         return out.prune_split(tol, rest_tol)
     return out.prune(tol)
+
+
+def reality_defect(P: rows.Polynomial, finite_set=()) -> float:
+    """Max mismatch of coefficients under the reality involution.
+
+    Real Hamiltonians satisfy conj(c(k, m, z)) = c(-k, m, z*) where z*
+    swaps xi <-> eta on elliptic sites and fixes hyperbolic components.
+    The mismatches are the terms of P* - P, P* the terms conj(c) at
+    (-k, m, z*).
+    """
+    fset = set(tuple(p) for p in finite_set)
+    mates = [(s, c if s in fset else 1 - c) for s, c in P.zvars]
+    zvars = sorted(set(P.zvars) | set(mates))
+    mate = rows.Polynomial._of(P.n, zvars, P.C.conj(), -P.K, P.M,
+                               np.sort(_remap(P.Z, mates, zvars), axis=1))
+    return (mate - P).max_coeff()
+
+
+def hessian_decay_check(M: WeightedMatrix, w: WeightParams,
+                        C: float | None = None):
+    """Compare hessian blocks against C e^{-g1 [a-b]} <a>^{-kappa} <b>^{-kappa}.
+
+    Returns (minimal C making the bound hold, list of violations for the
+    supplied C).
+    """
+    if not M.blocks:
+        return 0.0, []
+    sites, ((rows, cols, data),) = _stack(M)
+    X = np.array(sites, dtype=np.int64)
+    brk = site_weight(X, WeightParams(0.0, w.kappa))        # <s>^kappa
+    bound = 1.0 / (decay_weight(X[rows], X[cols], WeightParams(w.gamma1, 0.0))
+                   * brk[rows] * brk[cols])
+    nb = spectral_norm_2x2(data)
+    violations = []
+    if C is not None:
+        for i in np.flatnonzero(nb > C * bound * (1 + 1e-12)).tolist():
+            violations.append((sites[rows[i]], sites[cols[i]], float(nb[i]),
+                               C * float(bound[i])))
+    return float((nb / bound).max()), violations

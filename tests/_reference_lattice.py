@@ -1,5 +1,5 @@
 """Per-sphere ``build_partition`` and per-class ``class_diameters``, kept
-only as a test oracle.
+only as a test oracle, and ``class_points``, a lookup only the tests use.
 
 These are the versions ``kamkit.lattice`` ran before the partition and the
 diameters became array passes: one cKDTree (and a mirrored query) per
@@ -111,3 +111,8 @@ def class_diameters(p: BlockPartition) -> list[float]:
         d2p = ((X[:, None, :] + X[None, :, :]) ** 2).sum(axis=2)
         out.append(float(np.sqrt(np.minimum(d2m, d2p).max())))
     return out
+
+
+def class_points(p: BlockPartition, a) -> tuple[Point, ...]:
+    """The class of the point a; was ``BlockPartition.class_points``."""
+    return p.classes[p.class_index(a)]

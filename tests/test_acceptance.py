@@ -158,7 +158,7 @@ def test_homological_skips_within_decay_bound(beam_solution):
 def test_divisors_frozen_within_block(beam_solution):
     h, f, sol = beam_solution
     tables = class_tables(h)
-    again = solve_homological(h, f + sol.h_tilde.to_polynomial(h),
+    again = solve_homological(h, f + sol.h_tilde.to_polynomial(),
                               DivisorGuard(delta0=1e-10), gamma1=0.4,
                               tables=tables)
     shared = set(sol.divisor_log) & set(again.divisor_log)
@@ -240,7 +240,7 @@ def test_one_negative_mode_gives_one_unstable_pair():
     assert h.finite_set == ((0, 0),)
     report = run(h, f, Schedule(max_super=2), W)
     assert report.aborted is None
-    Hf = report.state.h.nf.hyperbolic_block
+    Hf = report.state.h.hyperbolic_block
     ev = np.linalg.eigvals(np.kron(np.eye(Hf.shape[0] // 2), J2) @ Hf)
     tol = 1e-10 * max(1.0, np.abs(ev).max())
     assert int((ev.real > 10 * tol).sum()) == 1

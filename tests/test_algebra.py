@@ -6,23 +6,21 @@ import pytest
 from kamkit.algebra import (
     I2,
     J2,
-    NormalFormMatrix,
     SeqVector,
     WeightParams,
     WeightedMatrix,
-    b_norm,
     bracket,
-    check_normal_form,
-    involution,
     matrix_norm,
-    operator_norm,
-    pi_project,
     seq_norm,
     spectral_norm_2x2,
-    to_complex,
     weight,
 )
+from kamkit.hamiltonian import NormalFormHamiltonian
 from kamkit.lattice import ball_points, build_partition
+
+from _reference_algebra import (b_norm, check_normal_form, involution,
+                                operator_norm, pi_project, to_complex,
+                                to_real_matrix)
 
 
 def random_matrix(rng, sites, density=0.3, truncation=8.0):
@@ -323,7 +321,7 @@ def test_to_complex():
 
 def test_normal_form_roundtrip_and_check():
     p = build_partition(2, 4, 2, finite_set=[(0, 1)])
-    nf = NormalFormMatrix(partition=p)
+    nf = NormalFormHamiltonian(omega=np.zeros(0), partition=p)
     rng = np.random.default_rng(10)
     for ci, cl in enumerate(p.classes):
         if ci == p.finite_index:
@@ -333,7 +331,7 @@ def test_normal_form_roundtrip_and_check():
         nf.set_block(ci, (M + M.conj().T) / 2)
     H = rng.standard_normal((2, 2))
     nf.hyperbolic_block = H + H.T
-    A = nf.to_real_matrix()
+    A = to_real_matrix(nf)
     assert check_normal_form(A, p) == []
     # one off-block entry is reported
     a = p.classes[p.core_index][0]
@@ -348,6 +346,6 @@ def test_normal_form_roundtrip_and_check():
 
 def test_set_block_rejects_non_hermitian():
     p = build_partition(2, 3, 2)
-    nf = NormalFormMatrix(partition=p)
+    nf = NormalFormHamiltonian(omega=np.zeros(0), partition=p)
     with pytest.raises(ValueError):
         nf.set_block(p.core_index, np.array([[0.0, 1.0], [0.0, 0.0]]))

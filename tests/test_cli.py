@@ -119,6 +119,18 @@ def test_unknown_key_rejected(tmp_path, capsys):
                                "blocks": {"d": 2, "R": 4, "deltas": [1]}})
     assert main(["blocks", cfg]) == 2
     assert "workers" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, {"output_dir": str(tmp_path / "out"),
+                               "norm": {"s_star": 1},
+                               "blocks": {"d": 2, "R": 4, "deltas": [1]}})
+    assert main(["blocks", cfg]) == 2
+    assert "unknown keys in 'norm': s_star" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, {
+        "output_dir": str(tmp_path / "out"),
+        "model": {"kind": "singular", "d": 2, "R": 4,
+                  "nodes": [[0, 1], [1, -1]], "mass": 1.37,
+                  "actions": [1e-4, 1.3e-4], "nu": 1.0}})
+    assert main(["kam", cfg]) == 2
+    assert "unknown keys in 'model': nu" in capsys.readouterr().err
 
 
 def test_scan_beam_defaults_pass_and_record_tau(tmp_path):

@@ -2,14 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from kamkit.divisors import (DivisorReport, ParameterGrid, check_A1, excise,
-                             lemma_cj, lemma_hermitian, melnikov_scan)
+from kamkit.divisors import (DivisorReport, ParameterGrid, _min_abs_sum_pairs,
+                             check_A1, excise, lemma_cj, lemma_hermitian,
+                             melnikov_scan)
 from kamkit.lattice import build_partition, norm_sq
 
 
 def unit_grid(res=64, n=1):
     return ParameterGrid(bounds=[(0.0, 1.0)] * n, resolution=res)
+
+
+@given(st.one_of(
+    st.lists(st.integers(-4, 4).map(float), max_size=24),      # with ties
+    st.lists(st.floats(-3.0, 3.0, allow_nan=False), max_size=24)))
+def test_min_abs_sum_pairs_matches_brute_force(vals):
+    v = np.array(vals, dtype=float)
+    brute = min((abs(v[a] + v[b]) for a in range(len(v))
+                 for b in range(len(v)) if a != b), default=math.inf)
+    assert _min_abs_sum_pairs(v) == brute
 
 
 def test_grid_measure_and_centers():

@@ -7,23 +7,21 @@ from hypothesis import assume, example, given, strategies as st
 from kamkit.algebra import WeightedMatrix, WeightParams
 from kamkit.hamiltonian import (
     ClassNormParams,
-    HamiltonianJet,
     NormalFormHamiltonian,
     Polynomial,
     StageAbort,
     class_norm,
     decode_jet,
     encode,
-    hessian_decay_check,
     lie_transform,
     poisson,
 )
-from kamkit.algebra import NormalFormMatrix
 from kamkit.lattice import build_partition
 
 from _reference_class_norm import reference_class_norm
 import _reference_hamiltonian as ref
-from _reference_hamiltonian import _mul_dict, _z_derivative_table, diff_r
+from _reference_hamiltonian import (_mul_dict, _z_derivative_table, diff_r,
+                                    hessian_decay_check, reality_defect)
 
 A = (2, 1)
 B = (1, 2)
@@ -276,19 +274,29 @@ def test_evaluate_and_diff():
     assert dz.evaluate(th, r, zv) == pytest.approx(2 * val / (1.5 + 0.5j))
 
 
+def _encode_jet(var_id, K, M, U, V, C):
+    """``decode_jet``'s rows encoded back into a polynomial."""
+    quad = V >= 0
+    Z = np.stack([np.where(quad, np.minimum(U, V), U),
+                  np.where(quad, np.maximum(U, V), V)], axis=1)
+    # each form entry of 1/2 <Hz, z> carries half of its monomial
+    return encode(K.shape[1], list(var_id), Z, np.where(quad, C / 2, C),
+                  K=K, M=M)
+
+
 def test_jet_extract_examples():
-    # H = r_1 -> jet with f_r = e_1 at k=0 only
+    # H = r_1 -> one jet row, the r-linear term e_1 at k=0
     p = Polynomial(2)
     p.add_term(1.0, m=(1, 0))
-    jet = HamiltonianJet.from_polynomial(p)
-    assert list(jet.f_r.keys()) == [(0, 0)]
-    assert np.allclose(jet.f_r[(0, 0)], [1.0, 0.0])
-    assert not jet.f_theta and not jet.f_zeta and not jet.f_zetazeta
+    var_id, K, M, U, V, C = decode_jet(p)
+    assert var_id == {}
+    assert (K.tolist(), M.tolist()) == ([[0, 0]], [[1, 0]])
+    assert (U.tolist(), V.tolist(), C.tolist()) == ([-1], [-1], [1.0])
     # H = |zeta_a|^2 r_1 -> empty jet
     q = Polynomial(2)
     q.add_term(1.0, m=(1, 0), z={((2, 1), 0): 1, ((2, 1), 1): 1})
-    jet2 = HamiltonianJet.from_polynomial(q)
-    assert not (jet2.f_theta or jet2.f_r or jet2.f_zeta or jet2.f_zetazeta)
+    var_id, K, M, U, V, C = decode_jet(q)
+    assert var_id == {} and len(C) == 0
 
 
 def test_jet_idempotent_and_roundtrip():
@@ -302,7 +310,7 @@ def test_jet_idempotent_and_roundtrip():
         assert ([kv for kv in items if kv[0] in jp.terms],
                 [kv for kv in items if kv[0] not in jp.terms]) == \
             (list(jp.terms.items()), list(p.without_jet().terms.items()))
-        back = HamiltonianJet.from_polynomial(p).to_polynomial()
+        back = _encode_jet(*decode_jet(p))
         diff = back - jp
         assert diff.max_coeff() < 1e-12
 
@@ -315,12 +323,7 @@ def _normal(P) -> bool:
 
 @given(polynomials(2).filter(_normal))
 def test_decode_then_encode_gives_back_the_jet(P):
-    var_id, K, M, U, V, C = decode_jet(P)
-    quad = V >= 0
-    Z = np.stack([np.where(quad, np.minimum(U, V), U),
-                  np.where(quad, np.maximum(U, V), V)], axis=1)
-    # each form entry of 1/2 <Hz, z> carries half of its monomial
-    back = encode(P.n, list(var_id), Z, np.where(quad, C / 2, C), K=K, M=M)
+    back = _encode_jet(*decode_jet(P))
     assert repr(list(back.terms.items())) == repr(list(P.jet().terms.items()))
 
 
@@ -430,9 +433,9 @@ def test_poisson_antisymmetry_and_reality():
             Q.add_term(np.conj(c) / 2, k=tuple(-x for x in k), m=m, z=zz)
         return Q
     Fr, Gr = realize(F), realize(G)
-    assert Fr.reality_defect() < 1e-12
+    assert reality_defect(Fr) < 1e-12
     br = poisson(Fr, Gr)
-    assert br.reality_defect() < 1e-12
+    assert reality_defect(br) < 1e-12
 
 
 def _size(P: Polynomial) -> float:
@@ -718,19 +721,19 @@ def test_hessian_decay_check():
 
 def test_normal_form_hamiltonian_poly():
     part = build_partition(2, 3, 2, finite_set=[(0, 1)])
-    nf = NormalFormMatrix(partition=part)
+    h = NormalFormHamiltonian(omega=np.array([1.0, 2.0]), partition=part,
+                              const=0.5)
     rng = np.random.default_rng(6)
     for ci, cl in enumerate(part.classes):
         if ci == part.finite_index:
             continue
         n = len(cl)
         Q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        nf.set_block(ci, (Q + Q.conj().T) / 2)
+        h.set_block(ci, (Q + Q.conj().T) / 2)
     H = rng.standard_normal((2, 2))
-    nf.hyperbolic_block = H + H.T
-    h = NormalFormHamiltonian(omega=np.array([1.0, 2.0]), nf=nf, const=0.5)
+    h.hyperbolic_block = H + H.T
     poly = h.to_polynomial()
-    assert poly.reality_defect(finite_set=[(0, 1)]) < 1e-12
+    assert reality_defect(poly, finite_set=[(0, 1)]) < 1e-12
     # quadratic form value matches direct matrix evaluation on a sample
     zvals = {}
     for s in part.sites():
@@ -741,10 +744,10 @@ def test_normal_form_hamiltonian_poly():
     for ci, cl in enumerate(part.classes):
         if ci == part.finite_index:
             continue
-        Q = nf.block_for(ci)
+        Q = h.class_Q(ci)
         xi = np.array([zvals[(a, 0)] for a in cl])
         eta = np.array([zvals[(a, 1)] for a in cl])
         expect += xi @ Q @ eta
     wvec = np.array([zvals[((0, 1), c)] for c in (0, 1)])
-    expect += 0.5 * wvec @ nf.hyperbolic_block @ wvec
+    expect += 0.5 * wvec @ h.hyperbolic_block @ wvec
     assert val == pytest.approx(expect)

@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from kamkit.algebra import NormalFormMatrix, check_normal_form
 from kamkit.hamiltonian import NormalFormHamiltonian, Polynomial, poisson
 from kamkit.homological import (
     DivisorGuard,
-    det_certificate,
     invert_L_elliptic,
     invert_L_hyperbolic,
     invert_L_mixed,
@@ -16,11 +14,17 @@ from kamkit.homological import (
 )
 from kamkit.lattice import build_partition
 
+from _reference_algebra import check_normal_form, to_real_matrix
+from _reference_hamiltonian import reality_defect
+from _reference_homological import det_certificate
+
 
 def make_h(seed=0, d=2, R=3, finite=((0, 1),), n=1, delta=math.inf):
     rng = np.random.default_rng(seed)
     part = build_partition(delta, R, d, finite_set=finite)
-    nf = NormalFormMatrix(partition=part)
+    h = NormalFormHamiltonian(omega=np.array([1.0 + 0.1 * j + math.pi / 9
+                                              for j in range(n)]),
+                              partition=part)
     for ci, cl in enumerate(part.classes):
         if ci == part.finite_index:
             continue
@@ -28,13 +32,11 @@ def make_h(seed=0, d=2, R=3, finite=((0, 1),), n=1, delta=math.inf):
         # dominant distinct diagonal keeps divisors away from zero
         diag = np.array([1.0 + abs(hash(a)) % 97 / 17.0 for a in cl])
         Q = np.diag(diag) + 0.05 * rng.standard_normal((m, m))
-        nf.set_block(ci, (Q + Q.conj().T) / 2)
+        h.set_block(ci, (Q + Q.conj().T) / 2)
     if finite:
         F = len(finite)
         H = rng.standard_normal((2 * F, 2 * F))
-        nf.hyperbolic_block = (H + H.T) / 2 + np.eye(2 * F)
-    h = NormalFormHamiltonian(omega=np.array([1.0 + 0.1 * j + math.pi / 9
-                                              for j in range(n)]), nf=nf)
+        h.hyperbolic_block = (H + H.T) / 2 + np.eye(2 * F)
     return h, part, rng
 
 
@@ -96,8 +98,8 @@ def test_solution_is_real():
     h, part, rng = make_h(seed=2)
     f = random_jet(rng, part)
     sol = solve_homological(h, f, DivisorGuard(1e-6), max_picard=1)
-    assert f.reality_defect(finite_set=part.finite_set) < 1e-12
-    assert sol.S.reality_defect(finite_set=part.finite_set) < 1e-9
+    assert reality_defect(f, finite_set=part.finite_set) < 1e-12
+    assert reality_defect(sol.S, finite_set=part.finite_set) < 1e-9
 
 
 def test_h_tilde_structure_and_normal_form():
@@ -114,15 +116,11 @@ def test_h_tilde_structure_and_normal_form():
     zero_k = (0,) * 1
     expect_c = f.terms.get((zero_k, zero_k, ()), 0.0)
     expect_chi = f.terms.get((zero_k, (1,), ()), 0.0)
-    assert ht.c[zero_k] == pytest.approx(expect_c)
-    assert ht.chi[0] == pytest.approx(expect_chi)
-    # B assembles to a normal-form matrix
-    nfB = NormalFormMatrix(partition=part)
-    for ci, Q in ht.B_elliptic.items():
-        nfB.set_block(ci, Q)
-    if ht.B_hyperbolic is not None:
-        nfB.hyperbolic_block = ht.B_hyperbolic
-    assert check_normal_form(nfB.to_real_matrix(), part) == []
+    assert ht.const == pytest.approx(expect_c)
+    assert ht.omega[0] == pytest.approx(expect_chi)
+    # the quadratic part assembles to a normal-form matrix
+    assert ht.partition is part
+    assert check_normal_form(to_real_matrix(ht), part) == []
 
 
 def test_single_monomial_closed_form():

@@ -33,16 +33,19 @@ def _lines(items) -> str:
 
 def golden_texts(sol) -> dict:
     ht = sol.h_tilde
-    hyp = None if ht.B_hyperbolic is None else ht.B_hyperbolic.tolist()
+    hyp = (None if ht.hyperbolic_block is None
+           else ht.hyperbolic_block.tolist())
+    # the k = 0 constant, listed under its key only when it is nonzero
+    c = [((0,) * ht.n, ht.const)] if ht.const != 0 else []
     return {
         "divisor_log.txt": _lines(
             (key, tuple(map(float, val)))
             for key, val in sorted(sol.divisor_log.items())),
         "h_tilde.txt": _lines([
-            ("c", list(ht.c.items())),
-            ("chi", ht.chi.tolist()),
+            ("c", c),
+            ("chi", ht.omega.tolist()),
             ("B_elliptic", [(ci, Q.tolist())
-                            for ci, Q in ht.B_elliptic.items()]),
+                            for ci, Q in ht.elliptic_blocks.items()]),
             ("B_hyperbolic", hyp)]),
         "skipped_report.txt": _lines(sol.skipped_report),
         "S.txt": _lines(sol.S.terms.items()),

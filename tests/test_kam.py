@@ -69,7 +69,7 @@ def test_divisor_log_is_frozen_across_steps():
     guard = DivisorGuard(delta0=1e-10)
     tables = class_tables(h)
     sol1 = solve_homological(h, f, guard, gamma1=0.4, tables=tables)
-    f2 = f + sol1.h_tilde.to_polynomial(h)     # perturb the right-hand side
+    f2 = f + sol1.h_tilde.to_polynomial()      # perturb the right-hand side
     sol2 = solve_homological(h, f2, DivisorGuard(delta0=1e-10),
                              gamma1=0.4, tables=tables)
     shared = set(sol1.divisor_log) & set(sol2.divisor_log)
