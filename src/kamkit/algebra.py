@@ -11,8 +11,8 @@ Every product, application and norm stacks that dict once into int row and
 column indices over a sorted site list plus an (nnz, 2, 2) block array, and
 works on the arrays: products and applications through
 ``scipy.sparse.bsr_array``, the decay norm through batched block norms
-(``spectral_norm_2x2``) times vectorised decay weights (``decay_weight``).
-The scalar ``weight`` is the definition those arrays are checked against.
+(``spectral_norm_2x2``) times vectorised decay weights (``decay_weight``),
+whose pseudo-distances are ``lattice.pseudo_dist_sq`` on paired rows.
 Quadratic forms in normal form are ``hamiltonian.NormalFormHamiltonian``.
 """
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import bsr_array
 
-from .lattice import norm_sq, pseudo_dist, pseudo_dist_sq
+from .lattice import pseudo_dist_sq
 
 
 def symplectic(F: int) -> np.ndarray:
@@ -48,24 +48,14 @@ class WeightParams:
             raise ValueError("weight parameters must be nonnegative")
 
 
-def bracket(a) -> float:
-    """<a> = max(1, |a|)."""
-    return max(1.0, math.sqrt(norm_sq(a)))
-
-
-def weight(a, b, w: WeightParams) -> float:
-    """Decay weight e^{g1 [a-b]} max([a-b],1)^{g2} min(<a>,<b>)^kappa."""
-    pd = pseudo_dist(a, b)
-    return (math.exp(w.gamma1 * pd) * max(pd, 1.0) ** w.gamma2
-            * min(bracket(a), bracket(b)) ** w.kappa)
-
-
 def decay_weight(Xa, Xb, w: WeightParams) -> np.ndarray:
-    """``weight(a, b, w)`` for the paired rows of the int point arrays Xa
+    """Decay weight e^{g1 [a-b]} max([a-b],1)^{g2} min(<a>,<b>)^kappa,
+    <a> = max(1, |a|), for the paired rows a, b of the int point arrays Xa
     and Xb (..., d), which broadcast against each other."""
-    Xa, Xb = np.broadcast_arrays(np.asarray(Xa, dtype=np.int64),
-                                 np.asarray(Xb, dtype=np.int64))
-    pd = np.sqrt(pseudo_dist_sq(np.stack([Xa, Xb], axis=-2))[..., 0, 1])
+    Xa = np.asarray(Xa, dtype=np.int64)
+    Xb = np.asarray(Xb, dtype=np.int64)
+    pd = np.sqrt(pseudo_dist_sq(Xa[..., None, :],
+                                Xb[..., None, :])[..., 0, 0])
     nsq = np.minimum((Xa * Xa).sum(axis=-1), (Xb * Xb).sum(axis=-1))
     return (np.exp(w.gamma1 * pd) * np.maximum(pd, 1.0) ** w.gamma2
             * np.maximum(np.sqrt(nsq), 1.0) ** w.kappa)

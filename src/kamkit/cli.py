@@ -244,6 +244,8 @@ def cmd_blocks(cfg: dict) -> int:
                             core_cutoff=core_cutoff)
         _write(outdir / f"partition_delta_{raw}.txt", p.dump_lines())
         table.append(f"{raw} {max_diameter(p):.6g} {len(p.classes)}")
+        # partitions own their point tuples: free this one before the next
+        del p
     _write(outdir / "diameters.txt", table)
     write_manifest(outdir, cfg, {"command": "blocks", "blocks": section,
                                  "core_cutoff": core_cutoff})

@@ -7,14 +7,13 @@ counts times the cell measure, accurate to one cell layer.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import symplectic
-from .lattice import BlockPartition, norm_sq
+from .lattice import BlockPartition, box_points, norm_sq
 
 
 @dataclass
@@ -174,9 +173,8 @@ def check_A1(sites, lambda_fn, partition: BlockPartition, grid: ParameterGrid,
 
 
 def _k_vectors(n: int, K_max: int) -> np.ndarray:
-    ks = [k for k in itertools.product(range(-K_max, K_max + 1), repeat=n)
-          if any(k)]
-    return np.array(ks, dtype=float)
+    K = box_points(K_max, n)
+    return K[K.any(axis=1)].astype(float)
 
 
 def melnikov_scan(omega_fn, lambda_fn, partition: BlockPartition,

@@ -64,7 +64,7 @@ import numpy as np
 
 from .algebra import (WeightParams, decay_weight, site_weight,
                       spectral_norm_2x2)
-from .lattice import BlockPartition
+from .lattice import BlockPartition, _tuples
 
 XI, ETA = 0, 1
 
@@ -381,11 +381,6 @@ def _product(A: tuple, B: tuple, V: int, max_degree: int | None,
 def _no_rows(n: int, w: int) -> tuple:
     return (np.zeros(0, dtype=complex), np.zeros((0, n), dtype=np.int64),
             np.zeros((0, n), dtype=np.int64), np.zeros((0, w), dtype=np.int64))
-
-
-def _tuples(X: np.ndarray) -> list:
-    """Rows of an int matrix as tuples of Python ints."""
-    return list(zip(*X.T.tolist())) if X.shape[1] else [()] * len(X)
 
 
 def _runs(Z: np.ndarray, V: int) -> tuple:

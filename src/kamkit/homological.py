@@ -27,7 +27,6 @@ from .hamiltonian import (
     NormalFormHamiltonian,
     Polynomial,
     StageAbort,
-    _tuples,
     block_rows,
     class_ids,
     decode_jet,
@@ -35,7 +34,7 @@ from .hamiltonian import (
     poisson,
     site_layout,
 )
-from .lattice import norm_sq, pseudo_dist_sq
+from .lattice import _tuples, norm_sq, pseudo_dist_sq
 
 
 @dataclass
@@ -133,18 +132,25 @@ def invert_L_elliptic(kw: float, lam_L, V_L, sL: int, lam_R, V_R, sR: int,
     return V_L @ (Rt / div) @ V_R.conj().T, div
 
 
-def invert_L_mixed(coef: complex, JH: np.ndarray, F_rows: np.ndarray,
-                   guard: DivisorGuard, key):
-    """Solve X(coef*I - JH) = F for row-vector blocks (rows of F).
-
-    Records the smallest singular value of the operator.
-    """
-    L = coef * np.eye(JH.shape[0]) - JH
+def _solve_guarded(L, rhs, guard: DivisorGuard, key):
+    """Solve L x = rhs unless the smallest singular value of L is below the
+    guard threshold.  Returns (x or None, that singular value)."""
     smin = float(np.linalg.svd(L, compute_uv=False)[-1])
     if not guard.check(smin, *key):
         return None, smin
-    X = np.linalg.solve(L.T, np.atleast_2d(F_rows).T).T
-    return X.reshape(F_rows.shape), smin
+    return np.linalg.solve(L, rhs), smin
+
+
+def invert_L_mixed(coef: complex, JH: np.ndarray, F_rows: np.ndarray,
+                   guard: DivisorGuard, key):
+    """Solve X(coef*I - JH) = F for row-vector blocks (rows of F), as the
+    column system (coef*I - JH)^T X^T = F^T.
+
+    Records the smallest singular value of the operator.
+    """
+    Lt = coef * np.eye(JH.shape[0]) - JH.T
+    X, smin = _solve_guarded(Lt, np.atleast_2d(F_rows).T, guard, key)
+    return (None if X is None else X.T.reshape(F_rows.shape)), smin
 
 
 def invert_L_hyperbolic(kw: float, HJ: np.ndarray, JH: np.ndarray,
@@ -153,11 +159,8 @@ def invert_L_hyperbolic(kw: float, HJ: np.ndarray, JH: np.ndarray,
     m = HJ.shape[0]
     L = (1j * kw * np.eye(m * m)
          + np.kron(HJ, np.eye(m)) - np.kron(np.eye(m), JH.T))
-    smin = float(np.linalg.svd(L, compute_uv=False)[-1])
-    if not guard.check(smin, *key):
-        return None, smin
-    Y = np.linalg.solve(L, -G.reshape(m * m)).reshape(m, m)
-    return Y, smin
+    Y, smin = _solve_guarded(L, -G.reshape(m * m), guard, key)
+    return (None if Y is None else Y.reshape(m, m)), smin
 
 
 # -- the main solver ----------------------------------------------------------------
@@ -227,12 +230,11 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
             cd = tables[ci]
             if cd.hyperbolic:
                 w = cd.ids.T.ravel()
-                L = 1j * kw * np.eye(len(w)) + cd.HJ
-                smin = float(np.linalg.svd(L, compute_uv=False)[-1])
+                x, smin = _solve_guarded(1j * kw * np.eye(len(w)) + cd.HJ,
+                                         -Fk[w], guard, (k, (ci,), "lin-hyp"))
                 divlog[(k, (ci,), "lin-hyp")] = (smin,)
-                if guard.check(smin, k, (ci,), "lin-hyp"):
-                    solved.append((k, None, w, None,
-                                   np.linalg.solve(L, -Fk[w])))
+                if x is not None:
+                    solved.append((k, None, w, None, x))
                 continue
             # i[(kw)I - Q] v_xi = -F_xi ; i[(kw)I + conj(Q)] v_eta = -F_eta
             for comp in (XI, ETA):
@@ -269,9 +271,7 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
             # skip rule: same sphere, different classes, elliptic pair
             if (ci != cj and not ca.hyperbolic and not cb.hyperbolic
                     and norm_sq(ca.sites[0]) == norm_sq(cb.sites[0])):
-                na = len(ca.sites)
-                gap = math.sqrt(
-                    pseudo_dist_sq(ca.sites + cb.sites)[:na, na:].min())
+                gap = math.sqrt(pseudo_dist_sq(ca.sites, cb.sites).min())
                 skipped.append((k, ci, cj, float(norms[pairs == pid].max()),
                                 gap))
                 continue

@@ -1,10 +1,11 @@
 """Integer-lattice combinatorics: pseudo-metric, spheres, resonance blocks.
 
 Everything here works on a finite truncation {|a| <= R} of Z^d.  Points are
-plain tuples of ints.  The resonance-block partition and the class
-diameters are array passes over the cached ball of lattice points (KD-tree
-neighbour queries, exact int64 pseudo-distances); ``sphere_points`` and
-``angle_relation`` enumerate a sphere by exhaustive box scan.
+plain tuples of ints.  The ball {|a| <= R} is built once per (R, d) as a
+read-only int64 array, and the spheres, the resonance-block partition
+(KD-tree neighbour queries), the class diameters and the angle relation
+are array passes over it.  ``pseudo_dist_sq`` is the one pseudo-distance,
+exact in int64.
 """
 from __future__ import annotations
 
@@ -29,39 +30,46 @@ def norm_sq(a) -> int:
     return sum(int(x) * int(x) for x in a)
 
 
-def pseudo_dist(a, b) -> float:
-    """[a-b] = min(|a-b|, |a+b|)."""
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    dm = sum((x - y) ** 2 for x, y in zip(a, b))
-    dp = sum((x + y) ** 2 for x, y in zip(a, b))
-    return math.sqrt(min(dm, dp))
+def box_points(r: int, d: int) -> np.ndarray:
+    """The integer points of [-r, r]^d as int64 rows, lexicographically
+    ordered."""
+    side = 2 * r + 1
+    return np.indices((side,) * d, dtype=np.int64).reshape(d, side ** d).T - r
 
 
 @lru_cache(maxsize=32)
-def _ball_points_cached(R: float, d: int) -> tuple[Point, ...]:
-    r = int(math.floor(R))
-    axis = np.arange(-r, r + 1)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    X = np.stack([g.ravel() for g in grids], axis=1)
-    X = X[(X ** 2).sum(axis=1) <= R * R]
-    return tuple(map(tuple, X.tolist()))
+def _ball(R: float, d: int) -> np.ndarray:
+    """The points with |a| <= R as read-only int64 rows, lexicographically
+    ordered."""
+    X = box_points(int(math.floor(R)), d)
+    X = X[(X * X).sum(axis=1) <= R * R]
+    X.flags.writeable = False
+    return X
+
+
+def _tuples(X: np.ndarray) -> list:
+    """Rows of an int matrix as tuples of Python ints."""
+    return list(zip(*X.T.tolist())) if X.shape[1] else [()] * len(X)
 
 
 def ball_points(R: float, d: int) -> list[Point]:
     """All integer points with |a| <= R, lexicographically ordered."""
-    return list(_ball_points_cached(float(R), int(d)))
+    return _tuples(_ball(float(R), int(d)))
+
+
+def _sphere(nsq: int, d: int) -> np.ndarray:
+    """The points with |x|^2 = nsq, read from a ball that holds them."""
+    X = _ball(float(math.isqrt(nsq) + 1), int(d))
+    return X[(X * X).sum(axis=1) == nsq]
 
 
 def sphere_points(nsq: int, d: int, R: float | None = None) -> list[Point]:
-    """Integer points with |x|^2 = nsq, by exhaustive box scan."""
+    """Integer points with |x|^2 = nsq, lexicographically ordered."""
     if nsq < 0:
         raise ValueError("norm_sq must be nonnegative")
     if R is not None and nsq > R * R:
         raise ValueError(f"norm_sq {nsq} exceeds truncation R^2 = {R * R}")
-    r = int(math.isqrt(nsq))
-    return [a for a in itertools.product(range(-r, r + 1), repeat=d)
-            if norm_sq(a) == nsq]
+    return _tuples(_sphere(nsq, d))
 
 
 @dataclass
@@ -138,13 +146,12 @@ def build_partition(delta, R, d, finite_set=(), core_cutoff=1.0,
     if excl & set(fset):
         raise ValueError("finite set intersects the excluded node set")
 
-    pts = _ball_points_cached(float(R), int(d))
-    X = np.array(pts, dtype=np.int64)
+    X = _ball(float(R), int(d))
     nsq = (X * X).sum(axis=1)
-    keep = np.ones(len(pts), dtype=bool)
+    keep = np.ones(len(X), dtype=bool)
     drop = excl | set(fset)
     if drop:
-        keep[[i for i, p in enumerate(pts) if p in drop]] = False
+        keep &= ~(X[:, None] == np.array(sorted(drop))).all(axis=2).any(axis=1)
     cut = core_cutoff * core_cutoff
 
     classes: list[tuple[Point, ...]] = []
@@ -157,11 +164,11 @@ def build_partition(delta, R, d, finite_set=(), core_cutoff=1.0,
     core = np.flatnonzero(keep & (nsq <= cut))
     if len(core):
         core_index = len(classes)
-        classes.append(tuple(map(pts.__getitem__, core)))
+        classes.append(tuple(_tuples(X[core])))
         boundary.append(False)
 
     members, ends, lead_nsq = _shell_classes(X, nsq, keep, cut, delta, R)
-    flat = tuple(map(pts.__getitem__, members))
+    flat = tuple(_tuples(X[members]))
     classes.extend(flat[s:e] for s, e in zip(ends[:-1], ends[1:]))
     if delta == math.inf:
         boundary.extend([False] * len(lead_nsq))
@@ -233,18 +240,19 @@ def _shell_components(X, shell, q, sphere, delta) -> np.ndarray:
     return label
 
 
-def pseudo_dist_sq(X) -> np.ndarray:
-    """Exact squared pseudo-distances [a-b]^2 between the rows of X.
+def pseudo_dist_sq(Xa, Xb) -> np.ndarray:
+    """Exact squared pseudo-distances [a-b]^2 between the rows of Xa and
+    the rows of Xb.
 
-    X holds integer points as an array (..., n, d); the result (..., n, n)
-    is |a|^2 + |b|^2 - 2|a.b| = min(|a-b|^2, |a+b|^2), in int64.
+    Xa (..., n, d) and Xb (..., m, d) hold integer points; the result
+    (..., n, m) is |a|^2 + |b|^2 - 2|a.b| = min(|a-b|^2, |a+b|^2), in int64.
     """
-    X = np.asarray(X, dtype=np.int64)
-    nsq = (X * X).sum(axis=-1)
-    out = np.abs(X @ np.swapaxes(X, -1, -2))
+    Xa = np.asarray(Xa, dtype=np.int64)
+    Xb = np.asarray(Xb, dtype=np.int64)
+    out = np.abs(Xa @ np.swapaxes(Xb, -1, -2))
     out *= -2
-    out += nsq[..., :, None]
-    out += nsq[..., None, :]
+    out += (Xa * Xa).sum(axis=-1)[..., :, None]
+    out += (Xb * Xb).sum(axis=-1)[..., None, :]
     return out
 
 
@@ -265,38 +273,34 @@ def class_diameters(p: BlockPartition) -> list[float]:
         step = max(1, _PAIR_BUDGET // (s * s))
         for c in range(0, len(ids), step):
             blk = ids[c:c + step]
-            d2 = pseudo_dist_sq([p.classes[i] for i in blk])
+            X = np.array([p.classes[i] for i in blk], dtype=np.int64)
+            d2 = pseudo_dist_sq(X, X)
             out[blk] = np.sqrt(d2.reshape(len(blk), -1).max(axis=1))
     return out.tolist()
 
 
 def max_diameter(p: BlockPartition, include_boundary: bool = True) -> float:
     """d_Delta: max class diameter, excluding the core and finite classes."""
-    diams = p.diameters
-    best = 0.0
-    for i, dv in enumerate(diams):
-        if i in (p.finite_index, p.core_index):
-            continue
-        if not include_boundary and p.boundary_flags[i]:
-            continue
-        best = max(best, dv)
-    return best
+    keep = np.ones(len(p.classes), dtype=bool)
+    keep[[i for i in (p.finite_index, p.core_index) if i is not None]] = False
+    if not include_boundary:
+        keep &= ~np.array(p.boundary_flags, dtype=bool)
+    return float(np.array(p.diameters)[keep].max(initial=0.0))
 
 
 def angle_relation(a, b) -> tuple[bool, int]:
     """a angle b: the sphere |x| = |a| meets {|x-b| = |a-b|} in <= 2 points.
 
-    Returns (holds, exact count) by scanning the sphere of radius |a|.
+    Returns (holds, exact count).  On |x| = |a|, |x-b|^2 = |a-b|^2 exactly
+    when x.b = a.b, so the count is of the sphere points with that product.
     """
     a = _as_point(a)
     b = _as_point(b)
     if len(a) != len(b):
         raise ValueError("dimension mismatch")
-    target = sum((x - y) ** 2 for x, y in zip(a, b))
-    count = 0
-    for x in sphere_points(norm_sq(a), len(a)):
-        if sum((u - v) ** 2 for u, v in zip(x, b)) == target:
-            count += 1
+    ab = sum(x * y for x, y in zip(a, b))
+    count = int((_sphere(norm_sq(a), len(a)) @ np.array(b, dtype=np.int64)
+                 == ab).sum())
     return count <= 2, count
 
 

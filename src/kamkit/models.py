@@ -152,7 +152,7 @@ def _expansion(pools, xwave, d: int, coeff):
         return zvars, np.zeros((0, total), dtype=np.intp), \
             np.zeros(0, dtype=complex)
 
-    # head choices in itertools.product order, as global letter ids
+    # head choices in lexicographic order, as global letter ids
     *head, (cl, tail) = pools
     hrows = [_cwr(len(ls), c) + off for (c, ls), off in zip(head, offsets)]
     shape = [len(r) for r in hrows]
@@ -249,6 +249,17 @@ def _expand(e: np.ndarray, keys: list, sizes: list) -> tuple:
             _ranges((np.cumsum(size) - size)[at], size[at]))
 
 
+def _phase_shift(poly: Polynomial, node_of: dict) -> np.ndarray:
+    """poly's angle index K with each mode's phase moved into it: a variable
+    at a site of ``node_of`` adds +1 (xi) or -1 (eta) to k of that site's
+    node, once per power, through a (variables + pad, n) shift table."""
+    shift = np.zeros((len(poly.zvars) + 1, poly.n), dtype=np.int64)
+    for i, (site, comp) in enumerate(poly.zvars):     # the pad shifts none
+        if site in node_of:
+            shift[i, node_of[site]] = 1 if comp == XI else -1
+    return poly.K + shift[poly.Z].sum(axis=1)
+
+
 def action_angle(poly: Polynomial, nodes, actions, r_degree: int = 1,
                  max_degree: int | None = None) -> Polynomial:
     """Substitute xi_a = sqrt(I_a + r_a) e^{i theta_a} on the node sites.
@@ -264,12 +275,9 @@ def action_angle(poly: Polynomial, nodes, actions, r_degree: int = 1,
     n, zvars = poly.n, poly.zvars
     V = len(zvars)
     node_index = {a: j for j, a in enumerate(nodes)}
-    # per slot of Z: the node of its variable or -1, and +1 on xi, -1 on eta
+    # per slot of Z: the node of its variable or -1
     node = np.array([node_index.get(s, -1) for s, _ in zvars] + [-1])[poly.Z]
-    sign = np.array([1 if c == XI else -1 for _, c in zvars] + [0])[poly.Z]
-    K = poly.K + np.array([(sign * (node == j)).sum(axis=1)
-                           for j in range(n)], dtype=np.int64) \
-        .reshape(n, len(poly)).T
+    K = _phase_shift(poly, node_index)
     Z = np.sort(np.where(node >= 0, V, poly.Z), axis=1)    # the other modes
     src, M, re, im = np.arange(len(poly)), poly.M, poly.C.real, poly.C.imag
     for j in sorted(range(n), key=lambda j: nodes[j]):
@@ -519,12 +527,8 @@ class SingularNormalForm:
 def _gauge_k_shift(poly: Polynomial, node_of: dict) -> Polynomial:
     """Rotating frame xi_b -> e^{i theta_j} xi_b on the resonant external
     sites: the phases move into the angle index."""
-    shift = np.zeros((len(poly.zvars) + 1, poly.n), dtype=np.int64)
-    for i, (site, comp) in enumerate(poly.zvars):     # the pad shifts none
-        if site in node_of:
-            shift[i, node_of[site]] = 1 if comp == XI else -1
-    C, K, M, Z = poly.rows
-    return encode(poly.n, poly.zvars, Z, C, K + shift[Z].sum(axis=1), M)
+    C, _, M, Z = poly.rows
+    return encode(poly.n, poly.zvars, Z, C, _phase_shift(poly, node_of), M)
 
 
 def _shift_power(P: int, u: int) -> tuple:

@@ -5,7 +5,9 @@ reality involution of a sequence vector, the real-to-Hermitian block map,
 and the operator and boundary norms of a ``WeightedMatrix``.  They were
 ``kamkit.algebra`` definitions that no pipeline stage called; the bodies
 are unchanged, ``to_real_matrix`` taking the normal form as an argument
-instead of being its method.  Not used by the package."""
+instead of being its method.  The scalar ``bracket`` and ``weight`` are
+the definitions ``decay_weight`` is checked against.  Not used by the
+package."""
 from __future__ import annotations
 
 import math
@@ -14,7 +16,21 @@ import numpy as np
 
 from kamkit.algebra import (I2, J2, SeqVector, WeightedMatrix, WeightParams,
                             _bsr, _stack, matrix_norm, site_weight)
-from kamkit.lattice import BlockPartition
+from kamkit.lattice import BlockPartition, norm_sq
+
+from _reference_lattice import pseudo_dist
+
+
+def bracket(a) -> float:
+    """<a> = max(1, |a|)."""
+    return max(1.0, math.sqrt(norm_sq(a)))
+
+
+def weight(a, b, w: WeightParams) -> float:
+    """Decay weight e^{g1 [a-b]} max([a-b],1)^{g2} min(<a>,<b>)^kappa."""
+    pd = pseudo_dist(a, b)
+    return (math.exp(w.gamma1 * pd) * max(pd, 1.0) ** w.gamma2
+            * min(bracket(a), bracket(b)) ** w.kappa)
 
 
 def involution(z: SeqVector, finite_set=()) -> SeqVector:

@@ -5,7 +5,14 @@ These are the versions ``kamkit.lattice`` ran before the partition and the
 diameters became array passes: one cKDTree (and a mirrored query) per
 sphere, and one dense pairwise array per class.  The array versions must
 return exactly the same classes, order, flags, indices and diameters.
+
+The scalar ``pseudo_dist``, the box-scan ``sphere_points`` and
+``angle_relation`` and the loop ``max_diameter`` are the definitions
+``kamkit.lattice`` ran before every pseudo-distance went through
+``pseudo_dist_sq`` and every sphere through the cached ball; they stay
+here unchanged as the oracles the array versions are checked against.
 """
+import itertools
 import math
 
 import numpy as np
@@ -13,8 +20,58 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from kamkit.lattice import (BlockPartition, Point, _as_point,
-                            _ball_points_cached)
+from kamkit.lattice import (BlockPartition, Point, _as_point, ball_points,
+                            norm_sq)
+
+
+def pseudo_dist(a, b) -> float:
+    """[a-b] = min(|a-b|, |a+b|)."""
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    dm = sum((x - y) ** 2 for x, y in zip(a, b))
+    dp = sum((x + y) ** 2 for x, y in zip(a, b))
+    return math.sqrt(min(dm, dp))
+
+
+def sphere_points(nsq: int, d: int, R: float | None = None) -> list[Point]:
+    """Integer points with |x|^2 = nsq, by exhaustive box scan."""
+    if nsq < 0:
+        raise ValueError("norm_sq must be nonnegative")
+    if R is not None and nsq > R * R:
+        raise ValueError(f"norm_sq {nsq} exceeds truncation R^2 = {R * R}")
+    r = int(math.isqrt(nsq))
+    return [a for a in itertools.product(range(-r, r + 1), repeat=d)
+            if norm_sq(a) == nsq]
+
+
+def angle_relation(a, b) -> tuple[bool, int]:
+    """a angle b: the sphere |x| = |a| meets {|x-b| = |a-b|} in <= 2 points.
+
+    Returns (holds, exact count) by scanning the sphere of radius |a|.
+    """
+    a = _as_point(a)
+    b = _as_point(b)
+    if len(a) != len(b):
+        raise ValueError("dimension mismatch")
+    target = sum((x - y) ** 2 for x, y in zip(a, b))
+    count = 0
+    for x in sphere_points(norm_sq(a), len(a)):
+        if sum((u - v) ** 2 for u, v in zip(x, b)) == target:
+            count += 1
+    return count <= 2, count
+
+
+def max_diameter(p: BlockPartition, include_boundary: bool = True) -> float:
+    """d_Delta: max class diameter, excluding the core and finite classes."""
+    diams = p.diameters
+    best = 0.0
+    for i, dv in enumerate(diams):
+        if i in (p.finite_index, p.core_index):
+            continue
+        if not include_boundary and p.boundary_flags[i]:
+            continue
+        best = max(best, dv)
+    return best
 
 
 def build_partition(delta, R, d, finite_set=(), core_cutoff=1.0,
@@ -34,8 +91,7 @@ def build_partition(delta, R, d, finite_set=(), core_cutoff=1.0,
         raise ValueError("finite set intersects the excluded node set")
 
     drop = excl | set(fset)
-    all_pts = [p for p in _ball_points_cached(float(R), int(d))
-               if p not in drop]
+    all_pts = [p for p in ball_points(R, d) if p not in drop]
     nsq_all = (np.array(all_pts, dtype=np.int64) ** 2).sum(axis=1) \
         if all_pts else np.zeros(0, dtype=np.int64)
     cut = core_cutoff * core_cutoff

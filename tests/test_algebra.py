@@ -9,18 +9,17 @@ from kamkit.algebra import (
     SeqVector,
     WeightParams,
     WeightedMatrix,
-    bracket,
+    decay_weight,
     matrix_norm,
     seq_norm,
     spectral_norm_2x2,
-    weight,
 )
 from kamkit.hamiltonian import NormalFormHamiltonian
 from kamkit.lattice import ball_points, build_partition
 
-from _reference_algebra import (b_norm, check_normal_form, involution,
-                                operator_norm, pi_project, to_complex,
-                                to_real_matrix)
+from _reference_algebra import (b_norm, bracket, check_normal_form,
+                                involution, operator_norm, pi_project,
+                                to_complex, to_real_matrix, weight)
 
 
 def random_matrix(rng, sites, density=0.3, truncation=8.0):
@@ -53,6 +52,23 @@ def test_weight_examples():
     assert weight((1, 0), (-1, 0), w1) == pytest.approx(1.0)
     w2 = WeightParams(1.0, 2.0, 1.0)
     assert weight((3, 0), (0, 0), w2) == pytest.approx(math.exp(3) * 9.0)
+    # decay_weight on random pairs: bit for bit where only square roots
+    # and products enter (the pseudo-distance and the brackets); numpy's
+    # exp and pow may round differently from math's, by an ulp or two
+    rng = np.random.default_rng(14)
+    for d in (1, 2, 3):
+        A, B = rng.integers(-12, 13, size=(2, 500, d))
+        for w, rel in ((WeightParams(0.0, 1.0, 1.0), 0.0),
+                       (WeightParams(0.3, 1.5, 0.5), 2e-15),
+                       (WeightParams(1.0, 3.0, 1.5), 2e-15)):
+            want = [weight(a, b, w) for a, b in zip(map(tuple, A.tolist()),
+                                                    map(tuple, B.tolist()))]
+            got = decay_weight(A, B, w)
+            assert got.shape == (500,)
+            if rel:
+                assert got == pytest.approx(want, rel=rel, abs=0)
+            else:
+                assert got.tolist() == want
 
 
 def test_matrix_norm_examples():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kamkit.lattice import (
     angle_relation,
@@ -11,12 +12,12 @@ from kamkit.lattice import (
     check_admissible,
     class_diameters,
     max_diameter,
-    pseudo_dist,
     pseudo_dist_sq,
     sphere_points,
 )
 
 import _reference_lattice as ref
+from _reference_lattice import pseudo_dist
 
 
 def test_pseudo_dist_basic():
@@ -31,17 +32,25 @@ def test_pseudo_dist_symmetric():
         a = tuple(rng.integers(-5, 6, size=3))
         b = tuple(rng.integers(-5, 6, size=3))
         assert pseudo_dist(a, b) == pseudo_dist(b, a)
+    A, B = rng.integers(-5, 6, size=(2, 50, 3))
+    assert np.array_equal(pseudo_dist_sq(A, B), pseudo_dist_sq(B, A).T)
 
 
 def test_pseudo_dist_dim_mismatch():
     with pytest.raises(ValueError):
         pseudo_dist((1, 0), (1, 0, 0))
+    with pytest.raises(ValueError):
+        pseudo_dist_sq([(1, 0)], [(1, 0, 0)])
 
 
 def test_sphere_points():
     assert sphere_points(0, 2) == [(0, 0)]
     assert len(sphere_points(25, 2)) == 12
     assert sphere_points(3, 2) == []
+    # the same points, in the same order, as the box scan
+    for d in (1, 2, 3):
+        for nsq in range(40):
+            assert sphere_points(nsq, d) == ref.sphere_points(nsq, d)
 
 
 def test_sphere_points_truncation_guard():
@@ -116,17 +125,34 @@ def test_class_diameters_match_bruteforce():
         assert dv == pytest.approx(brute)
 
 
-def test_pseudo_dist_sq_matches_pairwise():
-    rng = np.random.default_rng(1)
-    for d in (1, 2, 3):
-        X = rng.integers(-9, 10, size=(2, 7, d))
-        got = pseudo_dist_sq(X)
-        assert got.dtype == np.int64 and got.shape == (2, 7, 7)
-        for b in range(2):
-            for i in range(7):
-                for j in range(7):
-                    assert math.sqrt(got[b, i, j]) == pseudo_dist(
-                        tuple(X[b, i]), tuple(X[b, j]))
+def _brute_dist_sq(a, b) -> int:
+    return min(sum((x - y) ** 2 for x, y in zip(a, b)),
+               sum((x + y) ** 2 for x, y in zip(a, b)))
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 7),
+       st.integers(0, 7), st.data())
+def test_pseudo_dist_sq_matches_pairwise(d, batch, n, m, data):
+    def points(*shape):
+        return data.draw(arrays(np.int64, shape + (d,),
+                                elements=st.integers(-30, 30)))
+
+    Xa, Xb = points(batch, n), points(batch, m)
+    # one set against itself and two sets of different sizes
+    for A, B in ((Xa, Xa), (Xa, Xb)):
+        got = pseudo_dist_sq(A, B)
+        assert got.dtype == np.int64
+        assert got.shape == (batch, A.shape[1], B.shape[1])
+        for b, i, j in np.ndindex(got.shape):
+            a, c = tuple(A[b, i].tolist()), tuple(B[b, j].tolist())
+            assert got[b, i, j] == _brute_dist_sq(a, c)
+            assert math.sqrt(got[b, i, j]) == pseudo_dist(a, c)
+    # paired rows, as ``decay_weight`` calls it
+    P, Q = points(n), points(n)
+    got = pseudo_dist_sq(P[:, None, :], Q[:, None, :])
+    assert got.dtype == np.int64 and got.shape == (n, 1, 1)
+    assert got[:, 0, 0].tolist() == [
+        _brute_dist_sq(a, c) for a, c in zip(P.tolist(), Q.tolist())]
 
 
 @st.composite
@@ -158,6 +184,9 @@ def test_partition_matches_per_sphere_oracle(args):
     assert list(got.class_of.items()) == list(want.class_of.items())
     assert class_diameters(got) == ref.class_diameters(want)
     assert got.diameters == ref.class_diameters(want)
+    for include_boundary in (True, False):
+        assert max_diameter(got, include_boundary) \
+            == ref.max_diameter(want, include_boundary)
 
 
 def test_partition_rejects_negative_delta():
@@ -172,6 +201,11 @@ def test_angle_relation():
     for a in range(1, 6):
         holds, count = angle_relation((a,), (a - 3,))
         assert holds and count <= 2
+    # the box-scan oracle on every ordered pair of a small ball
+    pts = ball_points(3, 3)
+    for a in pts:
+        for b in pts:
+            assert angle_relation(a, b) == ref.angle_relation(a, b)
 
 
 def test_angle_relation_paper_pair():
