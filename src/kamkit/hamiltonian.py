@@ -46,7 +46,12 @@ dF/dz_(s,0) dG/dz_(s,1) (sign +u) then dF/dz_(s,1) dG/dz_(s,0) (sign -u),
 with u = 1 on the hyperbolic sites of ``finite_set`` and i elsewhere;
 ``_merge`` adds the signed rows in that order.  ``lie_transform`` cuts each
 order's bracket at ``tol``, scales it by 1/m and cuts it by the jet rule
-(``_jet_rows``) before adding it.
+(``_jet_rows``) before adding it.  Given ``rest_tol``, it also screens its
+brackets' products (``_pairs``): a pair whose monomial is outside the jet
+is not formed when |c_a| |c_b| <= rest_tol / min(|A|, |B|), which takes
+at most ``rest_tol`` from a coefficient per product; jet pairs are always
+formed, so the jet rows are those of the exact bracket.  ``poisson`` and
+``Polynomial.mul`` take no screen: their products are exact.
 
 ``NormalFormHamiltonian`` is the one normal-form type: a constant, a
 frequency vector, one Hermitian block per partition class and one real
@@ -326,28 +331,26 @@ def _live_width(Z, V: int):
 
 
 def _product(A: tuple, B: tuple, V: int, max_degree: int | None,
-             tol: float) -> tuple:
+             tol: float, screen: float | None = None) -> tuple:
     """The product of two operands' rows over one variable list of length
     V (``_align``) as one broadcast over term pairs, summed by ``_merge``
     on a packed key.
 
     Pairs run left term outer and, under a degree filter, right terms by
-    ascending degree, stably; like terms sum in that pair order.  Returns
-    the rows (C, K, M, Z) of the product's monomials in the order of their
-    first pair, without those with |c| <= ``tol`` (exact zeros for tol 0).
+    ascending degree, stably; like terms sum in that pair order.  With a
+    ``screen``, the non-jet pairs it drops are never formed (``_pairs``).
+    Returns the rows (C, K, M, Z) of the product's monomials in the order
+    of their first pair, without those with |c| <= ``tol`` (exact zeros
+    for tol 0).
     """
     C1, K1, M1, Z1 = A
     C2, K2, M2, Z2 = B
     Z1, Z2 = _live_width(Z1, V), _live_width(Z2, V)
-    if max_degree is None:
-        i, j = np.divmod(np.arange(len(C1) * len(C2)), len(C2))
-    else:
-        d1, d2 = _degree(M1, Z1, V), _degree(M2, Z2, V)
+    if max_degree is not None:
         # visit B by ascending degree, stably: this fixes first occurrences
-        order = np.argsort(d2, kind="stable")
-        C2, K2, M2, Z2, d2 = C2[order], K2[order], M2[order], Z2[order], \
-            d2[order]
-        i, j = np.nonzero(d1[:, None] + d2[None, :] <= max_degree)
+        order = np.argsort(_degree(M2, Z2, V), kind="stable")
+        C2, K2, M2, Z2 = _cut((C2, K2, M2, Z2), order)
+    i, j = _pairs((C1, M1, Z1), (C2, M2, Z2), V, max_degree, screen)
     if not len(i):
         return _no_rows(K1.shape[1], Z1.shape[1] + Z2.shape[1])
     a, b = C1[i], C2[j]
@@ -376,6 +379,88 @@ def _product(A: tuple, B: tuple, V: int, max_degree: int | None,
         at, c = at[keep], c[keep]
     iz, jz = i[at], j[at]
     return c, K1[iz] + K2[jz], M1[iz] + M2[jz], Z[at]
+
+
+def _passes_screen(a, b, cut):
+    """The pair screen's one float test: a non-jet pair whose coefficients
+    have sizes a and b (``_abs``) is formed only when a * b > cut."""
+    return a * b > cut
+
+
+def _pairs(A: tuple, B: tuple, V: int, max_degree: int | None,
+           screen: float | None) -> tuple:
+    """The row pairs (i, j) a product of the rows A = (C, M, Z) and B
+    forms: those whose degrees sum to at most ``max_degree`` (all without
+    one), left row outer and right rows in B's order; ``np.nonzero`` of
+    the pair mask.
+
+    With a ``screen``, a pair whose monomial is outside the jet (its action
+    and mode degrees, sums over the two rows, are not in ``_JET_DEGREES``)
+    is kept only when it passes the screen at cut = screen / min(|A|, |B|).
+    Right rows give a fixed left row distinct monomials, so a monomial gets
+    at most min(|A|, |B|) pairs and loses at most ``screen`` in all.  Those
+    pairs are never formed: B's rows are grouped by their two degrees and
+    sorted by |c| within a group, so each left row keeps a suffix of each
+    group, counted by ``searchsorted``; the kept pairs are then sorted back
+    into the mask's order.
+    """
+    (C1, M1, Z1), (C2, M2, Z2) = A, B
+    s1, s2 = M1.sum(axis=1), M2.sum(axis=1)
+    z1, z2 = (Z1 < V).sum(axis=1), (Z2 < V).sum(axis=1)
+    if screen is None:
+        if max_degree is None:
+            return np.divmod(np.arange(len(C1) * len(C2)), len(C2))
+        return np.nonzero((2 * s1 + z1)[:, None] + (2 * s2 + z2)[None, :]
+                          <= max_degree)
+    nA, nB = len(C1), len(C2)
+    if not (nA and nB):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    cut = screen / min(nA, nB)
+    a, b = _abs(C1), _abs(C2)
+    width = int(z2.max()) + 1
+    groups, inv = np.unique(s2 * width + z2, return_inverse=True)
+    by_size = np.lexsort((b, inv))                  # by group, then |c|
+    ends = np.cumsum(np.bincount(inv))
+    i_parts, j_parts = [], []
+    for g, lo, hi in zip(groups.tolist(), [0] + ends[:-1].tolist(),
+                         ends.tolist()):
+        sm, zd = s1 + g // width, z1 + g % width
+        fits = True if max_degree is None else 2 * sm + zd <= max_degree
+        jet = _jet_degrees(sm, zd)
+        count = np.where(fits & jet, hi - lo, 0)
+        rest = np.flatnonzero(fits & ~jet)
+        count[rest] = _screen_counts(a[rest], b[by_size[lo:hi]], cut)
+        # row i keeps the last count[i] rows of the group
+        shift = np.repeat(hi - np.cumsum(count), count)
+        i_parts.append(np.repeat(np.arange(nA), count))
+        j_parts.append(by_size[shift + np.arange(len(shift))])
+    # back to the mask's order: left row outer, right rows ascending
+    return np.divmod(np.sort(np.concatenate(i_parts) * nB
+                             + np.concatenate(j_parts)), nB)
+
+
+def _screen_counts(a, b, cut) -> np.ndarray:
+    """How many of the ascending sizes b pass the screen with each size a:
+    the test is monotone in b, so they are a suffix of b.  ``searchsorted``
+    finds it at cut / a; the rounded division can miss by a few ulps, so
+    each boundary is then moved until ``_passes_screen`` itself agrees.
+    Rows that even the largest b cannot lift past the cut count 0 before
+    any division, so a zero size is never divided by."""
+    count = np.zeros(len(a), dtype=np.int64)
+    live = np.flatnonzero(_passes_screen(a, b[-1], cut))
+    a = a[live]
+    at = np.searchsorted(b, cut / a, "right")
+    while True:
+        down = np.flatnonzero(at > 0)
+        down = down[_passes_screen(a[down], b[at[down] - 1], cut)]
+        up = np.flatnonzero(at < len(b))
+        up = up[~_passes_screen(a[up], b[at[up]], cut)]
+        if not (len(down) or len(up)):
+            break
+        at[down] = np.searchsorted(b, b[at[down] - 1], "left")
+        at[up] = np.searchsorted(b, b[at[up]], "right")
+    count[live] = len(b) - at
+    return count
 
 
 def _no_rows(n: int, w: int) -> tuple:
@@ -444,10 +529,15 @@ def _merge(key: np.ndarray, re, im) -> tuple:
 
 def _jet_rows(M, Z, V: int) -> np.ndarray:
     """The mask of the rows whose (action degree, mode degree) is one of
-    ``_JET_DEGREES``: the one jet rule, of ``jet``, ``prune_split`` and the
-    Lie series cut."""
-    sm, zd = M.sum(axis=1), (Z < V).sum(axis=1)
-    jet = np.zeros(len(M), dtype=bool)
+    ``_JET_DEGREES``: the one jet rule, of ``jet``, ``prune_split``, the
+    Lie series cut and its pair screen (``_jet_degrees``)."""
+    return _jet_degrees(M.sum(axis=1), (Z < V).sum(axis=1))
+
+
+def _jet_degrees(sm, zd) -> np.ndarray:
+    """The mask of the action degrees sm and mode degrees zd in
+    ``_JET_DEGREES``."""
+    jet = np.zeros(len(sm), dtype=bool)
     for a, b in _JET_DEGREES:
         jet |= (sm == a) & (zd == b)
     return jet
@@ -508,11 +598,13 @@ def _diff_z(P: tuple, V: int) -> tuple:
 
 
 def _bracket(F: tuple, G: tuple, zvars: list, finite_set,
-             max_degree: int | None, tol: float) -> tuple:
+             max_degree: int | None, tol: float,
+             screen: float | None = None) -> tuple:
     """{F, G} on rows over ``zvars`` (``_align``), in ``poisson``'s
     term order (see the module docstring): the derivatives are array
-    passes over F's and G's rows, each product goes through ``_product``,
-    and ``_merge`` sums the products' rows in bracket order."""
+    passes over F's and G's rows, each product goes through ``_product``
+    (with ``screen``, the Lie series' pair screen), and ``_merge`` sums
+    the products' rows in bracket order."""
     V = len(zvars)
     n = F[1].shape[1]
     factors = []
@@ -539,7 +631,7 @@ def _bracket(F: tuple, G: tuple, zvars: list, finite_set,
     outs = []
     for A, B, sign in factors:
         if len(A[0]) and len(B[0]):
-            C, K, M, Z = _product(A, B, V, max_degree, tol)
+            C, K, M, Z = _product(A, B, V, max_degree, tol, screen)
             if not len(C):
                 continue
             sign = complex(sign)
@@ -580,8 +672,14 @@ def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
 
     ``rest_tol``, when given, prunes terms outside the normal-form jet
     directions at a looser threshold: those terms only influence later jets
-    through further brackets, so they tolerate a coarser cut.  A series
-    whose term of order ``max_order`` is still above ``tol`` raises
+    through further brackets, so they tolerate a coarser cut.  It also
+    screens each bracket's products: a pair of rows whose monomial is
+    outside the jet is never formed when |c_a| |c_b| <= rest_tol /
+    min(|A|, |B|), |A| and |B| the factors' rows.  That moves a
+    coefficient by at most ``rest_tol`` per product and leaves each
+    bracket's jet rows exact.  Without ``rest_tol`` the brackets are exact,
+    as ``poisson`` and ``Polynomial.mul`` always are.  A series whose term
+    of order ``max_order`` is still above ``tol`` raises
     ``StageAbort("lie", ...)`` rather than being cut there.
 
     F and S are aligned once; each order's bracket is cut at ``tol``,
@@ -592,7 +690,8 @@ def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
     zvars, (term, PS) = _align(out, S)
     V = len(zvars)
     for m in range(1, max_order + 1):
-        term = _bracket(term, PS, zvars, finite_set, max_degree, tol)
+        term = _bracket(term, PS, zvars, finite_set, max_degree, tol,
+                        rest_tol)
         if tol:
             term = _cut(term, _abs(term[0]) > tol)
         C = term[0]

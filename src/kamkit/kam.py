@@ -50,7 +50,9 @@ class Schedule:
     max_picard: int = 3
     prune_tol: float = 1e-18
     rel_prune: float = 1e-10          # cutoff relative to the f scale
-    rel_prune_rest: float = 1e-6      # looser cutoff for non-jet terms
+    # looser cutoff for non-jet terms, relative to the f scale; the Lie
+    # series also screens its brackets' non-jet pairs at it
+    rel_prune_rest: float = 1e-6
 
 
 @dataclass

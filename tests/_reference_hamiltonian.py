@@ -1,10 +1,11 @@
 """Code that ``kamkit.hamiltonian`` replaced, kept as oracles: the dict
 ``Polynomial`` (now packed rows), with its per-term ``evaluate`` loop;
 ``_pack``, its dict-to-columns packing; the term-pair loop of
-``Polynomial.mul`` (now the packed product kernel); and ``poisson``, its
-derivative tables and ``lie_transform`` as dict passes over per-product
-``Polynomial.mul`` calls (now one packed bracket).  The dict class's
-``mul`` runs the package's product through ``as_rows``.
+``Polynomial.mul`` (now the packed product kernel), which also takes the
+Lie series' pair screen; and ``poisson``, its derivative tables and
+``lie_transform`` as dict passes over term-pair loop products (now one
+packed bracket).  The dict class's ``mul`` runs the package's product
+through ``as_rows``.
 
 Sums follow the package's rule: ``+``, the term-pair loop and the bracket
 sum each key from complex 0 in term order, a key keeps its first place
@@ -23,7 +24,8 @@ import numpy as np
 from kamkit import hamiltonian as rows
 from kamkit.algebra import (WeightedMatrix, WeightParams, _stack,
                             decay_weight, site_weight, spectral_norm_2x2)
-from kamkit.hamiltonian import _JET_DEGREES, StageAbort, _remap
+from kamkit.hamiltonian import (_JET_DEGREES, StageAbort, _passes_screen,
+                                _remap)
 
 
 def _zkey(z: dict) -> tuple:
@@ -239,19 +241,26 @@ def _pack(P: Polynomial, var_id: dict):
 
 
 def _mul_dict(A: Polynomial, B: Polynomial, max_degree: int | None,
-              tol: float) -> Polynomial:
-    """Product by a loop over term pairs, accumulating into a dict."""
+              tol: float, screen: float | None = None) -> Polynomial:
+    """Product by a loop over term pairs, accumulating into a dict.  With
+    a ``screen``, a pair whose monomial is outside the jet is skipped
+    unless it passes the screen at screen / min(|A|, |B|)."""
     out = Polynomial(A.n)
     terms = out.terms
-    rhs = [(key, c, 2 * sum(key[1]) + sum(p for _, p in key[2]))
+    if screen is not None and A.terms and B.terms:
+        cut = screen / min(len(A.terms), len(B.terms))
+    rhs = [(key, c, sum(key[1]), sum(p for _, p in key[2]))
            for key, c in B.terms.items()]
-    if max_degree is not None:
-        rhs.sort(key=lambda t: t[2])     # enables early exit by degree
+    if max_degree is not None:           # enables early exit by degree
+        rhs.sort(key=lambda t: 2 * t[2] + t[3])
     for (k1, m1, z1), c1 in A.terms.items():
-        d1 = 2 * sum(m1) + sum(p for _, p in z1)
-        for (k2, m2, z2), c2, d2 in rhs:
-            if max_degree is not None and d1 + d2 > max_degree:
+        s1, p1 = sum(m1), sum(p for _, p in z1)
+        for (k2, m2, z2), c2, s2, p2 in rhs:
+            if max_degree is not None and 2 * (s1 + s2) + p1 + p2 > max_degree:
                 break
+            if (screen is not None and (s1 + s2, p1 + p2) not in _JET_DEGREES
+                    and not _passes_screen(abs(c1), abs(c2), cut)):
+                continue
             m = tuple(x + y for x, y in zip(m1, m2))
             if z2:
                 zd = dict(z1)
@@ -301,8 +310,10 @@ def _z_derivative_table(P: Polynomial, sites=None) -> dict:
 
 
 def poisson(F: Polynomial, G: Polynomial, finite_set=(),
-            max_degree: int | None = None, tol: float = 0.0) -> Polynomial:
-    """Canonical bracket {F, G}.
+            max_degree: int | None = None, tol: float = 0.0,
+            screen: float | None = None) -> Polynomial:
+    """Canonical bracket {F, G}, its products by the term-pair loop, each
+    screened at ``screen`` when given.
 
     Convention: {F,G} = sum_j (dF/dr_j dG/dtheta_j - dF/dtheta_j dG/dr_j)
     plus, per lattice site, i(dF/dxi dG/deta - dF/deta dG/dxi) on elliptic
@@ -311,6 +322,9 @@ def poisson(F: Polynomial, G: Polynomial, finite_set=(),
     n = F.n
     fset = set(tuple(p) for p in finite_set)
     out = Polynomial(n)
+
+    def mul(P: Polynomial, Q: Polynomial) -> Polynomial:
+        return _mul_dict(P, Q, max_degree, tol, screen)
 
     def k_scale(P: Polynomial, j: int) -> Polynomial:
         res = Polynomial(n)
@@ -322,10 +336,10 @@ def poisson(F: Polynomial, G: Polynomial, finite_set=(),
     for j in range(n):
         dFr = diff_r(F, j)
         if dFr.terms:
-            out._iadd(dFr.mul(k_scale(G, j), max_degree, tol))
+            out._iadd(mul(dFr, k_scale(G, j)))
         dGr = diff_r(G, j)
         if dGr.terms:
-            out._iadd(k_scale(F, j).mul(dGr, max_degree, tol), sign=-1.0)
+            out._iadd(mul(k_scale(F, j), dGr), sign=-1.0)
 
     # G is the small side of most brackets: differentiate F only on its sites
     dG = _z_derivative_table(G)
@@ -337,9 +351,9 @@ def poisson(F: Polynomial, G: Polynomial, finite_set=(),
         dG0, dG1 = dG.get((s, 0), empty), dG.get((s, 1), empty)
         unit = 1.0 if s in fset else 1j
         if dF0.terms and dG1.terms:
-            out._iadd(dF0.mul(dG1, max_degree, tol), sign=unit)
+            out._iadd(mul(dF0, dG1), sign=unit)
         if dF1.terms and dG0.terms:
-            out._iadd(dF1.mul(dG0, max_degree, tol), sign=-unit)
+            out._iadd(mul(dF1, dG0), sign=-unit)
     return out.prune(tol)
 
 
@@ -351,14 +365,16 @@ def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
 
     ``rest_tol``, when given, prunes terms outside the normal-form jet
     directions at a looser threshold: those terms only influence later jets
-    through further brackets, so they tolerate a coarser cut.  A series
-    whose term of order ``max_order`` is still above ``tol`` raises
-    ``StageAbort("lie", ...)`` rather than being cut there.
+    through further brackets, so they tolerate a coarser cut.  It also
+    screens the brackets' products at ``rest_tol``.  A series whose term of
+    order ``max_order`` is still above ``tol`` raises ``StageAbort("lie",
+    ...)`` rather than being cut there.
     """
     out = F.truncate_degree(max_degree)
     term = out
     for m in range(1, max_order + 1):
-        term = poisson(term, S, finite_set, max_degree, tol).scale(1.0 / m)
+        term = poisson(term, S, finite_set, max_degree, tol,
+                       rest_tol).scale(1.0 / m)
         if rest_tol is not None:
             term.prune_split(tol, rest_tol)
         if not term.terms or term.max_coeff() < tol:

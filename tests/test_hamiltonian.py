@@ -1,9 +1,12 @@
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from kamkit import hamiltonian as H
 from kamkit.algebra import WeightedMatrix, WeightParams
 from kamkit.hamiltonian import (
     ClassNormParams,
@@ -584,11 +587,25 @@ def _jet_window_case():
     return F, S, []
 
 
+def _screen_case():
+    """z_a + 1e-3 z_a^2 z_b and 1e-3 z_a' z_b': on the site of a, the jet
+    pair z_a z_b' is kept and the non-jet pair 2e-6 z_a z_b z_b' falls
+    under a screen of 1e-2."""
+    (a, a1), (b, b1) = ((A, 0), (A, 1)), ((B, 0), (B, 1))
+    F, G = Polynomial(0), Polynomial(0)
+    F.add_term(1.0, z={a: 1})
+    F.add_term(1e-3, z={a: 2, b: 1})
+    G.add_term(1e-3, z={a1: 1, b1: 1})
+    return F, G, []
+
+
 @given(bracket_oracle_cases(), st.sampled_from([2, 4]),
        st.sampled_from([0.0, 1e-12, 1e-3]),
        st.sampled_from([None, 1e-2, 1.0]), st.sampled_from([1e-2, 1e-3]))
 @example(case=_jet_window_case(), max_degree=4, tol=1e-3, rest_tol=1.0,
          eps=1e-2)
+@example(case=_screen_case(), max_degree=4, tol=1e-12, rest_tol=1e-2,
+         eps=1.0)
 def test_lie_transform_matches_dict_oracle(case, max_degree, tol, rest_tol,
                                            eps):
     F, S, fset = case
@@ -623,6 +640,129 @@ def test_lie_transform_round_trip(case, eps):
                          fset, 4, tol)
     assert (back - F.truncate_degree(4)).max_coeff() <= \
         LIE_ROUND_TRIP_RTOL * _size(S) ** 2 * _size(F)
+
+
+# -- the Lie series' pair screen ----------------------------------------------
+
+@contextmanager
+def _screen_spy(screened=True):
+    """Inside the block: the products each ``_bracket`` call formed (one
+    ``_pairs`` call each), and the pairs the screen dropped, those of the
+    unscreened mask that ``_pairs`` did not return.  With ``screened``
+    False, every bracket runs without its screen."""
+    seen = {"products": [], "dropped": 0}
+    pairs, bracket = H._pairs, H._bracket
+
+    def spy_bracket(*args):
+        seen["products"].append(0)
+        return bracket(*(args if screened else args[:6]))
+
+    def spy_pairs(A, B, V, max_degree, screen):
+        i, j = pairs(A, B, V, max_degree, screen)
+        seen["products"][-1] += 1
+        if screen is not None:
+            seen["dropped"] += len(pairs(A, B, V, max_degree, None)[0]) - len(i)
+        return i, j
+
+    with mock.patch.object(H, "_bracket", spy_bracket), \
+            mock.patch.object(H, "_pairs", spy_pairs):
+        yield seen
+
+
+@given(bracket_oracle_cases(), st.sampled_from([None, 2, 4]),
+       st.sampled_from([0.0, 1e-3]), st.sampled_from([1e-2, 0.5, 4.0]),
+       st.just(False))
+@example(case=_screen_case(), max_degree=4, tol=0.0, screen=1e-2,
+         must_drop=True)
+def test_screened_bracket_keeps_its_jet_rows(case, max_degree, tol, screen,
+                                             must_drop):
+    """A jet monomial only receives jet pairs, which the screen keeps: the
+    jet rows of a screened bracket are those of the exact one, keys, order
+    and bits.  Each product drops at most ``screen`` from a monomial, and
+    its ``tol`` cut at most ``tol`` more."""
+    F, G, fset = case
+    zvars, (PF, PG) = H._align(F, G)
+    with _screen_spy() as seen:
+        got = H._bracket(PF, PG, zvars, fset, max_degree, tol, screen)
+    assert seen["dropped"] or not must_drop
+    want = H._bracket(PF, PG, zvars, fset, max_degree, tol)
+    got, want = (Polynomial._of(F.n, zvars, *rows) for rows in (got, want))
+    assert _items(got.jet()) == _items(want.jet())
+    assert (got - want).max_coeff() <= \
+        (screen + tol) * seen["products"][0] * (1 + 1e-12)
+
+
+@given(bracket_oracle_cases(), st.sampled_from([2, 4]),
+       st.sampled_from([1e-12, 1e-3]), st.sampled_from([1e-2, 1.0]),
+       st.sampled_from([1e-2, 1e-3]), st.just(False))
+@example(case=_screen_case(), max_degree=4, tol=1e-12, rest_tol=1e-2,
+         eps=1.0, must_drop=True)
+def test_screened_lie_transform_stays_within_the_screen(
+        case, max_degree, tol, rest_tol, eps, must_drop):
+    """Against the Lie series without the screen (the exact brackets, cut
+    the same way): each coefficient moves by at most ``rest_tol`` times the
+    products per bracket times the orders run."""
+    F, S, fset = case
+    S = S.scale(eps)
+    try:
+        with _screen_spy() as seen:
+            got = lie_transform(F, S, fset, max_degree, tol, 16, rest_tol)
+        with _screen_spy(screened=False) as exact:
+            want = lie_transform(F, S, fset, max_degree, tol, 16, rest_tol)
+    except StageAbort:
+        assume(False)
+    assert seen["dropped"] or not must_drop
+    products = max(seen["products"] + exact["products"], default=0)
+    orders = max(len(seen["products"]), len(exact["products"]))
+    assert (got - want).max_coeff() <= rest_tol * products * orders
+
+
+SIZES = [0.0, 1e-3, 0.1, 1 / 3, 0.5, 1.0, 3.0,
+         0.33333333333333337, 0.03333333333333333]
+
+
+@st.composite
+def pair_rows(draw):
+    """The rows (C, M, Z) of a product operand over one action and V = 4
+    variables: up to 8 rows, of action degree 0..2 and mode degree 0..3,
+    with coefficient sizes from SIZES: zeros, ties, and products that
+    round across the cut / a boundary (3 * 0.33333333333333337 and
+    3 * 0.03333333333333333 against 1 and 0.3 / 3)."""
+    N = draw(st.integers(0, 8))
+    rows = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
+                              st.sampled_from(SIZES)), min_size=N, max_size=N)
+    s, z, c = np.array(draw(rows), dtype=float).reshape(N, 3).T
+    Z = np.where(np.arange(3) < z[:, None], 0, 4).astype(np.int16)
+    return c.astype(complex), s.astype(np.int64).reshape(N, 1), Z
+
+
+@given(pair_rows(), pair_rows(), st.none() | st.integers(0, 8),
+       st.sampled_from([1e-2, 0.3, 1.0]))
+@example(A=(np.array([3.0 + 0j]), np.array([[1]]), np.array([[0, 4, 4]])),
+         B=(np.array([0.33333333333333337 + 0j]), np.array([[0]]),
+            np.array([[0, 0, 4]])), max_degree=None, screen=1.0)
+@example(A=(np.array([3.0, 1.0, 0.0]) + 0j, np.array([[1], [0], [1]]),
+            np.array([[0, 4, 4], [0, 0, 0], [0, 4, 4]])),
+         B=(np.array([0.03333333333333333, 0.1, 0.1]) + 0j,
+            np.array([[0], [0], [2]]), np.array([[0, 0, 4]] * 3)),
+         max_degree=6, screen=0.3)
+def test_screened_pairs_are_the_mask(A, B, max_degree, screen):
+    """``_pairs`` with a screen is ``np.nonzero`` of the mask of pairs that
+    fit the degree and are in the jet or pass the screen, in order."""
+    (C1, M1, Z1), (C2, M2, Z2) = A, B
+    s1, s2 = M1.sum(axis=1)[:, None], M2.sum(axis=1)[None, :]
+    z1, z2 = (Z1 < 4).sum(axis=1)[:, None], (Z2 < 4).sum(axis=1)[None, :]
+    fits = np.ones((len(C1), len(C2)), dtype=bool) if max_degree is None \
+        else 2 * (s1 + s2) + z1 + z2 <= max_degree
+    jet = np.zeros_like(fits)
+    for sm, zd in H._JET_DEGREES:
+        jet |= (s1 + s2 == sm) & (z1 + z2 == zd)
+    cut = screen / max(1, min(len(C1), len(C2)))
+    mask = fits & (jet | H._passes_screen(H._abs(C1)[:, None],
+                                          H._abs(C2)[None, :], cut))
+    got = H._pairs(A, B, 4, max_degree, screen)
+    want = np.nonzero(mask)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_class_norm_basics():
