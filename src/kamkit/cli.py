@@ -64,6 +64,15 @@ def _pairs(seq):
     return tuple(tuple(p) for p in seq)
 
 
+def _wave(x, d: int, field: str) -> tuple:
+    """A term's x wave vector, of the model's length d."""
+    x = tuple(x)
+    if len(x) != d:
+        raise ConfigError(f"'{field}' has a wave vector of length {len(x)}; "
+                          f"expected {d}, the model's d")
+    return x
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -137,15 +146,18 @@ def build_model(cfg: dict):
                                        "tail", "nonlinearity", "epsilon",
                                        "delta", "r_degree", "max_degree"},
                         "model")
+            d = int(_require(cfg, "d", "model"))
             model = BeamModel(
-                d=int(_require(cfg, "d", "model")),
+                d=d,
                 radius=float(_require(cfg, "R", "model")),
                 nodes=_pairs(cfg.get("nodes", ())),
                 rho=tuple(cfg.get("rho", ())),
                 actions=tuple(cfg.get("actions", ())),
                 tail={int(k): v for k, v in cfg.get("tail", {}).items()},
-                nonlinearity=tuple((int(p), tuple(x), c)
-                                   for p, x, c in cfg.get("nonlinearity", ())),
+                nonlinearity=tuple(
+                    (int(p), _wave(x, d, f"model.nonlinearity[{i}]"), c)
+                    for i, (p, x, c) in enumerate(cfg.get("nonlinearity",
+                                                          ()))),
                 epsilon=float(cfg.get("epsilon", 1.0)),
                 delta=float(cfg.get("delta", 2)),
                 r_degree=int(cfg.get("r_degree", 1)),
@@ -155,14 +167,18 @@ def build_model(cfg: dict):
             _check_keys(cfg, common | {"d", "R", "mass", "alpha", "rho",
                                        "forcing", "epsilon", "delta",
                                        "max_degree"}, "model")
+            d = int(_require(cfg, "d", "model"))
             model = NlsModel(
-                d=int(_require(cfg, "d", "model")),
+                d=d,
                 radius=float(_require(cfg, "R", "model")),
                 mass=float(_require(cfg, "mass", "model")),
                 alpha=float(_require(cfg, "alpha", "model")),
                 rho=tuple(_require(cfg, "rho", "model")),
-                forcing=tuple((tuple(kt), int(p), int(q), tuple(x), c)
-                              for kt, p, q, x, c in cfg.get("forcing", ())),
+                forcing=tuple(
+                    (tuple(kt), int(p), int(q),
+                     _wave(x, d, f"model.forcing[{i}]"), c)
+                    for i, (kt, p, q, x, c) in enumerate(cfg.get("forcing",
+                                                                 ()))),
                 epsilon=float(cfg.get("epsilon", 1.0)),
                 delta=float(cfg.get("delta", 2)),
                 max_degree=int(cfg.get("max_degree", 4)))

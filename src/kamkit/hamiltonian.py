@@ -34,24 +34,30 @@ dict loops kept as the tests' oracles.
 One kernel, ``_product``, forms the pairs of two operands that pass the
 degree filter in one broadcast; their monomials get a mixed-radix int64 key
 (k and m digits, then the sorted z ids), or, when the product of the digit
-spans would not fit in int64, are grouped as rows; ``_merge`` sums like
+spans would not fit in int64, a key folded by dense ranks (``_key``);
+``_merge`` sums like
 terms in pair order, left term outer, so each sum runs in the order of a
 loop over term pairs.  ``Polynomial.mul`` is one call of it.  In
 ``poisson``, d/dr_j keeps the rows with m_j > 0, d/dtheta_j scales the rows
 with k_j != 0 by i k_j, and d/dz_v drops one v from each id row that holds
-it.  The products run through ``_product`` one at a time, in this order:
-for each action j, dF/dr_j dG/dtheta_j (sign +1) then dF/dtheta_j dG/dr_j
+it.  The bracket is a sum of products, its factors, in this order: for
+each action j, dF/dr_j dG/dtheta_j (sign +1) then dF/dtheta_j dG/dr_j
 (sign -1); then for each site that F and G share, in ascending order,
 dF/dz_(s,0) dG/dz_(s,1) (sign +u) then dF/dz_(s,1) dG/dz_(s,0) (sign -u),
-with u = 1 on the hyperbolic sites of ``finite_set`` and i elsewhere;
-``_merge`` adds the signed rows in that order.  ``lie_transform`` cuts each
-order's bracket at ``tol``, scales it by 1/m and cuts it by the jet rule
+with u = 1 on the hyperbolic sites of ``finite_set`` and i elsewhere.  One
+``_product`` call forms them all: the factors' rows are stacked into one
+left and one right operand, each row tagged by its factor, only rows of
+one factor pair, and the factor is a digit of the key, so each factor's
+product is merged and cut at ``tol`` as if on its own.  ``_merge`` then
+adds the signed rows in factor order.  ``lie_transform`` cuts each order's
+bracket at ``tol``, scales it by 1/m and cuts it by the jet rule
 (``_jet_rows``) before adding it.  Given ``rest_tol``, it also screens its
 brackets' products (``_pairs``): a pair whose monomial is outside the jet
-is not formed when |c_a| |c_b| <= rest_tol / min(|A|, |B|), which takes
-at most ``rest_tol`` from a coefficient per product; jet pairs are always
-formed, so the jet rows are those of the exact bracket.  ``poisson`` and
-``Polynomial.mul`` take no screen: their products are exact.
+is not formed when |c_a| |c_b| <= rest_tol / min(|A|, |B|), |A| and |B|
+the rows of its factor, which takes at most ``rest_tol`` from a
+coefficient per product; jet pairs are always formed, so the jet rows are
+those of the exact bracket.  ``poisson`` and ``Polynomial.mul`` take no
+screen: their products are exact.
 
 ``NormalFormHamiltonian`` is the one normal-form type: a constant, a
 frequency vector, one Hermitian block per partition class and one real
@@ -197,12 +203,12 @@ class Polynomial:
 
     def prune(self, tol: float):
         """Drop the terms with |c| <= tol, in place."""
-        return self._keep(~(_abs(self.C) <= tol))
+        return self._keep(~(_abs(self.C, tol) <= tol))
 
     def prune_split(self, jet_tol: float, rest_tol: float):
         """Prune with a tighter tolerance on normal-form-direction terms."""
         cut = np.where(self._in_jet(), jet_tol, rest_tol)
-        return self._keep(~(_abs(self.C) <= cut))
+        return self._keep(~(_abs(self.C, cut) <= cut))
 
     def truncate_degree(self, max_degree: int) -> "Polynomial":
         return self._take(_degree(self.M, self.Z, len(self.zvars))
@@ -291,7 +297,7 @@ def _add(A: tuple, B: tuple, V: int) -> tuple:
     if not len(C):
         return A
     Z = _stack_z([A[3], B[3]], V)
-    at, C = _merge(_key(np.hstack([K, M, Z])), C.real, C.imag)
+    at, C = _merge(_key(K, M, Z), C.real, C.imag)
     return C, K[at], M[at], Z[at]
 
 
@@ -331,54 +337,89 @@ def _live_width(Z, V: int):
 
 
 def _product(A: tuple, B: tuple, V: int, max_degree: int | None,
-             tol: float, screen: float | None = None) -> tuple:
+             tol: float, screen: float | None = None,
+             fa=None, fb=None, sign=None) -> tuple:
     """The product of two operands' rows over one variable list of length
     V (``_align``) as one broadcast over term pairs, summed by ``_merge``
     on a packed key.
 
-    Pairs run left term outer and, under a degree filter, right terms by
-    ascending degree, stably; like terms sum in that pair order.  With a
-    ``screen``, the non-jet pairs it drops are never formed (``_pairs``).
-    Returns the rows (C, K, M, Z) of the product's monomials in the order
-    of their first pair, without those with |c| <= ``tol`` (exact zeros
-    for tol 0).
+    A and B may stack the rows of several factors, ``fa`` and ``fb`` the
+    ascending factor index of each row (one factor, 0, without them): only
+    rows of one factor pair, and each factor's product comes out as if on
+    its own, times its ``sign`` when given.  Pairs run factor by factor,
+    left term outer and, under a degree filter, right terms by ascending
+    degree, stably; like terms sum in that pair order.  With a ``screen``,
+    the non-jet pairs it drops are never formed.  ``_pairs`` hands the
+    pairs over in chunks of consecutive factors, each formed and merged on
+    its own.  Returns the rows (C, K, M, Z) of each factor's monomials in
+    the order of their first pair, without those with |c| <= ``tol``
+    (exact zeros for tol 0), factor after factor.
     """
     C1, K1, M1, Z1 = A
     C2, K2, M2, Z2 = B
+    fa = np.zeros(len(C1), dtype=np.int64) if fa is None else fa
+    fb = np.zeros(len(C2), dtype=np.int64) if fb is None else fb
     Z1, Z2 = _live_width(Z1, V), _live_width(Z2, V)
+    W = Z1.shape[1] + Z2.shape[1]
+    if max_degree is not None:          # past it, the columns are all pads
+        W = max(min(W, max_degree), 0)
+    if not (len(C1) and len(C2)):
+        return _no_rows(K1.shape[1], W)
     if max_degree is not None:
         # visit B by ascending degree, stably: this fixes first occurrences
-        order = np.argsort(_degree(M2, Z2, V), kind="stable")
-        C2, K2, M2, Z2 = _cut((C2, K2, M2, Z2), order)
-    i, j = _pairs((C1, M1, Z1), (C2, M2, Z2), V, max_degree, screen)
-    if not len(i):
-        return _no_rows(K1.shape[1], Z1.shape[1] + Z2.shape[1])
-    a, b = C1[i], C2[j]
-    re, im = _cmul(a.real, a.imag, b.real, b.imag)
-    del a, b
-    Z = np.sort(np.concatenate([Z1[i], Z2[j]], axis=1), axis=1)
+        order = np.lexsort((_degree(M2, Z2, V), fb))
+        C2, K2, M2, Z2, fb = _cut((C2, K2, M2, Z2, fb), order)
 
-    # mixed-radix key: k and m digits from each operand's offsets, then z
-    X1, X2 = np.hstack([K1, M1]), np.hstack([K2, M2])
+    # mixed-radix key: the factor, k and m digits from each operand's
+    # offsets, then z; packed, X1 and X2 become the codes of their digits
+    X1 = np.hstack([K1, M1, fa[:, None]])
+    X2 = np.hstack([K2, M2, np.zeros((len(C2), 1), dtype=np.int64)])
     lo1, lo2 = X1.min(axis=0), X2.min(axis=0)
     spans = (X1.max(axis=0) - lo1 + X2.max(axis=0) - lo2 + 1).tolist()
-    spans += [V + 1] * Z.shape[1]
-    if math.prod(spans) <= np.iinfo(np.int64).max:
+    spans += [V + 1] * W
+    if math.prod(spans) <= _INT64_MAX:
         strides = np.cumprod([1] + spans[:-1], dtype=np.int64)
-        nkm = X1.shape[1]
-        key = ((X1 - lo1) @ strides[:nkm])[i] + ((X2 - lo2) @ strides[:nkm])[j]
-        for col, stride in zip(Z.T, strides[nkm:]):
-            # in int64: NumPy 1.x would multiply an int16 column by a small
-            # np.int64 stride in int16, and wrap
-            key += np.multiply(col, stride, dtype=np.int64)
-    else:
-        key = np.hstack([X1[i] + X2[j], Z])
-    at, c = _merge(key, re, im)
-    if tol:
-        keep = _abs(c) > tol
-        at, c = at[keep], c[keep]
-    iz, jz = i[at], j[at]
-    return c, K1[iz] + K2[jz], M1[iz] + M2[jz], Z[at]
+        nx = X1.shape[1]
+        X1, X2 = (X1 - lo1) @ strides[:nx], (X2 - lo2) @ strides[:nx]
+        strides = strides[nx:]
+
+    def chunk(i, j):                  # the rows of the pairs' factors
+        a, b = C1[i], C2[j]
+        re, im = _cmul(a.real, a.imag, b.real, b.imag)
+        del a, b
+        Z = np.sort(np.concatenate([Z1[i], Z2[j]], axis=1), axis=1)[:, :W]
+        if X1.ndim == 1:
+            key = X1[i] + X2[j]
+            for col, stride in zip(Z.T, strides):
+                # in int64: NumPy 1.x would multiply an int16 column by a
+                # small np.int64 stride in int16, and wrap
+                key += np.multiply(col, stride, dtype=np.int64)
+        else:
+            key = _key(X1[i] + X2[j], Z)
+        at, c = _merge(key, re, im)
+        if tol:
+            keep = _abs(c, tol) > tol
+            at, c = at[keep], c[keep]
+        i, j = i[at], j[at]
+        if sign is not None:
+            u = sign[fa[i]]
+            c = _complex(*_cmul(u.real, u.imag, c.real, c.imag))
+        return c, K1[i] + K2[j], M1[i] + M2[j], Z[at]
+
+    parts = [chunk(i, j) for i, j in
+             _pairs((C1, M1, Z1), (C2, M2, Z2), V, max_degree, screen,
+                    fa, fb)]
+    if not parts:
+        return _no_rows(K1.shape[1], W)
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+# the pairs that one chunk of a batched product forms and merges, unless
+# one factor alone forms more: at 2**15 the kam_desk workload's peak memory
+# rose by 0.7 MB over one product per factor
+_CHUNK_PAIRS = 1 << 12
 
 
 def _passes_screen(a, b, cut):
@@ -387,80 +428,136 @@ def _passes_screen(a, b, cut):
     return a * b > cut
 
 
+def _ranges(start, count) -> np.ndarray:
+    """The concatenated ranges start[r], ..., start[r] + count[r] - 1."""
+    shift = np.repeat(start - np.cumsum(count) + count, count)
+    return shift + np.arange(len(shift))
+
+
 def _pairs(A: tuple, B: tuple, V: int, max_degree: int | None,
-           screen: float | None) -> tuple:
+           screen: float | None, fa=None, fb=None):
     """The row pairs (i, j) a product of the rows A = (C, M, Z) and B
-    forms: those whose degrees sum to at most ``max_degree`` (all without
-    one), left row outer and right rows in B's order; ``np.nonzero`` of
-    the pair mask.
+    forms: those of rows of one factor (``fa`` and ``fb``, ascending, as in
+    ``_product``; one factor without them) whose degrees sum to at most
+    ``max_degree`` (all without one) and that pass the ``screen``
+    (``_pair_runs``), left row outer and right rows in B's order;
+    ``np.nonzero`` of the pair mask.  They are yielded in chunks of
+    consecutive factors, of at most max(``_CHUNK_PAIRS``, the largest
+    factor's) pairs, each formed only when it is asked for."""
+    nA, nB = len(A[0]), len(B[0])
+    fa = np.zeros(nA, dtype=np.int64) if fa is None else fa
+    fb = np.zeros(nB, dtype=np.int64) if fb is None else fb
+    if not (nA and nB):
+        return
+    nF = int(max(fa[-1], fb[-1])) + 1
+    qi, at, count, by_size = _pair_runs(A, B, V, max_degree, screen, fa, fb,
+                                        nF)
+    ends = np.cumsum(np.bincount(fa[qi], weights=count, minlength=nF)
+                     .astype(np.int64))
+    limit = max(int(np.diff(ends, prepend=0).max()), _CHUNK_PAIRS)
+    runs = np.searchsorted(fa[qi], np.arange(nF + 1))
+    f0 = 0
+    while f0 < nF:
+        f1 = int(np.searchsorted(ends, (ends[f0 - 1] if f0 else 0) + limit,
+                                 "right"))
+        r0, r1 = runs[f0], runs[f1]
+        f0 = f1
+        # the pairs as codes i nB + j, sorted back to the mask's order:
+        # left row outer, right rows ascending
+        code = np.repeat(qi[r0:r1] * nB, count[r0:r1])
+        if not len(code):
+            continue
+        code += by_size[_ranges(at[r0:r1], count[r0:r1])]
+        code.sort()
+        i, j = np.divmod(code, nB)
+        del code
+        yield i, j
+
+
+def _pair_runs(A: tuple, B: tuple, V: int, max_degree: int | None,
+               screen: float | None, fa, fb, nF: int) -> tuple:
+    """``_pairs``' pairs as runs (qi, at, count, by_size), in the order of
+    their left rows: left row qi[r] pairs with the right rows
+    by_size[at[r]:at[r] + count[r]].
 
     With a ``screen``, a pair whose monomial is outside the jet (its action
     and mode degrees, sums over the two rows, are not in ``_JET_DEGREES``)
-    is kept only when it passes the screen at cut = screen / min(|A|, |B|).
-    Right rows give a fixed left row distinct monomials, so a monomial gets
-    at most min(|A|, |B|) pairs and loses at most ``screen`` in all.  Those
-    pairs are never formed: B's rows are grouped by their two degrees and
-    sorted by |c| within a group, so each left row keeps a suffix of each
-    group, counted by ``searchsorted``; the kept pairs are then sorted back
-    into the mask's order.
-    """
+    is kept only when it passes the screen at cut = screen / min(|A_f|,
+    |B_f|), |A_f| and |B_f| the rows of its factor.  Right rows give a
+    fixed left row distinct monomials, so a monomial gets at most
+    min(|A_f|, |B_f|) pairs and loses at most ``screen`` in all.  Those
+    pairs are never formed: B's rows are grouped by their factor and two
+    degrees and sorted by |c| within a group, so each left row keeps a
+    suffix of each group of its factor (``_screen_counts``), counted for
+    all factors at once, one pair of degrees at a time."""
     (C1, M1, Z1), (C2, M2, Z2) = A, B
+    nA, nB = len(C1), len(C2)
+    sizeB = np.bincount(fb, minlength=nF)
+    if screen is None and max_degree is None:
+        return (np.arange(nA), (np.cumsum(sizeB) - sizeB)[fa], sizeB[fa],
+                np.arange(nB))
     s1, s2 = M1.sum(axis=1), M2.sum(axis=1)
     z1, z2 = (Z1 < V).sum(axis=1), (Z2 < V).sum(axis=1)
-    if screen is None:
-        if max_degree is None:
-            return np.divmod(np.arange(len(C1) * len(C2)), len(C2))
-        return np.nonzero((2 * s1 + z1)[:, None] + (2 * s2 + z2)[None, :]
-                          <= max_degree)
-    nA, nB = len(C1), len(C2)
-    if not (nA and nB):
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    cut = screen / min(nA, nB)
-    a, b = _abs(C1), _abs(C2)
-    width = int(z2.max()) + 1
-    groups, inv = np.unique(s2 * width + z2, return_inverse=True)
-    by_size = np.lexsort((b, inv))                  # by group, then |c|
-    ends = np.cumsum(np.bincount(inv))
-    i_parts, j_parts = [], []
-    for g, lo, hi in zip(groups.tolist(), [0] + ends[:-1].tolist(),
-                         ends.tolist()):
-        sm, zd = s1 + g // width, z1 + g % width
-        fits = True if max_degree is None else 2 * sm + zd <= max_degree
-        jet = _jet_degrees(sm, zd)
-        count = np.where(fits & jet, hi - lo, 0)
-        rest = np.flatnonzero(fits & ~jet)
-        count[rest] = _screen_counts(a[rest], b[by_size[lo:hi]], cut)
-        # row i keeps the last count[i] rows of the group
-        shift = np.repeat(hi - np.cumsum(count), count)
-        i_parts.append(np.repeat(np.arange(nA), count))
-        j_parts.append(by_size[shift + np.arange(len(shift))])
-    # back to the mask's order: left row outer, right rows ascending
-    return np.divmod(np.sort(np.concatenate(i_parts) * nB
-                             + np.concatenate(j_parts)), nB)
+    width = int(max(z1.max(), z2.max())) + 1
+    code = s2 * width + z2
+    # the left rows' distinct (action, mode) degrees, and each row's
+    degrees, d1 = np.unique(s1 * width + z1, return_inverse=True)
+    del s1, z1
+    b = None if screen is None else _abs(C2)
+    # by factor, then degrees, then |c| under a screen
+    by_size = np.lexsort((code, fb) if b is None else (b, code, fb))
+    f, g = fb[by_size], code[by_size]
+    lo = np.flatnonzero(np.r_[True, (f[1:] != f[:-1]) | (g[1:] != g[:-1])])
+    hi = np.r_[lo[1:], nB]
+    if screen is not None:
+        b = b[by_size]
+        cut = screen / np.maximum(np.minimum(np.bincount(fa, minlength=nF),
+                                             sizeB), 1)
+    # one degree code at a time: a run per left row i and the group q of
+    # its factor with that code
+    group, runs = np.full(nF, -1), []
+    for c in np.unique(g[lo]).tolist():
+        q = np.flatnonzero(g[lo] == c)
+        group[:] = -1
+        group[f[lo[q]]] = q
+        i = np.flatnonzero(group[fa] >= 0)
+        q = group[fa[i]]
+        sm, zd = degrees // width + c // width, degrees % width + c % width
+        fits = np.full(len(degrees), True) if max_degree is None else \
+            2 * sm + zd <= max_degree
+        # per left degrees: the group's pairs all formed, or screened
+        whole = fits if screen is None else fits & _jet_degrees(sm, zd)
+        count = np.where(whole[d1[i]], hi[q] - lo[q], 0)
+        if screen is not None:
+            rest = np.flatnonzero((fits & ~whole)[d1[i]])
+            count[rest] = _screen_counts(_abs(C1[i[rest]]), b, lo[q[rest]],
+                                         hi[q[rest]], cut[fa[i[rest]]])
+        live = np.flatnonzero(count)
+        runs.append((i[live], hi[q[live]] - count[live], count[live]))
+    qi, at, count = (np.concatenate(x) for x in zip(*runs))
+    order = np.argsort(qi, kind="stable")
+    return qi[order], at[order], count[order], by_size
 
 
-def _screen_counts(a, b, cut) -> np.ndarray:
-    """How many of the ascending sizes b pass the screen with each size a:
-    the test is monotone in b, so they are a suffix of b.  ``searchsorted``
-    finds it at cut / a; the rounded division can miss by a few ulps, so
-    each boundary is then moved until ``_passes_screen`` itself agrees.
-    Rows that even the largest b cannot lift past the cut count 0 before
-    any division, so a zero size is never divided by."""
-    count = np.zeros(len(a), dtype=np.int64)
-    live = np.flatnonzero(_passes_screen(a, b[-1], cut))
-    a = a[live]
-    at = np.searchsorted(b, cut / a, "right")
-    while True:
-        down = np.flatnonzero(at > 0)
-        down = down[_passes_screen(a[down], b[at[down] - 1], cut)]
-        up = np.flatnonzero(at < len(b))
-        up = up[~_passes_screen(a[up], b[at[up]], cut)]
-        if not (len(down) or len(up)):
-            break
-        at[down] = np.searchsorted(b, b[at[down] - 1], "left")
-        at[up] = np.searchsorted(b, b[at[up]], "right")
-    count[live] = len(b) - at
-    return count
+def _screen_counts(a, b, lo, hi, cut) -> np.ndarray:
+    """How many of the sizes b[lo:hi], ascending, pass the screen with the
+    size a at its cut, for each query (a, lo, hi, cut): the test is
+    monotone in b, so they are a suffix, found by a bisection of all the
+    queries at once on ``_passes_screen`` itself.  Queries that even the
+    largest size cannot lift past the cut count 0 without a search."""
+    first = hi.copy()
+    live = np.flatnonzero(_passes_screen(a, b[hi - 1], cut))
+    top = hi[live] - 1                # passes; the first pass is in lo..top
+    bot = lo[live]
+    while len(live):
+        mid = (bot + top) // 2
+        ok = _passes_screen(a[live], b[mid], cut[live])
+        top = np.where(ok, mid, top)
+        bot = np.where(ok, bot, mid + 1)
+        done = bot == top
+        first[live[done]] = top[done]
+        live, bot, top = live[~done], bot[~done], top[~done]
+    return hi - first
 
 
 def _no_rows(n: int, w: int) -> tuple:
@@ -499,27 +596,53 @@ def _zkeys(Z: np.ndarray, zvars: list) -> list:
             for g in np.bincount(rows, minlength=len(Z)).tolist()]
 
 
-def _key(X: np.ndarray) -> np.ndarray:
-    """A key of each row of the int64 matrix X (shifted in place), equal
-    rows alike: a mixed-radix int64 code of the row when the product of the
-    column spans fits in int64, else the row itself."""
-    X -= X.min(axis=0)
-    spans = (X.max(axis=0) + 1).tolist()
-    if math.prod(spans) <= np.iinfo(np.int64).max:
-        return X @ np.cumprod([1] + spans, dtype=np.int64)[:-1]
-    return X
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _key(*blocks) -> np.ndarray:
+    """An int64 key of each row of the integer matrices ``blocks``, read
+    side by side, equal rows alike: the mixed-radix code of the row, one
+    digit per column, counted from the column's least entry.  Before a
+    digit would overflow int64, the code so far, and if need be the column,
+    is replaced by its dense rank among the rows (``_rank``)."""
+    key, span = np.zeros(len(blocks[0]), dtype=np.int64), 1
+    for col in (c for X in blocks for c in X.T):
+        lo = int(col.min())
+        col, s = col - lo, int(col.max()) - lo + 1
+        if span * s > _INT64_MAX:
+            key, span = _rank(key)
+            if span * s > _INT64_MAX:
+                col, s = _rank(col)
+        key *= s
+        key += col
+        span *= s
+    return key
+
+
+def _rank(x) -> tuple:
+    """The dense rank of each entry of x among its distinct values, and
+    their count."""
+    values, rank = np.unique(x, return_inverse=True)
+    return rank.ravel(), len(values)
 
 
 def _merge(key: np.ndarray, re, im) -> tuple:
     """Like rows summed, the one rule of every sum: rows with equal keys
-    (entries of a 1-d ``key``, rows of a 2-d one) are one monomial.  Its
-    sum starts at 0.0 and adds its rows in row order (``bincount``), the
-    monomial keeps the place of its first row, and sums that are exactly
-    zero are dropped.  Returns the first row of each kept monomial, in row
-    order, and its sum."""
-    _, first, inv = np.unique(key, axis=None if key.ndim == 1 else 0,
-                              return_index=True, return_inverse=True)
-    inv = inv.ravel()
+    (``_key``) are one monomial.  Its sum starts at 0.0 and adds its rows in
+    row order (``bincount``), the monomial keeps the place of its first
+    row, and sums that are exactly zero are dropped.  Returns the first row
+    of each kept monomial, in row order, and its sum.
+
+    No stable sort is needed: the runs of equal keys after any sort are the
+    monomials, and the least row of each run is its first."""
+    by_key = np.argsort(key)
+    sk = key[by_key]
+    start = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
+    del sk
+    first = np.minimum.reduceat(by_key, start) if len(key) else start
+    inv = np.empty(len(key), dtype=np.int64)
+    inv[by_key] = np.repeat(np.arange(len(start)),
+                            np.diff(np.r_[start, len(key)]))
     order = np.argsort(first)
     c = _complex(np.bincount(inv, weights=re)[order],
                  np.bincount(inv, weights=im)[order])
@@ -547,10 +670,23 @@ def _cut(rows: tuple, keep) -> tuple:
     return tuple(x[keep] for x in rows)
 
 
-def _abs(C) -> np.ndarray:
+def _abs(C, cut=None) -> np.ndarray:
     """|c| as Python's ``abs`` computes it (``np.abs`` can differ in the
-    last bit)."""
-    return np.hypot(C.real, C.imag)
+    last bits).  Given a ``cut`` to compare the sizes with (0 or normal
+    floats), the sizes come from the faster ``np.abs`` and only those
+    within ``_NEAR`` of the cut, relative, are recomputed: every comparison
+    with the cut, and the max's, is then that of the exact sizes."""
+    if cut is None:
+        return np.hypot(C.real, C.imag)
+    a = np.abs(C)
+    near = np.flatnonzero(np.abs(a - cut) <= _NEAR * cut)
+    a[near] = np.hypot(C.real[near], C.imag[near])
+    return a
+
+
+# NumPy 2.4's np.abs came within 2.2 eps (relative) of hypot on 4M random
+# values of every scale; this margin is a hundredfold
+_NEAR = 2.0 ** -44
 
 
 def _times(C, p) -> tuple:
@@ -582,14 +718,16 @@ def _k_scale(P: tuple, j: int) -> tuple:
             M[sel], Z[sel])
 
 
-def _diff_z(P: tuple, V: int) -> tuple:
-    """dP/dz_v for every variable id v of P: the ids, ascending, one per
-    derivative row, and the rows (C, K, M, Z), grouped by id and in P's
-    order within each.  A row of power p in v gives c p, exact zeros
-    dropped, and its Z row with one v removed."""
+def _diff_z(P: tuple, V: int, keep) -> tuple:
+    """dP/dz_v for every variable id v of P with keep[v]: the ids,
+    ascending, one per derivative row, and the rows (C, K, M, Z), grouped
+    by id and in P's order within each.  A row of power p in v gives c p,
+    exact zeros dropped, and its Z row with one v removed."""
     C, K, M, Z = P
     rows, cols, p = _runs(Z, V)
-    order = np.argsort(Z[rows, cols], kind="stable")
+    ids = Z[rows, cols]
+    order = np.flatnonzero(keep[ids])
+    order = order[np.argsort(ids[order], kind="stable")]
     c, nz = _times(C[rows[order]], p[order])
     rows, cols = rows[order][nz], cols[order][nz]
     w = np.arange(Z.shape[1] - 1)
@@ -601,50 +739,59 @@ def _bracket(F: tuple, G: tuple, zvars: list, finite_set,
              max_degree: int | None, tol: float,
              screen: float | None = None) -> tuple:
     """{F, G} on rows over ``zvars`` (``_align``), in ``poisson``'s
-    term order (see the module docstring): the derivatives are array
-    passes over F's and G's rows, each product goes through ``_product``
-    (with ``screen``, the Lie series' pair screen), and ``_merge`` sums
-    the products' rows in bracket order."""
+    term order (see the module docstring).  The derivatives are array
+    passes over F's and G's rows, stacked into one left and one right
+    operand with the factor index of each row: the 2n r/theta factors,
+    then two per shared site in ascending order.  One ``_product`` forms
+    every factor's product (with ``screen``, the Lie series' pair screen),
+    each row takes its factor's sign, and ``_merge`` sums the rows in
+    bracket order."""
     V = len(zvars)
     n = F[1].shape[1]
-    factors = []
+    left, right, signs = [], [], [1.0, -1.0] * n
     for j in range(n):
-        factors.append((_diff_r(F, j), _k_scale(G, j), 1.0))
-        factors.append((_k_scale(F, j), _diff_r(G, j), -1.0))
-    (vf, dF), (vg, dG) = _diff_z(F, V), _diff_z(G, V)
+        left += [_diff_r(F, j), _k_scale(F, j)]
+        right += [_k_scale(G, j), _diff_r(G, j)]
+    site = [v[0] for v in zvars]
+
+    def sites(Z):                     # of the variables the rows use
+        return {site[v] for v in np.unique(Z[Z < V]).tolist()}
+    shared = sorted(sites(F[3]) & sites(G[3]))
     fset = {tuple(s) for s in finite_set}
-    var_id = {v: i for i, v in enumerate(zvars)}
-
-    def part(var, D, v):              # the rows of dD/dz_v
-        # in var's dtype: with a Python int, searchsorted copies var to int64
-        i = var.dtype.type(var_id.get(v, V))
-        return _cut(D, slice(np.searchsorted(var, i, "left"),
-                             np.searchsorted(var, i, "right")))
-
-    sites = {zvars[v][0] for v in set(vf.tolist())} \
-        & {zvars[v][0] for v in set(vg.tolist())}
-    for s in sorted(sites):
+    for s in shared:
         unit = 1.0 if s in fset else 1j
-        factors.append((part(vf, dF, (s, 0)), part(vg, dG, (s, 1)), unit))
-        factors.append((part(vf, dF, (s, 1)), part(vg, dG, (s, 0)), -unit))
-
-    outs = []
-    for A, B, sign in factors:
-        if len(A[0]) and len(B[0]):
-            C, K, M, Z = _product(A, B, V, max_degree, tol, screen)
-            if not len(C):
-                continue
-            sign = complex(sign)
-            outs.append((*_cmul(sign.real, sign.imag, C.real, C.imag),
-                         K, M, Z))
-    if not outs:
+        signs += [unit, -unit]
+    # dD/dz_(s,c) rows are in factor 2n + 2 rank(s) + c on the left, and in
+    # their partner's, c flipped, on the right; -1 off the shared sites
+    rank = {s: 2 * n + 2 * r for r, s in enumerate(shared)}
+    slot = np.array([rank[s] + c if s in rank else -1 for s, c in zvars],
+                    dtype=np.int64)
+    (vf, dF), (vg, dG) = (_diff_z(D, V, slot >= 0) for D in (F, G))
+    lf, rf = slot[vf], slot[vg] ^ 1
+    order = np.argsort(rf, kind="stable")
+    fa = np.concatenate([np.full(len(X[0]), f) for f, X in enumerate(left)]
+                        + [lf])
+    fb = np.concatenate([np.full(len(X[0]), f) for f, X in enumerate(right)]
+                        + [rf[order]])
+    A = _stack_rows(left + [dF], V)
+    B = _stack_rows(right + [_cut(dG, order)], V)
+    del left, right, dF, dG
+    C, K, M, Z = _product(A, B, V, max_degree, tol, screen, fa, fb,
+                          np.array(signs, dtype=complex))
+    del A, B
+    if not len(C):
         return _no_rows(n, 0)
-    re, im, K, M, Z = zip(*outs)
-    del outs                     # each product's rows go once stacked
-    re, im, K, M = (np.concatenate(x) for x in (re, im, K, M))
-    Z = _live_width(_stack_z(Z, V), V)
-    at, C = _merge(_key(np.hstack([K, M, Z])), re, im)
+    Z = _live_width(Z, V)
+    at, C = _merge(_key(K, M, Z), C.real, C.imag)
     return C, K[at], M[at], Z[at]
+
+
+def _stack_rows(parts: list, V: int) -> tuple:
+    """The rows (C, K, M, Z) of ``parts``, one after the other."""
+    if len(parts) == 1:
+        return parts[0]
+    C, K, M, Z = zip(*parts)
+    return (*(np.concatenate(x) for x in (C, K, M)), _stack_z(Z, V))
 
 
 def poisson(F: Polynomial, G: Polynomial, finite_set=(),
@@ -660,7 +807,7 @@ def poisson(F: Polynomial, G: Polynomial, finite_set=(),
     zvars, (PF, PG) = _align(F, G)
     rows = _bracket(PF, PG, zvars, finite_set, max_degree, tol)
     if tol:
-        rows = _cut(rows, _abs(rows[0]) > tol)
+        rows = _cut(rows, _abs(rows[0], tol) > tol)
     return Polynomial._of(F.n, zvars, *rows)
 
 
@@ -693,21 +840,19 @@ def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
         term = _bracket(term, PS, zvars, finite_set, max_degree, tol,
                         rest_tol)
         if tol:
-            term = _cut(term, _abs(term[0]) > tol)
+            term = _cut(term, _abs(term[0], tol) > tol)
         C = term[0]
         term = (_complex(*_cmul(1.0 / m, 0.0, C.real, C.imag)), *term[1:])
-        size = _abs(term[0])
         if rest_tol is not None:
-            keep = size > np.where(_jet_rows(term[2], term[3], V), tol,
-                                   rest_tol)
-            term, size = _cut(term, keep), size[keep]
-        if not len(size) or size.max() < tol:
+            cut = np.where(_jet_rows(term[2], term[3], V), tol, rest_tol)
+            term = _cut(term, _abs(term[0], cut) > cut)
+        if not len(term[0]) or _abs(term[0], tol).max() < tol:
             break
         out = out + Polynomial._of(out.n, zvars, *term)
     else:
         raise StageAbort("lie", max_order,
                          f"term of order {max_order} is "
-                         f"{size.max():.3e}, above tol {tol:.3e}")
+                         f"{_abs(term[0]).max():.3e}, above tol {tol:.3e}")
     if rest_tol is not None:
         return out.prune_split(tol, rest_tol)
     return out.prune(tol)
@@ -775,7 +920,7 @@ def encode(n: int, zvars: list, Z, C, K=None, M=None) -> Polynomial:
                             (len(C), n))[live] for X in (K, M))
     Z, C = np.asarray(Z, dtype=np.int64)[live], C[live]
     Z = np.where(Z < 0, len(zvars), Z).astype(_id_type(len(zvars)))
-    at, C = _merge(_key(np.hstack([K, M, Z])), C.real, C.imag)
+    at, C = _merge(_key(K, M, Z), C.real, C.imag)
     return Polynomial._of(n, list(zvars), C, K[at], M[at], Z[at])
 
 
@@ -916,7 +1061,8 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
     (terms, samples) array, so memory is bounded by one angle's samples.
     Each column is reduced on its own, never by a matrix product across
     columns, so a sample's value does not depend on its batch.  The hessian
-    is taken at each angle's first sample.
+    is taken at each angle's first sample, on the site blocks that the
+    rows name only (``_hessian_norm``).
     """
     if not len(poly):
         return 0.0
@@ -970,24 +1116,9 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
     else:
         Zf = np.ones((N, 1))
 
-    # hessian pattern P[(a, b), t] = Z_ta Z_tb - [a == b] Z_ta: the ordered
-    # pairs of distinct slots of term t's id row, in the padded site layout
     has_quad = Zid.shape[1] >= 2
     if has_quad:
-        sites = sorted({v[0] for v in zvars})
-        S2 = 2 * len(sites)
-        var_id = site_layout(sites)
-        pad = np.array([var_id[v] for v in zvars], dtype=np.int64)
-        slot = np.where(Zid >= 0, pad[Zid], -1)
-        i, j = np.nonzero(~np.eye(Zid.shape[1], dtype=bool))
-        Pa, Pb = slot[:, i], slot[:, j]
-        t, q = np.nonzero((Pa >= 0) & (Pb >= 0))
-        P = _sparse.csc_matrix((np.ones(len(t)), (Pa[t, q] * S2 + Pb[t, q], t)),
-                               shape=(S2 * S2, N))     # repeated pairs sum
-        zpad = np.ones(S2, dtype=complex)
-        zpad[pad] = ZV[:, 0]
-        X = np.array(sites, dtype=np.int64)
-        block_w = [decay_weight(X[:, None], X[None], gp) for gp in gammas]
+        hessian_norm = _hessian_norm(Zid, zvars, ZV[:, 0], gammas)
 
     def sample_norm(phase):
         # column (d, a) of T is phase * r^m * zeta^p at direction-radius
@@ -1000,20 +1131,58 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
                                           .sum(axis=1)).max())
         return val
 
-    def hessian_norm(t0):
-        H = (P @ t0).reshape(S2, S2)
-        H /= zpad[:, None]
-        H /= zpad[None, :]
-        bn = spectral_norm_2x2(H.reshape(len(sites), 2, len(sites), 2)
-                               .transpose(0, 2, 1, 3))
-        return p.mu ** 2 * max(max(wb.sum(axis=1).max(), wb.sum(axis=0).max())
-                               for wb in (bn * wt for wt in block_w))
-
     # one angle's samples at a time: T and H are freed before the next
     best = 0.0
     for th in thetas:
         phase = np.exp(1j * (K @ th)) * C
         best = max(best, sample_norm(phase))
         if has_quad:         # at the angle's first sample, column 0 of T
-            best = max(best, hessian_norm(phase * Rf[:, 0] * Zf[:, 0]))
+            best = max(best, p.mu ** 2
+                       * hessian_norm(phase * Rf[:, 0] * Zf[:, 0]))
     return float(best)
+
+
+def _hessian_norm(Zid, zvars: list, zeta, gammas: list):
+    """The hessian norm of ``class_norm`` at one point, as a function of
+    the rows' values t0 there: the max over the weights ``gammas`` of the
+    largest row or column sum of the decay-weighted spectral norms of the
+    hessian's 2x2 site blocks, over the (xi, eta) pairs of the sites of
+    ``zvars``.  Zid holds the rows' ids into ``zvars`` (pads -1, as
+    ``_live`` gives them) and ``zeta`` the point, one value per variable.
+
+    The hessian of z^p is z^p (p_a p_b - [a == b] p_a) / (z_a z_b): a sum
+    over the ordered pairs of distinct slots of the row's ids.  So a row
+    names the site blocks of those pairs, and only the named blocks are
+    formed: the sparse P maps t0 to their entries, P's rows indexing (named
+    block, 2x2 entry), and the row and column sums are ``np.bincount`` over
+    the blocks' sites.  No (sites x sites) array is formed."""
+    from scipy import sparse as _sparse
+    sites = sorted({v[0] for v in zvars})
+    S = len(sites)
+    at = {s: i for i, s in enumerate(sites)}
+    slot = np.array([2 * at[s] + c for s, c in zvars], dtype=np.int64)
+    i, j = np.nonzero(~np.eye(Zid.shape[1], dtype=bool))
+    Pa, Pb = Zid[:, i], Zid[:, j]
+    t, q = np.nonzero((Pa >= 0) & (Pb >= 0))
+    a, b = slot[Pa[t, q]], slot[Pb[t, q]]
+    blocks, blk = np.unique(a // 2 * S + b // 2, return_inverse=True)
+    entry = 4 * blk + 2 * (a % 2) + b % 2
+    P = _sparse.csc_matrix((np.ones(len(t)), (entry, t)),
+                           shape=(4 * len(blocks), len(Zid)))  # pairs sum
+    sa, sb = np.divmod(blocks, S)
+    zpad = np.ones(2 * S, dtype=complex)        # 1 at absent components
+    zpad[slot] = zeta
+    e = np.arange(2)
+    za = zpad[2 * sa[:, None, None] + e[:, None]]
+    zb = zpad[2 * sb[:, None, None] + e]
+    X = np.array(sites, dtype=np.int64)
+    weights = [decay_weight(X[sa], X[sb], gp) for gp in gammas]
+
+    def norm(t0):
+        H = (P @ t0).reshape(len(blocks), 2, 2)
+        H /= za
+        H /= zb
+        bn = spectral_norm_2x2(H)
+        return max(max(np.bincount(sa, wb).max(), np.bincount(sb, wb).max())
+                   for wb in (bn * wt for wt in weights))
+    return norm

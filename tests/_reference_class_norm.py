@@ -4,13 +4,18 @@ This is the loop ``kamkit.hamiltonian.class_norm`` ran before its samples
 were batched per angle: one scipy.sparse product per sample and a dense
 hessian per angle.  The batched version visits the same sample set, so the
 two agree up to summation order.
+
+``dense_hessian_norm`` is ``hamiltonian._hessian_norm`` as it was before
+it formed only the site blocks the rows name: a dense (2S)x(2S) hessian
+and the weighted norms of all S^2 site blocks.
 """
 import math
 
 import numpy as np
 
-from kamkit.algebra import WeightParams
-from kamkit.hamiltonian import ClassNormParams, Polynomial, _halving_grid
+from kamkit.algebra import WeightParams, decay_weight, spectral_norm_2x2
+from kamkit.hamiltonian import (ClassNormParams, Polynomial, _halving_grid,
+                                site_layout)
 from kamkit.lattice import norm_sq
 
 from _reference_hamiltonian import _pack
@@ -123,3 +128,34 @@ def reference_class_norm(poly: Polynomial, p: ClassNormParams,
                             best = max(best, p.mu ** 2
                                        * _weighted_block_norm(B, pd, br, gp))
     return best
+
+
+def dense_hessian_norm(Zid, zvars: list, zeta, gammas: list):
+    """``_hessian_norm``'s function t0 -> norm, on the dense hessian: P
+    maps t0 to all (2S)^2 entries in the padded site layout, and the row
+    and column sums run over the (S, S) weighted block norms."""
+    from scipy import sparse as _sparse
+    sites = sorted({v[0] for v in zvars})
+    S2 = 2 * len(sites)
+    var_id = site_layout(sites)
+    pad = np.array([var_id[v] for v in zvars], dtype=np.int64)
+    slot = np.where(Zid >= 0, pad[Zid], -1)
+    i, j = np.nonzero(~np.eye(Zid.shape[1], dtype=bool))
+    Pa, Pb = slot[:, i], slot[:, j]
+    t, q = np.nonzero((Pa >= 0) & (Pb >= 0))
+    P = _sparse.csc_matrix((np.ones(len(t)), (Pa[t, q] * S2 + Pb[t, q], t)),
+                           shape=(S2 * S2, len(Zid)))     # repeated pairs sum
+    zpad = np.ones(S2, dtype=complex)
+    zpad[pad] = zeta
+    X = np.array(sites, dtype=np.int64)
+    block_w = [decay_weight(X[:, None], X[None], gp) for gp in gammas]
+
+    def norm(t0):
+        H = (P @ t0).reshape(S2, S2)
+        H /= zpad[:, None]
+        H /= zpad[None, :]
+        bn = spectral_norm_2x2(H.reshape(len(sites), 2, len(sites), 2)
+                               .transpose(0, 2, 1, 3))
+        return max(max(wb.sum(axis=1).max(), wb.sum(axis=0).max())
+                   for wb in (bn * wt for wt in block_w))
+    return norm

@@ -4,8 +4,9 @@
 ``Polynomial.mul`` (now the packed product kernel), which also takes the
 Lie series' pair screen; and ``poisson``, its derivative tables and
 ``lie_transform`` as dict passes over term-pair loop products (now one
-packed bracket).  The dict class's ``mul`` runs the package's product
-through ``as_rows``.
+packed bracket); and ``bracket_per_factor``, the packed bracket as it was
+before its factors were batched: one ``_product`` call per factor.  The
+dict class's ``mul`` runs the package's product through ``as_rows``.
 
 Sums follow the package's rule: ``+``, the term-pair loop and the bracket
 sum each key from complex 0 in term order, a key keeps its first place
@@ -387,6 +388,54 @@ def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
     if rest_tol is not None:
         return out.prune_split(tol, rest_tol)
     return out.prune(tol)
+
+
+def bracket_per_factor(F: tuple, G: tuple, zvars: list, finite_set,
+                       max_degree: int | None, tol: float,
+                       screen: float | None = None) -> tuple:
+    """``rows._bracket`` as a loop over its factors: one ``_product`` per
+    factor, in bracket order, the r/theta factors then the site factors
+    sliced out of the derivative rows site by site; ``_merge`` sums the
+    signed products' rows in that order."""
+    V = len(zvars)
+    n = F[1].shape[1]
+    factors = []
+    for j in range(n):
+        factors.append((rows._diff_r(F, j), rows._k_scale(G, j), 1.0))
+        factors.append((rows._k_scale(F, j), rows._diff_r(G, j), -1.0))
+    every = np.ones(V, dtype=bool)
+    (vf, dF), (vg, dG) = rows._diff_z(F, V, every), rows._diff_z(G, V, every)
+    fset = {tuple(s) for s in finite_set}
+    var_id = {v: i for i, v in enumerate(zvars)}
+
+    def part(var, D, v):              # the rows of dD/dz_v
+        i = var.dtype.type(var_id.get(v, V))
+        return rows._cut(D, slice(np.searchsorted(var, i, "left"),
+                                  np.searchsorted(var, i, "right")))
+
+    sites = {zvars[v][0] for v in set(vf.tolist())} \
+        & {zvars[v][0] for v in set(vg.tolist())}
+    for s in sorted(sites):
+        unit = 1.0 if s in fset else 1j
+        factors.append((part(vf, dF, (s, 0)), part(vg, dG, (s, 1)), unit))
+        factors.append((part(vf, dF, (s, 1)), part(vg, dG, (s, 0)), -unit))
+
+    outs = []
+    for A, B, sign in factors:
+        if len(A[0]) and len(B[0]):
+            C, K, M, Z = rows._product(A, B, V, max_degree, tol, screen)
+            if not len(C):
+                continue
+            sign = complex(sign)
+            outs.append((*rows._cmul(sign.real, sign.imag, C.real, C.imag),
+                         K, M, Z))
+    if not outs:
+        return rows._no_rows(n, 0)
+    re, im, K, M, Z = zip(*outs)
+    re, im, K, M = (np.concatenate(x) for x in (re, im, K, M))
+    Z = rows._live_width(rows._stack_z(Z, V), V)
+    at, C = rows._merge(rows._key(K, M, Z), re, im)
+    return C, K[at], M[at], Z[at]
 
 
 def reality_defect(P: rows.Polynomial, finite_set=()) -> float:

@@ -268,6 +268,25 @@ def test_kam_degenerate_model_is_a_config_error(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+NLS_MODEL = {"kind": "nls", "d": 2, "R": 2, "mass": 1.0, "alpha": 1.0,
+             "rho": [1.0], "forcing": [[[1], 1, 1, [0, 0], 0.1]]}
+
+
+@pytest.mark.parametrize("model, field", [
+    (dict(BEAM_MODEL, nonlinearity=[[3, [0, 0], 1.0], [3, [1, 0, 0], 0.5]]),
+     "model.nonlinearity[1]"),
+    (dict(NLS_MODEL, forcing=[[[1], 1, 1, [0], 0.1]]), "model.forcing[0]"),
+])
+def test_kam_wrong_length_wave_vector_is_a_config_error(tmp_path, capsys,
+                                                         model, field):
+    cfg = write_cfg(tmp_path, {"output_dir": str(tmp_path / "out"),
+                               "model": model})
+    assert main(["kam", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"'{field}' has a wave vector of length" in err
+    assert "expected 2, the model's d" in err
+
+
 def test_kam_invalid_weights_are_a_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"output_dir": str(tmp_path / "out"),
                                "model": BEAM_MODEL,

@@ -1,3 +1,4 @@
+import itertools
 import math
 from contextlib import contextmanager
 from unittest import mock
@@ -21,7 +22,7 @@ from kamkit.hamiltonian import (
 )
 from kamkit.lattice import build_partition
 
-from _reference_class_norm import reference_class_norm
+from _reference_class_norm import dense_hessian_norm, reference_class_norm
 import _reference_hamiltonian as ref
 from _reference_hamiltonian import (_mul_dict, _z_derivative_table, diff_r,
                                     hessian_decay_check, reality_defect)
@@ -72,7 +73,8 @@ def row_cases(draw, kscales=(1, 2 ** 40)):
     """n = 0..2 and two lists of (monomial, coefficient) rows drawn from one
     pool of up to four monomials, so that sums cancel to exactly zero and
     come back.  Lists may be empty, monomials may have no z variables, and
-    k scaled by 2**40 takes the merge past its int64 key (``_group``)."""
+    k scaled by 2**40 takes the merge past its packed int64 key
+    (``_key``)."""
     n = draw(st.integers(0, 2))
     kscale = draw(st.sampled_from(kscales))
     ints = lambda lo, hi: st.lists(st.integers(lo, hi), min_size=n,
@@ -219,10 +221,29 @@ def test_product_tol_cut_is_pythons_abs():
     assert _items(got) == _items(_mul_dict(P, Q, None, tol))
 
 
+def test_abs_at_a_cut_decides_as_hypot():
+    """Sizes taken against a cut compare with it, and their max does, as
+    hypot's do, also at cuts that equal a size or sit an ulp off it."""
+    rng = np.random.default_rng(9)
+    C = (rng.standard_normal(4000) + 1j * rng.standard_normal(4000)) \
+        * np.exp(rng.uniform(-40, 40, 4000))
+    exact = np.hypot(C.real, C.imag)
+    cuts = [0.0] + [f(x) for x in exact[:200] for f in
+                    (float, lambda x: np.nextafter(x, 0),
+                     lambda x: np.nextafter(x, np.inf))]
+    for cut in cuts:
+        got = H._abs(C, cut)
+        assert np.array_equal(got > cut, exact > cut)
+        assert np.array_equal(got < cut, exact < cut)
+        assert (got.max() < cut) == (exact.max() < cut)
+    cut = np.where(np.arange(4000) % 2, exact, np.nextafter(exact, 0))
+    assert np.array_equal(H._abs(C, cut) > cut, exact > cut)
+
+
 def test_packed_product_wide_keys_stay_distinct():
     # k digits spanning 2**32 each put the stride of the first m digit at
     # 2**64: a packed int64 key would wrap and merge monomials that differ
-    # only in m, so this product must be grouped without packing
+    # only in m, so this product's key must be folded by ranks (``_key``)
     big = 2 ** 31
     P, Q = Polynomial(2), Polynomial(2)
     for k in ((0, 0), (big, big)):
@@ -644,12 +665,21 @@ def test_lie_transform_round_trip(case, eps):
 
 # -- the Lie series' pair screen ----------------------------------------------
 
+def _joined(chunks) -> tuple:
+    """The pairs (i, j) of the chunks ``_pairs`` yields, joined."""
+    chunks = list(chunks)
+    return tuple(np.concatenate([c[k] for c in chunks] or
+                                [np.zeros(0, dtype=np.int64)])
+                 for k in (0, 1))
+
+
 @contextmanager
 def _screen_spy(screened=True):
-    """Inside the block: the products each ``_bracket`` call formed (one
-    ``_pairs`` call each), and the pairs the screen dropped, those of the
-    unscreened mask that ``_pairs`` did not return.  With ``screened``
-    False, every bracket runs without its screen."""
+    """Inside the block: the products each ``_bracket`` call formed, one
+    per factor with rows on both sides (``_pairs`` takes every factor of a
+    bracket in one call, tagged by factor index), and the pairs the screen
+    dropped, those of the unscreened mask that ``_pairs`` did not return.
+    With ``screened`` False, every bracket runs without its screen."""
     seen = {"products": [], "dropped": 0}
     pairs, bracket = H._pairs, H._bracket
 
@@ -657,12 +687,14 @@ def _screen_spy(screened=True):
         seen["products"].append(0)
         return bracket(*(args if screened else args[:6]))
 
-    def spy_pairs(A, B, V, max_degree, screen):
-        i, j = pairs(A, B, V, max_degree, screen)
-        seen["products"][-1] += 1
+    def spy_pairs(A, B, V, max_degree, screen, fa, fb):
+        chunks = list(pairs(A, B, V, max_degree, screen, fa, fb))
+        seen["products"][-1] += len(np.intersect1d(fa, fb))
         if screen is not None:
-            seen["dropped"] += len(pairs(A, B, V, max_degree, None)[0]) - len(i)
-        return i, j
+            seen["dropped"] += len(_joined(pairs(A, B, V, max_degree, None,
+                                                 fa, fb))[0]) \
+                - len(_joined(chunks)[0])
+        return iter(chunks)
 
     with mock.patch.object(H, "_bracket", spy_bracket), \
             mock.patch.object(H, "_pairs", spy_pairs):
@@ -760,9 +792,125 @@ def test_screened_pairs_are_the_mask(A, B, max_degree, screen):
     cut = screen / max(1, min(len(C1), len(C2)))
     mask = fits & (jet | H._passes_screen(H._abs(C1)[:, None],
                                           H._abs(C2)[None, :], cut))
-    got = H._pairs(A, B, 4, max_degree, screen)
+    got = _joined(H._pairs(A, B, 4, max_degree, screen))
     want = np.nonzero(mask)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@st.composite
+def factor_tags(draw, N):
+    """An ascending factor index in 0..2 for each of N rows."""
+    return np.sort(np.array(draw(st.lists(st.integers(0, 2), min_size=N,
+                                          max_size=N)), dtype=np.int64))
+
+
+@given(st.data(), st.none() | st.integers(0, 8),
+       st.none() | st.sampled_from([1e-2, 0.3, 1.0]))
+def test_batched_pairs_are_each_factors_mask(data, max_degree, screen):
+    """``_pairs`` of stacked factors is the pairs of each factor's rows
+    on their own, factor after factor, each screened at its own cut."""
+    A, B = data.draw(pair_rows()), data.draw(pair_rows())
+    fa, fb = data.draw(factor_tags(len(A[0]))), data.draw(factor_tags(len(B[0])))
+    want_i, want_j = [], []
+    for f in range(3):
+        a, b = np.flatnonzero(fa == f), np.flatnonzero(fb == f)
+        i, j = _joined(H._pairs(tuple(x[a] for x in A),
+                                tuple(x[b] for x in B), 4, max_degree,
+                                screen))
+        want_i.append(a[i])
+        want_j.append(b[j])
+    got = _joined(H._pairs(A, B, 4, max_degree, screen, fa, fb))
+    assert np.array_equal(got[0], np.concatenate(want_i))
+    assert np.array_equal(got[1], np.concatenate(want_j))
+
+
+def _hyperbolic_case():
+    """F and G share the sites A and B, and B is hyperbolic: the bracket
+    has factors of sign +-1 and +-i, and a site only G has."""
+    F, G = Polynomial(1), Polynomial(1)
+    F.add_term(1.0 + 2j, m=(1,), z={(A, 0): 1, (B, 0): 1})
+    F.add_term(0.5, k=(1,), z={(B, 1): 2})
+    G.add_term(-1.5, k=(-1,), z={(A, 1): 1, (B, 1): 1, ((0, 1), 0): 1})
+    G.add_term(0.25j, m=(1,), z={(B, 0): 1})
+    return F, G, [B]
+
+
+def _wide_case():
+    """k digits spanning 2**32: the product's mixed-radix key does not fit
+    in int64, so it is folded by ranks (``_key``)."""
+    big = 2 ** 31
+    F, G = Polynomial(2), Polynomial(2)
+    for k in ((0, 0), (big, -big), (-big, big)):
+        F.add_term(1.0 + 1j, k=k, m=(1, 0), z={(A, 0): 1})
+        G.add_term(0.5, k=k, m=(0, 1), z={(A, 1): 1, (B, 0): 1})
+    return F, G, [B]
+
+
+def _many_factors_case():
+    """Two actions and three shared sites: up to ten factors, so that a
+    chunk limit of one pair splits the bracket into several chunks."""
+    F, G = Polynomial(2), Polynomial(2)
+    for i, s in enumerate(SITES):
+        F.add_term(1.0 + i, k=(1, 0), m=(1, 0), z={(s, 0): 1, (A, 1): 1})
+        G.add_term(0.5j - i, k=(0, 1), m=(0, 1), z={(s, 1): 2, (B, 0): 1})
+    return F, G, [(0, 1)]
+
+
+@given(bracket_oracle_cases(), st.sampled_from([None, 2, 4]),
+       st.sampled_from([0.0, 1e-3]), st.sampled_from([None, 1e-2, 0.5]),
+       st.sampled_from([None, 1]), st.just(False))
+@example(case=_hyperbolic_case(), max_degree=None, tol=0.0, screen=None,
+         chunk=None, must_split=False)
+@example(case=_screen_case(), max_degree=4, tol=1e-12, screen=1e-2,
+         chunk=None, must_split=False)
+@example(case=_wide_case(), max_degree=4, tol=0.0, screen=None, chunk=None,
+         must_split=False)
+@example(case=_many_factors_case(), max_degree=8, tol=0.0, screen=1e-2,
+         chunk=1, must_split=True)
+def test_batched_bracket_matches_per_factor_loop(case, max_degree, tol,
+                                                 screen, chunk, must_split):
+    """One ``_product`` over the stacked factors gives the rows of one
+    ``_product`` per factor: keys, order and bits, in chunks or not."""
+    F, G, fset = case
+    zvars, (PF, PG) = H._align(F, G)
+    want = ref.bracket_per_factor(PF, PG, zvars, fset, max_degree, tol,
+                                  screen)
+    with mock.patch.object(H, "_CHUNK_PAIRS", chunk or H._CHUNK_PAIRS), \
+            mock.patch.object(H, "_merge", wraps=H._merge) as merge:
+        got = H._bracket(PF, PG, zvars, fset, max_degree, tol, screen)
+    assert merge.call_count > 2 or not must_split      # chunks, then one
+    got, want = (Polynomial._of(F.n, zvars, *rows) for rows in (got, want))
+    assert _items(got) == _items(want)
+
+
+def test_merge_first_rows_match_stable_unique():
+    """The first row of each key and the sums' order, from an unstable
+    sort, are those of ``np.unique(return_index=True)``."""
+    rng = np.random.default_rng(7)
+    for N, K in ((1, 1), (50, 3), (5000, 40), (20000, 2)):
+        key = rng.integers(0, K, N)
+        re, im = rng.standard_normal(N), rng.standard_normal(N)
+        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        at, c = H._merge(key, re, im)
+        assert np.array_equal(at, first[order])
+        assert np.array_equal(c.real, np.bincount(inv, re)[order])
+        assert np.array_equal(c.imag, np.bincount(inv, im)[order])
+
+
+def test_key_folds_wide_rows_into_one_code():
+    """Rows whose column spans multiply past int64 still get one int64 key
+    each, equal exactly for equal rows."""
+    rng = np.random.default_rng(8)
+    pool = rng.integers(-2 ** 40, 2 ** 40, (30, 6))
+    X = pool[rng.integers(0, 30, 2000)]
+    key = H._key(X[:, :2], X[:, 2:])
+    assert key.dtype == np.int64 and key.ndim == 1
+    _, by_row = np.unique(X, axis=0, return_inverse=True)
+    _, by_key = np.unique(key, return_inverse=True)
+    # the same partition of the rows: each key class is one row class
+    pairs = np.unique(np.stack([by_row.ravel(), by_key]), axis=1)
+    assert pairs.shape[1] == len(np.unique(by_row)) == len(np.unique(by_key))
 
 
 def test_class_norm_basics():
@@ -836,6 +984,47 @@ def test_class_norm_matches_sample_loop(data):
     # nearly coincide: summing the hessian in another order moves it by
     # ~1e-10 relative, so this is the singular margin check's tolerance
     assert class_norm(poly, params, w) == pytest.approx(ref, rel=1e-9, abs=0)
+
+
+def _sparse_hessian_case():
+    """40 sites in linear terms and two quadratic terms: S = 40 block rows,
+    each naming at most two blocks, among 1,600."""
+    p = Polynomial(1)
+    for s in range(40):
+        p.add_term(1.0 + s, z={((s, 1), s % 2): 1})
+    p.add_term(2.0 - 1j, k=(1,), z={((3, 1), 1): 1, ((17, 1), 0): 1})
+    p.add_term(0.5j, z={((3, 1), 0): 1, ((3, 1), 1): 1})
+    return p
+
+
+@given(norm_operands(1), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([W, WeightParams(0.0, 0.0, 0.0, 1.0)]))
+@example(poly=_sparse_hessian_case(), seed=0, w=W)
+def test_hessian_norm_matches_dense_hessian(poly, seed, w):
+    """The named blocks' hessian norm against the dense one's.  The block
+    norms are the same bits, and so are the column sums, which both add
+    in row order; a row sum adds the named blocks in another grouping than
+    numpy's pairwise sum over the dense row.  So the two are equal when no
+    row names more than two blocks, and within k - 1 roundings of each
+    other otherwise, k the most blocks a row names."""
+    zvars, Zid = H._live(poly)
+    assume(Zid.shape[1] >= 2)
+    rng = np.random.default_rng(seed)
+    zeta = rng.standard_normal(len(zvars)) + 1j * rng.standard_normal(len(zvars))
+    t0 = rng.standard_normal(len(Zid)) + 1j * rng.standard_normal(len(Zid))
+    gammas = [WeightParams(0.0, 0.0, w.kappa, w.m_star), w]
+    got = H._hessian_norm(Zid, zvars, zeta, gammas)(t0)
+    want = dense_hessian_norm(Zid, zvars, zeta, gammas)(t0)
+    # blocks named per block row: ordered pairs of distinct slots' sites
+    site = {s: i for i, s in enumerate(sorted({v[0] for v in zvars}))}
+    of = np.array([site[v[0]] for v in zvars] + [-1])
+    named = {(of[a], of[b]) for row in Zid for a, b in
+             itertools.permutations(row[row >= 0].tolist(), 2)}
+    k = max(np.bincount([a for a, _ in named]), default=0)
+    if k <= 2:
+        assert got == want
+    else:
+        assert abs(got - want) <= (k - 1) * np.finfo(float).eps * want
 
 
 def test_class_norm_homogeneous():
