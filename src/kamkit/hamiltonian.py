@@ -931,18 +931,19 @@ def decode_jet(P: Polynomial, var_id: dict | None = None):
     Returns (var_id, K, M, U, V, C).  ``var_id`` maps variables to ids; by
     default it numbers the jet's variables in sorted order, and variables
     missing from a given map get the next free ids, in sorted order.  The
-    jet's rows are sliced from P's, not copied into a new polynomial.  Each
-    jet term gives a
-    row, in term order: K and M its (N, n) k and m, U and V its variable
-    ids or -1 (both -1 without z, V = -1 for a linear term), C its
-    coefficient.  Quadratic rows hold entries of the symmetric H of
+    jet's rows are read from P's: in place when every row of P is in the
+    jet (the solver's f_T, the fold's h + h_acc), else sliced.  Each jet
+    term gives a row, in term order: K and M its (N, n) k and m, U and V
+    its variable ids or -1 (both -1 without z, V = -1 for a linear term), C
+    its coefficient.  Quadratic rows hold entries of the symmetric H of
     1/2 <Hz, z>: a z_v^2 monomial carries H_vv/2, so its row holds 2c; a
     distinct pair z_u z_v carries H_uv, so its row holds c, and a mirror
     row (v, u) after all term rows holds H_vu = c.  Over ``site_layout``
     ids the hyperbolic variables are interleaved, (s, 0), (s, 1), which is
     the layout of the real hyperbolic block.
     """
-    J = P._take(P._in_jet())
+    inside = P._in_jet()
+    J = P if inside.all() else P._take(inside)
     zvars, Z = _live(J)
     var_id = {} if var_id is None else var_id
     ids = np.array([var_id.setdefault(v, len(var_id)) for v in zvars] + [-1],

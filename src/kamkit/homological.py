@@ -7,9 +7,15 @@ perturbation f, find a generating jet S with
 
 where h_tilde keeps only the parts that cannot be removed: a constant, an
 r-linear term, and a quadratic part in normal form, so it is a
-``NormalFormHamiltonian`` on h's partition.  Everything is solved
-per Fourier index k and per partition class pair; small divisors below the
+``NormalFormHamiltonian`` on h's partition.  Everything is solved per
+Fourier index k and per partition class pair; small divisors below the
 guard threshold are recorded and the corresponding terms left in place.
+
+The quadratic part is solved in array passes: the jet's rows are scattered
+into one block per (k, class pair, channel), the blocks of one shape are
+stacked, and each stack is solved in one pass.  The solve order is the
+contract (``solve_linear``): guard failures, the divisor log, the blocks of
+h_tilde and the rows of S come out in it, whatever the stacking.
 """
 from __future__ import annotations
 
@@ -27,6 +33,7 @@ from .hamiltonian import (
     NormalFormHamiltonian,
     Polynomial,
     StageAbort,
+    _key,
     block_rows,
     class_ids,
     decode_jet,
@@ -125,11 +132,23 @@ def invert_L_elliptic(kw: float, lam_L, V_L, sL: int, lam_R, V_R, sR: int,
         if not guard.check(float(np.abs(div).min()), *key):
             return None, div
         return V_L @ (Rt / div), div
-    Rt = V_L.conj().T @ R @ V_R
-    div = kw + sL * lam_L[:, None] + sR * lam_R[None, :]
+    div = _elliptic_divisors(kw, lam_L, sL, lam_R, sR)
     if not guard.check(float(np.abs(div).min()), *key):
         return None, div
-    return V_L @ (Rt / div) @ V_R.conj().T, div
+    return _elliptic_solve(V_L, V_R, R, div), div
+
+
+def _elliptic_divisors(kw, lam_L, sL, lam_R, sR):
+    """kw + sL lam_L[i] + sR lam_R[j], added in that order; over stacks
+    (leading axes) as well, with kw, sL and sR of shape (..., 1, 1)."""
+    return kw + sL * lam_L[..., :, None] + sR * lam_R[..., None, :]
+
+
+def _elliptic_solve(V_L, V_R, R, div):
+    """X = V_L ((V_L^H R V_R) / div) V_R^H, the products associated left to
+    right; over stacks of blocks as well (one ``matmul`` per product)."""
+    Rt = np.swapaxes(V_L.conj(), -1, -2) @ R @ V_R
+    return V_L @ (Rt / div) @ np.swapaxes(V_R.conj(), -1, -2)
 
 
 def _solve_guarded(L, rhs, guard: DivisorGuard, key):
@@ -165,13 +184,68 @@ def invert_L_hyperbolic(kw: float, HJ: np.ndarray, JH: np.ndarray,
 
 # -- the main solver ----------------------------------------------------------------
 
-def _k_groups(K: np.ndarray, sel: np.ndarray) -> list:
+def _k_groups(K: np.ndarray) -> tuple:
+    """(ks, g): the distinct rows of K as tuples, in order of first
+    occurrence, and the index in ks of each row's k.  (One ``np.unique``
+    of the rows' int64 codes, ``_key``: a tenth of the time of
+    ``np.unique(K, axis=0)``.)"""
+    if not len(K):
+        return [], np.zeros(0, dtype=np.int64)
+    _, first, at = np.unique(_key(K), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return _tuples(K[first[order]]), rank[at]
+
+
+def _k_rows(K: np.ndarray, sel: np.ndarray) -> list:
     """(k, row indices) for the distinct rows of K among the rows ``sel``,
     in order of first occurrence."""
-    groups: dict = {}
-    for i, k in zip(np.flatnonzero(sel).tolist(), _tuples(K[sel])):
-        groups.setdefault(k, []).append(i)
-    return [(k, np.array(ix)) for k, ix in groups.items()]
+    rows = np.flatnonzero(sel)
+    ks, g = _k_groups(K[rows])
+    split = np.cumsum(np.bincount(g, minlength=len(ks)))[:-1]
+    return list(zip(ks, np.split(rows[np.argsort(g, kind="stable")], split)))
+
+
+@dataclass
+class _Stacks:
+    """h's classes as arrays, for the batched quadratic solve: lookups per
+    site and per class, and the elliptic classes' tables stacked by class
+    size (a class's ``slot`` is its row in the stacks of its size)."""
+    pos: np.ndarray               # site -> its place in its class
+    size: np.ndarray              # class -> number of sites
+    hyperbolic: np.ndarray        # class -> the finite class or not
+    nsq: np.ndarray               # class -> |a|^2 of its first site
+    slot: np.ndarray              # elliptic class -> row in its size's stacks
+    lam: dict                     # size -> (classes, size) eigenvalues
+    V: dict                       # size -> (classes, 2, size, size) bases
+    ids: dict                     # size -> (classes, 2, size) variable ids
+
+
+def _stacks(tables: dict) -> _Stacks:
+    ncl = len(tables)
+    size = np.array([len(tables[ci].sites) for ci in range(ncl)],
+                    dtype=np.int64)
+    members = np.concatenate([tables[ci].ids[0] // 2 for ci in range(ncl)])
+    pos = np.empty(len(members), dtype=np.int64)
+    pos[members] = np.arange(len(members)) - np.repeat(np.cumsum(size)
+                                                       - size, size)
+    slot = np.zeros(ncl, dtype=np.int64)
+    by_size: dict = {}
+    for ci in range(ncl):
+        if not tables[ci].hyperbolic:
+            cds = by_size.setdefault(int(size[ci]), [])
+            slot[ci] = len(cds)
+            cds.append(tables[ci])
+    return _Stacks(
+        pos, size,
+        np.array([tables[ci].hyperbolic for ci in range(ncl)], dtype=bool),
+        np.array([norm_sq(tables[ci].sites[0]) for ci in range(ncl)],
+                 dtype=np.int64), slot,
+        {m: np.stack([cd.lam for cd in cds]) for m, cds in by_size.items()},
+        {m: np.stack([np.stack(cd.V) for cd in cds])
+         for m, cds in by_size.items()},
+        {m: np.stack([cd.ids for cd in cds]) for m, cds in by_size.items()})
 
 
 def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
@@ -179,12 +253,20 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
     """One linear homological solve {h,S} + F = h_tilde, with the class
     tables of h (``class_tables``).
 
-    F's jet is decoded once over the partition's variables.  Each Fourier
-    index k fills one form matrix, and each class pair reads its block by
-    index.  The solved rows of S are collected in solve order and encoded
-    once.  Returns (S polynomial, h_tilde, skipped_report, divisor_log):
-    h_tilde is a ``NormalFormHamiltonian`` on h's partition, with the
-    k = 0 constant as its ``const`` and chi as its ``omega``.
+    F's jet is decoded once over the partition's variables.  The theta, r
+    and zeta-linear rows are solved per Fourier index k (and per class).
+    The zeta-quadratic rows are solved in array passes
+    (``_solve_quadratic``): scattered into one block per (k, class pair,
+    channel), and solved in one stacked pass per block shape.  Returns (S
+    polynomial, h_tilde, skipped_report, divisor_log): h_tilde is a
+    ``NormalFormHamiltonian`` on h's partition, with the k = 0 constant as
+    its ``const`` and chi as its ``omega``.
+
+    The order of the solve is the contract: k in order of first occurrence,
+    then class pairs (ci <= cj) ascending, then channels xi-xi, xi-eta,
+    eta-xi, eta-eta.  Guard failures, divisor-log entries, ``set_block``
+    calls, the skip report and the rows of S (each solved block's mirror
+    right after it) come in that order, and S's rows are encoded once.
     """
     p = h.partition
     n = h.n
@@ -195,13 +277,12 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
     class_of = np.array([p.class_of[s] for s in sites], dtype=np.int64)
     _, K, M, U, V, C = decode_jet(F_poly, var_id)
     ht = NormalFormHamiltonian(omega=np.zeros(n, dtype=complex), partition=p)
-    skipped = []
     divlog = {}
     solved = []                # S as block_rows blocks, in solve order
 
     # -- theta and r parts ----------------------------------------------------
     none, on_r = U < 0, M.any(axis=1)
-    for k, (i,) in _k_groups(K, none & ~on_r):
+    for k, (i,) in _k_rows(K, none & ~on_r):
         c = C[i].item()
         kw = float(np.dot(k, omega))
         if not any(k):
@@ -210,7 +291,7 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
         divlog[(k, (), "theta")] = (kw,)
         if guard.check(abs(kw), k, (), "theta"):
             solved.append((k, None, [-1], None, [c / (-1j * kw)]))
-    for k, gi in _k_groups(K, none & on_r):
+    for k, gi in _k_rows(K, none & on_r):
         vec = np.zeros(n, dtype=complex)
         vec[M[gi].argmax(axis=1)] += C[gi]
         kw = float(np.dot(k, omega))
@@ -222,7 +303,7 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
             solved.append((k, np.eye(n), [-1] * n, None, vec / (-1j * kw)))
 
     # -- zeta-linear part -----------------------------------------------------
-    for k, gi in _k_groups(K, (U >= 0) & (V < 0)):
+    for k, gi in _k_rows(K, (U >= 0) & (V < 0)):
         kw = float(np.dot(k, omega))
         Fk = np.zeros(nv, dtype=complex)
         Fk[U[gi]] += C[gi]
@@ -246,99 +327,267 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
                 if x is not None:
                     solved.append((k, None, cd.ids[comp], None, x))
 
-    # -- zeta-quadratic part: one form matrix per k, blocks by class pair -----
-    pts = np.array(sites, dtype=np.int64)
-    C_fit = 0.0                # fitted decay constant for the skip-rule bound
-    ncl = len(p.classes)
-    for k, gi in _k_groups(K, V >= 0):
-        kw = float(np.dot(k, omega))
-        Mk = np.zeros((nv, nv), dtype=complex)
-        Mk[U[gi], V[gi]] += C[gi]
-        a, b = np.divmod(np.unique(U[gi] // 2 * len(sites) + V[gi] // 2),
-                         len(sites))
-        norms = spectral_norm_2x2(
-            Mk.reshape(len(sites), 2, len(sites), 2)[a, :, b, :])
-        off = a != b
-        if off.any():
-            C_fit = max(C_fit, float((norms[off] * decay_weight(
-                pts[a[off]], pts[b[off]], WeightParams(gamma1, 0.0))).max()))
-        # class pairs (ci <= cj) that hold blocks, with their largest norm
-        pairs = class_of[a] * ncl + class_of[b]
-        for pid in np.unique(pairs[class_of[a] <= class_of[b]]).tolist():
-            ci, cj = divmod(pid, ncl)
-            ca, cb = tables[ci], tables[cj]
-
-            # skip rule: same sphere, different classes, elliptic pair
-            if (ci != cj and not ca.hyperbolic and not cb.hyperbolic
-                    and norm_sq(ca.sites[0]) == norm_sq(cb.sites[0])):
-                gap = math.sqrt(pseudo_dist_sq(ca.sites, cb.sites).min())
-                skipped.append((k, ci, cj, float(norms[pairs == pid].max()),
-                                gap))
-                continue
-
-            if ca.hyperbolic and cb.hyperbolic:
-                w = ca.ids.T.ravel()
-                Gi = Mk[np.ix_(w, w)]
-                if not any(k):
-                    ht.hyperbolic_block = ((Gi + Gi.T) / 2).real
-                    continue
-                Y, smin = invert_L_hyperbolic(kw, ca.HJ, cb.JH, Gi, guard,
-                                              (k, (ci, cj), "hyp"))
-                divlog[(k, (ci, cj), "hyp")] = (smin,)
-                if Y is not None:
-                    solved.append((k, None, w, w, Y / 2))
-                continue
-
-            if ca.hyperbolic or cb.hyperbolic:
-                # rows of the elliptic class per component, columns of the
-                # hyperbolic class interleaved
-                ell, hyp = (cb, ca) if ca.hyperbolic else (ca, cb)
-                w = hyp.ids.T.ravel()
-                divs, rows_x = [], []
-                for crow in (XI, ETA):
-                    Gt = ell.V[crow].conj().T @ Mk[np.ix_(ell.ids[crow], w)]
-                    for i, lam in enumerate(ell.lam):
-                        tag = f"mix-{('xi', 'eta')[crow]}-{i}"
-                        x, smin = invert_L_mixed(
-                            1j * (kw + (2 * crow - 1) * lam), hyp.JH, -Gt[i],
-                            guard, (k, (ci, cj), tag))
-                        divs.append(smin)
-                        if x is None:
-                            break
-                        rows_x.append(x)
-                    if x is None:
-                        break
-                divlog[(k, (ci, cj), "mixed")] = tuple(divs)
-                if x is not None:
-                    ne = len(ell.sites)
-                    solved.append((k, None, ell.ids.ravel(), w, np.vstack(
-                        [ell.V[c] @ np.array(rows_x[c * ne:][:ne])
-                         for c in (XI, ETA)])))
-                continue
-
-            # elliptic-elliptic: solve per channel
-            for c1, c2 in ((XI, XI), (XI, ETA), (ETA, XI), (ETA, ETA)):
-                Gc = Mk[np.ix_(ca.ids[c1], cb.ids[c2])]
-                if not any(k) and ci == cj and c1 != c2:
-                    if c1 == XI:
-                        ht.set_block(ci, (Gc + Gc.conj().T) / 2)
-                    continue
-                if not np.any(Gc):
-                    continue
-                tag = f"q-{c1}{c2}"
-                X, div = invert_L_elliptic(
-                    kw, ca.lam, ca.V[c1], 2 * c1 - 1, cb.lam, cb.V[1 - c2],
-                    2 * c2 - 1, 1j * Gc, guard, (k, (ci, cj), tag))
-                divlog[(k, (ci, cj), tag)] = tuple(np.sort(div.ravel()))
-                if X is not None:
-                    # a pair of classes also holds the mirror block (cj, ci)
-                    solved += [(k, None, ca.ids[c1], cb.ids[c2], X / 2)] \
-                        * (1 if ci == cj else 2)
-
-    skipped = [(k, ci, cj, coeff, C_fit * math.exp(-gamma1 * gap))
-               for k, ci, cj, coeff, gap in skipped]
-    S = encode(n, list(var_id), *block_rows(n, solved))
+    q = V >= 0
+    quad, skipped = _solve_quadratic(
+        h, K[q], U[q], V[q], C[q], class_of, np.array(sites, dtype=np.int64),
+        guard, gamma1, tables, ht, divlog)
+    S = encode(n, list(var_id), *(np.concatenate(x) for x in
+                                  zip(block_rows(n, solved), quad)))
     return S, ht, skipped, divlog
+
+
+def _solve_quadratic(h, K, U, V, C, class_of, pts, guard, gamma1, tables,
+                     ht, divlog) -> tuple:
+    """The zeta-quadratic rows (K, U, V, C) of ``solve_linear``'s jet,
+    solved in array passes.  Fills ``ht``, ``divlog`` and the guard's log,
+    and returns (S's rows as ``block_rows`` gives them, skipped_report).
+
+    Items are the (k, class pair ci <= cj) that hold a row, in solve order.
+    An elliptic pair's rows are scattered into one block per channel
+    (c1, c2) of shape (|ci|, |cj|), the blocks of one shape stacked
+    together, and each stack solves (kw)X + sL Q_ci X + sR X Q_cj = iG in
+    one pass.  Hyperbolic and mixed pairs are solved per pair.  One walk
+    over the items, in order, emits the guard checks, divisor log,
+    ``set_block`` calls and skip report; S's rows are then written at their
+    places in that order.
+    """
+    n = h.n
+    if not len(C):
+        return block_rows(n, []), []
+    st = _stacks(tables)
+    ncl = len(tables)
+    omega = np.asarray(h.omega, dtype=float)
+    ks, g = _k_groups(K)
+    kws = np.array([float(np.dot(k, omega)) for k in ks])
+    zero_k = np.array([not any(k) for k in ks])
+    a, b = U // 2, V // 2              # sites, and the components
+    cu, cv = U % 2, V % 2
+    ca, cb = class_of[a], class_of[b]
+
+    # -- the 2x2 site blocks of every k: norms, C_fit, and the items -------
+    ns = len(pts)
+    site_pair, at = np.unique((g * ns + a) * ns + b, return_inverse=True)
+    blocks = np.zeros(4 * len(site_pair), dtype=complex)
+    np.add.at(blocks, 4 * at + 2 * cu + cv, C)
+    norms = spectral_norm_2x2(blocks.reshape(-1, 2, 2))
+    del blocks
+    sg, sab = np.divmod(site_pair, ns * ns)
+    sa, sb = np.divmod(sab, ns)
+    off = sa != sb
+    C_fit = 0.0                # fitted decay constant for the skip-rule bound
+    if off.any():
+        C_fit = max(C_fit, float((norms[off] * decay_weight(
+            pts[sa[off]], pts[sb[off]], WeightParams(gamma1, 0.0))).max()))
+    fwd = class_of[sa] <= class_of[sb]
+    items, at = np.unique(((sg * ncl + class_of[sa]) * ncl
+                           + class_of[sb])[fwd], return_inverse=True)
+    peak = np.full(len(items), -np.inf)     # largest site-block norm
+    np.maximum.at(peak, at, norms[fwd])
+    ig, pair = np.divmod(items, ncl * ncl)
+    ci, cj = np.divmod(pair, ncl)
+    hyp = st.hyperbolic[ci] | st.hyperbolic[cj]
+    # skip rule: same sphere, different classes, elliptic pair
+    skip = (ci != cj) & ~hyp & (st.nsq[ci] == st.nsq[cj])
+    ell = ~hyp & ~skip
+    gap = {x: math.sqrt(pseudo_dist_sq(tables[x // ncl].sites,
+                                       tables[x % ncl].sites).min())
+           for x in np.unique(pair[skip]).tolist()}
+
+    # -- entries: item * 4 + channel, channel 2 c1 + c2 ---------------------
+    # each pair's rows oriented ci <= cj; k = 0 diagonal blocks go to
+    # set_block (xi-eta, present with or without rows; eta-xi dropped)
+    rows = np.flatnonzero(ca <= cb)
+    ri = np.searchsorted(items, (g[rows] * ncl + ca[rows]) * ncl + cb[rows])
+    diag0 = ell & (ci == cj) & zero_k[ig]
+    ent = 4 * ri + 2 * cu[rows] + cv[rows]
+    keep = ell[ri] & ~(diag0[ri] & (ent % 4 == 2))
+    rows, ent = rows[keep], ent[keep]
+    entries = np.union1d(ent, 4 * np.flatnonzero(diag0) + 1)
+    eitem, ech = np.divmod(entries, 4)
+    c1, c2 = np.divmod(ech, 2)
+    eci, ecj = ci[eitem], cj[eitem]
+    na, nb = st.size[eci], st.size[ecj]
+    set_b = diag0[eitem] & (ech == 1)
+
+    # -- scatter: one contiguous stack per block shape ----------------------
+    shape = na * (st.size.max() + 1) + nb
+    by_shape = np.argsort(shape, kind="stable")
+    width = na * nb
+    base = np.empty(len(entries), dtype=np.int64)
+    base[by_shape] = np.cumsum(width[by_shape]) - width[by_shape]
+    G = np.zeros(int(width.sum()), dtype=complex)
+    e = np.searchsorted(entries, ent)
+    np.add.at(G, base[e] + st.pos[a[rows]] * nb[e] + st.pos[b[rows]],
+              C[rows])
+    del rows, ent, e
+
+    # -- divisors per stack -------------------------------------------------
+    solve = np.zeros(len(entries), dtype=bool)
+    dmin = np.zeros(len(entries))
+    sorted_div = [None] * len(entries)
+    herm = {}
+    stacks = []
+    runs = np.flatnonzero(np.diff(shape[by_shape])) + 1
+    for E in np.split(by_shape, runs) if len(entries) else []:
+        m, w = int(na[E[0]]), int(nb[E[0]])
+        Gs = G[base[E[0]]:base[E[0]] + len(E) * m * w].reshape(len(E), m, w)
+        hs = set_b[E]
+        if hs.any():
+            H = Gs[hs]
+            herm.update(zip(E[hs].tolist(),
+                            (H + H.conj().transpose(0, 2, 1)) / 2))
+        live = ~hs & Gs.any(axis=(1, 2))
+        if not live.any():
+            continue
+        Es = E[live]
+        solve[Es] = True
+        lamL = st.lam[m][st.slot[eci[Es]]]
+        lamR = st.lam[w][st.slot[ecj[Es]]]
+        div = _elliptic_divisors(
+            kws[ig[eitem[Es]]][:, None, None], lamL,
+            (2.0 * c1[Es] - 1)[:, None, None], lamR,
+            (2.0 * c2[Es] - 1)[:, None, None])
+        dmin[Es] = np.abs(div).min(axis=(1, 2))
+        for i, d in zip(Es.tolist(),
+                        np.sort(div.reshape(len(Es), -1), axis=1).tolist()):
+            sorted_div[i] = tuple(d)
+        stacks.append((Es, np.flatnonzero(live), Gs, div, m, w))
+
+    # -- the walk, in solve order -------------------------------------------
+    hyp_rows = _rows_by_item(items, hyp, g, ca, cb, ncl)
+    first = np.searchsorted(entries, 4 * np.arange(len(items) + 1)).tolist()
+    ok = np.zeros(len(entries), dtype=bool)
+    tags = [f"q-{x}{y}" for x in (XI, ETA) for y in (XI, ETA)]
+    skipped, hyp_blocks = [], []
+    set_b_, solve_, ech_, dmin_ = (x.tolist() for x in (set_b, solve, ech,
+                                                       dmin))
+    for i, (gi, cl_i, cl_j, skip_i, hyp_i) in enumerate(zip(
+            ig.tolist(), ci.tolist(), cj.tolist(), skip.tolist(),
+            hyp.tolist())):
+        k, classes = ks[gi], (cl_i, cl_j)
+        if skip_i:
+            skipped.append((k, cl_i, cl_j, float(peak[i]),
+                            gap[cl_i * ncl + cl_j]))
+            continue
+        if hyp_i:
+            r = hyp_rows[i]
+            block = _solve_hyperbolic_pair(
+                k, float(kws[gi]), cl_i, cl_j, tables, st, a[r], b[r],
+                cu[r], cv[r], C[r], ca[r], guard, ht, divlog)
+            if block is not None:
+                hyp_blocks.append((4 * i, block_rows(n, [block])))
+            continue
+        for x in range(first[i], first[i + 1]):
+            if set_b_[x]:
+                ht.set_block(cl_i, herm[x])
+            elif solve_[x]:
+                key = (k, classes, tags[ech_[x]])
+                divlog[key] = sorted_div[x]
+                ok[x] = guard.check(dmin_[x], *key)
+
+    # -- S's rows in solve order: each solved block, then its mirror ------
+    done = np.flatnonzero(ok)
+    mirror = eci != ecj         # the pair also holds the block (cj, ci)
+    code = np.concatenate([entries[done], np.array(
+        [c for c, _ in hyp_blocks], dtype=np.int64)])
+    size = np.concatenate([(1 + mirror[done]) * width[done], np.array(
+        [len(rows[1]) for _, rows in hyp_blocks], dtype=np.int64)])
+    order = np.argsort(code)
+    start = np.empty(len(code), dtype=np.int64)
+    start[order] = np.cumsum(size[order]) - size[order]
+    N = int(size.sum())
+    Z = np.empty((2, N), dtype=np.int64)     # the columns of S's Z
+    Cs = np.empty(N, dtype=complex)
+    Ks = np.repeat(np.array(ks, dtype=np.int64).reshape(len(ks), n)[
+        ig[code[order] // 4]], size[order], axis=0)
+    for (_, (Zb, Cb, _, _)), s0 in zip(hyp_blocks, start[len(done):]):
+        Z[:, s0:s0 + len(Cb)], Cs[s0:s0 + len(Cb)] = Zb.T, Cb
+    at_entry = np.zeros(len(entries), dtype=np.int64)
+    at_entry[done] = start[:len(done)]
+    for Es, at, Gs, div, m, w in stacks:
+        good = ok[Es]
+        if not good.any():
+            continue
+        Es, at = Es[good], at[good]
+        X = _elliptic_solve(st.V[m][st.slot[eci[Es]], c1[Es]],
+                            st.V[w][st.slot[ecj[Es]], 1 - c2[Es]],
+                            1j * Gs[at], div[good])
+        Ue = st.ids[m][st.slot[eci[Es]], c1[Es]][:, :, None]
+        Ve = st.ids[w][st.slot[ecj[Es]], c2[Es]][:, None, :]
+        dest = at_entry[Es][:, None, None] + np.arange(m * w).reshape(m, w)
+        mir = mirror[Es]
+        for out, x in zip((Z[0], Z[1], Cs), (np.minimum(Ue, Ve),
+                                             np.maximum(Ue, Ve), X / 2)):
+            out[dest.ravel()] = x.ravel()
+            out[(dest[mir] + m * w).ravel()] = x[mir].ravel()
+    skipped = [(k, i, j, coeff, C_fit * math.exp(-gamma1 * gp))
+               for k, i, j, coeff, gp in skipped]
+    return (Z.T, Cs, Ks, np.zeros((N, n), dtype=np.int64)), skipped
+
+
+def _rows_by_item(items, sel, g, ca, cb, ncl) -> dict:
+    """item -> its rows, in either orientation, for the items i with
+    sel[i] (the hyperbolic and mixed pairs)."""
+    want = np.flatnonzero(sel)
+    if not len(want):
+        return {}
+    code = (g * ncl + np.minimum(ca, cb)) * ncl + np.maximum(ca, cb)
+    order = np.argsort(code, kind="stable")
+    lo, hi = (np.searchsorted(code[order], items[want], side)
+              for side in ("left", "right"))
+    return {i: order[x:y] for i, x, y in zip(want.tolist(), lo.tolist(),
+                                             hi.tolist())}
+
+
+def _solve_hyperbolic_pair(k, kw, ci, cj, tables, st, a, b, cu, cv, C, ca,
+                           guard, ht, divlog):
+    """One item (k, ci <= cj) with a hyperbolic class, from its rows (sites
+    a, b, components cu, cv, coefficients C, class of a: ca).  Returns its
+    block of S for ``block_rows``, or None."""
+    A, B = tables[ci], tables[cj]
+    if A.hyperbolic and B.hyperbolic:
+        w = A.ids.T.ravel()
+        m = len(w)
+        Gi = np.zeros(m * m, dtype=complex)
+        np.add.at(Gi, (2 * st.pos[a] + cu) * m + 2 * st.pos[b] + cv, C)
+        Gi = Gi.reshape(m, m)
+        if not any(k):
+            ht.hyperbolic_block = ((Gi + Gi.T) / 2).real
+            return None
+        Y, smin = invert_L_hyperbolic(kw, A.HJ, B.JH, Gi, guard,
+                                      (k, (ci, cj), "hyp"))
+        divlog[(k, (ci, cj), "hyp")] = (smin,)
+        return None if Y is None else (k, None, w, w, Y / 2)
+
+    # rows of the elliptic class per component, columns of the hyperbolic
+    # class interleaved
+    (e_i, ell), hyp = ((cj, B), A) if A.hyperbolic else ((ci, A), B)
+    w = hyp.ids.T.ravel()
+    ne, m = len(ell.sites), len(w)
+    r = ca == e_i
+    D = np.zeros(2 * ne * m, dtype=complex)
+    np.add.at(D, (cu[r] * ne + st.pos[a[r]]) * m + 2 * st.pos[b[r]] + cv[r],
+              C[r])
+    D = D.reshape(2, ne, m)
+    divs, rows_x = [], []
+    for crow in (XI, ETA):
+        Gt = ell.V[crow].conj().T @ D[crow]
+        for i, lam in enumerate(ell.lam):
+            tag = f"mix-{('xi', 'eta')[crow]}-{i}"
+            x, smin = invert_L_mixed(
+                1j * (kw + (2 * crow - 1) * lam), hyp.JH, -Gt[i],
+                guard, (k, (ci, cj), tag))
+            divs.append(smin)
+            if x is None:
+                break
+            rows_x.append(x)
+        if x is None:
+            break
+    divlog[(k, (ci, cj), "mixed")] = tuple(divs)
+    if x is None:
+        return None
+    return (k, None, ell.ids.ravel(), w, np.vstack(
+        [ell.V[c] @ np.array(rows_x[c * ne:][:ne]) for c in (XI, ETA)]))
 
 
 def solve_homological(h: NormalFormHamiltonian, f: Polynomial,

@@ -351,6 +351,21 @@ def test_decode_then_encode_gives_back_the_jet(P):
     assert repr(list(back.terms.items())) == repr(list(P.jet().terms.items()))
 
 
+def test_decode_jet_reads_a_whole_jet_in_place(monkeypatch):
+    """A polynomial that is all jet is read without a copy, and gives the
+    rows that its jet gives when read out of a larger polynomial."""
+    P = random_poly(np.random.default_rng(3), n=2, nterms=12)
+    J = P.jet()
+    assert 0 < len(J) < len(P)
+    want = decode_jet(P)
+    monkeypatch.setattr(Polynomial, "_take", lambda *args: pytest.fail(
+        "decode_jet copied a polynomial that is all jet"))
+    got = decode_jet(J)
+    assert got[0] == want[0]
+    assert [(x.dtype, repr(x.tolist())) for x in got[1:]] == \
+        [(x.dtype, repr(x.tolist())) for x in want[1:]]
+
+
 # (k, m, id pair over MERGE_VARS, z-key): a few monomials, so rows repeat
 MERGE_VARS = [(A, 0), (A, 1), (B, 0)]
 MONOMIALS = [((0,), (0,), (-1, -1), ()),

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kamkit.hamiltonian import NormalFormHamiltonian, Polynomial, poisson
 from kamkit.homological import (
     DivisorGuard,
+    class_tables,
     invert_L_elliptic,
     invert_L_hyperbolic,
     invert_L_mixed,
@@ -16,6 +18,7 @@ from kamkit.lattice import build_partition
 
 from _reference_algebra import check_normal_form, to_real_matrix
 from _reference_hamiltonian import reality_defect
+import _reference_homological as ref
 from _reference_homological import det_certificate
 
 
@@ -263,3 +266,55 @@ def test_picard_shrinks_residual():
                            max_picard=4).residual.max_coeff()
     assert r3 < r1
     assert r3 < 1e-6 * f.jet().max_coeff()
+
+
+@st.composite
+def linear_solve_cases(draw):
+    """(seed, d, R, delta, finite, n, nterms, delta0): a ``make_h``
+    instance, with the node (0, .., 0, 1) as its finite class or none, a
+    ``random_jet`` of nterms terms on it, and the guard threshold."""
+    d = draw(st.integers(1, 3))
+    return (draw(st.integers(0, 2 ** 16)), d,
+            draw(st.integers(2, 3 if d == 3 else 4)),
+            draw(st.sampled_from([math.inf, 1, 2])), draw(st.booleans()),
+            draw(st.integers(1, 2)), draw(st.integers(1, 80)),
+            draw(st.sampled_from([1e-8, 0.3, 1.0])))
+
+
+def _linear_solve_text(solve, case) -> list:
+    """Every output of one ``solve_linear`` on ``case``, in order, floats
+    by repr: S's rows, h_tilde, the skip report, the divisor log and the
+    guard's failures."""
+    seed, d, R, delta, finite, n, nterms, delta0 = case
+    h, part, rng = make_h(seed=seed, d=d, R=R, n=n, delta=delta,
+                          finite=((0,) * (d - 1) + (1,),) if finite else ())
+    f = random_jet(rng, part, n=n, nterms=nterms)
+    guard = DivisorGuard(delta0)
+    S, ht, skipped, divlog = solve(h, f, guard, 0.4, class_tables(h))
+    hyp = ht.hyperbolic_block
+    return [repr(list(S.terms.items())),
+            repr((ht.const, ht.omega.tolist(),
+                  [(ci, Q.tolist()) for ci, Q in ht.elliptic_blocks.items()],
+                  None if hyp is None else hyp.tolist())),
+            repr(skipped),
+            repr([(key, tuple(map(float, v))) for key, v in divlog.items()]),
+            repr(guard.failures)]
+
+
+@given(linear_solve_cases())
+# the guard fires on elliptic pairs (and a same-sphere skip)
+@example(case=(3, 2, 2, 2, True, 2, 49, 1.0))
+# a finite hyperbolic class: hyp, mixed and elliptic failures in one k
+@example(case=(1, 1, 2, math.inf, True, 1, 80, 1.0))
+# classes of three different sizes solved in one k
+@example(case=(4, 3, 2, math.inf, True, 2, 11, 1e-8))
+# a same-sphere skip
+@example(case=(23, 2, 2, 1, False, 1, 40, 1e-8))
+# a k = 0 block with off-diagonal entries goes to set_block
+@example(case=(17, 2, 3, math.inf, False, 1, 71, 1e-8))
+def test_batched_solve_matches_per_pair_loop(case):
+    """The batched solve gives the per-pair loop's outputs bit for bit and
+    in the same order: S's rows, h_tilde, the skip report, the divisor log
+    and the guard's failures."""
+    assert (_linear_solve_text(solve_linear, case)
+            == _linear_solve_text(ref.solve_linear, case))
