@@ -89,26 +89,35 @@ def load_config(path: str) -> dict:
 
 # -- section parsers ------------------------------------------------------------
 
-def parse_grid(cfg: dict | None) -> ParameterGrid | None:
+def parse_grid(cfg: dict | None, params: int) -> ParameterGrid | None:
+    """The grid section, over a model with ``params`` parameters."""
     if cfg is None:
         return None
     _check_keys(cfg, {"bounds", "resolution", "ball"}, "grid")
     bounds = [tuple(b) for b in _require(cfg, "bounds", "grid")]
-    return ParameterGrid(bounds=bounds,
-                         resolution=int(cfg.get("resolution", 64)),
-                         ball=bool(cfg.get("ball", False)))
+    if len(bounds) != params:
+        raise ConfigError(f"field 'grid.bounds' has {len(bounds)} axes; "
+                          f"expected {params}, the model's parameter count")
+    return _construct(ParameterGrid, {
+        "bounds": bounds, "resolution": cfg.get("resolution", 64),
+        "ball": bool(cfg.get("ball", False))}, "grid")
 
 
 def parse_guard(cfg: dict, n: int) -> dict:
+    """The guard section, over a torus of dimension n."""
     cfg = dict(cfg or {})
     _check_keys(cfg, {"delta0", "C", "tau", "beta", "c", "K_max"}, "guard")
+    K_max = cfg.get("K_max", 20 * n)
+    if isinstance(K_max, bool) or not isinstance(K_max, int) or K_max <= 0:
+        raise ConfigError("field 'guard.K_max' must be a positive integer, "
+                          f"got {K_max!r}")
     out = {
         "delta0": _positive(cfg.get("delta0", 1e-8), "guard.delta0"),
         "C": _positive(cfg.get("C", 1.0), "guard.C"),
         "tau": cfg.get("tau", n + 1),
         "beta": _positive(cfg.get("beta", 1.0), "guard.beta"),
         "c": _positive(cfg.get("c", 1.0), "guard.c"),
-        "K_max": int(cfg.get("K_max", 20 * n)),
+        "K_max": K_max,
     }
     _positive(out["tau"], "guard.tau")
     return out
@@ -273,7 +282,7 @@ def cmd_scan(cfg: dict) -> int:
     if kind == "singular":
         raise ConfigError("scan expects a parameterized model (beam or nls)")
     h, _f = built
-    grid = parse_grid(cfg.get("grid"))
+    grid = parse_grid(cfg.get("grid"), len(h.rho_star))
     if grid is None:
         raise ConfigError("missing required field 'grid' in 'config'")
     guard = parse_guard(cfg.get("guard"), h.n)
@@ -321,7 +330,8 @@ def cmd_kam(cfg: dict) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     sched = parse_schedule(cfg.get("schedule"))
     weights = parse_weights(cfg.get("weights"))
-    guard = parse_guard(cfg.get("guard"), 2)
+    guard = parse_guard(cfg.get("guard"), len(built.omega_I)
+                        if kind == "singular" else built[0].n)
     extra = {"command": "kam", "guard": guard, "model_kind": kind}
 
     if kind == "singular":
@@ -346,7 +356,7 @@ def cmd_kam(cfg: dict) -> int:
         return EXIT_OK
 
     h, f = built
-    grid = parse_grid(cfg.get("grid"))
+    grid = parse_grid(cfg.get("grid"), len(h.rho_star))
     report = run(h, f, sched, weights, guard_delta0=guard["delta0"],
                  grid=grid)
     metrics = [json.dumps(m, sort_keys=True)

@@ -25,6 +25,14 @@ class ParameterGrid:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
+        if (isinstance(self.resolution, bool)
+                or not isinstance(self.resolution, (int, np.integer))
+                or self.resolution <= 0):
+            raise ValueError("resolution must be a positive integer, got "
+                             f"{self.resolution!r}")
+        for lo, hi in self.bounds:
+            if not lo < hi:
+                raise ValueError(f"bounds must have lo < hi, got ({lo}, {hi})")
         shape = (self.resolution,) * len(self.bounds)
         if self.mask is None:
             self.mask = np.ones(shape, dtype=bool)

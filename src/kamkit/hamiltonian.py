@@ -491,11 +491,8 @@ def _pair_runs(A: tuple, B: tuple, V: int, max_degree: int | None,
     suffix of each group of its factor (``_screen_counts``), counted for
     all factors at once, one pair of degrees at a time."""
     (C1, M1, Z1), (C2, M2, Z2) = A, B
-    nA, nB = len(C1), len(C2)
+    nB = len(C2)
     sizeB = np.bincount(fb, minlength=nF)
-    if screen is None and max_degree is None:
-        return (np.arange(nA), (np.cumsum(sizeB) - sizeB)[fa], sizeB[fa],
-                np.arange(nB))
     s1, s2 = M1.sum(axis=1), M2.sum(axis=1)
     z1, z2 = (Z1 < V).sum(axis=1), (Z2 < V).sum(axis=1)
     width = int(max(z1.max(), z2.max())) + 1

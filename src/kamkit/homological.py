@@ -11,11 +11,12 @@ r-linear term, and a quadratic part in normal form, so it is a
 Fourier index k and per partition class pair; small divisors below the
 guard threshold are recorded and the corresponding terms left in place.
 
+h's classes are read from one table built once per h (``class_tables``).
 The quadratic part is solved in array passes: the jet's rows are scattered
 into one block per (k, class pair, channel), the blocks of one shape are
 stacked, and each stack is solved in one pass.  The solve order is the
-contract (``solve_linear``): guard failures, the divisor log, the blocks of
-h_tilde and the rows of S come out in it, whatever the stacking.
+contract (``solve_linear``): guard failures, the divisor log and h_tilde's
+blocks come out in it, and one stable sort puts S's rows in it.
 """
 from __future__ import annotations
 
@@ -83,60 +84,71 @@ class HomologicalSolution:
         return residual.prune(self.prune_tol)
 
 
-# -- class tables ---------------------------------------------------------------
+# -- the class table ----------------------------------------------------------
 
 @dataclass
-class _ClassData:
-    sites: tuple
-    hyperbolic: bool
-    ids: np.ndarray               # class_ids over the partition's layout
-    lam: np.ndarray | None = None
-    V: tuple = ()                 # eigenbases of the xi and eta components
-    JH: np.ndarray | None = None
-    HJ: np.ndarray | None = None
+class ClassTable:
+    """h's classes as arrays, built once per h (``class_tables``): the
+    variable layout of h's partition, lookups per site and per class, the
+    elliptic classes' eigenpairs stacked by class size (a class's ``slot``
+    is its row in the stacks of its size), and the finite class's
+    interleaved ids with J H and H J."""
+    var_id: dict                  # site_layout of the partition's sites
+    pts: np.ndarray               # the sites, in the order of var_id
+    class_of: np.ndarray          # site -> class
+    pos: np.ndarray               # site -> its place in its class
+    size: np.ndarray              # class -> number of sites
+    hyperbolic: np.ndarray        # class -> the finite class or not
+    nsq: np.ndarray               # class -> |a|^2 of its first site
+    slot: np.ndarray              # elliptic class -> row in its size's stacks
+    lam: dict                     # size -> (classes, size) eigenvalues
+    V: dict                       # size -> (classes, 2, size, size) bases
+    ids: dict                     # size -> (classes, 2, size) variable ids
+    w: np.ndarray | None          # the finite class's ids, interleaved
+    JH: np.ndarray | None
+    HJ: np.ndarray | None
+
+    def elliptic(self, ci: int) -> tuple:
+        """(lam, V, ids) of the elliptic class ci, from its size's stacks."""
+        m, s = self.size[ci], self.slot[ci]
+        return self.lam[m][s], self.V[m][s], self.ids[m][s]
 
 
-def class_tables(h: NormalFormHamiltonian) -> dict:
+def class_tables(h: NormalFormHamiltonian) -> ClassTable:
     p = h.partition
-    var_id = site_layout(p.sites())
-    tables = {}
-    F = len(p.finite_set)
+    sites = sorted(p.sites())      # in the order of site_layout
+    var_id = site_layout(sites)
+    place = {s: i for cl in p.classes for i, s in enumerate(cl)}
+    slot = np.zeros(len(p.classes), dtype=np.int64)
+    by_size: dict = {}
+    w = JH = HJ = None
     for ci, cl in enumerate(p.classes):
         ids = class_ids(var_id, cl)
         if ci == p.finite_index:
+            F = len(p.finite_set)
             H = h.hyperbolic_block
             if H is None:
                 H = np.zeros((2 * F, 2 * F))
             J = symplectic(F)
-            tables[ci] = _ClassData(cl, True, ids, JH=J @ H, HJ=H @ J)
-        else:
-            Q = h.class_Q(ci)
-            lam, U = np.linalg.eigh(Q)
-            tables[ci] = _ClassData(cl, False, ids, lam=lam,
-                                    V=(U, np.conj(U)))
-    return tables
+            w, JH, HJ = ids.T.ravel(), J @ H, H @ J
+            continue
+        lam, U = np.linalg.eigh(h.class_Q(ci))
+        group = by_size.setdefault(len(cl), [])
+        slot[ci] = len(group)
+        group.append((lam, np.stack([U, np.conj(U)]), ids))
+    stacks = {m: [np.stack(x) for x in zip(*group)]
+              for m, group in by_size.items()}
+    return ClassTable(
+        var_id, np.array(sites, dtype=np.int64),
+        np.array([p.class_of[s] for s in sites], dtype=np.int64),
+        np.array([place[s] for s in sites], dtype=np.int64),
+        np.array([len(cl) for cl in p.classes], dtype=np.int64),
+        np.arange(len(p.classes)) == p.finite_index,
+        np.array([norm_sq(cl[0]) for cl in p.classes], dtype=np.int64), slot,
+        *({m: x[i] for m, x in stacks.items()} for i in range(3)), w, JH, HJ)
 
 
 # -- elementary inversions --------------------------------------------------------
-
-def invert_L_elliptic(kw: float, lam_L, V_L, sL: int, lam_R, V_R, sR: int,
-                      R: np.ndarray, guard: DivisorGuard, key):
-    """Solve (kw)X + sL*P_L X + sR*X P_R = R with P = V diag(lam) V^{-1}.
-
-    Returns (X or None, divisors).  For lam_R/V_R None, solves the vector
-    equation (kw I + sL P_L) x = R instead.
-    """
-    if lam_R is None:
-        Rt = V_L.conj().T @ R
-        div = kw + sL * lam_L
-        if not guard.check(float(np.abs(div).min()), *key):
-            return None, div
-        return V_L @ (Rt / div), div
-    div = _elliptic_divisors(kw, lam_L, sL, lam_R, sR)
-    if not guard.check(float(np.abs(div).min()), *key):
-        return None, div
-    return _elliptic_solve(V_L, V_R, R, div), div
-
 
 def _elliptic_divisors(kw, lam_L, sL, lam_R, sR):
     """kw + sL lam_L[i] + sR lam_R[j], added in that order; over stacks
@@ -145,8 +157,11 @@ def _elliptic_divisors(kw, lam_L, sL, lam_R, sR):
 
 
 def _elliptic_solve(V_L, V_R, R, div):
-    """X = V_L ((V_L^H R V_R) / div) V_R^H, the products associated left to
-    right; over stacks of blocks as well (one ``matmul`` per product)."""
+    """X with (kw)X + sL P_L X + sR X P_R = R, P = V diag(lam) V^{-1} and
+    ``div`` from ``_elliptic_divisors``: X = V_L ((V_L^H R V_R) / div) V_R^H,
+    the products associated left to right; over stacks of blocks as well
+    (one ``matmul`` per product).  The vector equation (kw I + sL P_L) x = R
+    is the one-column case: lam_R = zeros(1), sR = 0, V_R = ones((1, 1))."""
     Rt = np.swapaxes(V_L.conj(), -1, -2) @ R @ V_R
     return V_L @ (Rt / div) @ np.swapaxes(V_R.conj(), -1, -2)
 
@@ -207,78 +222,35 @@ def _k_rows(K: np.ndarray, sel: np.ndarray) -> list:
     return list(zip(ks, np.split(rows[np.argsort(g, kind="stable")], split)))
 
 
-@dataclass
-class _Stacks:
-    """h's classes as arrays, for the batched quadratic solve: lookups per
-    site and per class, and the elliptic classes' tables stacked by class
-    size (a class's ``slot`` is its row in the stacks of its size)."""
-    pos: np.ndarray               # site -> its place in its class
-    size: np.ndarray              # class -> number of sites
-    hyperbolic: np.ndarray        # class -> the finite class or not
-    nsq: np.ndarray               # class -> |a|^2 of its first site
-    slot: np.ndarray              # elliptic class -> row in its size's stacks
-    lam: dict                     # size -> (classes, size) eigenvalues
-    V: dict                       # size -> (classes, 2, size, size) bases
-    ids: dict                     # size -> (classes, 2, size) variable ids
-
-
-def _stacks(tables: dict) -> _Stacks:
-    ncl = len(tables)
-    size = np.array([len(tables[ci].sites) for ci in range(ncl)],
-                    dtype=np.int64)
-    members = np.concatenate([tables[ci].ids[0] // 2 for ci in range(ncl)])
-    pos = np.empty(len(members), dtype=np.int64)
-    pos[members] = np.arange(len(members)) - np.repeat(np.cumsum(size)
-                                                       - size, size)
-    slot = np.zeros(ncl, dtype=np.int64)
-    by_size: dict = {}
-    for ci in range(ncl):
-        if not tables[ci].hyperbolic:
-            cds = by_size.setdefault(int(size[ci]), [])
-            slot[ci] = len(cds)
-            cds.append(tables[ci])
-    return _Stacks(
-        pos, size,
-        np.array([tables[ci].hyperbolic for ci in range(ncl)], dtype=bool),
-        np.array([norm_sq(tables[ci].sites[0]) for ci in range(ncl)],
-                 dtype=np.int64), slot,
-        {m: np.stack([cd.lam for cd in cds]) for m, cds in by_size.items()},
-        {m: np.stack([np.stack(cd.V) for cd in cds])
-         for m, cds in by_size.items()},
-        {m: np.stack([cd.ids for cd in cds]) for m, cds in by_size.items()})
-
-
 def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
-                 guard: DivisorGuard, gamma1: float, tables: dict):
-    """One linear homological solve {h,S} + F = h_tilde, with the class
-    tables of h (``class_tables``).
+                 guard: DivisorGuard, gamma1: float, tables: ClassTable):
+    """One linear homological solve {h,S} + F = h_tilde, with h's class
+    table (``class_tables``, built once per h).
 
-    F's jet is decoded once over the partition's variables.  The theta, r
-    and zeta-linear rows are solved per Fourier index k (and per class).
-    The zeta-quadratic rows are solved in array passes
-    (``_solve_quadratic``): scattered into one block per (k, class pair,
-    channel), and solved in one stacked pass per block shape.  Returns (S
-    polynomial, h_tilde, skipped_report, divisor_log): h_tilde is a
-    ``NormalFormHamiltonian`` on h's partition, with the k = 0 constant as
-    its ``const`` and chi as its ``omega``.
+    F's jet is decoded once over the table's variables.  The theta, r and
+    zeta-linear rows are solved per Fourier index k (and per class).  The
+    zeta-quadratic rows are solved in array passes (``_solve_quadratic``):
+    scattered into one block per (k, class pair, channel), and solved in
+    one stacked pass per block shape.  Returns (S polynomial, h_tilde,
+    skipped_report, divisor_log): h_tilde is a ``NormalFormHamiltonian`` on
+    h's partition, with the k = 0 constant as its ``const`` and chi as its
+    ``omega``.
 
     The order of the solve is the contract: k in order of first occurrence,
     then class pairs (ci <= cj) ascending, then channels xi-xi, xi-eta,
     eta-xi, eta-eta.  Guard failures, divisor-log entries, ``set_block``
-    calls, the skip report and the rows of S (each solved block's mirror
-    right after it) come in that order, and S's rows are encoded once.
+    calls and the skip report come in it; one stable sort puts S's rows in
+    it (each block's mirror right after it) for the one ``encode``.
     """
-    p = h.partition
+    t = tables
     n = h.n
     omega = np.asarray(h.omega, dtype=float)
-    var_id = site_layout(p.sites())
-    nv = len(var_id)
-    sites = sorted(p.sites())      # in the order of site_layout
-    class_of = np.array([p.class_of[s] for s in sites], dtype=np.int64)
-    _, K, M, U, V, C = decode_jet(F_poly, var_id)
-    ht = NormalFormHamiltonian(omega=np.zeros(n, dtype=complex), partition=p)
+    _, K, M, U, V, C = decode_jet(F_poly, t.var_id)
+    ht = NormalFormHamiltonian(omega=np.zeros(n, dtype=complex),
+                               partition=h.partition)
     divlog = {}
-    solved = []                # S as block_rows blocks, in solve order
+    solved = []                # S as block_rows blocks
+    place = []                 # their places in the solve order
 
     # -- theta and r parts ----------------------------------------------------
     none, on_r = U < 0, M.any(axis=1)
@@ -305,42 +277,49 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
     # -- zeta-linear part -----------------------------------------------------
     for k, gi in _k_rows(K, (U >= 0) & (V < 0)):
         kw = float(np.dot(k, omega))
-        Fk = np.zeros(nv, dtype=complex)
+        Fk = np.zeros(len(t.var_id), dtype=complex)
         Fk[U[gi]] += C[gi]
-        for ci in np.unique(class_of[U[gi] // 2]).tolist():
-            cd = tables[ci]
-            if cd.hyperbolic:
-                w = cd.ids.T.ravel()
-                x, smin = _solve_guarded(1j * kw * np.eye(len(w)) + cd.HJ,
-                                         -Fk[w], guard, (k, (ci,), "lin-hyp"))
+        for ci in np.unique(t.class_of[U[gi] // 2]).tolist():
+            if t.hyperbolic[ci]:
+                x, smin = _solve_guarded(1j * kw * np.eye(len(t.w)) + t.HJ,
+                                         -Fk[t.w], guard,
+                                         (k, (ci,), "lin-hyp"))
                 divlog[(k, (ci,), "lin-hyp")] = (smin,)
                 if x is not None:
-                    solved.append((k, None, w, None, x))
+                    solved.append((k, None, t.w, None, x))
                 continue
             # i[(kw)I - Q] v_xi = -F_xi ; i[(kw)I + conj(Q)] v_eta = -F_eta
+            lam, Vc, ids = t.elliptic(ci)
             for comp in (XI, ETA):
-                tag = ("lin-xi", "lin-eta")[comp]
-                x, div = invert_L_elliptic(kw, cd.lam, cd.V[comp], 2 * comp - 1,
-                                           None, None, 0, 1j * Fk[cd.ids[comp]],
-                                           guard, (k, (ci,), tag))
-                divlog[(k, (ci,), tag)] = tuple(np.sort(div))
-                if x is not None:
-                    solved.append((k, None, cd.ids[comp], None, x))
+                key = (k, (ci,), ("lin-xi", "lin-eta")[comp])
+                div = _elliptic_divisors(kw, lam, 2 * comp - 1, np.zeros(1), 0)
+                divlog[key] = tuple(np.sort(div, axis=None))
+                if guard.check(float(np.abs(div).min()), *key):
+                    solved.append((k, None, ids[comp], None, _elliptic_solve(
+                        Vc[comp], np.ones((1, 1)), 1j * Fk[ids[comp], None],
+                        div)))
+    place += [-1] * len(solved)        # before every quadratic block
 
     q = V >= 0
-    quad, skipped = _solve_quadratic(
-        h, K[q], U[q], V[q], C[q], class_of, np.array(sites, dtype=np.int64),
-        guard, gamma1, tables, ht, divlog)
-    S = encode(n, list(var_id), *(np.concatenate(x) for x in
-                                  zip(block_rows(n, solved), quad)))
+    ell, skipped = _solve_quadratic(h, K[q], U[q], V[q], C[q], t, guard,
+                                    gamma1, ht, divlog, solved, place)
+    Z, Cs, Ks, Ms, code = (np.concatenate(x) for x in zip(
+        (*block_rows(n, solved), np.repeat(np.array(place, dtype=np.int64),
+                                            [np.size(b[4]) for b in solved])),
+        ell))
+    live = np.flatnonzero(Cs)          # encode would skip the zero rows
+    order = live[np.argsort(code[live], kind="stable")]
+    S = encode(n, list(t.var_id), Z[order], Cs[order], Ks[order], Ms[order])
     return S, ht, skipped, divlog
 
 
-def _solve_quadratic(h, K, U, V, C, class_of, pts, guard, gamma1, tables,
-                     ht, divlog) -> tuple:
+def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, divlog, solved,
+                     place) -> tuple:
     """The zeta-quadratic rows (K, U, V, C) of ``solve_linear``'s jet,
     solved in array passes.  Fills ``ht``, ``divlog`` and the guard's log,
-    and returns (S's rows as ``block_rows`` gives them, skipped_report).
+    appends the hyperbolic items' blocks of S to ``solved`` and their
+    places in the solve order to ``place``, and returns (the elliptic
+    blocks' rows of S as (Z, C, K, M, place), skipped_report).
 
     Items are the (k, class pair ci <= cj) that hold a row, in solve order.
     An elliptic pair's rows are scattered into one block per channel
@@ -348,24 +327,22 @@ def _solve_quadratic(h, K, U, V, C, class_of, pts, guard, gamma1, tables,
     together, and each stack solves (kw)X + sL Q_ci X + sR X Q_cj = iG in
     one pass.  Hyperbolic and mixed pairs are solved per pair.  One walk
     over the items, in order, emits the guard checks, divisor log,
-    ``set_block`` calls and skip report; S's rows are then written at their
-    places in that order.
+    ``set_block`` calls and skip report.  A solved block's place is
+    2 (4 item + channel), and 1 more for its mirror (cj, ci); a hyperbolic
+    item's is 8 item.
     """
     n = h.n
-    if not len(C):
-        return block_rows(n, []), []
-    st = _stacks(tables)
-    ncl = len(tables)
+    ncl = len(t.size)
     omega = np.asarray(h.omega, dtype=float)
     ks, g = _k_groups(K)
     kws = np.array([float(np.dot(k, omega)) for k in ks])
-    zero_k = np.array([not any(k) for k in ks])
+    zero_k = np.array([not any(k) for k in ks], dtype=bool)
     a, b = U // 2, V // 2              # sites, and the components
     cu, cv = U % 2, V % 2
-    ca, cb = class_of[a], class_of[b]
+    ca, cb = t.class_of[a], t.class_of[b]
 
     # -- the 2x2 site blocks of every k: norms, C_fit, and the items -------
-    ns = len(pts)
+    ns = len(t.pts)
     site_pair, at = np.unique((g * ns + a) * ns + b, return_inverse=True)
     blocks = np.zeros(4 * len(site_pair), dtype=complex)
     np.add.at(blocks, 4 * at + 2 * cu + cv, C)
@@ -374,23 +351,22 @@ def _solve_quadratic(h, K, U, V, C, class_of, pts, guard, gamma1, tables,
     sg, sab = np.divmod(site_pair, ns * ns)
     sa, sb = np.divmod(sab, ns)
     off = sa != sb
-    C_fit = 0.0                # fitted decay constant for the skip-rule bound
-    if off.any():
-        C_fit = max(C_fit, float((norms[off] * decay_weight(
-            pts[sa[off]], pts[sb[off]], WeightParams(gamma1, 0.0))).max()))
-    fwd = class_of[sa] <= class_of[sb]
-    items, at = np.unique(((sg * ncl + class_of[sa]) * ncl
-                           + class_of[sb])[fwd], return_inverse=True)
+    C_fit = float(np.max(norms[off] * decay_weight(
+        t.pts[sa[off]], t.pts[sb[off]], WeightParams(gamma1, 0.0)),
+        initial=0.0))          # fitted decay constant for the skip-rule bound
+    fwd = t.class_of[sa] <= t.class_of[sb]
+    items, at = np.unique(((sg * ncl + t.class_of[sa]) * ncl
+                           + t.class_of[sb])[fwd], return_inverse=True)
     peak = np.full(len(items), -np.inf)     # largest site-block norm
     np.maximum.at(peak, at, norms[fwd])
     ig, pair = np.divmod(items, ncl * ncl)
     ci, cj = np.divmod(pair, ncl)
-    hyp = st.hyperbolic[ci] | st.hyperbolic[cj]
+    hyp = t.hyperbolic[ci] | t.hyperbolic[cj]
     # skip rule: same sphere, different classes, elliptic pair
-    skip = (ci != cj) & ~hyp & (st.nsq[ci] == st.nsq[cj])
+    skip = (ci != cj) & ~hyp & (t.nsq[ci] == t.nsq[cj])
     ell = ~hyp & ~skip
-    gap = {x: math.sqrt(pseudo_dist_sq(tables[x // ncl].sites,
-                                       tables[x % ncl].sites).min())
+    gap = {x: math.sqrt(pseudo_dist_sq(*(h.partition.classes[c] for c in
+                                         divmod(x, ncl))).min())
            for x in np.unique(pair[skip]).tolist()}
 
     # -- entries: item * 4 + channel, channel 2 c1 + c2 ---------------------
@@ -406,23 +382,22 @@ def _solve_quadratic(h, K, U, V, C, class_of, pts, guard, gamma1, tables,
     eitem, ech = np.divmod(entries, 4)
     c1, c2 = np.divmod(ech, 2)
     eci, ecj = ci[eitem], cj[eitem]
-    na, nb = st.size[eci], st.size[ecj]
+    na, nb = t.size[eci], t.size[ecj]
     set_b = diag0[eitem] & (ech == 1)
 
     # -- scatter: one contiguous stack per block shape ----------------------
-    shape = na * (st.size.max() + 1) + nb
+    shape = na * (t.size.max() + 1) + nb
     by_shape = np.argsort(shape, kind="stable")
     width = na * nb
     base = np.empty(len(entries), dtype=np.int64)
     base[by_shape] = np.cumsum(width[by_shape]) - width[by_shape]
     G = np.zeros(int(width.sum()), dtype=complex)
     e = np.searchsorted(entries, ent)
-    np.add.at(G, base[e] + st.pos[a[rows]] * nb[e] + st.pos[b[rows]],
+    np.add.at(G, base[e] + t.pos[a[rows]] * nb[e] + t.pos[b[rows]],
               C[rows])
     del rows, ent, e
 
     # -- divisors per stack -------------------------------------------------
-    solve = np.zeros(len(entries), dtype=bool)
     dmin = np.zeros(len(entries))
     sorted_div = [None] * len(entries)
     herm = {}
@@ -440,12 +415,9 @@ def _solve_quadratic(h, K, U, V, C, class_of, pts, guard, gamma1, tables,
         if not live.any():
             continue
         Es = E[live]
-        solve[Es] = True
-        lamL = st.lam[m][st.slot[eci[Es]]]
-        lamR = st.lam[w][st.slot[ecj[Es]]]
         div = _elliptic_divisors(
-            kws[ig[eitem[Es]]][:, None, None], lamL,
-            (2.0 * c1[Es] - 1)[:, None, None], lamR,
+            kws[ig[eitem[Es]]][:, None, None], t.lam[m][t.slot[eci[Es]]],
+            (2.0 * c1[Es] - 1)[:, None, None], t.lam[w][t.slot[ecj[Es]]],
             (2.0 * c2[Es] - 1)[:, None, None])
         dmin[Es] = np.abs(div).min(axis=(1, 2))
         for i, d in zip(Es.tolist(),
@@ -458,9 +430,8 @@ def _solve_quadratic(h, K, U, V, C, class_of, pts, guard, gamma1, tables,
     first = np.searchsorted(entries, 4 * np.arange(len(items) + 1)).tolist()
     ok = np.zeros(len(entries), dtype=bool)
     tags = [f"q-{x}{y}" for x in (XI, ETA) for y in (XI, ETA)]
-    skipped, hyp_blocks = [], []
-    set_b_, solve_, ech_, dmin_ = (x.tolist() for x in (set_b, solve, ech,
-                                                       dmin))
+    skipped = []
+    set_b_, ech_, dmin_ = (x.tolist() for x in (set_b, ech, dmin))
     for i, (gi, cl_i, cl_j, skip_i, hyp_i) in enumerate(zip(
             ig.tolist(), ci.tolist(), cj.tolist(), skip.tolist(),
             hyp.tolist())):
@@ -472,57 +443,43 @@ def _solve_quadratic(h, K, U, V, C, class_of, pts, guard, gamma1, tables,
         if hyp_i:
             r = hyp_rows[i]
             block = _solve_hyperbolic_pair(
-                k, float(kws[gi]), cl_i, cl_j, tables, st, a[r], b[r],
-                cu[r], cv[r], C[r], ca[r], guard, ht, divlog)
+                k, float(kws[gi]), cl_i, cl_j, t, a[r], b[r], cu[r], cv[r],
+                C[r], ca[r], guard, ht, divlog)
             if block is not None:
-                hyp_blocks.append((4 * i, block_rows(n, [block])))
+                solved.append(block)
+                place.append(8 * i)
             continue
         for x in range(first[i], first[i + 1]):
             if set_b_[x]:
                 ht.set_block(cl_i, herm[x])
-            elif solve_[x]:
+            elif sorted_div[x] is not None:
                 key = (k, classes, tags[ech_[x]])
                 divlog[key] = sorted_div[x]
                 ok[x] = guard.check(dmin_[x], *key)
 
-    # -- S's rows in solve order: each solved block, then its mirror ------
-    done = np.flatnonzero(ok)
-    mirror = eci != ecj         # the pair also holds the block (cj, ci)
-    code = np.concatenate([entries[done], np.array(
-        [c for c, _ in hyp_blocks], dtype=np.int64)])
-    size = np.concatenate([(1 + mirror[done]) * width[done], np.array(
-        [len(rows[1]) for _, rows in hyp_blocks], dtype=np.int64)])
-    order = np.argsort(code)
-    start = np.empty(len(code), dtype=np.int64)
-    start[order] = np.cumsum(size[order]) - size[order]
-    N = int(size.sum())
-    Z = np.empty((2, N), dtype=np.int64)     # the columns of S's Z
-    Cs = np.empty(N, dtype=complex)
-    Ks = np.repeat(np.array(ks, dtype=np.int64).reshape(len(ks), n)[
-        ig[code[order] // 4]], size[order], axis=0)
-    for (_, (Zb, Cb, _, _)), s0 in zip(hyp_blocks, start[len(done):]):
-        Z[:, s0:s0 + len(Cb)], Cs[s0:s0 + len(Cb)] = Zb.T, Cb
-    at_entry = np.zeros(len(entries), dtype=np.int64)
-    at_entry[done] = start[:len(done)]
+    # -- S's rows: each solved block, and its mirror (cj, ci) --------------
+    out = [(np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=complex),
+            np.zeros(0, dtype=np.int64))]
     for Es, at, Gs, div, m, w in stacks:
         good = ok[Es]
-        if not good.any():
-            continue
         Es, at = Es[good], at[good]
-        X = _elliptic_solve(st.V[m][st.slot[eci[Es]], c1[Es]],
-                            st.V[w][st.slot[ecj[Es]], 1 - c2[Es]],
+        X = _elliptic_solve(t.V[m][t.slot[eci[Es]], c1[Es]],
+                            t.V[w][t.slot[ecj[Es]], 1 - c2[Es]],
                             1j * Gs[at], div[good])
-        Ue = st.ids[m][st.slot[eci[Es]], c1[Es]][:, :, None]
-        Ve = st.ids[w][st.slot[ecj[Es]], c2[Es]][:, None, :]
-        dest = at_entry[Es][:, None, None] + np.arange(m * w).reshape(m, w)
-        mir = mirror[Es]
-        for out, x in zip((Z[0], Z[1], Cs), (np.minimum(Ue, Ve),
-                                             np.maximum(Ue, Ve), X / 2)):
-            out[dest.ravel()] = x.ravel()
-            out[(dest[mir] + m * w).ravel()] = x[mir].ravel()
+        Ue = t.ids[m][t.slot[eci[Es]], c1[Es]][:, :, None]
+        Ve = t.ids[w][t.slot[ecj[Es]], c2[Es]][:, None, :]
+        Z = np.stack([np.minimum(Ue, Ve), np.maximum(Ue, Ve)], axis=-1)
+        both = np.concatenate([np.arange(len(Es)),
+                               np.flatnonzero(eci[Es] != ecj[Es])])
+        code = 2 * entries[Es[both]]
+        code[len(Es):] += 1
+        out.append((Z[both].reshape(-1, 2), X[both].ravel() / 2,
+                    np.repeat(code, m * w)))
+    Z, Cs, code = (np.concatenate(x) for x in zip(*out))
+    Ks = np.array(ks, dtype=np.int64).reshape(len(ks), n)[ig[code // 8]]
     skipped = [(k, i, j, coeff, C_fit * math.exp(-gamma1 * gp))
                for k, i, j, coeff, gp in skipped]
-    return (Z.T, Cs, Ks, np.zeros((N, n), dtype=np.int64)), skipped
+    return (Z, Cs, Ks, np.zeros((len(Cs), n)), code), skipped
 
 
 def _rows_by_item(items, sel, g, ca, cb, ncl) -> dict:
@@ -539,43 +496,41 @@ def _rows_by_item(items, sel, g, ca, cb, ncl) -> dict:
                                              hi.tolist())}
 
 
-def _solve_hyperbolic_pair(k, kw, ci, cj, tables, st, a, b, cu, cv, C, ca,
-                           guard, ht, divlog):
-    """One item (k, ci <= cj) with a hyperbolic class, from its rows (sites
-    a, b, components cu, cv, coefficients C, class of a: ca).  Returns its
-    block of S for ``block_rows``, or None."""
-    A, B = tables[ci], tables[cj]
-    if A.hyperbolic and B.hyperbolic:
-        w = A.ids.T.ravel()
-        m = len(w)
+def _solve_hyperbolic_pair(k, kw, ci, cj, t, a, b, cu, cv, C, ca, guard, ht,
+                           divlog):
+    """One item (k, ci <= cj) with the finite (hyperbolic) class, from its
+    rows (sites a, b, components cu, cv, coefficients C, class of a: ca).
+    Returns its block of S for ``block_rows``, or None."""
+    m = len(t.w)
+    if t.hyperbolic[ci] and t.hyperbolic[cj]:
         Gi = np.zeros(m * m, dtype=complex)
-        np.add.at(Gi, (2 * st.pos[a] + cu) * m + 2 * st.pos[b] + cv, C)
+        np.add.at(Gi, (2 * t.pos[a] + cu) * m + 2 * t.pos[b] + cv, C)
         Gi = Gi.reshape(m, m)
         if not any(k):
             ht.hyperbolic_block = ((Gi + Gi.T) / 2).real
             return None
-        Y, smin = invert_L_hyperbolic(kw, A.HJ, B.JH, Gi, guard,
+        Y, smin = invert_L_hyperbolic(kw, t.HJ, t.JH, Gi, guard,
                                       (k, (ci, cj), "hyp"))
         divlog[(k, (ci, cj), "hyp")] = (smin,)
-        return None if Y is None else (k, None, w, w, Y / 2)
+        return None if Y is None else (k, None, t.w, t.w, Y / 2)
 
     # rows of the elliptic class per component, columns of the hyperbolic
     # class interleaved
-    (e_i, ell), hyp = ((cj, B), A) if A.hyperbolic else ((ci, A), B)
-    w = hyp.ids.T.ravel()
-    ne, m = len(ell.sites), len(w)
+    e_i = cj if t.hyperbolic[ci] else ci
+    lam, Vc, ids = t.elliptic(e_i)
+    ne = len(lam)
     r = ca == e_i
     D = np.zeros(2 * ne * m, dtype=complex)
-    np.add.at(D, (cu[r] * ne + st.pos[a[r]]) * m + 2 * st.pos[b[r]] + cv[r],
+    np.add.at(D, (cu[r] * ne + t.pos[a[r]]) * m + 2 * t.pos[b[r]] + cv[r],
               C[r])
     D = D.reshape(2, ne, m)
     divs, rows_x = [], []
     for crow in (XI, ETA):
-        Gt = ell.V[crow].conj().T @ D[crow]
-        for i, lam in enumerate(ell.lam):
+        Gt = Vc[crow].conj().T @ D[crow]
+        for i, lam_i in enumerate(lam):
             tag = f"mix-{('xi', 'eta')[crow]}-{i}"
             x, smin = invert_L_mixed(
-                1j * (kw + (2 * crow - 1) * lam), hyp.JH, -Gt[i],
+                1j * (kw + (2 * crow - 1) * lam_i), t.JH, -Gt[i],
                 guard, (k, (ci, cj), tag))
             divs.append(smin)
             if x is None:
@@ -586,15 +541,15 @@ def _solve_hyperbolic_pair(k, kw, ci, cj, tables, st, a, b, cu, cv, C, ca,
     divlog[(k, (ci, cj), "mixed")] = tuple(divs)
     if x is None:
         return None
-    return (k, None, ell.ids.ravel(), w, np.vstack(
-        [ell.V[c] @ np.array(rows_x[c * ne:][:ne]) for c in (XI, ETA)]))
+    return (k, None, ids.ravel(), t.w, np.vstack(
+        [Vc[c] @ np.array(rows_x[c * ne:][:ne]) for c in (XI, ETA)]))
 
 
 def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
                       guard: DivisorGuard, gamma1: float = 1.0,
                       max_picard: int = 3, tol: float = 1e-14,
                       prune_tol: float = 1e-20,
-                      tables: dict | None = None) -> HomologicalSolution:
+                      tables: ClassTable | None = None) -> HomologicalSolution:
     """Solve {h,S} + jet({f - jet(f), S}) + jet(f) = h_tilde.
 
     Picard rounds: the first solve is linear; each following round feeds the

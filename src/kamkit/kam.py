@@ -24,7 +24,8 @@ from .divisors import ParameterGrid, excise
 from .hamiltonian import (ClassNormParams, ETA, XI, NormalFormHamiltonian,
                           Polynomial, StageAbort, class_ids, class_norm,
                           decode_jet, lie_transform, site_layout)
-from .homological import DivisorGuard, class_tables, solve_homological
+from .homological import (ClassTable, DivisorGuard, class_tables,
+                          solve_homological)
 from .lattice import build_partition, norm_sq
 
 # a block ends once a step leaves eps above this fraction of its old value
@@ -141,11 +142,11 @@ def _excise_failures(state: IterationState, failures, delta0: float):
 
 def inner_step(state: IterationState, schedule: Schedule,
                base_w: WeightParams, guard_delta0: float,
-               tables: dict | None = None,
+               tables: ClassTable | None = None,
                h_poly: Polynomial | None = None) -> IterationState:
     """One homological solve and jet transform at frozen normal form.
 
-    ``tables`` and ``h_poly`` (h's class tables and polynomial) depend on h
+    ``tables`` and ``h_poly`` (h's class table and polynomial) depend on h
     alone, which a block holds fixed; they are built here when not given.
     """
     h = state.h

@@ -35,7 +35,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.special import binom as _binom
 
 from .hamiltonian import (ETA, XI, NormalFormHamiltonian, Polynomial, _cmul,
-                          _complex, _cut, _degree, _remap,
+                          _complex, _cut, _degree, _ranges, _remap,
                           _stack_z, _zkeys, class_ids, decode_jet, encode,
                           site_layout)
 from .algebra import symplectic
@@ -66,13 +66,6 @@ def field_letters(sites, lam: dict) -> list:
         out.append(Letter(a, (a, XI), c))
         out.append(Letter(tuple(-x for x in a), (a, ETA), c))
     return out
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenation of range(s, s + c) over the pairs, in order."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if len(ends) else 0) \
-        + np.repeat(starts - ends + counts, counts)
 
 
 def _prepend(S: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -437,54 +430,8 @@ def build_nls(model: NlsModel):
 
 
 # ---------------------------------------------------------------------------
-# Resonant quartic enumeration and the singular beam
+# The singular beam
 # ---------------------------------------------------------------------------
-
-def _z4_kind(i, j, k, ell, nodes) -> str:
-    """Classification by node membership of the monomial sites: the xi
-    slots are i, j; the eta slots sit at -k, -ell."""
-    mk = tuple(-x for x in k)
-    ml = tuple(-x for x in ell)
-    xi_in = (i in nodes) + (j in nodes)
-    eta_in = (mk in nodes) + (ml in nodes)
-    tot = xi_in + eta_in
-    if tot == 4:
-        return "internal"
-    if tot == 3:
-        return "three"
-    if tot == 2:
-        return "P" if xi_in != 1 else "Q"
-    if tot == 1:
-        return "one"
-    return "external"
-
-
-def enumerate_Z4(R: float, nodes, d: int = 2) -> list:
-    """Ordered zero-momentum quadruples (i, j, k, ell) within the truncation
-    whose norm multisets match ({|i|,|j|} = {|k|,|ell|}), classified by node
-    membership."""
-    nodes = tuple(tuple(a) for a in nodes)
-    pts = ball_points(R, d)
-    arr = np.array(pts, dtype=int)
-    nsq = (arr * arr).sum(axis=1)
-    index = {tuple(p): t for t, p in enumerate(pts)}
-    out = []
-    for ii, i in enumerate(pts):
-        for jj, j in enumerate(pts):
-            s = np.array(i, dtype=int) + np.array(j, dtype=int)
-            ls = -s - arr                      # ell for every candidate k
-            inside = (ls * ls).sum(axis=1) <= R * R
-            nl = (ls * ls).sum(axis=1)
-            ni, nj = nsq[ii], nsq[jj]
-            match = ((nsq == ni) & (nl == nj)) | ((nsq == nj) & (nl == ni))
-            for kk in np.nonzero(inside & match)[0]:
-                k = pts[kk]
-                ell = tuple(int(x) for x in ls[kk])
-                if ell not in index:
-                    continue
-                out.append((i, j, k, ell, _z4_kind(i, j, k, ell, nodes)))
-    return out
-
 
 @dataclass
 class SingularBeamModel:

@@ -3,6 +3,8 @@
 
 - ``det_certificate``: the determinant certificate of a one-parameter
   matrix family.
+- ``class_tables``: the per-class tables (a dict of ``_ClassData``) that
+  the per-pair ``solve_linear`` reads.
 - ``solve_linear``: the per-pair linear homological solve, one dense form
   matrix per Fourier index k and one block gathered and solved per class
   pair and channel; the oracle of the batched ``solve_linear``.  It solves
@@ -10,12 +12,15 @@
   divisor or product kernel with the batched solve.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from kamkit.algebra import WeightParams, decay_weight, spectral_norm_2x2
+from kamkit.algebra import (WeightParams, decay_weight, spectral_norm_2x2,
+                            symplectic)
 from kamkit.hamiltonian import (ETA, XI, NormalFormHamiltonian, Polynomial,
-                                block_rows, decode_jet, encode, site_layout)
+                                block_rows, class_ids, decode_jet, encode,
+                                site_layout)
 from kamkit.homological import (DivisorGuard, _solve_guarded,
                                 invert_L_hyperbolic, invert_L_mixed)
 from kamkit.lattice import _tuples, norm_sq, pseudo_dist_sq
@@ -39,6 +44,38 @@ def det_certificate(L_of_t, delta0: float, j_max: int, t_span=(0.0, 1.0),
         if m > best[1]:
             best = (None, m)
     return None, best[1]
+
+
+@dataclass
+class _ClassData:
+    sites: tuple
+    hyperbolic: bool
+    ids: np.ndarray               # class_ids over the partition's layout
+    lam: np.ndarray | None = None
+    V: tuple = ()                 # eigenbases of the xi and eta components
+    JH: np.ndarray | None = None
+    HJ: np.ndarray | None = None
+
+
+def class_tables(h: NormalFormHamiltonian) -> dict:
+    p = h.partition
+    var_id = site_layout(p.sites())
+    tables = {}
+    F = len(p.finite_set)
+    for ci, cl in enumerate(p.classes):
+        ids = class_ids(var_id, cl)
+        if ci == p.finite_index:
+            H = h.hyperbolic_block
+            if H is None:
+                H = np.zeros((2 * F, 2 * F))
+            J = symplectic(F)
+            tables[ci] = _ClassData(cl, True, ids, JH=J @ H, HJ=H @ J)
+        else:
+            Q = h.class_Q(ci)
+            lam, U = np.linalg.eigh(Q)
+            tables[ci] = _ClassData(cl, False, ids, lam=lam,
+                                    V=(U, np.conj(U)))
+    return tables
 
 
 def invert_L_elliptic(kw: float, lam_L, V_L, sL: int, lam_R, V_R, sR: int,

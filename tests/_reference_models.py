@@ -8,16 +8,20 @@ chains, and ``action_angle_per_term``, ``_gauge_k_shift`` and
 chains (all three now row passes).  Also ``_is_resonant_quartic``, the
 per-monomial resonance test that ``build_singular`` replaced with
 ``_classify_quartic``.  All run on the dict ``Polynomial`` of
-``_reference_hamiltonian``.  Not used by the package."""
+``_reference_hamiltonian``.  Also ``enumerate_Z4`` with its ``_z4_kind``,
+the table of resonant quadruples that only the tests read.  Not used by
+the package."""
 from __future__ import annotations
 
 import itertools
 import math
 from collections import Counter
 
+import numpy as np
 from scipy.special import binom as _binom
 
 from kamkit.hamiltonian import ETA, XI
+from kamkit.lattice import ball_points
 from kamkit.models import TWO_PI, _cwr, _multinomial
 
 from _reference_hamiltonian import Polynomial, _zkey
@@ -297,4 +301,50 @@ def _gauge_r_shift_per_term(poly: Polynomial, node_of: dict,
                         zz[v] = zz.get(v, 0) + 1
                 z = tuple(sorted(zz.items()))
             out.add_term(cb, k, mb, z)
+    return out
+
+
+def _z4_kind(i, j, k, ell, nodes) -> str:
+    """Classification by node membership of the monomial sites: the xi
+    slots are i, j; the eta slots sit at -k, -ell."""
+    mk = tuple(-x for x in k)
+    ml = tuple(-x for x in ell)
+    xi_in = (i in nodes) + (j in nodes)
+    eta_in = (mk in nodes) + (ml in nodes)
+    tot = xi_in + eta_in
+    if tot == 4:
+        return "internal"
+    if tot == 3:
+        return "three"
+    if tot == 2:
+        return "P" if xi_in != 1 else "Q"
+    if tot == 1:
+        return "one"
+    return "external"
+
+
+def enumerate_Z4(R: float, nodes, d: int = 2) -> list:
+    """Ordered zero-momentum quadruples (i, j, k, ell) within the truncation
+    whose norm multisets match ({|i|,|j|} = {|k|,|ell|}), classified by node
+    membership."""
+    nodes = tuple(tuple(a) for a in nodes)
+    pts = ball_points(R, d)
+    arr = np.array(pts, dtype=int)
+    nsq = (arr * arr).sum(axis=1)
+    index = {tuple(p): t for t, p in enumerate(pts)}
+    out = []
+    for ii, i in enumerate(pts):
+        for jj, j in enumerate(pts):
+            s = np.array(i, dtype=int) + np.array(j, dtype=int)
+            ls = -s - arr                      # ell for every candidate k
+            inside = (ls * ls).sum(axis=1) <= R * R
+            nl = (ls * ls).sum(axis=1)
+            ni, nj = nsq[ii], nsq[jj]
+            match = ((nsq == ni) & (nl == nj)) | ((nsq == nj) & (nl == ni))
+            for kk in np.nonzero(inside & match)[0]:
+                k = pts[kk]
+                ell = tuple(int(x) for x in ls[kk])
+                if ell not in index:
+                    continue
+                out.append((i, j, k, ell, _z4_kind(i, j, k, ell, nodes)))
     return out

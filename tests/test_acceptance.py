@@ -18,10 +18,10 @@ from kamkit.kam import Schedule, inner_count, run
 from kamkit.lattice import (ball_points, build_partition, check_admissible,
                             max_diameter, norm_sq)
 from kamkit.models import (BeamModel, NlsModel, SingularBeamModel,
-                           build_beam, build_nls, build_singular,
-                           enumerate_Z4)
+                           build_beam, build_nls, build_singular)
 
 from _reference_lattice import sphere_points
+from _reference_models import enumerate_Z4
 
 W = WeightParams(gamma1=0.4, gamma2=1.0, kappa=0.5, m_star=1.0)
 

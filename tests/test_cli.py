@@ -150,6 +150,42 @@ def test_scan_beam_defaults_pass_and_record_tau(tmp_path):
     assert (out / "melnikov.txt").exists()
 
 
+GRID = {"bounds": [[0.5, 0.9], [1.1, 1.5]], "resolution": 4}
+
+
+@pytest.mark.parametrize("command, section, fields", [
+    ("scan", {"grid": dict(GRID, resolution=0)}, ("'grid'", "resolution")),
+    ("scan", {"grid": dict(GRID, resolution=-4)}, ("'grid'", "resolution")),
+    ("scan", {"grid": dict(GRID, bounds=[[0.9, 0.5], [1.1, 1.5]])},
+     ("'grid'", "bounds")),
+    ("scan", {"grid": dict(GRID, bounds=[[0.5, 0.9]])}, ("grid.bounds",)),
+    ("kam", {"grid": dict(GRID, bounds=[[0.5, 0.9]] * 3)}, ("grid.bounds",)),
+    ("scan", {"grid": GRID, "guard": {"K_max": 0}}, ("guard.K_max",)),
+    ("scan", {"grid": GRID, "guard": {"K_max": -20}}, ("guard.K_max",)),
+], ids=["resolution-0", "resolution-negative", "reversed-bounds",
+        "scan-bounds-length", "kam-bounds-length", "K_max-0",
+        "K_max-negative"])
+def test_bad_grid_or_guard_is_a_config_error(tmp_path, capsys, command,
+                                             section, fields):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, dict({"output_dir": str(out),
+                                    "model": BEAM_MODEL}, **section))
+    assert main([command, cfg]) == 2
+    err = capsys.readouterr().err
+    assert all(f in err for f in fields), err
+
+
+def test_kam_manifest_records_the_models_guard_defaults(tmp_path):
+    # one node: n = 1, so tau = n + 1 = 2 and K_max = 20 n = 20
+    out = tmp_path / "out"
+    model = dict(BEAM_MODEL, nodes=[[1, 0]], rho=[0.7], actions=[0.05])
+    cfg = write_cfg(tmp_path, {"output_dir": str(out), "model": model,
+                               "schedule": {"max_super": 1}})
+    assert main(["kam", cfg]) == 0
+    guard = json.loads((out / "manifest.json").read_text())["guard"]
+    assert (guard["tau"], guard["K_max"]) == (2, 20)
+
+
 def test_scan_huge_constant_exhausts_the_grid(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, {

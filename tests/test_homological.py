@@ -7,8 +7,9 @@ from hypothesis import example, given, strategies as st
 from kamkit.hamiltonian import NormalFormHamiltonian, Polynomial, poisson
 from kamkit.homological import (
     DivisorGuard,
+    _elliptic_divisors,
+    _elliptic_solve,
     class_tables,
-    invert_L_elliptic,
     invert_L_hyperbolic,
     invert_L_mixed,
     solve_homological,
@@ -128,21 +129,19 @@ def test_h_tilde_structure_and_normal_form():
 
 def test_single_monomial_closed_form():
     # 1x1 scalar block: X = F / (k.w - lam_a - lam_b)
-    guard = DivisorGuard(1e-10)
     lamA = np.array([2.0])
     lamB = np.array([0.7])
     U = np.array([[1.0]])
     kw = 1.3
     R = np.array([[0.9]])
-    X, div = invert_L_elliptic(kw, lamA, U, -1, lamB, np.conj(U), -1, R,
-                               guard, ((1,), (0, 1), "q-00"))
+    div = _elliptic_divisors(kw, lamA, -1, lamB, -1)
+    X = _elliptic_solve(U, np.conj(U), R, div)
     assert div[0, 0] == pytest.approx(kw - 2.0 - 0.7)
     assert X[0, 0] == pytest.approx(0.9 / (kw - 2.7))
 
 
 def test_elliptic_solver_residual_oracle():
     rng = np.random.default_rng(4)
-    guard = DivisorGuard(1e-10)
     QA = rng.standard_normal((3, 3))
     QA = QA + QA.T
     QB = rng.standard_normal((2, 2))
@@ -151,11 +150,16 @@ def test_elliptic_solver_residual_oracle():
     lamB, UB = np.linalg.eigh(QB)
     kw = 2.345
     R = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    X, _ = invert_L_elliptic(kw, lamA, UA, -1, lamB, UB, 1, R, guard,
-                             ((1,), (0, 1), "q-01"))
+    X = _elliptic_solve(UA, UB, R, _elliptic_divisors(kw, lamA, -1, lamB, 1))
     # residual of (kw)X - QA X + X QB = R
     res = kw * X - QA @ X + X @ QB - R
     assert np.abs(res).max() < 1e-10
+    # the one-column (zeta-linear) case: (kw)x - QA x = r
+    r = R[:, :1]
+    x = _elliptic_solve(UA, np.ones((1, 1)), r,
+                        _elliptic_divisors(kw, lamA, -1, np.zeros(1), 0))
+    assert x.shape == (3, 1)
+    assert np.abs(kw * x - QA @ x - r).max() < 1e-10
 
 
 def test_mixed_solver_matches_lstsq():
@@ -281,16 +285,16 @@ def linear_solve_cases(draw):
             draw(st.sampled_from([1e-8, 0.3, 1.0])))
 
 
-def _linear_solve_text(solve, case) -> list:
-    """Every output of one ``solve_linear`` on ``case``, in order, floats
-    by repr: S's rows, h_tilde, the skip report, the divisor log and the
-    guard's failures."""
+def _linear_solve_text(solve, tables, case) -> list:
+    """Every output of one ``solve_linear`` on ``case``, with h's class
+    tables from ``tables``, in order, floats by repr: S's rows, h_tilde,
+    the skip report, the divisor log and the guard's failures."""
     seed, d, R, delta, finite, n, nterms, delta0 = case
     h, part, rng = make_h(seed=seed, d=d, R=R, n=n, delta=delta,
                           finite=((0,) * (d - 1) + (1,),) if finite else ())
     f = random_jet(rng, part, n=n, nterms=nterms)
     guard = DivisorGuard(delta0)
-    S, ht, skipped, divlog = solve(h, f, guard, 0.4, class_tables(h))
+    S, ht, skipped, divlog = solve(h, f, guard, 0.4, tables(h))
     hyp = ht.hyperbolic_block
     return [repr(list(S.terms.items())),
             repr((ht.const, ht.omega.tolist(),
@@ -316,5 +320,5 @@ def test_batched_solve_matches_per_pair_loop(case):
     """The batched solve gives the per-pair loop's outputs bit for bit and
     in the same order: S's rows, h_tilde, the skip report, the divisor log
     and the guard's failures."""
-    assert (_linear_solve_text(solve_linear, case)
-            == _linear_solve_text(ref.solve_linear, case))
+    assert (_linear_solve_text(solve_linear, class_tables, case)
+            == _linear_solve_text(ref.solve_linear, ref.class_tables, case))

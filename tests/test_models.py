@@ -11,12 +11,11 @@ from kamkit.hamiltonian import ETA, XI, Polynomial
 from kamkit.lattice import ball_points, norm_sq
 from kamkit.models import (BeamModel, Letter, NlsModel, SingularBeamModel,
                            action_angle, build_beam, build_nls,
-                           build_singular, enumerate_Z4, expand_product,
-                           field_letters)
+                           build_singular, expand_product, field_letters)
 
 import _reference_models
 from _reference_hamiltonian import _z_derivative_table, reality_defect
-from _reference_models import _is_resonant_quartic
+from _reference_models import _is_resonant_quartic, enumerate_Z4
 from kamkit import models
 
 TWO_PI = 2 * math.pi
