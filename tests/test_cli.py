@@ -108,6 +108,62 @@ def test_blocks_artifacts_match_golden(tmp_path):
         assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
 
+SCAN_GOLDEN = Path(__file__).parent / "golden" / "scan"
+SCAN_FILES = ("first_hypothesis.txt", "melnikov.txt", "surviving.mask")
+SCAN_MEASURES = ("surviving_measure", "a1_bad_measure",
+                 "melnikov_bad_measure")
+SCAN_CASES = {
+    # the tail's -2 on |a|^2 = 1 makes (-1,0), (0,+-1) the hyperbolic finite
+    # set, so condition (c) runs; delta0 = 0.25 sits just below the tightest
+    # A1 quantity (the cross-class gap 0.293) and every cell passes A1
+    "beam_hyperbolic": ({
+        "model": dict(BEAM_MODEL, R=4, tail={"0": 0.5, "1": -2.0}),
+        "grid": {"bounds": [[0.5, 0.9], [1.1, 1.5]], "resolution": 16},
+        "guard": {"C": 0.01, "delta0": 0.25, "c": 1.0}}, 0),
+    # Lambda_a = |a|^2 + mass is off |a|^2 by the mass, above c <a>^-beta
+    # for |a| > 1: condition (b) fails on every cell inside the ball
+    "nls_ball": ({
+        "model": {"kind": "nls", "d": 2, "R": 3, "mass": 1.0, "alpha": 0.75,
+                  "rho": [1.3, 0.7], "forcing": [[[1, 0], 1, 1, [0, 0], 1.0]],
+                  "epsilon": 1e-3, "delta": 2},
+        "grid": {"bounds": [[1.1, 1.5], [0.5, 0.9]], "resolution": 16,
+                 "ball": True},
+        "guard": {"C": 0.01, "K_max": 5}}, 3),
+}
+
+
+def _scan_case(tmp_path, name):
+    cfg, code = SCAN_CASES[name]
+    out = tmp_path / name
+    assert main(["scan", write_cfg(tmp_path, dict(cfg, output_dir=str(out)),
+                                   name=f"{name}.json")]) == code
+    manifest = json.loads((out / "manifest.json").read_text())
+    measures = "".join(f"{k} {manifest[k]!r}\n" for k in SCAN_MEASURES)
+    return {**{n: (out / n).read_bytes() for n in SCAN_FILES},
+            "measures.txt": measures.encode()}
+
+
+def _write_scan_goldens(tmp_path):
+    """Regenerate only for an intended change of results:
+        cd tests && PYTHONPATH=../src python -c "import tempfile, pathlib, \
+            test_cli as t; t._write_scan_goldens(pathlib.Path(tempfile.mkdtemp()))"
+    """
+    for name in SCAN_CASES:
+        (SCAN_GOLDEN / name).mkdir(parents=True, exist_ok=True)
+        for fname, data in _scan_case(tmp_path, name).items():
+            (SCAN_GOLDEN / name / fname).write_bytes(data)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+def test_scan_artifacts_match_golden(tmp_path, name):
+    """The A1 and Melnikov reports, the surviving mask and the manifest's
+    measures, frozen from the per-site scan."""
+    got = _scan_case(tmp_path, name)
+    assert sorted(got) == sorted(p.name for p in (SCAN_GOLDEN / name).iterdir())
+    for fname, data in got.items():
+        assert data == (SCAN_GOLDEN / name / fname).read_bytes(), fname
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"blocks": {"d": 2, "R": 4, "deltas": [1],
                                           "Rmax": 9}})
