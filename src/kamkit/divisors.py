@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import symplectic
-from .lattice import BlockPartition, box_points, norm_sq
+from .lattice import BlockPartition, box_points
 
 
 @dataclass
@@ -133,10 +133,15 @@ def check_A1(sites, lambda_fn, partition: BlockPartition, grid: ParameterGrid,
     (a) |L_a| >= delta0; (b) |L_a - |a|^2| <= c <a>^-beta;
     (c) smallest singular values of JH and L_a I - iJH >= delta0;
     (d) |L_a + L_b| >= delta0; (e) |L_a - L_b| >= delta0 across classes.
+
+    ``lambda_fn(X, rho)`` takes the sites as the rows of an (m, d) int64
+    array and one parameter point, and returns the (m,) float array of
+    L_a; it is called once per surviving cell.
     """
     sites = list(sites)
     labels = np.array([partition.class_of[s] for s in sites])
-    nsq = np.array([norm_sq(s) for s in sites], dtype=float)
+    X = np.array(sites, dtype=np.int64).reshape(len(sites), partition.d)
+    nsq = (X * X).sum(axis=1).astype(float)
     br_pow = np.maximum(np.sqrt(nsq), 1.0) ** (-beta)
     bad = {}
     details = {"a": 0, "b": 0, "c": 0, "d": 0, "e": 0}
@@ -147,7 +152,7 @@ def check_A1(sites, lambda_fn, partition: BlockPartition, grid: ParameterGrid,
     for ic, rho in enumerate(centers):
         if not alive[ic]:
             continue
-        lam = np.array([lambda_fn(s, rho) for s in sites])
+        lam = lambda_fn(X, rho)
         fails = []
         if np.abs(lam).min() < delta0:
             fails.append("a")
@@ -156,14 +161,11 @@ def check_A1(sites, lambda_fn, partition: BlockPartition, grid: ParameterGrid,
         if H_fn is not None and F > 0:
             H = np.asarray(H_fn(rho), dtype=float)
             JH = J @ H
-            if np.linalg.svd(JH, compute_uv=False)[-1] < delta0:
+            L = np.unique(lam)[:, None, None] * np.eye(2 * F) - 1j * JH
+            if (np.linalg.svd(JH, compute_uv=False)[-1] < delta0
+                    or np.linalg.svd(L, compute_uv=False)[:, -1].min()
+                    < delta0):
                 fails.append("c")
-            else:
-                for la in np.unique(lam):
-                    L = la * np.eye(2 * F) - 1j * JH
-                    if np.linalg.svd(L, compute_uv=False)[-1] < delta0:
-                        fails.append("c")
-                        break
         if _min_abs_sum_pairs(lam) < delta0:
             fails.append("d")
         if _min_cross_class_gap(lam, labels) < delta0:
@@ -192,17 +194,23 @@ def melnikov_scan(omega_fn, lambda_fn, partition: BlockPartition,
 
     Class pairs are deduplicated through per-class frequency values; pairs
     of two core-class points are excluded.  Reports the worst margin per
-    surviving cell and whether some cell passes everything.
+    surviving cell and whether some cell passes everything.  Where no
+    difference remains (every class but the finite one is the core), every
+    margin is +inf.
+
+    ``lambda_fn(X, rho)`` is as in ``check_A1``; it is called once per
+    surviving cell, on the classes' first points.
     """
     probe = np.asarray(omega_fn(grid.centers()[0]), dtype=float)
     K = _k_vectors(len(probe), K_max)
     Knorm = np.sqrt((K * K).sum(axis=1))
     thresh = C * Knorm ** (-tau)
-    reps = []
-    for ci, cl in enumerate(partition.classes):
-        if ci == partition.finite_index:
-            continue
-        reps.append((ci, cl[0]))
+    ids = [ci for ci in range(len(partition.classes))
+           if ci != partition.finite_index]
+    X = np.array([partition.classes[ci][0] for ci in ids],
+                 dtype=np.int64).reshape(len(ids), partition.d)
+    core = np.array([ci == partition.core_index for ci in ids], dtype=bool)
+    keep = ~(core[:, None] & core[None, :])
     bad = {}
     worst = {}
     centers = grid.centers()
@@ -211,17 +219,15 @@ def melnikov_scan(omega_fn, lambda_fn, partition: BlockPartition,
         if not alive[ic]:
             continue
         omega = np.asarray(omega_fn(rho), dtype=float)
-        lam = np.array([lambda_fn(s, rho) for (ci, s) in reps])
-        core = np.array([ci == partition.core_index for (ci, s) in reps])
-        dl = lam[:, None] - lam[None, :]
-        keep = ~(core[:, None] & core[None, :])
-        diffs = np.unique(dl[keep])
+        lam = lambda_fn(X, rho)
+        diffs = np.unique((lam[:, None] - lam[None, :])[keep])
         targets = K @ omega
-        pos = np.searchsorted(diffs, targets)
         dist = np.full(len(targets), math.inf)
-        for shift in (-1, 0):
-            j = np.clip(pos + shift, 0, len(diffs) - 1)
-            dist = np.minimum(dist, np.abs(targets - diffs[j]))
+        if len(diffs):
+            pos = np.searchsorted(diffs, targets)
+            for shift in (-1, 0):
+                j = np.clip(pos + shift, 0, len(diffs) - 1)
+                dist = np.minimum(dist, np.abs(targets - diffs[j]))
         margin = dist - thresh
         w = float(margin.min())
         worst[ic] = w

@@ -974,7 +974,7 @@ class NormalFormHamiltonian:
     hyperbolic_block: np.ndarray | None = None
     rho_star: np.ndarray | None = None
     omega_fn: object = None       # rho -> n-vector (model closed form)
-    lambda_fn: object = None      # (site, rho) -> real (model closed form)
+    lambda_fn: object = None      # (X, rho) -> Lambda on the rows of X
 
     @property
     def n(self) -> int:

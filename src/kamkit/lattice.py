@@ -108,14 +108,12 @@ class BlockPartition:
 
     def dump_lines(self) -> list[str]:
         """One structured record per class."""
-        lines = []
+        point = ",".join(["%d"] * self.d).__mod__
         diams = self.diameters
-        for i, cl in enumerate(self.classes):
-            pts = ";".join(",".join(map(str, p)) for p in cl)
-            lines.append(
-                f"delta={self.delta} class={i} diameter={diams[i]:.6g} "
-                f"boundary={int(self.boundary_flags[i])} points={pts}")
-        return lines
+        return [f"delta={self.delta} class={i} diameter={diams[i]:.6g} "
+                f"boundary={int(self.boundary_flags[i])} "
+                f"points={';'.join(map(point, cl))}"
+                for i, cl in enumerate(self.classes)]
 
 
 def build_partition(delta, R, d, finite_set=(), core_cutoff=1.0,
@@ -262,18 +260,24 @@ _PAIR_BUDGET = 1 << 14   # int64 pair entries per batch of classes
 def class_diameters(p: BlockPartition) -> list[float]:
     """Max pairwise pseudo-distance per class (0 for singletons).
 
-    Classes of one size are stacked and reduced together, at most
+    The points are flattened once into one int64 array; classes of one
+    size are gathered from it as a stack and reduced together, at most
     ``_PAIR_BUDGET`` pairs at a time.
     """
     sizes = np.fromiter(map(len, p.classes), dtype=np.int64,
                         count=len(p.classes))
+    coords = itertools.chain.from_iterable(
+        itertools.chain.from_iterable(p.classes))
+    flat = np.fromiter(coords, dtype=np.int64,
+                       count=int(sizes.sum()) * p.d).reshape(-1, p.d)
+    starts = np.cumsum(sizes) - sizes
     out = np.zeros(len(sizes))
     for s in np.unique(sizes[sizes > 1]).tolist():
         ids = np.flatnonzero(sizes == s)
         step = max(1, _PAIR_BUDGET // (s * s))
         for c in range(0, len(ids), step):
             blk = ids[c:c + step]
-            X = np.array([p.classes[i] for i in blk], dtype=np.int64)
+            X = flat[starts[blk][:, None] + np.arange(s)]
             d2 = pseudo_dist_sq(X, X)
             out[blk] = np.sqrt(d2.reshape(len(blk), -1).max(axis=1))
     return out.tolist()

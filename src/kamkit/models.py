@@ -310,11 +310,18 @@ class BeamModel:
     max_degree: int = 6
 
 
-def _beam_mu(model: BeamModel, a, rho=None) -> float:
-    rho = model.rho if rho is None else rho
-    if a in model.nodes:
-        return norm_sq(a) ** 2 + rho[model.nodes.index(a)]
-    return norm_sq(a) ** 2 + model.tail.get(norm_sq(a), 0.0)
+def _beam_mu(model: BeamModel, X, rho=None) -> np.ndarray:
+    """mu_a = |a|^4 + potential(a) on the rows a of the int64 array X: the
+    float |a|^4 plus rho_j on a row equal to node j, else plus the tail at
+    |a|^2 (0 where the tail has no entry)."""
+    q = (X * X).sum(axis=1)
+    keys, vals = map(np.array, zip((-1, 0.0), *sorted(model.tail.items())))
+    at = np.searchsorted(keys, q, side="right") - 1
+    v = np.where(keys[at] == q, vals[at], 0.0)
+    rho = np.asarray(model.rho if rho is None else rho, dtype=float)
+    for j, a in enumerate(model.nodes):
+        v[(X == a).all(axis=1)] = rho[j]
+    return (q * q).astype(float) + v
 
 
 def build_beam(model: BeamModel):
@@ -326,7 +333,8 @@ def build_beam(model: BeamModel):
     (r, theta) on the nodes and mode variables elsewhere.
     """
     sites = ball_points(model.radius, model.d)
-    mu = {a: _beam_mu(model, a) for a in sites}
+    X = np.array(sites, dtype=np.int64).reshape(len(sites), model.d)
+    mu = dict(zip(sites, _beam_mu(model, X).tolist()))
     if any(v == 0 for v in mu.values()):
         raise ValueError("degenerate model: mu_a = 0 on the truncation")
     by_sphere = {}
@@ -349,8 +357,8 @@ def build_beam(model: BeamModel):
         return np.array([math.sqrt(norm_sq(a) ** 2 + rho[j])
                          for j, a in enumerate(model.nodes)])
 
-    def lambda_fn(site, rho):
-        return math.sqrt(abs(_beam_mu(model, site, rho=tuple(rho))))
+    def lambda_fn(X, rho):
+        return np.sqrt(np.abs(_beam_mu(model, X, rho)))
 
     h = NormalFormHamiltonian(omega=omega, partition=part,
                               rho_star=np.array(model.rho),
@@ -412,7 +420,7 @@ def build_nls(model: NlsModel):
         omega=np.array(model.rho, dtype=float), partition=part,
         rho_star=np.array(model.rho),
         omega_fn=lambda rho: np.asarray(rho, dtype=float),
-        lambda_fn=lambda site, rho: norm_sq(site) + model.mass)
+        lambda_fn=lambda X, rho: (X * X).sum(axis=-1) + model.mass)
     for ci, cl in enumerate(part.classes):
         h.set_block(ci, np.diag([norm_sq(a) + model.mass for a in cl]))
     v_letters, vb_letters = [], []

@@ -145,8 +145,9 @@ def _scan_case(tmp_path, name):
 
 def _write_scan_goldens(tmp_path):
     """Regenerate only for an intended change of results:
-        cd tests && PYTHONPATH=../src python -c "import tempfile, pathlib, \
-            test_cli as t; t._write_scan_goldens(pathlib.Path(tempfile.mkdtemp()))"
+        cd tests && PYTHONPATH=../src python -c "import tempfile, \
+            pathlib, test_cli as t; \
+            t._write_scan_goldens(pathlib.Path(tempfile.mkdtemp()))"
     """
     for name in SCAN_CASES:
         (SCAN_GOLDEN / name).mkdir(parents=True, exist_ok=True)
@@ -158,10 +159,10 @@ def _write_scan_goldens(tmp_path):
 def test_scan_artifacts_match_golden(tmp_path, name):
     """The A1 and Melnikov reports, the surviving mask and the manifest's
     measures, frozen from the per-site scan."""
-    got = _scan_case(tmp_path, name)
-    assert sorted(got) == sorted(p.name for p in (SCAN_GOLDEN / name).iterdir())
+    got, golden = _scan_case(tmp_path, name), SCAN_GOLDEN / name
+    assert sorted(got) == sorted(p.name for p in golden.iterdir())
     for fname, data in got.items():
-        assert data == (SCAN_GOLDEN / name / fname).read_bytes(), fname
+        assert data == (golden / fname).read_bytes(), fname
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -427,3 +428,17 @@ def test_bad_json_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["blocks", str(path)]) == 2
+
+
+def test_scan_without_melnikov_differences_excises_nothing(tmp_path):
+    # at R = 1 with nodes (1,0) and (0,1), every class but the finite one
+    # is the core: no difference L_a - L_b is left and every margin is +inf
+    out = tmp_path / "out"
+    model = dict(BEAM_MODEL, R=1, nodes=[[1, 0], [0, 1]])
+    cfg = write_cfg(tmp_path, {"output_dir": str(out), "model": model,
+                               "grid": GRID})
+    assert main(["scan", cfg]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["melnikov_bad_measure"] == 0.0
+    assert (out / "melnikov.txt").read_text().splitlines()[1:] == [
+        "  some_cell_passes: True", "  worst_margin: inf"]

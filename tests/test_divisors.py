@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import _reference_divisors as ref
 from kamkit.divisors import (DivisorReport, ParameterGrid, _min_abs_sum_pairs,
                              check_A1, excise, lemma_cj, lemma_hermitian,
                              melnikov_scan)
-from kamkit.lattice import build_partition, norm_sq
+from kamkit.lattice import ball_points, build_partition
+from kamkit.models import BeamModel, NlsModel, build_beam, build_nls
 
 
 def unit_grid(res=64, n=1):
@@ -76,10 +78,11 @@ def test_excise_survivors_excluded_from_later_scans():
     assert out2.measure() == pytest.approx(out.measure())
 
 
-def beam_lambda(site, rho):
+def beam_lambda(X, rho):
     # isolated well: radial tail, parameter shifts the zero mode
-    v = rho[0] if norm_sq(site) == 0 else 0.1 / (1 + norm_sq(site))
-    return math.sqrt(norm_sq(site) ** 2 + v + 0.5)
+    q = (X * X).sum(axis=1)
+    v = np.where(q == 0, rho[0], 0.1 / (1 + q))
+    return np.sqrt(q * q + v + 0.5)
 
 
 def test_check_A1_beam_all_pass():
@@ -94,10 +97,10 @@ def test_check_A1_beam_all_pass():
 def test_check_A1_detects_small_eigenvalue():
     p = build_partition(math.inf, 2, 2)
 
-    def lam(site, rho):
-        if norm_sq(site) == 0:
-            return rho[0] - 1.5  # crosses zero mid-grid
-        return beam_lambda(site, rho)
+    def lam(X, rho):
+        # the zero mode crosses zero mid-grid
+        return np.where((X == 0).all(axis=1), rho[0] - 1.5,
+                        beam_lambda(X, rho))
 
     g = ParameterGrid(bounds=[(1.0, 2.0)], resolution=32)
     rep = check_A1(p.sites(), lam, p, g, delta0=5e-2, beta=2.0, c_const=5.0)
@@ -122,15 +125,12 @@ def test_check_A1_condition_c_with_hyperbolic_block():
     def H_fn(rho):
         return rho[0] * np.eye(2)
 
-    def lam(site, rho):
-        return beam_lambda(site, rho)
-
     g = ParameterGrid(bounds=[(1.0, 2.0)], resolution=8)
-    rep = check_A1([s for s in p.sites() if s != (0, 0)], lam, p, g,
+    rep = check_A1([s for s in p.sites() if s != (0, 0)], beam_lambda, p, g,
                    delta0=1e-3, beta=2.0, c_const=5.0, H_fn=H_fn)
     assert rep.details["per_condition_bad_cells"]["c"] == 0
     # a degenerate hyperbolic block trips (c)
-    rep2 = check_A1([s for s in p.sites() if s != (0, 0)], lam, p, g,
+    rep2 = check_A1([s for s in p.sites() if s != (0, 0)], beam_lambda, p, g,
                     delta0=1e-3, beta=2.0, c_const=5.0,
                     H_fn=lambda rho: np.zeros((2, 2)))
     assert rep2.details["per_condition_bad_cells"]["c"] > 0
@@ -161,6 +161,84 @@ def test_melnikov_reports_surviving_cell():
     rep = melnikov_scan(lambda rho: np.array([rho[0], 1.3 * rho[0]]),
                         beam_lambda, p, g, C=1e-6, tau=3.0, K_max=5)
     assert rep.details["some_cell_passes"]
+
+
+def _beam(tail, R=3.0, delta=2.0):
+    return BeamModel(d=2, radius=R, nodes=((1, 0), (0, 2)), rho=(0.7, 1.3),
+                     actions=(0.05, 0.04), tail=tail, delta=delta)
+
+
+@pytest.mark.parametrize("tail", [
+    {0: 0.5}, {0: 0.5, 1: -2.0}, {0: 1, 1: 3, 4: -0.25, 9: 1e-3},
+    {0: -7.3, 2: 0.1}])
+def test_array_lambda_is_the_scalar_lambda_bit_for_bit(tail):
+    # every site of the ball, the nodes included, at points where mu_a
+    # changes sign on the nodes
+    model = _beam(tail, R=5.0)
+    h, _ = build_beam(model)
+    sites = ball_points(5.0, 2)
+    X = np.array(sites)
+    for rho in [(0.7, 1.3), (-1.3, -17.0), (1, 2), np.array([0.1234567, 2.5])]:
+        assert h.lambda_fn(X, rho).tolist() == [
+            ref.beam_lambda(model)(a, rho) for a in sites]
+    h, _ = build_nls(NlsModel(d=2, radius=5.0, mass=1.37, alpha=0.75,
+                              rho=(1.3, 0.7)))
+    assert h.lambda_fn(X, (1.3, 0.7)).tolist() == [
+        ref.nls_lambda(1.37)(a, (1.3, 0.7)) for a in sites]
+
+
+# The tail keeps mu_a away from 0 and from coincidences between spheres
+# (which build_beam rejects): a well 0 < mu_0 < 1/2, |tail| < 1/2 on the
+# spheres |a|^2 >= 1, and an optional dip of |a|^2 = 1 below zero, which
+# makes that sphere (less the node (1,0)) the hyperbolic finite set.  (c)
+# reads the model's H, H scaled by rho_0, or rho_0 I, whose JH has the
+# eigenvalues +-i rho_0, so that L_a I - iJH is singular at L_a = |rho_0|.
+# Hyperbolic example: rho_0 I over rho_0 in [-1.2, 0.4]; A1 fails on 18 of
+# the 36 cells, (c) on all 18: 6 through JH, 12 through L_a I - iJH.  All-fail
+# example: each of the 12 cells inside the ball fails every A1 condition
+# and the Melnikov scan.
+@given(tail=st.dictionaries(st.integers(1, 9), st.floats(-0.45, 0.45),
+                            max_size=3),
+       well=st.floats(0.05, 0.45), dip=st.none() | st.floats(1.05, 3.0),
+       R=st.sampled_from([2.0, 3.0]), delta=st.sampled_from([1.0, 2.0,
+                                                             math.inf]),
+       lo=st.tuples(st.floats(-6.0, 2.0), st.floats(-6.0, 2.0)),
+       width=st.floats(0.1, 4.0), resolution=st.integers(1, 6),
+       ball=st.booleans(), delta0=st.floats(1e-6, 2.0),
+       c_const=st.floats(0.1, 5.0),
+       H_kind=st.sampled_from(["model", "scaled", "elliptic"]),
+       C=st.floats(1e-4, 1.0), K_max=st.integers(1, 6))
+@example(tail={}, well=0.5, dip=2.0, R=3.0, delta=2.0, lo=(-1.2, 1.1),
+         width=1.6, resolution=6, ball=False, delta0=0.1, c_const=1.0,
+         H_kind="elliptic", C=0.01, K_max=5)
+@example(tail={}, well=0.5, dip=2.0, R=2.0, delta=math.inf, lo=(0.5, 1.1),
+         width=0.4, resolution=4, ball=True, delta0=2.0, c_const=0.1,
+         H_kind="model", C=1.0, K_max=6)
+def test_array_scans_match_per_site_oracle(tail, well, dip, R, delta, lo,
+                                           width, resolution, ball, delta0,
+                                           c_const, H_kind, C, K_max):
+    tail = {**tail, 0: well} if dip is None else {**tail, 0: well, 1: -dip}
+    model = _beam(tail, R=R, delta=delta)
+    h, _ = build_beam(model)
+    fin = h.partition.finite_set
+    # the nodes stay in, so that Lambda depends on rho
+    spheres = build_partition(math.inf, R, 2, finite_set=fin)
+    blocks = build_partition(delta, R, 2, finite_set=fin)
+    H = h.hyperbolic_block
+    H_fn = None if H is None else {
+        "model": lambda rho: H, "scaled": lambda rho: rho[0] * H,
+        "elliptic": lambda rho: rho[0] * np.eye(len(H))}[H_kind]
+    grid = ParameterGrid(bounds=[(x, x + width) for x in lo],
+                         resolution=resolution, ball=ball)
+    a1 = dict(delta0=delta0, beta=1.0, c_const=c_const, H_fn=H_fn)
+    assert check_A1(blocks.sites(), h.lambda_fn, spheres, grid, **a1) \
+        == ref.check_A1(blocks.sites(), ref.beam_lambda(model), spheres,
+                        grid, **a1)
+    omega = lambda rho: np.asarray(rho, dtype=float)
+    mel = dict(C=C, tau=3.0, K_max=K_max)
+    assert melnikov_scan(omega, h.lambda_fn, blocks, grid, **mel) \
+        == ref.melnikov_scan(omega, ref.beam_lambda(model), blocks, grid,
+                             **mel)
 
 
 def test_lemma_hermitian_diagonal_closed_form():

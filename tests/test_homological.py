@@ -23,7 +23,8 @@ import _reference_homological as ref
 from _reference_homological import det_certificate
 
 
-def make_h(seed=0, d=2, R=3, finite=((0, 1),), n=1, delta=math.inf):
+def make_h(seed=0, d=2, R=3, finite=((0, 1),), n=1, delta=math.inf,
+           complex_Q=False):
     rng = np.random.default_rng(seed)
     part = build_partition(delta, R, d, finite_set=finite)
     h = NormalFormHamiltonian(omega=np.array([1.0 + 0.1 * j + math.pi / 9
@@ -36,6 +37,8 @@ def make_h(seed=0, d=2, R=3, finite=((0, 1),), n=1, delta=math.inf):
         # dominant distinct diagonal keeps divisors away from zero
         diag = np.array([1.0 + abs(hash(a)) % 97 / 17.0 for a in cl])
         Q = np.diag(diag) + 0.05 * rng.standard_normal((m, m))
+        if complex_Q:
+            Q = Q + 0.05j * rng.standard_normal((m, m))
         h.set_block(ci, (Q + Q.conj().T) / 2)
     if finite:
         F = len(finite)
@@ -95,6 +98,17 @@ def test_linear_solve_kills_jet():
     sol = solve_homological(h, f, guard, max_picard=1)
     assert not guard.failures
     assert not sol.skipped_report  # spheres are whole classes here
+    assert sol.residual.max_coeff() < 1e-10 * f.max_coeff()
+
+
+def test_linear_solve_kills_jet_with_complex_Q():
+    # complex Hermitian Q: the eta eigenbasis conj(U) is not the xi basis U
+    h, part, rng = make_h(seed=11, complex_Q=True)
+    assert max(np.abs(Q.imag).max() for Q in h.elliptic_blocks.values()) > 0
+    f = random_jet(rng, part)
+    guard = DivisorGuard(1e-6)
+    sol = solve_homological(h, f, guard, max_picard=1)
+    assert not guard.failures
     assert sol.residual.max_coeff() < 1e-10 * f.max_coeff()
 
 
