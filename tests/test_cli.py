@@ -91,21 +91,43 @@ def test_manifest_records_effective_core_cutoff(tmp_path):
     assert lines == build_partition(2, 3.0, 2, core_cutoff=2).dump_lines()
 
 
+BLOCKS_GOLDEN = Path(__file__).parent / "golden"
+BLOCKS_D3_R6 = {"d": 3, "R": 6, "deltas": [1, 2, "inf"]}
+# a finite class, a core past the unit sphere, and deltas out of order
+BLOCKS_D2_R8 = {"d": 2, "R": 8, "finite_set": [[1, 0], [0, 2]],
+                "core_cutoff": 1.5, "deltas": [3, 0, 1.5, "inf"]}
+
+
+def _blocks_case(tmp_path, section):
+    """The partition dumps and the diameter table of one blocks run."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"output_dir": str(out), "blocks": section})
+    assert main(["blocks", cfg]) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()
+            if p.name != "manifest.json"}
+
+
+def _check_blocks_golden(got, name):
+    golden = BLOCKS_GOLDEN / name
+    assert sorted(got) == sorted(p.name for p in golden.iterdir())
+    for fname, data in got.items():
+        assert data == (golden / fname).read_bytes(), fname
+
+
 def test_blocks_artifacts_match_golden(tmp_path):
     """Partition dumps and the diameter table, frozen from the per-sphere
     partition and per-class diameters (``tests/_reference_lattice.py``)."""
-    golden = Path(__file__).parent / "golden" / "blocks_d3_R6"
-    out = tmp_path / "out"
-    cfg = write_cfg(tmp_path, {
-        "output_dir": str(out),
-        "blocks": {"d": 3, "R": 6, "deltas": [1, 2, "inf"]},
-    })
-    assert main(["blocks", cfg]) == 0
-    names = sorted(p.name for p in golden.iterdir())
-    assert names == ["diameters.txt", "partition_delta_1.txt",
-                     "partition_delta_2.txt", "partition_delta_inf.txt"]
-    for name in names:
-        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+    got = _blocks_case(tmp_path, BLOCKS_D3_R6)
+    assert sorted(got) == ["diameters.txt", "partition_delta_1.txt",
+                           "partition_delta_2.txt", "partition_delta_inf.txt"]
+    _check_blocks_golden(got, "blocks_d3_R6")
+
+
+def test_blocks_finite_set_artifacts_match_golden(tmp_path):
+    """A finite class, a core class and unsorted deltas (0, 1.5, inf),
+    frozen from the partition that built one cKDTree query per delta."""
+    _check_blocks_golden(_blocks_case(tmp_path, BLOCKS_D2_R8),
+                         "blocks_d2_R8")
 
 
 SCAN_GOLDEN = Path(__file__).parent / "golden" / "scan"
