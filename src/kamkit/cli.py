@@ -18,7 +18,7 @@ from .divisors import ParameterGrid, check_A1, melnikov_scan
 # class_norm is not called here, but perfbench's tracer wraps cli.class_norm
 from .hamiltonian import ClassNormParams, StageAbort, class_norm  # noqa: F401
 from .kam import Schedule, run, singular_gate_inputs, singular_threshold
-from .lattice import build_partition, max_diameter
+from .lattice import build_partition, build_partitions, max_diameter
 from .models import (BeamModel, NlsModel, SingularBeamModel, build_beam,
                      build_nls, build_singular)
 
@@ -259,17 +259,21 @@ def cmd_blocks(cfg: dict) -> int:
         raise ConfigError(
             "field 'blocks.core_cutoff' takes a nonnegative number no larger "
             f"than R = {R:g}, got {core_cutoff!r}")
+    try:
+        parts = build_partitions(
+            [math.inf if raw in ("inf", "Infinity") else raw
+             for raw in deltas], R, d,
+            finite_set=_pairs(section.get("finite_set", ())),
+            core_cutoff=core_cutoff)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid 'blocks.finite_set': {exc}") from exc
     outdir = Path(cfg.get("output_dir", "out"))
     outdir.mkdir(parents=True, exist_ok=True)
     table = ["delta max_diameter classes"]
-    for raw in deltas:
-        delta = math.inf if raw in ("inf", "Infinity") else raw
-        p = build_partition(delta, R, d,
-                            finite_set=_pairs(section.get("finite_set", ())),
-                            core_cutoff=core_cutoff)
+    for raw, p in zip(deltas, parts):
         _write(outdir / f"partition_delta_{raw}.txt", p.dump_lines())
-        table.append(f"{raw} {max_diameter(p):.6g} {len(p.classes)}")
-        # partitions own their point tuples: free this one before the next
+        table.append(f"{raw} {max_diameter(p):.6g} {len(p.ends) - 1}")
+        # free this partition before the next is built
         del p
     _write(outdir / "diameters.txt", table)
     write_manifest(outdir, cfg, {"command": "blocks", "blocks": section,

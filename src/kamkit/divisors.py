@@ -205,10 +205,9 @@ def melnikov_scan(omega_fn, lambda_fn, partition: BlockPartition,
     K = _k_vectors(len(probe), K_max)
     Knorm = np.sqrt((K * K).sum(axis=1))
     thresh = C * Knorm ** (-tau)
-    ids = [ci for ci in range(len(partition.classes))
+    ids = [ci for ci in range(len(partition.ends) - 1)
            if ci != partition.finite_index]
-    X = np.array([partition.classes[ci][0] for ci in ids],
-                 dtype=np.int64).reshape(len(ids), partition.d)
+    X = partition.points[partition.ends[:-1]][ids]
     core = np.array([ci == partition.core_index for ci in ids], dtype=bool)
     keep = ~(core[:, None] & core[None, :])
     bad = {}

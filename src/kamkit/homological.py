@@ -42,7 +42,7 @@ from .hamiltonian import (
     poisson,
     site_layout,
 )
-from .lattice import _tuples, norm_sq, pseudo_dist_sq
+from .lattice import _tuples, pseudo_dist_sq
 
 
 @dataclass
@@ -138,13 +138,13 @@ def class_tables(h: NormalFormHamiltonian) -> ClassTable:
         group.append((lam, np.stack([U, np.conj(U)]), ids))
     stacks = {m: [np.stack(x) for x in zip(*group)]
               for m, group in by_size.items()}
+    lead = p.points[p.ends[:-1]]
     return ClassTable(
         var_id, np.array(sites, dtype=np.int64),
         np.array([p.class_of[s] for s in sites], dtype=np.int64),
         np.array([place[s] for s in sites], dtype=np.int64),
-        np.array([len(cl) for cl in p.classes], dtype=np.int64),
-        np.arange(len(p.classes)) == p.finite_index,
-        np.array([norm_sq(cl[0]) for cl in p.classes], dtype=np.int64), slot,
+        np.diff(p.ends), np.arange(len(p.ends) - 1) == p.finite_index,
+        (lead * lead).sum(axis=1), slot,
         *({m: x[i] for m, x in stacks.items()} for i in range(3)), w, JH, HJ)
 
 

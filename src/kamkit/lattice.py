@@ -1,11 +1,13 @@
 """Integer-lattice combinatorics: pseudo-metric, spheres, resonance blocks.
 
-Everything here works on a finite truncation {|a| <= R} of Z^d.  Points are
-plain tuples of ints.  The ball {|a| <= R} is built once per (R, d) as a
-read-only int64 array, and the spheres, the resonance-block partition
-(KD-tree neighbour queries), the class diameters and the angle relation
-are array passes over it.  ``pseudo_dist_sq`` is the one pseudo-distance,
-exact in int64.
+Everything here works on a finite truncation {|a| <= R} of Z^d.  The ball
+{|a| <= R} is built once per (R, d) as a read-only int64 array, and the
+spheres, the resonance-block partitions (one KD-tree neighbour query shared
+by every delta of a run), the class diameters and the angle relation are
+array passes over it.  A partition keeps its points as one int64 array in
+class order; points taken in or handed out one at a time, as by
+``BlockPartition.classes``, are plain tuples of ints.  ``pseudo_dist_sq``
+is the one pseudo-distance, exact in int64.
 """
 from __future__ import annotations
 
@@ -72,34 +74,44 @@ def sphere_points(nsq: int, d: int, R: float | None = None) -> list[Point]:
     return _tuples(_sphere(nsq, d))
 
 
-@dataclass
+@dataclass(eq=False)
 class BlockPartition:
     """Partition of the truncated lattice into resonance blocks.
 
-    Classes are tuples of points.  The designated finite set F is one class,
-    the low-norm core {|a| <= core_cutoff} another; the remaining classes are
-    generated by |a|=|b|, [a-b] <= delta restricted to the truncation.
+    ``points`` holds the points as one (N, d) int64 array in class order,
+    and class i is ``points[ends[i]:ends[i + 1]]``.  The designated finite
+    set F is one class, the low-norm core {|a| <= core_cutoff} another; the
+    remaining classes are generated by |a|=|b|, [a-b] <= delta restricted to
+    the truncation.  ``classes`` (tuples of point tuples) and ``class_of``
+    (point tuple -> class) are views of the arrays, built on first use.
     """
-    delta: float            # positive int or math.inf
+    delta: float            # nonnegative number or math.inf
     radius: float
     d: int
-    classes: list[tuple[Point, ...]]
+    points: np.ndarray = field(repr=False)
+    ends: np.ndarray = field(repr=False)
     finite_set: tuple[Point, ...]
     core_cutoff: float
     exclude: tuple[Point, ...] = ()
-    class_of: dict = field(default_factory=dict, repr=False)
     boundary_flags: list[bool] = field(default_factory=list, repr=False)
     finite_index: int | None = None
     core_index: int | None = None
+
+    @cached_property
+    def classes(self) -> list[tuple[Point, ...]]:
+        flat = self.sites()
+        ends = self.ends.tolist()
+        return [tuple(flat[s:e]) for s, e in zip(ends[:-1], ends[1:])]
+
+    @cached_property
+    def class_of(self) -> dict:
+        return {p: i for i, cl in enumerate(self.classes) for p in cl}
 
     def class_index(self, a) -> int:
         return self.class_of[_as_point(a)]
 
     def sites(self) -> list[Point]:
-        out = []
-        for cl in self.classes:
-            out.extend(cl)
-        return out
+        return _tuples(self.points)
 
     @cached_property
     def diameters(self) -> list[float]:
@@ -107,97 +119,143 @@ class BlockPartition:
         return class_diameters(self)
 
     def dump_lines(self) -> list[str]:
-        """One structured record per class."""
-        point = ",".join(["%d"] * self.d).__mod__
-        diams = self.diameters
-        return [f"delta={self.delta} class={i} diameter={diams[i]:.6g} "
-                f"boundary={int(self.boundary_flags[i])} "
-                f"points={';'.join(map(point, cl))}"
-                for i, cl in enumerate(self.classes)]
+        """One structured record per class, each formatted by one ``%``
+        with a template per class size.  The coordinates are read as ints
+        about ``_CHUNK`` points at a time, so that no list of them all is
+        held beside the lines."""
+        d = self.d
+        head = (f"delta={self.delta} class=%d diameter=%.6g boundary=%d "
+                "points=")
+        point = ",".join(["%d"] * d)
+        template = {}
+        s = base = stop = 0
+        out = []
+        for i, (m, diam, flag) in enumerate(zip(
+                np.diff(self.ends).tolist(), self.diameters,
+                self.boundary_flags)):
+            if s + m > stop:
+                base, stop = s, max(s + m, s + _CHUNK)
+                coords = self.points[base:stop].ravel().tolist()
+            if m not in template:
+                template[m] = head + ";".join([point] * m)
+            out.append(template[m] % (i, diam, flag, *coords[
+                (s - base) * d:(s + m - base) * d]))
+            s += m
+        return out
 
 
 def build_partition(delta, R, d, finite_set=(), core_cutoff=1.0,
                     exclude=()) -> BlockPartition:
-    """Blocks of {|a| <= R} under the closure of |a|=|b|, [a-b] <= delta.
+    """Blocks of {|a| <= R} under the closure of |a|=|b|, [a-b] <= delta:
+    the one-delta case of ``build_partitions``."""
+    return next(build_partitions([delta], R, d, finite_set, core_cutoff,
+                                 exclude))
+
+
+def build_partitions(deltas, R, d, finite_set=(), core_cutoff=1.0,
+                     exclude=()):
+    """One ``BlockPartition`` per delta of ``deltas``, in that order, built
+    one at a time as they are asked for.
 
     ``finite_set`` becomes a single class; points of the complement with
     |a| <= core_cutoff are merged into one core class.  ``exclude`` removes
     points (e.g. the model's internal nodes) from the lattice altogether.
+    The arguments are checked when this is called (``ValueError``): each
+    delta is nonnegative or inf, every point has length d, and the finite
+    set lists distinct points of the ball, none of them excluded.
 
     The generating relation requires |a| = |b|, so every class lives inside
     one sphere, and [a-b] = [a-(-b)], so the classes are those of the
     shells {|a| > core_cutoff} closed under a -> -a, with each a linked to
     -a and the added mirror points dropped afterwards.  The shell points
     are sorted by (|a|^2, a); classes follow in that order of their
-    smallest point, each listing its points in that order.  Pairs with
-    |a-b| <= delta come from one cKDTree per run of whole spheres (at most
-    ``_CHUNK`` points unless one sphere is larger) over the points
-    (a, K |a|^2), K = delta + 1, in which points of different spheres are
-    always farther apart than delta.
+    smallest point, each listing its points in that order.  The ball, the
+    finite and core classes and the shell order are built once; the links
+    of every delta below 2R come from one neighbour query (``_shell_links``)
+    at the largest of them.  At delta >= 2R every sphere is one class.
     """
+    deltas = list(deltas)
     if R < core_cutoff:
         raise ValueError("truncation radius below core cutoff")
-    if not delta >= 0:
-        raise ValueError(f"delta must be nonnegative or inf, got {delta!r}")
+    for delta in deltas:
+        if not delta >= 0:
+            raise ValueError(
+                f"delta must be nonnegative or inf, got {delta!r}")
     fset = tuple(_as_point(p) for p in finite_set)
     excl = set(_as_point(p) for p in exclude)
+    for what, pts in (("finite set", fset), ("excluded", excl)):
+        for p in pts:
+            if len(p) != d:
+                raise ValueError(f"{what} point {p} has length {len(p)}, "
+                                 f"not d = {d}")
+    for i, p in enumerate(fset):
+        if p in fset[:i]:
+            raise ValueError(f"finite set lists {p} twice")
+        if norm_sq(p) > R * R:
+            raise ValueError(f"finite set point {p} lies outside the ball "
+                             f"|a| <= {R:g}")
     if excl & set(fset):
         raise ValueError("finite set intersects the excluded node set")
+    return _partitions(deltas, R, d, fset, tuple(sorted(excl)), core_cutoff)
 
+
+def _partitions(deltas, R, d, fset, excl, core_cutoff):
     X = _ball(float(R), int(d))
     nsq = (X * X).sum(axis=1)
     keep = np.ones(len(X), dtype=bool)
-    drop = excl | set(fset)
-    if drop:
-        keep &= ~(X[:, None] == np.array(sorted(drop))).all(axis=2).any(axis=1)
+    if fset or excl:
+        drop = np.array(fset + excl)
+        keep &= ~(X[:, None] == drop).all(axis=2).any(axis=1)
     cut = core_cutoff * core_cutoff
 
-    classes: list[tuple[Point, ...]] = []
-    boundary: list[bool] = []
+    head = []
     finite_index = core_index = None
     if fset:
-        finite_index = len(classes)
-        classes.append(tuple(sorted(fset)))
-        boundary.append(False)
-    core = np.flatnonzero(keep & (nsq <= cut))
+        finite_index = len(head)
+        head.append(np.array(sorted(fset), dtype=np.int64))
+    core = X[keep & (nsq <= cut)]
     if len(core):
-        core_index = len(classes)
-        classes.append(tuple(_tuples(X[core])))
-        boundary.append(False)
+        core_index = len(head)
+        head.append(core)
+    head_ends = np.cumsum([0] + [len(h) for h in head])
 
-    members, ends, lead_nsq = _shell_classes(X, nsq, keep, cut, delta, R)
-    flat = tuple(_tuples(X[members]))
-    classes.extend(flat[s:e] for s, e in zip(ends[:-1], ends[1:]))
-    if delta == math.inf:
-        boundary.extend([False] * len(lead_nsq))
-    else:
-        boundary.extend((np.sqrt(lead_nsq) + delta > R).tolist())
-    class_of = {p: i for i, cl in enumerate(classes) for p in cl}
-
-    return BlockPartition(delta=delta, radius=R, d=d, classes=classes,
-                          finite_set=fset, core_cutoff=core_cutoff,
-                          exclude=tuple(sorted(excl)), class_of=class_of,
-                          boundary_flags=boundary,
-                          finite_index=finite_index, core_index=core_index)
-
-
-def _shell_classes(X, nsq, keep, cut, delta, R):
-    """The classes outside the core: the kept ball indices in class order,
-    the class boundaries in that list (from 0 to its length) and each
-    class's |a|^2."""
     # the ball is symmetric and in lexicographic order, so -X[i] = X[-1 - i]
     shell = np.flatnonzero((nsq > cut) & (keep | keep[::-1]))
     shell = shell[np.argsort(nsq[shell], kind="stable")]
     q = nsq[shell]
     sphere = np.cumsum(np.diff(q, prepend=q[:1]) != 0)
-    if delta >= 2 * R:
-        # [a-b] <= |a-b| <= 2R: every sphere is connected
-        label = sphere
-    else:
-        label = _shell_components(X, shell, q, sphere, delta)
     own = keep[shell]
-    shell, q, label = shell[own], q[own], label[own]
-    # number the classes in the order of their first (smallest) point
+    below = [x for x in deltas if x < 2 * R]
+    if below:
+        rows, cols, reach = _shell_links(X[shell], q, sphere, max(below))
+
+    for delta in deltas:
+        if delta >= 2 * R:
+            # [a-b] <= |a-b| <= 2R: every sphere is connected
+            label = sphere
+        else:
+            k = int(np.searchsorted(reach, delta * delta, side="right"))
+            adj = coo_matrix((np.ones(k), (rows[:k], cols[:k])),
+                             shape=(len(shell),) * 2)
+            label = connected_components(adj, directed=False)[1]
+        members, ends, lead_nsq = _classes(shell[own], q[own], label[own])
+        if delta == math.inf:
+            boundary = [False] * len(lead_nsq)
+        else:
+            boundary = (np.sqrt(lead_nsq) + delta > R).tolist()
+        yield BlockPartition(
+            delta=delta, radius=R, d=d,
+            points=np.concatenate(head + [X[members]]).reshape(-1, d),
+            ends=np.concatenate([head_ends, head_ends[-1] + ends[1:]]),
+            finite_set=fset, core_cutoff=core_cutoff, exclude=excl,
+            boundary_flags=[False] * len(head) + boundary,
+            finite_index=finite_index, core_index=core_index)
+
+
+def _classes(members, q, label):
+    """The classes of the labelled points: ``members`` in class order, the
+    class boundaries in that list (from 0 to its length) and each class's
+    |a|^2, classes numbered in the order of their first (smallest) point."""
     _, first, inverse = np.unique(label, return_index=True,
                                   return_inverse=True)
     lead = np.argsort(first)
@@ -205,37 +263,47 @@ def _shell_classes(X, nsq, keep, cut, delta, R):
     rank[lead] = np.arange(len(lead))
     cid = rank[inverse]
     ends = np.r_[0, np.cumsum(np.bincount(cid, minlength=len(lead)))]
-    return shell[np.argsort(cid, kind="stable")], ends, q[first[lead]]
+    return members[np.argsort(cid, kind="stable")], ends, q[first[lead]]
 
 
 _CHUNK = 1 << 12
 
 
-def _shell_components(X, shell, q, sphere, delta) -> np.ndarray:
-    """Component label of each point X[shell] (sorted by (|a|^2, a), every
-    sphere closed under a -> -a) under |a-b| <= delta within a sphere and
-    a ~ -a.  Labels are unique across chunks."""
-    n = len(shell)
-    label = np.empty(n, dtype=np.int64)
+def _shell_links(P, q, sphere, dmax):
+    """The links of the shell points P (sorted by (|a|^2, a), every sphere
+    closed under a -> -a) that a delta <= dmax can use: rows, cols (int32
+    ids into P) and each link's reach, the least delta^2 that keeps it,
+    sorted by reach.  A pair a, b of one sphere with |a-b| <= dmax reaches
+    at |a-b|^2, exact in int64; a ~ -a reaches at 0.
+
+    The pairs come from one cKDTree per run of whole spheres (at most
+    ``_CHUNK`` points unless one sphere is larger) over the points
+    (a, K |a|^2), K = dmax + 1, in which points of different spheres are
+    always farther apart than dmax.
+    """
+    n = len(P)
     start = np.searchsorted(sphere, sphere)
     end = np.searchsorted(sphere, sphere, side="right")
     # lexicographic order within a sphere is reversed by a -> -a
-    anti = start + end - 1 - np.arange(n)
-    b = offset = 0
+    ids = np.arange(n, dtype=np.int32)
+    rows = [ids]
+    cols = [(start + end - 1 - ids).astype(np.int32)]
+    reach = [np.zeros(n, dtype=np.int64)]
+    b = 0
     while b < n:
         e = int(end[min(b + _CHUNK, n) - 1])
-        tree = cKDTree(np.column_stack([X[shell[b:e]],
-                                        (delta + 1) * q[b:e].astype(float)]))
-        pairs = tree.query_pairs(delta, output_type="ndarray")
-        rows = np.concatenate([pairs[:, 0], np.arange(e - b)])
-        cols = np.concatenate([pairs[:, 1], anti[b:e] - b])
-        adj = coo_matrix((np.ones(len(rows)), (rows, cols)),
-                         shape=(e - b, e - b))
-        k, label[b:e] = connected_components(adj, directed=False)
-        label[b:e] += offset
-        offset += k
+        tree = cKDTree(np.column_stack([P[b:e],
+                                        (dmax + 1) * q[b:e].astype(float)]))
+        i, j = tree.query_pairs(dmax, output_type="ndarray").T + b
+        diff = P[i] - P[j]
+        rows.append(i.astype(np.int32))
+        cols.append(j.astype(np.int32))
+        reach.append((diff * diff).sum(axis=1))
         b = e
-    return label
+    reach = np.concatenate(reach)
+    order = np.argsort(reach, kind="stable")
+    return (np.concatenate(rows)[order], np.concatenate(cols)[order],
+            reach[order])
 
 
 def pseudo_dist_sq(Xa, Xb) -> np.ndarray:
@@ -260,24 +328,18 @@ _PAIR_BUDGET = 1 << 14   # int64 pair entries per batch of classes
 def class_diameters(p: BlockPartition) -> list[float]:
     """Max pairwise pseudo-distance per class (0 for singletons).
 
-    The points are flattened once into one int64 array; classes of one
-    size are gathered from it as a stack and reduced together, at most
-    ``_PAIR_BUDGET`` pairs at a time.
+    Classes of one size are gathered from ``p.points`` as a stack and
+    reduced together, at most ``_PAIR_BUDGET`` pairs at a time.
     """
-    sizes = np.fromiter(map(len, p.classes), dtype=np.int64,
-                        count=len(p.classes))
-    coords = itertools.chain.from_iterable(
-        itertools.chain.from_iterable(p.classes))
-    flat = np.fromiter(coords, dtype=np.int64,
-                       count=int(sizes.sum()) * p.d).reshape(-1, p.d)
-    starts = np.cumsum(sizes) - sizes
+    sizes = np.diff(p.ends)
+    starts = p.ends[:-1]
     out = np.zeros(len(sizes))
     for s in np.unique(sizes[sizes > 1]).tolist():
         ids = np.flatnonzero(sizes == s)
         step = max(1, _PAIR_BUDGET // (s * s))
         for c in range(0, len(ids), step):
             blk = ids[c:c + step]
-            X = flat[starts[blk][:, None] + np.arange(s)]
+            X = p.points[starts[blk][:, None] + np.arange(s)]
             d2 = pseudo_dist_sq(X, X)
             out[blk] = np.sqrt(d2.reshape(len(blk), -1).max(axis=1))
     return out.tolist()
@@ -285,7 +347,7 @@ def class_diameters(p: BlockPartition) -> list[float]:
 
 def max_diameter(p: BlockPartition, include_boundary: bool = True) -> float:
     """d_Delta: max class diameter, excluding the core and finite classes."""
-    keep = np.ones(len(p.classes), dtype=bool)
+    keep = np.ones(len(p.ends) - 1, dtype=bool)
     keep[[i for i in (p.finite_index, p.core_index) if i is not None]] = False
     if not include_boundary:
         keep &= ~np.array(p.boundary_flags, dtype=bool)

@@ -3,25 +3,60 @@ only as a test oracle, and ``class_points``, a lookup only the tests use.
 
 These are the versions ``kamkit.lattice`` ran before the partition and the
 diameters became array passes: one cKDTree (and a mirrored query) per
-sphere, and one dense pairwise array per class.  The array versions must
-return exactly the same classes, order, flags, indices and diameters.
+sphere, and one dense pairwise array per class.  The oracle returns its own
+record, ``Partition``, with the classes stored as tuples of point tuples.
+The array versions must return exactly the same classes, order, flags,
+indices and diameters (``fields``).
 
 The scalar ``pseudo_dist``, the box-scan ``sphere_points`` and
 ``angle_relation`` and the loop ``max_diameter`` are the definitions
 ``kamkit.lattice`` ran before every pseudo-distance went through
 ``pseudo_dist_sq`` and every sphere through the cached ball; they stay
-here unchanged as the oracles the array versions are checked against.
+here as the oracles the array versions are checked against, the loop
+``max_diameter`` now over the oracle's own ``class_diameters``.
 """
 import itertools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from kamkit.lattice import (BlockPartition, Point, _as_point, ball_points,
-                            norm_sq)
+from kamkit.lattice import Point, _as_point, ball_points, norm_sq
+
+
+@dataclass
+class Partition:
+    """The oracle's partition: what ``BlockPartition`` stored when its
+    classes were tuples of point tuples."""
+    delta: float
+    radius: float
+    d: int
+    classes: list[tuple[Point, ...]]
+    finite_set: tuple[Point, ...]
+    core_cutoff: float
+    exclude: tuple[Point, ...] = ()
+    class_of: dict = field(default_factory=dict, repr=False)
+    boundary_flags: list[bool] = field(default_factory=list, repr=False)
+    finite_index: int | None = None
+    core_index: int | None = None
+
+    def class_index(self, a) -> int:
+        return self.class_of[_as_point(a)]
+
+
+FIELDS = ("delta", "radius", "d", "classes", "finite_set", "core_cutoff",
+          "exclude", "boundary_flags", "finite_index", "core_index")
+
+
+def fields(p) -> dict:
+    """What a partition (``BlockPartition`` or ``Partition``) holds, as
+    plain values: every field of ``Partition``, with ``class_of`` as its
+    items in order."""
+    return {**{name: getattr(p, name) for name in FIELDS},
+            "class_of": list(p.class_of.items())}
 
 
 def pseudo_dist(a, b) -> float:
@@ -61,9 +96,9 @@ def angle_relation(a, b) -> tuple[bool, int]:
     return count <= 2, count
 
 
-def max_diameter(p: BlockPartition, include_boundary: bool = True) -> float:
+def max_diameter(p: Partition, include_boundary: bool = True) -> float:
     """d_Delta: max class diameter, excluding the core and finite classes."""
-    diams = p.diameters
+    diams = class_diameters(p)
     best = 0.0
     for i, dv in enumerate(diams):
         if i in (p.finite_index, p.core_index):
@@ -75,7 +110,7 @@ def max_diameter(p: BlockPartition, include_boundary: bool = True) -> float:
 
 
 def build_partition(delta, R, d, finite_set=(), core_cutoff=1.0,
-                    exclude=()) -> BlockPartition:
+                    exclude=()) -> Partition:
     """Blocks of {|a| <= R} under the closure of |a|=|b|, [a-b] <= delta.
 
     ``finite_set`` becomes a single class; points of the complement with
@@ -144,18 +179,17 @@ def build_partition(delta, R, d, finite_set=(), core_cutoff=1.0,
             classes.append(tuple(sorted(g)))
             boundary.append(bool(near_edge))
 
-    part = BlockPartition(delta=delta, radius=R, d=d, classes=classes,
-                          finite_set=fset, core_cutoff=core_cutoff,
-                          exclude=tuple(sorted(excl)),
-                          boundary_flags=boundary,
-                          finite_index=finite_index, core_index=core_index)
+    part = Partition(delta=delta, radius=R, d=d, classes=classes,
+                     finite_set=fset, core_cutoff=core_cutoff,
+                     exclude=tuple(sorted(excl)), boundary_flags=boundary,
+                     finite_index=finite_index, core_index=core_index)
     for i, cl in enumerate(classes):
         for p in cl:
             part.class_of[p] = i
     return part
 
 
-def class_diameters(p: BlockPartition) -> list[float]:
+def class_diameters(p) -> list[float]:
     """Max pairwise pseudo-distance per class (0 for singletons)."""
     out = []
     for cl in p.classes:
@@ -169,6 +203,6 @@ def class_diameters(p: BlockPartition) -> list[float]:
     return out
 
 
-def class_points(p: BlockPartition, a) -> tuple[Point, ...]:
+def class_points(p, a) -> tuple[Point, ...]:
     """The class of the point a; was ``BlockPartition.class_points``."""
     return p.classes[p.class_index(a)]

@@ -123,6 +123,32 @@ def test_blocks_artifacts_match_golden(tmp_path):
     _check_blocks_golden(got, "blocks_d3_R6")
 
 
+def test_blocks_build_no_point_tuples(tmp_path, monkeypatch):
+    """``kamkit blocks`` formats, measures and counts its partitions from
+    their arrays alone: it never makes a tuple per point."""
+    from kamkit import lattice
+
+    def fail(X):
+        raise AssertionError("kamkit blocks made point tuples")
+
+    monkeypatch.setattr(lattice, "_tuples", fail)
+    _check_blocks_golden(_blocks_case(tmp_path, BLOCKS_D3_R6),
+                         "blocks_d3_R6")
+
+
+@pytest.mark.parametrize("fset", [
+    [[1, 0], [1, 0], [9, 9]], [[1, 0], [1, 0]], [[9, 9]], [[1, 0, 0]], [1, 2],
+])
+def test_blocks_rejects_bad_finite_set(tmp_path, capsys, fset):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"output_dir": str(out),
+                               "blocks": {"d": 2, "R": 4, "deltas": [2],
+                                          "finite_set": fset}})
+    assert main(["blocks", cfg]) == 2
+    assert "blocks.finite_set" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_blocks_finite_set_artifacts_match_golden(tmp_path):
     """A finite class, a core class and unsorted deltas (0, 1.5, inf),
     frozen from the partition that built one cKDTree query per delta."""

@@ -9,6 +9,7 @@ from kamkit.lattice import (
     angle_relation,
     ball_points,
     build_partition,
+    build_partitions,
     check_admissible,
     class_diameters,
     max_diameter,
@@ -180,8 +181,9 @@ def partition_args(draw):
 def test_partition_matches_per_sphere_oracle(args):
     got = build_partition(*args)
     want = ref.build_partition(*args)
-    assert got == want      # classes, flags, class_of, indices, ...
-    assert list(got.class_of.items()) == list(want.class_of.items())
+    # delta, radius, d, classes, finite_set, core_cutoff, exclude, flags,
+    # finite and core index, and class_of item by item
+    assert ref.fields(got) == ref.fields(want)
     assert class_diameters(got) == ref.class_diameters(want)
     assert got.diameters == ref.class_diameters(want)
     for include_boundary in (True, False):
@@ -189,9 +191,54 @@ def test_partition_matches_per_sphere_oracle(args):
             == ref.max_diameter(want, include_boundary)
 
 
+@st.composite
+def partitions_args(draw):
+    delta, *rest = draw(partition_args())
+    more = draw(st.lists(st.sampled_from([0, 1, 1.5, 2, 3, 4, 16, math.inf]),
+                         max_size=4))
+    return ([delta] + more, *rest)
+
+
+# unsorted with a duplicate; 0, 1.5 and inf; every delta >= 2R (no query);
+# a finite set with excluded nodes
+@example(([3, 0, 3, 1], 6, 2, (), 1.0, ()))
+@example(([1.5, 0, math.inf, 1.5], 5, 3, ((0, 0, 2),), 1.0, ()))
+@example(([4, math.inf, 5, 4], 2, 2, (), 1.0, ()))
+@example(([2, 0, 1, 3], 6, 3, ((2, 0, 0), (0, 1, 1)), 1.0,
+          ((1, 1, 1), (0, -3, 4))))
+@given(partitions_args())
+def test_partitions_share_one_query(args):
+    deltas, *rest = args
+    got = list(build_partitions(deltas, *rest))
+    want = [build_partition(x, *rest) for x in deltas]
+    assert len(got) == len(deltas)
+    for g, w in zip(got, want):
+        assert g.points.dtype == np.int64 and g.ends.dtype == np.int64
+        assert np.array_equal(g.points, w.points)
+        assert np.array_equal(g.ends, w.ends)
+        assert ref.fields(g) == ref.fields(w)
+        assert g.diameters == w.diameters
+
+
 def test_partition_rejects_negative_delta():
     with pytest.raises(ValueError, match="delta"):
         build_partition(-1, 4, 2)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"finite_set": [(1, 0), (1, 0), (9, 9)]}, "twice"),
+    ({"finite_set": [(1, 0), (9, 9)]}, "outside the ball"),
+    ({"finite_set": [(1, 0, 0)]}, "length 3"),
+    ({"exclude": [(2, 0), (1, 0, 0)]}, "length 3"),
+])
+def test_partition_rejects_bad_points(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        build_partition(2, 4, 2, **kwargs)
+    # checked at the call, before the first partition is asked for
+    with pytest.raises(ValueError, match=match):
+        build_partitions([2, 1], 4, 2, **kwargs)
+    # a point on the sphere |a| = R is in the ball
+    assert build_partition(2, 4, 2, finite_set=[(0, 4)]).finite_index == 0
 
 
 def test_angle_relation():
