@@ -10,7 +10,8 @@ A ``WeightedMatrix`` stores its 2x2 blocks in a dict keyed by site pairs.
 Every product, application and norm stacks that dict once into int row and
 column indices over a sorted site list plus an (nnz, 2, 2) block array, and
 works on the arrays: products and applications through
-``scipy.sparse.bsr_array``, the decay norm through batched block norms
+``scipy.sparse.bsr_array``, the decay norm (``decay_norm``, which
+``class_norm``'s hessian norm shares) through batched block norms
 (``spectral_norm_2x2``) times vectorised decay weights (``decay_weight``),
 whose pseudo-distances are ``lattice.pseudo_dist_sq`` on paired rows.
 Quadratic forms in normal form are ``hamiltonian.NormalFormHamiltonian``.
@@ -191,12 +192,23 @@ def _bsr(rows, cols, data, n: int) -> bsr_array:
                      shape=(2 * n, 2 * n), blocksize=(2, 2))
 
 
+def decay_norm(X, rows, cols, ws: list):
+    """The decay norm on one pattern, blocks at (rows[i], cols[i]) over the
+    sites X, as a function of the block norms bn: the max over ``ws`` of the
+    largest row or column sum of bn * decay_weight, weights computed once."""
+    weights = [decay_weight(X[rows], X[cols], w) for w in ws]
+
+    def norm(bn):
+        return max(max(np.bincount(rows, v, len(X)).max(),
+                       np.bincount(cols, v, len(X)).max())
+                   for v in (bn * wt for wt in weights))
+    return norm
+
+
 def matrix_norm(A: WeightedMatrix, w: WeightParams) -> float:
     """Decay norm: max over rows/cols of the weighted sum of 2x2 block norms."""
     sites, ((rows, cols, data),) = _stack(A)
     if not sites:
         return 0.0
-    X = np.array(sites)
-    v = spectral_norm_2x2(data) * decay_weight(X[rows], X[cols], w)
-    return float(max(np.bincount(rows, v, len(sites)).max(),
-                     np.bincount(cols, v, len(sites)).max()))
+    return float(decay_norm(np.array(sites), rows, cols, [w])(
+        spectral_norm_2x2(data)))

@@ -18,7 +18,8 @@ from .divisors import ParameterGrid, check_A1, melnikov_scan
 # class_norm is not called here, but perfbench's tracer wraps cli.class_norm
 from .hamiltonian import ClassNormParams, StageAbort, class_norm  # noqa: F401
 from .kam import Schedule, run, singular_gate_inputs, singular_threshold
-from .lattice import build_partition, build_partitions, max_diameter
+from .lattice import (_as_point, build_partition, build_partitions,
+                      max_diameter)
 from .models import (BeamModel, NlsModel, SingularBeamModel, build_beam,
                      build_nls, build_singular)
 
@@ -60,8 +61,18 @@ def _construct(cls, cfg: dict, section: str):
         raise ConfigError(f"invalid '{section}': {exc}") from exc
 
 
-def _pairs(seq):
-    return tuple(tuple(p) for p in seq)
+def _integer(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"field '{key}' must be an integer, got {value!r}")
+    return value
+
+
+def _points(seq, key: str) -> tuple:
+    """Lattice points, with integer coordinates (``_as_point``)."""
+    try:
+        return tuple(_as_point(p) for p in seq)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid '{key}': {exc}") from exc
 
 
 def _wave(x, d: int, field: str) -> tuple:
@@ -127,7 +138,7 @@ def parse_schedule(cfg: dict | None) -> Schedule:
     cfg = dict(cfg or {})
     allowed = set(Schedule.__dataclass_fields__)
     _check_keys(cfg, allowed, "schedule")
-    return Schedule(**cfg)
+    return _construct(Schedule, cfg, "schedule")
 
 
 def parse_weights(cfg: dict | None) -> WeightParams:
@@ -155,28 +166,30 @@ def build_model(cfg: dict):
                                        "tail", "nonlinearity", "epsilon",
                                        "delta", "r_degree", "max_degree"},
                         "model")
-            d = int(_require(cfg, "d", "model"))
+            d = _integer(_require(cfg, "d", "model"), "model.d")
             model = BeamModel(
                 d=d,
                 radius=float(_require(cfg, "R", "model")),
-                nodes=_pairs(cfg.get("nodes", ())),
+                nodes=_points(cfg.get("nodes", ()), "model.nodes"),
                 rho=tuple(cfg.get("rho", ())),
                 actions=tuple(cfg.get("actions", ())),
                 tail={int(k): v for k, v in cfg.get("tail", {}).items()},
                 nonlinearity=tuple(
-                    (int(p), _wave(x, d, f"model.nonlinearity[{i}]"), c)
+                    (_integer(p, f"model.nonlinearity[{i}]"),
+                     _wave(x, d, f"model.nonlinearity[{i}]"), c)
                     for i, (p, x, c) in enumerate(cfg.get("nonlinearity",
                                                           ()))),
                 epsilon=float(cfg.get("epsilon", 1.0)),
                 delta=float(cfg.get("delta", 2)),
-                r_degree=int(cfg.get("r_degree", 1)),
-                max_degree=int(cfg.get("max_degree", 4)))
+                r_degree=_integer(cfg.get("r_degree", 1), "model.r_degree"),
+                max_degree=_integer(cfg.get("max_degree", 4),
+                                    "model.max_degree"))
             return kind, model, build_beam(model)
         if kind == "nls":
             _check_keys(cfg, common | {"d", "R", "mass", "alpha", "rho",
                                        "forcing", "epsilon", "delta",
                                        "max_degree"}, "model")
-            d = int(_require(cfg, "d", "model"))
+            d = _integer(_require(cfg, "d", "model"), "model.d")
             model = NlsModel(
                 d=d,
                 radius=float(_require(cfg, "R", "model")),
@@ -184,28 +197,31 @@ def build_model(cfg: dict):
                 alpha=float(_require(cfg, "alpha", "model")),
                 rho=tuple(_require(cfg, "rho", "model")),
                 forcing=tuple(
-                    (tuple(kt), int(p), int(q),
+                    (tuple(kt), _integer(p, f"model.forcing[{i}]"),
+                     _integer(q, f"model.forcing[{i}]"),
                      _wave(x, d, f"model.forcing[{i}]"), c)
                     for i, (kt, p, q, x, c) in enumerate(cfg.get("forcing",
                                                                  ()))),
                 epsilon=float(cfg.get("epsilon", 1.0)),
                 delta=float(cfg.get("delta", 2)),
-                max_degree=int(cfg.get("max_degree", 4)))
+                max_degree=_integer(cfg.get("max_degree", 4),
+                                    "model.max_degree"))
             return kind, model, build_nls(model)
         if kind == "singular":
             _check_keys(cfg, common | {"d", "R", "nodes", "mass", "actions",
                                        "birkhoff_threshold", "quintic",
                                        "r_degree", "max_degree"}, "model")
             model = SingularBeamModel(
-                d=int(_require(cfg, "d", "model")),
+                d=_integer(_require(cfg, "d", "model"), "model.d"),
                 radius=float(_require(cfg, "R", "model")),
-                nodes=_pairs(_require(cfg, "nodes", "model")),
+                nodes=_points(_require(cfg, "nodes", "model"), "model.nodes"),
                 mass=float(_require(cfg, "mass", "model")),
                 actions=tuple(_require(cfg, "actions", "model")),
                 birkhoff_threshold=float(cfg.get("birkhoff_threshold", 1e-6)),
                 quintic=float(cfg.get("quintic", 0.0)),
-                r_degree=int(cfg.get("r_degree", 1)),
-                max_degree=int(cfg.get("max_degree", 5)))
+                r_degree=_integer(cfg.get("r_degree", 1), "model.r_degree"),
+                max_degree=_integer(cfg.get("max_degree", 5),
+                                    "model.max_degree"))
             return kind, model, build_singular(model)
         raise ConfigError(f"unknown model kind '{kind}'")
     except ValueError as exc:     # a value the model or its builder rejects
@@ -243,7 +259,7 @@ def cmd_blocks(cfg: dict) -> int:
     section = dict(_require(cfg, "blocks", "config"))
     _check_keys(section, {"d", "R", "deltas", "finite_set", "core_cutoff"},
                 "blocks")
-    d = int(_require(section, "d", "blocks"))
+    d = _integer(_require(section, "d", "blocks"), "blocks.d")
     R = float(_require(section, "R", "blocks"))
     deltas = _require(section, "deltas", "blocks")
     for raw in deltas:
@@ -263,7 +279,8 @@ def cmd_blocks(cfg: dict) -> int:
         parts = build_partitions(
             [math.inf if raw in ("inf", "Infinity") else raw
              for raw in deltas], R, d,
-            finite_set=_pairs(section.get("finite_set", ())),
+            finite_set=_points(section.get("finite_set", ()),
+                               "blocks.finite_set"),
             core_cutoff=core_cutoff)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid 'blocks.finite_set': {exc}") from exc

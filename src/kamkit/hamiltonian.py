@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (WeightParams, decay_weight, site_weight,
+from .algebra import (WeightParams, decay_norm, site_weight,
                       spectral_norm_2x2)
 from .lattice import BlockPartition, _tuples
 
@@ -1152,8 +1152,8 @@ def _hessian_norm(Zid, zvars: list, zeta, gammas: list):
     over the ordered pairs of distinct slots of the row's ids.  So a row
     names the site blocks of those pairs, and only the named blocks are
     formed: the sparse P maps t0 to their entries, P's rows indexing (named
-    block, 2x2 entry), and the row and column sums are ``np.bincount`` over
-    the blocks' sites.  No (sites x sites) array is formed."""
+    block, 2x2 entry), and ``algebra.decay_norm`` takes the row and column
+    sums over the blocks' sites.  No (sites x sites) array is formed."""
     from scipy import sparse as _sparse
     sites = sorted({v[0] for v in zvars})
     S = len(sites)
@@ -1173,14 +1173,11 @@ def _hessian_norm(Zid, zvars: list, zeta, gammas: list):
     e = np.arange(2)
     za = zpad[2 * sa[:, None, None] + e[:, None]]
     zb = zpad[2 * sb[:, None, None] + e]
-    X = np.array(sites, dtype=np.int64)
-    weights = [decay_weight(X[sa], X[sb], gp) for gp in gammas]
+    block_norm = decay_norm(np.array(sites, dtype=np.int64), sa, sb, gammas)
 
     def norm(t0):
         H = (P @ t0).reshape(len(blocks), 2, 2)
         H /= za
         H /= zb
-        bn = spectral_norm_2x2(H)
-        return max(max(np.bincount(sa, wb).max(), np.bincount(sb, wb).max())
-                   for wb in (bn * wt for wt in weights))
+        return block_norm(spectral_norm_2x2(H))
     return norm

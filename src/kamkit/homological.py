@@ -14,7 +14,9 @@ guard threshold are recorded and the corresponding terms left in place.
 h's classes are read from one table built once per h (``class_tables``).
 The quadratic part is solved in array passes: the jet's rows are scattered
 into one block per (k, class pair, channel), the blocks of one shape are
-stacked, and each stack is solved in one pass.  The solve order is the
+stacked, and each stack is solved in one pass.  The finite (hyperbolic)
+class's systems are dense: each zeta-linear, hyperbolic or mixed item is
+one stack for the guarded solve (``_solve_guarded``).  The solve order is the
 contract (``solve_linear``): guard failures, the divisor log and h_tilde's
 blocks come out in it, and one stable sort puts S's rows in it.
 """
@@ -166,35 +168,18 @@ def _elliptic_solve(V_L, V_R, R, div):
     return V_L @ (Rt / div) @ np.swapaxes(V_R.conj(), -1, -2)
 
 
-def _solve_guarded(L, rhs, guard: DivisorGuard, key):
-    """Solve L x = rhs unless the smallest singular value of L is below the
-    guard threshold.  Returns (x or None, that singular value)."""
-    smin = float(np.linalg.svd(L, compute_uv=False)[-1])
-    if not guard.check(smin, *key):
-        return None, smin
-    return np.linalg.solve(L, rhs), smin
-
-
-def invert_L_mixed(coef: complex, JH: np.ndarray, F_rows: np.ndarray,
-                   guard: DivisorGuard, key):
-    """Solve X(coef*I - JH) = F for row-vector blocks (rows of F), as the
-    column system (coef*I - JH)^T X^T = F^T.
-
-    Records the smallest singular value of the operator.
-    """
-    Lt = coef * np.eye(JH.shape[0]) - JH.T
-    X, smin = _solve_guarded(Lt, np.atleast_2d(F_rows).T, guard, key)
-    return (None if X is None else X.T.reshape(F_rows.shape)), smin
-
-
-def invert_L_hyperbolic(kw: float, HJ: np.ndarray, JH: np.ndarray,
-                        G: np.ndarray, guard: DivisorGuard, key):
-    """Solve i(kw)Y + HJ Y - Y JH = -G densely via the Kronecker form."""
-    m = HJ.shape[0]
-    L = (1j * kw * np.eye(m * m)
-         + np.kron(HJ, np.eye(m)) - np.kron(np.eye(m), JH.T))
-    Y, smin = _solve_guarded(L, -G.reshape(m * m), guard, key)
-    return (None if Y is None else Y.reshape(m, m)), smin
+def _solve_guarded(L, rhs, guard: DivisorGuard, keys):
+    """Solve the stack of systems L[s] x = rhs[s], (s, m, m) and (s, m, 1),
+    unless one is too close to singular.  One batched ``svd`` gives each
+    system's smallest singular value; the guard checks them in stack order,
+    system s with keys[s], and stops at the first failure; one batched
+    ``solve`` runs only when every system passes.  Returns (x or None, the
+    singular values checked, as a tuple)."""
+    smin = np.linalg.svd(L, compute_uv=False)[:, -1].tolist()
+    for s, key in enumerate(keys):
+        if not guard.check(smin[s], *key):
+            return None, tuple(smin[:s + 1])
+    return np.linalg.solve(L, rhs), tuple(smin)
 
 
 # -- the main solver ----------------------------------------------------------------
@@ -281,12 +266,12 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
         Fk[U[gi]] += C[gi]
         for ci in np.unique(t.class_of[U[gi] // 2]).tolist():
             if t.hyperbolic[ci]:
-                x, smin = _solve_guarded(1j * kw * np.eye(len(t.w)) + t.HJ,
-                                         -Fk[t.w], guard,
-                                         (k, (ci,), "lin-hyp"))
-                divlog[(k, (ci,), "lin-hyp")] = (smin,)
+                key = (k, (ci,), "lin-hyp")
+                x, divlog[key] = _solve_guarded(
+                    (1j * kw * np.eye(len(t.w)) + t.HJ)[None],
+                    -Fk[t.w][None, :, None], guard, [key])
                 if x is not None:
-                    solved.append((k, None, t.w, None, x))
+                    solved.append((k, None, t.w, None, x.ravel()))
                 continue
             # i[(kw)I - Q] v_xi = -F_xi ; i[(kw)I + conj(Q)] v_eta = -F_eta
             lam, Vc, ids = t.elliptic(ci)
@@ -325,8 +310,11 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, divlog, solved,
     An elliptic pair's rows are scattered into one block per channel
     (c1, c2) of shape (|ci|, |cj|), the blocks of one shape stacked
     together, and each stack solves (kw)X + sL Q_ci X + sR X Q_cj = iG in
-    one pass.  Hyperbolic and mixed pairs are solved per pair.  One walk
-    over the items, in order, emits the guard checks, divisor log,
+    one pass.  A hyperbolic or mixed pair is one stack of dense systems for
+    ``_solve_guarded``: one Kronecker system for a hyperbolic pair, and for
+    a mixed pair one row system per component and elliptic eigenvalue, the
+    xi rows then the eta rows, which stops at its first failing system.  One
+    walk over the items, in order, emits the guard checks, divisor log,
     ``set_block`` calls and skip report.  A solved block's place is
     2 (4 item + channel), and 1 more for its mirror (cj, ci); a hyperbolic
     item's is 8 item.
@@ -509,10 +497,13 @@ def _solve_hyperbolic_pair(k, kw, ci, cj, t, a, b, cu, cv, C, ca, guard, ht,
         if not any(k):
             ht.hyperbolic_block = ((Gi + Gi.T) / 2).real
             return None
-        Y, smin = invert_L_hyperbolic(kw, t.HJ, t.JH, Gi, guard,
-                                      (k, (ci, cj), "hyp"))
-        divlog[(k, (ci, cj), "hyp")] = (smin,)
-        return None if Y is None else (k, None, t.w, t.w, Y / 2)
+        # i(kw)Y + HJ Y - Y JH = -G in the Kronecker form
+        key = (k, (ci, cj), "hyp")
+        Y, divlog[key] = _solve_guarded(
+            (1j * kw * np.eye(m * m) + np.kron(t.HJ, np.eye(m))
+             - np.kron(np.eye(m), t.JH.T))[None], -Gi.reshape(1, m * m, 1),
+            guard, [key])
+        return None if Y is None else (k, None, t.w, t.w, Y.reshape(m, m) / 2)
 
     # rows of the elliptic class per component, columns of the hyperbolic
     # class interleaved
@@ -524,25 +515,19 @@ def _solve_hyperbolic_pair(k, kw, ci, cj, t, a, b, cu, cv, C, ca, guard, ht,
     np.add.at(D, (cu[r] * ne + t.pos[a[r]]) * m + 2 * t.pos[b[r]] + cv[r],
               C[r])
     D = D.reshape(2, ne, m)
-    divs, rows_x = [], []
-    for crow in (XI, ETA):
-        Gt = Vc[crow].conj().T @ D[crow]
-        for i, lam_i in enumerate(lam):
-            tag = f"mix-{('xi', 'eta')[crow]}-{i}"
-            x, smin = invert_L_mixed(
-                1j * (kw + (2 * crow - 1) * lam_i), t.JH, -Gt[i],
-                guard, (k, (ci, cj), tag))
-            divs.append(smin)
-            if x is None:
-                break
-            rows_x.append(x)
-        if x is None:
-            break
-    divlog[(k, (ci, cj), "mixed")] = tuple(divs)
+    # one row system x (coef I - JH) = -(V^H D)[c, i] per component c and
+    # eigenvalue i, coef = i(kw -+ lam_i), as the column system with JH^T:
+    # the xi rows, then the eta rows
+    coef = 1j * (kw + np.array([-1, 1])[:, None] * lam).ravel()
+    x, divlog[(k, (ci, cj), "mixed")] = _solve_guarded(
+        coef[:, None, None] * np.eye(m) - t.JH.T,
+        -(np.swapaxes(Vc.conj(), 1, 2) @ D).reshape(2 * ne, m, 1), guard,
+        [(k, (ci, cj), f"mix-{c}-{i}") for c in ("xi", "eta")
+         for i in range(ne)])
     if x is None:
         return None
-    return (k, None, ids.ravel(), t.w, np.vstack(
-        [Vc[c] @ np.array(rows_x[c * ne:][:ne]) for c in (XI, ETA)]))
+    return (k, None, ids.ravel(), t.w,
+            (Vc @ x.reshape(2, ne, m)).reshape(2 * ne, m))
 
 
 def solve_homological(h: NormalFormHamiltonian, f: Polynomial,

@@ -55,6 +55,29 @@ class Schedule:
     # series also screens its brackets' non-jet pairs at it
     rel_prune_rest: float = 1e-6
 
+    def __post_init__(self):
+        for name, low in (("max_super", 1), ("max_inner", 1),
+                          ("max_picard", 1), ("work_degree", 2)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < low:
+                raise ValueError(f"{name} must be an integer of at least "
+                                 f"{low}, got {v!r}")
+
+        def number(name, ok, want):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not ok(v)):
+                raise ValueError(f"{name} must be {want}, got {v!r}")
+        number("delta0", lambda v: v > 0, "positive")
+        # the fold assumes that the partition only coarsens
+        number("delta_theta", lambda v: 1 <= v < math.inf,
+               "a finite number of at least 1")
+        number("gamma_decay", lambda v: 0 < v <= 1, "in (0, 1]")
+        number("domain_decay", lambda v: 0 <= v <= 1, "in [0, 1]")
+        for name in ("eps_target", "prune_tol", "rel_prune",
+                     "rel_prune_rest"):
+            number(name, lambda v: v >= 0, "nonnegative")
+
 
 @dataclass
 class IterationState:

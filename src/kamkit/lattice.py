@@ -25,7 +25,12 @@ Point = tuple  # tuple[int, ...]
 
 
 def _as_point(a) -> Point:
-    return tuple(int(x) for x in a)
+    """a as a tuple of ints; a ValueError if a coordinate is not an
+    integer, which is never truncated."""
+    p = tuple(int(x) for x in a)
+    if p != tuple(a):
+        raise ValueError(f"point {tuple(a)!r} has a non-integer coordinate")
+    return p
 
 
 def norm_sq(a) -> int:

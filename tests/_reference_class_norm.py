@@ -130,10 +130,10 @@ def reference_class_norm(poly: Polynomial, p: ClassNormParams,
     return best
 
 
-def dense_hessian_norm(Zid, zvars: list, zeta, gammas: list):
-    """``_hessian_norm``'s function t0 -> norm, on the dense hessian: P
-    maps t0 to all (2S)^2 entries in the padded site layout, and the row
-    and column sums run over the (S, S) weighted block norms."""
+def dense_hessian(Zid, zvars: list, zeta):
+    """``_hessian_norm``'s hessian as a function t0 -> its (S, S, 2, 2)
+    site blocks, dense: P maps t0 to all (2S)^2 entries in the padded site
+    layout."""
     from scipy import sparse as _sparse
     sites = sorted({v[0] for v in zvars})
     S2 = 2 * len(sites)
@@ -147,15 +147,25 @@ def dense_hessian_norm(Zid, zvars: list, zeta, gammas: list):
                            shape=(S2 * S2, len(Zid)))     # repeated pairs sum
     zpad = np.ones(S2, dtype=complex)
     zpad[pad] = zeta
-    X = np.array(sites, dtype=np.int64)
-    block_w = [decay_weight(X[:, None], X[None], gp) for gp in gammas]
 
-    def norm(t0):
+    def blocks(t0):
         H = (P @ t0).reshape(S2, S2)
         H /= zpad[:, None]
         H /= zpad[None, :]
-        bn = spectral_norm_2x2(H.reshape(len(sites), 2, len(sites), 2)
-                               .transpose(0, 2, 1, 3))
+        return H.reshape(len(sites), 2, len(sites), 2).transpose(0, 2, 1, 3)
+    return blocks
+
+
+def dense_hessian_norm(Zid, zvars: list, zeta, gammas: list):
+    """``_hessian_norm``'s function t0 -> norm, on the dense hessian
+    (``dense_hessian``): the row and column sums run over the (S, S)
+    weighted block norms."""
+    X = np.array(sorted({v[0] for v in zvars}), dtype=np.int64)
+    block_w = [decay_weight(X[:, None], X[None], gp) for gp in gammas]
+    hessian = dense_hessian(Zid, zvars, zeta)
+
+    def norm(t0):
+        bn = spectral_norm_2x2(hessian(t0))
         return max(max(wb.sum(axis=1).max(), wb.sum(axis=0).max())
                    for wb in (bn * wt for wt in block_w))
     return norm

@@ -3,6 +3,9 @@
 
 - ``det_certificate``: the determinant certificate of a one-parameter
   matrix family.
+- ``_solve_guarded``, ``invert_L_mixed`` and ``invert_L_hyperbolic``: the
+  one-system guarded solves, one call per system, that the stacked
+  ``_solve_guarded`` replaced.
 - ``class_tables``: the per-class tables (a dict of ``_ClassData``) that
   the per-pair ``solve_linear`` reads.
 - ``solve_linear``: the per-pair linear homological solve, one dense form
@@ -21,8 +24,7 @@ from kamkit.algebra import (WeightParams, decay_weight, spectral_norm_2x2,
 from kamkit.hamiltonian import (ETA, XI, NormalFormHamiltonian, Polynomial,
                                 block_rows, class_ids, decode_jet, encode,
                                 site_layout)
-from kamkit.homological import (DivisorGuard, _solve_guarded,
-                                invert_L_hyperbolic, invert_L_mixed)
+from kamkit.homological import DivisorGuard
 from kamkit.lattice import _tuples, norm_sq, pseudo_dist_sq
 
 
@@ -44,6 +46,37 @@ def det_certificate(L_of_t, delta0: float, j_max: int, t_span=(0.0, 1.0),
         if m > best[1]:
             best = (None, m)
     return None, best[1]
+
+
+def _solve_guarded(L, rhs, guard: DivisorGuard, key):
+    """Solve L x = rhs unless the smallest singular value of L is below the
+    guard threshold.  Returns (x or None, that singular value)."""
+    smin = float(np.linalg.svd(L, compute_uv=False)[-1])
+    if not guard.check(smin, *key):
+        return None, smin
+    return np.linalg.solve(L, rhs), smin
+
+
+def invert_L_mixed(coef: complex, JH: np.ndarray, F_rows: np.ndarray,
+                   guard: DivisorGuard, key):
+    """Solve X(coef*I - JH) = F for row-vector blocks (rows of F), as the
+    column system (coef*I - JH)^T X^T = F^T.
+
+    Records the smallest singular value of the operator.
+    """
+    Lt = coef * np.eye(JH.shape[0]) - JH.T
+    X, smin = _solve_guarded(Lt, np.atleast_2d(F_rows).T, guard, key)
+    return (None if X is None else X.T.reshape(F_rows.shape)), smin
+
+
+def invert_L_hyperbolic(kw: float, HJ: np.ndarray, JH: np.ndarray,
+                        G: np.ndarray, guard: DivisorGuard, key):
+    """Solve i(kw)Y + HJ Y - Y JH = -G densely via the Kronecker form."""
+    m = HJ.shape[0]
+    L = (1j * kw * np.eye(m * m)
+         + np.kron(HJ, np.eye(m)) - np.kron(np.eye(m), JH.T))
+    Y, smin = _solve_guarded(L, -G.reshape(m * m), guard, key)
+    return (None if Y is None else Y.reshape(m, m)), smin
 
 
 @dataclass

@@ -138,6 +138,7 @@ def test_blocks_build_no_point_tuples(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("fset", [
     [[1, 0], [1, 0], [9, 9]], [[1, 0], [1, 0]], [[9, 9]], [[1, 0, 0]], [1, 2],
+    [[1.7, 0], [0, 2]],
 ])
 def test_blocks_rejects_bad_finite_set(tmp_path, capsys, fset):
     out = tmp_path / "out"
@@ -426,6 +427,63 @@ def test_kam_wrong_length_wave_vector_is_a_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"'{field}' has a wave vector of length" in err
     assert "expected 2, the model's d" in err
+
+
+SINGULAR_MODEL = {"kind": "singular", "d": 2, "R": 4,
+                  "nodes": [[0, 1], [1, -1]], "mass": 1.37,
+                  "actions": [1e-4, 1.3e-4]}
+
+
+@pytest.mark.parametrize("command, cfg, field", [
+    ("blocks", {"blocks": {"d": 2.5, "R": 4, "deltas": [2]}}, "'blocks.d'"),
+    ("kam", {"model": dict(BEAM_MODEL, d=2.9)}, "'model.d'"),
+    ("kam", {"model": dict(BEAM_MODEL, max_degree=4.5)}, "'model.max_degree'"),
+    ("kam", {"model": dict(BEAM_MODEL, r_degree=1.5)}, "'model.r_degree'"),
+    ("kam", {"model": dict(BEAM_MODEL, nodes=[[1.7, 0], [0, 2]])},
+     "'model.nodes'"),
+    ("kam", {"model": dict(NLS_MODEL, d=2.5)}, "'model.d'"),
+    ("kam", {"model": dict(BEAM_MODEL, nonlinearity=[[3.5, [0, 0], 1.0]])},
+     "'model.nonlinearity[0]'"),
+    ("kam", {"model": dict(NLS_MODEL, forcing=[[[1], 1, 1.5, [0, 0], 0.1]])},
+     "'model.forcing[0]'"),
+    ("kam", {"model": dict(SINGULAR_MODEL, max_degree=5.5)},
+     "'model.max_degree'"),
+    ("kam", {"model": dict(SINGULAR_MODEL, nodes=[[0, 1], [1, -1.5]])},
+     "'model.nodes'"),
+], ids=["blocks-d", "beam-d", "beam-max_degree", "beam-r_degree",
+        "beam-nodes", "nls-d", "beam-power", "nls-forcing-power",
+        "singular-max_degree", "singular-nodes"])
+def test_non_integer_field_is_a_config_error(tmp_path, capsys, command, cfg,
+                                             field):
+    """An integer field or a lattice point with a fractional value is
+    named in a config error, not truncated."""
+    out = tmp_path / "out"
+    assert main([command, write_cfg(tmp_path,
+                                    dict(cfg, output_dir=str(out)))]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("schedule, field", [
+    ({"max_super": 2, "eps_target": 1e-30, "gamma_decay": -1},
+     "gamma_decay"),
+    ({"max_inner": -3}, "max_inner"),
+    ({"max_super": 0}, "max_super"),
+    ({"max_picard": 1.5}, "max_picard"),
+    ({"work_degree": 1}, "work_degree"),
+    ({"eps_target": -1e-12}, "eps_target"),
+    ({"rel_prune_rest": -1.0}, "rel_prune_rest"),
+    ({"domain_decay": 1.5}, "domain_decay"),
+    ({"delta_theta": 0.5}, "delta_theta"),
+    ({"delta0": 0}, "delta0"),
+])
+def test_kam_invalid_schedule_is_a_config_error(tmp_path, capsys, schedule,
+                                                field):
+    cfg = write_cfg(tmp_path, {"output_dir": str(tmp_path / "out"),
+                               "model": BEAM_MODEL, "schedule": schedule})
+    assert main(["kam", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "invalid 'schedule'" in err and field in err, err
 
 
 def test_kam_invalid_weights_are_a_config_error(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from kamkit import hamiltonian as H
-from kamkit.algebra import WeightedMatrix, WeightParams
+from kamkit.algebra import WeightedMatrix, WeightParams, matrix_norm
 from kamkit.hamiltonian import (
     ClassNormParams,
     NormalFormHamiltonian,
@@ -22,7 +22,8 @@ from kamkit.hamiltonian import (
 )
 from kamkit.lattice import build_partition
 
-from _reference_class_norm import dense_hessian_norm, reference_class_norm
+from _reference_class_norm import (dense_hessian, dense_hessian_norm,
+                                   reference_class_norm)
 import _reference_hamiltonian as ref
 from _reference_hamiltonian import (_mul_dict, _z_derivative_table, diff_r,
                                     hessian_decay_check, reality_defect)
@@ -1040,6 +1041,31 @@ def test_hessian_norm_matches_dense_hessian(poly, seed, w):
         assert got == want
     else:
         assert abs(got - want) <= (k - 1) * np.finfo(float).eps * want
+
+
+@given(norm_operands(1), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([W, WeightParams(0.0, 0.0, 0.0, 1.0)]))
+@example(poly=_sparse_hessian_case(), seed=0, w=W)
+def test_hessian_norm_is_matrix_norm(poly, seed, w):
+    """The hessian norm is ``matrix_norm`` of the named blocks, bit for
+    bit: the blocks set in (row site, column site) order, which is the
+    order in which the hessian norm sums them."""
+    zvars, Zid = H._live(poly)
+    assume(Zid.shape[1] >= 2)
+    rng = np.random.default_rng(seed)
+    zeta = rng.standard_normal(len(zvars)) + 1j * rng.standard_normal(len(zvars))
+    t0 = rng.standard_normal(len(Zid)) + 1j * rng.standard_normal(len(Zid))
+    gammas = [WeightParams(0.0, 0.0, w.kappa, w.m_star), w]
+    sites = sorted({v[0] for v in zvars})
+    of = np.array([sites.index(v[0]) for v in zvars] + [-1])
+    named = {(of[a], of[b]) for row in Zid for a, b in
+             itertools.permutations(row[row >= 0].tolist(), 2)}
+    B = dense_hessian(Zid, zvars, zeta)(t0)
+    Wm = WeightedMatrix()
+    for a, b in sorted(named):
+        Wm.set(sites[a], sites[b], B[a, b])
+    assert (H._hessian_norm(Zid, zvars, zeta, gammas)(t0)
+            == max(matrix_norm(Wm, g) for g in gammas))
 
 
 def test_class_norm_homogeneous():

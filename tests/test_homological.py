@@ -9,9 +9,8 @@ from kamkit.homological import (
     DivisorGuard,
     _elliptic_divisors,
     _elliptic_solve,
+    _solve_guarded,
     class_tables,
-    invert_L_hyperbolic,
-    invert_L_mixed,
     solve_homological,
     solve_linear,
 )
@@ -185,10 +184,13 @@ def test_mixed_solver_matches_lstsq():
     JH = J @ H
     coef = 1.7 + 0.4j
     F = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    x, smin = invert_L_mixed(coef, JH, F, guard, ((1,), (0,), "mix"))
+    # the row system x (coef I - JH) = F, as the column system with JH^T
+    x, smin = _solve_guarded((coef * np.eye(4) - JH.T)[None],
+                             F.reshape(1, 4, 1), guard, [((1,), (0,), "mix")])
     L = coef * np.eye(4) - JH
     oracle, *_ = np.linalg.lstsq(L.T, F, rcond=None)
-    assert np.abs(x - oracle).max() < 1e-10
+    assert np.abs(x.ravel() - oracle).max() < 1e-10
+    assert smin == (float(np.linalg.svd(L.T, compute_uv=False)[-1]),)
 
 
 def test_hyperbolic_solver_oracle():
@@ -199,11 +201,50 @@ def test_hyperbolic_solver_oracle():
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
     G = rng.standard_normal((2, 2))
     G = G + G.T
-    Y, smin = invert_L_hyperbolic(2.1, H @ J, J @ H, G, guard,
-                                  ((1,), (0, 0), "hyp"))
+    # i(kw)Y + HJ Y - Y JH = -G in the Kronecker form
+    L = (1j * 2.1 * np.eye(4) + np.kron(H @ J, np.eye(2))
+         - np.kron(np.eye(2), (J @ H).T))
+    Y, smin = _solve_guarded(L[None], -G.reshape(1, 4, 1), guard,
+                             [((1,), (0, 0), "hyp")])
+    Y = Y.reshape(2, 2)
     res = 1j * 2.1 * Y + H @ J @ Y - Y @ J @ H + G
     assert np.abs(res).max() < 1e-10
     assert np.abs(Y - Y.T).max() < 1e-10
+
+
+@pytest.mark.parametrize("k, ci, j", [((3,), 2, 1), ((-1,), 2, 2)])
+def test_mixed_item_stops_at_its_first_failing_system(k, ci, j):
+    """A mixed item (the finite class 0 with the elliptic class ci) whose
+    j-th system, 0 < j < 2|ci| - 1, is the first to fail the guard: the
+    stacked solve logs exactly j + 1 singular values, records one guard
+    failure and gives no block of S, as the per-pair oracle does."""
+    h, part, rng = make_h(seed=1, d=1, R=3, finite=((1,),))
+    t = class_tables(h)
+    lam = t.elliptic(ci)[0]
+    kw = float(np.dot(k, h.omega))
+    # the item's systems, xi rows then eta rows, one oracle call each
+    smin = [ref.invert_L_mixed(1j * (kw + s * x), t.JH, np.ones(2),
+                               DivisorGuard(0.0), ((), (), ""))[1]
+            for s in (-1, 1) for x in lam]
+    assert 0 < j < len(smin) - 1 and smin[j] < min(smin[:j])
+    delta0 = (smin[j] + min(smin[:j])) / 2
+    f = Polynomial(1)
+    for a in part.classes[ci]:
+        for c, e in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            f.add_term(rng.standard_normal() + 1j, k=k,
+                       z={(a, c): 1, ((1,), e): 1})
+    guard = DivisorGuard(delta0)
+    S, _, _, divlog = solve_linear(h, f, guard, 0.4, t)
+    key = (k, (0, ci))
+    tag = f"mix-{('xi', 'eta')[j // len(lam)]}-{j % len(lam)}"
+    assert divlog == {(*key, "mixed"): tuple(smin[:j + 1])}
+    assert guard.failures == [(*key, tag, smin[j])]
+    assert len(S) == 0
+    ref_guard = DivisorGuard(delta0)
+    S_ref, _, _, ref_divlog = ref.solve_linear(h, f, ref_guard, 0.4,
+                                               ref.class_tables(h))
+    assert (divlog, guard.failures, len(S_ref)) == (ref_divlog,
+                                                    ref_guard.failures, 0)
 
 
 def test_det_certificate():

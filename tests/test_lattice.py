@@ -230,6 +230,9 @@ def test_partition_rejects_negative_delta():
     ({"finite_set": [(1, 0), (9, 9)]}, "outside the ball"),
     ({"finite_set": [(1, 0, 0)]}, "length 3"),
     ({"exclude": [(2, 0), (1, 0, 0)]}, "length 3"),
+    # a non-integer coordinate is rejected, not truncated to (1, 0)
+    ({"finite_set": [(1.7, 0), (0, 2)]}, "non-integer"),
+    ({"exclude": [(2, 0.5)]}, "non-integer"),
 ])
 def test_partition_rejects_bad_points(kwargs, match):
     with pytest.raises(ValueError, match=match):
