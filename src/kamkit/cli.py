@@ -48,7 +48,8 @@ def _check_keys(cfg: dict, allowed: set, section: str):
 
 
 def _positive(value, key: str):
-    if not (isinstance(value, (int, float)) and value > 0):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not value > 0):
         raise ConfigError(f"field '{key}' must be a positive number")
     return value
 
@@ -75,13 +76,21 @@ def _points(seq, key: str) -> tuple:
         raise ConfigError(f"invalid '{key}': {exc}") from exc
 
 
-def _wave(x, d: int, field: str) -> tuple:
-    """A term's x wave vector, of the model's length d."""
-    x = tuple(x)
-    if len(x) != d:
-        raise ConfigError(f"'{field}' has a wave vector of length {len(x)}; "
-                          f"expected {d}, the model's d")
-    return x
+def _sized(seq, n: int, field: str, what: str, per: str) -> tuple:
+    """``seq`` as a tuple of length n: a wave vector of the model's d
+    entries, or a vector with one entry per node or per ``rho``."""
+    seq = tuple(seq)
+    if len(seq) != n:
+        raise ConfigError(f"'{field}' has {what} of length {len(seq)}; "
+                          f"expected {n}, {per}")
+    return seq
+
+
+def _nonempty(seq: tuple, field: str) -> tuple:
+    if not seq:
+        raise ConfigError(f"field '{field}' is empty; the model needs at "
+                          "least one entry")
+    return seq
 
 
 def load_config(path: str) -> dict:
@@ -149,10 +158,9 @@ def parse_weights(cfg: dict | None) -> WeightParams:
     return _construct(WeightParams, cfg, "weights")
 
 
-def parse_norm(cfg: dict | None, seed: int) -> ClassNormParams:
+def parse_norm(cfg: dict | None) -> ClassNormParams:
     cfg = dict(cfg or {})
     _check_keys(cfg, set(ClassNormParams.__dataclass_fields__), "norm")
-    cfg.setdefault("seed", seed)
     return _construct(ClassNormParams, cfg, "norm")
 
 
@@ -167,16 +175,21 @@ def build_model(cfg: dict):
                                        "delta", "r_degree", "max_degree"},
                         "model")
             d = _integer(_require(cfg, "d", "model"), "model.d")
+            nodes = _nonempty(_points(cfg.get("nodes", ()), "model.nodes"),
+                              "model.nodes")
             model = BeamModel(
                 d=d,
                 radius=float(_require(cfg, "R", "model")),
-                nodes=_points(cfg.get("nodes", ()), "model.nodes"),
-                rho=tuple(cfg.get("rho", ())),
-                actions=tuple(cfg.get("actions", ())),
+                nodes=nodes,
+                rho=_sized(cfg.get("rho", ()), len(nodes), "model.rho",
+                           "a vector", "one per node"),
+                actions=_sized(cfg.get("actions", ()), len(nodes),
+                               "model.actions", "a vector", "one per node"),
                 tail={int(k): v for k, v in cfg.get("tail", {}).items()},
                 nonlinearity=tuple(
                     (_integer(p, f"model.nonlinearity[{i}]"),
-                     _wave(x, d, f"model.nonlinearity[{i}]"), c)
+                     _sized(x, d, f"model.nonlinearity[{i}]",
+                            "a wave vector", "the model's d"), c)
                     for i, (p, x, c) in enumerate(cfg.get("nonlinearity",
                                                           ()))),
                 epsilon=float(cfg.get("epsilon", 1.0)),
@@ -190,16 +203,21 @@ def build_model(cfg: dict):
                                        "forcing", "epsilon", "delta",
                                        "max_degree"}, "model")
             d = _integer(_require(cfg, "d", "model"), "model.d")
+            rho = _nonempty(tuple(_require(cfg, "rho", "model")),
+                            "model.rho")
             model = NlsModel(
                 d=d,
                 radius=float(_require(cfg, "R", "model")),
                 mass=float(_require(cfg, "mass", "model")),
                 alpha=float(_require(cfg, "alpha", "model")),
-                rho=tuple(_require(cfg, "rho", "model")),
+                rho=rho,
                 forcing=tuple(
-                    (tuple(kt), _integer(p, f"model.forcing[{i}]"),
+                    (_sized(kt, len(rho), f"model.forcing[{i}]",
+                            "an angle vector", "one per rho"),
+                     _integer(p, f"model.forcing[{i}]"),
                      _integer(q, f"model.forcing[{i}]"),
-                     _wave(x, d, f"model.forcing[{i}]"), c)
+                     _sized(x, d, f"model.forcing[{i}]", "a wave vector",
+                            "the model's d"), c)
                     for i, (kt, p, q, x, c) in enumerate(cfg.get("forcing",
                                                                  ()))),
                 epsilon=float(cfg.get("epsilon", 1.0)),
@@ -211,12 +229,15 @@ def build_model(cfg: dict):
             _check_keys(cfg, common | {"d", "R", "nodes", "mass", "actions",
                                        "birkhoff_threshold", "quintic",
                                        "r_degree", "max_degree"}, "model")
+            nodes = _nonempty(_points(_require(cfg, "nodes", "model"),
+                                      "model.nodes"), "model.nodes")
             model = SingularBeamModel(
                 d=_integer(_require(cfg, "d", "model"), "model.d"),
                 radius=float(_require(cfg, "R", "model")),
-                nodes=_points(_require(cfg, "nodes", "model"), "model.nodes"),
+                nodes=nodes,
                 mass=float(_require(cfg, "mass", "model")),
-                actions=tuple(_require(cfg, "actions", "model")),
+                actions=_sized(_require(cfg, "actions", "model"), len(nodes),
+                               "model.actions", "a vector", "one per node"),
                 birkhoff_threshold=float(cfg.get("birkhoff_threshold", 1e-6)),
                 quintic=float(cfg.get("quintic", 0.0)),
                 r_degree=_integer(cfg.get("r_degree", 1), "model.r_degree"),
@@ -244,8 +265,7 @@ def write_manifest(outdir: Path, cfg: dict, extra: dict):
     }
     manifest["schedule"] = vars(parse_schedule(cfg.get("schedule")))
     manifest["weights"] = vars(parse_weights(cfg.get("weights")))
-    manifest["norm"] = vars(parse_norm(cfg.get("norm"),
-                                       cfg.get("seed", 2024)))
+    manifest["norm"] = vars(parse_norm(cfg.get("norm")))
     manifest.update(extra)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "manifest.json").write_text(
@@ -351,6 +371,7 @@ def cmd_kam(cfg: dict) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     sched = parse_schedule(cfg.get("schedule"))
     weights = parse_weights(cfg.get("weights"))
+    norm = parse_norm(cfg.get("norm"))
     guard = parse_guard(cfg.get("guard"), len(built.omega_I)
                         if kind == "singular" else built[0].n)
     extra = {"command": "kam", "guard": guard, "model_kind": kind}
@@ -359,9 +380,7 @@ def cmd_kam(cfg: dict) -> int:
         nform = built
         gate_cfg = dict(cfg.get("threshold") or {})
         _check_keys(gate_cfg, {"constants"}, "threshold")
-        eps, delta0, chi, xi = singular_gate_inputs(
-            nform, parse_norm(cfg.get("norm"), cfg.get("seed", 2024)),
-            weights)
+        eps, delta0, chi, xi = singular_gate_inputs(nform, norm, weights)
         ok, margins = singular_threshold(eps, delta0, chi, xi,
                                          gate_cfg.get("constants"))
         extra.update({"threshold_inputs": [eps, delta0, chi, xi],
@@ -379,7 +398,7 @@ def cmd_kam(cfg: dict) -> int:
     h, f = built
     grid = parse_grid(cfg.get("grid"), len(h.rho_star))
     report = run(h, f, sched, weights, guard_delta0=guard["delta0"],
-                 grid=grid)
+                 norm=norm, grid=grid)
     metrics = [json.dumps(m, sort_keys=True)
                for m in report.state.metrics]
     _write(outdir / "metrics.jsonl", metrics or ["{}"])

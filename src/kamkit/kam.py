@@ -1,7 +1,10 @@
 """Two-level iteration driver: blocks of inner steps at a fixed resonance
 partition and frozen divisors, separated by super steps that fold the
 accumulated normal-form corrections, coarsen the partition and shrink the
-analyticity domain.
+analyticity domain.  Each parameter of the iteration lives in one place:
+Delta in the partition of the current normal form (the first is the
+model's), gamma in the state's ``WeightParams`` and the domain (sigma, mu)
+in its ``ClassNormParams``.
 
 A block runs at most K = ceil(log 1/eps) inner steps.  It ends early when
 eps reaches the target, or when a step leaves eps above ``STALL_RATIO``
@@ -15,7 +18,7 @@ names the stage; ``run`` reports those and lets any other error through.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .hamiltonian import (ClassNormParams, ETA, XI, NormalFormHamiltonian,
                           decode_jet, lie_transform, site_layout)
 from .homological import (ClassTable, DivisorGuard, class_tables,
                           solve_homological)
-from .lattice import build_partition, norm_sq
+from .lattice import BlockPartition, build_partition, norm_sq
 
 # a block ends once a step leaves eps above this fraction of its old value
 STALL_RATIO = 0.5
@@ -36,11 +39,12 @@ STALL_RATIO = 0.5
 class Schedule:
     """Outer-loop knobs: partition growth, domain decay, stop rules.
 
+    The first partition is the model's (its range is ``model.delta``);
+    each super step coarsens it to Delta_{k+1} = ceil(Delta_k ** theta).
     Inner blocks also stop on a stall, a step that leaves eps above
     ``STALL_RATIO`` (0.5) times its previous value; that ratio is a module
     constant, not a knob.
     """
-    delta0: float = 2.0
     delta_theta: float = 2.0          # Delta_{k+1} = ceil(Delta_k ** theta)
     gamma_decay: float = 0.9
     domain_decay: float = 0.5         # approach to the sigma/2, mu/2 endpoint
@@ -68,7 +72,6 @@ class Schedule:
             if (isinstance(v, bool) or not isinstance(v, (int, float))
                     or not ok(v)):
                 raise ValueError(f"{name} must be {want}, got {v!r}")
-        number("delta0", lambda v: v > 0, "positive")
         # the fold assumes that the partition only coarsens
         number("delta_theta", lambda v: 1 <= v < math.inf,
                "a finite number of at least 1")
@@ -81,16 +84,18 @@ class Schedule:
 
 @dataclass
 class IterationState:
+    """What the iteration changes.  The current Delta is that of
+    ``h.partition``; ``weights.gamma1`` decays and the domain (``norm``'s
+    sigma and mu) shrinks toward ``sigma_end`` and ``mu_end`` at each super
+    step."""
     step: int
     eps: float
-    delta: float
-    gamma: float
-    sigma: float
-    mu: float
     K: int
     h: NormalFormHamiltonian
     f: Polynomial
     h_acc: Polynomial                 # normal-form corrections, not yet folded
+    weights: WeightParams
+    norm: ClassNormParams
     grid: ParameterGrid | None = None
     sigma_end: float = 0.0
     mu_end: float = 0.0
@@ -98,28 +103,20 @@ class IterationState:
     divisor_table: dict = field(default_factory=dict)
     metrics: list = field(default_factory=list)
 
-    def weights(self, base: WeightParams) -> WeightParams:
-        return WeightParams(gamma1=self.gamma, gamma2=base.gamma2,
-                            kappa=base.kappa, m_star=base.m_star)
 
-    def norm_params(self) -> ClassNormParams:
-        return ClassNormParams(sigma=self.sigma, mu=self.mu)
-
-
-def jet_norm(state: IterationState, base_w: WeightParams) -> float:
-    return class_norm(state.f.jet(), state.norm_params(),
-                      state.weights(base_w))
+def jet_norm(state: IterationState) -> float:
+    return class_norm(state.f.jet(), state.norm, state.weights)
 
 
 def initial_state(h: NormalFormHamiltonian, f: Polynomial,
-                  schedule: Schedule, base_w: WeightParams,
-                  sigma: float = 0.3, mu: float = 0.25,
+                  schedule: Schedule, weights: WeightParams,
+                  norm: ClassNormParams = ClassNormParams(),
                   grid: ParameterGrid | None = None) -> IterationState:
-    st = IterationState(step=0, eps=math.inf, delta=schedule.delta0,
-                        gamma=base_w.gamma1, sigma=sigma, mu=mu, K=0,
-                        h=h, f=f, h_acc=Polynomial.zero(h.n), grid=grid,
-                        sigma_end=sigma / 2, mu_end=mu / 2)
-    st.eps = jet_norm(st, base_w)
+    st = IterationState(step=0, eps=math.inf, K=0, h=h, f=f,
+                        h_acc=Polynomial.zero(h.n), weights=weights,
+                        norm=norm, grid=grid, sigma_end=norm.sigma / 2,
+                        mu_end=norm.mu / 2)
+    st.eps = jet_norm(st)
     st.K = inner_count(st.eps, schedule)
     return st
 
@@ -163,8 +160,7 @@ def _excise_failures(state: IterationState, failures, delta0: float):
                          "empty surviving grid after divisor excision")
 
 
-def inner_step(state: IterationState, schedule: Schedule,
-               base_w: WeightParams, guard_delta0: float,
+def inner_step(state: IterationState, schedule: Schedule, guard_delta0: float,
                tables: ClassTable | None = None,
                h_poly: Polynomial | None = None) -> IterationState:
     """One homological solve and jet transform at frozen normal form.
@@ -179,7 +175,7 @@ def inner_step(state: IterationState, schedule: Schedule,
     if h_poly is None:
         h_poly = h.to_polynomial()
     F = state.h_acc + state.f
-    sol = solve_homological(h, F, guard, gamma1=state.gamma,
+    sol = solve_homological(h, F, guard, gamma1=state.weights.gamma1,
                             max_picard=schedule.max_picard,
                             prune_tol=schedule.prune_tol, tables=tables)
     _merge_divisors(state.divisor_table, sol.divisor_log)
@@ -197,11 +193,11 @@ def inner_step(state: IterationState, schedule: Schedule,
     state.h_acc = ht_poly
     state.transform_log.append(sol.S)
     state.step += 1
-    state.eps = jet_norm(state, base_w)
+    state.eps = jet_norm(state)
     state.metrics.append({
         "step": state.step, "eps": state.eps, "K": state.K,
-        "delta": state.delta,
-        "gamma": state.gamma, "sigma": state.sigma, "mu": state.mu,
+        "delta": h.partition.delta, "gamma": state.weights.gamma1,
+        "sigma": state.norm.sigma, "mu": state.norm.mu,
         "skipped": len(sol.skipped_report),
         "guard_failures": len(guard.failures),
         "measure": state.grid.measure() if state.grid else None,
@@ -210,14 +206,14 @@ def inner_step(state: IterationState, schedule: Schedule,
 
 
 def _fold_h_acc(h: NormalFormHamiltonian, h_acc: Polynomial,
-                delta_next: float) -> NormalFormHamiltonian:
-    """Fold corrections into a new normal form on the coarser partition.
+                p_new: BlockPartition) -> NormalFormHamiltonian:
+    """Fold corrections into a new normal form on ``p_new``, which is h's
+    partition or a coarser one over the same sites.
 
     The jet of h + h_acc is read back through the codec: Hermitian Q_ab
     from the xi_a eta_b entries, gathered per class of the new partition,
     and the hyperbolic block from the entries over the finite node set."""
-    p_old = h.partition
-    var_id = site_layout(p_old.sites())
+    var_id = site_layout(h.partition.sites())
     _, K, M, U, V, C = decode_jet(h.to_polynomial() + h_acc, var_id)
     bad = np.flatnonzero(K.any(axis=1))
     if len(bad):
@@ -229,11 +225,6 @@ def _fold_h_acc(h: NormalFormHamiltonian, h_acc: Polynomial,
     ell = (V >= 0) & (U % 2 == XI) & (V % 2 == ETA)
     Q_all = np.zeros((len(var_id) // 2,) * 2, dtype=complex)
     Q_all[U[ell] // 2, V[ell] // 2] += C[ell]
-
-    p_new = build_partition(delta_next, p_old.radius, p_old.d,
-                            finite_set=p_old.finite_set,
-                            core_cutoff=p_old.core_cutoff,
-                            exclude=p_old.exclude)
     h_new = NormalFormHamiltonian(
         omega=omega, partition=p_new,
         const=float(C[(U < 0) & ~on_r].real.sum()),
@@ -257,19 +248,21 @@ def _fold_h_acc(h: NormalFormHamiltonian, h_acc: Polynomial,
     return h_new
 
 
-def super_step(state: IterationState, schedule: Schedule,
-               base_w: WeightParams) -> IterationState:
+def super_step(state: IterationState, schedule: Schedule) -> IterationState:
     """Fold corrections, coarsen the partition, shrink the domain."""
-    delta_next = (state.delta if math.isinf(state.delta)
-                  else math.ceil(state.delta ** schedule.delta_theta))
-    state.h = _fold_h_acc(state.h, state.h_acc, delta_next)
+    p = state.h.partition
+    delta = (p.delta if math.isinf(p.delta)
+             else math.ceil(p.delta ** schedule.delta_theta))
+    p_new = build_partition(delta, p.radius, p.d, finite_set=p.finite_set,
+                            core_cutoff=p.core_cutoff, exclude=p.exclude)
+    state.h = _fold_h_acc(state.h, state.h_acc, p_new)
     state.h_acc = Polynomial.zero(state.h.n)
-    state.delta = delta_next
-    state.gamma *= schedule.gamma_decay
-    state.sigma = state.sigma_end \
-        + (state.sigma - state.sigma_end) * schedule.domain_decay
-    state.mu = state.mu_end + (state.mu - state.mu_end) * schedule.domain_decay
-    state.eps = jet_norm(state, base_w)
+    w, nrm, decay = state.weights, state.norm, schedule.domain_decay
+    state.weights = replace(w, gamma1=w.gamma1 * schedule.gamma_decay)
+    state.norm = replace(
+        nrm, sigma=state.sigma_end + (nrm.sigma - state.sigma_end) * decay,
+        mu=state.mu_end + (nrm.mu - state.mu_end) * decay)
+    state.eps = jet_norm(state)
     state.K = inner_count(state.eps, schedule)
     return state
 
@@ -327,16 +320,15 @@ def _spectrum_report(h: NormalFormHamiltonian):
 
 
 def run(h: NormalFormHamiltonian, f: Polynomial, schedule: Schedule,
-        base_w: WeightParams, guard_delta0: float = 1e-8,
-        sigma: float = 0.3, mu: float = 0.25,
+        weights: WeightParams, guard_delta0: float = 1e-8,
+        norm: ClassNormParams = ClassNormParams(),
         grid: ParameterGrid | None = None) -> RunReport:
     """Full two-level iteration; see the step operations for the bookkeeping.
 
     Stops at the eps target, the super-step budget, or a ``StageAbort``,
     which is reported in ``aborted``; any other exception propagates.
     """
-    state = initial_state(h, f, schedule, base_w, sigma=sigma, mu=mu,
-                          grid=grid)
+    state = initial_state(h, f, schedule, weights, norm=norm, grid=grid)
     omega0 = np.array(state.h.omega, dtype=float)
     eps_history = [state.eps]
     block_stops = []
@@ -350,7 +342,7 @@ def run(h: NormalFormHamiltonian, f: Polynomial, schedule: Schedule,
             stop = "count"
             for _ in range(state.K):
                 eps_before = state.eps
-                state = inner_step(state, schedule, base_w, guard_delta0,
+                state = inner_step(state, schedule, guard_delta0,
                                    tables=tables, h_poly=h_poly)
                 if state.eps <= schedule.eps_target:
                     stop = "target"
@@ -363,11 +355,11 @@ def run(h: NormalFormHamiltonian, f: Polynomial, schedule: Schedule,
             if stop == "target":
                 eps_history.append(state.eps)
                 break
-            state = super_step(state, schedule, base_w)
+            state = super_step(state, schedule)
             eps_history.append(state.eps)
     except StageAbort as exc:
         aborted = exc
-    h_final = (_fold_h_acc(state.h, state.h_acc, state.delta)
+    h_final = (_fold_h_acc(state.h, state.h_acc, state.h.partition)
                if len(state.h_acc) else state.h)
     unstable, a_inf_real = _spectrum_report(h_final)
     omega_final = np.array(h_final.omega, dtype=float)

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from kamkit import kam
 from kamkit.cli import main
+from kamkit.kam import Schedule
 from kamkit.lattice import build_partition
 
 BEAM_MODEL = {
@@ -11,6 +13,13 @@ BEAM_MODEL = {
     "rho": [0.7, 1.3], "actions": [0.05, 0.04], "tail": {"0": 0.5},
     "nonlinearity": [[3, [0, 0], 1.0]], "epsilon": 1e-4, "delta": 2,
 }
+
+NLS_MODEL = {"kind": "nls", "d": 2, "R": 2, "mass": 1.0, "alpha": 1.0,
+             "rho": [1.0], "forcing": [[[1], 1, 1, [0, 0], 0.1]]}
+
+SINGULAR_MODEL = {"kind": "singular", "d": 2, "R": 4,
+                  "nodes": [[0, 1], [1, -1]], "mass": 1.37,
+                  "actions": [1e-4, 1.3e-4]}
 
 
 def write_cfg(tmp_path, cfg, name="run.json"):
@@ -268,9 +277,12 @@ GRID = {"bounds": [[0.5, 0.9], [1.1, 1.5]], "resolution": 4}
     ("kam", {"grid": dict(GRID, bounds=[[0.5, 0.9]] * 3)}, ("grid.bounds",)),
     ("scan", {"grid": GRID, "guard": {"K_max": 0}}, ("guard.K_max",)),
     ("scan", {"grid": GRID, "guard": {"K_max": -20}}, ("guard.K_max",)),
-], ids=["resolution-0", "resolution-negative", "reversed-bounds",
-        "scan-bounds-length", "kam-bounds-length", "K_max-0",
-        "K_max-negative"])
+] + [("scan", {"grid": GRID, "guard": {key: True}}, (f"'guard.{key}'",))
+     for key in ("tau", "C", "delta0", "beta", "c")],
+    ids=["resolution-0", "resolution-negative", "reversed-bounds",
+         "scan-bounds-length", "kam-bounds-length", "K_max-0",
+         "K_max-negative", "tau-true", "C-true", "delta0-true", "beta-true",
+         "c-true"])
 def test_bad_grid_or_guard_is_a_config_error(tmp_path, capsys, command,
                                              section, fields):
     out = tmp_path / "out"
@@ -371,8 +383,46 @@ def test_kam_records_why_each_block_stopped(tmp_path):
     assert "stops=" + " ".join(stops) in report
 
 
+def test_kam_beam_honours_the_norm_section(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {
+        "output_dir": str(out), "model": BEAM_MODEL,
+        "schedule": {"max_super": 1}, "norm": {"sigma": 0.2},
+    })
+    assert main(["kam", cfg]) == 0
+    first = (out / "metrics.jsonl").read_text().splitlines()[0]
+    assert json.loads(first)["sigma"] == 0.2
+
+
+@pytest.mark.parametrize("model", [
+    BEAM_MODEL,
+    dict(SINGULAR_MODEL, R=3, quintic=1.0),
+], ids=["beam", "singular"])
+def test_manifest_norm_is_the_norm_the_run_used(tmp_path, monkeypatch,
+                                                model):
+    """The top-level seed is a run label: with no norm.seed the domain norm
+    samples with the ClassNormParams default, and the manifest says so."""
+    used = []
+    class_norm = kam.class_norm
+
+    def recording_norm(f, params, weights):
+        used.append(params)
+        return class_norm(f, params, weights)
+
+    monkeypatch.setattr(kam, "class_norm", recording_norm)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {
+        "output_dir": str(out), "seed": 7, "model": model,
+        "schedule": {"max_super": 1}, "norm": {"n_theta": 4},
+    })
+    main(["kam", cfg])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == 7
+    assert manifest["norm"]["seed"] == 2024
+    assert manifest["norm"] == vars(used[0])
+
+
 def test_kam_stage_abort_exits_4(tmp_path, capsys, monkeypatch):
-    from kamkit import kam
     from kamkit.hamiltonian import StageAbort
 
     def diverging(*args, **kwargs):
@@ -389,8 +439,6 @@ def test_kam_stage_abort_exits_4(tmp_path, capsys, monkeypatch):
 
 
 def test_kam_unrelated_error_propagates(tmp_path, monkeypatch):
-    from kamkit import kam
-
     def broken(*args, **kwargs):
         raise ValueError("bug in a bracket")
 
@@ -410,10 +458,6 @@ def test_kam_degenerate_model_is_a_config_error(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-NLS_MODEL = {"kind": "nls", "d": 2, "R": 2, "mass": 1.0, "alpha": 1.0,
-             "rho": [1.0], "forcing": [[[1], 1, 1, [0, 0], 0.1]]}
-
-
 @pytest.mark.parametrize("model, field", [
     (dict(BEAM_MODEL, nonlinearity=[[3, [0, 0], 1.0], [3, [1, 0, 0], 0.5]]),
      "model.nonlinearity[1]"),
@@ -429,9 +473,35 @@ def test_kam_wrong_length_wave_vector_is_a_config_error(tmp_path, capsys,
     assert "expected 2, the model's d" in err
 
 
-SINGULAR_MODEL = {"kind": "singular", "d": 2, "R": 4,
-                  "nodes": [[0, 1], [1, -1]], "mass": 1.37,
-                  "actions": [1e-4, 1.3e-4]}
+@pytest.mark.parametrize("model, message", [
+    (dict(BEAM_MODEL, rho=[0.7]), "'model.rho' has a vector of length 1"),
+    (dict(BEAM_MODEL, rho=[0.7, 1.3, 2.0]),
+     "'model.rho' has a vector of length 3"),
+    (dict(BEAM_MODEL, actions=[0.05]),
+     "'model.actions' has a vector of length 1"),
+    (dict(BEAM_MODEL, actions=[0.05, 0.04, 0.03]),
+     "'model.actions' has a vector of length 3"),
+    (dict(SINGULAR_MODEL, actions=[1e-4]),
+     "'model.actions' has a vector of length 1"),
+    (dict(NLS_MODEL, forcing=[[[1, 0, 0], 1, 1, [0, 0], 0.1]]),
+     "'model.forcing[0]' has an angle vector of length 3; expected 1"),
+    (dict(BEAM_MODEL, nodes=[], rho=[], actions=[]),
+     "field 'model.nodes' is empty"),
+    (dict(SINGULAR_MODEL, nodes=[], actions=[]),
+     "field 'model.nodes' is empty"),
+    (dict(NLS_MODEL, rho=[], forcing=[]), "field 'model.rho' is empty"),
+], ids=["beam-rho-short", "beam-rho-long", "beam-actions-short",
+        "beam-actions-long", "singular-actions-short", "nls-angle-long",
+        "beam-no-nodes", "singular-no-nodes", "nls-no-rho"])
+def test_model_vector_of_wrong_length_is_a_config_error(tmp_path, capsys,
+                                                        model, message):
+    """A model vector needs one entry per node (per rho for an NLS angle
+    vector), and a model without nodes or rho is rejected as such."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"output_dir": str(out), "model": model})
+    assert main(["kam", cfg]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, cfg, field", [
@@ -475,7 +545,8 @@ def test_non_integer_field_is_a_config_error(tmp_path, capsys, command, cfg,
     ({"rel_prune_rest": -1.0}, "rel_prune_rest"),
     ({"domain_decay": 1.5}, "domain_decay"),
     ({"delta_theta": 0.5}, "delta_theta"),
-    ({"delta0": 0}, "delta0"),
+    # the first partition's range is model.delta; the schedule has none
+    ({"delta0": 2}, "delta0"),
 ])
 def test_kam_invalid_schedule_is_a_config_error(tmp_path, capsys, schedule,
                                                 field):
@@ -483,7 +554,9 @@ def test_kam_invalid_schedule_is_a_config_error(tmp_path, capsys, schedule,
                                "model": BEAM_MODEL, "schedule": schedule})
     assert main(["kam", cfg]) == 2
     err = capsys.readouterr().err
-    assert "invalid 'schedule'" in err and field in err, err
+    want = ("invalid 'schedule'" if field in Schedule.__dataclass_fields__
+            else "unknown keys in 'schedule'")
+    assert want in err and field in err, err
 
 
 def test_kam_invalid_weights_are_a_config_error(tmp_path, capsys):
@@ -528,6 +601,15 @@ def test_manifest_lists_effective_tunables(tmp_path):
         assert key in manifest
     assert manifest["schedule"]["delta_theta"] == 2.0
     assert manifest["norm"]["n_theta"] == 8
+
+
+@pytest.mark.parametrize("command", ["kam", "blocks"])
+def test_example_config_runs(tmp_path, command):
+    """README's example config stays valid for both commands it serves."""
+    example = Path(__file__).parents[1] / "examples" / "desk_beam.json"
+    cfg = dict(json.loads(example.read_text()),
+               output_dir=str(tmp_path / "out"))
+    assert main([command, write_cfg(tmp_path, cfg)]) == 0
 
 
 def test_bad_json_is_a_config_error(tmp_path, capsys):

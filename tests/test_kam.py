@@ -46,9 +46,9 @@ def test_inner_step_contracts_the_jet():
     st = initial_state(h, f, sched, W)
     eps0 = st.eps
     assert eps0 > 0
-    st = inner_step(st, sched, W, guard_delta0=1e-10)
+    st = inner_step(st, sched, guard_delta0=1e-10)
     assert st.eps < 0.2 * eps0
-    st = inner_step(st, sched, W, guard_delta0=1e-10)
+    st = inner_step(st, sched, guard_delta0=1e-10)
     assert st.eps < 0.2 * eps0 ** 1.5
 
 
@@ -56,7 +56,7 @@ def test_accumulated_correction_stays_in_normal_form():
     h, f = beam_instance()
     sched = Schedule()
     st = initial_state(h, f, sched, W)
-    st = inner_step(st, sched, W, guard_delta0=1e-10)
+    st = inner_step(st, sched, guard_delta0=1e-10)
     zero = (0,) * h.n
     for (k, m, zk), c in st.h_acc.terms.items():
         assert k == zero
@@ -82,7 +82,7 @@ def test_transform_is_symplectic_on_probes():
     h, f = beam_instance()
     sched = Schedule()
     st = initial_state(h, f, sched, W)
-    st = inner_step(st, sched, W, guard_delta0=1e-10)
+    st = inner_step(st, sched, guard_delta0=1e-10)
     S = st.transform_log[0]
     n, fset = h.n, h.finite_set
     F = Polynomial(n)
@@ -107,11 +107,11 @@ def test_super_step_folds_and_coarsens():
     st = initial_state(h, f, sched, W)
     omega0 = np.array(st.h.omega)
     for _ in range(2):
-        st = inner_step(st, sched, W, guard_delta0=1e-10)
+        st = inner_step(st, sched, guard_delta0=1e-10)
     assert st.h_acc.terms
     eps_before = st.eps
-    st = super_step(st, sched, W)
-    assert st.delta == 4
+    st = super_step(st, sched)
+    assert st.h.partition.delta == 4
     assert not st.h_acc.terms
     assert np.abs(np.array(st.h.omega) - omega0).max() > 0
     # folding changes coordinates of the books, not the perturbation size
@@ -122,6 +122,33 @@ def test_super_step_folds_and_coarsens():
         Q = st.h.class_Q(ci)
         assert np.linalg.norm(Q - Q.conj().T) <= 1e-10 * max(
             1.0, np.linalg.norm(Q))
+
+
+def test_partition_starts_at_the_models_delta_and_only_coarsens(
+        monkeypatch):
+    """The first partition is the model's (delta 8 at R=4 already joins
+    whole spheres); each fold keeps or coarsens it, and every metrics row
+    reports the delta of the partition its step ran on."""
+    h, f = beam_instance(radius=4, delta=8)
+    folds, ran_on = [], []
+    fold, step = kam._fold_h_acc, kam.inner_step
+
+    def recording_fold(h_old, h_acc, p_new):
+        h_new = fold(h_old, h_acc, p_new)
+        folds.append((h_old.partition.delta, h_new.partition.delta))
+        return h_new
+
+    def recording_step(state, *args, **kwargs):
+        ran_on.append(state.h.partition.delta)
+        return step(state, *args, **kwargs)
+
+    monkeypatch.setattr(kam, "_fold_h_acc", recording_fold)
+    monkeypatch.setattr(kam, "inner_step", recording_step)
+    report = run(h, f, Schedule(max_super=2, eps_target=1e-30), W)
+    assert report.aborted is None
+    assert len(folds) >= 2 and folds[0][0] == 8
+    assert all(new >= old for old, new in folds)
+    assert [m["delta"] for m in report.state.metrics] == ran_on
 
 
 def test_run_two_super_steps_superexponential():
@@ -197,7 +224,7 @@ def test_angle_dependent_correction_aborts_the_fold():
     h_acc = Polynomial(h.n)
     h_acc.add_term(1e-6, k=(1,) + (0,) * (h.n - 1))
     with pytest.raises(StageAbort) as err:
-        kam._fold_h_acc(h, h_acc, 4)
+        kam._fold_h_acc(h, h_acc, h.partition)
     assert err.value.stage == "fold"
     assert err.value.key == (1,) + (0,) * (h.n - 1)
 
