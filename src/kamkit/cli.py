@@ -47,10 +47,23 @@ def _check_keys(cfg: dict, allowed: set, section: str):
             f"unknown keys in '{section}': {', '.join(sorted(unknown))}")
 
 
-def _positive(value, key: str):
+# (want, ok) of ``_number`` for an R and for a model's delta
+_FINITE_POSITIVE = ("a finite positive number", lambda v: 0 < v < math.inf)
+_NONNEGATIVE = ("a nonnegative number or Infinity", lambda v: v >= 0)
+
+
+def _number(value, key: str, want: str = "a finite number",
+            ok=math.isfinite) -> float:
+    """A JSON number, not a boolean or a string, for which ``ok`` holds."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not value > 0):
-        raise ConfigError(f"field '{key}' must be a positive number")
+            or not ok(value)):
+        raise ConfigError(f"field '{key}' must be {want}, got {value!r}")
+    return float(value)
+
+
+def _positive(value, key: str):
+    """``value`` as given, once ``_number`` finds it positive."""
+    _number(value, key, "a positive number", lambda v: v > 0)
     return value
 
 
@@ -118,9 +131,13 @@ def parse_grid(cfg: dict | None, params: int) -> ParameterGrid | None:
     if len(bounds) != params:
         raise ConfigError(f"field 'grid.bounds' has {len(bounds)} axes; "
                           f"expected {params}, the model's parameter count")
+    ball = cfg.get("ball", False)
+    if not isinstance(ball, bool):
+        raise ConfigError(f"field 'grid.ball' must be true or false, got "
+                          f"{ball!r}")
     return _construct(ParameterGrid, {
         "bounds": bounds, "resolution": cfg.get("resolution", 64),
-        "ball": bool(cfg.get("ball", False))}, "grid")
+        "ball": ball}, "grid")
 
 
 def parse_guard(cfg: dict, n: int) -> dict:
@@ -179,7 +196,8 @@ def build_model(cfg: dict):
                               "model.nodes")
             model = BeamModel(
                 d=d,
-                radius=float(_require(cfg, "R", "model")),
+                radius=_number(_require(cfg, "R", "model"), "model.R",
+                               *_FINITE_POSITIVE),
                 nodes=nodes,
                 rho=_sized(cfg.get("rho", ()), len(nodes), "model.rho",
                            "a vector", "one per node"),
@@ -192,8 +210,9 @@ def build_model(cfg: dict):
                             "a wave vector", "the model's d"), c)
                     for i, (p, x, c) in enumerate(cfg.get("nonlinearity",
                                                           ()))),
-                epsilon=float(cfg.get("epsilon", 1.0)),
-                delta=float(cfg.get("delta", 2)),
+                epsilon=_number(cfg.get("epsilon", 1.0), "model.epsilon"),
+                delta=_number(cfg.get("delta", 2), "model.delta",
+                              *_NONNEGATIVE),
                 r_degree=_integer(cfg.get("r_degree", 1), "model.r_degree"),
                 max_degree=_integer(cfg.get("max_degree", 4),
                                     "model.max_degree"))
@@ -207,9 +226,11 @@ def build_model(cfg: dict):
                             "model.rho")
             model = NlsModel(
                 d=d,
-                radius=float(_require(cfg, "R", "model")),
-                mass=float(_require(cfg, "mass", "model")),
-                alpha=float(_require(cfg, "alpha", "model")),
+                radius=_number(_require(cfg, "R", "model"), "model.R",
+                               *_FINITE_POSITIVE),
+                mass=_number(_require(cfg, "mass", "model"), "model.mass"),
+                alpha=_number(_require(cfg, "alpha", "model"),
+                              "model.alpha"),
                 rho=rho,
                 forcing=tuple(
                     (_sized(kt, len(rho), f"model.forcing[{i}]",
@@ -220,8 +241,9 @@ def build_model(cfg: dict):
                             "the model's d"), c)
                     for i, (kt, p, q, x, c) in enumerate(cfg.get("forcing",
                                                                  ()))),
-                epsilon=float(cfg.get("epsilon", 1.0)),
-                delta=float(cfg.get("delta", 2)),
+                epsilon=_number(cfg.get("epsilon", 1.0), "model.epsilon"),
+                delta=_number(cfg.get("delta", 2), "model.delta",
+                              *_NONNEGATIVE),
                 max_degree=_integer(cfg.get("max_degree", 4),
                                     "model.max_degree"))
             return kind, model, build_nls(model)
@@ -233,13 +255,16 @@ def build_model(cfg: dict):
                                       "model.nodes"), "model.nodes")
             model = SingularBeamModel(
                 d=_integer(_require(cfg, "d", "model"), "model.d"),
-                radius=float(_require(cfg, "R", "model")),
+                radius=_number(_require(cfg, "R", "model"), "model.R",
+                               *_FINITE_POSITIVE),
                 nodes=nodes,
-                mass=float(_require(cfg, "mass", "model")),
+                mass=_number(_require(cfg, "mass", "model"), "model.mass"),
                 actions=_sized(_require(cfg, "actions", "model"), len(nodes),
                                "model.actions", "a vector", "one per node"),
-                birkhoff_threshold=float(cfg.get("birkhoff_threshold", 1e-6)),
-                quintic=float(cfg.get("quintic", 0.0)),
+                birkhoff_threshold=_number(
+                    cfg.get("birkhoff_threshold", 1e-6),
+                    "model.birkhoff_threshold"),
+                quintic=_number(cfg.get("quintic", 0.0), "model.quintic"),
                 r_degree=_integer(cfg.get("r_degree", 1), "model.r_degree"),
                 max_degree=_integer(cfg.get("max_degree", 5),
                                     "model.max_degree"))
@@ -280,7 +305,8 @@ def cmd_blocks(cfg: dict) -> int:
     _check_keys(section, {"d", "R", "deltas", "finite_set", "core_cutoff"},
                 "blocks")
     d = _integer(_require(section, "d", "blocks"), "blocks.d")
-    R = float(_require(section, "R", "blocks"))
+    R = _number(_require(section, "R", "blocks"), "blocks.R",
+                *_FINITE_POSITIVE)
     deltas = _require(section, "deltas", "blocks")
     for raw in deltas:
         if not (raw in ("inf", "Infinity")

@@ -929,7 +929,7 @@ def decode_jet(P: Polynomial, var_id: dict | None = None):
     default it numbers the jet's variables in sorted order, and variables
     missing from a given map get the next free ids, in sorted order.  The
     jet's rows are read from P's: in place when every row of P is in the
-    jet (the solver's f_T, the fold's h + h_acc), else sliced.  Each jet
+    jet (the solver's f_T), else sliced.  Each jet
     term gives a row, in term order: K and M its (N, n) k and m, U and V
     its variable ids or -1 (both -1 without z, V = -1 for a linear term), C
     its coefficient.  Quadratic rows hold entries of the symmetric H of

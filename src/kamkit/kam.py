@@ -1,8 +1,9 @@
 """Two-level iteration driver: blocks of inner steps at a fixed resonance
 partition and frozen divisors, separated by super steps that fold the
-accumulated normal-form corrections, coarsen the partition and shrink the
-analyticity domain.  Each parameter of the iteration lives in one place:
-Delta in the partition of the current normal form (the first is the
+accumulated normal-form correction (the last step's h_tilde, a
+``NormalFormHamiltonian``) into h block by block, coarsen the partition and
+shrink the analyticity domain.  Each parameter of the iteration lives in one
+place: Delta in the partition of the current normal form (the first is the
 model's), gamma in the state's ``WeightParams`` and the domain (sigma, mu)
 in its ``ClassNormParams``.
 
@@ -24,9 +25,8 @@ import numpy as np
 
 from .algebra import I2, J2, WeightParams, symplectic
 from .divisors import ParameterGrid, excise
-from .hamiltonian import (ClassNormParams, ETA, XI, NormalFormHamiltonian,
-                          Polynomial, StageAbort, class_ids, class_norm,
-                          decode_jet, lie_transform, site_layout)
+from .hamiltonian import (ClassNormParams, NormalFormHamiltonian, Polynomial,
+                          StageAbort, class_norm, lie_transform)
 from .homological import (ClassTable, DivisorGuard, class_tables,
                           solve_homological)
 from .lattice import BlockPartition, build_partition, norm_sq
@@ -84,16 +84,16 @@ class Schedule:
 
 @dataclass
 class IterationState:
-    """What the iteration changes.  The current Delta is that of
-    ``h.partition``; ``weights.gamma1`` decays and the domain (``norm``'s
-    sigma and mu) shrinks toward ``sigma_end`` and ``mu_end`` at each super
-    step."""
+    """What the iteration changes: Delta is that of ``h.partition``;
+    ``weights.gamma1`` decays and the domain (``norm``'s sigma and mu)
+    shrinks toward ``sigma_end`` and ``mu_end`` at each super step.
+    ``h_acc`` is the last step's h_tilde, None before a block's first."""
     step: int
     eps: float
     K: int
     h: NormalFormHamiltonian
     f: Polynomial
-    h_acc: Polynomial                 # normal-form corrections, not yet folded
+    h_acc: NormalFormHamiltonian | None
     weights: WeightParams
     norm: ClassNormParams
     grid: ParameterGrid | None = None
@@ -112,10 +112,9 @@ def initial_state(h: NormalFormHamiltonian, f: Polynomial,
                   schedule: Schedule, weights: WeightParams,
                   norm: ClassNormParams = ClassNormParams(),
                   grid: ParameterGrid | None = None) -> IterationState:
-    st = IterationState(step=0, eps=math.inf, K=0, h=h, f=f,
-                        h_acc=Polynomial.zero(h.n), weights=weights,
-                        norm=norm, grid=grid, sigma_end=norm.sigma / 2,
-                        mu_end=norm.mu / 2)
+    st = IterationState(step=0, eps=math.inf, K=0, h=h, f=f, h_acc=None,
+                        weights=weights, norm=norm, grid=grid,
+                        sigma_end=norm.sigma / 2, mu_end=norm.mu / 2)
     st.eps = jet_norm(st)
     st.K = inner_count(st.eps, schedule)
     return st
@@ -174,7 +173,8 @@ def inner_step(state: IterationState, schedule: Schedule, guard_delta0: float,
         tables = class_tables(h)
     if h_poly is None:
         h_poly = h.to_polynomial()
-    F = state.h_acc + state.f
+    F = (state.f if state.h_acc is None
+         else state.h_acc.to_polynomial() + state.f)
     sol = solve_homological(h, F, guard, gamma1=state.weights.gamma1,
                             max_picard=schedule.max_picard,
                             prune_tol=schedule.prune_tol, tables=tables)
@@ -190,7 +190,7 @@ def inner_step(state: IterationState, schedule: Schedule, guard_delta0: float,
     f_next = G - h_poly - ht_poly
     f_next.prune_split(cut, cut_rest)
     state.f = f_next
-    state.h_acc = ht_poly
+    state.h_acc = sol.h_tilde
     state.transform_log.append(sol.S)
     state.step += 1
     state.eps = jet_norm(state)
@@ -205,46 +205,38 @@ def inner_step(state: IterationState, schedule: Schedule, guard_delta0: float,
     return state
 
 
-def _fold_h_acc(h: NormalFormHamiltonian, h_acc: Polynomial,
+def _fold_h_acc(h: NormalFormHamiltonian, h_acc: NormalFormHamiltonian,
                 p_new: BlockPartition) -> NormalFormHamiltonian:
-    """Fold corrections into a new normal form on ``p_new``, which is h's
-    partition or a coarser one over the same sites.
+    """Fold the correction h_acc, a normal form on h's partition, into h on
+    ``p_new``, which is h's partition or a coarser one over the same sites.
 
-    The jet of h + h_acc is read back through the codec: Hermitian Q_ab
-    from the xi_a eta_b entries, gathered per class of the new partition,
-    and the hyperbolic block from the entries over the finite node set."""
-    var_id = site_layout(h.partition.sites())
-    _, K, M, U, V, C = decode_jet(h.to_polynomial() + h_acc, var_id)
-    bad = np.flatnonzero(K.any(axis=1))
-    if len(bad):
-        raise StageAbort("fold", tuple(K[bad[0]].tolist()),
-                         "accumulated correction has angle dependence")
-    omega = np.zeros(h.n)
-    on_r = (U < 0) & M.any(axis=1)
-    omega[np.nonzero(M[on_r])[1]] += C[on_r].real
-    ell = (V >= 0) & (U % 2 == XI) & (V % 2 == ETA)
-    Q_all = np.zeros((len(var_id) // 2,) * 2, dtype=complex)
-    Q_all[U[ell] // 2, V[ell] // 2] += C[ell]
+    The blocks add: omega, const and the hyperbolic blocks directly, and the
+    Q of each of h's classes into one dense (sites x sites) array, from
+    which each class of ``p_new`` gathers its Q."""
+    p = h.partition
+    at = {s: i for i, s in enumerate(p.sites())}      # p.points' order
+    Q_all = np.zeros((len(at),) * 2, dtype=complex)
+    ends = p.ends.tolist()
+    for ci, (s, e) in enumerate(zip(ends[:-1], ends[1:])):
+        if ci != p.finite_index:
+            Q_all[s:e, s:e] = h.class_Q(ci) + h_acc.class_Q(ci)
     h_new = NormalFormHamiltonian(
-        omega=omega, partition=p_new,
-        const=float(C[(U < 0) & ~on_r].real.sum()),
+        omega=h.omega + h_acc.omega.real, partition=p_new,
+        const=float((h.const + h_acc.const).real),
         rho_star=h.rho_star, omega_fn=h.omega_fn, lambda_fn=h.lambda_fn)
     for ci, cl in enumerate(p_new.classes):
         if ci == p_new.finite_index:
             continue
-        ix = class_ids(var_id, cl)[XI] // 2
+        ix = [at[s] for s in cl]
         try:                # the Hermitian check is the normal-form gate
             h_new.set_block(ci, Q_all[np.ix_(ix, ix)])
         except ValueError as exc:
             raise StageAbort("fold", ci, str(exc)) from exc
     if p_new.finite_index is not None:
-        w = class_ids(var_id, p_new.classes[p_new.finite_index]).T.ravel()
-        fin = np.full(len(var_id), -1)
-        fin[w] = np.arange(len(w))
-        hyp = (V >= 0) & (fin[U] >= 0) & (fin[V] >= 0)
-        H = np.zeros((len(w), len(w)))
-        H[fin[U[hyp]], fin[V[hyp]]] += C[hyp].real
-        h_new.hyperbolic_block = H
+        m = 2 * len(p_new.classes[p_new.finite_index])
+        h_new.hyperbolic_block = sum(
+            (H for H in (h.hyperbolic_block, h_acc.hyperbolic_block)
+             if H is not None), np.zeros((m, m)))
     return h_new
 
 
@@ -256,7 +248,7 @@ def super_step(state: IterationState, schedule: Schedule) -> IterationState:
     p_new = build_partition(delta, p.radius, p.d, finite_set=p.finite_set,
                             core_cutoff=p.core_cutoff, exclude=p.exclude)
     state.h = _fold_h_acc(state.h, state.h_acc, p_new)
-    state.h_acc = Polynomial.zero(state.h.n)
+    state.h_acc = None
     w, nrm, decay = state.weights, state.norm, schedule.domain_decay
     state.weights = replace(w, gamma1=w.gamma1 * schedule.gamma_decay)
     state.norm = replace(
@@ -359,8 +351,8 @@ def run(h: NormalFormHamiltonian, f: Polynomial, schedule: Schedule,
             eps_history.append(state.eps)
     except StageAbort as exc:
         aborted = exc
-    h_final = (_fold_h_acc(state.h, state.h_acc, state.h.partition)
-               if len(state.h_acc) else state.h)
+    h_final = (state.h if state.h_acc is None
+               else _fold_h_acc(state.h, state.h_acc, state.h.partition))
     unstable, a_inf_real = _spectrum_report(h_final)
     omega_final = np.array(h_final.omega, dtype=float)
     return RunReport(
@@ -398,20 +390,20 @@ def singular_threshold(eps: float, delta0: float, chi: float, xi: float,
 
     Checks chi, xi <= c * delta0^(1 - aleph) and
     eps * log(1/eps)^beta_bar <= eps0 * delta0^(1 + kappa*aleph).
-    Returns (ok, margins); margins are bound/value ratios (>= 1 passes).
+    Returns (ok, margins), the bound/value ratios (>= 1 passes; 0 gives inf).
     """
     c = dict(eps0=1.0, kappa=1.0, beta_bar=1.0, aleph=0.25, c29=1.0)
     if constants:
         c.update(constants)
-    if min(eps, delta0) <= 0 or chi < 0 or xi < 0:
-        raise ValueError("inputs must be positive")
+    if delta0 <= 0 or min(eps, chi, xi) < 0:
+        raise ValueError("need delta0 > 0 and eps, chi, xi >= 0")
     gate = c["c29"] * delta0 ** (1.0 - c["aleph"])
-    lhs = eps * max(math.log(1.0 / eps), 1e-300) ** c["beta_bar"]
     rhs = c["eps0"] * delta0 ** (1.0 + c["kappa"] * c["aleph"])
     margins = {
         "chi": gate / chi if chi > 0 else math.inf,
         "xi": gate / xi if xi > 0 else math.inf,
-        "eps": rhs / lhs,
+        "eps": rhs / (eps * max(math.log(1.0 / eps), 1e-300)
+                      ** c["beta_bar"]) if eps > 0 else math.inf,
     }
     ok = all(v >= 1.0 for v in margins.values())
     return ok, margins

@@ -324,6 +324,14 @@ def _beam_mu(model: BeamModel, X, rho=None) -> np.ndarray:
     return (q * q).astype(float) + v
 
 
+def _nodes_in_ball(nodes, ball, radius: float):
+    """Reject a node that is not a key of ``ball``, the truncation."""
+    for a in nodes:
+        if a not in ball:
+            raise ValueError(f"node {a} lies outside the ball |a| <= "
+                             f"{radius:g}")
+
+
 def build_beam(model: BeamModel):
     """(normal form h, perturbation f) for the beam Hamiltonian.
 
@@ -335,6 +343,7 @@ def build_beam(model: BeamModel):
     sites = ball_points(model.radius, model.d)
     X = np.array(sites, dtype=np.int64).reshape(len(sites), model.d)
     mu = dict(zip(sites, _beam_mu(model, X).tolist()))
+    _nodes_in_ball(model.nodes, mu, model.radius)
     if any(v == 0 for v in mu.values()):
         raise ValueError("degenerate model: mu_a = 0 on the truncation")
     by_sphere = {}
@@ -582,6 +591,7 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
         raise ValueError("node set is not strongly admissible")
     sites = ball_points(model.radius, model.d)
     nsq_of = {a: norm_sq(a) for a in sites}
+    _nodes_in_ball(nodes, nsq_of, model.radius)
     lam = {a: math.sqrt(nsq_of[a] ** 2 + model.mass) for a in sites}
     n = len(nodes)
     letters = field_letters(sites, lam)

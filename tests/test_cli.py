@@ -1,10 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from kamkit import kam
-from kamkit.cli import main
+from kamkit.cli import build_model, main
 from kamkit.kam import Schedule
 from kamkit.lattice import build_partition
 
@@ -534,6 +535,55 @@ def test_non_integer_field_is_a_config_error(tmp_path, capsys, command, cfg,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, cfg, field", [
+    ("blocks", {"blocks": {"d": 2, "R": math.inf, "deltas": [2]}},
+     "'blocks.R'"),
+    ("kam", {"model": dict(BEAM_MODEL, R=math.inf)}, "'model.R'"),
+    ("kam", {"model": dict(BEAM_MODEL, R=math.nan)}, "'model.R'"),
+    ("kam", {"model": dict(BEAM_MODEL, R=-3)}, "'model.R'"),
+    ("kam", {"model": dict(BEAM_MODEL, R=True)}, "'model.R'"),
+    ("kam", {"model": dict(NLS_MODEL, R=math.inf)}, "'model.R'"),
+    ("kam", {"model": dict(SINGULAR_MODEL, R=0)}, "'model.R'"),
+    ("kam", {"model": dict(BEAM_MODEL, R=1.5)},
+     "node (0, 2) lies outside the ball"),
+    ("kam", {"model": dict(SINGULAR_MODEL, R=1)},
+     "node (1, -1) lies outside the ball"),
+    ("scan", {"model": BEAM_MODEL, "grid": dict(GRID, ball="false")},
+     "'grid.ball'"),
+    ("kam", {"model": dict(BEAM_MODEL, epsilon="1e-4")}, "'model.epsilon'"),
+    ("kam", {"model": dict(BEAM_MODEL, delta="inf")}, "'model.delta'"),
+    ("kam", {"model": dict(BEAM_MODEL, delta=-1)}, "'model.delta'"),
+    ("kam", {"model": dict(NLS_MODEL, mass=True)}, "'model.mass'"),
+    ("kam", {"model": dict(NLS_MODEL, alpha="1")}, "'model.alpha'"),
+    ("kam", {"model": dict(SINGULAR_MODEL, mass="1.37")}, "'model.mass'"),
+    ("kam", {"model": dict(SINGULAR_MODEL, quintic=math.nan)},
+     "'model.quintic'"),
+    ("kam", {"model": dict(SINGULAR_MODEL, birkhoff_threshold=[1e-6])},
+     "'model.birkhoff_threshold'"),
+], ids=["blocks-R-inf", "beam-R-inf", "beam-R-nan", "beam-R-negative",
+        "beam-R-true", "nls-R-inf", "singular-R-0", "beam-node-outside",
+        "singular-node-outside",
+        "grid-ball-string", "beam-epsilon-string", "beam-delta-string",
+        "beam-delta-negative", "nls-mass-true", "nls-alpha-string",
+        "singular-mass-string", "singular-quintic-nan",
+        "singular-birkhoff-list"])
+def test_bad_number_or_flag_is_a_config_error(tmp_path, capsys, command,
+                                              cfg, field):
+    """R is a finite positive number, every node lies in the ball, and
+    the model's numbers and the grid's ball flag are checked, not
+    coerced: each violation exits 2 and names the field."""
+    out = tmp_path / "out"
+    assert main([command, write_cfg(tmp_path,
+                                    dict(cfg, output_dir=str(out)))]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_model_delta_takes_infinity():
+    _, model, _ = build_model(dict(BEAM_MODEL, delta=math.inf))
+    assert model.delta == math.inf
+
+
 @pytest.mark.parametrize("schedule, field", [
     ({"max_super": 2, "eps_target": 1e-30, "gamma_decay": -1},
      "gamma_decay"),
@@ -588,6 +638,19 @@ def test_kam_singular_threshold_gate(tmp_path, capsys):
     assert main(["kam", cfg]) == 0
 
 
+def test_kam_singular_zero_jet_passes_the_gate(tmp_path, capsys):
+    """Without a quintic term the singular jet is zero: its eps margin is
+    inf, and chi and xi decide the gate."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"output_dir": str(out),
+                               "model": SINGULAR_MODEL})
+    assert main(["kam", cfg]) == 0
+    assert "smallness threshold passed" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["threshold_inputs"][0] == 0.0
+    assert manifest["threshold_margins"]["eps"] == math.inf
+
+
 def test_manifest_lists_effective_tunables(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, {
@@ -603,10 +666,12 @@ def test_manifest_lists_effective_tunables(tmp_path):
     assert manifest["norm"]["n_theta"] == 8
 
 
-@pytest.mark.parametrize("command", ["kam", "blocks"])
-def test_example_config_runs(tmp_path, command):
-    """README's example config stays valid for both commands it serves."""
-    example = Path(__file__).parents[1] / "examples" / "desk_beam.json"
+@pytest.mark.parametrize("name, command", [
+    ("desk_beam", "kam"), ("desk_beam", "blocks"), ("singular_gate", "kam"),
+], ids=["kam", "blocks", "singular_gate-kam"])
+def test_example_config_runs(tmp_path, name, command):
+    """README's example configs stay valid for the commands they serve."""
+    example = Path(__file__).parents[1] / "examples" / f"{name}.json"
     cfg = dict(json.loads(example.read_text()),
                output_dir=str(tmp_path / "out"))
     assert main([command, write_cfg(tmp_path, cfg)]) == 0

@@ -6,11 +6,17 @@ import pytest
 from kamkit.algebra import WeightParams
 from kamkit.divisors import ParameterGrid
 from kamkit import kam
-from kamkit.hamiltonian import Polynomial, StageAbort, poisson, lie_transform
+from kamkit.hamiltonian import (NormalFormHamiltonian, Polynomial,
+                                StageAbort, poisson, lie_transform)
 from kamkit.homological import class_tables, solve_homological, DivisorGuard
 from kamkit.kam import (Schedule, inner_count, inner_step, initial_state,
                         run, singular_threshold, super_step)
+from kamkit.lattice import build_partition
 from kamkit.models import BeamModel, build_beam
+
+import _reference_kam as ref
+from test_acceptance import desk_beam
+from test_kam_runs import negative_mode_beam
 
 W = WeightParams(gamma1=0.4, gamma2=1.0, kappa=0.5, m_star=1.0)
 
@@ -57,8 +63,10 @@ def test_accumulated_correction_stays_in_normal_form():
     sched = Schedule()
     st = initial_state(h, f, sched, W)
     st = inner_step(st, sched, guard_delta0=1e-10)
+    assert isinstance(st.h_acc, NormalFormHamiltonian)
+    assert st.h_acc.partition is h.partition
     zero = (0,) * h.n
-    for (k, m, zk), c in st.h_acc.terms.items():
+    for (k, m, zk), c in st.h_acc.to_polynomial().terms.items():
         assert k == zero
         deg = (sum(m), sum(p for _, p in zk))
         assert deg in {(0, 0), (1, 0), (0, 2)}
@@ -108,11 +116,11 @@ def test_super_step_folds_and_coarsens():
     omega0 = np.array(st.h.omega)
     for _ in range(2):
         st = inner_step(st, sched, guard_delta0=1e-10)
-    assert st.h_acc.terms
+    assert st.h_acc.to_polynomial().terms
     eps_before = st.eps
     st = super_step(st, sched)
     assert st.h.partition.delta == 4
-    assert not st.h_acc.terms
+    assert st.h_acc is None
     assert np.abs(np.array(st.h.omega) - omega0).max() > 0
     # folding changes coordinates of the books, not the perturbation size
     assert st.eps <= 10 * eps_before
@@ -219,14 +227,47 @@ def test_unrelated_error_in_an_inner_step_propagates(monkeypatch):
         run(h, f, Schedule(max_super=2), W)
 
 
-def test_angle_dependent_correction_aborts_the_fold():
+@pytest.mark.parametrize("delta_new", [2, 4])
+@pytest.mark.parametrize("build", [lambda: desk_beam(radius=4.0),
+                                   negative_mode_beam],
+                         ids=["desk_R4", "negative_mode"])
+def test_fold_equals_the_codec_fold_bit_for_bit(build, delta_new):
+    """The block-wise fold against the fold through the polynomial codec,
+    after two inner steps, onto the same partition and a coarser one."""
+    h, f = build()
+    sched = Schedule()
+    st = initial_state(h, f, sched, W)
+    for _ in range(2):
+        st = inner_step(st, sched, guard_delta0=1e-8)
+    p = h.partition
+    p_new = build_partition(delta_new, p.radius, p.d, finite_set=p.finite_set,
+                            core_cutoff=p.core_cutoff, exclude=p.exclude)
+    got = kam._fold_h_acc(st.h, st.h_acc, p_new)
+    want = ref._fold_h_acc(st.h, st.h_acc.to_polynomial(), p_new)
+    assert got.partition is want.partition is p_new
+    assert got.omega.tobytes() == want.omega.tobytes()
+    assert np.float64(got.const).tobytes() == np.float64(want.const).tobytes()
+    assert sorted(got.elliptic_blocks) == sorted(want.elliptic_blocks)
+    for ci, Q in want.elliptic_blocks.items():
+        assert got.elliptic_blocks[ci].tobytes() == Q.tobytes()
+    if p.finite_index is None:
+        assert got.hyperbolic_block is want.hyperbolic_block is None
+    else:
+        assert got.hyperbolic_block.tobytes() == \
+            want.hyperbolic_block.tobytes()
+
+
+def test_non_hermitian_correction_aborts_the_fold():
     h, _ = beam_instance()
-    h_acc = Polynomial(h.n)
-    h_acc.add_term(1e-6, k=(1,) + (0,) * (h.n - 1))
+    p = h.partition
+    ci = next(i for i in range(len(p.classes)) if i != p.finite_index)
+    h_acc = NormalFormHamiltonian(omega=np.zeros(h.n), partition=p)
+    m = len(p.classes[ci])
+    h_acc.elliptic_blocks[ci] = np.full((m, m), 1e-3j)   # not Hermitian
     with pytest.raises(StageAbort) as err:
-        kam._fold_h_acc(h, h_acc, h.partition)
+        kam._fold_h_acc(h, h_acc, p)
     assert err.value.stage == "fold"
-    assert err.value.key == (1,) + (0,) * (h.n - 1)
+    assert err.value.key == ci
 
 
 def test_singular_threshold_gate():
@@ -238,3 +279,11 @@ def test_singular_threshold_gate():
     assert not ok and margins["chi"] < 1
     with pytest.raises(ValueError):
         singular_threshold(-1.0, 0.1, 0.0, 0.0)
+
+
+def test_singular_threshold_passes_a_zero_jet():
+    ok, margins = singular_threshold(0.0, 0.1, 1e-3, 1e-3)
+    assert ok and margins["eps"] == math.inf
+    for bad in ((-1e-12, 0.1), (0.0, 0.0), (0.0, -0.1)):
+        with pytest.raises(ValueError):
+            singular_threshold(*bad, 1e-3, 1e-3)

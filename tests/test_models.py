@@ -302,6 +302,13 @@ def test_beam_degenerate_mu_rejected():
         build_beam(beam_quartic_model(tail={0: 1.0, 1: 0.0, 2: -3.0}))
 
 
+def test_beam_node_outside_the_ball_rejected():
+    model = BeamModel(d=2, radius=1.5, nodes=((1, 0), (0, 2)), rho=(0.7, 1.3),
+                      actions=(0.05, 0.04), tail={0: 0.5}, delta=2)
+    with pytest.raises(ValueError, match=r"node \(0, 2\) lies outside"):
+        build_beam(model)
+
+
 def test_beam_positive_mu_has_no_hyperbolic_part():
     h, f = build_beam(beam_quartic_model())
     assert h.finite_set == ()
