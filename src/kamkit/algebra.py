@@ -45,8 +45,9 @@ class WeightParams:
     m_star: float = 1.0
 
     def __post_init__(self):
-        if min(self.gamma1, self.gamma2, self.kappa, self.m_star) < 0:
-            raise ValueError("weight parameters must be nonnegative")
+        for name in ("gamma1", "gamma2", "kappa", "m_star"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 def decay_weight(Xa, Xb, w: WeightParams) -> np.ndarray:

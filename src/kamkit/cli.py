@@ -2,8 +2,10 @@
 
 One structured JSON config drives every run; the only positional arguments
 are the command and the config path, so each invocation is a reproducible
-artifact.  Exit codes: 0 success, 2 config error, 3 empty surviving grid,
-4 stage abort, 5 smallness-threshold failure.
+artifact.  Each command reads every value it uses or records once, through
+``read_config``, before it builds a model or writes a file.  Exit codes:
+0 success, 2 config error, 3 empty surviving grid, 4 stage abort,
+5 smallness-threshold failure; any other exception propagates.
 """
 from __future__ import annotations
 
@@ -11,17 +13,19 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 from .algebra import WeightParams
 from .divisors import ParameterGrid, check_A1, melnikov_scan
 # class_norm is not called here, but perfbench's tracer wraps cli.class_norm
 from .hamiltonian import ClassNormParams, StageAbort, class_norm  # noqa: F401
-from .kam import Schedule, run, singular_gate_inputs, singular_threshold
-from .lattice import (_as_point, build_partition, build_partitions,
-                      max_diameter)
-from .models import (BeamModel, NlsModel, SingularBeamModel, build_beam,
-                     build_nls, build_singular)
+from .kam import (THRESHOLD_CONSTANTS, Schedule, run, singular_gate_inputs,
+                  singular_threshold)
+from .lattice import build_partition, build_partitions, max_diameter
+from .models import (BeamModel, ModelError, NlsModel, SingularBeamModel,
+                     build_beam, build_nls, build_singular)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,243 +38,271 @@ class ConfigError(Exception):
     pass
 
 
-def _require(cfg: dict, key: str, section: str):
-    if key not in cfg:
-        raise ConfigError(f"missing required field '{key}' in '{section}'")
-    return cfg[key]
+# -- the reader -----------------------------------------------------------------
+
+def _is_number(v, kind=(int, float)) -> bool:
+    """The one rule for a JSON number (``kind=int``: an integer): a
+    boolean or a string is never one."""
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
-def _check_keys(cfg: dict, allowed: set, section: str):
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(
-            f"unknown keys in '{section}': {', '.join(sorted(unknown))}")
+_is_int = partial(_is_number, kind=int)
 
 
-# (want, ok) of ``_number`` for an R and for a model's delta
-_FINITE_POSITIVE = ("a finite positive number", lambda v: 0 < v < math.inf)
-_NONNEGATIVE = ("a nonnegative number or Infinity", lambda v: v >= 0)
+def _is_finite(v) -> bool:
+    # compared, not converted: an integer beyond the floats is not finite
+    return _is_number(v) and abs(v) <= sys.float_info.max
 
 
-def _number(value, key: str, want: str = "a finite number",
-            ok=math.isfinite) -> float:
-    """A JSON number, not a boolean or a string, for which ``ok`` holds."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not ok(value)):
-        raise ConfigError(f"field '{key}' must be {want}, got {value!r}")
-    return float(value)
+def _check(ok, want: str, convert=None):
+    """A field check: the value (``convert``-ed, if given) when ``ok``
+    holds for it, else a config error that names the field."""
+    def check(value, key: str):
+        if not ok(value):
+            raise ConfigError(f"field '{key}' must be {want}, got {value!r}")
+        return convert(value) if convert else value
+    return check
 
 
-def _positive(value, key: str):
-    """``value`` as given, once ``_number`` finds it positive."""
-    _number(value, key, "a positive number", lambda v: v > 0)
-    return value
+_MODELS = {"beam": BeamModel, "nls": NlsModel, "singular": SingularBeamModel}
+_INTEGER = _check(_is_int, "an integer")
+_NATURAL = _check(lambda v: _is_int(v) and v >= 0, "a nonnegative integer")
+_COUNT = _check(lambda v: _is_int(v) and v > 0, "a positive integer")
+_FINITE = _check(_is_finite, "a finite number")
+_FLOAT = _check(_is_finite, "a finite number", float)
+_POSITIVE = _check(lambda v: _is_number(v) and v > 0, "a positive number")
+_RADIUS = _check(lambda v: _is_finite(v) and v > 0,
+                 "a finite positive number", float)
+_DELTA = _check(lambda v: v == math.inf or _is_finite(v) and v >= 0,
+                "a nonnegative number or Infinity", float)
+_FLAG = _check(lambda v: isinstance(v, bool), "true or false")
+_TEXT = _check(lambda v: isinstance(v, str), "a string")
+_KIND = _check(lambda v: isinstance(v, str) and v in _MODELS,
+               "'beam', 'nls' or 'singular'")
+_TAIL = _check(lambda v: isinstance(v, dict) and all(
+    k.isdecimal() and str(int(k)) == k and _is_finite(x)
+    for k, x in v.items()), "an object from decimal |a|^2 to finite numbers",
+    lambda v: {int(k): x for k, x in v.items()})
+_DELTAS = _check(lambda v: isinstance(v, list) and all(
+    x in ("inf", "Infinity") or _is_number(x) and x >= 0 for x in v),
+    "a list of nonnegative numbers or 'inf'")
+_BOUNDS = _check(lambda v: isinstance(v, list) and all(
+    isinstance(b, list) and len(b) == 2 and all(map(_is_finite, b))
+    for b in v), "a list of [lo, hi] pairs of finite numbers",
+    lambda v: [tuple(b) for b in v])
 
 
-def _construct(cls, cfg: dict, section: str):
-    """cls(**cfg), with the class's own validation as a config error."""
+def _vector(ok, want: str, n=None, what="a vector", per=""):
+    """A check for a list of entries for which ``ok`` holds, n of them
+    when n is given; the list as a tuple."""
+    def check(value, key: str):
+        _check(lambda v: isinstance(v, list) and all(map(ok, v)),
+               f"a list of {want}")(value, key)
+        if n is not None and len(value) != n:
+            raise ConfigError(f"'{key}' has {what} of length {len(value)}; "
+                              f"expected {n}, {per}")
+        return tuple(value)
+    return check
+
+
+def _points(d: int):
+    """A check for distinct lattice points of d integer coordinates."""
+    return _check(lambda v: isinstance(v, list) and all(
+        isinstance(p, list) and len(p) == d and all(map(_is_int, p))
+        for p in v) and len(set(map(tuple, v))) == len(v),
+        f"a list of distinct points of {d} integers",
+        lambda v: tuple(map(tuple, v)))
+
+
+def _records(*parts):
+    """A check for a list of entries of one value per part: entry i is
+    named ``key[i]``, and each of its values is read by its part."""
+    def check(value, key: str):
+        entries = _vector(lambda e: isinstance(e, list)
+                          and len(e) == len(parts),
+                          f"lists of {len(parts)} values")(value, key)
+        return tuple(tuple(part(x, f"{key}[{i}]")
+                           for part, x in zip(parts, e))
+                     for i, e in enumerate(entries))
+    return check
+
+
+_REQUIRED = object()
+
+
+class _Section:
+    """A config object read field by field.  Unknown keys are rejected
+    when it is made, null reads as an empty object, and each field goes
+    through its check under the name ``section.key``."""
+
+    def __init__(self, raw, name: str, keys):
+        raw = {} if raw is None else raw
+        if not isinstance(raw, dict):
+            raise ConfigError(f"section '{name}' must be an object, got "
+                              f"{raw!r}")
+        unknown = set(raw) - set(keys)
+        if unknown:
+            raise ConfigError(
+                f"unknown keys in '{name}': {', '.join(sorted(unknown))}")
+        self.raw, self.name = raw, name
+
+    def __call__(self, key: str, check, default=_REQUIRED):
+        """Field ``key``, or ``default`` when it is absent, by ``check``."""
+        value = self.raw.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(
+                f"missing required field '{key}' in '{self.name}'")
+        return check(value, key if self.name == "config"
+                     else f"{self.name}.{key}")
+
+    def section(self, key: str, keys, required=False) -> _Section:
+        """The object at ``key`` as a section of ``keys``."""
+        return self(key, lambda v, name: _Section(v, name, keys),
+                    _REQUIRED if required else None)
+
+
+def _params(root: _Section, name: str, cls, **defaults):
+    """Section ``name`` as ``cls`` (``Schedule``, ``WeightParams`` or
+    ``ClassNormParams``): each field an integer or a finite number by its
+    annotation, absent ones at ``defaults`` or the class's own; ``cls``
+    checks the ranges."""
+    s = root.section(name, [f.name for f in fields(cls)])
     try:
-        return cls(**cfg)
-    except ValueError as exc:
-        raise ConfigError(f"invalid '{section}': {exc}") from exc
+        return cls(**{f.name: s(f.name, _INTEGER if f.type in ("int", int)
+                                else _FINITE, defaults.get(f.name, f.default))
+                      for f in fields(cls)})
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"invalid '{name}': {exc}") from exc
 
 
-def _integer(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"field '{key}' must be an integer, got {value!r}")
-    return value
+def read_model(cfg, name: str = "model"):
+    """The model section as a ``BeamModel``, ``NlsModel`` or
+    ``SingularBeamModel``, every field checked; nothing is built."""
+    # the kind names the model class, whose fields are the section's keys
+    cls = _MODELS[_Section(cfg, name, cfg or ())("kind", _KIND)]
+    s = _Section(cfg, name, {"kind", "R", *(f.name for f in fields(cls))}
+                 - {"radius"})
+    d = s("d", _COUNT)
+    sizer = "rho" if cls is NlsModel else "nodes"
+    first = s(sizer, _vector(_is_finite, "finite numbers")
+              if cls is NlsModel else _points(d))
+    if not first:
+        raise ConfigError(f"field '{name}.{sizer}' is empty; the model "
+                          "needs at least one entry")
+    per_node = _vector(_is_finite, "finite numbers", len(first), "a vector",
+                       "one per node")
+    wave = _vector(_is_int, "integers", d, "a wave vector", "the model's d")
+    v = {"d": d, "radius": s("R", _RADIUS), sizer: first,
+         "max_degree": s("max_degree", _NATURAL,
+                         5 if cls is SingularBeamModel else 4)}
+    if cls is not NlsModel:
+        v.update(actions=s("actions", per_node),
+                 r_degree=s("r_degree", _NATURAL, 1))
+    if cls is not BeamModel:
+        v["mass"] = s("mass", _FLOAT)
+    if cls is not SingularBeamModel:
+        v.update(epsilon=s("epsilon", _FLOAT, 1.0),
+                 delta=s("delta", _DELTA, 2))
+    if cls is BeamModel:
+        v.update(rho=s("rho", per_node), tail=s("tail", _TAIL, {}),
+                 nonlinearity=s("nonlinearity",
+                                _records(_NATURAL, wave, _FINITE), []))
+    elif cls is NlsModel:
+        angle = _vector(_is_int, "integers", len(first),
+                        "an angle vector", "one per rho")
+        v.update(alpha=s("alpha", _FLOAT), forcing=s("forcing", _records(
+            angle, _NATURAL, _NATURAL, wave, _FINITE), []))
+    else:
+        v.update(birkhoff_threshold=s("birkhoff_threshold", _FLOAT, 1e-6),
+                 quintic=s("quintic", _FLOAT, 0.0))
+    return cls(**v)
 
 
-def _points(seq, key: str) -> tuple:
-    """Lattice points, with integer coordinates (``_as_point``)."""
-    try:
-        return tuple(_as_point(p) for p in seq)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid '{key}': {exc}") from exc
-
-
-def _sized(seq, n: int, field: str, what: str, per: str) -> tuple:
-    """``seq`` as a tuple of length n: a wave vector of the model's d
-    entries, or a vector with one entry per node or per ``rho``."""
-    seq = tuple(seq)
-    if len(seq) != n:
-        raise ConfigError(f"'{field}' has {what} of length {len(seq)}; "
-                          f"expected {n}, {per}")
-    return seq
-
-
-def _nonempty(seq: tuple, field: str) -> tuple:
-    if not seq:
-        raise ConfigError(f"field '{field}' is empty; the model needs at "
-                          "least one entry")
-    return seq
-
-
-def load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
-    _check_keys(cfg, {"seed", "output_dir", "blocks", "model", "grid",
-                      "guard", "schedule", "weights", "norm", "threshold"},
-                "config")
-    return cfg
-
-
-# -- section parsers ------------------------------------------------------------
-
-def parse_grid(cfg: dict | None, params: int) -> ParameterGrid | None:
-    """The grid section, over a model with ``params`` parameters."""
+def _grid(cfg, params: int | None) -> ParameterGrid | None:
+    """The grid section over ``params`` parameters (None: a command that
+    only records it), or None when there is none."""
     if cfg is None:
         return None
-    _check_keys(cfg, {"bounds", "resolution", "ball"}, "grid")
-    bounds = [tuple(b) for b in _require(cfg, "bounds", "grid")]
-    if len(bounds) != params:
+    s = _Section(cfg, "grid", ("bounds", "resolution", "ball"))
+    bounds = s("bounds", _BOUNDS)
+    if params is not None and len(bounds) != params:
         raise ConfigError(f"field 'grid.bounds' has {len(bounds)} axes; "
                           f"expected {params}, the model's parameter count")
-    ball = cfg.get("ball", False)
-    if not isinstance(ball, bool):
-        raise ConfigError(f"field 'grid.ball' must be true or false, got "
-                          f"{ball!r}")
-    return _construct(ParameterGrid, {
-        "bounds": bounds, "resolution": cfg.get("resolution", 64),
-        "ball": ball}, "grid")
-
-
-def parse_guard(cfg: dict, n: int) -> dict:
-    """The guard section, over a torus of dimension n."""
-    cfg = dict(cfg or {})
-    _check_keys(cfg, {"delta0", "C", "tau", "beta", "c", "K_max"}, "guard")
-    K_max = cfg.get("K_max", 20 * n)
-    if isinstance(K_max, bool) or not isinstance(K_max, int) or K_max <= 0:
-        raise ConfigError("field 'guard.K_max' must be a positive integer, "
-                          f"got {K_max!r}")
-    out = {
-        "delta0": _positive(cfg.get("delta0", 1e-8), "guard.delta0"),
-        "C": _positive(cfg.get("C", 1.0), "guard.C"),
-        "tau": cfg.get("tau", n + 1),
-        "beta": _positive(cfg.get("beta", 1.0), "guard.beta"),
-        "c": _positive(cfg.get("c", 1.0), "guard.c"),
-        "K_max": K_max,
-    }
-    _positive(out["tau"], "guard.tau")
-    return out
-
-
-def parse_schedule(cfg: dict | None) -> Schedule:
-    cfg = dict(cfg or {})
-    allowed = set(Schedule.__dataclass_fields__)
-    _check_keys(cfg, allowed, "schedule")
-    return _construct(Schedule, cfg, "schedule")
-
-
-def parse_weights(cfg: dict | None) -> WeightParams:
-    cfg = dict(cfg or {})
-    _check_keys(cfg, set(WeightParams.__dataclass_fields__), "weights")
-    cfg.setdefault("gamma1", 0.4)
-    cfg.setdefault("kappa", 0.5)
-    return _construct(WeightParams, cfg, "weights")
-
-
-def parse_norm(cfg: dict | None) -> ClassNormParams:
-    cfg = dict(cfg or {})
-    _check_keys(cfg, set(ClassNormParams.__dataclass_fields__), "norm")
-    return _construct(ClassNormParams, cfg, "norm")
-
-
-def build_model(cfg: dict):
-    cfg = dict(cfg or {})
-    kind = _require(cfg, "kind", "model")
     try:
-        common = {"kind"}
-        if kind == "beam":
-            _check_keys(cfg, common | {"d", "R", "nodes", "rho", "actions",
-                                       "tail", "nonlinearity", "epsilon",
-                                       "delta", "r_degree", "max_degree"},
-                        "model")
-            d = _integer(_require(cfg, "d", "model"), "model.d")
-            nodes = _nonempty(_points(cfg.get("nodes", ()), "model.nodes"),
-                              "model.nodes")
-            model = BeamModel(
-                d=d,
-                radius=_number(_require(cfg, "R", "model"), "model.R",
-                               *_FINITE_POSITIVE),
-                nodes=nodes,
-                rho=_sized(cfg.get("rho", ()), len(nodes), "model.rho",
-                           "a vector", "one per node"),
-                actions=_sized(cfg.get("actions", ()), len(nodes),
-                               "model.actions", "a vector", "one per node"),
-                tail={int(k): v for k, v in cfg.get("tail", {}).items()},
-                nonlinearity=tuple(
-                    (_integer(p, f"model.nonlinearity[{i}]"),
-                     _sized(x, d, f"model.nonlinearity[{i}]",
-                            "a wave vector", "the model's d"), c)
-                    for i, (p, x, c) in enumerate(cfg.get("nonlinearity",
-                                                          ()))),
-                epsilon=_number(cfg.get("epsilon", 1.0), "model.epsilon"),
-                delta=_number(cfg.get("delta", 2), "model.delta",
-                              *_NONNEGATIVE),
-                r_degree=_integer(cfg.get("r_degree", 1), "model.r_degree"),
-                max_degree=_integer(cfg.get("max_degree", 4),
-                                    "model.max_degree"))
-            return kind, model, build_beam(model)
-        if kind == "nls":
-            _check_keys(cfg, common | {"d", "R", "mass", "alpha", "rho",
-                                       "forcing", "epsilon", "delta",
-                                       "max_degree"}, "model")
-            d = _integer(_require(cfg, "d", "model"), "model.d")
-            rho = _nonempty(tuple(_require(cfg, "rho", "model")),
-                            "model.rho")
-            model = NlsModel(
-                d=d,
-                radius=_number(_require(cfg, "R", "model"), "model.R",
-                               *_FINITE_POSITIVE),
-                mass=_number(_require(cfg, "mass", "model"), "model.mass"),
-                alpha=_number(_require(cfg, "alpha", "model"),
-                              "model.alpha"),
-                rho=rho,
-                forcing=tuple(
-                    (_sized(kt, len(rho), f"model.forcing[{i}]",
-                            "an angle vector", "one per rho"),
-                     _integer(p, f"model.forcing[{i}]"),
-                     _integer(q, f"model.forcing[{i}]"),
-                     _sized(x, d, f"model.forcing[{i}]", "a wave vector",
-                            "the model's d"), c)
-                    for i, (kt, p, q, x, c) in enumerate(cfg.get("forcing",
-                                                                 ()))),
-                epsilon=_number(cfg.get("epsilon", 1.0), "model.epsilon"),
-                delta=_number(cfg.get("delta", 2), "model.delta",
-                              *_NONNEGATIVE),
-                max_degree=_integer(cfg.get("max_degree", 4),
-                                    "model.max_degree"))
-            return kind, model, build_nls(model)
-        if kind == "singular":
-            _check_keys(cfg, common | {"d", "R", "nodes", "mass", "actions",
-                                       "birkhoff_threshold", "quintic",
-                                       "r_degree", "max_degree"}, "model")
-            nodes = _nonempty(_points(_require(cfg, "nodes", "model"),
-                                      "model.nodes"), "model.nodes")
-            model = SingularBeamModel(
-                d=_integer(_require(cfg, "d", "model"), "model.d"),
-                radius=_number(_require(cfg, "R", "model"), "model.R",
-                               *_FINITE_POSITIVE),
-                nodes=nodes,
-                mass=_number(_require(cfg, "mass", "model"), "model.mass"),
-                actions=_sized(_require(cfg, "actions", "model"), len(nodes),
-                               "model.actions", "a vector", "one per node"),
-                birkhoff_threshold=_number(
-                    cfg.get("birkhoff_threshold", 1e-6),
-                    "model.birkhoff_threshold"),
-                quintic=_number(cfg.get("quintic", 0.0), "model.quintic"),
-                r_degree=_integer(cfg.get("r_degree", 1), "model.r_degree"),
-                max_degree=_integer(cfg.get("max_degree", 5),
-                                    "model.max_degree"))
-            return kind, model, build_singular(model)
-        raise ConfigError(f"unknown model kind '{kind}'")
-    except ValueError as exc:     # a value the model or its builder rejects
+        return ParameterGrid(bounds=bounds,
+                             resolution=s("resolution", _INTEGER, 64),
+                             ball=s("ball", _FLAG, False))
+    except ValueError as exc:
+        raise ConfigError(f"invalid 'grid': {exc}") from exc
+
+
+def load_config(path: str):
+    """The JSON at ``path``; ``read_config`` checks it."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:    # unreadable, or not JSON
+        raise ConfigError(f"cannot read config: {exc}") from exc
+
+
+def read_config(cfg, command: str) -> dict:
+    """Every value ``command`` uses or records, each read once through its
+    check, before a model is built or a file is written."""
+    root = _Section(cfg, "config", ("seed", "output_dir", "blocks", "model",
+                                    "grid", "guard", "schedule", "weights",
+                                    "norm", "threshold"))
+    conf = {"seed": root("seed", _INTEGER, 0),
+            "output_dir": Path(root("output_dir", _TEXT, "out")),
+            "schedule": _params(root, "schedule", Schedule),
+            "weights": _params(root, "weights", WeightParams, gamma1=0.4,
+                               kappa=0.5),
+            "norm": _params(root, "norm", ClassNormParams)}
+    params = None
+    if command == "blocks":
+        s = root.section("blocks", ("d", "R", "deltas", "finite_set",
+                                    "core_cutoff"), required=True)
+        d, R = s("d", _COUNT), s("R", _RADIUS)
+        conf.update(blocks=s.raw, d=d, R=R, deltas=s("deltas", _DELTAS),
+                    finite_set=s("finite_set", _points(d), []),
+                    core_cutoff=s("core_cutoff", _check(
+                        lambda v: _is_number(v) and 0 <= v <= R,
+                        f"a nonnegative number no larger than R = {R:g}"),
+                        1.0))
+    else:
+        model = conf["model"] = root("model", read_model)
+        n = len(model.rho if isinstance(model, NlsModel) else model.nodes)
+        g = root.section("guard", ("delta0", "C", "tau", "beta", "c",
+                                   "K_max"))
+        conf["guard"] = {"K_max": g("K_max", _COUNT, 20 * n), **{
+            key: g(key, _POSITIVE, default) for key, default in (
+                ("delta0", 1e-8), ("C", 1.0), ("tau", n + 1), ("beta", 1.0),
+                ("c", 1.0))}}
+        if not isinstance(model, SingularBeamModel):
+            params = n
+        elif command == "scan":
+            raise ConfigError("scan expects a parameterized model (beam or "
+                              "nls)")
+        else:
+            c = root.section("threshold", ("constants",)).section(
+                "constants", THRESHOLD_CONSTANTS)
+            conf["constants"] = {key: c(key, _FINITE) for key in c.raw}
+    conf["grid"] = root("grid", lambda v, key: _grid(v, params),
+                        _REQUIRED if command == "scan" else None)
+    return conf
+
+
+def build_model(model):
+    """(kind, model, what its builder returns) for a model section, or for
+    a model that ``read_model`` has read.  A builder's rejection of the
+    model's data (``ModelError``) is a config error."""
+    if not isinstance(model, tuple(_MODELS.values())):
+        model = read_model(model)
+    kind, build = {
+        BeamModel: ("beam", build_beam), NlsModel: ("nls", build_nls),
+        SingularBeamModel: ("singular", build_singular)}[type(model)]
+    try:
+        return kind, model, build(model)
+    except ModelError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -280,80 +312,49 @@ def _write(path: Path, lines):
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_manifest(outdir: Path, cfg: dict, extra: dict):
-    """Every ledgered tunable with its effective value, plus run extras."""
+def write_manifest(conf: dict, extra: dict):
+    """Every ledgered tunable of the read config ``conf`` with its
+    effective value, plus run extras."""
     manifest = {
-        "seed": cfg.get("seed", 0),
+        "seed": conf["seed"],
         "core_cutoff": 1.0,     # model partitions; cmd_blocks passes its own
-        "grid_resolution": (cfg.get("grid") or {}).get("resolution", 64),
+        "grid_resolution": conf["grid"].resolution if conf["grid"] else 64,
         "unstable_real_part_factor": 10,
-    }
-    manifest["schedule"] = vars(parse_schedule(cfg.get("schedule")))
-    manifest["weights"] = vars(parse_weights(cfg.get("weights")))
-    manifest["norm"] = vars(parse_norm(cfg.get("norm")))
-    manifest.update(extra)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "manifest.json").write_text(
+        **{key: vars(conf[key]) for key in ("schedule", "weights", "norm")},
+        **extra}
+    (conf["output_dir"] / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
-    return manifest
 
 
 # -- commands -------------------------------------------------------------------
 
 def cmd_blocks(cfg: dict) -> int:
-    section = dict(_require(cfg, "blocks", "config"))
-    _check_keys(section, {"d", "R", "deltas", "finite_set", "core_cutoff"},
-                "blocks")
-    d = _integer(_require(section, "d", "blocks"), "blocks.d")
-    R = _number(_require(section, "R", "blocks"), "blocks.R",
-                *_FINITE_POSITIVE)
-    deltas = _require(section, "deltas", "blocks")
-    for raw in deltas:
-        if not (raw in ("inf", "Infinity")
-                or (isinstance(raw, (int, float))
-                    and not isinstance(raw, bool) and raw >= 0)):
-            raise ConfigError(
-                "field 'blocks.deltas' takes nonnegative numbers or 'inf', "
-                f"got {raw!r}")
-    core_cutoff = section.get("core_cutoff", 1.0)
-    if not (isinstance(core_cutoff, (int, float))
-            and not isinstance(core_cutoff, bool) and 0 <= core_cutoff <= R):
-        raise ConfigError(
-            "field 'blocks.core_cutoff' takes a nonnegative number no larger "
-            f"than R = {R:g}, got {core_cutoff!r}")
-    try:
+    conf = read_config(cfg, "blocks")
+    try:    # build_partitions checks its arguments when it is called
         parts = build_partitions(
             [math.inf if raw in ("inf", "Infinity") else raw
-             for raw in deltas], R, d,
-            finite_set=_points(section.get("finite_set", ()),
-                               "blocks.finite_set"),
-            core_cutoff=core_cutoff)
-    except (TypeError, ValueError) as exc:
+             for raw in conf["deltas"]], conf["R"], conf["d"],
+            finite_set=conf["finite_set"], core_cutoff=conf["core_cutoff"])
+    except ValueError as exc:     # a finite set point outside the ball
         raise ConfigError(f"invalid 'blocks.finite_set': {exc}") from exc
-    outdir = Path(cfg.get("output_dir", "out"))
+    outdir = conf["output_dir"]
     outdir.mkdir(parents=True, exist_ok=True)
     table = ["delta max_diameter classes"]
-    for raw, p in zip(deltas, parts):
+    for raw, p in zip(conf["deltas"], parts):
         _write(outdir / f"partition_delta_{raw}.txt", p.dump_lines())
         table.append(f"{raw} {max_diameter(p):.6g} {len(p.ends) - 1}")
         # free this partition before the next is built
         del p
     _write(outdir / "diameters.txt", table)
-    write_manifest(outdir, cfg, {"command": "blocks", "blocks": section,
-                                 "core_cutoff": core_cutoff})
+    write_manifest(conf, {"command": "blocks", "blocks": conf["blocks"],
+                          "core_cutoff": conf["core_cutoff"]})
     return EXIT_OK
 
 
 def cmd_scan(cfg: dict) -> int:
-    kind, model, built = build_model(_require(cfg, "model", "config"))
-    if kind == "singular":
-        raise ConfigError("scan expects a parameterized model (beam or nls)")
-    h, _f = built
-    grid = parse_grid(cfg.get("grid"), len(h.rho_star))
-    if grid is None:
-        raise ConfigError("missing required field 'grid' in 'config'")
-    guard = parse_guard(cfg.get("guard"), h.n)
-    outdir = Path(cfg.get("output_dir", "out"))
+    conf = read_config(cfg, "scan")
+    kind, _model, (h, _f) = build_model(conf["model"])
+    grid, guard, outdir = conf["grid"], conf["guard"], conf["output_dir"]
     outdir.mkdir(parents=True, exist_ok=True)
 
     p = h.partition
@@ -379,7 +380,7 @@ def cmd_scan(cfg: dict) -> int:
     for idx in bad:
         flat[idx] = False
     (outdir / "surviving.mask").write_bytes(surviving.mask_bits())
-    write_manifest(outdir, cfg, {
+    write_manifest(conf, {
         "command": "scan", "guard": guard, "model_kind": kind,
         "surviving_measure": surviving.measure(),
         "a1_bad_measure": rep_a1.bad_measure,
@@ -392,27 +393,21 @@ def cmd_scan(cfg: dict) -> int:
 
 
 def cmd_kam(cfg: dict) -> int:
-    kind, model, built = build_model(_require(cfg, "model", "config"))
-    outdir = Path(cfg.get("output_dir", "out"))
+    conf = read_config(cfg, "kam")
+    kind, model, built = build_model(conf["model"])
+    norm, weights, guard = conf["norm"], conf["weights"], conf["guard"]
+    outdir = conf["output_dir"]
     outdir.mkdir(parents=True, exist_ok=True)
-    sched = parse_schedule(cfg.get("schedule"))
-    weights = parse_weights(cfg.get("weights"))
-    norm = parse_norm(cfg.get("norm"))
-    guard = parse_guard(cfg.get("guard"), len(built.omega_I)
-                        if kind == "singular" else built[0].n)
     extra = {"command": "kam", "guard": guard, "model_kind": kind}
 
     if kind == "singular":
-        nform = built
-        gate_cfg = dict(cfg.get("threshold") or {})
-        _check_keys(gate_cfg, {"constants"}, "threshold")
-        eps, delta0, chi, xi = singular_gate_inputs(nform, norm, weights)
+        eps, delta0, chi, xi = singular_gate_inputs(built, norm, weights)
         ok, margins = singular_threshold(eps, delta0, chi, xi,
-                                         gate_cfg.get("constants"))
+                                         conf["constants"])
         extra.update({"threshold_inputs": [eps, delta0, chi, xi],
                       "threshold_margins": margins,
                       "birkhoff_threshold": model.birkhoff_threshold})
-        write_manifest(outdir, cfg, extra)
+        write_manifest(conf, extra)
         if not ok:
             print("smallness threshold failed; margins: "
                   + json.dumps(margins, sort_keys=True), file=sys.stderr)
@@ -422,15 +417,14 @@ def cmd_kam(cfg: dict) -> int:
         return EXIT_OK
 
     h, f = built
-    grid = parse_grid(cfg.get("grid"), len(h.rho_star))
-    report = run(h, f, sched, weights, guard_delta0=guard["delta0"],
-                 norm=norm, grid=grid)
+    report = run(h, f, conf["schedule"], weights,
+                 guard_delta0=guard["delta0"], norm=norm, grid=conf["grid"])
     metrics = [json.dumps(m, sort_keys=True)
                for m in report.state.metrics]
     _write(outdir / "metrics.jsonl", metrics or ["{}"])
     _write(outdir / "final_report.txt", report.dump_lines())
     extra["eps_history"] = report.eps_history
-    write_manifest(outdir, cfg, extra)
+    write_manifest(conf, extra)
     if report.aborted:
         print(f"stage abort: {report.aborted}", file=sys.stderr)
         return EXIT_ABORT
@@ -450,9 +444,8 @@ def main(argv=None) -> int:
     parser.add_argument("config", help="path to the JSON run config")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        return COMMANDS[args.command](cfg)
-    except (ConfigError, TypeError) as exc:
+        return COMMANDS[args.command](load_config(args.config))
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StageAbort as exc:

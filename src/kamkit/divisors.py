@@ -25,10 +25,8 @@ class ParameterGrid:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        if (isinstance(self.resolution, bool)
-                or not isinstance(self.resolution, (int, np.integer))
-                or self.resolution <= 0):
-            raise ValueError("resolution must be a positive integer, got "
+        if self.resolution <= 0:
+            raise ValueError("resolution must be positive, got "
                              f"{self.resolution!r}")
         for lo, hi in self.bounds:
             if not lo < hi:

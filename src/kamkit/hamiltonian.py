@@ -1031,9 +1031,10 @@ class ClassNormParams:
     def __post_init__(self):
         if not (0 < self.sigma <= 1 and 0 < self.mu <= 1):
             raise ValueError("sigma and mu must lie in (0, 1]")
-        for name in ("n_theta", "n_dirs", "radial_levels"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        for name, low in (("n_theta", 1), ("n_dirs", 1), ("radial_levels", 1),
+                          ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}")
 
 
 def _halving_grid(top: float, floor: float) -> list[float]:

@@ -62,24 +62,19 @@ class Schedule:
     def __post_init__(self):
         for name, low in (("max_super", 1), ("max_inner", 1),
                           ("max_picard", 1), ("work_degree", 2)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < low:
-                raise ValueError(f"{name} must be an integer of at least "
-                                 f"{low}, got {v!r}")
-
-        def number(name, ok, want):
-            v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, (int, float))
-                    or not ok(v)):
-                raise ValueError(f"{name} must be {want}, got {v!r}")
+            if (v := getattr(self, name)) < low:
+                raise ValueError(f"{name} must be at least {low}, got {v!r}")
         # the fold assumes that the partition only coarsens
-        number("delta_theta", lambda v: 1 <= v < math.inf,
-               "a finite number of at least 1")
-        number("gamma_decay", lambda v: 0 < v <= 1, "in (0, 1]")
-        number("domain_decay", lambda v: 0 <= v <= 1, "in [0, 1]")
-        for name in ("eps_target", "prune_tol", "rel_prune",
-                     "rel_prune_rest"):
-            number(name, lambda v: v >= 0, "nonnegative")
+        for name, ok, want in (
+                ("delta_theta", lambda v: 1 <= v < math.inf,
+                 "a finite number of at least 1"),
+                ("gamma_decay", lambda v: 0 < v <= 1, "in (0, 1]"),
+                ("domain_decay", lambda v: 0 <= v <= 1, "in [0, 1]"),
+                *((name, lambda v: v >= 0, "nonnegative") for name in (
+                    "eps_target", "prune_tol", "rel_prune",
+                    "rel_prune_rest"))):
+            if not ok(v := getattr(self, name)):
+                raise ValueError(f"{name} must be {want}, got {v!r}")
 
 
 @dataclass
@@ -384,6 +379,11 @@ def singular_gate_inputs(nform, norm_params: ClassNormParams,
     return eps, nform.a2_floor, chi, xi
 
 
+# the theorem constants of the singular gate, with their defaults
+THRESHOLD_CONSTANTS = {"eps0": 1.0, "kappa": 1.0, "beta_bar": 1.0,
+                       "aleph": 0.25, "c29": 1.0}
+
+
 def singular_threshold(eps: float, delta0: float, chi: float, xi: float,
                        constants: dict | None = None):
     """Smallness gate for the singular application.
@@ -392,9 +392,11 @@ def singular_threshold(eps: float, delta0: float, chi: float, xi: float,
     eps * log(1/eps)^beta_bar <= eps0 * delta0^(1 + kappa*aleph).
     Returns (ok, margins), the bound/value ratios (>= 1 passes; 0 gives inf).
     """
-    c = dict(eps0=1.0, kappa=1.0, beta_bar=1.0, aleph=0.25, c29=1.0)
-    if constants:
-        c.update(constants)
+    unknown = set(constants or ()) - set(THRESHOLD_CONSTANTS)
+    if unknown:
+        raise ValueError("unknown threshold constants: "
+                         + ", ".join(sorted(unknown)))
+    c = {**THRESHOLD_CONSTANTS, **(constants or {})}
     if delta0 <= 0 or min(eps, chi, xi) < 0:
         raise ValueError("need delta0 > 0 and eps, chi, xi >= 0")
     gate = c["c29"] * delta0 ** (1.0 - c["aleph"])

@@ -46,6 +46,11 @@ TWO_PI = 2 * math.pi
 _F4_CACHE = {}      # quartic beam integrals are reused across action values
 
 
+class ModelError(ValueError):
+    """A builder's rejection of its model's data: degenerate, non-generic,
+    not strongly admissible, a node outside the ball, and so on."""
+
+
 # ---------------------------------------------------------------------------
 # Fourier-convolution expansion machinery
 # ---------------------------------------------------------------------------
@@ -328,7 +333,7 @@ def _nodes_in_ball(nodes, ball, radius: float):
     """Reject a node that is not a key of ``ball``, the truncation."""
     for a in nodes:
         if a not in ball:
-            raise ValueError(f"node {a} lies outside the ball |a| <= "
+            raise ModelError(f"node {a} lies outside the ball |a| <= "
                              f"{radius:g}")
 
 
@@ -345,16 +350,16 @@ def build_beam(model: BeamModel):
     mu = dict(zip(sites, _beam_mu(model, X).tolist()))
     _nodes_in_ball(model.nodes, mu, model.radius)
     if any(v == 0 for v in mu.values()):
-        raise ValueError("degenerate model: mu_a = 0 on the truncation")
+        raise ModelError("degenerate model: mu_a = 0 on the truncation")
     by_sphere = {}
     for a, v in mu.items():
         by_sphere.setdefault(norm_sq(a), set()).add(v)
     vals = [next(iter(s)) for s in by_sphere.values() if len(s) == 1]
     if len(set(vals)) != len(vals):
-        raise ValueError("mu coincides on spheres of different radius")
+        raise ModelError("mu coincides on spheres of different radius")
     for a in model.nodes:
         if mu[a] <= 0:
-            raise ValueError("node with nonpositive mu cannot carry a torus")
+            raise ModelError("node with nonpositive mu cannot carry a torus")
     lam = {a: math.sqrt(abs(v)) for a, v in mu.items()}
     fin = tuple(sorted(a for a in sites if mu[a] < 0 and a not in model.nodes))
     part = build_partition(model.delta, model.radius, model.d,
@@ -419,9 +424,9 @@ def build_nls(model: NlsModel):
     with angle dependence e^{i ktheta.theta}.
     """
     if model.alpha <= 0:
-        raise ValueError("smoothing exponent alpha must be positive")
+        raise ModelError("smoothing exponent alpha must be positive")
     if model.mass <= 0:
-        raise ValueError("mass must be positive")
+        raise ModelError("mass must be positive")
     sites = ball_points(model.radius, model.d)
     part = build_partition(model.delta, model.radius, model.d)
     n = len(model.rho)
@@ -588,7 +593,7 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
     nodes = tuple(tuple(a) for a in model.nodes)
     rep = check_admissible(nodes)
     if not rep.strongly_admissible:
-        raise ValueError("node set is not strongly admissible")
+        raise ModelError("node set is not strongly admissible")
     sites = ball_points(model.radius, model.d)
     nsq_of = {a: norm_sq(a) for a in sites}
     _nodes_in_ball(nodes, nsq_of, model.radius)
@@ -615,7 +620,7 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
             raise AssertionError(
                 "resonant quartic with three node slots contradicts "
                 "admissibility: %r" % (zk,))
-        raise ValueError("non-generic mass: Birkhoff divisor %.3e at %r"
+        raise ModelError("non-generic mass: Birkhoff divisor %.3e at %r"
                          % (div[i], zk))
     killed = int(np.count_nonzero(~resonant))
     min_div = float(np.abs(div[~resonant]).min(initial=math.inf))

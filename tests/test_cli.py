@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from kamkit import kam
+from kamkit import kam, models
 from kamkit.cli import build_model, main
 from kamkit.kam import Schedule
 from kamkit.lattice import build_partition
@@ -439,15 +439,95 @@ def test_kam_stage_abort_exits_4(tmp_path, capsys, monkeypatch):
     assert report[-1] == f"aborted={message}"
 
 
-def test_kam_unrelated_error_propagates(tmp_path, monkeypatch):
+@pytest.mark.parametrize("owner, name, error", [
+    (kam, "lie_transform", ValueError), (kam, "lie_transform", TypeError),
+    (models, "action_angle", ValueError),
+], ids=["lie-ValueError", "lie-TypeError", "build_beam-ValueError"])
+def test_kam_unrelated_error_propagates(tmp_path, monkeypatch, owner, name,
+                                        error):
+    """Only config faults are config errors: a bug in the iteration or in
+    a model builder propagates out of main with its own exception."""
     def broken(*args, **kwargs):
-        raise ValueError("bug in a bracket")
+        raise error("bug in a bracket")
 
-    monkeypatch.setattr(kam, "lie_transform", broken)
+    monkeypatch.setattr(owner, name, broken)
     cfg = write_cfg(tmp_path, {"output_dir": str(tmp_path / "out"),
                                "model": BEAM_MODEL})
-    with pytest.raises(ValueError, match="bug in a bracket"):
+    with pytest.raises(error, match="bug in a bracket"):
         main(["kam", cfg])
+
+
+SCAN = {"model": BEAM_MODEL, "grid": GRID}
+
+
+@pytest.mark.parametrize("command, cfg, fields", [
+    ("kam", {"model": dict(BEAM_MODEL, rho=["0.7", 1.3])}, ("'model.rho'",)),
+    ("kam", {"model": dict(BEAM_MODEL, actions=[True, 0.04])},
+     ("'model.actions'",)),
+    ("kam", {"model": BEAM_MODEL, "norm": {"sigma": True}}, ("'norm.sigma'",)),
+    ("kam", {"model": BEAM_MODEL, "weights": {"gamma1": True}},
+     ("'weights.gamma1'",)),
+    ("kam", {"model": dict(BEAM_MODEL, tail={"0": 0.5, "1_0": 0.5})},
+     ("'model.tail'",)),
+    ("kam", {"model": dict(BEAM_MODEL, tail={"-3": 0.5})}, ("'model.tail'",)),
+    ("kam", {"model": SINGULAR_MODEL,
+             "threshold": {"constants": {"eps_0": 100}}},
+     ("'threshold.constants'", "eps_0")),
+    ("kam", {"model": "beam"}, ("'model'",)),
+    ("kam", {"model": BEAM_MODEL, "schedule": "fast"}, ("'schedule'",)),
+    ("kam", {"model": dict(BEAM_MODEL, tail=[0.5])}, ("'model.tail'",)),
+    ("kam", {"model": dict(BEAM_MODEL, tail={"0": "0.5"})},
+     ("'model.tail'",)),
+    ("kam", {"model": dict(BEAM_MODEL, nonlinearity=[[3, [0, 0], "1.0"]])},
+     ("'model.nonlinearity[0]'",)),
+    ("kam", {"model": BEAM_MODEL, "weights": {"gamma1": "0.4"}},
+     ("'weights.gamma1'",)),
+    ("kam", {"model": BEAM_MODEL, "norm": {"n_theta": 2.5}},
+     ("'norm.n_theta'",)),
+    ("kam", {"model": BEAM_MODEL, "norm": {"seed": "x"}}, ("'norm.seed'",)),
+    ("scan", dict(SCAN, grid=dict(GRID, bounds=3)), ("'grid.bounds'",)),
+    ("scan", dict(SCAN, grid=dict(GRID, bounds=[["0.5", "0.9"], [1.1, 1.5]])),
+     ("'grid.bounds'",)),
+    ("kam", {"model": dict(BEAM_MODEL, nonlinearity=[[3, [0, 0]]])},
+     ("'model.nonlinearity'",)),
+    ("kam", {"model": BEAM_MODEL, "output_dir": 5}, ("'output_dir'",)),
+    ("kam", {"model": SINGULAR_MODEL,
+             "threshold": {"constants": {"eps0": "1"}}},
+     ("'threshold.constants.eps0'",)),
+    ("blocks", {"blocks": {"d": 2, "R": 4, "deltas": [1]},
+                "schedule": {"max_super": 0}}, ("'schedule'", "max_super")),
+    ("scan", dict(SCAN, norm={"sigma": 2.0}), ("'norm'", "sigma")),
+    ("kam", {"model": dict(SINGULAR_MODEL, nodes=[[0, 1], [0, 1]])},
+     ("'model.nodes'",)),
+    ("kam", {"model": BEAM_MODEL, "norm": {"seed": -1}}, ("'norm'", "seed")),
+    ("kam", {"model": dict(BEAM_MODEL, tail={"1": 0.5, "01": -2.0})},
+     ("'model.tail'",)),
+    ("kam", {"model": dict(BEAM_MODEL, nonlinearity=[[-1, [0, 0], 1.0]])},
+     ("'model.nonlinearity[0]'",)),
+    ("kam", {"model": dict(NLS_MODEL, forcing=[[[1], -1, 1, [0, 0], 0.1]])},
+     ("'model.forcing[0]'",)),
+    ("kam", {"model": dict(BEAM_MODEL, max_degree=-1)},
+     ("'model.max_degree'",)),
+], ids=["rho-string", "actions-true", "sigma-true", "gamma1-true",
+        "tail-underscore", "tail-negative", "threshold-typo", "model-string",
+        "schedule-string", "tail-list", "tail-string-value",
+        "coefficient-string", "gamma1-string", "n_theta-float",
+        "norm-seed-string", "bounds-number", "bounds-strings",
+        "nonlinearity-arity", "output_dir-number", "constant-string",
+        "blocks-schedule", "scan-norm", "duplicate-nodes",
+        "norm-seed-negative", "tail-leading-zero", "power-negative",
+        "forcing-power-negative", "max_degree-negative"])
+def test_malformed_config_names_its_field_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, command, cfg, fields):
+    """Every field is checked, not coerced, before anything is built or
+    written: a malformed value exits 2 and names its field."""
+    monkeypatch.chdir(tmp_path)
+    cfg = dict({"output_dir": "out"}, **cfg)
+    assert main([command, write_cfg(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert all(f in err for f in fields), err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 def test_kam_degenerate_model_is_a_config_error(tmp_path, capsys):
@@ -668,7 +748,8 @@ def test_manifest_lists_effective_tunables(tmp_path):
 
 @pytest.mark.parametrize("name, command", [
     ("desk_beam", "kam"), ("desk_beam", "blocks"), ("singular_gate", "kam"),
-], ids=["kam", "blocks", "singular_gate-kam"])
+    ("scan_beam", "scan"),
+], ids=["kam", "blocks", "singular_gate-kam", "scan"])
 def test_example_config_runs(tmp_path, name, command):
     """README's example configs stay valid for the commands they serve."""
     example = Path(__file__).parents[1] / "examples" / f"{name}.json"

@@ -281,6 +281,13 @@ def test_singular_threshold_gate():
         singular_threshold(-1.0, 0.1, 0.0, 0.0)
 
 
+def test_singular_threshold_rejects_unknown_constants():
+    ok, _ = singular_threshold(1e-12, 0.1, 1e-3, 1e-3, {"eps0": 100.0})
+    assert ok
+    with pytest.raises(ValueError, match="eps_0"):
+        singular_threshold(1e-12, 0.1, 1e-3, 1e-3, {"eps_0": 100.0})
+
+
 def test_singular_threshold_passes_a_zero_jet():
     ok, margins = singular_threshold(0.0, 0.1, 1e-3, 1e-3)
     assert ok and margins["eps"] == math.inf
