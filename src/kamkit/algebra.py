@@ -7,9 +7,11 @@ infinite part of the lattice.  The finite hyperbolic node set keeps real
 coordinates throughout, with the Poisson matrix ``symplectic(F)``.
 
 A ``WeightedMatrix`` stores its 2x2 blocks in a dict keyed by site pairs.
-Every product, application and norm stacks that dict once into int row and
-column indices over a sorted site list plus an (nnz, 2, 2) block array, and
-works on the arrays: products and applications through
+Each matrix stacks that dict once into its stacked form, int row and column
+indices over its sorted site list plus an (nnz, 2, 2) block array, and keeps
+it until a block is written; a product carries the form of its kept blocks.
+Products, applications and norms work on the arrays: products and
+applications through
 ``scipy.sparse.bsr_array``, the decay norm (``decay_norm``, which
 ``class_norm``'s hessian norm shares) through batched block norms
 (``spectral_norm_2x2``) times vectorised decay weights (``decay_weight``),
@@ -114,9 +116,18 @@ def seq_norm(z: SeqVector, w: WeightParams) -> float:
 
 @dataclass
 class WeightedMatrix:
-    """Sparse block matrix over the truncated lattice; absent blocks are 0."""
+    """Sparse block matrix over the truncated lattice; absent blocks are 0.
+
+    Blocks are written through ``set``/``add`` or by assigning a whole
+    ``.blocks`` dict; either drops the stacked form.  An item written
+    straight into ``.blocks`` is not seen by a form that was already
+    stacked.
+    """
     blocks: dict = field(default_factory=dict)  # (a, b) -> 2x2 complex
     truncation: float = math.inf
+    # (the blocks dict it was built from, sites, rows, cols, data)
+    _form: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def get(self, a, b) -> np.ndarray:
         return self.blocks.get((tuple(a), tuple(b)),
@@ -129,6 +140,7 @@ class WeightedMatrix:
             self.blocks[key] = M
         else:
             self.blocks.pop(key, None)
+        self._form = None
 
     def add(self, a, b, M):
         self.set(a, b, self.get(a, b) + np.asarray(M, dtype=complex))
@@ -151,10 +163,17 @@ class WeightedMatrix:
         C = _bsr(*A, len(sites)) @ _bsr(*B, len(sites))
         rows = np.repeat(np.arange(len(sites)), np.diff(C.indptr))
         keep = C.data.reshape(-1, 4).any(axis=1)
+        rows, cols = rows[keep], C.indices[keep].astype(np.int64)
+        data = C.data[keep]
         out = WeightedMatrix(truncation=self.truncation)
         out.blocks = {(sites[i], sites[j]): M for i, j, M in
-                      zip(rows[keep].tolist(), C.indices[keep].tolist(),
-                          C.data[keep])}
+                      zip(rows.tolist(), cols.tolist(), data)}
+        # the product's form: the sites it touches, ranked in sorted order
+        touched = np.zeros(len(sites), dtype=bool)
+        touched[rows] = touched[cols] = True
+        rank = np.cumsum(touched) - 1
+        out._form = (out.blocks, [s for s, t in zip(sites, touched.tolist())
+                                  if t], rank[rows], rank[cols], data)
         return out
 
     def apply(self, z: SeqVector) -> SeqVector:
@@ -165,22 +184,36 @@ class WeightedMatrix:
                           np.flatnonzero(y.any(axis=1)).tolist()})
 
 
+def _stacked(A: WeightedMatrix):
+    """A's stacked form (sites, rows, cols, data), built on first use and
+    kept while ``A.blocks`` is the dict it was built from."""
+    if A._form is None or A._form[0] is not A.blocks:
+        sites = sorted({s for key in A.blocks for s in key})
+        index = {s: i for i, s in enumerate(sites)}
+        n = len(A.blocks)
+        ij = np.array([(index[a], index[b]) for a, b in A.blocks],
+                      dtype=np.int64).reshape(n, 2)
+        data = np.array(list(A.blocks.values()), dtype=complex)
+        A._form = (A.blocks, sites, ij[:, 0], ij[:, 1], data.reshape(n, 2, 2))
+    return A._form[1:]
+
+
 def _stack(*mats: WeightedMatrix):
     """The blocks of ``mats`` as arrays over one shared site list.
 
     Returns (sites, per-matrix (rows, cols, data)): ``sites`` is the sorted
     union of the sites the matrices touch, rows and cols index into it, and
-    data is the (nnz, 2, 2) block array, all in ``.blocks`` order.
+    data is the (nnz, 2, 2) block array, all in ``.blocks`` order.  Each
+    matrix's rows and cols are remapped from its stacked form, whose data
+    array is returned as it is: callers do not write to it.
     """
-    sites = sorted({s for A in mats for key in A.blocks for s in key})
+    forms = [_stacked(A) for A in mats]
+    sites = sorted(set().union(*(f[0] for f in forms)))
     index = {s: i for i, s in enumerate(sites)}
     out = []
-    for A in mats:
-        n = len(A.blocks)
-        ij = np.array([(index[a], index[b]) for a, b in A.blocks],
-                      dtype=np.int64).reshape(n, 2)
-        data = np.array(list(A.blocks.values()), dtype=complex)
-        out.append((ij[:, 0], ij[:, 1], data.reshape(n, 2, 2)))
+    for own, rows, cols, data in forms:
+        remap = np.array([index[s] for s in own], dtype=np.int64)
+        out.append((remap[rows], remap[cols], data))
     return sites, out
 
 

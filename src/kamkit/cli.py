@@ -218,14 +218,14 @@ def read_model(cfg, name: str = "model"):
     return cls(**v)
 
 
-def _grid(cfg, params: int | None) -> ParameterGrid | None:
-    """The grid section over ``params`` parameters (None: a command that
-    only records it), or None when there is none."""
+def _grid(cfg, params: int) -> ParameterGrid | None:
+    """The grid section over ``params`` parameters, or None when there is
+    none."""
     if cfg is None:
         return None
     s = _Section(cfg, "grid", ("bounds", "resolution", "ball"))
     bounds = s("bounds", _BOUNDS)
-    if params is not None and len(bounds) != params:
+    if len(bounds) != params:
         raise ConfigError(f"field 'grid.bounds' has {len(bounds)} axes; "
                           f"expected {params}, the model's parameter count")
     try:
@@ -286,8 +286,9 @@ def read_config(cfg, command: str) -> dict:
             c = root.section("threshold", ("constants",)).section(
                 "constants", THRESHOLD_CONSTANTS)
             conf["constants"] = {key: c(key, _FINITE) for key in c.raw}
-    conf["grid"] = root("grid", lambda v, key: _grid(v, params),
-                        _REQUIRED if command == "scan" else None)
+    if params is not None:      # scan, and kam on a beam or NLS model
+        conf["grid"] = root("grid", lambda v, key: _grid(v, params),
+                            _REQUIRED if command == "scan" else None)
     return conf
 
 
@@ -318,10 +319,11 @@ def write_manifest(conf: dict, extra: dict):
     manifest = {
         "seed": conf["seed"],
         "core_cutoff": 1.0,     # model partitions; cmd_blocks passes its own
-        "grid_resolution": conf["grid"].resolution if conf["grid"] else 64,
         "unstable_real_part_factor": 10,
         **{key: vars(conf[key]) for key in ("schedule", "weights", "norm")},
         **extra}
+    if conf.get("grid") is not None:
+        manifest["grid_resolution"] = conf["grid"].resolution
     (conf["output_dir"] / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
 

@@ -6,8 +6,10 @@ and the operator and boundary norms of a ``WeightedMatrix``.  They were
 ``kamkit.algebra`` definitions that no pipeline stage called; the bodies
 are unchanged, ``to_real_matrix`` taking the normal form as an argument
 instead of being its method.  The scalar ``bracket`` and ``weight`` are
-the definitions ``decay_weight`` is checked against.  Not used by the
-package."""
+the definitions ``decay_weight`` is checked against, and
+``_stack_from_dict``, the earlier ``_stack`` that stacks the ``.blocks``
+dicts afresh on every call, is the one the kept stacked forms are checked
+against.  Not used by the package."""
 from __future__ import annotations
 
 import math
@@ -44,6 +46,25 @@ def involution(z: SeqVector, finite_set=()) -> SeqVector:
         else:
             out.set(s, np.array([np.conj(v[1]), np.conj(v[0])]))
     return out
+
+
+def _stack_from_dict(*mats: WeightedMatrix):
+    """The blocks of ``mats`` as arrays over one shared site list.
+
+    Returns (sites, per-matrix (rows, cols, data)): ``sites`` is the sorted
+    union of the sites the matrices touch, rows and cols index into it, and
+    data is the (nnz, 2, 2) block array, all in ``.blocks`` order.
+    """
+    sites = sorted({s for A in mats for key in A.blocks for s in key})
+    index = {s: i for i, s in enumerate(sites)}
+    out = []
+    for A in mats:
+        n = len(A.blocks)
+        ij = np.array([(index[a], index[b]) for a, b in A.blocks],
+                      dtype=np.int64).reshape(n, 2)
+        data = np.array(list(A.blocks.values()), dtype=complex)
+        out.append((ij[:, 0], ij[:, 1], data.reshape(n, 2, 2)))
+    return sites, out
 
 
 def operator_norm(A: WeightedMatrix, w: WeightParams, tol=1e-10,

@@ -9,6 +9,7 @@ from kamkit.algebra import (
     SeqVector,
     WeightParams,
     WeightedMatrix,
+    _stack,
     decay_weight,
     matrix_norm,
     seq_norm,
@@ -17,9 +18,10 @@ from kamkit.algebra import (
 from kamkit.hamiltonian import NormalFormHamiltonian
 from kamkit.lattice import ball_points, build_partition
 
-from _reference_algebra import (b_norm, bracket, check_normal_form,
-                                involution, operator_norm, pi_project,
-                                to_complex, to_real_matrix, weight)
+from _reference_algebra import (_stack_from_dict, b_norm, bracket,
+                                check_normal_form, involution, operator_norm,
+                                pi_project, to_complex, to_real_matrix,
+                                weight)
 
 
 def random_matrix(rng, sites, density=0.3, truncation=8.0):
@@ -139,24 +141,28 @@ def _dense_matrix_norm(D, sites, w):
     return max((bn * wt).sum(axis=1).max(), (bn * wt).sum(axis=0).max())
 
 
+def _random_block(rng):
+    return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+
+
+def blocks_on(rng, rows, cols):
+    """Random blocks on half of rows x cols."""
+    A = WeightedMatrix()
+    for a in rows:
+        for b in cols:
+            if rng.random() < 0.5:
+                A.set(a, b, _random_block(rng))
+    return A
+
+
 def test_stacked_paths_match_dense():
     rng = np.random.default_rng(11)
     w = WeightParams(0.3, 1.5, 0.5)
     pts = ball_points(3, 2)
     S1, S2, S3 = pts[:9], pts[9:18], pts[18:]
     sites = pts
-
-    def on(rows, cols):
-        A = WeightedMatrix()
-        for a in rows:
-            for b in cols:
-                if rng.random() < 0.5:
-                    A.set(a, b, rng.standard_normal((2, 2))
-                          + 1j * rng.standard_normal((2, 2)))
-        return A
-
-    A, B, E = on(S1, S2), on(S2, S3), WeightedMatrix()
-    full = on(pts, pts)
+    A, B, E = blocks_on(rng, S1, S2), blocks_on(rng, S2, S3), WeightedMatrix()
+    full = blocks_on(rng, pts, pts)
     z = SeqVector()
     for s in S2 + S3:
         z.set(s, rng.standard_normal(2) + 1j * rng.standard_normal(2))
@@ -194,6 +200,100 @@ def test_stacked_paths_match_dense():
     P = X.matmul(Y)
     assert set(P.blocks) == {(d, d)}
     assert np.array_equal(P.get(d, d), N)
+
+
+def _same_arrays(got, want):
+    """Equal dtype, shape and bytes."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _same_stack(got, want):
+    (sites, forms), (want_sites, want_forms) = got, want
+    assert sites == want_sites and len(forms) == len(want_forms)
+    for form, want_form in zip(forms, want_forms):
+        for x, y in zip(form, want_form, strict=True):
+            _same_arrays(x, y)
+
+
+def _same_blocks(P, Q):
+    """The same keys in the same order, and the same block bytes."""
+    assert list(P.blocks) == list(Q.blocks)
+    for M, N in zip(P.blocks.values(), Q.blocks.values()):
+        _same_arrays(M, N)
+
+
+def test_stack_matches_dict_stacking_bit_for_bit():
+    """Stacking from the kept forms returns what stacking the dicts afresh
+    returns, in the same order and with the same bytes."""
+    rng = np.random.default_rng(17)
+    pts = ball_points(3, 2)
+    S1, S2, S3 = pts[:9], pts[9:18], pts[18:]
+    A, B, C = (blocks_on(rng, S1, S2), blocks_on(rng, S2, S3),
+               blocks_on(rng, S3, S3))
+    E = WeightedMatrix()
+    full = blocks_on(rng, pts, pts)
+    # one matrix, stacked cold and then from its kept form
+    for X in (A, full, full):
+        _same_stack(_stack(X), _stack_from_dict(X))
+    # several: overlapping (A, B share S2) and disjoint (A, C) site sets
+    for mats in ((A, B), (B, A), (A, C), (A, full, B), (C, A, C)):
+        _same_stack(_stack(*mats), _stack_from_dict(*mats))
+    # an empty matrix, alone and beside others
+    for mats in ((E,), (E, A), (A, E, B)):
+        _same_stack(_stack(*mats), _stack_from_dict(*mats))
+    # the forms products carry, an empty product among them
+    products = [A.matmul(B), B.matmul(A), full.matmul(A), full.matmul(full)]
+    assert products[1].blocks == {}
+    # a product whose blocks cancel exactly (integer entries, so every
+    # partial sum is exact): one block survives, on one of the four sites
+    a, b, c, d = pts[:4]
+    M = rng.integers(-5, 6, (2, 2)) + 1j * rng.integers(-5, 6, (2, 2))
+    X, Y = WeightedMatrix(), WeightedMatrix()
+    X.set(a, b, M)
+    X.set(a, c, -M)
+    X.set(d, c, I2)
+    Y.set(b, d, I2)
+    Y.set(c, d, I2)
+    products.append(X.matmul(Y))
+    assert list(products[-1].blocks) == [(d, d)]
+    for P in products:
+        _same_stack(_stack(P), _stack_from_dict(P))
+        _same_stack(_stack(P, A), _stack_from_dict(P, A))
+
+
+def test_stacked_form_follows_every_write():
+    """After each kind of write to a matrix that was already stacked, its
+    norm, products and application equal those of a fresh copy of the same
+    blocks, bit for bit."""
+    rng = np.random.default_rng(19)
+    w = WeightParams(0.3, 1.5, 0.5)
+    pts = ball_points(3, 2)
+    A, B = random_matrix(rng, pts[:12]), random_matrix(rng, pts)
+    z = SeqVector()
+    for s in pts:
+        z.set(s, rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    old = next(iter(A.blocks))
+    new = (pts[20], pts[3])       # pts[20] is not yet a site of A
+    writes = {
+        "set a new block": lambda: A.set(*new, _random_block(rng)),
+        "overwrite a block": lambda: A.set(*old, _random_block(rng)),
+        "set a zero block": lambda: A.set(*old, np.zeros((2, 2))),
+        "add": lambda: A.add(*new, _random_block(rng)),
+        "assign .blocks": lambda: setattr(
+            A, "blocks", dict(list(A.blocks.items())[::2])),
+    }
+    for what, write in writes.items():
+        matrix_norm(A, w)
+        write()
+        F = WeightedMatrix(dict(A.blocks), A.truncation)
+        assert matrix_norm(A, w) == matrix_norm(F, w), what
+        _same_blocks(A.matmul(B), F.matmul(B))
+        _same_blocks(B.matmul(A), B.matmul(F))
+        y, y_fresh = A.apply(z), F.apply(z)
+        assert list(y.entries) == list(y_fresh.entries), what
+        for u, v in zip(y.entries.values(), y_fresh.entries.values()):
+            _same_arrays(u, v)
 
 
 def test_operator_norm_power_iteration_matches_svd():

@@ -259,6 +259,7 @@ def test_scan_beam_defaults_pass_and_record_tau(tmp_path):
     assert main(["scan", cfg]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["guard"]["tau"] == 3          # n + 1 with two nodes
+    assert manifest["grid_resolution"] == 8
     assert manifest["surviving_measure"] > 0
     assert manifest["melnikov_bad_measure"] > 0   # one cell excised
     assert (out / "surviving.mask").exists()
@@ -739,11 +740,30 @@ def test_manifest_lists_effective_tunables(tmp_path):
     })
     assert main(["blocks", cfg]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    for key in ("core_cutoff", "grid_resolution", "schedule", "weights",
+    for key in ("core_cutoff", "schedule", "weights",
                 "norm", "seed", "unstable_real_part_factor"):
         assert key in manifest
     assert manifest["schedule"]["delta_theta"] == 2.0
     assert manifest["norm"]["n_theta"] == 8
+
+
+def test_only_commands_that_use_a_grid_read_or_record_it(tmp_path):
+    """blocks and a singular kam never read the grid section, so a bad one
+    passes and their manifests have no grid_resolution (a scan manifest
+    records it: test_scan_beam_defaults_pass_and_record_tau)."""
+    bad_grid = {"bounds": [[0, 1]], "resolution": 0}
+    out = tmp_path / "blocks"
+    cfg = write_cfg(tmp_path, {"output_dir": str(out), "grid": bad_grid,
+                               "blocks": {"d": 2, "R": 3, "deltas": [2]}})
+    assert main(["blocks", cfg]) == 0
+    assert "grid_resolution" not in json.loads(
+        (out / "manifest.json").read_text())
+    out = tmp_path / "singular"
+    cfg = write_cfg(tmp_path, {"output_dir": str(out), "grid": bad_grid,
+                               "model": SINGULAR_MODEL})
+    assert main(["kam", cfg]) == 0
+    assert "grid_resolution" not in json.loads(
+        (out / "manifest.json").read_text())
 
 
 @pytest.mark.parametrize("name, command", [
