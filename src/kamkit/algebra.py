@@ -40,7 +40,9 @@ J2 = symplectic(1)
 
 @dataclass(frozen=True)
 class WeightParams:
-    """Weights for the sequence space and the matrix decay norms."""
+    """Weights for the sequence space and the matrix decay norms.
+    ``m_star`` enters no computation; only the tests' boundary-norm
+    oracle reads it."""
     gamma1: float = 0.0
     gamma2: float = 1.0
     kappa: float = 0.0

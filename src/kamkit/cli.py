@@ -21,8 +21,8 @@ from .algebra import WeightParams
 from .divisors import ParameterGrid, check_A1, melnikov_scan
 # class_norm is not called here, but perfbench's tracer wraps cli.class_norm
 from .hamiltonian import ClassNormParams, StageAbort, class_norm  # noqa: F401
-from .kam import (THRESHOLD_CONSTANTS, Schedule, run, singular_gate_inputs,
-                  singular_threshold)
+from .kam import (THRESHOLD_CONSTANTS, UNSTABLE_FACTOR, Schedule, run,
+                  singular_gate_inputs, singular_threshold)
 from .lattice import build_partition, build_partitions, max_diameter
 from .models import (BeamModel, ModelError, NlsModel, SingularBeamModel,
                      build_beam, build_nls, build_singular)
@@ -247,17 +247,13 @@ def load_config(path: str):
 
 def read_config(cfg, command: str) -> dict:
     """Every value ``command`` uses or records, each read once through its
-    check, before a model is built or a file is written."""
+    check, before a model is built or a file is written.  A section is
+    read only by a command that uses a value from it."""
     root = _Section(cfg, "config", ("seed", "output_dir", "blocks", "model",
                                     "grid", "guard", "schedule", "weights",
                                     "norm", "threshold"))
     conf = {"seed": root("seed", _INTEGER, 0),
-            "output_dir": Path(root("output_dir", _TEXT, "out")),
-            "schedule": _params(root, "schedule", Schedule),
-            "weights": _params(root, "weights", WeightParams, gamma1=0.4,
-                               kappa=0.5),
-            "norm": _params(root, "norm", ClassNormParams)}
-    params = None
+            "output_dir": Path(root("output_dir", _TEXT, "out"))}
     if command == "blocks":
         s = root.section("blocks", ("d", "R", "deltas", "finite_set",
                                     "core_cutoff"), required=True)
@@ -268,27 +264,30 @@ def read_config(cfg, command: str) -> dict:
                         lambda v: _is_number(v) and 0 <= v <= R,
                         f"a nonnegative number no larger than R = {R:g}"),
                         1.0))
-    else:
-        model = conf["model"] = root("model", read_model)
-        n = len(model.rho if isinstance(model, NlsModel) else model.nodes)
-        g = root.section("guard", ("delta0", "C", "tau", "beta", "c",
-                                   "K_max"))
-        conf["guard"] = {"K_max": g("K_max", _COUNT, 20 * n), **{
-            key: g(key, _POSITIVE, default) for key, default in (
-                ("delta0", 1e-8), ("C", 1.0), ("tau", n + 1), ("beta", 1.0),
-                ("c", 1.0))}}
-        if not isinstance(model, SingularBeamModel):
-            params = n
-        elif command == "scan":
-            raise ConfigError("scan expects a parameterized model (beam or "
-                              "nls)")
-        else:
-            c = root.section("threshold", ("constants",)).section(
-                "constants", THRESHOLD_CONSTANTS)
-            conf["constants"] = {key: c(key, _FINITE) for key in c.raw}
-    if params is not None:      # scan, and kam on a beam or NLS model
-        conf["grid"] = root("grid", lambda v, key: _grid(v, params),
-                            _REQUIRED if command == "scan" else None)
+        return conf
+    model = conf["model"] = root("model", read_model)
+    singular = isinstance(model, SingularBeamModel)
+    if singular and command == "scan":
+        raise ConfigError("scan expects a parameterized model (beam or nls)")
+    if command == "kam":
+        conf.update(weights=_params(root, "weights", WeightParams,
+                                    gamma1=0.4, kappa=0.5),
+                    norm=_params(root, "norm", ClassNormParams))
+    if singular:
+        c = root.section("threshold", ("constants",)).section(
+            "constants", THRESHOLD_CONSTANTS)
+        conf["constants"] = {key: c(key, _FINITE) for key in c.raw}
+        return conf
+    n = len(model.rho if isinstance(model, NlsModel) else model.nodes)
+    g = root.section("guard", ("delta0", "C", "tau", "beta", "c", "K_max"))
+    conf["guard"] = {"K_max": g("K_max", _COUNT, 20 * n), **{
+        key: g(key, _POSITIVE, default) for key, default in (
+            ("delta0", 1e-8), ("C", 1.0), ("tau", n + 1), ("beta", 1.0),
+            ("c", 1.0))}}
+    conf["grid"] = root("grid", lambda v, key: _grid(v, n),
+                        _REQUIRED if command == "scan" else None)
+    if command == "kam":
+        conf["schedule"] = _params(root, "schedule", Schedule)
     return conf
 
 
@@ -314,14 +313,13 @@ def _write(path: Path, lines):
 
 
 def write_manifest(conf: dict, extra: dict):
-    """Every ledgered tunable of the read config ``conf`` with its
-    effective value, plus run extras."""
-    manifest = {
-        "seed": conf["seed"],
-        "core_cutoff": 1.0,     # model partitions; cmd_blocks passes its own
-        "unstable_real_part_factor": 10,
-        **{key: vars(conf[key]) for key in ("schedule", "weights", "norm")},
-        **extra}
+    """What the command read into ``conf``, each value as it took effect,
+    plus run extras."""
+    manifest = {"seed": conf["seed"], **extra, **{
+        key: vars(conf[key]) for key in ("schedule", "weights", "norm")
+        if key in conf}}
+    if "guard" in conf:
+        manifest["guard"] = conf["guard"]
     if conf.get("grid") is not None:
         manifest["grid_resolution"] = conf["grid"].resolution
     (conf["output_dir"] / "manifest.json").write_text(
@@ -383,7 +381,7 @@ def cmd_scan(cfg: dict) -> int:
         flat[idx] = False
     (outdir / "surviving.mask").write_bytes(surviving.mask_bits())
     write_manifest(conf, {
-        "command": "scan", "guard": guard, "model_kind": kind,
+        "command": "scan", "model_kind": kind, "core_cutoff": p.core_cutoff,
         "surviving_measure": surviving.measure(),
         "a1_bad_measure": rep_a1.bad_measure,
         "melnikov_bad_measure": rep_mel.bad_measure,
@@ -397,17 +395,18 @@ def cmd_scan(cfg: dict) -> int:
 def cmd_kam(cfg: dict) -> int:
     conf = read_config(cfg, "kam")
     kind, model, built = build_model(conf["model"])
-    norm, weights, guard = conf["norm"], conf["weights"], conf["guard"]
+    norm, weights = conf["norm"], conf["weights"]
     outdir = conf["output_dir"]
     outdir.mkdir(parents=True, exist_ok=True)
-    extra = {"command": "kam", "guard": guard, "model_kind": kind}
+    extra = {"command": "kam", "model_kind": kind}
 
     if kind == "singular":
         eps, delta0, chi, xi = singular_gate_inputs(built, norm, weights)
         ok, margins = singular_threshold(eps, delta0, chi, xi,
                                          conf["constants"])
         extra.update({"threshold_inputs": [eps, delta0, chi, xi],
-                      "threshold_margins": margins,
+                      "threshold_margins": margins, "threshold_constants":
+                      {**THRESHOLD_CONSTANTS, **conf["constants"]},
                       "birkhoff_threshold": model.birkhoff_threshold})
         write_manifest(conf, extra)
         if not ok:
@@ -420,12 +419,15 @@ def cmd_kam(cfg: dict) -> int:
 
     h, f = built
     report = run(h, f, conf["schedule"], weights,
-                 guard_delta0=guard["delta0"], norm=norm, grid=conf["grid"])
+                 guard_delta0=conf["guard"]["delta0"], norm=norm,
+                 grid=conf["grid"])
     metrics = [json.dumps(m, sort_keys=True)
                for m in report.state.metrics]
     _write(outdir / "metrics.jsonl", metrics or ["{}"])
     _write(outdir / "final_report.txt", report.dump_lines())
-    extra["eps_history"] = report.eps_history
+    extra.update(eps_history=report.eps_history,
+                 core_cutoff=h.partition.core_cutoff,
+                 unstable_real_part_factor=UNSTABLE_FACTOR)
     write_manifest(conf, extra)
     if report.aborted:
         print(f"stage abort: {report.aborted}", file=sys.stderr)

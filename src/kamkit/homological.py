@@ -46,6 +46,9 @@ from .hamiltonian import (
 )
 from .lattice import _tuples, pseudo_dist_sq
 
+PRUNE_TOL = 1e-18       # the Picard brackets and the residual drop terms below
+PICARD_TOL = 1e-14      # Picard stops at an update below this times S's scale
+
 
 @dataclass
 class DivisorGuard:
@@ -71,7 +74,6 @@ class HomologicalSolution:
     h: NormalFormHamiltonian      # operands of the residual
     f_T: Polynomial
     f_rest: Polynomial
-    prune_tol: float
 
     @cached_property
     def residual(self) -> Polynomial:
@@ -79,11 +81,11 @@ class HomologicalSolution:
         independently with full polynomial brackets on first read."""
         fset = self.h.finite_set
         residual = (poisson(self.h.to_polynomial(), self.S, finite_set=fset,
-                            max_degree=2, tol=self.prune_tol).jet()
+                            max_degree=2, tol=PRUNE_TOL).jet()
                     + poisson(self.f_rest, self.S, finite_set=fset,
-                              max_degree=2, tol=self.prune_tol).jet()
+                              max_degree=2, tol=PRUNE_TOL).jet()
                     + self.f_T - self.h_tilde.to_polynomial())
-        return residual.prune(self.prune_tol)
+        return residual.prune(PRUNE_TOL)
 
 
 # -- the class table ----------------------------------------------------------
@@ -532,8 +534,7 @@ def _solve_hyperbolic_pair(k, kw, ci, cj, t, a, b, cu, cv, C, ca, guard, ht,
 
 def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
                       guard: DivisorGuard, gamma1: float = 1.0,
-                      max_picard: int = 3, tol: float = 1e-14,
-                      prune_tol: float = 1e-20,
+                      max_picard: int = 3,
                       tables: ClassTable | None = None) -> HomologicalSolution:
     """Solve {h,S} + jet({f - jet(f), S}) + jet(f) = h_tilde.
 
@@ -555,7 +556,7 @@ def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
             break
         # only the jet of the bracket feeds back, so degree 2 suffices
         corr = poisson(f_rest, S, finite_set=fset,
-                       max_degree=2, tol=prune_tol).jet()
+                       max_degree=2, tol=PRUNE_TOL).jet()
         if not len(corr):
             break
         guard2 = DivisorGuard(delta0=guard.delta0)
@@ -565,7 +566,7 @@ def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
         updates.append(upd)
         S = S_new
         guard.failures = guard2.failures
-        if upd <= tol * max(S.max_coeff(), scale):
+        if upd <= PICARD_TOL * max(S.max_coeff(), scale):
             break
         if len(updates) >= 2 and updates[-1] > updates[-2]:
             raise StageAbort("picard", len(updates),
@@ -574,4 +575,4 @@ def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
     return HomologicalSolution(S=S, h_tilde=ht, skipped_report=skipped,
                                divisor_log=divlog, guard=guard,
                                picard_updates=updates, h=h, f_T=f_T,
-                               f_rest=f_rest, prune_tol=prune_tol)
+                               f_rest=f_rest)

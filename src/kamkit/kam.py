@@ -15,6 +15,13 @@ wait for a coarser partition, and only the next super step can help.  Each
 block's reason, ``target``, ``stalled`` or ``count``, is kept in the
 metrics and the report.  Deliberate aborts raise ``StageAbort``, which
 names the stage; ``run`` reports those and lets any other error through.
+
+The method's choices are module constants, fixed for every run: the
+partition growth ``DELTA_THETA``, the decays ``GAMMA_DECAY`` and
+``DOMAIN_DECAY``, the Lie series' ``WORK_DEGREE``, the prune cuts
+``REL_PRUNE`` and ``REL_PRUNE_REST`` (floored at the Picard cut
+``homological.PRUNE_TOL``), ``STALL_RATIO`` and the spectrum's
+``UNSTABLE_FACTOR``.  A ``Schedule`` holds only what a run varies.
 """
 from __future__ import annotations
 
@@ -27,54 +34,40 @@ from .algebra import I2, J2, WeightParams, symplectic
 from .divisors import ParameterGrid, excise
 from .hamiltonian import (ClassNormParams, NormalFormHamiltonian, Polynomial,
                           StageAbort, class_norm, lie_transform)
-from .homological import (ClassTable, DivisorGuard, class_tables,
-                          solve_homological)
+from .homological import (PRUNE_TOL, ClassTable, DivisorGuard,
+                          class_tables, solve_homological)
 from .lattice import BlockPartition, build_partition, norm_sq
 
 # a block ends once a step leaves eps above this fraction of its old value
 STALL_RATIO = 0.5
+# Delta_{k+1} = ceil(Delta_k ** DELTA_THETA); at least 1, since the fold
+# assumes that the partition only coarsens
+DELTA_THETA = 2.0
+GAMMA_DECAY = 0.9       # gamma_{k+1} = GAMMA_DECAY * gamma_k
+DOMAIN_DECAY = 0.5      # approach to the sigma/2, mu/2 endpoint
+WORK_DEGREE = 4         # the Lie series' degree cap
+REL_PRUNE = 1e-10       # cutoff relative to the f scale
+# looser cutoff for non-jet terms, relative to the f scale; the Lie series
+# also screens its brackets' non-jet pairs at it
+REL_PRUNE_REST = 1e-6
+UNSTABLE_FACTOR = 10    # unstable: real part above this times the roundoff
 
 
 @dataclass
 class Schedule:
-    """Outer-loop knobs: partition growth, domain decay, stop rules.
-
-    The first partition is the model's (its range is ``model.delta``);
-    each super step coarsens it to Delta_{k+1} = ceil(Delta_k ** theta).
-    Inner blocks also stop on a stall, a step that leaves eps above
-    ``STALL_RATIO`` (0.5) times its previous value; that ratio is a module
-    constant, not a knob.
-    """
-    delta_theta: float = 2.0          # Delta_{k+1} = ceil(Delta_k ** theta)
-    gamma_decay: float = 0.9
-    domain_decay: float = 0.5         # approach to the sigma/2, mu/2 endpoint
+    """What a run varies: the eps target and the budgets of super steps
+    and of inner steps per block (the cap on K_k)."""
     eps_target: float = 1e-12
     max_super: int = 6
-    max_inner: int = 25               # cap on K_k
-    work_degree: int = 4
-    max_picard: int = 3
-    prune_tol: float = 1e-18
-    rel_prune: float = 1e-10          # cutoff relative to the f scale
-    # looser cutoff for non-jet terms, relative to the f scale; the Lie
-    # series also screens its brackets' non-jet pairs at it
-    rel_prune_rest: float = 1e-6
+    max_inner: int = 25
 
     def __post_init__(self):
-        for name, low in (("max_super", 1), ("max_inner", 1),
-                          ("max_picard", 1), ("work_degree", 2)):
-            if (v := getattr(self, name)) < low:
-                raise ValueError(f"{name} must be at least {low}, got {v!r}")
-        # the fold assumes that the partition only coarsens
-        for name, ok, want in (
-                ("delta_theta", lambda v: 1 <= v < math.inf,
-                 "a finite number of at least 1"),
-                ("gamma_decay", lambda v: 0 < v <= 1, "in (0, 1]"),
-                ("domain_decay", lambda v: 0 <= v <= 1, "in [0, 1]"),
-                *((name, lambda v: v >= 0, "nonnegative") for name in (
-                    "eps_target", "prune_tol", "rel_prune",
-                    "rel_prune_rest"))):
-            if not ok(v := getattr(self, name)):
-                raise ValueError(f"{name} must be {want}, got {v!r}")
+        for name in ("max_super", "max_inner"):
+            if (v := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be at least 1, got {v!r}")
+        if not self.eps_target >= 0:
+            raise ValueError("eps_target must be nonnegative, got "
+                             f"{self.eps_target!r}")
 
 
 @dataclass
@@ -154,7 +147,7 @@ def _excise_failures(state: IterationState, failures, delta0: float):
                          "empty surviving grid after divisor excision")
 
 
-def inner_step(state: IterationState, schedule: Schedule, guard_delta0: float,
+def inner_step(state: IterationState, guard_delta0: float,
                tables: ClassTable | None = None,
                h_poly: Polynomial | None = None) -> IterationState:
     """One homological solve and jet transform at frozen normal form.
@@ -171,16 +164,15 @@ def inner_step(state: IterationState, schedule: Schedule, guard_delta0: float,
     F = (state.f if state.h_acc is None
          else state.h_acc.to_polynomial() + state.f)
     sol = solve_homological(h, F, guard, gamma1=state.weights.gamma1,
-                            max_picard=schedule.max_picard,
-                            prune_tol=schedule.prune_tol, tables=tables)
+                            tables=tables)
     _merge_divisors(state.divisor_table, sol.divisor_log)
     _excise_failures(state, guard.failures, guard_delta0)
     ht_poly = sol.h_tilde.to_polynomial()
     scale = F.max_coeff()
-    cut = max(schedule.prune_tol, schedule.rel_prune * scale)
-    cut_rest = max(cut, schedule.rel_prune_rest * scale)
+    cut = max(PRUNE_TOL, REL_PRUNE * scale)
+    cut_rest = max(cut, REL_PRUNE_REST * scale)
     G = lie_transform(h_poly + F, sol.S, finite_set=h.finite_set,
-                      max_degree=schedule.work_degree, tol=cut,
+                      max_degree=WORK_DEGREE, tol=cut,
                       rest_tol=cut_rest)
     f_next = G - h_poly - ht_poly
     f_next.prune_split(cut, cut_rest)
@@ -239,13 +231,13 @@ def super_step(state: IterationState, schedule: Schedule) -> IterationState:
     """Fold corrections, coarsen the partition, shrink the domain."""
     p = state.h.partition
     delta = (p.delta if math.isinf(p.delta)
-             else math.ceil(p.delta ** schedule.delta_theta))
+             else math.ceil(p.delta ** DELTA_THETA))
     p_new = build_partition(delta, p.radius, p.d, finite_set=p.finite_set,
                             core_cutoff=p.core_cutoff, exclude=p.exclude)
     state.h = _fold_h_acc(state.h, state.h_acc, p_new)
     state.h_acc = None
-    w, nrm, decay = state.weights, state.norm, schedule.domain_decay
-    state.weights = replace(w, gamma1=w.gamma1 * schedule.gamma_decay)
+    w, nrm, decay = state.weights, state.norm, DOMAIN_DECAY
+    state.weights = replace(w, gamma1=w.gamma1 * GAMMA_DECAY)
     state.norm = replace(
         nrm, sigma=state.sigma_end + (nrm.sigma - state.sigma_end) * decay,
         mu=state.mu_end + (nrm.mu - state.mu_end) * decay)
@@ -291,7 +283,7 @@ def _spectrum_report(h: NormalFormHamiltonian):
         F = Hf.shape[0] // 2
         ev = np.linalg.eigvals(symplectic(F) @ Hf)
         tol = 1e-10 * max(1.0, np.abs(ev).max())
-        unstable = int((ev.real > 10 * tol).sum())
+        unstable = int((ev.real > UNSTABLE_FACTOR * tol).sum())
     p = h.partition
     for ci in range(len(p.classes)):
         if ci == p.finite_index:
@@ -329,8 +321,8 @@ def run(h: NormalFormHamiltonian, f: Polynomial, schedule: Schedule,
             stop = "count"
             for _ in range(state.K):
                 eps_before = state.eps
-                state = inner_step(state, schedule, guard_delta0,
-                                   tables=tables, h_poly=h_poly)
+                state = inner_step(state, guard_delta0, tables=tables,
+                                   h_poly=h_poly)
                 if state.eps <= schedule.eps_target:
                     stop = "target"
                     break

@@ -236,9 +236,8 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert main(["blocks", cfg]) == 2
     assert "workers" in capsys.readouterr().err
     cfg = write_cfg(tmp_path, {"output_dir": str(tmp_path / "out"),
-                               "norm": {"s_star": 1},
-                               "blocks": {"d": 2, "R": 4, "deltas": [1]}})
-    assert main(["blocks", cfg]) == 2
+                               "norm": {"s_star": 1}, "model": BEAM_MODEL})
+    assert main(["kam", cfg]) == 2
     assert "unknown keys in 'norm': s_star" in capsys.readouterr().err
     cfg = write_cfg(tmp_path, {
         "output_dir": str(tmp_path / "out"),
@@ -495,9 +494,10 @@ SCAN = {"model": BEAM_MODEL, "grid": GRID}
     ("kam", {"model": SINGULAR_MODEL,
              "threshold": {"constants": {"eps0": "1"}}},
      ("'threshold.constants.eps0'",)),
-    ("blocks", {"blocks": {"d": 2, "R": 4, "deltas": [1]},
-                "schedule": {"max_super": 0}}, ("'schedule'", "max_super")),
-    ("scan", dict(SCAN, norm={"sigma": 2.0}), ("'norm'", "sigma")),
+    ("kam", {"model": NLS_MODEL, "schedule": {"max_super": 0}},
+     ("'schedule'", "max_super")),
+    ("kam", {"model": SINGULAR_MODEL, "norm": {"sigma": 2.0}},
+     ("'norm'", "sigma")),
     ("kam", {"model": dict(SINGULAR_MODEL, nodes=[[0, 1], [0, 1]])},
      ("'model.nodes'",)),
     ("kam", {"model": BEAM_MODEL, "norm": {"seed": -1}}, ("'norm'", "seed")),
@@ -515,7 +515,7 @@ SCAN = {"model": BEAM_MODEL, "grid": GRID}
         "coefficient-string", "gamma1-string", "n_theta-float",
         "norm-seed-string", "bounds-number", "bounds-strings",
         "nonlinearity-arity", "output_dir-number", "constant-string",
-        "blocks-schedule", "scan-norm", "duplicate-nodes",
+        "nls-schedule", "singular-norm", "duplicate-nodes",
         "norm-seed-negative", "tail-leading-zero", "power-negative",
         "forcing-power-negative", "max_degree-negative"])
 def test_malformed_config_names_its_field_and_writes_nothing(
@@ -717,6 +717,9 @@ def test_kam_singular_threshold_gate(tmp_path, capsys):
                                     "c29": 2.0}},
     })
     assert main(["kam", cfg]) == 0
+    assert json.loads((out / "manifest.json").read_text())[
+        "threshold_constants"] == dict(kam.THRESHOLD_CONSTANTS, eps0=100.0,
+                                       c29=2.0)
 
 
 def test_kam_singular_zero_jet_passes_the_gate(tmp_path, capsys):
@@ -730,40 +733,48 @@ def test_kam_singular_zero_jet_passes_the_gate(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["threshold_inputs"][0] == 0.0
     assert manifest["threshold_margins"]["eps"] == math.inf
+    assert manifest["threshold_constants"] == kam.THRESHOLD_CONSTANTS
 
 
 def test_manifest_lists_effective_tunables(tmp_path):
     out = tmp_path / "out"
-    cfg = write_cfg(tmp_path, {
-        "output_dir": str(out),
-        "blocks": {"d": 2, "R": 3, "deltas": [2]},
-    })
-    assert main(["blocks", cfg]) == 0
+    cfg = write_cfg(tmp_path, {"output_dir": str(out), "model": BEAM_MODEL,
+                               "schedule": {"max_super": 1}})
+    assert main(["kam", cfg]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    for key in ("core_cutoff", "schedule", "weights",
-                "norm", "seed", "unstable_real_part_factor"):
+    for key in ("core_cutoff", "schedule", "weights", "norm", "guard",
+                "seed", "unstable_real_part_factor"):
         assert key in manifest
-    assert manifest["schedule"]["delta_theta"] == 2.0
+    assert manifest["schedule"] == {"eps_target": 1e-12, "max_super": 1,
+                                    "max_inner": 25}
+    assert manifest["unstable_real_part_factor"] == kam.UNSTABLE_FACTOR
+    _, _, (h, _) = build_model(BEAM_MODEL)
+    assert manifest["core_cutoff"] == h.partition.core_cutoff
     assert manifest["norm"]["n_theta"] == 8
 
 
 def test_only_commands_that_use_a_grid_read_or_record_it(tmp_path):
-    """blocks and a singular kam never read the grid section, so a bad one
-    passes and their manifests have no grid_resolution (a scan manifest
-    records it: test_scan_beam_defaults_pass_and_record_tau)."""
-    bad_grid = {"bounds": [[0, 1]], "resolution": 0}
-    out = tmp_path / "blocks"
-    cfg = write_cfg(tmp_path, {"output_dir": str(out), "grid": bad_grid,
-                               "blocks": {"d": 2, "R": 3, "deltas": [2]}})
-    assert main(["blocks", cfg]) == 0
-    assert "grid_resolution" not in json.loads(
-        (out / "manifest.json").read_text())
-    out = tmp_path / "singular"
-    cfg = write_cfg(tmp_path, {"output_dir": str(out), "grid": bad_grid,
-                               "model": SINGULAR_MODEL})
-    assert main(["kam", cfg]) == 0
-    assert "grid_resolution" not in json.loads(
-        (out / "manifest.json").read_text())
+    """A command reads only the sections it uses: a bad section that it
+    does not use passes, and its manifest lacks it (a scan manifest
+    records grid_resolution: test_scan_beam_defaults_pass_and_record_tau).
+    """
+    bad = {"grid": {"bounds": [[0, 1]], "resolution": 0},
+           "schedule": {"max_super": 0}, "weights": {"gamma1": -1.0},
+           "norm": {"sigma": True}, "guard": {"K_max": 0}}
+    for command, cfg, unused in (
+            ("blocks", {"blocks": {"d": 2, "R": 3, "deltas": [2]}},
+             ("grid", "schedule", "weights", "norm", "guard")),
+            ("scan", {"model": BEAM_MODEL, "grid": GRID,
+                      "guard": {"C": 0.1}}, ("schedule", "weights", "norm")),
+            ("kam", {"model": SINGULAR_MODEL}, ("grid", "schedule", "guard"))):
+        for section in unused:
+            out = tmp_path / command / section
+            path = write_cfg(tmp_path, dict(cfg, output_dir=str(out),
+                                            **{section: bad[section]}))
+            assert main([command, path]) == 0, (command, section)
+            manifest = json.loads((out / "manifest.json").read_text())
+            key = "grid_resolution" if section == "grid" else section
+            assert key not in manifest, (command, section)
 
 
 @pytest.mark.parametrize("name, command", [

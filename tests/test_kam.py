@@ -52,9 +52,9 @@ def test_inner_step_contracts_the_jet():
     st = initial_state(h, f, sched, W)
     eps0 = st.eps
     assert eps0 > 0
-    st = inner_step(st, sched, guard_delta0=1e-10)
+    st = inner_step(st, guard_delta0=1e-10)
     assert st.eps < 0.2 * eps0
-    st = inner_step(st, sched, guard_delta0=1e-10)
+    st = inner_step(st, guard_delta0=1e-10)
     assert st.eps < 0.2 * eps0 ** 1.5
 
 
@@ -62,7 +62,7 @@ def test_accumulated_correction_stays_in_normal_form():
     h, f = beam_instance()
     sched = Schedule()
     st = initial_state(h, f, sched, W)
-    st = inner_step(st, sched, guard_delta0=1e-10)
+    st = inner_step(st, guard_delta0=1e-10)
     assert isinstance(st.h_acc, NormalFormHamiltonian)
     assert st.h_acc.partition is h.partition
     zero = (0,) * h.n
@@ -90,7 +90,7 @@ def test_transform_is_symplectic_on_probes():
     h, f = beam_instance()
     sched = Schedule()
     st = initial_state(h, f, sched, W)
-    st = inner_step(st, sched, guard_delta0=1e-10)
+    st = inner_step(st, guard_delta0=1e-10)
     S = st.transform_log[0]
     n, fset = h.n, h.finite_set
     F = Polynomial(n)
@@ -115,7 +115,7 @@ def test_super_step_folds_and_coarsens():
     st = initial_state(h, f, sched, W)
     omega0 = np.array(st.h.omega)
     for _ in range(2):
-        st = inner_step(st, sched, guard_delta0=1e-10)
+        st = inner_step(st, guard_delta0=1e-10)
     assert st.h_acc.to_polynomial().terms
     eps_before = st.eps
     st = super_step(st, sched)
@@ -238,7 +238,7 @@ def test_fold_equals_the_codec_fold_bit_for_bit(build, delta_new):
     sched = Schedule()
     st = initial_state(h, f, sched, W)
     for _ in range(2):
-        st = inner_step(st, sched, guard_delta0=1e-8)
+        st = inner_step(st, guard_delta0=1e-8)
     p = h.partition
     p_new = build_partition(delta_new, p.radius, p.d, finite_set=p.finite_set,
                             core_cutoff=p.core_cutoff, exclude=p.exclude)
