@@ -230,14 +230,23 @@ def _bsr(rows, cols, data, n: int) -> bsr_array:
 
 def decay_norm(X, rows, cols, ws: list):
     """The decay norm on one pattern, blocks at (rows[i], cols[i]) over the
-    sites X, as a function of the block norms bn: the max over ``ws`` of the
-    largest row or column sum of bn * decay_weight, weights computed once."""
+    sites X, as a function of a stack of block-norm rows bn (m, blocks):
+    the max over the rows and over ``ws`` of the largest row or column sum
+    of bn * decay_weight, weights computed once.  One bincount per weight
+    and side serves every row, on ids offset by row (built once per stack
+    height), so each bin still sums its blocks in block order."""
+    S = len(X)
     weights = [decay_weight(X[rows], X[cols], w) for w in ws]
+    sides = {}                        # stack height m -> offset ids
 
     def norm(bn):
-        return max(max(np.bincount(rows, v, len(X)).max(),
-                       np.bincount(cols, v, len(X)).max())
-                   for v in (bn * wt for wt in weights))
+        m = len(bn)
+        if m not in sides:
+            off = S * np.arange(m)[:, None]
+            sides[m] = ((rows + off).ravel(), (cols + off).ravel())
+        return max(np.bincount(ids, v, S * m).max()
+                   for v in ((bn * wt).ravel() for wt in weights)
+                   for ids in sides[m])
     return norm
 
 
@@ -247,4 +256,4 @@ def matrix_norm(A: WeightedMatrix, w: WeightParams) -> float:
     if not sites:
         return 0.0
     return float(decay_norm(np.array(sites), rows, cols, [w])(
-        spectral_norm_2x2(data)))
+        spectral_norm_2x2(data)[None]))

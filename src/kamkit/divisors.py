@@ -134,40 +134,52 @@ def check_A1(sites, lambda_fn, partition: BlockPartition, grid: ParameterGrid,
 
     ``lambda_fn(X, rho)`` takes the sites as the rows of an (m, d) int64
     array and one parameter point, and returns the (m,) float array of
-    L_a; it is called once per surviving cell.
+    L_a; it is called once per surviving cell.  The work is done once per
+    distinct L vector: cells whose L bytes are equal share the (a), (b),
+    (d) and (e) verdicts, and the (c) verdict where ``H_fn(rho)``'s bytes
+    are equal too.
     """
     sites = list(sites)
     labels = np.array([partition.class_of[s] for s in sites])
     X = np.array(sites, dtype=np.int64).reshape(len(sites), partition.d)
     nsq = (X * X).sum(axis=1).astype(float)
     br_pow = np.maximum(np.sqrt(nsq), 1.0) ** (-beta)
+    F = len(partition.finite_set)
+    J = symplectic(F)
+
+    def lam_fails(lam) -> list:   # (a), (b), (d), (e): L alone decides
+        return [f for f, failed in (
+            ("a", np.abs(lam).min() < delta0),
+            ("b", np.any(np.abs(lam - nsq) > c_const * br_pow)),
+            ("d", _min_abs_sum_pairs(lam) < delta0),
+            ("e", _min_cross_class_gap(lam, labels) < delta0)) if failed]
+
+    def c_fails(lam, H) -> bool:  # (c): L and H decide
+        JH = J @ H
+        L = np.unique(lam)[:, None, None] * np.eye(2 * F) - 1j * JH
+        return (np.linalg.svd(JH, compute_uv=False)[-1] < delta0
+                or np.linalg.svd(L, compute_uv=False)[:, -1].min() < delta0)
+
     bad = {}
     details = {"a": 0, "b": 0, "c": 0, "d": 0, "e": 0}
     centers = grid.centers()
     alive = grid.mask.ravel()
-    F = len(partition.finite_set)
-    J = symplectic(F)
+    by_lam, by_lam_H = {}, {}
     for ic, rho in enumerate(centers):
         if not alive[ic]:
             continue
         lam = lambda_fn(X, rho)
-        fails = []
-        if np.abs(lam).min() < delta0:
-            fails.append("a")
-        if np.any(np.abs(lam - nsq) > c_const * br_pow):
-            fails.append("b")
+        key = lam.tobytes()
+        if key not in by_lam:
+            by_lam[key] = lam_fails(lam)
+        fails = by_lam[key]
         if H_fn is not None and F > 0:
             H = np.asarray(H_fn(rho), dtype=float)
-            JH = J @ H
-            L = np.unique(lam)[:, None, None] * np.eye(2 * F) - 1j * JH
-            if (np.linalg.svd(JH, compute_uv=False)[-1] < delta0
-                    or np.linalg.svd(L, compute_uv=False)[:, -1].min()
-                    < delta0):
-                fails.append("c")
-        if _min_abs_sum_pairs(lam) < delta0:
-            fails.append("d")
-        if _min_cross_class_gap(lam, labels) < delta0:
-            fails.append("e")
+            key_H = (key, H.tobytes())
+            if key_H not in by_lam_H:
+                by_lam_H[key_H] = c_fails(lam, H)
+            if by_lam_H[key_H]:
+                fails = sorted(fails + ["c"])
         for f in fails:
             details[f] += 1
         if fails:
@@ -197,7 +209,9 @@ def melnikov_scan(omega_fn, lambda_fn, partition: BlockPartition,
     margin is +inf.
 
     ``lambda_fn(X, rho)`` is as in ``check_A1``; it is called once per
-    surviving cell, on the classes' first points.
+    surviving cell, on the classes' first points.  The sorted differences
+    are built once per distinct L vector: cells whose L bytes are equal
+    share them, and only the targets k.omega(rho) are per cell.
     """
     probe = np.asarray(omega_fn(grid.centers()[0]), dtype=float)
     K = _k_vectors(len(probe), K_max)
@@ -212,12 +226,16 @@ def melnikov_scan(omega_fn, lambda_fn, partition: BlockPartition,
     worst = {}
     centers = grid.centers()
     alive = grid.mask.ravel()
+    diffs_of = {}
     for ic, rho in enumerate(centers):
         if not alive[ic]:
             continue
         omega = np.asarray(omega_fn(rho), dtype=float)
         lam = lambda_fn(X, rho)
-        diffs = np.unique((lam[:, None] - lam[None, :])[keep])
+        key = lam.tobytes()
+        if key not in diffs_of:
+            diffs_of[key] = np.unique((lam[:, None] - lam[None, :])[keep])
+        diffs = diffs_of[key]
         targets = K @ omega
         dist = np.full(len(targets), math.inf)
         if len(diffs):

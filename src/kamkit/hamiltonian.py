@@ -1037,6 +1037,9 @@ class ClassNormParams:
                 raise ValueError(f"{name} must be at least {low}")
 
 
+_SAMPLE_BUDGET = 1 << 14   # array entries per batch of class_norm's angles
+
+
 def _halving_grid(top: float, floor: float) -> list[float]:
     vals = []
     v = top
@@ -1056,12 +1059,14 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
     halving grids share a fixed floor, so doubling sigma or mu (or refining
     the grids) enlarges the sample set and never decreases the value.
 
-    The sample set is evaluated one angle at a time, as the columns of one
-    (terms, samples) array, so memory is bounded by one angle's samples.
+    The sample set is evaluated a batch of angles at a time, as the columns
+    of one (terms, samples) array ordered (angle, direction-radius,
+    action); a batch's largest array stays within ``_SAMPLE_BUDGET``
+    entries, or holds one angle's samples when one angle alone is larger.
     Each column is reduced on its own, never by a matrix product across
     columns, so a sample's value does not depend on its batch.  The hessian
     is taken at each angle's first sample, on the site blocks that the
-    rows name only (``_hessian_norm``).
+    rows name only (``_hessian_norm``), for the whole batch at once.
     """
     if not len(poly):
         return 0.0
@@ -1082,9 +1087,10 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
     imag_levels = [0.0]
     for v in _halving_grid(p.sigma, 0.05):
         imag_levels += [v, -v]
-    thetas = [np.zeros(0)] if n == 0 else [
-        2 * math.pi * i / p.n_theta * direction + 1j * im * np.ones(n)
-        for i in range(p.n_theta) for im in imag_levels]
+    turns = 2 * math.pi * np.arange(p.n_theta) / p.n_theta
+    thetas = np.zeros((1, 0)) if n == 0 else (
+        turns[:, None, None] * direction
+        + 1j * np.array(imag_levels)[:, None] * np.ones(n)).reshape(-1, n)
 
     # seeded mode directions of weighted norm 1, scaled by the radial grid
     zsites = np.array([v[0] for v in zvars], dtype=np.int64)
@@ -1119,31 +1125,40 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
     if has_quad:
         hessian_norm = _hessian_norm(Zid, zvars, ZV[:, 0], gammas)
 
-    def sample_norm(phase):
-        # column (d, a) of T is phase * r^m * zeta^p at direction-radius
-        # pair d and action a, in the loop order (direction, radius, action)
-        T = ((phase[:, None] * Rf)[:, None, :] * Zf[:, :, None]).reshape(N, -1)
+    def sample_norm(Ph):
+        # column (b, d, a) of T is phase * r^m * zeta^p at angle b of the
+        # batch Ph, direction-radius pair d and action a
+        T = ((Ph[:, :, None] * Rf[:, None, :])[:, :, None, :]
+             * Zf[:, None, :, None]).reshape(N, -1)
         val = np.abs(T.sum(axis=0)).max()
         if V:
-            ag2 = np.abs((Zt @ T) / ZVs) ** 2
+            G = (Zt @ T).reshape(V, Ph.shape[1], -1) / ZVs[:, None]
+            ag2 = (np.abs(G) ** 2).reshape(V, -1)
             val = max(val, p.mu * np.sqrt((ag2 * grad_w * grad_w)
                                           .sum(axis=1)).max())
         return val
 
-    # one angle's samples at a time: T and H are freed before the next
+    # angles per batch: T (N, samples) and the gradient's (3, V, samples)
+    # stay within the budget.  A lone sample column per angle stays one
+    # angle per batch: numpy would sum it pairwise, not row by row.
+    DR = Zf.shape[1] * len(r_vals)
+    step = max(1, _SAMPLE_BUDGET // (max(N, 3 * V) * DR)) if DR > 1 else 1
     best = 0.0
-    for th in thetas:
-        phase = np.exp(1j * (K @ th)) * C
-        best = max(best, sample_norm(phase))
-        if has_quad:         # at the angle's first sample, column 0 of T
+    for first in range(0, len(thetas), step):
+        phases = [np.exp(1j * (K @ th)) * C
+                  for th in thetas[first:first + step]]
+        Ph = np.stack(phases, axis=1) if step > 1 else phases[0][:, None]
+        best = max(best, sample_norm(Ph))
+        if has_quad:     # at each angle's first sample (d = a = 0)
             best = max(best, p.mu ** 2
-                       * hessian_norm(phase * Rf[:, 0] * Zf[:, 0]))
+                       * hessian_norm(Ph * Rf[:, :1] * Zf[:, :1]))
     return float(best)
 
 
 def _hessian_norm(Zid, zvars: list, zeta, gammas: list):
-    """The hessian norm of ``class_norm`` at one point, as a function of
-    the rows' values t0 there: the max over the weights ``gammas`` of the
+    """The hessian norm of ``class_norm`` at points, as a function of the
+    rows' values t0 there, an (N, m) block with one column per point: the
+    max over the points and over the weights ``gammas`` of the
     largest row or column sum of the decay-weighted spectral norms of the
     hessian's 2x2 site blocks, over the (xi, eta) pairs of the sites of
     ``zvars``.  Zid holds the rows' ids into ``zvars`` (pads -1, as
@@ -1177,7 +1192,9 @@ def _hessian_norm(Zid, zvars: list, zeta, gammas: list):
     block_norm = decay_norm(np.array(sites, dtype=np.int64), sa, sb, gammas)
 
     def norm(t0):
-        H = (P @ t0).reshape(len(blocks), 2, 2)
+        # P @ t0 once for all points, then (point, named block, 2x2 entry)
+        H = np.ascontiguousarray(
+            (P @ t0).reshape(len(blocks), 2, 2, -1).transpose(3, 0, 1, 2))
         H /= za
         H /= zb
         return block_norm(spectral_norm_2x2(H))

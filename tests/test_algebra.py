@@ -22,6 +22,7 @@ from _reference_algebra import (_stack_from_dict, b_norm, bracket,
                                 check_normal_form, involution, operator_norm,
                                 pi_project, to_complex, to_real_matrix,
                                 weight)
+from _reference_class_norm import per_row_decay_norm
 
 
 def random_matrix(rng, sites, density=0.3, truncation=8.0):
@@ -377,6 +378,42 @@ def test_algebra_inequality_random():
         lhs = matrix_norm(B.matmul(A), w)
         rhs = matrix_norm(A, w0) * matrix_norm(B, w)
         assert lhs <= rhs * (1 + 1e-12)
+
+
+def _norm_algebra_operands(seed):
+    """The (matrix, weight) pairs that the norm_algebra benchmark workload
+    hands to matrix_norm at this seed, drawn in its order: per product,
+    B.matmul(A) at w, A at w0 and B at w; per application, A at w."""
+    rng = np.random.default_rng(42 + seed)
+    sites = ball_points(8, 2)
+    out = []
+    for _ in range(3):
+        g1, g2 = rng.uniform(0.05, 0.6), rng.uniform(0.5, 2.0)
+        w = WeightParams(g1, g2, rng.uniform(0.0, g2))
+        A = random_matrix(rng, sites, density=0.08)
+        B = random_matrix(rng, sites, density=0.08)
+        out += [(B.matmul(A), w), (A, WeightParams(g1, g2, 0.0)), (B, w)]
+    for _ in range(3):
+        g1, g2 = rng.uniform(0.05, 0.6), rng.uniform(0.5, 2.0)
+        w = WeightParams(g1, g2, rng.uniform(0.0, g2))
+        rng.uniform(0.0, g1), rng.uniform(0.0, g2)   # the sequence weight
+        out.append((random_matrix(rng, sites, density=0.08), w))
+        for _ in sites:                               # the vector z
+            if rng.random() < 0.2:
+                rng.standard_normal(2), rng.standard_normal(2)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_matrix_norm_is_the_per_row_decay_norm_bit_for_bit(seed):
+    """matrix_norm passes decay_norm one row of block norms; the result is
+    the one-row decay norm's, byte for byte."""
+    for M, w in _norm_algebra_operands(seed):
+        sites, ((rows, cols, data),) = _stack(M)
+        want = per_row_decay_norm(np.array(sites), rows, cols, [w])(
+            spectral_norm_2x2(data))
+        assert np.float64(matrix_norm(M, w)).tobytes() \
+            == np.float64(want).tobytes()
 
 
 def test_matrix_norm_is_a_norm():

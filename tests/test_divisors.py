@@ -196,7 +196,10 @@ def test_array_lambda_is_the_scalar_lambda_bit_for_bit(tail):
 # Hyperbolic example: rho_0 I over rho_0 in [-1.2, 0.4]; A1 fails on 18 of
 # the 36 cells, (c) on all 18: 6 through JH, 12 through L_a I - iJH.  All-fail
 # example: each of the 12 cells inside the ball fails every A1 condition
-# and the Melnikov scan.
+# and the Melnikov scan.  Shared-L example: the grid is symmetric about
+# rho = (-1, -16), where the nodes' mu_a = |a|^4 + rho_j change sign, so
+# all 4 cells share L_a = sqrt|mu_a|, but H = rho_0 H_model is not shared:
+# (c) fails through JH on the 2 cells at rho_0 = -0.75 only.
 @given(tail=st.dictionaries(st.integers(1, 9), st.floats(-0.45, 0.45),
                             max_size=3),
        well=st.floats(0.05, 0.45), dip=st.none() | st.floats(1.05, 3.0),
@@ -214,6 +217,9 @@ def test_array_lambda_is_the_scalar_lambda_bit_for_bit(tail):
 @example(tail={}, well=0.5, dip=2.0, R=2.0, delta=math.inf, lo=(0.5, 1.1),
          width=0.4, resolution=4, ball=True, delta0=2.0, c_const=0.1,
          H_kind="model", C=1.0, K_max=6)
+@example(tail={}, well=0.25, dip=2.0, R=2.0, delta=2.0, lo=(-1.5, -16.5),
+         width=1.0, resolution=2, ball=False, delta0=1.0, c_const=1.0,
+         H_kind="scaled", C=0.01, K_max=3)
 def test_array_scans_match_per_site_oracle(tail, well, dip, R, delta, lo,
                                            width, resolution, ball, delta0,
                                            c_const, H_kind, C, K_max):

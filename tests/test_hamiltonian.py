@@ -1,6 +1,7 @@
 import itertools
 import math
 from contextlib import contextmanager
+from functools import cache
 from unittest import mock
 
 import numpy as np
@@ -23,10 +24,12 @@ from kamkit.hamiltonian import (
 from kamkit.lattice import build_partition
 
 from _reference_class_norm import (dense_hessian, dense_hessian_norm,
-                                   reference_class_norm)
+                                   per_angle_class_norm, reference_class_norm)
 import _reference_hamiltonian as ref
 from _reference_hamiltonian import (_mul_dict, _z_derivative_table, diff_r,
                                     hessian_decay_check, reality_defect)
+from test_acceptance import desk_beam
+from test_kam_runs import negative_mode_beam
 
 A = (2, 1)
 B = (1, 2)
@@ -1000,6 +1003,81 @@ def test_class_norm_matches_sample_loop(data):
     # nearly coincide: summing the hessian in another order moves it by
     # ~1e-10 relative, so this is the singular margin check's tolerance
     assert class_norm(poly, params, w) == pytest.approx(ref, rel=1e-9, abs=0)
+
+
+@given(st.data())
+def test_class_norm_is_the_per_angle_loop_bit_for_bit(data):
+    """Batching the angles changes no bit: the batched class_norm equals
+    the per-angle loop it replaced, with several angles per batch (the
+    default budget on these small operands) or one."""
+    n = data.draw(st.integers(0, 2))
+    poly = data.draw(norm_operands(n))
+    params = ClassNormParams(sigma=data.draw(st.sampled_from([0.3, 0.1, 1.0])),
+                             mu=data.draw(st.sampled_from([0.25, 0.05, 1.0,
+                                                           0.01])),
+                             n_dirs=data.draw(st.integers(1, 4)),
+                             radial_levels=data.draw(st.integers(1, 3)))
+    w = data.draw(st.sampled_from([W, WeightParams(0.0, 0.0, 0.0, 1.0)]))
+    budget = data.draw(st.sampled_from([H._SAMPLE_BUDGET, 1]))
+    with mock.patch.object(H, "_SAMPLE_BUDGET", budget):
+        assert class_norm(poly, params, w) \
+            == per_angle_class_norm(poly, params, w)
+
+
+def _no_angle_jet():
+    """n = 0: one (empty) angle, a hessian on two sites."""
+    p = Polynomial(0)
+    p.add_term(2.0)
+    p.add_term(1 - 1j, z={(A, 0): 1})
+    p.add_term(0.5j, z={(A, 0): 1, (B, 1): 1})
+    p.add_term(-1.5, z={(B, 0): 2})
+    return p
+
+
+def _no_mode_jet():
+    """V = 0, n = 3: twelve terms in the angles only.  One K @ Th.T over a
+    batch's angles, in place of K @ th per angle, moves its norm."""
+    rng = np.random.default_rng(1)
+    p = Polynomial(3)
+    for _ in range(12):
+        p.add_term(complex(*rng.standard_normal(2)), k=rng.integers(-3, 4, 3))
+    return p
+
+
+def _linear_jet():
+    """No quadratic rows, so no hessian: the gradient decides."""
+    p = Polynomial(1)
+    for i, s in enumerate(SITES):
+        p.add_term(1.0 - 0.25j * i, k=(i - 1,), z={(s, i % 2): 1})
+    return p + Polynomial.constant(1, 0.5)
+
+
+@cache
+def _batch_jet(name):
+    return {"desk_R3": lambda: desk_beam(radius=3.0)[1].jet(),
+            "desk_R5": lambda: desk_beam(radius=5.0)[1].jet(),
+            "hyperbolic": lambda: negative_mode_beam()[1].jet(),
+            "n0": _no_angle_jet, "V0": _no_mode_jet,
+            "linear": _linear_jet}[name]()
+
+
+# (jet, mu, budget); budget None is the default.  The desk beam's R=3 f0
+# jet (144 terms, 54 mode variables, 36 samples per angle) takes 2 angles
+# per batch, and 5 at a budget of 5 x 162 x 36, so that its 56 angles split
+# 11 x 5 + 1; the R=5 jet (512 terms) takes one angle per batch.  The
+# negative-mode beam's jet has a hyperbolic finite set.  At mu = 0.01 the
+# V = 0 jet has one sample per angle, which stays one angle per batch.
+@pytest.mark.parametrize("name, mu, budget", [
+    ("desk_R3", 0.25, None), ("desk_R3", 0.25, 5 * 162 * 36),
+    ("desk_R3", 0.25, 2 ** 40), ("desk_R5", 0.25, None),
+    ("hyperbolic", 0.25, None), ("n0", 0.25, None), ("V0", 0.25, 2 ** 40),
+    ("V0", 0.01, 2 ** 40), ("linear", 0.25, None), ("linear", 0.05, 1)])
+def test_class_norm_batches_match_per_angle_loop(name, mu, budget):
+    poly = _batch_jet(name)
+    params = ClassNormParams(mu=mu)
+    with mock.patch.object(H, "_SAMPLE_BUDGET", budget or H._SAMPLE_BUDGET):
+        assert class_norm(poly, params, W) \
+            == per_angle_class_norm(poly, params, W)
 
 
 def _sparse_hessian_case():
