@@ -17,8 +17,9 @@ into one block per (k, class pair, channel), the blocks of one shape are
 stacked, and each stack is solved in one pass.  The finite (hyperbolic)
 class's systems are dense: each zeta-linear, hyperbolic or mixed item is
 one stack for the guarded solve (``_solve_guarded``).  The solve order is the
-contract (``solve_linear``): guard failures, the divisor log and h_tilde's
-blocks come out in it, and one stable sort puts S's rows in it.
+contract (``solve_linear``): guard checks (logged in ``DivisorGuard.log``),
+h_tilde's blocks and, by one stable sort, S's rows come in it; a KAM
+block's divisors are frozen in ``DivisorGuard.frozen``.
 """
 from __future__ import annotations
 
@@ -52,15 +53,28 @@ PICARD_TOL = 1e-14      # Picard stops at an update below this times S's scale
 
 @dataclass
 class DivisorGuard:
-    """Threshold and failure log for small-divisor protected solves."""
+    """The one record of a KAM block's divisor checks: the last solve's
+    (``log`` and ``failures``) and the block's (``frozen``)."""
     delta0: float = 1e-8
+    log: dict = field(default_factory=dict)       # key -> float64 divisors
     failures: list = field(default_factory=list)  # (k, classes, channel, val)
+    frozen: dict = field(default_factory=dict)
 
-    def check(self, value: float, k, classes, channel) -> bool:
+    def check(self, key, value: float, divisors, channel=None) -> bool:
+        """Log divisors under key = (k, classes, channel); fail, labelled
+        ``channel`` if given, if value (their least |d|) is below delta0."""
+        self.log[key] = divisors
         if value < self.delta0:
-            self.failures.append((k, classes, channel, float(value)))
+            self.failures.append((*key[:2], channel or key[2], float(value)))
             return False
         return True
+
+    def freeze(self):
+        """Add the log to ``frozen``; keys frozen before must match bitwise."""
+        for key, d in self.log.items():
+            if self.frozen.setdefault(key, d).tobytes() != d.tobytes():
+                raise StageAbort("divisors", key,
+                                 "divisor drift within a super block")
 
 
 @dataclass
@@ -68,8 +82,7 @@ class HomologicalSolution:
     S: Polynomial
     h_tilde: NormalFormHamiltonian    # on h's partition, chi as its omega
     skipped_report: list          # (k, ci, cj, coeff_norm, bound)
-    divisor_log: dict             # (k, ci, cj, channel) -> tuple of divisors
-    guard: DivisorGuard
+    guard: DivisorGuard           # its log: the last Picard round's checks
     picard_updates: list
     h: NormalFormHamiltonian      # operands of the residual
     f_T: Polynomial
@@ -170,18 +183,18 @@ def _elliptic_solve(V_L, V_R, R, div):
     return V_L @ (Rt / div) @ np.swapaxes(V_R.conj(), -1, -2)
 
 
-def _solve_guarded(L, rhs, guard: DivisorGuard, keys):
-    """Solve the stack of systems L[s] x = rhs[s], (s, m, m) and (s, m, 1),
-    unless one is too close to singular.  One batched ``svd`` gives each
-    system's smallest singular value; the guard checks them in stack order,
-    system s with keys[s], and stops at the first failure; one batched
-    ``solve`` runs only when every system passes.  Returns (x or None, the
-    singular values checked, as a tuple)."""
-    smin = np.linalg.svd(L, compute_uv=False)[:, -1].tolist()
-    for s, key in enumerate(keys):
-        if not guard.check(smin[s], *key):
-            return None, tuple(smin[:s + 1])
-    return np.linalg.solve(L, rhs), tuple(smin)
+def _solve_guarded(L, rhs, guard: DivisorGuard, key, channels=None):
+    """x with L[s] x[s] = rhs[s] for the stack (s, m, m), (s, m, 1), or None
+    if a system is too close to singular.  One batched ``svd`` gives each
+    system's smallest singular value; the guard checks them under ``key``
+    in stack order, system s labelled channels[s], up to the first failure;
+    one batched ``solve`` runs only when every system passes."""
+    smin = np.linalg.svd(L, compute_uv=False)[:, -1]
+    for s, value in enumerate(smin.tolist()):
+        if not guard.check(key, value, smin[:s + 1],
+                           channels and channels[s]):
+            return None
+    return np.linalg.solve(L, rhs)
 
 
 # -- the main solver ----------------------------------------------------------------
@@ -219,15 +232,15 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
     zeta-quadratic rows are solved in array passes (``_solve_quadratic``):
     scattered into one block per (k, class pair, channel), and solved in
     one stacked pass per block shape.  Returns (S polynomial, h_tilde,
-    skipped_report, divisor_log): h_tilde is a ``NormalFormHamiltonian`` on
-    h's partition, with the k = 0 constant as its ``const`` and chi as its
-    ``omega``.
+    skipped_report): h_tilde is a ``NormalFormHamiltonian`` on h's
+    partition, with the k = 0 constant as its ``const`` and chi as its
+    ``omega``.  The solve's checks replace ``guard.log`` and ``failures``.
 
     The order of the solve is the contract: k in order of first occurrence,
     then class pairs (ci <= cj) ascending, then channels xi-xi, xi-eta,
-    eta-xi, eta-eta.  Guard failures, divisor-log entries, ``set_block``
-    calls and the skip report come in it; one stable sort puts S's rows in
-    it (each block's mirror right after it) for the one ``encode``.
+    eta-xi, eta-eta.  Guard failures, log entries, ``set_block`` calls and
+    the skip report come in it; one stable sort puts S's rows in it (each
+    block's mirror right after it) for the one ``encode``.
     """
     t = tables
     n = h.n
@@ -235,7 +248,7 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
     _, K, M, U, V, C = decode_jet(F_poly, t.var_id)
     ht = NormalFormHamiltonian(omega=np.zeros(n, dtype=complex),
                                partition=h.partition)
-    divlog = {}
+    guard.log, guard.failures = {}, []
     solved = []                # S as block_rows blocks
     place = []                 # their places in the solve order
 
@@ -247,8 +260,7 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
         if not any(k):
             ht.const = ht.const + c
             continue
-        divlog[(k, (), "theta")] = (kw,)
-        if guard.check(abs(kw), k, (), "theta"):
+        if guard.check((k, (), "theta"), abs(kw), np.array([kw])):
             solved.append((k, None, [-1], None, [c / (-1j * kw)]))
     for k, gi in _k_rows(K, none & on_r):
         vec = np.zeros(n, dtype=complex)
@@ -257,8 +269,7 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
         if not any(k):
             ht.omega = ht.omega + vec
             continue
-        divlog[(k, (), "r")] = (kw,)
-        if guard.check(abs(kw), k, (), "r"):
+        if guard.check((k, (), "r"), abs(kw), np.array([kw])):
             solved.append((k, np.eye(n), [-1] * n, None, vec / (-1j * kw)))
 
     # -- zeta-linear part -----------------------------------------------------
@@ -268,10 +279,9 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
         Fk[U[gi]] += C[gi]
         for ci in np.unique(t.class_of[U[gi] // 2]).tolist():
             if t.hyperbolic[ci]:
-                key = (k, (ci,), "lin-hyp")
-                x, divlog[key] = _solve_guarded(
-                    (1j * kw * np.eye(len(t.w)) + t.HJ)[None],
-                    -Fk[t.w][None, :, None], guard, [key])
+                x = _solve_guarded((1j * kw * np.eye(len(t.w)) + t.HJ)[None],
+                                   -Fk[t.w][None, :, None], guard,
+                                   (k, (ci,), "lin-hyp"))
                 if x is not None:
                     solved.append((k, None, t.w, None, x.ravel()))
                 continue
@@ -280,8 +290,8 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
             for comp in (XI, ETA):
                 key = (k, (ci,), ("lin-xi", "lin-eta")[comp])
                 div = _elliptic_divisors(kw, lam, 2 * comp - 1, np.zeros(1), 0)
-                divlog[key] = tuple(np.sort(div, axis=None))
-                if guard.check(float(np.abs(div).min()), *key):
+                if guard.check(key, float(np.abs(div).min()),
+                               np.sort(div, axis=None)):
                     solved.append((k, None, ids[comp], None, _elliptic_solve(
                         Vc[comp], np.ones((1, 1)), 1j * Fk[ids[comp], None],
                         div)))
@@ -289,7 +299,7 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
 
     q = V >= 0
     ell, skipped = _solve_quadratic(h, K[q], U[q], V[q], C[q], t, guard,
-                                    gamma1, ht, divlog, solved, place)
+                                    gamma1, ht, solved, place)
     Z, Cs, Ks, Ms, code = (np.concatenate(x) for x in zip(
         (*block_rows(n, solved), np.repeat(np.array(place, dtype=np.int64),
                                             [np.size(b[4]) for b in solved])),
@@ -297,13 +307,13 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
     live = np.flatnonzero(Cs)          # encode would skip the zero rows
     order = live[np.argsort(code[live], kind="stable")]
     S = encode(n, list(t.var_id), Z[order], Cs[order], Ks[order], Ms[order])
-    return S, ht, skipped, divlog
+    return S, ht, skipped
 
 
-def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, divlog, solved,
+def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, solved,
                      place) -> tuple:
     """The zeta-quadratic rows (K, U, V, C) of ``solve_linear``'s jet,
-    solved in array passes.  Fills ``ht``, ``divlog`` and the guard's log,
+    solved in array passes.  Fills ``ht`` and the guard's log,
     appends the hyperbolic items' blocks of S to ``solved`` and their
     places in the solve order to ``place``, and returns (the elliptic
     blocks' rows of S as (Z, C, K, M, place), skipped_report).
@@ -316,10 +326,10 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, divlog, solved,
     ``_solve_guarded``: one Kronecker system for a hyperbolic pair, and for
     a mixed pair one row system per component and elliptic eigenvalue, the
     xi rows then the eta rows, which stops at its first failing system.  One
-    walk over the items, in order, emits the guard checks, divisor log,
-    ``set_block`` calls and skip report.  A solved block's place is
-    2 (4 item + channel), and 1 more for its mirror (cj, ci); a hyperbolic
-    item's is 8 item.
+    walk over the items, in order, emits the guard checks (each logs a row
+    of its stack's sorted divisors), ``set_block`` calls and skip report.
+    A solved block's place is 2 (4 item + channel), and 1 more for its
+    mirror (cj, ci); a hyperbolic item's is 8 item.
     """
     n = h.n
     ncl = len(t.size)
@@ -389,7 +399,7 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, divlog, solved,
 
     # -- divisors per stack -------------------------------------------------
     dmin = np.zeros(len(entries))
-    sorted_div = [None] * len(entries)
+    sorted_div = {}
     herm = {}
     stacks = []
     runs = np.flatnonzero(np.diff(shape[by_shape])) + 1
@@ -410,9 +420,8 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, divlog, solved,
             (2.0 * c1[Es] - 1)[:, None, None], t.lam[w][t.slot[ecj[Es]]],
             (2.0 * c2[Es] - 1)[:, None, None])
         dmin[Es] = np.abs(div).min(axis=(1, 2))
-        for i, d in zip(Es.tolist(),
-                        np.sort(div.reshape(len(Es), -1), axis=1).tolist()):
-            sorted_div[i] = tuple(d)
+        sorted_div.update(zip(Es.tolist(),
+                              np.sort(div.reshape(len(Es), -1), axis=1)))
         stacks.append((Es, np.flatnonzero(live), Gs, div, m, w))
 
     # -- the walk, in solve order -------------------------------------------
@@ -434,7 +443,7 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, divlog, solved,
             r = hyp_rows[i]
             block = _solve_hyperbolic_pair(
                 k, float(kws[gi]), cl_i, cl_j, t, a[r], b[r], cu[r], cv[r],
-                C[r], ca[r], guard, ht, divlog)
+                C[r], ca[r], guard, ht)
             if block is not None:
                 solved.append(block)
                 place.append(8 * i)
@@ -442,10 +451,9 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, divlog, solved,
         for x in range(first[i], first[i + 1]):
             if set_b_[x]:
                 ht.set_block(cl_i, herm[x])
-            elif sorted_div[x] is not None:
-                key = (k, classes, tags[ech_[x]])
-                divlog[key] = sorted_div[x]
-                ok[x] = guard.check(dmin_[x], *key)
+            elif x in sorted_div:
+                ok[x] = guard.check((k, classes, tags[ech_[x]]), dmin_[x],
+                                    sorted_div[x])
 
     # -- S's rows: each solved block, and its mirror (cj, ci) --------------
     out = [(np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=complex),
@@ -486,8 +494,7 @@ def _rows_by_item(items, sel, g, ca, cb, ncl) -> dict:
                                              hi.tolist())}
 
 
-def _solve_hyperbolic_pair(k, kw, ci, cj, t, a, b, cu, cv, C, ca, guard, ht,
-                           divlog):
+def _solve_hyperbolic_pair(k, kw, ci, cj, t, a, b, cu, cv, C, ca, guard, ht):
     """One item (k, ci <= cj) with the finite (hyperbolic) class, from its
     rows (sites a, b, components cu, cv, coefficients C, class of a: ca).
     Returns its block of S for ``block_rows``, or None."""
@@ -500,11 +507,10 @@ def _solve_hyperbolic_pair(k, kw, ci, cj, t, a, b, cu, cv, C, ca, guard, ht,
             ht.hyperbolic_block = ((Gi + Gi.T) / 2).real
             return None
         # i(kw)Y + HJ Y - Y JH = -G in the Kronecker form
-        key = (k, (ci, cj), "hyp")
-        Y, divlog[key] = _solve_guarded(
-            (1j * kw * np.eye(m * m) + np.kron(t.HJ, np.eye(m))
-             - np.kron(np.eye(m), t.JH.T))[None], -Gi.reshape(1, m * m, 1),
-            guard, [key])
+        L = (1j * kw * np.eye(m * m) + np.kron(t.HJ, np.eye(m))
+             - np.kron(np.eye(m), t.JH.T))
+        Y = _solve_guarded(L[None], -Gi.reshape(1, m * m, 1), guard,
+                           (k, (ci, cj), "hyp"))
         return None if Y is None else (k, None, t.w, t.w, Y.reshape(m, m) / 2)
 
     # rows of the elliptic class per component, columns of the hyperbolic
@@ -521,11 +527,11 @@ def _solve_hyperbolic_pair(k, kw, ci, cj, t, a, b, cu, cv, C, ca, guard, ht,
     # eigenvalue i, coef = i(kw -+ lam_i), as the column system with JH^T:
     # the xi rows, then the eta rows
     coef = 1j * (kw + np.array([-1, 1])[:, None] * lam).ravel()
-    x, divlog[(k, (ci, cj), "mixed")] = _solve_guarded(
+    x = _solve_guarded(
         coef[:, None, None] * np.eye(m) - t.JH.T,
         -(np.swapaxes(Vc.conj(), 1, 2) @ D).reshape(2 * ne, m, 1), guard,
-        [(k, (ci, cj), f"mix-{c}-{i}") for c in ("xi", "eta")
-         for i in range(ne)])
+        (k, (ci, cj), "mixed"),
+        [f"mix-{c}-{i}" for c in ("xi", "eta") for i in range(ne)])
     if x is None:
         return None
     return (k, None, ids.ravel(), t.w,
@@ -539,7 +545,8 @@ def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
     """Solve {h,S} + jet({f - jet(f), S}) + jet(f) = h_tilde.
 
     Picard rounds: the first solve is linear; each following round feeds the
-    nonlinear bracket of the previous S back into the right-hand side.  The
+    nonlinear bracket of the previous S back into the right-hand side, with
+    the one ``guard``, whose log and failures end as the last round's.  The
     residual is evaluated independently with full polynomial brackets, on
     the first read of ``residual``.
     """
@@ -549,7 +556,7 @@ def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
     if tables is None:
         tables = class_tables(h)
     updates = []
-    S, ht, skipped, divlog = solve_linear(h, f_T, guard, gamma1, tables)
+    S, ht, skipped = solve_linear(h, f_T, guard, gamma1, tables)
     scale = max(f_T.max_coeff(), 1e-300)
     for _ in range(max_picard - 1):
         if not len(f_rest) or not len(S):
@@ -559,13 +566,11 @@ def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
                        max_degree=2, tol=PRUNE_TOL).jet()
         if not len(corr):
             break
-        guard2 = DivisorGuard(delta0=guard.delta0)
-        S_new, ht, skipped, divlog = solve_linear(h, f_T + corr, guard2,
-                                                  gamma1, tables)
+        S_new, ht, skipped = solve_linear(h, f_T + corr, guard, gamma1,
+                                          tables)
         upd = (S_new - S).max_coeff()
         updates.append(upd)
         S = S_new
-        guard.failures = guard2.failures
         if upd <= PICARD_TOL * max(S.max_coeff(), scale):
             break
         if len(updates) >= 2 and updates[-1] > updates[-2]:
@@ -573,6 +578,5 @@ def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
                              "nonlinear feedback is not contracting: "
                              f"updates {updates}")
     return HomologicalSolution(S=S, h_tilde=ht, skipped_report=skipped,
-                               divisor_log=divlog, guard=guard,
-                               picard_updates=updates, h=h, f_T=f_T,
-                               f_rest=f_rest)
+                               guard=guard, picard_updates=updates, h=h,
+                               f_T=f_T, f_rest=f_rest)

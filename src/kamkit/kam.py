@@ -4,8 +4,8 @@ accumulated normal-form correction (the last step's h_tilde, a
 ``NormalFormHamiltonian``) into h block by block, coarsen the partition and
 shrink the analyticity domain.  Each parameter of the iteration lives in one
 place: Delta in the partition of the current normal form (the first is the
-model's), gamma in the state's ``WeightParams`` and the domain (sigma, mu)
-in its ``ClassNormParams``.
+model's), gamma in the state's ``WeightParams``, the domain (sigma, mu) in
+its ``ClassNormParams`` and a block's divisors in its ``DivisorGuard``.
 
 A block runs at most K = ceil(log 1/eps) inner steps.  It ends early when
 eps reaches the target, or when a step leaves eps above ``STALL_RATIO``
@@ -88,7 +88,7 @@ class IterationState:
     sigma_end: float = 0.0
     mu_end: float = 0.0
     transform_log: list = field(default_factory=list)
-    divisor_table: dict = field(default_factory=dict)
+    guard: DivisorGuard = field(default_factory=DivisorGuard)
     metrics: list = field(default_factory=list)
 
 
@@ -99,10 +99,12 @@ def jet_norm(state: IterationState) -> float:
 def initial_state(h: NormalFormHamiltonian, f: Polynomial,
                   schedule: Schedule, weights: WeightParams,
                   norm: ClassNormParams = ClassNormParams(),
-                  grid: ParameterGrid | None = None) -> IterationState:
+                  grid: ParameterGrid | None = None,
+                  guard_delta0: float = 1e-8) -> IterationState:
     st = IterationState(step=0, eps=math.inf, K=0, h=h, f=f, h_acc=None,
                         weights=weights, norm=norm, grid=grid,
-                        sigma_end=norm.sigma / 2, mu_end=norm.mu / 2)
+                        sigma_end=norm.sigma / 2, mu_end=norm.mu / 2,
+                        guard=DivisorGuard(guard_delta0))
     st.eps = jet_norm(st)
     st.K = inner_count(st.eps, schedule)
     return st
@@ -114,59 +116,53 @@ def inner_count(eps: float, schedule: Schedule) -> int:
     return max(1, min(schedule.max_inner, math.ceil(math.log(1.0 / eps))))
 
 
-def _merge_divisors(table: dict, log: dict):
-    """Frozen-divisor bookkeeping: a key recorded twice must agree bitwise."""
-    for key, val in log.items():
-        old = table.get(key)
-        if old is not None and old != val:
-            raise StageAbort("divisors", key,
-                             "divisor drift within a super block")
-        table[key] = val
+def _excise_failures(state: IterationState):
+    """Shrink the surviving grid around the step's failed divisor checks.
 
-
-def _excise_failures(state: IterationState, failures, delta0: float):
-    """Shrink the surviving grid around guard failures.
-
-    Each failing divisor is extended off the reference parameter to first
-    order through the model frequency map."""
-    if state.grid is None or not failures or state.h.omega_fn is None:
+    Each logged check whose least |d| is below delta0 gives its divisor
+    nearest zero, with its sign, extended off the reference parameter to
+    first order through the model frequency map."""
+    guard = state.guard
+    if state.grid is None or not guard.failures or state.h.omega_fn is None:
         return
     rho_star = np.asarray(state.h.rho_star, dtype=float)
     omega_star = np.asarray(state.h.omega_fn(rho_star), dtype=float)
     fam = []
-    for k, classes, channel, val in failures:
+    for (k, _, _), d in guard.log.items():
+        val = float(d[np.abs(d).argmin()])
+        if abs(val) >= guard.delta0:
+            continue
         kv = np.array(k, dtype=float)
 
         def fn(rho, kv=kv, val=val):
             om = np.asarray(state.h.omega_fn(rho), dtype=float)
             return val + kv @ (om - omega_star)
         fam.append(fn)
-    bad, state.grid = excise(fam, state.grid, delta0)
+    bad, state.grid = excise(fam, state.grid, guard.delta0)
     if state.grid.measure() == 0.0:
         raise StageAbort("excision", None,
                          "empty surviving grid after divisor excision")
 
 
-def inner_step(state: IterationState, guard_delta0: float,
-               tables: ClassTable | None = None,
+def inner_step(state: IterationState, tables: ClassTable | None = None,
                h_poly: Polynomial | None = None) -> IterationState:
-    """One homological solve and jet transform at frozen normal form.
+    """One homological solve and jet transform at frozen normal form and
+    divisors: ``state.guard`` checks them and freezes them for the block.
 
     ``tables`` and ``h_poly`` (h's class table and polynomial) depend on h
     alone, which a block holds fixed; they are built here when not given.
     """
     h = state.h
-    guard = DivisorGuard(delta0=guard_delta0)
     if tables is None:
         tables = class_tables(h)
     if h_poly is None:
         h_poly = h.to_polynomial()
     F = (state.f if state.h_acc is None
          else state.h_acc.to_polynomial() + state.f)
-    sol = solve_homological(h, F, guard, gamma1=state.weights.gamma1,
+    sol = solve_homological(h, F, state.guard, gamma1=state.weights.gamma1,
                             tables=tables)
-    _merge_divisors(state.divisor_table, sol.divisor_log)
-    _excise_failures(state, guard.failures, guard_delta0)
+    state.guard.freeze()
+    _excise_failures(state)
     ht_poly = sol.h_tilde.to_polynomial()
     scale = F.max_coeff()
     cut = max(PRUNE_TOL, REL_PRUNE * scale)
@@ -186,7 +182,7 @@ def inner_step(state: IterationState, guard_delta0: float,
         "delta": h.partition.delta, "gamma": state.weights.gamma1,
         "sigma": state.norm.sigma, "mu": state.norm.mu,
         "skipped": len(sol.skipped_report),
-        "guard_failures": len(guard.failures),
+        "guard_failures": len(state.guard.failures),
         "measure": state.grid.measure() if state.grid else None,
     })
     return state
@@ -236,6 +232,7 @@ def super_step(state: IterationState, schedule: Schedule) -> IterationState:
                             core_cutoff=p.core_cutoff, exclude=p.exclude)
     state.h = _fold_h_acc(state.h, state.h_acc, p_new)
     state.h_acc = None
+    state.guard = DivisorGuard(state.guard.delta0)
     w, nrm, decay = state.weights, state.norm, DOMAIN_DECAY
     state.weights = replace(w, gamma1=w.gamma1 * GAMMA_DECAY)
     state.norm = replace(
@@ -307,7 +304,7 @@ def run(h: NormalFormHamiltonian, f: Polynomial, schedule: Schedule,
     Stops at the eps target, the super-step budget, or a ``StageAbort``,
     which is reported in ``aborted``; any other exception propagates.
     """
-    state = initial_state(h, f, schedule, weights, norm=norm, grid=grid)
+    state = initial_state(h, f, schedule, weights, norm, grid, guard_delta0)
     omega0 = np.array(state.h.omega, dtype=float)
     eps_history = [state.eps]
     block_stops = []
@@ -317,12 +314,10 @@ def run(h: NormalFormHamiltonian, f: Polynomial, schedule: Schedule,
             if state.eps <= schedule.eps_target:
                 break
             tables, h_poly = class_tables(state.h), state.h.to_polynomial()
-            state.divisor_table = {}
             stop = "count"
             for _ in range(state.K):
                 eps_before = state.eps
-                state = inner_step(state, guard_delta0, tables=tables,
-                                   h_poly=h_poly)
+                state = inner_step(state, tables=tables, h_poly=h_poly)
                 if state.eps <= schedule.eps_target:
                     stop = "target"
                     break

@@ -35,7 +35,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.special import binom as _binom
 
 from .hamiltonian import (ETA, XI, NormalFormHamiltonian, Polynomial, _cmul,
-                          _complex, _cut, _degree, _ranges, _remap,
+                          _complex, _cut, _degree, _ranges, _remap, _runs,
                           _stack_z, _zkeys, class_ids, decode_jet, encode,
                           site_layout)
 from .algebra import symplectic
@@ -561,24 +561,18 @@ def _classify_quartic(zvars: list, Z: np.ndarray, lam: dict):
     eta-slot norms.  The divisor sums sign * power * Lambda over the row's
     variables in z-tuple order, as a loop over the monomial would.
     """
-    comp = np.array([v[1] for v in zvars], dtype=np.intp)[Z]
+    xi = np.array([v[1] == XI for v in zvars])[Z]
     nsq = np.array([norm_sq(v[0]) for v in zvars], dtype=np.int64)[Z]
-    xi = comp == XI
     top = np.iinfo(np.int64).max
     xs = np.sort(np.where(xi, nsq, top), axis=1)[:, :2]
     es = np.sort(np.where(xi, top, nsq), axis=1)[:, :2]
     resonant = (xi.sum(axis=1) == 2) & (xs == es).all(axis=1)
-    # power of each variable at its first slot, zero on the repeats
-    w = Z.shape[1]
-    power = np.ones(Z.shape, dtype=np.int64)
-    for j in range(w - 2, -1, -1):
-        power[:, j] += np.where(Z[:, j + 1] == Z[:, j], power[:, j + 1], 0)
-    power[:, 1:][Z[:, 1:] == Z[:, :-1]] = 0
-    lamv = np.array([lam[v[0]] for v in zvars])[Z]
-    div = np.zeros(len(Z))
-    for j in range(w):
-        div += np.where(xi[:, j], 1, -1) * power[:, j] * lamv[:, j]
-    return resonant, div
+    del nsq, xs, es         # the quartic table sets the build's memory peak
+    # each variable once, with its power; bincount adds in row order
+    rows, cols, power = _runs(Z, len(zvars))
+    term = np.array([lam[v[0]] for v in zvars])[Z[rows, cols]] * power
+    term[~xi[rows, cols]] *= -1         # -(p lam) is (-p) lam, bitwise
+    return resonant, np.bincount(rows, weights=term, minlength=len(Z))
 
 
 def build_singular(model: SingularBeamModel) -> SingularNormalForm:

@@ -439,6 +439,21 @@ def test_kam_stage_abort_exits_4(tmp_path, capsys, monkeypatch):
     assert report[-1] == f"aborted={message}"
 
 
+def test_kam_excision_abort_exits_4(tmp_path, capsys):
+    """A grid so small around rho* that the first guard failure's band
+    covers all of it: the excision empties it, and ``kam`` exits 4."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {
+        "output_dir": str(out), "model": BEAM_MODEL,
+        "grid": {"bounds": [[0.699, 0.701], [1.299, 1.301]],
+                 "resolution": 4},
+        "guard": {"delta0": 0.03}})
+    assert main(["kam", cfg]) == 4
+    assert "stage abort: excision" in capsys.readouterr().err
+    report = (out / "final_report.txt").read_text().splitlines()
+    assert report[-1].startswith("aborted=excision")
+
+
 @pytest.mark.parametrize("owner, name, error", [
     (kam, "lie_transform", ValueError), (kam, "lie_transform", TypeError),
     (models, "action_angle", ValueError),

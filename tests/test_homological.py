@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -20,6 +21,20 @@ from _reference_algebra import check_normal_form, to_real_matrix
 from _reference_hamiltonian import reality_defect
 import _reference_homological as ref
 from _reference_homological import det_certificate
+
+
+@dataclass
+class OracleGuard:
+    """The guard protocol of the per-pair oracle (``_reference_homological``):
+    ``check(value, k, classes, channel)``, recording failures only."""
+    delta0: float = 1e-8
+    failures: list = field(default_factory=list)
+
+    def check(self, value: float, k, classes, channel) -> bool:
+        if value < self.delta0:
+            self.failures.append((k, classes, channel, float(value)))
+            return False
+        return True
 
 
 def make_h(seed=0, d=2, R=3, finite=((0, 1),), n=1, delta=math.inf,
@@ -185,12 +200,15 @@ def test_mixed_solver_matches_lstsq():
     coef = 1.7 + 0.4j
     F = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     # the row system x (coef I - JH) = F, as the column system with JH^T
-    x, smin = _solve_guarded((coef * np.eye(4) - JH.T)[None],
-                             F.reshape(1, 4, 1), guard, [((1,), (0,), "mix")])
+    key = ((1,), (0,), "mix")
+    x = _solve_guarded((coef * np.eye(4) - JH.T)[None], F.reshape(1, 4, 1),
+                       guard, key)
     L = coef * np.eye(4) - JH
     oracle, *_ = np.linalg.lstsq(L.T, F, rcond=None)
     assert np.abs(x.ravel() - oracle).max() < 1e-10
-    assert smin == (float(np.linalg.svd(L.T, compute_uv=False)[-1]),)
+    assert list(guard.log) == [key]
+    assert tuple(map(float, guard.log[key])) == (
+        float(np.linalg.svd(L.T, compute_uv=False)[-1]),)
 
 
 def test_hyperbolic_solver_oracle():
@@ -204,8 +222,11 @@ def test_hyperbolic_solver_oracle():
     # i(kw)Y + HJ Y - Y JH = -G in the Kronecker form
     L = (1j * 2.1 * np.eye(4) + np.kron(H @ J, np.eye(2))
          - np.kron(np.eye(2), (J @ H).T))
-    Y, smin = _solve_guarded(L[None], -G.reshape(1, 4, 1), guard,
-                             [((1,), (0, 0), "hyp")])
+    key = ((1,), (0, 0), "hyp")
+    Y = _solve_guarded(L[None], -G.reshape(1, 4, 1), guard, key)
+    assert list(guard.log) == [key]
+    assert tuple(map(float, guard.log[key])) == (
+        float(np.linalg.svd(L, compute_uv=False)[-1]),)
     Y = Y.reshape(2, 2)
     res = 1j * 2.1 * Y + H @ J @ Y - Y @ J @ H + G
     assert np.abs(res).max() < 1e-10
@@ -224,7 +245,7 @@ def test_mixed_item_stops_at_its_first_failing_system(k, ci, j):
     kw = float(np.dot(k, h.omega))
     # the item's systems, xi rows then eta rows, one oracle call each
     smin = [ref.invert_L_mixed(1j * (kw + s * x), t.JH, np.ones(2),
-                               DivisorGuard(0.0), ((), (), ""))[1]
+                               OracleGuard(0.0), ((), (), ""))[1]
             for s in (-1, 1) for x in lam]
     assert 0 < j < len(smin) - 1 and smin[j] < min(smin[:j])
     delta0 = (smin[j] + min(smin[:j])) / 2
@@ -234,13 +255,14 @@ def test_mixed_item_stops_at_its_first_failing_system(k, ci, j):
             f.add_term(rng.standard_normal() + 1j, k=k,
                        z={(a, c): 1, ((1,), e): 1})
     guard = DivisorGuard(delta0)
-    S, _, _, divlog = solve_linear(h, f, guard, 0.4, t)
+    S, _, _ = solve_linear(h, f, guard, 0.4, t)
     key = (k, (0, ci))
     tag = f"mix-{('xi', 'eta')[j // len(lam)]}-{j % len(lam)}"
+    divlog = {name: tuple(map(float, d)) for name, d in guard.log.items()}
     assert divlog == {(*key, "mixed"): tuple(smin[:j + 1])}
     assert guard.failures == [(*key, tag, smin[j])]
     assert len(S) == 0
-    ref_guard = DivisorGuard(delta0)
+    ref_guard = OracleGuard(delta0)
     S_ref, _, _, ref_divlog = ref.solve_linear(h, f, ref_guard, 0.4,
                                                ref.class_tables(h))
     assert (divlog, guard.failures, len(S_ref)) == (ref_divlog,
@@ -300,7 +322,9 @@ def test_divisor_log_deterministic():
     f = random_jet(rng, part, nterms=40)
     s1 = solve_homological(h, f, DivisorGuard(1e-6), max_picard=1)
     s2 = solve_homological(h, f, DivisorGuard(1e-6), max_picard=1)
-    assert s1.divisor_log == s2.divisor_log
+    assert list(s1.guard.log) == list(s2.guard.log)
+    for key, d in s1.guard.log.items():
+        assert d.tobytes() == s2.guard.log[key].tobytes()
 
 
 def test_picard_shrinks_residual():
@@ -348,8 +372,13 @@ def _linear_solve_text(solve, tables, case) -> list:
     h, part, rng = make_h(seed=seed, d=d, R=R, n=n, delta=delta,
                           finite=((0,) * (d - 1) + (1,),) if finite else ())
     f = random_jet(rng, part, n=n, nterms=nterms)
-    guard = DivisorGuard(delta0)
-    S, ht, skipped, divlog = solve(h, f, guard, 0.4, tables(h))
+    if solve is solve_linear:
+        guard = DivisorGuard(delta0)
+        S, ht, skipped = solve(h, f, guard, 0.4, tables(h))
+        divlog = guard.log
+    else:
+        guard = OracleGuard(delta0)
+        S, ht, skipped, divlog = solve(h, f, guard, 0.4, tables(h))
     hyp = ht.hyperbolic_block
     return [repr(list(S.terms.items())),
             repr((ht.const, ht.omega.tolist(),

@@ -40,7 +40,7 @@ def golden_texts(sol) -> dict:
     return {
         "divisor_log.txt": _lines(
             (key, tuple(map(float, val)))
-            for key, val in sorted(sol.divisor_log.items())),
+            for key, val in sorted(sol.guard.log.items())),
         "h_tilde.txt": _lines([
             ("c", c),
             ("chi", ht.omega.tolist()),

@@ -5,7 +5,7 @@ import pytest
 
 from kamkit.algebra import WeightParams
 from kamkit.divisors import ParameterGrid
-from kamkit import kam
+from kamkit import homological, kam
 from kamkit.hamiltonian import (NormalFormHamiltonian, Polynomial,
                                 StageAbort, poisson, lie_transform)
 from kamkit.homological import class_tables, solve_homological, DivisorGuard
@@ -49,20 +49,20 @@ def test_zero_perturbation_is_a_fixed_point():
 def test_inner_step_contracts_the_jet():
     h, f = beam_instance()
     sched = Schedule()
-    st = initial_state(h, f, sched, W)
+    st = initial_state(h, f, sched, W, guard_delta0=1e-10)
     eps0 = st.eps
     assert eps0 > 0
-    st = inner_step(st, guard_delta0=1e-10)
+    st = inner_step(st)
     assert st.eps < 0.2 * eps0
-    st = inner_step(st, guard_delta0=1e-10)
+    st = inner_step(st)
     assert st.eps < 0.2 * eps0 ** 1.5
 
 
 def test_accumulated_correction_stays_in_normal_form():
     h, f = beam_instance()
     sched = Schedule()
-    st = initial_state(h, f, sched, W)
-    st = inner_step(st, guard_delta0=1e-10)
+    st = initial_state(h, f, sched, W, guard_delta0=1e-10)
+    st = inner_step(st)
     assert isinstance(st.h_acc, NormalFormHamiltonian)
     assert st.h_acc.partition is h.partition
     zero = (0,) * h.n
@@ -80,17 +80,17 @@ def test_divisor_log_is_frozen_across_steps():
     f2 = f + sol1.h_tilde.to_polynomial()      # perturb the right-hand side
     sol2 = solve_homological(h, f2, DivisorGuard(delta0=1e-10),
                              gamma1=0.4, tables=tables)
-    shared = set(sol1.divisor_log) & set(sol2.divisor_log)
+    shared = set(sol1.guard.log) & set(sol2.guard.log)
     assert shared
     for key in shared:
-        assert sol1.divisor_log[key] == sol2.divisor_log[key]
+        assert sol1.guard.log[key].tobytes() == sol2.guard.log[key].tobytes()
 
 
 def test_transform_is_symplectic_on_probes():
     h, f = beam_instance()
     sched = Schedule()
-    st = initial_state(h, f, sched, W)
-    st = inner_step(st, guard_delta0=1e-10)
+    st = initial_state(h, f, sched, W, guard_delta0=1e-10)
+    st = inner_step(st)
     S = st.transform_log[0]
     n, fset = h.n, h.finite_set
     F = Polynomial(n)
@@ -112,10 +112,10 @@ def test_transform_is_symplectic_on_probes():
 def test_super_step_folds_and_coarsens():
     h, f = beam_instance(delta=2)
     sched = Schedule(max_inner=3)
-    st = initial_state(h, f, sched, W)
+    st = initial_state(h, f, sched, W, guard_delta0=1e-10)
     omega0 = np.array(st.h.omega)
     for _ in range(2):
-        st = inner_step(st, guard_delta0=1e-10)
+        st = inner_step(st)
     assert st.h_acc.to_polynomial().terms
     eps_before = st.eps
     st = super_step(st, sched)
@@ -200,8 +200,8 @@ def test_divisor_drift_aborts_at_a_named_stage(monkeypatch):
 
     def drifting_solve(*args, **kwargs):
         sol = solve_homological(*args, **kwargs)
-        key = min(sol.divisor_log, key=repr)
-        sol.divisor_log[key] = (float(len(calls)),)
+        key = min(sol.guard.log, key=repr)
+        sol.guard.log[key] = np.array([float(len(calls))])
         calls.append(key)
         return sol
 
@@ -214,6 +214,73 @@ def test_divisor_drift_aborts_at_a_named_stage(monkeypatch):
     assert report.block_stops == []
     assert report.dump_lines()[-1] == f"aborted={report.aborted}"
     assert str(report.aborted).startswith("divisors at ")
+
+
+def test_excision_extends_each_failing_divisor_with_its_sign():
+    """Desk beam R=2 at guard 0.03: the two failures are one divisor seen
+    from k = (1, 0) and from -k, d* = +0.0109 and -0.0109.  The grid keeps
+    exactly the cells where |d* + k.(omega(rho) - omega*)| >= delta0 for
+    both, each extended from its signed divisor."""
+    h, f = desk_beam(radius=2.0)
+    delta0 = 0.03
+    grid = ParameterGrid(bounds=[(0.5, 0.9), (1.1, 1.5)], resolution=16)
+    st = initial_state(h, f, Schedule(), W, grid=grid, guard_delta0=delta0)
+    st = inner_step(st)
+    fails = st.guard.failures
+    assert [(k, ch) for k, _, ch, _ in fails] == [((1, 0), "q-10"),
+                                                  ((-1, 0), "q-01")]
+    val = fails[0][3]
+    assert fails[1][3] == val and 0.01 < val < delta0
+    signed = {fails[0][:3]: val, fails[1][:3]: -val}
+    for key, d in signed.items():
+        d_log = st.guard.log[key]
+        assert float(d_log[np.abs(d_log).argmin()]) == d
+    omega_star = np.asarray(h.omega_fn(np.asarray(h.rho_star)), dtype=float)
+    keep = np.ones(grid.mask.size, dtype=bool)
+    for (k, _, _), d in signed.items():
+        kv = np.array(k, dtype=float)
+        keep &= np.array([
+            abs(d + kv @ (np.asarray(h.omega_fn(rho), dtype=float)
+                          - omega_star)) >= delta0
+            for rho in grid.centers()])
+    assert st.grid.mask.ravel().tolist() == keep.tolist()
+    assert keep.sum() == 160
+
+
+def test_excision_that_empties_the_grid_aborts():
+    """A grid so small around rho* that the first failure's band covers
+    all of it: the run stops at stage ``excision``."""
+    h, f = desk_beam(radius=2.0)
+    grid = ParameterGrid(bounds=[(0.699, 0.701), (1.299, 1.301)],
+                         resolution=4)
+    report = run(h, f, Schedule(max_super=2), W, guard_delta0=0.03,
+                 grid=grid)
+    assert isinstance(report.aborted, StageAbort)
+    assert report.aborted.stage == "excision"
+    assert report.block_stops == []
+    assert report.state.grid.measure() == 0.0
+
+
+def test_growing_picard_updates_abort(monkeypatch):
+    """Nonlinear feedback whose correction grows tenfold each round: the
+    second update exceeds the first, and the solve stops at stage
+    ``picard``, key 2; ``run`` reports the abort."""
+    h, f = beam_instance()
+    calls = []
+
+    def growing(*args, **kwargs):
+        calls.append(None)
+        return f.jet().scale(10.0 ** len(calls))
+
+    monkeypatch.setattr(homological, "poisson", growing)
+    with pytest.raises(StageAbort) as exc:
+        solve_homological(h, f, DivisorGuard(1e-10), gamma1=0.4)
+    assert (exc.value.stage, exc.value.key) == ("picard", 2)
+    assert len(calls) == 2
+    report = run(h, f, Schedule(max_super=2), W)
+    assert isinstance(report.aborted, StageAbort)
+    assert (report.aborted.stage, report.aborted.key) == ("picard", 2)
+    assert report.block_stops == []
 
 
 def test_unrelated_error_in_an_inner_step_propagates(monkeypatch):
@@ -236,9 +303,9 @@ def test_fold_equals_the_codec_fold_bit_for_bit(build, delta_new):
     after two inner steps, onto the same partition and a coarser one."""
     h, f = build()
     sched = Schedule()
-    st = initial_state(h, f, sched, W)
+    st = initial_state(h, f, sched, W, guard_delta0=1e-8)
     for _ in range(2):
-        st = inner_step(st, guard_delta0=1e-8)
+        st = inner_step(st)
     p = h.partition
     p_new = build_partition(delta_new, p.radius, p.d, finite_set=p.finite_set,
                             core_cutoff=p.core_cutoff, exclude=p.exclude)
