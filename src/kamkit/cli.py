@@ -17,13 +17,16 @@ from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from .algebra import WeightParams
-from .divisors import ParameterGrid, check_A1, melnikov_scan
+from .divisors import ParameterGrid, check_A1, excise, melnikov_scan
 # class_norm is not called here, but perfbench's tracer wraps cli.class_norm
 from .hamiltonian import ClassNormParams, StageAbort, class_norm  # noqa: F401
 from .kam import (THRESHOLD_CONSTANTS, UNSTABLE_FACTOR, Schedule, run,
                   singular_gate_inputs, singular_threshold)
-from .lattice import build_partition, build_partitions, max_diameter
+from .lattice import (build_partition, build_partitions, max_diameter,
+                      norm_sq)
 from .models import (BeamModel, ModelError, NlsModel, SingularBeamModel,
                      build_beam, build_nls, build_singular)
 
@@ -218,16 +221,23 @@ def read_model(cfg, name: str = "model"):
     return cls(**v)
 
 
-def _grid(cfg, params: int) -> ParameterGrid | None:
-    """The grid section over ``params`` parameters, or None when there is
-    none."""
+def _grid(cfg, floors) -> ParameterGrid | None:
+    """The grid section, or None when there is none: one axis per
+    parameter, each above its floor (the frequency map's domain)."""
     if cfg is None:
         return None
     s = _Section(cfg, "grid", ("bounds", "resolution", "ball"))
     bounds = s("bounds", _BOUNDS)
-    if len(bounds) != params:
+    if len(bounds) != len(floors):
         raise ConfigError(f"field 'grid.bounds' has {len(bounds)} axes; "
-                          f"expected {params}, the model's parameter count")
+                          f"expected {len(floors)}, the model's parameter "
+                          "count")
+    for j, ((lo, _), floor) in enumerate(zip(bounds, floors)):
+        if lo <= floor:
+            raise ConfigError(
+                f"field 'grid.bounds' has rho_{j} from {lo:g}, but its "
+                f"node's frequency sqrt(|a|^4 + rho_{j}) needs rho_{j} > "
+                f"{floor:g}")
     try:
         return ParameterGrid(bounds=bounds,
                              resolution=s("resolution", _INTEGER, 64),
@@ -278,13 +288,15 @@ def read_config(cfg, command: str) -> dict:
             "constants", THRESHOLD_CONSTANTS)
         conf["constants"] = {key: c(key, _FINITE) for key in c.raw}
         return conf
-    n = len(model.rho if isinstance(model, NlsModel) else model.nodes)
+    floors = ([-math.inf] * len(model.rho) if isinstance(model, NlsModel)
+              else [-norm_sq(a) ** 2 for a in model.nodes])
+    n = len(floors)
     g = root.section("guard", ("delta0", "C", "tau", "beta", "c", "K_max"))
     conf["guard"] = {"K_max": g("K_max", _COUNT, 20 * n), **{
         key: g(key, _POSITIVE, default) for key, default in (
             ("delta0", 1e-8), ("C", 1.0), ("tau", n + 1), ("beta", 1.0),
             ("c", 1.0))}}
-    conf["grid"] = root("grid", lambda v, key: _grid(v, n),
+    conf["grid"] = root("grid", lambda v, key: _grid(v, floors),
                         _REQUIRED if command == "scan" else None)
     if command == "kam":
         conf["schedule"] = _params(root, "schedule", Schedule)
@@ -365,20 +377,16 @@ def cmd_scan(cfg: dict) -> int:
                                exclude=p.exclude)
     rep_a1 = check_A1(sites, h.lambda_fn, sphere_p, grid,
                       delta0=guard["delta0"], beta=guard["beta"],
-                      c_const=guard["c"],
-                      H_fn=(lambda rho: h.hyperbolic_block)
-                      if h.hyperbolic_block is not None else None)
+                      c_const=guard["c"], H=h.hyperbolic_block)
     rep_mel = melnikov_scan(h.omega_fn, h.lambda_fn, p, grid,
                             C=guard["C"], tau=guard["tau"],
                             K_max=guard["K_max"])
     _write(outdir / "first_hypothesis.txt", rep_a1.dump_lines())
     _write(outdir / "melnikov.txt", rep_mel.dump_lines())
 
-    surviving = grid.copy()
-    bad = set(rep_a1.bad_cells) | set(rep_mel.bad_cells)
-    flat = surviving.mask.reshape(-1)
-    for idx in bad:
-        flat[idx] = False
+    bad = np.zeros(grid.mask.size, dtype=bool)
+    bad[rep_a1.bad_cells + rep_mel.bad_cells] = True
+    _, surviving = excise(grid, bad)
     (outdir / "surviving.mask").write_bytes(surviving.mask_bits())
     write_manifest(conf, {
         "command": "scan", "model_kind": kind, "core_cutoff": p.core_cutoff,

@@ -125,19 +125,18 @@ def _min_cross_class_gap(vals: np.ndarray, labels: np.ndarray) -> float:
 
 def check_A1(sites, lambda_fn, partition: BlockPartition, grid: ParameterGrid,
              delta0: float, beta: float, c_const: float,
-             H_fn=None) -> DivisorReport:
+             H: np.ndarray | None = None) -> DivisorReport:
     """Spectral asymptotics and separation on every surviving grid cell.
 
     (a) |L_a| >= delta0; (b) |L_a - |a|^2| <= c <a>^-beta;
-    (c) smallest singular values of JH and L_a I - iJH >= delta0;
+    (c) smallest singular values of JH and L_a I - iJH >= delta0, for the
+    hyperbolic block H over the finite set (no check when H is None);
     (d) |L_a + L_b| >= delta0; (e) |L_a - L_b| >= delta0 across classes.
 
     ``lambda_fn(X, rho)`` takes the sites as the rows of an (m, d) int64
     array and one parameter point, and returns the (m,) float array of
     L_a; it is called once per surviving cell.  The work is done once per
-    distinct L vector: cells whose L bytes are equal share the (a), (b),
-    (d) and (e) verdicts, and the (c) verdict where ``H_fn(rho)``'s bytes
-    are equal too.
+    distinct L vector: cells whose L bytes are equal share every verdict.
     """
     sites = list(sites)
     labels = np.array([partition.class_of[s] for s in sites])
@@ -145,45 +144,34 @@ def check_A1(sites, lambda_fn, partition: BlockPartition, grid: ParameterGrid,
     nsq = (X * X).sum(axis=1).astype(float)
     br_pow = np.maximum(np.sqrt(nsq), 1.0) ** (-beta)
     F = len(partition.finite_set)
-    J = symplectic(F)
+    JH = symplectic(F) @ H if H is not None and F > 0 else None
 
-    def lam_fails(lam) -> list:   # (a), (b), (d), (e): L alone decides
-        return [f for f, failed in (
-            ("a", np.abs(lam).min() < delta0),
-            ("b", np.any(np.abs(lam - nsq) > c_const * br_pow)),
-            ("d", _min_abs_sum_pairs(lam) < delta0),
-            ("e", _min_cross_class_gap(lam, labels) < delta0)) if failed]
-
-    def c_fails(lam, H) -> bool:  # (c): L and H decide
-        JH = J @ H
+    def c_fails(lam) -> bool:
         L = np.unique(lam)[:, None, None] * np.eye(2 * F) - 1j * JH
         return (np.linalg.svd(JH, compute_uv=False)[-1] < delta0
                 or np.linalg.svd(L, compute_uv=False)[:, -1].min() < delta0)
 
+    def fails(lam) -> list:
+        return [f for f, failed in (
+            ("a", np.abs(lam).min() < delta0),
+            ("b", np.any(np.abs(lam - nsq) > c_const * br_pow)),
+            ("c", JH is not None and c_fails(lam)),
+            ("d", _min_abs_sum_pairs(lam) < delta0),
+            ("e", _min_cross_class_gap(lam, labels) < delta0)) if failed]
+
     bad = {}
     details = {"a": 0, "b": 0, "c": 0, "d": 0, "e": 0}
     centers = grid.centers()
-    alive = grid.mask.ravel()
-    by_lam, by_lam_H = {}, {}
-    for ic, rho in enumerate(centers):
-        if not alive[ic]:
-            continue
-        lam = lambda_fn(X, rho)
+    by_lam = {}
+    for ic in np.flatnonzero(grid.mask.ravel()).tolist():
+        lam = lambda_fn(X, centers[ic])
         key = lam.tobytes()
         if key not in by_lam:
-            by_lam[key] = lam_fails(lam)
-        fails = by_lam[key]
-        if H_fn is not None and F > 0:
-            H = np.asarray(H_fn(rho), dtype=float)
-            key_H = (key, H.tobytes())
-            if key_H not in by_lam_H:
-                by_lam_H[key_H] = c_fails(lam, H)
-            if by_lam_H[key_H]:
-                fails = sorted(fails + ["c"])
-        for f in fails:
+            by_lam[key] = fails(lam)
+        for f in by_lam[key]:
             details[f] += 1
-        if fails:
-            bad[ic] = fails
+        if by_lam[key]:
+            bad[ic] = by_lam[key]
     return DivisorReport(
         tag="A1", bad_cells=sorted(bad), bad_measure=len(bad)
         * grid.cell_measure,
@@ -208,13 +196,17 @@ def melnikov_scan(omega_fn, lambda_fn, partition: BlockPartition,
     difference remains (every class but the finite one is the core), every
     margin is +inf.
 
-    ``lambda_fn(X, rho)`` is as in ``check_A1``; it is called once per
-    surviving cell, on the classes' first points.  The sorted differences
-    are built once per distinct L vector: cells whose L bytes are equal
-    share them, and only the targets k.omega(rho) are per cell.
+    ``omega_fn`` maps parameter points on the last axis to frequencies; it
+    is called once, on the surviving cells' centres.  ``lambda_fn(X, rho)``
+    is as in ``check_A1``; it is called once per surviving cell, on the
+    classes' first points.  The sorted differences are built once per
+    distinct L vector: cells whose L bytes are equal share them, and only
+    the targets k.omega(rho) are per cell.
     """
-    probe = np.asarray(omega_fn(grid.centers()[0]), dtype=float)
-    K = _k_vectors(len(probe), K_max)
+    centers = grid.centers()
+    alive = np.flatnonzero(grid.mask.ravel()).tolist()
+    omegas = np.asarray(omega_fn(centers[alive]), dtype=float)
+    K = _k_vectors(omegas.shape[-1], K_max)
     Knorm = np.sqrt((K * K).sum(axis=1))
     thresh = C * Knorm ** (-tau)
     ids = [ci for ci in range(len(partition.ends) - 1)
@@ -224,14 +216,9 @@ def melnikov_scan(omega_fn, lambda_fn, partition: BlockPartition,
     keep = ~(core[:, None] & core[None, :])
     bad = {}
     worst = {}
-    centers = grid.centers()
-    alive = grid.mask.ravel()
     diffs_of = {}
-    for ic, rho in enumerate(centers):
-        if not alive[ic]:
-            continue
-        omega = np.asarray(omega_fn(rho), dtype=float)
-        lam = lambda_fn(X, rho)
+    for ic, omega in zip(alive, omegas):
+        lam = lambda_fn(X, centers[ic])
         key = lam.tobytes()
         if key not in diffs_of:
             diffs_of[key] = np.unique((lam[:, None] - lam[None, :])[keep])
@@ -257,24 +244,15 @@ def melnikov_scan(omega_fn, lambda_fn, partition: BlockPartition,
                  "worst_margin": min(worst.values(), default=math.inf)})
 
 
-def excise(divisor_family, grid: ParameterGrid, eps: float):
-    """Remove cells where any family member has magnitude < eps.
+def excise(grid: ParameterGrid, bad):
+    """Remove the cells where ``bad``, one boolean per cell in ``centers()``
+    order, holds: the one way a grid loses cells.
 
-    Returns (bad_measure, surviving grid copy).
+    Returns (measure removed from the surviving cells, surviving grid copy).
     """
     out = grid.copy()
-    if eps <= 0 or not divisor_family:
-        return 0.0, out
-    centers = grid.centers()
-    alive = out.mask.ravel()
-    bad = np.zeros(len(centers), dtype=bool)
-    for fn in divisor_family:
-        vals = np.array([fn(rho) for rho in centers])
-        bad |= np.abs(vals) < eps
-    bad &= alive
-    flat = out.mask.ravel()
-    flat[bad] = False
-    out.mask = flat.reshape(out.mask.shape)
+    bad = np.asarray(bad, dtype=bool).reshape(out.mask.shape) & out.mask
+    out.mask &= ~bad
     return float(bad.sum()) * grid.cell_measure, out
 
 

@@ -973,7 +973,7 @@ class NormalFormHamiltonian:
     elliptic_blocks: dict = field(default_factory=dict)  # class idx -> Q
     hyperbolic_block: np.ndarray | None = None
     rho_star: np.ndarray | None = None
-    omega_fn: object = None       # rho -> n-vector (model closed form)
+    omega_fn: object = None       # rho on the last axis -> omega (closed form)
     lambda_fn: object = None      # (X, rho) -> Lambda on the rows of X
 
     @property

@@ -121,24 +121,24 @@ def _excise_failures(state: IterationState):
 
     Each logged check whose least |d| is below delta0 gives its divisor
     nearest zero, with its sign, extended off the reference parameter to
-    first order through the model frequency map."""
+    first order through the model frequency map: d* + k.(omega(rho) -
+    omega*) at each cell centre."""
     guard = state.guard
     if state.grid is None or not guard.failures or state.h.omega_fn is None:
         return
-    rho_star = np.asarray(state.h.rho_star, dtype=float)
-    omega_star = np.asarray(state.h.omega_fn(rho_star), dtype=float)
-    fam = []
+    centres = state.grid.centers()
+    omegas = np.asarray(state.h.omega_fn(np.vstack([state.h.rho_star,
+                                                    centres])), dtype=float)
+    shift = omegas[1:] - omegas[0]
+    bad = np.zeros(len(centres), dtype=bool)
     for (k, _, _), d in guard.log.items():
         val = float(d[np.abs(d).argmin()])
-        if abs(val) >= guard.delta0:
-            continue
-        kv = np.array(k, dtype=float)
-
-        def fn(rho, kv=kv, val=val):
-            om = np.asarray(state.h.omega_fn(rho), dtype=float)
-            return val + kv @ (om - omega_star)
-        fam.append(fn)
-    bad, state.grid = excise(fam, state.grid, guard.delta0)
+        if abs(val) < guard.delta0:
+            # one dot product per cell: a stacked product (shift @ k) can
+            # round k.(omega - omega*) differently in the last bit
+            kv = np.array(k, dtype=float)
+            bad |= np.abs([val + kv @ s for s in shift]) < guard.delta0
+    _, state.grid = excise(state.grid, bad)
     if state.grid.measure() == 0.0:
         raise StageAbort("excision", None,
                          "empty surviving grid after divisor excision")

@@ -366,17 +366,11 @@ def build_beam(model: BeamModel):
                            finite_set=fin, exclude=model.nodes)
     n = len(model.nodes)
     omega = np.array([lam[a] for a in model.nodes])
-
-    def omega_fn(rho):
-        return np.array([math.sqrt(norm_sq(a) ** 2 + rho[j])
-                         for j, a in enumerate(model.nodes)])
-
-    def lambda_fn(X, rho):
-        return np.sqrt(np.abs(_beam_mu(model, X, rho)))
-
-    h = NormalFormHamiltonian(omega=omega, partition=part,
-                              rho_star=np.array(model.rho),
-                              omega_fn=omega_fn, lambda_fn=lambda_fn)
+    node_q2 = np.array([norm_sq(a) ** 2 for a in model.nodes], dtype=float)
+    h = NormalFormHamiltonian(
+        omega=omega, partition=part, rho_star=np.array(model.rho),
+        omega_fn=lambda rho: np.sqrt(node_q2 + rho),
+        lambda_fn=lambda X, rho: np.sqrt(np.abs(_beam_mu(model, X, rho))))
     for ci, cl in enumerate(part.classes):
         if ci == part.finite_index:
             continue

@@ -276,12 +276,20 @@ GRID = {"bounds": [[0.5, 0.9], [1.1, 1.5]], "resolution": 4}
      ("'grid'", "bounds")),
     ("scan", {"grid": dict(GRID, bounds=[[0.5, 0.9]])}, ("grid.bounds",)),
     ("kam", {"grid": dict(GRID, bounds=[[0.5, 0.9]] * 3)}, ("grid.bounds",)),
+    # a box that reaches rho_0 <= -|a|^4 = -1 at the node (1, 0), where
+    # the frequency sqrt(|a|^4 + rho_0) is not real; kam's run has guard
+    # failures at delta0 = 0.03, so it would map the grid through omega
+    ("scan", {"grid": dict(GRID, bounds=[[-1.5, 0.9], [1.1, 1.5]])},
+     ("'grid.bounds'", "rho_0 > -1")),
+    ("kam", {"grid": dict(GRID, bounds=[[-1.5, 0.9], [1.1, 1.5]]),
+             "guard": {"delta0": 0.03}}, ("'grid.bounds'", "rho_0 > -1")),
     ("scan", {"grid": GRID, "guard": {"K_max": 0}}, ("guard.K_max",)),
     ("scan", {"grid": GRID, "guard": {"K_max": -20}}, ("guard.K_max",)),
 ] + [("scan", {"grid": GRID, "guard": {key: True}}, (f"'guard.{key}'",))
      for key in ("tau", "C", "delta0", "beta", "c")],
     ids=["resolution-0", "resolution-negative", "reversed-bounds",
-         "scan-bounds-length", "kam-bounds-length", "K_max-0",
+         "scan-bounds-length", "kam-bounds-length", "scan-bounds-below-omega",
+         "kam-bounds-below-omega", "K_max-0",
          "K_max-negative", "tau-true", "C-true", "delta0-true", "beta-true",
          "c-true"])
 def test_bad_grid_or_guard_is_a_config_error(tmp_path, capsys, command,
@@ -794,8 +802,8 @@ def test_only_commands_that_use_a_grid_read_or_record_it(tmp_path):
 
 @pytest.mark.parametrize("name, command", [
     ("desk_beam", "kam"), ("desk_beam", "blocks"), ("singular_gate", "kam"),
-    ("scan_beam", "scan"),
-], ids=["kam", "blocks", "singular_gate-kam", "scan"])
+    ("scan_beam", "scan"), ("excise_beam", "kam"),
+], ids=["kam", "blocks", "singular_gate-kam", "scan", "excise_beam-kam"])
 def test_example_config_runs(tmp_path, name, command):
     """README's example configs stay valid for the commands they serve."""
     example = Path(__file__).parents[1] / "examples" / f"{name}.json"

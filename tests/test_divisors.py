@@ -8,7 +8,7 @@ import _reference_divisors as ref
 from kamkit.divisors import (DivisorReport, ParameterGrid, _min_abs_sum_pairs,
                              check_A1, excise, lemma_cj, lemma_hermitian,
                              melnikov_scan)
-from kamkit.lattice import ball_points, build_partition
+from kamkit.lattice import ball_points, build_partition, norm_sq
 from kamkit.models import BeamModel, NlsModel, build_beam, build_nls
 
 
@@ -42,40 +42,50 @@ def test_grid_ball_mask():
     assert g.measure() == pytest.approx(math.pi, abs=0.15)
 
 
+def band(g, at, eps):
+    """The cells whose centre is within eps of ``at`` on the first axis."""
+    return np.abs(g.centers()[:, 0] - at) < eps
+
+
 def test_excise_nothing_at_zero_eps():
     g = unit_grid()
-    bad, out = excise([lambda r: r[0] - 0.5], g, 0.0)
+    bad, out = excise(g, band(g, 0.5, 0.0))     # an empty mask
     assert bad == 0.0
     assert out.measure() == pytest.approx(1.0)
+    assert out is not g and out.mask is not g.mask
 
 
 def test_excise_linear_divisor_closed_form():
     g = unit_grid(res=256)
     for eps in (0.02, 0.05, 0.1):
-        bad, out = excise([lambda r: r[0] - 0.4], g, eps)
+        bad, out = excise(g, band(g, 0.4, eps))
         assert bad == pytest.approx(2 * eps, abs=g.cell_measure + 1e-12)
         assert out.measure() == pytest.approx(1.0 - bad)
+        assert g.measure() == 1.0                   # the input is kept
 
 
 def test_excise_monotone_in_eps_and_family():
     g = unit_grid(res=128)
-    f1 = lambda r: r[0] - 0.3
-    f2 = lambda r: r[0] - 0.7
     prev = -1.0
     for eps in (0.01, 0.03, 0.09):
-        bad, _ = excise([f1], g, eps)
+        bad, _ = excise(g, band(g, 0.3, eps))
         assert bad >= prev
         prev = bad
-        bad2, _ = excise([f1, f2], g, eps)
+        bad2, _ = excise(g, band(g, 0.3, eps) | band(g, 0.7, eps))
         assert bad2 >= bad
 
 
 def test_excise_survivors_excluded_from_later_scans():
+    # only surviving cells count: removal is idempotent, and a mask that
+    # overlaps the removed cells removes only the rest
     g = unit_grid(res=64)
-    _, out = excise([lambda r: r[0] - 0.5], g, 0.1)
-    bad2, out2 = excise([lambda r: r[0] - 0.5], out, 0.1)
+    _, out = excise(g, band(g, 0.5, 0.1))
+    bad2, out2 = excise(out, band(g, 0.5, 0.1))
     assert bad2 == 0.0  # already removed
     assert out2.measure() == pytest.approx(out.measure())
+    bad3, out3 = excise(out, band(g, 0.5, 0.2))
+    assert bad3 == pytest.approx(out.measure() - out3.measure())
+    assert bad3 == pytest.approx(0.2, abs=2 * g.cell_measure)
 
 
 def beam_lambda(X, rho):
@@ -115,25 +125,28 @@ def test_check_A1_condition_c_vacuous_without_hyperbolic():
     p = build_partition(math.inf, 2, 2)
     g = ParameterGrid(bounds=[(1.0, 2.0)], resolution=4)
     rep = check_A1(p.sites(), beam_lambda, p, g, delta0=1e-3, beta=2.0,
-                   c_const=5.0, H_fn=None)
+                   c_const=5.0, H=None)
     assert rep.details["per_condition_bad_cells"]["c"] == 0
 
 
 def test_check_A1_condition_c_with_hyperbolic_block():
     p = build_partition(math.inf, 2, 2, finite_set=((0, 0),))
-
-    def H_fn(rho):
-        return rho[0] * np.eye(2)
-
+    sites = [s for s in p.sites() if s != (0, 0)]
     g = ParameterGrid(bounds=[(1.0, 2.0)], resolution=8)
-    rep = check_A1([s for s in p.sites() if s != (0, 0)], beam_lambda, p, g,
-                   delta0=1e-3, beta=2.0, c_const=5.0, H_fn=H_fn)
-    assert rep.details["per_condition_bad_cells"]["c"] == 0
-    # a degenerate hyperbolic block trips (c)
-    rep2 = check_A1([s for s in p.sites() if s != (0, 0)], beam_lambda, p, g,
-                    delta0=1e-3, beta=2.0, c_const=5.0,
-                    H_fn=lambda rho: np.zeros((2, 2)))
-    assert rep2.details["per_condition_bad_cells"]["c"] > 0
+
+    def c_cells(H):
+        rep = check_A1(sites, beam_lambda, p, g, delta0=1e-3, beta=2.0,
+                       c_const=5.0, H=H)
+        return rep.details["per_condition_bad_cells"]["c"]
+
+    assert c_cells(np.eye(2)) == 0
+    # H = 0 trips (c) through JH on every cell
+    assert c_cells(np.zeros((2, 2))) == 8
+    # H = L_a I for a = (1, 0): JH's singular values are L_a >= delta0,
+    # but L_a I - iJH, whose eigenvalues are L_a -+ L_a, is singular
+    L_a = beam_lambda(np.array([[1, 0]]), (0.0,))[0]
+    assert L_a > 1e-3
+    assert c_cells(L_a * np.eye(2)) == 8
 
 
 def test_melnikov_zero_C_excises_nothing():
@@ -181,6 +194,14 @@ def test_array_lambda_is_the_scalar_lambda_bit_for_bit(tail):
     for rho in [(0.7, 1.3), (-1.3, -17.0), (1, 2), np.array([0.1234567, 2.5])]:
         assert h.lambda_fn(X, rho).tolist() == [
             ref.beam_lambda(model)(a, rho) for a in sites]
+    # omega on one point and on an (m, n) stack, at the points of a grid
+    # over mu_a = |a|^4 + rho_j > 0 on the nodes
+    P = ParameterGrid(bounds=[(-0.99, 3.0), (-15.9, 2.0)],
+                      resolution=64).centers()
+    want = [[math.sqrt(norm_sq(a) ** 2 + r[j])
+             for j, a in enumerate(model.nodes)] for r in P.tolist()]
+    assert h.omega_fn(P).tolist() == want
+    assert h.omega_fn(P[5]).tolist() == want[5]
     h, _ = build_nls(NlsModel(d=2, radius=5.0, mass=1.37, alpha=0.75,
                               rho=(1.3, 0.7)))
     assert h.lambda_fn(X, (1.3, 0.7)).tolist() == [
@@ -191,15 +212,16 @@ def test_array_lambda_is_the_scalar_lambda_bit_for_bit(tail):
 # (which build_beam rejects): a well 0 < mu_0 < 1/2, |tail| < 1/2 on the
 # spheres |a|^2 >= 1, and an optional dip of |a|^2 = 1 below zero, which
 # makes that sphere (less the node (1,0)) the hyperbolic finite set.  (c)
-# reads the model's H, H scaled by rho_0, or rho_0 I, whose JH has the
-# eigenvalues +-i rho_0, so that L_a I - iJH is singular at L_a = |rho_0|.
-# Hyperbolic example: rho_0 I over rho_0 in [-1.2, 0.4]; A1 fails on 18 of
-# the 36 cells, (c) on all 18: 6 through JH, 12 through L_a I - iJH.  All-fail
-# example: each of the 12 cells inside the ball fails every A1 condition
-# and the Melnikov scan.  Shared-L example: the grid is symmetric about
-# rho = (-1, -16), where the nodes' mu_a = |a|^4 + rho_j change sign, so
-# all 4 cells share L_a = sqrt|mu_a|, but H = rho_0 H_model is not shared:
-# (c) fails through JH on the 2 cells at rho_0 = -0.75 only.
+# reads the model's H, H = 0, whose JH is singular, or H = L I with L =
+# sqrt(1.7), the node (1,0)'s Lambda at rho* = (0.7, 1.3), which makes
+# L_a I - iJH singular where L_a = L.  JH example: H = 0 over rho_0 in
+# [-1.2, 0.4]; (c) fails through JH on all 36 cells.  L_a I - iJH example:
+# H = L I over [0.5, 0.9] x [1.1, 1.5]; JH's singular values are L > delta0,
+# and (c) fails on the 24 cells of the 4 columns around rho_0 = 0.7.
+# All-fail example: each of the 12 cells inside the ball fails every A1
+# condition and the Melnikov scan.  Shared-L example: the grid is symmetric
+# about rho = (-1, -16), where the nodes' mu_a = |a|^4 + rho_j change sign,
+# so all 4 cells share L_a = sqrt|mu_a| and one set of verdicts.
 @given(tail=st.dictionaries(st.integers(1, 9), st.floats(-0.45, 0.45),
                             max_size=3),
        well=st.floats(0.05, 0.45), dip=st.none() | st.floats(1.05, 3.0),
@@ -209,17 +231,20 @@ def test_array_lambda_is_the_scalar_lambda_bit_for_bit(tail):
        width=st.floats(0.1, 4.0), resolution=st.integers(1, 6),
        ball=st.booleans(), delta0=st.floats(1e-6, 2.0),
        c_const=st.floats(0.1, 5.0),
-       H_kind=st.sampled_from(["model", "scaled", "elliptic"]),
+       H_kind=st.sampled_from(["model", "zero", "lambda"]),
        C=st.floats(1e-4, 1.0), K_max=st.integers(1, 6))
 @example(tail={}, well=0.5, dip=2.0, R=3.0, delta=2.0, lo=(-1.2, 1.1),
          width=1.6, resolution=6, ball=False, delta0=0.1, c_const=1.0,
-         H_kind="elliptic", C=0.01, K_max=5)
+         H_kind="zero", C=0.01, K_max=5)
+@example(tail={}, well=0.5, dip=2.0, R=3.0, delta=2.0, lo=(0.5, 1.1),
+         width=0.4, resolution=6, ball=False, delta0=0.05, c_const=1.0,
+         H_kind="lambda", C=0.01, K_max=5)
 @example(tail={}, well=0.5, dip=2.0, R=2.0, delta=math.inf, lo=(0.5, 1.1),
          width=0.4, resolution=4, ball=True, delta0=2.0, c_const=0.1,
          H_kind="model", C=1.0, K_max=6)
 @example(tail={}, well=0.25, dip=2.0, R=2.0, delta=2.0, lo=(-1.5, -16.5),
          width=1.0, resolution=2, ball=False, delta0=1.0, c_const=1.0,
-         H_kind="scaled", C=0.01, K_max=3)
+         H_kind="lambda", C=0.01, K_max=3)
 def test_array_scans_match_per_site_oracle(tail, well, dip, R, delta, lo,
                                            width, resolution, ball, delta0,
                                            c_const, H_kind, C, K_max):
@@ -231,15 +256,16 @@ def test_array_scans_match_per_site_oracle(tail, well, dip, R, delta, lo,
     spheres = build_partition(math.inf, R, 2, finite_set=fin)
     blocks = build_partition(delta, R, 2, finite_set=fin)
     H = h.hyperbolic_block
-    H_fn = None if H is None else {
-        "model": lambda rho: H, "scaled": lambda rho: rho[0] * H,
-        "elliptic": lambda rho: rho[0] * np.eye(len(H))}[H_kind]
+    if H is not None:
+        H = {"model": H, "zero": np.zeros_like(H),
+             "lambda": h.omega[0] * np.eye(len(H))}[H_kind]
     grid = ParameterGrid(bounds=[(x, x + width) for x in lo],
                          resolution=resolution, ball=ball)
-    a1 = dict(delta0=delta0, beta=1.0, c_const=c_const, H_fn=H_fn)
-    assert check_A1(blocks.sites(), h.lambda_fn, spheres, grid, **a1) \
+    a1 = dict(delta0=delta0, beta=1.0, c_const=c_const)
+    assert check_A1(blocks.sites(), h.lambda_fn, spheres, grid, H=H, **a1) \
         == ref.check_A1(blocks.sites(), ref.beam_lambda(model), spheres,
-                        grid, **a1)
+                        grid, H_fn=None if H is None else lambda rho: H,
+                        **a1)
     omega = lambda rho: np.asarray(rho, dtype=float)
     mel = dict(C=C, tau=3.0, K_max=K_max)
     assert melnikov_scan(omega, h.lambda_fn, blocks, grid, **mel) \

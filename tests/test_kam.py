@@ -220,12 +220,16 @@ def test_excision_extends_each_failing_divisor_with_its_sign():
     """Desk beam R=2 at guard 0.03: the two failures are one divisor seen
     from k = (1, 0) and from -k, d* = +0.0109 and -0.0109.  The grid keeps
     exactly the cells where |d* + k.(omega(rho) - omega*)| >= delta0 for
-    both, each extended from its signed divisor."""
+    both, each extended from its signed divisor.  The step maps omega
+    once, on the stack of rho* and the 256 cell centres."""
     h, f = desk_beam(radius=2.0)
     delta0 = 0.03
     grid = ParameterGrid(bounds=[(0.5, 0.9), (1.1, 1.5)], resolution=16)
     st = initial_state(h, f, Schedule(), W, grid=grid, guard_delta0=delta0)
+    omega_fn, calls = h.omega_fn, []
+    h.omega_fn = lambda rho: calls.append(np.shape(rho)) or omega_fn(rho)
     st = inner_step(st)
+    assert calls == [(257, 2)]
     fails = st.guard.failures
     assert [(k, ch) for k, _, ch, _ in fails] == [((1, 0), "q-10"),
                                                   ((-1, 0), "q-01")]
