@@ -75,7 +75,7 @@ import numpy as np
 
 from .algebra import (WeightParams, decay_norm, site_weight,
                       spectral_norm_2x2)
-from .lattice import BlockPartition, _tuples
+from .lattice import BlockPartition, _ranges, _tuples
 
 XI, ETA = 0, 1
 
@@ -426,12 +426,6 @@ def _passes_screen(a, b, cut):
     """The pair screen's one float test: a non-jet pair whose coefficients
     have sizes a and b (``_abs``) is formed only when a * b > cut."""
     return a * b > cut
-
-
-def _ranges(start, count) -> np.ndarray:
-    """The concatenated ranges start[r], ..., start[r] + count[r] - 1."""
-    shift = np.repeat(start - np.cumsum(count) + count, count)
-    return shift + np.arange(len(shift))
 
 
 def _pairs(A: tuple, B: tuple, V: int, max_degree: int | None,

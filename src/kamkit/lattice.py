@@ -2,11 +2,12 @@
 
 Everything here works on a finite truncation {|a| <= R} of Z^d.  The ball
 {|a| <= R} is built once per (R, d) as a read-only int64 array, and the
-spheres, the resonance-block partitions (one KD-tree neighbour query shared
-by every delta of a run), the class diameters and the angle relation are
-array passes over it.  A partition keeps its points as one int64 array in
-class order; points taken in or handed out one at a time, as by
-``BlockPartition.classes``, are plain tuples of ints.  ``pseudo_dist_sq``
+spheres, the resonance-block partitions (one cell-list neighbour search
+shared by every delta of a run, and one union-find per delta), the class
+diameters and the angle relation are array passes over it.  A partition
+keeps its points as one int64 array in class order; points taken in or
+handed out one at a time, as by ``BlockPartition.classes``, are plain
+tuples of ints.  ``pseudo_dist_sq``
 is the one pseudo-distance, exact in int64.
 """
 from __future__ import annotations
@@ -17,9 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 Point = tuple  # tuple[int, ...]
 
@@ -77,6 +75,9 @@ def sphere_points(nsq: int, d: int, R: float | None = None) -> list[Point]:
     if R is not None and nsq > R * R:
         raise ValueError(f"norm_sq {nsq} exceeds truncation R^2 = {R * R}")
     return _tuples(_sphere(nsq, d))
+
+
+_CHUNK = 1 << 12     # points whose coordinates ``dump_lines`` reads at once
 
 
 @dataclass(eq=False)
@@ -176,8 +177,10 @@ def build_partitions(deltas, R, d, finite_set=(), core_cutoff=1.0,
     are sorted by (|a|^2, a); classes follow in that order of their
     smallest point, each listing its points in that order.  The ball, the
     finite and core classes and the shell order are built once; the links
-    of every delta below 2R come from one neighbour query (``_shell_links``)
-    at the largest of them.  At delta >= 2R every sphere is one class.
+    of every delta below 2R come from one neighbour search
+    (``_shell_links``) at the largest of them, and each delta's classes
+    from one union-find (``components``) over its share of the links.  At
+    delta >= 2R every sphere is one class.
     """
     deltas = list(deltas)
     if R < core_cutoff:
@@ -232,7 +235,7 @@ def _partitions(deltas, R, d, fset, excl, core_cutoff):
     own = keep[shell]
     below = [x for x in deltas if x < 2 * R]
     if below:
-        rows, cols, reach = _shell_links(X[shell], q, sphere, max(below))
+        rows, cols, reach = _shell_links(X[shell], sphere, max(below))
 
     for delta in deltas:
         if delta >= 2 * R:
@@ -240,9 +243,7 @@ def _partitions(deltas, R, d, fset, excl, core_cutoff):
             label = sphere
         else:
             k = int(np.searchsorted(reach, delta * delta, side="right"))
-            adj = coo_matrix((np.ones(k), (rows[:k], cols[:k])),
-                             shape=(len(shell),) * 2)
-            label = connected_components(adj, directed=False)[1]
+            label = components(len(shell), rows[:k], cols[:k])
         members, ends, lead_nsq = _classes(shell[own], q[own], label[own])
         if delta == math.inf:
             boundary = [False] * len(lead_nsq)
@@ -255,6 +256,34 @@ def _partitions(deltas, R, d, fset, excl, core_cutoff):
             finite_set=fset, core_cutoff=core_cutoff, exclude=excl,
             boundary_flags=[False] * len(head) + boundary,
             finite_index=finite_index, core_index=core_index)
+
+
+def components(n, rows, cols) -> np.ndarray:
+    """The connected components of the graph on 0..n-1 with the links
+    (rows[i], cols[i]): each vertex's label is the smallest vertex of its
+    component.
+
+    A union-find on int arrays: each round hooks every root with a link to
+    a smaller root onto the smallest such root (``np.minimum.at``), then
+    jumps pointers until every vertex points at a root, and keeps only the
+    links whose ends still have different roots.
+    """
+    root = np.arange(n)
+    while True:
+        a, b = root[rows], root[cols]
+        split = a != b
+        if not split.any():
+            return root
+        rows, cols = a[split], b[split]
+        np.minimum.at(root, np.maximum(rows, cols), np.minimum(rows, cols))
+        while not np.array_equal(up := root[root], root):
+            root = up
+
+
+def _ranges(start, count) -> np.ndarray:
+    """The concatenated ranges start[r], ..., start[r] + count[r] - 1."""
+    shift = np.repeat(start - np.cumsum(count) + count, count)
+    return shift + np.arange(len(shift))
 
 
 def _classes(members, q, label):
@@ -271,44 +300,67 @@ def _classes(members, q, label):
     return members[np.argsort(cid, kind="stable")], ends, q[first[lead]]
 
 
-_CHUNK = 1 << 12
-
-
-def _shell_links(P, q, sphere, dmax):
+def _shell_links(P, sphere, dmax):
     """The links of the shell points P (sorted by (|a|^2, a), every sphere
     closed under a -> -a) that a delta <= dmax can use: rows, cols (int32
     ids into P) and each link's reach, the least delta^2 that keeps it,
     sorted by reach.  A pair a, b of one sphere with |a-b| <= dmax reaches
     at |a-b|^2, exact in int64; a ~ -a reaches at 0.
 
-    The pairs come from one cKDTree per run of whole spheres (at most
-    ``_CHUNK`` points unless one sphere is larger) over the points
-    (a, K |a|^2), K = dmax + 1, in which points of different spheres are
-    always farther apart than dmax.
+    The pairs come from a cell list: the points are bucketed by (sphere,
+    floor(a / (floor(dmax) + 1))), so the two points of a pair lie in one
+    bucket or in neighbouring ones, and each bucket is joined with itself
+    and its 3^d // 2 neighbours of lexicographically larger offset, found
+    by ``searchsorted`` on the sorted bucket keys.
     """
-    n = len(P)
-    start = np.searchsorted(sphere, sphere)
-    end = np.searchsorted(sphere, sphere, side="right")
+    n, d = P.shape
+    cell = P // (math.floor(dmax) + 1)
+    # shifted so that every neighbour of a bucket has cells >= 0 (initial:
+    # an empty shell)
+    cell -= cell.min(axis=0, initial=0) - 1
+    weight = (int(cell.max(initial=0)) + 2) ** np.arange(d, -1, -1)
+    key = sphere * weight[0] + cell @ weight[1:]
+    order = np.argsort(key, kind="stable").astype(np.int32)
+    key = key[order]
+    head = np.flatnonzero(np.diff(key, prepend=-1))
+    size = np.diff(head, append=n)
+    bucket = np.repeat(np.arange(len(head)), size)
+    key, X = key[head], P[order].T
+    rows, cols, reach = [], [], []
+    for off in itertools.product((-1, 0, 1), repeat=d):
+        if off < (0,) * d:
+            continue
+        if off == (0,) * d:     # the later points of a point's own bucket
+            lo = np.arange(1, n + 1)
+            count = (head + size)[bucket] - lo
+        else:
+            want = key + np.dot(off, weight[1:])
+            at = np.minimum(np.searchsorted(key, want), len(key) - 1)
+            lo = head[at][bucket]
+            count = np.where(key[at] == want, size[at], 0)[bucket]
+        i = np.repeat(np.arange(n), count)
+        j = _ranges(lo, count)
+        dist = np.zeros(len(i), dtype=np.int64)
+        for x in X:
+            x = x[i] - x[j]
+            x *= x
+            dist += x
+        near = np.flatnonzero(dist <= dmax * dmax)
+        rows.append(order[i[near]])
+        cols.append(order[j[near]])
+        reach.append(dist[near])
     # lexicographic order within a sphere is reversed by a -> -a
     ids = np.arange(n, dtype=np.int32)
-    rows = [ids]
-    cols = [(start + end - 1 - ids).astype(np.int32)]
-    reach = [np.zeros(n, dtype=np.int64)]
-    b = 0
-    while b < n:
-        e = int(end[min(b + _CHUNK, n) - 1])
-        tree = cKDTree(np.column_stack([P[b:e],
-                                        (dmax + 1) * q[b:e].astype(float)]))
-        i, j = tree.query_pairs(dmax, output_type="ndarray").T + b
-        diff = P[i] - P[j]
-        rows.append(i.astype(np.int32))
-        cols.append(j.astype(np.int32))
-        reach.append((diff * diff).sum(axis=1))
-        b = e
-    reach = np.concatenate(reach)
-    order = np.argsort(reach, kind="stable")
-    return (np.concatenate(rows)[order], np.concatenate(cols)[order],
-            reach[order])
+    end = np.searchsorted(sphere, sphere, side="right")
+    rows = np.concatenate([ids] + rows)
+    cols = np.concatenate([(np.searchsorted(sphere, sphere) + end - 1
+                            - ids).astype(np.int32)] + cols)
+    reach = np.concatenate([np.zeros(n, dtype=np.int64)] + reach)
+    # reach <= dmax^2 fits the smallest unsigned type, which numpy's
+    # stable sort takes as a radix sort up to 16 bits
+    by_reach = np.argsort(reach.astype(np.min_scalar_type(int(dmax * dmax))),
+                          kind="stable")
+    return rows[by_reach], cols[by_reach], reach[by_reach]
 
 
 def pseudo_dist_sq(Xa, Xb) -> np.ndarray:

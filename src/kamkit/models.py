@@ -31,15 +31,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
-from scipy.special import binom as _binom
 
 from .hamiltonian import (ETA, XI, NormalFormHamiltonian, Polynomial, _cmul,
-                          _complex, _cut, _degree, _ranges, _remap, _runs,
-                          _stack_z, _zkeys, class_ids, decode_jet, encode,
-                          site_layout)
+                          _complex, _cut, _degree, _remap, _runs, _stack_z,
+                          _zkeys, class_ids, decode_jet, encode, site_layout)
 from .algebra import symplectic
-from .lattice import ball_points, build_partition, check_admissible, norm_sq
+from .lattice import (_ranges, ball_points, build_partition, check_admissible,
+                      components, norm_sq)
 
 TWO_PI = 2 * math.pi
 
@@ -226,6 +224,24 @@ def expand_product(n: int, pools, xwave, d: int, coeff, k=None) -> Polynomial:
         return encode(n, [], np.zeros((1, 0)),
                       [coeff * TWO_PI ** (d * (1 - total / 2.0))], K=k)
     return encode(n, *_expansion(pools, xwave, d, coeff), K=k)
+
+
+def _binom(n: float, k: int) -> float:
+    """The binomial coefficient (n choose k) for a half-integer n > 0 and
+    an integer k >= 0, or integers 0 <= k <= n, by the product loop of
+    scipy.special.binom: the same bits as scipy for k < 20, past which
+    scipy goes over to a Beta-function formula.  An integer n > 0 first
+    takes k to n - k when k > n / 2."""
+    if 0 < n == math.floor(n) and k > n / 2:
+        k = n - k
+    num = den = 1.0
+    for i in range(1, int(k) + 1):
+        num *= i + n - k
+        den *= i
+        if abs(num) > 1e50:
+            num /= den
+            den = 1.0
+    return num / den
 
 
 def _half_power(e2: int, I: float, r_degree: int) -> list:
@@ -696,7 +712,7 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
     # split into symplectically invariant components
     scale = max(1.0, np.abs(C).max()) if M else 1.0
     adj = np.abs(C).reshape(M, 2, M, 2).max(axis=(1, 3)) > 1e-12 * scale
-    _, label = connected_components(adj, directed=False)
+    label = components(M, *np.nonzero(adj))
     # numbered by their smallest member, each ascending
     comps = [np.flatnonzero(label == c).tolist()
              for c in dict.fromkeys(label.tolist())]

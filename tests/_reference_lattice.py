@@ -8,6 +8,10 @@ record, ``Partition``, with the classes stored as tuples of point tuples.
 The array versions must return exactly the same classes, order, flags,
 indices and diameters (``fields``).
 
+``shell_links`` is the KD-tree version of ``kamkit.lattice._shell_links``
+that ran before the links came from a cell list; the cell list must give
+the same pairs with the same reaches.
+
 The scalar ``pseudo_dist``, the box-scan ``sphere_points`` and
 ``angle_relation`` and the loop ``max_diameter`` are the definitions
 ``kamkit.lattice`` ran before every pseudo-distance went through
@@ -206,3 +210,42 @@ def class_diameters(p) -> list[float]:
 def class_points(p, a) -> tuple[Point, ...]:
     """The class of the point a; was ``BlockPartition.class_points``."""
     return p.classes[p.class_index(a)]
+
+
+_CHUNK = 1 << 12
+
+
+def shell_links(P, q, sphere, dmax):
+    """The links of the shell points P (sorted by (|a|^2, a), every sphere
+    closed under a -> -a) that a delta <= dmax can use: rows, cols (int32
+    ids into P) and each link's reach, sorted by reach, as
+    ``kamkit.lattice._shell_links`` returns them.
+
+    The pairs come from one cKDTree per run of whole spheres (at most
+    ``_CHUNK`` points unless one sphere is larger) over the points
+    (a, K |a|^2), K = dmax + 1, in which points of different spheres are
+    always farther apart than dmax.
+    """
+    n = len(P)
+    start = np.searchsorted(sphere, sphere)
+    end = np.searchsorted(sphere, sphere, side="right")
+    # lexicographic order within a sphere is reversed by a -> -a
+    ids = np.arange(n, dtype=np.int32)
+    rows = [ids]
+    cols = [(start + end - 1 - ids).astype(np.int32)]
+    reach = [np.zeros(n, dtype=np.int64)]
+    b = 0
+    while b < n:
+        e = int(end[min(b + _CHUNK, n) - 1])
+        tree = cKDTree(np.column_stack([P[b:e],
+                                        (dmax + 1) * q[b:e].astype(float)]))
+        i, j = tree.query_pairs(dmax, output_type="ndarray").T + b
+        diff = P[i] - P[j]
+        rows.append(i.astype(np.int32))
+        cols.append(j.astype(np.int32))
+        reach.append((diff * diff).sum(axis=1))
+        b = e
+    reach = np.concatenate(reach)
+    order = np.argsort(reach, kind="stable")
+    return (np.concatenate(rows)[order], np.concatenate(cols)[order],
+            reach[order])

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import kamkit
 from kamkit import kam, models
 from kamkit.cli import build_model, main
 from kamkit.kam import Schedule
@@ -162,7 +166,7 @@ def test_blocks_rejects_bad_finite_set(tmp_path, capsys, fset):
 
 def test_blocks_finite_set_artifacts_match_golden(tmp_path):
     """A finite class, a core class and unsorted deltas (0, 1.5, inf),
-    frozen from the partition that built one cKDTree query per delta."""
+    frozen from an earlier build of the partitions."""
     _check_blocks_golden(_blocks_case(tmp_path, BLOCKS_D2_R8),
                          "blocks_d2_R8")
 
@@ -810,6 +814,47 @@ def test_example_config_runs(tmp_path, name, command):
     cfg = dict(json.loads(example.read_text()),
                output_dir=str(tmp_path / "out"))
     assert main([command, write_cfg(tmp_path, cfg)]) == 0
+
+
+# imports kamkit.cli, prints the blocked modules it loaded, then runs one
+# command with those modules made unimportable
+_WITHOUT_SCIPY_EXTRAS = """
+import sys
+import kamkit.cli
+BLOCKED = ("scipy.spatial", "scipy.sparse.csgraph", "scipy.special")
+print(sorted(m for m in sys.modules if m.startswith(BLOCKED)))
+
+
+class Block:
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith(BLOCKED):
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, Block())
+sys.exit(kamkit.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("name, command", [
+    ("desk_beam", "blocks"), ("desk_beam", "kam"), ("singular_gate", "kam"),
+])
+def test_commands_run_without_scipy_spatial_csgraph_special(tmp_path, name,
+                                                            command):
+    """``import kamkit.cli`` loads none of scipy.spatial,
+    scipy.sparse.csgraph and scipy.special, and the commands run with all
+    three blocked, in a fresh interpreter."""
+    example = Path(__file__).parents[1] / "examples" / f"{name}.json"
+    cfg = dict(json.loads(example.read_text()),
+               output_dir=str(tmp_path / "out"))
+    src = str(Path(kamkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY_EXTRAS, command,
+         write_cfg(tmp_path, cfg)], cwd=tmp_path, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
 
 
 def test_bad_json_is_a_config_error(tmp_path, capsys):

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from kamkit.lattice import (
+    _shell_links,
     angle_relation,
     ball_points,
     build_partition,
     build_partitions,
     check_admissible,
     class_diameters,
+    components,
     max_diameter,
     pseudo_dist_sq,
     sphere_points,
@@ -218,6 +222,72 @@ def test_partitions_share_one_query(args):
         assert np.array_equal(g.ends, w.ends)
         assert ref.fields(g) == ref.fields(w)
         assert g.diameters == w.diameters
+
+
+def _shell(R, d):
+    """``_shell_links``' points, norms and sphere ids for the shell of the
+    ball |a| <= R outside the core |a| <= 1, as ``build_partitions`` forms
+    them."""
+    X = np.array(ball_points(R, d), dtype=np.int64).reshape(-1, d)
+    nsq = (X * X).sum(axis=1)
+    shell = np.flatnonzero(nsq > 1)
+    shell = shell[np.argsort(nsq[shell], kind="stable")]
+    q = nsq[shell]
+    return X[shell], q, np.cumsum(np.diff(q, prepend=q[:1]) != 0)
+
+
+def _unordered(links):
+    """The links as (smaller id, larger id, reach), sorted."""
+    rows, cols, reach = links
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    order = np.lexsort((reach, hi, lo))
+    return lo[order], hi[order], reach[order]
+
+
+# dmax 0 keeps only a ~ -a; 1.5 is not an integer; d = 1; and the d = 3,
+# R = 24 ball at dmax 6 of the benchmark's blocks run
+@example((3, 5, 0.0))
+@example((2, 6, 1.5))
+@example((1, 8, 3.0))
+@example((3, 24, 6.0))
+@given(st.tuples(st.integers(1, 3), st.sampled_from([1, 2, 3, 4.5, 6, 8]),
+                 st.floats(0, 16)))
+def test_shell_links_match_tree(args):
+    d, R, dmax = args
+    P, q, sphere = _shell(R, d)
+    got = _shell_links(P, sphere, dmax)
+    want = ref.shell_links(P, q, sphere, dmax)
+    assert [x.dtype for x in got] == [np.int32, np.int32, np.int64]
+    assert np.all(np.diff(got[2]) >= 0)
+    for x, y in zip(_unordered(got), _unordered(want)):
+        assert np.array_equal(x, y)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 40))
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+
+
+# the path through 0..31 in bit-reversed order takes five hooking rounds
+_BITREV = [int(f"{i:05b}"[::-1], 2) for i in range(32)]
+
+
+@example((5, []))
+@example((1, []))
+@example((4, [(2, 2), (1, 3), (3, 1), (1, 3), (0, 0)]))
+@example((32, list(zip(_BITREV[:-1], _BITREV[1:]))))
+@given(graphs())
+def test_components_match_connected_components(args):
+    n, links = args
+    rows, cols = np.array(links, dtype=np.int64).reshape(-1, 2).T
+    label = components(n, rows, cols)
+    adj = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    count, want = connected_components(adj, directed=False)
+    smallest = np.full(count, n)
+    np.minimum.at(smallest, want, np.arange(n))
+    assert np.array_equal(label, smallest[want])
 
 
 def test_partition_rejects_negative_delta():

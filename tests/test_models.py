@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import binom
 
 from kamkit.hamiltonian import ETA, XI, Polynomial
 from kamkit.lattice import ball_points, norm_sq
@@ -181,6 +182,21 @@ def test_action_angle_phase_and_sqrt_truncation():
     out2 = action_angle(p2, (node,), (0.25,))
     assert out2.terms[((2,), (0,), ())] == pytest.approx(0.25)
     assert out2.terms[((2,), (1,), ())] == pytest.approx(1.0)
+
+
+def test_half_power_binomials_match_scipy():
+    """The series coefficients of (I + r)^(e2/2) equal scipy.special.binom
+    times I^(e2/2 - t) by ==, for e2 < 30 and every t up to the truncation,
+    taken at r_degree 19, the last t of scipy's product loop."""
+    for e2 in range(30):
+        half = e2 / 2
+        tmax = e2 // 2 if e2 % 2 == 0 else 19
+        for t in range(tmax + 1):
+            assert models._binom(half, t) == binom(half, t), (e2, t)
+        for I in (0.05, 1.3e-4, 2.0):
+            want = [(t, float(binom(half, t) * I ** (half - t)))
+                    for t in range(tmax + 1)]
+            assert models._half_power(e2, I, 19) == [w for w in want if w[1]]
 
 
 NODES = ((1, 0), (0, 2))
