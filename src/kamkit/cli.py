@@ -74,6 +74,8 @@ _COUNT = _check(lambda v: _is_int(v) and v > 0, "a positive integer")
 _FINITE = _check(_is_finite, "a finite number")
 _FLOAT = _check(_is_finite, "a finite number", float)
 _POSITIVE = _check(lambda v: _is_number(v) and v > 0, "a positive number")
+_FINITE_POSITIVE = _check(lambda v: _is_finite(v) and v > 0,
+                          "a finite positive number")
 _RADIUS = _check(lambda v: _is_finite(v) and v > 0,
                  "a finite positive number", float)
 _DELTA = _check(lambda v: v == math.inf or _is_finite(v) and v >= 0,
@@ -286,7 +288,9 @@ def read_config(cfg, command: str) -> dict:
     if singular:
         c = root.section("threshold", ("constants",)).section(
             "constants", THRESHOLD_CONSTANTS)
-        conf["constants"] = {key: c(key, _FINITE) for key in c.raw}
+        # eps0 and c29 scale the gate's bounds, so each must be positive
+        conf["constants"] = {key: c(key, _FINITE_POSITIVE if key in (
+            "eps0", "c29") else _FINITE) for key in c.raw}
         return conf
     floors = ([-math.inf] * len(model.rho) if isinstance(model, NlsModel)
               else [-norm_sq(a) ** 2 for a in model.nodes])
@@ -370,12 +374,11 @@ def cmd_scan(cfg: dict) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     p = h.partition
-    sites = [a for cl in p.classes for a in cl]
     sphere_p = build_partition(math.inf, p.radius, p.d,
                                finite_set=p.finite_set,
                                core_cutoff=p.core_cutoff,
                                exclude=p.exclude)
-    rep_a1 = check_A1(sites, h.lambda_fn, sphere_p, grid,
+    rep_a1 = check_A1(p.sites(), h.lambda_fn, sphere_p, grid,
                       delta0=guard["delta0"], beta=guard["beta"],
                       c_const=guard["c"], H=h.hyperbolic_block)
     rep_mel = melnikov_scan(h.omega_fn, h.lambda_fn, p, grid,

@@ -71,7 +71,7 @@ class ParameterGrid:
 
     def mask_bits(self) -> bytes:
         """Row-major bitmap of surviving cells (for external plotting)."""
-        return np.packbits(self.mask.ravel().astype(np.uint8)).tobytes()
+        return bytes(np.packbits(self.mask.ravel().astype(np.uint8)))
 
 
 @dataclass
@@ -134,9 +134,10 @@ def check_A1(sites, lambda_fn, partition: BlockPartition, grid: ParameterGrid,
     (d) |L_a + L_b| >= delta0; (e) |L_a - L_b| >= delta0 across classes.
 
     ``lambda_fn(X, rho)`` takes the sites as the rows of an (m, d) int64
-    array and one parameter point, and returns the (m,) float array of
-    L_a; it is called once per surviving cell.  The work is done once per
-    distinct L vector: cells whose L bytes are equal share every verdict.
+    array and parameter points on rho's last axis, as ``omega_fn`` does,
+    and returns L_a on its last axis.  It is called once, on the surviving
+    cells' centres; each distinct row of L is judged once, and its verdicts
+    count for every cell that has it.
     """
     sites = list(sites)
     labels = np.array([partition.class_of[s] for s in sites])
@@ -151,33 +152,37 @@ def check_A1(sites, lambda_fn, partition: BlockPartition, grid: ParameterGrid,
         return (np.linalg.svd(JH, compute_uv=False)[-1] < delta0
                 or np.linalg.svd(L, compute_uv=False)[:, -1].min() < delta0)
 
-    def fails(lam) -> list:
-        return [f for f, failed in (
+    def fails(lam) -> tuple:
+        return tuple(f for f, failed in (
             ("a", np.abs(lam).min() < delta0),
             ("b", np.any(np.abs(lam - nsq) > c_const * br_pow)),
             ("c", JH is not None and c_fails(lam)),
             ("d", _min_abs_sum_pairs(lam) < delta0),
-            ("e", _min_cross_class_gap(lam, labels) < delta0)) if failed]
+            ("e", _min_cross_class_gap(lam, labels) < delta0)) if failed)
 
-    bad = {}
-    details = {"a": 0, "b": 0, "c": 0, "d": 0, "e": 0}
-    centers = grid.centers()
-    by_lam = {}
-    for ic in np.flatnonzero(grid.mask.ravel()).tolist():
-        lam = lambda_fn(X, centers[ic])
-        key = lam.tobytes()
-        if key not in by_lam:
-            by_lam[key] = fails(lam)
-        for f in by_lam[key]:
-            details[f] += 1
-        if by_lam[key]:
-            bad[ic] = by_lam[key]
+    alive, rows, inv = _lambda_rows(lambda_fn, X, grid)
+    verdicts = [fails(lam) for lam in rows]
+    per_row = np.bincount(inv, minlength=len(rows)).tolist()
+    bad = {ic: verdicts[i] for ic, i in zip(alive, inv.tolist())
+           if verdicts[i]}
     return DivisorReport(
-        tag="A1", bad_cells=sorted(bad), bad_measure=len(bad)
-        * grid.cell_measure,
+        tag="A1", bad_cells=[*bad], bad_measure=len(bad) * grid.cell_measure,
         params={"delta0": delta0, "beta": beta, "c": c_const},
-        details={"per_condition_bad_cells": details,
-                 "per_cell": {k: tuple(v) for k, v in sorted(bad.items())}})
+        details={"per_condition_bad_cells": {
+                     f: sum(n for v, n in zip(verdicts, per_row) if f in v)
+                     for f in "abcde"},
+                 "per_cell": bad})
+
+
+def _lambda_rows(lambda_fn, X, grid: ParameterGrid):
+    """(surviving cell indices, distinct rows of L, each cell's row) from
+    one ``lambda_fn`` call on the surviving centres.  A map that ignores
+    the stack fails the reshape to (cells, sites)."""
+    alive = np.flatnonzero(grid.mask.ravel())
+    lam = np.asarray(lambda_fn(X, grid.centers()[alive]), dtype=float)
+    rows, inv = np.unique(lam.reshape(len(alive), len(X)), axis=0,
+                          return_inverse=True)
+    return alive.tolist(), rows, inv
 
 
 def _k_vectors(n: int, K_max: int) -> np.ndarray:
@@ -196,33 +201,25 @@ def melnikov_scan(omega_fn, lambda_fn, partition: BlockPartition,
     difference remains (every class but the finite one is the core), every
     margin is +inf.
 
-    ``omega_fn`` maps parameter points on the last axis to frequencies; it
-    is called once, on the surviving cells' centres.  ``lambda_fn(X, rho)``
-    is as in ``check_A1``; it is called once per surviving cell, on the
-    classes' first points.  The sorted differences are built once per
-    distinct L vector: cells whose L bytes are equal share them, and only
-    the targets k.omega(rho) are per cell.
+    ``omega_fn`` and ``lambda_fn`` are as in ``check_A1``; each is called
+    once, on the surviving cells' centres (``lambda_fn`` on the classes'
+    first points).  The sorted differences are built once per distinct row
+    of L, and only the targets k.omega(rho) are per cell.
     """
-    centers = grid.centers()
-    alive = np.flatnonzero(grid.mask.ravel()).tolist()
-    omegas = np.asarray(omega_fn(centers[alive]), dtype=float)
-    K = _k_vectors(omegas.shape[-1], K_max)
-    Knorm = np.sqrt((K * K).sum(axis=1))
-    thresh = C * Knorm ** (-tau)
     ids = [ci for ci in range(len(partition.ends) - 1)
            if ci != partition.finite_index]
     X = partition.points[partition.ends[:-1]][ids]
+    alive, rows, inv = _lambda_rows(lambda_fn, X, grid)
+    omegas = np.asarray(omega_fn(grid.centers()[alive]), dtype=float)
+    K = _k_vectors(omegas.shape[-1], K_max)
+    Knorm = np.sqrt((K * K).sum(axis=1))
+    thresh = C * Knorm ** (-tau)
     core = np.array([ci == partition.core_index for ci in ids], dtype=bool)
     keep = ~(core[:, None] & core[None, :])
-    bad = {}
-    worst = {}
-    diffs_of = {}
-    for ic, omega in zip(alive, omegas):
-        lam = lambda_fn(X, centers[ic])
-        key = lam.tobytes()
-        if key not in diffs_of:
-            diffs_of[key] = np.unique((lam[:, None] - lam[None, :])[keep])
-        diffs = diffs_of[key]
+    diffs_of = [np.unique((lam[:, None] - lam[None, :])[keep]) for lam in rows]
+    bad, worst = [], []
+    for ic, omega, i in zip(alive, omegas, inv.tolist(), strict=True):
+        diffs = diffs_of[i]
         targets = K @ omega
         dist = np.full(len(targets), math.inf)
         if len(diffs):
@@ -231,17 +228,14 @@ def melnikov_scan(omega_fn, lambda_fn, partition: BlockPartition,
                 j = np.clip(pos + shift, 0, len(diffs) - 1)
                 dist = np.minimum(dist, np.abs(targets - diffs[j]))
         margin = dist - thresh
-        w = float(margin.min())
-        worst[ic] = w
-        if w < 0:
-            bad[ic] = w
-    some_pass = any(ic not in bad for ic in worst)
+        worst.append(float(margin.min()))
+        if worst[-1] < 0:
+            bad.append(ic)
     return DivisorReport(
-        tag="A3", bad_cells=sorted(bad), bad_measure=len(bad)
-        * grid.cell_measure,
+        tag="A3", bad_cells=bad, bad_measure=len(bad) * grid.cell_measure,
         params={"C": C, "tau": tau, "K_max": K_max},
-        details={"some_cell_passes": some_pass,
-                 "worst_margin": min(worst.values(), default=math.inf)})
+        details={"some_cell_passes": len(bad) < len(worst),
+                 "worst_margin": min(worst, default=math.inf)})
 
 
 def excise(grid: ParameterGrid, bad):

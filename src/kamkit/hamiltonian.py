@@ -968,7 +968,7 @@ class NormalFormHamiltonian:
     hyperbolic_block: np.ndarray | None = None
     rho_star: np.ndarray | None = None
     omega_fn: object = None       # rho on the last axis -> omega (closed form)
-    lambda_fn: object = None      # (X, rho) -> Lambda on the rows of X
+    lambda_fn: object = None      # (X, rho stack) -> Lambda, a row per point
 
     @property
     def n(self) -> int:

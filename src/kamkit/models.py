@@ -334,14 +334,15 @@ class BeamModel:
 def _beam_mu(model: BeamModel, X, rho=None) -> np.ndarray:
     """mu_a = |a|^4 + potential(a) on the rows a of the int64 array X: the
     float |a|^4 plus rho_j on a row equal to node j, else plus the tail at
-    |a|^2 (0 where the tail has no entry)."""
+    |a|^2 (0 where the tail has no entry).  The parameter points lie on
+    rho's last axis: one point gives (m,), a (c, n) stack gives (c, m)."""
     q = (X * X).sum(axis=1)
     keys, vals = map(np.array, zip((-1, 0.0), *sorted(model.tail.items())))
     at = np.searchsorted(keys, q, side="right") - 1
-    v = np.where(keys[at] == q, vals[at], 0.0)
     rho = np.asarray(model.rho if rho is None else rho, dtype=float)
+    v = np.tile(np.where(keys[at] == q, vals[at], 0.0), rho.shape[:-1] + (1,))
     for j, a in enumerate(model.nodes):
-        v[(X == a).all(axis=1)] = rho[j]
+        v[..., (X == a).all(axis=1)] = rho[..., j, None]
     return (q * q).astype(float) + v
 
 
@@ -444,7 +445,8 @@ def build_nls(model: NlsModel):
         omega=np.array(model.rho, dtype=float), partition=part,
         rho_star=np.array(model.rho),
         omega_fn=lambda rho: np.asarray(rho, dtype=float),
-        lambda_fn=lambda X, rho: (X * X).sum(axis=-1) + model.mass)
+        lambda_fn=lambda X, rho: np.tile((X * X).sum(axis=-1) + model.mass,
+                                         np.shape(rho)[:-1] + (1,)))
     for ci, cl in enumerate(part.classes):
         h.set_block(ci, np.diag([norm_sq(a) + model.mass for a in cl]))
     v_letters, vb_letters = [], []

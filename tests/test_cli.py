@@ -536,6 +536,14 @@ SCAN = {"model": BEAM_MODEL, "grid": GRID}
      ("'model.forcing[0]'",)),
     ("kam", {"model": dict(BEAM_MODEL, max_degree=-1)},
      ("'model.max_degree'",)),
+    # a nonpositive factor of the gate's bounds makes every margin
+    # meaningless: eps0 = -1 passed this zero-jet gate, c29 = 0 failed it
+    ("kam", {"model": SINGULAR_MODEL,
+             "threshold": {"constants": {"eps0": -1.0}}},
+     ("'threshold.constants.eps0'", "positive")),
+    ("kam", {"model": SINGULAR_MODEL,
+             "threshold": {"constants": {"c29": 0.0}}},
+     ("'threshold.constants.c29'", "positive")),
 ], ids=["rho-string", "actions-true", "sigma-true", "gamma1-true",
         "tail-underscore", "tail-negative", "threshold-typo", "model-string",
         "schedule-string", "tail-list", "tail-string-value",
@@ -544,7 +552,8 @@ SCAN = {"model": BEAM_MODEL, "grid": GRID}
         "nonlinearity-arity", "output_dir-number", "constant-string",
         "nls-schedule", "singular-norm", "duplicate-nodes",
         "norm-seed-negative", "tail-leading-zero", "power-negative",
-        "forcing-power-negative", "max_degree-negative"])
+        "forcing-power-negative", "max_degree-negative", "eps0-negative",
+        "c29-zero"])
 def test_malformed_config_names_its_field_and_writes_nothing(
         tmp_path, capsys, monkeypatch, command, cfg, fields):
     """Every field is checked, not coerced, before anything is built or
@@ -806,8 +815,10 @@ def test_only_commands_that_use_a_grid_read_or_record_it(tmp_path):
 
 @pytest.mark.parametrize("name, command", [
     ("desk_beam", "kam"), ("desk_beam", "blocks"), ("singular_gate", "kam"),
-    ("scan_beam", "scan"), ("excise_beam", "kam"),
-], ids=["kam", "blocks", "singular_gate-kam", "scan", "excise_beam-kam"])
+    ("scan_beam", "scan"), ("excise_beam", "kam"), ("scan_nls", "scan"),
+    ("scan_nls", "kam"),
+], ids=["kam", "blocks", "singular_gate-kam", "scan", "excise_beam-kam",
+        "scan_nls-scan", "scan_nls-kam"])
 def test_example_config_runs(tmp_path, name, command):
     """README's example configs stay valid for the commands they serve."""
     example = Path(__file__).parents[1] / "examples" / f"{name}.json"

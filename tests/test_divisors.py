@@ -89,9 +89,10 @@ def test_excise_survivors_excluded_from_later_scans():
 
 
 def beam_lambda(X, rho):
-    # isolated well: radial tail, parameter shifts the zero mode
+    # isolated well: radial tail, parameter shifts the zero mode; parameter
+    # points on rho's last axis, one row of Lambda per point
     q = (X * X).sum(axis=1)
-    v = np.where(q == 0, rho[0], 0.1 / (1 + q))
+    v = np.where(q == 0, np.asarray(rho)[..., :1], 0.1 / (1 + q))
     return np.sqrt(q * q + v + 0.5)
 
 
@@ -109,7 +110,7 @@ def test_check_A1_detects_small_eigenvalue():
 
     def lam(X, rho):
         # the zero mode crosses zero mid-grid
-        return np.where((X == 0).all(axis=1), rho[0] - 1.5,
+        return np.where((X == 0).all(axis=1), rho[..., :1] - 1.5,
                         beam_lambda(X, rho))
 
     g = ParameterGrid(bounds=[(1.0, 2.0)], resolution=32)
@@ -149,31 +150,59 @@ def test_check_A1_condition_c_with_hyperbolic_block():
     assert c_cells(L_a * np.eye(2)) == 8
 
 
+def omega_13(rho):
+    # frequencies (rho_0, 1.3 rho_0), one row per parameter point
+    return rho[..., :1] * [1.0, 1.3]
+
+
 def test_melnikov_zero_C_excises_nothing():
     p = build_partition(math.inf, 3, 2)
     g = ParameterGrid(bounds=[(1.0, 2.0)], resolution=16)
-    rep = melnikov_scan(lambda rho: np.array([rho[0], 1.3 * rho[0]]),
-                        beam_lambda, p, g, C=0.0, tau=3.0, K_max=5)
+    rep = melnikov_scan(omega_13, beam_lambda, p, g, C=0.0, tau=3.0, K_max=5)
     assert rep.passed
 
 
 def test_melnikov_bad_measure_monotone_in_C():
     p = build_partition(math.inf, 3, 2)
     g = ParameterGrid(bounds=[(1.0, 2.0)], resolution=32)
-    omega = lambda rho: np.array([rho[0], 1.3 * rho[0]])
-    prev = -1.0
-    for C in (1e-4, 1e-2, 1.0):
-        rep = melnikov_scan(omega, beam_lambda, p, g, C=C, tau=3.0, K_max=5)
-        assert rep.bad_measure >= prev
-        prev = rep.bad_measure
+    counts = [len(melnikov_scan(omega_13, beam_lambda, p, g, C=C, tau=3.0,
+                                K_max=5).bad_cells) for C in (1e-4, 1e-2, 1.0)]
+    assert counts == [0, 2, 32]
 
 
 def test_melnikov_reports_surviving_cell():
     p = build_partition(math.inf, 3, 2)
     g = ParameterGrid(bounds=[(1.0, 2.0)], resolution=32)
-    rep = melnikov_scan(lambda rho: np.array([rho[0], 1.3 * rho[0]]),
-                        beam_lambda, p, g, C=1e-6, tau=3.0, K_max=5)
+    rep = melnikov_scan(omega_13, beam_lambda, p, g, C=1e-6, tau=3.0,
+                        K_max=5)
     assert rep.details["some_cell_passes"]
+
+
+def test_melnikov_rejects_a_per_point_omega():
+    # on the (32, 1) stack of centres, this map returns a (2, 1) array: two
+    # rows of one frequency, not 32 rows of two
+    p = build_partition(math.inf, 3, 2)
+    g = ParameterGrid(bounds=[(1.0, 2.0)], resolution=32)
+    with pytest.raises(ValueError):
+        melnikov_scan(lambda rho: np.array([rho[0], 1.3 * rho[0]]),
+                      beam_lambda, p, g, C=1e-2, tau=3.0, K_max=5)
+
+
+@pytest.mark.parametrize("scan", ["A1", "melnikov"])
+def test_scans_call_lambda_once(scan):
+    p = build_partition(math.inf, 3, 2)
+    g = ParameterGrid(bounds=[(1.0, 2.0)] * 2, resolution=8)
+    calls = []
+
+    def lam(X, rho):
+        calls.append(np.shape(rho))
+        return beam_lambda(X, rho)
+
+    if scan == "A1":
+        check_A1(p.sites(), lam, p, g, delta0=1e-3, beta=2.0, c_const=5.0)
+    else:
+        melnikov_scan(omega_13, lam, p, g, C=1e-2, tau=3.0, K_max=5)
+    assert calls == [(64, 2)]
 
 
 def _beam(tail, R=3.0, delta=2.0):
@@ -194,6 +223,13 @@ def test_array_lambda_is_the_scalar_lambda_bit_for_bit(tail):
     for rho in [(0.7, 1.3), (-1.3, -17.0), (1, 2), np.array([0.1234567, 2.5])]:
         assert h.lambda_fn(X, rho).tolist() == [
             ref.beam_lambda(model)(a, rho) for a in sites]
+    # Lambda on an (m, n) stack is one row per point, here over a 16 x 16
+    # grid across rho_0 = -1 and rho_1 = -16, where mu_a changes sign on
+    # the nodes (1,0) and (0,2)
+    S = ParameterGrid(bounds=[(-2.0, 0.5), (-17.5, -14.0)],
+                      resolution=16).centers()
+    assert h.lambda_fn(X, S).tolist() == [
+        [ref.beam_lambda(model)(a, rho) for a in sites] for rho in S]
     # omega on one point and on an (m, n) stack, at the points of a grid
     # over mu_a = |a|^4 + rho_j > 0 on the nodes
     P = ParameterGrid(bounds=[(-0.99, 3.0), (-15.9, 2.0)],
@@ -204,8 +240,9 @@ def test_array_lambda_is_the_scalar_lambda_bit_for_bit(tail):
     assert h.omega_fn(P[5]).tolist() == want[5]
     h, _ = build_nls(NlsModel(d=2, radius=5.0, mass=1.37, alpha=0.75,
                               rho=(1.3, 0.7)))
-    assert h.lambda_fn(X, (1.3, 0.7)).tolist() == [
-        ref.nls_lambda(1.37)(a, (1.3, 0.7)) for a in sites]
+    want = [ref.nls_lambda(1.37)(a, (1.3, 0.7)) for a in sites]
+    assert h.lambda_fn(X, (1.3, 0.7)).tolist() == want
+    assert h.lambda_fn(X, S).tolist() == [want] * len(S)
 
 
 # The tail keeps mu_a away from 0 and from coincidences between spheres
