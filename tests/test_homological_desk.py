@@ -1,11 +1,14 @@
-"""Frozen homological solve of the desk beam.
+"""Frozen homological solves of the desk beam and of a beam with a closed
+finite set.
 
-The golden holds one ``solve_homological`` on ``desk_beam()`` with guard
-1e-10 and gamma1=0.4, the inputs of the ``beam_solution`` fixture: the
-divisor log sorted by key, the parts of h_tilde, the skip report and the
-terms of S in insertion order, each as ``repr`` (numpy scalars and arrays
-as Python floats and lists).  It is compared exactly; regenerate it only
-for an intended change of results:
+Each golden holds one ``solve_homological`` with guard 1e-10 and
+gamma1=0.4, the inputs of the ``beam_solution`` fixture: the divisor log
+sorted by key, the parts of h_tilde, the skip report and the terms of S in
+insertion order, each as ``repr`` (numpy scalars and arrays as Python
+floats and lists).  ``homological_desk`` solves ``desk_beam()``;
+``homological_closed`` solves the beam of ``closed_finite_beam()``, whose
+hyperbolic, mixed and zeta-linear hyperbolic systems it pins.  They are
+compared exactly; regenerate them only for an intended change of results:
     cd tests && PYTHONPATH=../src python -c \
         "import test_homological_desk as t; t._write_goldens()"
 """
@@ -17,13 +20,16 @@ import pytest
 from kamkit.homological import DivisorGuard, solve_homological
 
 from test_acceptance import desk_beam
+from test_kam_runs import closed_finite_beam
 
-GOLDEN = Path(__file__).parent / "golden" / "homological_desk"
+GOLDEN = Path(__file__).parent / "golden"
+MODELS = {"homological_desk": desk_beam,
+          "homological_closed": closed_finite_beam}
 
 
 @cache
-def solution():
-    h, f = desk_beam()
+def solution(case="homological_desk"):
+    h, f = MODELS[case]()
     return solve_homological(h, f, DivisorGuard(delta0=1e-10), gamma1=0.4)
 
 
@@ -53,12 +59,25 @@ def golden_texts(sol) -> dict:
 
 
 def _write_goldens():
-    GOLDEN.mkdir(parents=True, exist_ok=True)
-    for name, text in golden_texts(solution()).items():
-        (GOLDEN / name).write_text(text)
+    for case in MODELS:
+        (GOLDEN / case).mkdir(parents=True, exist_ok=True)
+        for name, text in golden_texts(solution(case)).items():
+            (GOLDEN / case / name).write_text(text)
 
 
-@pytest.mark.parametrize("name", ["divisor_log.txt", "h_tilde.txt",
-                                  "skipped_report.txt", "S.txt"])
+FILES = ["divisor_log.txt", "h_tilde.txt", "skipped_report.txt", "S.txt"]
+
+
+def _matches(case, name) -> bool:
+    return (golden_texts(solution(case))[name]
+            == (GOLDEN / case / name).read_text())
+
+
+@pytest.mark.parametrize("name", FILES)
 def test_solve_matches_golden(name):
-    assert golden_texts(solution())[name] == (GOLDEN / name).read_text()
+    assert _matches("homological_desk", name)
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_closed_finite_solve_matches_golden(name):
+    assert _matches("homological_closed", name)

@@ -1,15 +1,18 @@
 """Frozen results of whole two-level runs.
 
 The goldens hold the ``repr`` of ``eps_history``, ``omega_final`` and
-``unstable_count`` for four runs and are compared exactly.  They were
-written by ``_write_goldens`` before inner blocks stopped on a stall;
-regenerate them only for an intended change of results:
+``unstable_count`` of each run, and for the runs whose class blocks are
+not diagonal the largest off-diagonal |Q| of the final state's h; they are
+compared exactly.  The first four were written by ``_write_goldens``
+before inner blocks stopped on a stall; regenerate them only for an
+intended change of results:
     cd tests && PYTHONPATH=../src python -c \
         "import test_kam_runs as t; t._write_goldens()"
 """
 from functools import cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kamkit.kam import Schedule, run
@@ -27,6 +30,28 @@ def negative_mode_beam():
         epsilon=1e-4, delta=2, max_degree=4))
 
 
+def desk_R4_beam(nodes=((1, 0), (0, 2)), tail={0: 0.5},
+                 nonlinearity=((3, (0, 0), 1.0),)):
+    """The desk beam at R=4, with the nodes, tail and nonlinearity given."""
+    return build_beam(BeamModel(
+        d=2, radius=4.0, nodes=nodes, rho=(0.7, 1.3), actions=(0.05, 0.04),
+        tail=tail, nonlinearity=nonlinearity, epsilon=1e-4, delta=2,
+        max_degree=4))
+
+
+def momentum_beam(q):
+    """The desk beam at R=4 under the real potential cos(q.x) u^3, which
+    breaks momentum conservation, so its class blocks are not diagonal."""
+    return desk_R4_beam(nonlinearity=((3, q, 0.5),
+                                      (3, tuple(-x for x in q), 0.5)))
+
+
+def closed_finite_beam():
+    """mu < 0 on the sphere |a|^2 = 1 and no node there: the finite set is
+    (+-1, 0), (0, +-1), closed under a -> -a."""
+    return desk_R4_beam(nodes=((1, 1), (0, 2)), tail={0: 0.5, 1: -2.0})
+
+
 def nls():
     return build_nls(NlsModel(
         d=2, radius=3, mass=1.0, alpha=0.75, rho=(1.3, 0.7),
@@ -40,7 +65,12 @@ CASES = {
     "desk_R4": (lambda: desk_beam(radius=4.0), DESK),
     "negative_mode": (negative_mode_beam, Schedule(max_super=2)),
     "nls": (nls, Schedule(max_super=2)),
+    "desk_R4_q10": (lambda: momentum_beam((1, 0)), DESK),
+    "desk_R4_q20": (lambda: momentum_beam((2, 0)), DESK),
+    "closed_finite": (closed_finite_beam, DESK),
 }
+# the runs whose goldens also hold the largest off-diagonal |Q|
+OFF_DIAGONAL = {"desk_R4_q10", "desk_R4_q20"}
 
 
 @cache
@@ -50,25 +80,35 @@ def run_case(name):
     return run(h, f, sched, W)
 
 
-def golden_text(report) -> str:
-    return "\n".join([
+def max_off_diagonal(h) -> float:
+    return max((float(np.abs(Q - np.diag(np.diag(Q))).max(initial=0.0))
+                for Q in h.elliptic_blocks.values()), default=0.0)
+
+
+def golden_text(name, report) -> str:
+    lines = [
         "eps_history " + repr([float(e) for e in report.eps_history]),
         "omega_final " + repr(report.omega_final.tolist()),
         "unstable_count " + repr(report.unstable_count),
-    ]) + "\n"
+    ]
+    if name in OFF_DIAGONAL:
+        lines.append("max_off_diagonal_Q "
+                     + repr(max_off_diagonal(report.state.h)))
+    return "\n".join(lines) + "\n"
 
 
 def _write_goldens():
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name in CASES:
-        (GOLDEN / f"{name}.txt").write_text(golden_text(run_case(name)))
+        (GOLDEN / f"{name}.txt").write_text(golden_text(name,
+                                                        run_case(name)))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_run_matches_golden(name):
     report = run_case(name)
     assert report.aborted is None
-    assert golden_text(report) == (GOLDEN / f"{name}.txt").read_text()
+    assert golden_text(name, report) == (GOLDEN / f"{name}.txt").read_text()
 
 
 def test_desk_R4_blocks_stop_once_they_stall():
