@@ -206,15 +206,14 @@ def melnikov_scan(omega_fn, lambda_fn, partition: BlockPartition,
     first points).  The sorted differences are built once per distinct row
     of L, and only the targets k.omega(rho) are per cell.
     """
-    ids = [ci for ci in range(len(partition.ends) - 1)
-           if ci != partition.finite_index]
-    X = partition.points[partition.ends[:-1]][ids]
+    ids = partition.nonfinite
+    X = partition.points[partition.ends[ids]]
     alive, rows, inv = _lambda_rows(lambda_fn, X, grid)
     omegas = np.asarray(omega_fn(grid.centers()[alive]), dtype=float)
     K = _k_vectors(omegas.shape[-1], K_max)
     Knorm = np.sqrt((K * K).sum(axis=1))
     thresh = C * Knorm ** (-tau)
-    core = np.array([ci == partition.core_index for ci in ids], dtype=bool)
+    core = ids == partition.core_index
     keep = ~(core[:, None] & core[None, :])
     diffs_of = [np.unique((lam[:, None] - lam[None, :])[keep]) for lam in rows]
     bad, worst = [], []

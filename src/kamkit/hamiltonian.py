@@ -958,17 +958,22 @@ class NormalFormHamiltonian:
 
     ``elliptic_blocks`` maps a class index to the Hermitian Q over the
     class's sites, set through ``set_block``; the finite class has none.
-    ``hyperbolic_block`` is the real symmetric H over the interleaved
-    components w of the finite node set, or None.
+    ``hyperbolic_block`` is the real symmetric (2F, 2F) H over the
+    interleaved components w of the F sites of the finite class, in its
+    (sorted) order: zeros until set, and (0, 0) without a finite set.
     """
     omega: np.ndarray
     partition: BlockPartition
     const: complex = 0.0
     elliptic_blocks: dict = field(default_factory=dict)  # class idx -> Q
-    hyperbolic_block: np.ndarray | None = None
+    hyperbolic_block: np.ndarray = field(init=False)
     rho_star: np.ndarray | None = None
     omega_fn: object = None       # rho on the last axis -> omega (closed form)
     lambda_fn: object = None      # (X, rho stack) -> Lambda, a row per point
+
+    def __post_init__(self):
+        m = 2 * len(self.partition.finite_set)
+        self.hyperbolic_block = np.zeros((m, m))
 
     @property
     def n(self) -> int:
@@ -986,6 +991,8 @@ class NormalFormHamiltonian:
         return Q
 
     def set_block(self, ci: int, Q):
+        if ci == self.partition.finite_index:
+            raise ValueError("the finite class has no elliptic block")
         Q = np.asarray(Q, dtype=complex)
         if np.linalg.norm(Q - Q.conj().T) > 1e-10 * max(1.0, np.linalg.norm(Q)):
             raise ValueError("elliptic class block must be Hermitian")
@@ -998,15 +1005,13 @@ class NormalFormHamiltonian:
         parts = [(zero, None, [-1], None, [self.const]),
                  (zero, np.eye(n), [-1] * n, None, self.omega)]
         for ci, Q in self.elliptic_blocks.items():
-            if ci != p.finite_index:
-                ids = class_ids(var_id, p.classes[ci])
-                parts.append((zero, None, ids[XI], ids[ETA], Q))
+            ids = class_ids(var_id, p.classes[ci])
+            parts.append((zero, None, ids[XI], ids[ETA], Q))
+        # the monomials of 1/2 <w, Hw>, as decode_jet reads them
         H = self.hyperbolic_block
-        if H is not None and p.finite_index is not None:
-            # the monomials of 1/2 <w, Hw>, as decode_jet reads them
-            w = class_ids(var_id, p.classes[p.finite_index]).T.ravel()
-            parts.append((zero, None, w, w,
-                          np.triu(H, 1) + np.diag(np.diag(H) / 2)))
+        w = class_ids(var_id, sorted(p.finite_set)).T.ravel()
+        parts.append((zero, None, w, w,
+                      np.triu(H, 1) + np.diag(np.diag(H) / 2)))
         return encode(n, list(var_id), *block_rows(n, parts))
 
 

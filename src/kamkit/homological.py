@@ -121,9 +121,9 @@ class ClassTable:
     lam: dict                     # size -> (classes, size) eigenvalues
     V: dict                       # size -> (classes, 2, size, size) bases
     ids: dict                     # size -> (classes, 2, size) variable ids
-    w: np.ndarray | None          # the finite class's ids, interleaved
-    JH: np.ndarray | None
-    HJ: np.ndarray | None
+    w: np.ndarray                 # the finite class's ids, interleaved
+    JH: np.ndarray                # (2F, 2F), with H = h.hyperbolic_block
+    HJ: np.ndarray
 
     def elliptic(self, ci: int) -> tuple:
         """(lam, V, ids) of the elliptic class ci, from its size's stacks."""
@@ -138,21 +138,13 @@ def class_tables(h: NormalFormHamiltonian) -> ClassTable:
     place = {s: i for cl in p.classes for i, s in enumerate(cl)}
     slot = np.zeros(len(p.classes), dtype=np.int64)
     by_size: dict = {}
-    w = JH = HJ = None
-    for ci, cl in enumerate(p.classes):
-        ids = class_ids(var_id, cl)
-        if ci == p.finite_index:
-            F = len(p.finite_set)
-            H = h.hyperbolic_block
-            if H is None:
-                H = np.zeros((2 * F, 2 * F))
-            J = symplectic(F)
-            w, JH, HJ = ids.T.ravel(), J @ H, H @ J
-            continue
+    for ci in p.nonfinite.tolist():
+        cl = p.classes[ci]
         lam, U = np.linalg.eigh(h.class_Q(ci))
         group = by_size.setdefault(len(cl), [])
         slot[ci] = len(group)
-        group.append((lam, np.stack([U, np.conj(U)]), ids))
+        group.append((lam, np.stack([U, np.conj(U)]), class_ids(var_id, cl)))
+    H, J = h.hyperbolic_block, symplectic(len(p.finite_set))
     stacks = {m: [np.stack(x) for x in zip(*group)]
               for m, group in by_size.items()}
     lead = p.points[p.ends[:-1]]
@@ -162,7 +154,8 @@ def class_tables(h: NormalFormHamiltonian) -> ClassTable:
         np.array([place[s] for s in sites], dtype=np.int64),
         np.diff(p.ends), np.arange(len(p.ends) - 1) == p.finite_index,
         (lead * lead).sum(axis=1), slot,
-        *({m: x[i] for m, x in stacks.items()} for i in range(3)), w, JH, HJ)
+        *({m: x[i] for m, x in stacks.items()} for i in range(3)),
+        class_ids(var_id, sorted(p.finite_set)).T.ravel(), J @ H, H @ J)
 
 
 # -- elementary inversions --------------------------------------------------------
@@ -319,11 +312,11 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, solved,
     blocks' rows of S as (Z, C, K, M, place), skipped_report).
 
     Items are the (k, class pair ci <= cj) that hold a row, in solve order.
-    An elliptic pair's rows are scattered into one block per channel
-    (c1, c2) of shape (|ci|, |cj|), the blocks of one shape stacked
-    together, and each stack solves (kw)X + sL Q_ci X + sR X Q_cj = iG in
-    one pass.  A hyperbolic or mixed pair is one stack of dense systems for
-    ``_solve_guarded``: one Kronecker system for a hyperbolic pair, and for
+    Each pair's rows are scattered into one block per channel (c1, c2) of
+    shape (|ci|, |cj|), the blocks of one shape stacked together, and each
+    stack's elliptic blocks solve (kw)X + sL Q_ci X + sR X Q_cj = iG in one
+    pass.  A hyperbolic or mixed pair reads its four blocks from the
+    scatter, and is one stack of dense systems for ``_solve_guarded``: one Kronecker system for a hyperbolic pair, and for
     a mixed pair one row system per component and elliptic eigenvalue, the
     xi rows then the eta rows, which stops at its first failing system.  One
     walk over the items, in order, emits the guard checks (each logs a row
@@ -371,19 +364,23 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, solved,
 
     # -- entries: item * 4 + channel, channel 2 c1 + c2 ---------------------
     # each pair's rows oriented ci <= cj; k = 0 diagonal blocks go to
-    # set_block (xi-eta, present with or without rows; eta-xi dropped)
+    # set_block (xi-eta, present with or without rows; eta-xi dropped); a
+    # hyperbolic or mixed item has all four channels
     rows = np.flatnonzero(ca <= cb)
     ri = np.searchsorted(items, (g[rows] * ncl + ca[rows]) * ncl + cb[rows])
     diag0 = ell & (ci == cj) & zero_k[ig]
     ent = 4 * ri + 2 * cu[rows] + cv[rows]
-    keep = ell[ri] & ~(diag0[ri] & (ent % 4 == 2))
+    keep = ~skip[ri] & ~(diag0[ri] & (ent % 4 == 2))
     rows, ent = rows[keep], ent[keep]
-    entries = np.union1d(ent, 4 * np.flatnonzero(diag0) + 1)
+    entries = np.union1d(ent, np.concatenate([
+        4 * np.flatnonzero(diag0) + 1,
+        (4 * np.flatnonzero(hyp)[:, None] + np.arange(4)).ravel()]))
     eitem, ech = np.divmod(entries, 4)
     c1, c2 = np.divmod(ech, 2)
     eci, ecj = ci[eitem], cj[eitem]
     na, nb = t.size[eci], t.size[ecj]
     set_b = diag0[eitem] & (ech == 1)
+    ehyp = hyp[eitem]
 
     # -- scatter: one contiguous stack per block shape ----------------------
     shape = na * (t.size.max() + 1) + nb
@@ -411,7 +408,7 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, solved,
             H = Gs[hs]
             herm.update(zip(E[hs].tolist(),
                             (H + H.conj().transpose(0, 2, 1)) / 2))
-        live = ~hs & Gs.any(axis=(1, 2))
+        live = ~hs & ~ehyp[E] & Gs.any(axis=(1, 2))
         if not live.any():
             continue
         Es = E[live]
@@ -425,7 +422,6 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, solved,
         stacks.append((Es, np.flatnonzero(live), Gs, div, m, w))
 
     # -- the walk, in solve order -------------------------------------------
-    hyp_rows = _rows_by_item(items, hyp, g, ca, cb, ncl)
     first = np.searchsorted(entries, 4 * np.arange(len(items) + 1)).tolist()
     ok = np.zeros(len(entries), dtype=bool)
     tags = [f"q-{x}{y}" for x in (XI, ETA) for y in (XI, ETA)]
@@ -440,10 +436,12 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, solved,
                             gap[cl_i * ncl + cl_j]))
             continue
         if hyp_i:
-            r = hyp_rows[i]
+            # the item's four channels lie side by side in the scatter
+            x = first[i]
             block = _solve_hyperbolic_pair(
-                k, float(kws[gi]), cl_i, cl_j, t, a[r], b[r], cu[r], cv[r],
-                C[r], ca[r], guard, ht)
+                k, float(kws[gi]), cl_i, cl_j, t,
+                G[base[x]:base[x] + 4 * width[x]].reshape(2, 2, na[x], nb[x]),
+                guard, ht)
             if block is not None:
                 solved.append(block)
                 place.append(8 * i)
@@ -480,29 +478,14 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, solved,
     return (Z, Cs, Ks, np.zeros((len(Cs), n)), code), skipped
 
 
-def _rows_by_item(items, sel, g, ca, cb, ncl) -> dict:
-    """item -> its rows, in either orientation, for the items i with
-    sel[i] (the hyperbolic and mixed pairs)."""
-    want = np.flatnonzero(sel)
-    if not len(want):
-        return {}
-    code = (g * ncl + np.minimum(ca, cb)) * ncl + np.maximum(ca, cb)
-    order = np.argsort(code, kind="stable")
-    lo, hi = (np.searchsorted(code[order], items[want], side)
-              for side in ("left", "right"))
-    return {i: order[x:y] for i, x, y in zip(want.tolist(), lo.tolist(),
-                                             hi.tolist())}
-
-
-def _solve_hyperbolic_pair(k, kw, ci, cj, t, a, b, cu, cv, C, ca, guard, ht):
-    """One item (k, ci <= cj) with the finite (hyperbolic) class, from its
-    rows (sites a, b, components cu, cv, coefficients C, class of a: ca).
-    Returns its block of S for ``block_rows``, or None."""
+def _solve_hyperbolic_pair(k, kw, ci, cj, t, G, guard, ht):
+    """One item (k, ci <= cj) with the finite (hyperbolic) class, which is
+    class 0, so ci, from its scatter blocks: G[c1, c2, i, j] is the
+    coefficient of (site i of ci, component c1; site j of cj, component
+    c2).  Returns its block of S for ``block_rows``, or None."""
     m = len(t.w)
-    if t.hyperbolic[ci] and t.hyperbolic[cj]:
-        Gi = np.zeros(m * m, dtype=complex)
-        np.add.at(Gi, (2 * t.pos[a] + cu) * m + 2 * t.pos[b] + cv, C)
-        Gi = Gi.reshape(m, m)
+    if t.hyperbolic[cj]:
+        Gi = G.transpose(2, 0, 3, 1).reshape(m, m)    # components interleaved
         if not any(k):
             ht.hyperbolic_block = ((Gi + Gi.T) / 2).real
             return None
@@ -513,16 +496,12 @@ def _solve_hyperbolic_pair(k, kw, ci, cj, t, a, b, cu, cv, C, ca, guard, ht):
                            (k, (ci, cj), "hyp"))
         return None if Y is None else (k, None, t.w, t.w, Y.reshape(m, m) / 2)
 
-    # rows of the elliptic class per component, columns of the hyperbolic
-    # class interleaved
-    e_i = cj if t.hyperbolic[ci] else ci
-    lam, Vc, ids = t.elliptic(e_i)
+    # rows of the elliptic class cj per component, columns of the finite
+    # class interleaved: the rows (cj's site, ci's site) mirror G's rows
+    # with the same coefficients
+    lam, Vc, ids = t.elliptic(cj)
     ne = len(lam)
-    r = ca == e_i
-    D = np.zeros(2 * ne * m, dtype=complex)
-    np.add.at(D, (cu[r] * ne + t.pos[a[r]]) * m + 2 * t.pos[b[r]] + cv[r],
-              C[r])
-    D = D.reshape(2, ne, m)
+    D = G.transpose(1, 3, 2, 0).reshape(2, ne, m)
     # one row system x (coef I - JH) = -(V^H D)[c, i] per component c and
     # eigenvalue i, coef = i(kw -+ lam_i), as the column system with JH^T:
     # the xi rows, then the eta rows
@@ -540,9 +519,10 @@ def _solve_hyperbolic_pair(k, kw, ci, cj, t, a, b, cu, cv, C, ca, guard, ht):
 
 def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
                       guard: DivisorGuard, gamma1: float = 1.0,
-                      max_picard: int = 3,
-                      tables: ClassTable | None = None) -> HomologicalSolution:
-    """Solve {h,S} + jet({f - jet(f), S}) + jet(f) = h_tilde.
+                      max_picard: int = 3, *,
+                      tables: ClassTable) -> HomologicalSolution:
+    """Solve {h,S} + jet({f - jet(f), S}) + jet(f) = h_tilde, with h's
+    class table ``tables`` (``class_tables``).
 
     Picard rounds: the first solve is linear; each following round feeds the
     nonlinear bracket of the previous S back into the right-hand side, with
@@ -553,8 +533,6 @@ def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
     fset = h.finite_set
     inside = f._in_jet()
     f_T, f_rest = f._take(inside), f._take(~inside)
-    if tables is None:
-        tables = class_tables(h)
     updates = []
     S, ht, skipped = solve_linear(h, f_T, guard, gamma1, tables)
     scale = max(f_T.max_coeff(), 1e-300)

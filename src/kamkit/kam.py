@@ -122,7 +122,11 @@ def _excise_failures(state: IterationState):
     Each logged check whose least |d| is below delta0 gives its divisor
     nearest zero, with its sign, extended off the reference parameter to
     first order through the model frequency map: d* + k.(omega(rho) -
-    omega*) at each cell centre."""
+    omega*) at each cell centre.  The ``lin-hyp``, ``hyp`` and ``mixed``
+    entries are smallest singular values, which have no sign: they are even
+    in the system's s = k.omega (-+ lam_i), so the band is cut on the right
+    side only when s* > 0 at the reference parameter, and on the wrong side
+    when s* < 0."""
     guard = state.guard
     if state.grid is None or not guard.failures or state.h.omega_fn is None:
         return
@@ -144,19 +148,15 @@ def _excise_failures(state: IterationState):
                          "empty surviving grid after divisor excision")
 
 
-def inner_step(state: IterationState, tables: ClassTable | None = None,
-               h_poly: Polynomial | None = None) -> IterationState:
+def inner_step(state: IterationState, tables: ClassTable,
+               h_poly: Polynomial) -> IterationState:
     """One homological solve and jet transform at frozen normal form and
     divisors: ``state.guard`` checks them and freezes them for the block.
 
-    ``tables`` and ``h_poly`` (h's class table and polynomial) depend on h
-    alone, which a block holds fixed; they are built here when not given.
+    ``tables`` and ``h_poly`` are h's class table (``class_tables``) and
+    polynomial; they depend on h alone, which a block holds fixed.
     """
     h = state.h
-    if tables is None:
-        tables = class_tables(h)
-    if h_poly is None:
-        h_poly = h.to_polynomial()
     F = (state.f if state.h_acc is None
          else state.h_acc.to_polynomial() + state.f)
     sol = solve_homological(h, F, state.guard, gamma1=state.weights.gamma1,
@@ -200,26 +200,20 @@ def _fold_h_acc(h: NormalFormHamiltonian, h_acc: NormalFormHamiltonian,
     at = {s: i for i, s in enumerate(p.sites())}      # p.points' order
     Q_all = np.zeros((len(at),) * 2, dtype=complex)
     ends = p.ends.tolist()
-    for ci, (s, e) in enumerate(zip(ends[:-1], ends[1:])):
-        if ci != p.finite_index:
-            Q_all[s:e, s:e] = h.class_Q(ci) + h_acc.class_Q(ci)
+    for ci in p.nonfinite.tolist():
+        s, e = ends[ci], ends[ci + 1]
+        Q_all[s:e, s:e] = h.class_Q(ci) + h_acc.class_Q(ci)
     h_new = NormalFormHamiltonian(
         omega=h.omega + h_acc.omega.real, partition=p_new,
         const=float((h.const + h_acc.const).real),
         rho_star=h.rho_star, omega_fn=h.omega_fn, lambda_fn=h.lambda_fn)
-    for ci, cl in enumerate(p_new.classes):
-        if ci == p_new.finite_index:
-            continue
-        ix = [at[s] for s in cl]
+    for ci in p_new.nonfinite.tolist():
+        ix = [at[s] for s in p_new.classes[ci]]
         try:                # the Hermitian check is the normal-form gate
             h_new.set_block(ci, Q_all[np.ix_(ix, ix)])
         except ValueError as exc:
             raise StageAbort("fold", ci, str(exc)) from exc
-    if p_new.finite_index is not None:
-        m = 2 * len(p_new.classes[p_new.finite_index])
-        h_new.hyperbolic_block = sum(
-            (H for H in (h.hyperbolic_block, h_acc.hyperbolic_block)
-             if H is not None), np.zeros((m, m)))
+    h_new.hyperbolic_block = h.hyperbolic_block + h_acc.hyperbolic_block
     return h_new
 
 
@@ -273,21 +267,13 @@ class RunReport:
 
 def _spectrum_report(h: NormalFormHamiltonian):
     """Eigenvalue classification of the final quadratic part."""
-    unstable = 0
-    a_inf_real = 0.0
     Hf = h.hyperbolic_block
-    if Hf is not None and Hf.size:
-        F = Hf.shape[0] // 2
-        ev = np.linalg.eigvals(symplectic(F) @ Hf)
-        tol = 1e-10 * max(1.0, np.abs(ev).max())
-        unstable = int((ev.real > UNSTABLE_FACTOR * tol).sum())
-    p = h.partition
-    for ci in range(len(p.classes)):
-        if ci == p.finite_index:
-            continue
+    ev = np.linalg.eigvals(symplectic(len(Hf) // 2) @ Hf)
+    tol = 1e-10 * max(1.0, np.abs(ev).max(initial=0.0))
+    unstable = int((ev.real > UNSTABLE_FACTOR * tol).sum())
+    a_inf_real = 0.0
+    for ci in h.partition.nonfinite.tolist():
         Q = h.class_Q(ci)
-        if not Q.size:
-            continue
         # real form of the Hermitian block: eigenvalues come in +-i pairs
         R = np.kron(Q.real, I2) + np.kron(Q.imag, J2)
         ev = np.linalg.eigvals(symplectic(Q.shape[0]) @ R)

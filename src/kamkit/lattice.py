@@ -86,10 +86,12 @@ class BlockPartition:
 
     ``points`` holds the points as one (N, d) int64 array in class order,
     and class i is ``points[ends[i]:ends[i + 1]]``.  The designated finite
-    set F is one class, the low-norm core {|a| <= core_cutoff} another; the
-    remaining classes are generated by |a|=|b|, [a-b] <= delta restricted to
-    the truncation.  ``classes`` (tuples of point tuples) and ``class_of``
-    (point tuple -> class) are views of the arrays, built on first use.
+    set F, when there is one, is class 0 (``finite_index``), listing F in
+    sorted order; the low-norm core {|a| <= core_cutoff} is another class;
+    the remaining classes are generated by |a|=|b|, [a-b] <= delta
+    restricted to the truncation.  ``classes`` (tuples of point tuples),
+    ``class_of`` (point tuple -> class) and ``nonfinite`` (the indices of
+    the other classes) are views of the arrays, built on first use.
     """
     delta: float            # nonnegative number or math.inf
     radius: float
@@ -112,6 +114,13 @@ class BlockPartition:
     @cached_property
     def class_of(self) -> dict:
         return {p: i for i, cl in enumerate(self.classes) for p in cl}
+
+    @cached_property
+    def nonfinite(self) -> np.ndarray:
+        """The indices of the classes other than the finite class, in
+        ascending order."""
+        return np.flatnonzero(np.arange(len(self.ends) - 1)
+                              != self.finite_index)
 
     def class_index(self, a) -> int:
         return self.class_of[_as_point(a)]

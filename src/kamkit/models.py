@@ -388,15 +388,11 @@ def build_beam(model: BeamModel):
         omega=omega, partition=part, rho_star=np.array(model.rho),
         omega_fn=lambda rho: np.sqrt(node_q2 + rho),
         lambda_fn=lambda X, rho: np.sqrt(np.abs(_beam_mu(model, X, rho))))
-    for ci, cl in enumerate(part.classes):
-        if ci == part.finite_index:
-            continue
-        h.set_block(ci, np.diag([lam[a] for a in cl]))
-    if fin:
-        H = np.zeros((2 * len(fin), 2 * len(fin)))
-        for i, a in enumerate(fin):
-            H[2 * i, 2 * i + 1] = H[2 * i + 1, 2 * i] = lam[a]
-        h.hyperbolic_block = H
+    for ci in part.nonfinite.tolist():
+        h.set_block(ci, np.diag([lam[a] for a in part.classes[ci]]))
+    H = h.hyperbolic_block
+    for i, a in enumerate(fin):
+        H[2 * i, 2 * i + 1] = H[2 * i + 1, 2 * i] = lam[a]
     letters = field_letters(sites, lam)
     f = Polynomial.zero(n)
     for power, xwave, coeff in model.nonlinearity:

@@ -138,7 +138,8 @@ def test_admissibility_matches_exhaustive_oracle():
 def beam_solution():
     h, f = desk_beam()
     guard = DivisorGuard(delta0=1e-10)
-    sol = solve_homological(h, f, guard, gamma1=0.4)
+    sol = solve_homological(h, f, guard, gamma1=0.4,
+                            tables=class_tables(h))
     return h, f, sol
 
 

@@ -816,15 +816,37 @@ def test_only_commands_that_use_a_grid_read_or_record_it(tmp_path):
 @pytest.mark.parametrize("name, command", [
     ("desk_beam", "kam"), ("desk_beam", "blocks"), ("singular_gate", "kam"),
     ("scan_beam", "scan"), ("excise_beam", "kam"), ("scan_nls", "scan"),
-    ("scan_nls", "kam"),
+    ("scan_nls", "kam"), ("hyperbolic_beam", "scan"),
+    ("hyperbolic_beam", "kam"),
 ], ids=["kam", "blocks", "singular_gate-kam", "scan", "excise_beam-kam",
-        "scan_nls-scan", "scan_nls-kam"])
+        "scan_nls-scan", "scan_nls-kam", "hyperbolic_beam-scan",
+        "hyperbolic_beam-kam"])
 def test_example_config_runs(tmp_path, name, command):
     """README's example configs stay valid for the commands they serve."""
     example = Path(__file__).parents[1] / "examples" / f"{name}.json"
     cfg = dict(json.loads(example.read_text()),
                output_dir=str(tmp_path / "out"))
     assert main([command, write_cfg(tmp_path, cfg)]) == 0
+
+
+def test_hyperbolic_example_reports_its_unstable_site(tmp_path):
+    """README's figures for examples/hyperbolic_beam.json: the scan keeps
+    measure 0.1475, and the run, with no guard failure, reports the one
+    unstable direction of site 0's hyperbolic block."""
+    example = Path(__file__).parents[1] / "examples" / "hyperbolic_beam.json"
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, dict(json.loads(example.read_text()),
+                                    output_dir=str(out)))
+    assert main(["scan", path]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["surviving_measure"] == pytest.approx(0.1475)
+    assert main(["kam", path]) == 0
+    report = (out / "final_report.txt").read_text().splitlines()
+    assert "unstable_count=1 a_inf_max_real=0.000e+00" in report
+    assert "eps_history=6.05784e-06 5.13519e-12 4.59296e-14" in report
+    rows = [json.loads(x)
+            for x in (out / "metrics.jsonl").read_text().splitlines()]
+    assert [r["guard_failures"] for r in rows] == [0] * len(rows)
 
 
 # imports kamkit.cli, prints the blocked modules it loaded, then runs one

@@ -1199,3 +1199,14 @@ def test_normal_form_hamiltonian_poly():
     wvec = np.array([zvals[((0, 1), c)] for c in (0, 1)])
     expect += 0.5 * wvec @ h.hyperbolic_block @ wvec
     assert val == pytest.approx(expect)
+
+
+def test_normal_form_finite_class_holds_only_the_hyperbolic_block():
+    """H starts as zeros over the finite class's components, and the
+    finite class takes no elliptic block."""
+    part = build_partition(2, 3, 2, finite_set=[(1, 0), (0, 1)])
+    h = NormalFormHamiltonian(omega=np.array([1.0]), partition=part)
+    assert h.hyperbolic_block.tobytes() == np.zeros((4, 4)).tobytes()
+    with pytest.raises(ValueError, match="finite class"):
+        h.set_block(part.finite_index, np.eye(2))
+    assert not h.elliptic_blocks

@@ -99,7 +99,8 @@ def random_jet(rng, part, n=1, kmax=2, nterms=30, seed_sites=None):
 
 def test_zero_input():
     h, part, rng = make_h()
-    sol = solve_homological(h, Polynomial(1), DivisorGuard(1e-8))
+    sol = solve_homological(h, Polynomial(1), DivisorGuard(1e-8),
+                            tables=class_tables(h))
     assert len(sol.S) == 0
     assert len(sol.residual) == 0
     assert not sol.skipped_report
@@ -109,7 +110,8 @@ def test_linear_solve_kills_jet():
     h, part, rng = make_h(seed=1)
     f = random_jet(rng, part)
     guard = DivisorGuard(1e-6)
-    sol = solve_homological(h, f, guard, max_picard=1)
+    sol = solve_homological(h, f, guard, max_picard=1,
+                            tables=class_tables(h))
     assert not guard.failures
     assert not sol.skipped_report  # spheres are whole classes here
     assert sol.residual.max_coeff() < 1e-10 * f.max_coeff()
@@ -121,7 +123,8 @@ def test_linear_solve_kills_jet_with_complex_Q():
     assert max(np.abs(Q.imag).max() for Q in h.elliptic_blocks.values()) > 0
     f = random_jet(rng, part)
     guard = DivisorGuard(1e-6)
-    sol = solve_homological(h, f, guard, max_picard=1)
+    sol = solve_homological(h, f, guard, max_picard=1,
+                            tables=class_tables(h))
     assert not guard.failures
     assert sol.residual.max_coeff() < 1e-10 * f.max_coeff()
 
@@ -129,7 +132,8 @@ def test_linear_solve_kills_jet_with_complex_Q():
 def test_solution_is_real():
     h, part, rng = make_h(seed=2)
     f = random_jet(rng, part)
-    sol = solve_homological(h, f, DivisorGuard(1e-6), max_picard=1)
+    sol = solve_homological(h, f, DivisorGuard(1e-6), max_picard=1,
+                            tables=class_tables(h))
     assert reality_defect(f, finite_set=part.finite_set) < 1e-12
     assert reality_defect(sol.S, finite_set=part.finite_set) < 1e-9
 
@@ -143,7 +147,8 @@ def test_h_tilde_structure_and_normal_form():
     a = part.classes[2][0]
     f = f + realize(Polynomial(1, {((0,), (0,), (((a, 0), 1), ((a, 1), 1))):
                                    0.5 + 0j}))
-    sol = solve_homological(h, f, DivisorGuard(1e-6), max_picard=1)
+    sol = solve_homological(h, f, DivisorGuard(1e-6), max_picard=1,
+                            tables=class_tables(h))
     ht = sol.h_tilde
     zero_k = (0,) * 1
     expect_c = f.terms.get((zero_k, zero_k, ()), 0.0)
@@ -289,7 +294,8 @@ def test_guard_blocks_small_divisors():
     f.add_term(1.0, k=(1,))
     f.add_term(1.0, k=(-1,))
     guard = DivisorGuard(1e-6)
-    sol = solve_homological(h, f, guard, max_picard=1)
+    sol = solve_homological(h, f, guard, max_picard=1,
+                            tables=class_tables(h))
     assert guard.failures
     assert sol.residual.max_coeff() == pytest.approx(1.0)
 
@@ -309,7 +315,7 @@ def test_skip_rule_bound():
     f = realize(Polynomial(1, {((1,), (0,), (((a, 0), 1), ((b, 0), 1))):
                                0.25 + 0j}))
     sol = solve_homological(h, f, DivisorGuard(1e-8), gamma1=1.0,
-                            max_picard=1)
+                            max_picard=1, tables=class_tables(h))
     assert sol.skipped_report
     for k, ci, cj, coeff, bound in sol.skipped_report:
         assert coeff <= bound * (1 + 1e-12)
@@ -320,8 +326,10 @@ def test_skip_rule_bound():
 def test_divisor_log_deterministic():
     h, part, rng = make_h(seed=9)
     f = random_jet(rng, part, nterms=40)
-    s1 = solve_homological(h, f, DivisorGuard(1e-6), max_picard=1)
-    s2 = solve_homological(h, f, DivisorGuard(1e-6), max_picard=1)
+    s1 = solve_homological(h, f, DivisorGuard(1e-6), max_picard=1,
+                           tables=class_tables(h))
+    s2 = solve_homological(h, f, DivisorGuard(1e-6), max_picard=1,
+                           tables=class_tables(h))
     assert list(s1.guard.log) == list(s2.guard.log)
     for key, d in s1.guard.log.items():
         assert d.tobytes() == s2.guard.log[key].tobytes()
@@ -343,10 +351,10 @@ def test_picard_shrinks_residual():
                               + 1j * rng.standard_normal()),
                        k=(int(rng.integers(-1, 2)),), z=vs)
     f = f + realize(cubic)
-    r1 = solve_homological(h, f, DivisorGuard(1e-6),
-                           max_picard=1).residual.max_coeff()
-    r3 = solve_homological(h, f, DivisorGuard(1e-6),
-                           max_picard=4).residual.max_coeff()
+    r1 = solve_homological(h, f, DivisorGuard(1e-6), max_picard=1,
+                           tables=class_tables(h)).residual.max_coeff()
+    r3 = solve_homological(h, f, DivisorGuard(1e-6), max_picard=4,
+                           tables=class_tables(h)).residual.max_coeff()
     assert r3 < r1
     assert r3 < 1e-6 * f.jet().max_coeff()
 

@@ -328,7 +328,7 @@ def test_beam_node_outside_the_ball_rejected():
 def test_beam_positive_mu_has_no_hyperbolic_part():
     h, f = build_beam(beam_quartic_model())
     assert h.finite_set == ()
-    assert h.hyperbolic_block is None
+    assert h.hyperbolic_block.shape == (0, 0)
 
 
 def test_beam_negative_mu_builds_hyperbolic_block():
