@@ -49,15 +49,18 @@ with u = 1 on the hyperbolic sites of ``finite_set`` and i elsewhere.  One
 left and one right operand, each row tagged by its factor, only rows of
 one factor pair, and the factor is a digit of the key, so each factor's
 product is merged and cut at ``tol`` as if on its own.  ``_merge`` then
-adds the signed rows in factor order.  ``lie_transform`` cuts each order's
-bracket at ``tol``, scales it by 1/m and cuts it by the jet rule
-(``_jet_rows``) before adding it.  Given ``rest_tol``, it also screens its
-brackets' products (``_pairs``): a pair whose monomial is outside the jet
-is not formed when |c_a| |c_b| <= rest_tol / min(|A|, |B|), |A| and |B|
-the rows of its factor, which takes at most ``rest_tol`` from a
-coefficient per product; jet pairs are always formed, so the jet rows are
-those of the exact bracket.  ``poisson`` and ``Polynomial.mul`` take no
-screen: their products are exact.
+adds the signed rows in factor order.  Under a degree cap and no screen,
+a row that pairs with no row of the other side within the cap, deg F +
+deg G - 2 on every factor, is dropped before it is differentiated
+(``_reach_cut``); it would form no pair, so the output is the same.
+``lie_transform`` cuts each order's bracket at ``tol``, scales it by 1/m
+and cuts it by the jet rule (``_jet_rows``) before adding it.  Given
+``rest_tol``, it also screens its brackets' products (``_pairs``): a pair
+whose monomial is outside the jet is not formed when |c_a| |c_b| <=
+rest_tol / min(|A|, |B|), |A| and |B| the rows of its factor, which takes
+at most ``rest_tol`` from a coefficient per product; jet pairs are always
+formed, so the jet rows are those of the exact bracket.  ``poisson`` and
+``Polynomial.mul`` take no screen: their products are exact.
 
 ``NormalFormHamiltonian`` is the one normal-form type: a constant, a
 frequency vector, one Hermitian block per partition class and one real
@@ -285,10 +288,15 @@ def _align(*polys) -> tuple:
 
 
 def _stack_z(Zs: list, V: int) -> np.ndarray:
-    """Z blocks padded with V to one width and stacked."""
-    W = max(z.shape[1] for z in Zs)
-    return np.vstack([np.pad(z, ((0, 0), (0, W - z.shape[1])),
-                             constant_values=V) for z in Zs])
+    """Z blocks padded with V to one width and stacked, in their common
+    dtype."""
+    out = np.full((sum(len(z) for z in Zs), max(z.shape[1] for z in Zs)), V,
+                  dtype=np.result_type(*Zs))
+    at = 0
+    for z in Zs:
+        out[at:at + len(z), :z.shape[1]] = z
+        at += len(z)
+    return out
 
 
 def _add(A: tuple, B: tuple, V: int) -> tuple:
@@ -726,19 +734,69 @@ def _diff_z(P: tuple, V: int, keep) -> tuple:
     return Z[rows, cols], (c[nz], K[rows], M[rows], drop)
 
 
+def _reach_cut(F: tuple, G: tuple, zvars: list, max_degree: int) -> tuple:
+    """F and G without the rows that form no pair of {F, G} within
+    ``max_degree``.
+
+    Each factor pairs a derivative of an F row with one of a G row, on a
+    monomial of degree deg f + deg g - 2 (r counts twice).  A row's factor
+    slots are j where m_j > 0, n + j where k_j != 0 and 2n + v for each
+    variable v it holds; a slot pairs with the other side's slot ``flip``:
+    m_j with k_j, and (s, c) with (s, 1 - c), on elliptic and hyperbolic
+    sites alike.  A row is kept when some slot of it meets the least degree
+    of the other side's rows at the flipped slot within reach.  A dropped
+    row forms no pair that the degree filter keeps, so the bracket's pairs,
+    their order and its rows are those without the cut."""
+    V, n = len(zvars), F[1].shape[1]
+    at = {v: i for i, v in enumerate(zvars)}
+    partner = [at.get((s, 1 - c), V) for s, c in zvars] + [V]
+    pad = 2 * n + V                   # no slot; pairs with no slot
+    flip = np.r_[n + np.arange(n), np.arange(n), 2 * n + np.array(partner)]
+    top = max(max_degree, 0) + 3      # past the reach of every pair
+
+    def slots(P):                     # each row's slots, a column at a time
+        _, K, M, Z = P
+        for j in range(n):
+            yield np.where(M[:, j] > 0, j, pad)
+            yield np.where(K[:, j] != 0, n + j, pad)
+        for z in Z.T:
+            yield z.astype(np.int64) + 2 * n
+
+    deg = [np.minimum(_degree(P[2], P[3], V), top) for P in (F, G)]
+    least = []                        # per slot, the least degree there
+    for P, d in zip((F, G), deg):
+        seen = np.zeros((top + 1, pad + 1), dtype=bool)
+        for s in slots(P):
+            seen[d, s] = True
+        low = np.where(seen.any(axis=0), seen.argmax(axis=0), top)
+        low[pad] = top
+        least.append(low)
+    out = []
+    for P, d, other in zip((F, G), deg, least[::-1]):
+        reach, other = np.full(len(d), top), other[flip]
+        for s in slots(P):
+            np.minimum(reach, other[s], out=reach)
+        keep = d + reach <= max_degree + 2
+        out.append(P if keep.all() else _cut(P, keep))
+    return tuple(out)
+
+
 def _bracket(F: tuple, G: tuple, zvars: list, finite_set,
              max_degree: int | None, tol: float,
              screen: float | None = None) -> tuple:
     """{F, G} on rows over ``zvars`` (``_align``), in ``poisson``'s
-    term order (see the module docstring).  The derivatives are array
-    passes over F's and G's rows, stacked into one left and one right
-    operand with the factor index of each row: the 2n r/theta factors,
-    then two per shared site in ascending order.  One ``_product`` forms
-    every factor's product (with ``screen``, the Lie series' pair screen),
-    each row takes its factor's sign, and ``_merge`` sums the rows in
-    bracket order."""
+    term order (see the module docstring).  Under a degree cap and no
+    ``screen``, the rows that cannot reach it are dropped first
+    (``_reach_cut``).  The derivatives are array passes over F's and G's
+    rows, stacked into one left and one right operand with the factor
+    index of each row: the 2n r/theta factors, then two per shared site in
+    ascending order.  One ``_product`` forms every factor's product (with
+    ``screen``, the Lie series' pair screen), each row takes its factor's
+    sign, and ``_merge`` sums the rows in bracket order."""
     V = len(zvars)
     n = F[1].shape[1]
+    if max_degree is not None and screen is None:
+        F, G = _reach_cut(F, G, zvars, max_degree)
     left, right, signs = [], [], [1.0, -1.0] * n
     for j in range(n):
         left += [_diff_r(F, j), _k_scale(F, j)]
@@ -793,7 +851,9 @@ def poisson(F: Polynomial, G: Polynomial, finite_set=(),
     plus, per lattice site, i(dF/dxi dG/deta - dF/deta dG/dxi) on elliptic
     sites and (dF/dp dG/dq - dF/dq dG/dp) on hyperbolic ones.  Products
     skip pairs above ``max_degree``; each product and the bracket drop
-    terms with |c| <= ``tol``.
+    terms with |c| <= ``tol``.  Under ``max_degree``, the rows of F and G
+    that can form no pair within it are dropped before they are
+    differentiated (``_reach_cut``), which leaves the output as it is.
     """
     zvars, (PF, PG) = _align(F, G)
     rows = _bracket(PF, PG, zvars, finite_set, max_degree, tol)

@@ -188,7 +188,8 @@ def build_partitions(deltas, R, d, finite_set=(), core_cutoff=1.0,
     finite and core classes and the shell order are built once; the links
     of every delta below 2R come from one neighbour search
     (``_shell_links``) at the largest of them, and each delta's classes
-    from one union-find (``components``) over its share of the links.  At
+    from one union-find (``components``) over its share of the links,
+    continued from the last delta's labels when its share holds theirs.  At
     delta >= 2R every sphere is one class.
     """
     deltas = list(deltas)
@@ -246,13 +247,20 @@ def _partitions(deltas, R, d, fset, excl, core_cutoff):
     if below:
         rows, cols, reach = _shell_links(X[shell], sphere, max(below))
 
+    # the last union-find's labels and links: a larger delta's links add to
+    # them, a smaller one starts over
+    root, done = None, 0
     for delta in deltas:
         if delta >= 2 * R:
             # [a-b] <= |a-b| <= 2R: every sphere is connected
             label = sphere
         else:
             k = int(np.searchsorted(reach, delta * delta, side="right"))
-            label = components(len(shell), rows[:k], cols[:k])
+            if k < done:
+                root, done = None, 0
+            label = root = components(len(shell), rows[done:k], cols[done:k],
+                                      root)
+            done = k
         members, ends, lead_nsq = _classes(shell[own], q[own], label[own])
         if delta == math.inf:
             boundary = [False] * len(lead_nsq)
@@ -267,17 +275,19 @@ def _partitions(deltas, R, d, fset, excl, core_cutoff):
             finite_index=finite_index, core_index=core_index)
 
 
-def components(n, rows, cols) -> np.ndarray:
+def components(n, rows, cols, root=None) -> np.ndarray:
     """The connected components of the graph on 0..n-1 with the links
     (rows[i], cols[i]): each vertex's label is the smallest vertex of its
-    component.
+    component.  Given ``root``, the labels of a graph on the same vertices
+    (this function's output), the components are those of both graphs'
+    links together.
 
     A union-find on int arrays: each round hooks every root with a link to
     a smaller root onto the smallest such root (``np.minimum.at``), then
     jumps pointers until every vertex points at a root, and keeps only the
     links whose ends still have different roots.
     """
-    root = np.arange(n)
+    root = np.arange(n) if root is None else root.copy()
     while True:
         a, b = root[rows], root[cols]
         split = a != b

@@ -21,6 +21,8 @@ from kamkit.hamiltonian import (
     lie_transform,
     poisson,
 )
+from kamkit.homological import (PRUNE_TOL, DivisorGuard, class_tables,
+                                solve_linear)
 from kamkit.lattice import build_partition
 
 from _reference_class_norm import (dense_hessian, dense_hessian_norm,
@@ -582,12 +584,99 @@ def bracket_oracle_cases(draw):
     return draw(polynomials(n, kscale)), draw(polynomials(n, kscale)), fset
 
 
+def _angle_case():
+    """G holds a degree-0 row, a pure angle term: it lifts F's r z^2 (of
+    degree 4) to degree 2, while F's z_A0^3 z_B0 and G's r z_A1^2 reach
+    nothing."""
+    F, G = Polynomial(1), Polynomial(1)
+    F.add_term(0.5, m=(1,), z={(A, 0): 2})
+    F.add_term(1.0, z={(A, 0): 3, (B, 0): 1})
+    F.add_term(1.5, k=(-1,), z={(B, 1): 1})
+    G.add_term(2.0, k=(1,))
+    G.add_term(1j, z={(A, 1): 1, (B, 0): 1})
+    G.add_term(0.25, m=(1,))
+    G.add_term(-1.0, m=(1,), z={(A, 1): 2})
+    return F, G, []
+
+
+def _hyperbolic_reach_case():
+    """Only the hyperbolic site B joins rows within degree 2: F's z_B0 z_B1
+    with G's z_B1 z_A1; the other rows of both sides reach nothing."""
+    F, G = Polynomial(1), Polynomial(1)
+    F.add_term(1.0 + 2j, m=(1,), z={(A, 0): 1, (B, 0): 1})
+    F.add_term(0.5, z={(B, 0): 1, (B, 1): 1})
+    F.add_term(3.0, z={(A, 0): 2, (A, 1): 1})
+    G.add_term(-1.5, k=(-1,), z={(A, 1): 1, (B, 1): 1})
+    G.add_term(0.25j, z={(A, 1): 1, (B, 0): 2})
+    return F, G, [B]
+
+
+def _action_reach_case():
+    """Rows with no variable in common, of degree 2 each: only the factor
+    dF/dtheta_2 dG/dr_2 pairs them; F's z_A0 z_B1 and G's r_1 pair with
+    nothing."""
+    F, G = Polynomial(2), Polynomial(2)
+    F.add_term(1.0 - 1j, k=(0, 1), z={(A, 0): 2})
+    F.add_term(2.0, z={(A, 0): 1, (B, 1): 1})
+    G.add_term(0.5, m=(0, 1))
+    G.add_term(0.7, m=(1, 0))
+    return F, G, []
+
+
 @given(bracket_oracle_cases(), st.sampled_from([None, 2, 4]),
        st.sampled_from([0.0, 1e-3, 0.5]))
+@example(case=_angle_case(), max_degree=2, tol=0.0)
+@example(case=_hyperbolic_reach_case(), max_degree=2, tol=0.0)
+@example(case=_action_reach_case(), max_degree=2, tol=0.0)
 def test_poisson_matches_dict_oracle(case, max_degree, tol):
     F, G, fset = case
     assert _items(poisson(F, G, fset, max_degree, tol)) == \
         _items(ref.poisson(F, G, fset, max_degree, tol))
+
+
+@pytest.mark.parametrize("case", [_angle_case, _hyperbolic_reach_case,
+                                  _action_reach_case])
+def test_reach_cut_drops_rows_on_both_sides(case):
+    """Each hand case loses rows of F and of G before they are
+    differentiated, and keeps a nonzero bracket."""
+    F, G, fset = case()
+    zvars, (PF, PG) = H._align(F, G)
+    cut_F, cut_G = H._reach_cut(PF, PG, zvars, 2)
+    assert 0 < len(cut_F[0]) < len(F) and 0 < len(cut_G[0]) < len(G)
+    assert len(poisson(F, G, fset, 2))
+
+
+def test_picard_bracket_drops_the_rows_past_its_reach():
+    """The first Picard bracket of the desk beam at R=3, {f_rest, S} at
+    degree 2, differentiates fewer rows of f_rest than it has, and gives
+    the bracket of all of them: keys, order and bits."""
+    h, f = desk_beam(radius=3.0)
+    S = solve_linear(h, f.jet(), DivisorGuard(delta0=1e-8), 0.4,
+                     class_tables(h))[0]
+    f_rest = f.without_jet()
+    zvars, (F, G) = H._align(f_rest, S)
+    assert len(H._reach_cut(F, G, zvars, 2)[0][0]) < len(f_rest)
+    got = poisson(f_rest, S, h.finite_set, 2, PRUNE_TOL)
+    with mock.patch.object(H, "_reach_cut", lambda F, G, *_: (F, G)):
+        whole = poisson(f_rest, S, h.finite_set, 2, PRUNE_TOL)
+    assert len(got) and _items(got) == _items(whole)
+
+
+def test_stack_z_pads_with_V_in_the_blocks_dtype():
+    """Blocks of any widths, empty ones too, stack padded with V; int16 ids
+    stay int16, int32 ones (V >= 2**15) int32, and an int64 block, as
+    ``_no_rows`` makes, takes the stack to int64."""
+    for V, dtype in ((5, np.int16), (2 ** 15, np.int32)):
+        assert H._id_type(V) == dtype
+        Zs = [np.array([[0, 1, V]], dtype=dtype), np.zeros((2, 0), dtype),
+              np.array([[2], [3]], dtype=dtype)]
+        got = H._stack_z(Zs, V)
+        assert got.dtype == dtype
+        assert got.tolist() == [[0, 1, V], [V] * 3, [V] * 3, [2, V, V],
+                                [3, V, V]]
+        wide = H._stack_z([np.zeros((0, 4), dtype=np.int64)] + Zs, V)
+        assert wide.dtype == np.int64 and wide.shape == (5, 4)
+        assert (wide[:, 3] == V).all()
 
 
 def test_poisson_cancelled_key_keeps_its_first_place():

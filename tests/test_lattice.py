@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from kamkit import lattice
 from kamkit.lattice import (
     _shell_links,
     angle_relation,
@@ -288,6 +290,41 @@ def test_components_match_connected_components(args):
     smallest = np.full(count, n)
     np.minimum.at(smallest, want, np.arange(n))
     assert np.array_equal(label, smallest[want])
+
+
+@given(graphs(), st.integers(0, 60))
+def test_components_continue_from_labels(args, split):
+    """Labels of the first links, continued with the rest, are the labels
+    of all the links at once."""
+    n, links = args
+    rows, cols = np.array(links, dtype=np.int64).reshape(-1, 2).T
+    first = components(n, rows[:split], cols[:split])
+    kept = first.copy()
+    got = components(n, rows[split:], cols[split:], first)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(got, components(n, rows, cols))
+
+
+def test_partitions_continue_the_union_find_across_deltas():
+    """At d = 3, R = 8, deltas out of order: each delta's classes equal
+    those of its own partition, and a delta above the last one passes
+    only its new links to the union-find."""
+    deltas = [1, 2, 3, 1.5, 4, 0, 6, 6, math.inf, 5]
+    with mock.patch.object(lattice, "components",
+                           wraps=lattice.components) as spy:
+        got = list(build_partitions(deltas, 8, 3))
+    for g, delta in zip(got, deltas):
+        w = build_partition(delta, 8, 3)
+        assert np.array_equal(g.points, w.points)
+        assert np.array_equal(g.ends, w.ends)
+    P, _, sphere = _shell(8, 3)
+    reach = _shell_links(P, sphere, 6)[2]
+    links = [int(np.searchsorted(reach, x * x, side="right"))
+             for x in deltas if x < math.inf]
+    passed = [len(c.args[1]) for c in spy.call_args_list]
+    assert passed == [links[0], links[1] - links[0], links[2] - links[1],
+                      links[3], links[4] - links[3], links[5],
+                      links[6] - links[5], 0, links[8]]
 
 
 def test_partition_rejects_negative_delta():
