@@ -62,6 +62,14 @@ at most ``rest_tol`` from a coefficient per product; jet pairs are always
 formed, so the jet rows are those of the exact bracket.  ``poisson`` and
 ``Polynomial.mul`` take no screen: their products are exact.
 
+``class_norm``'s three sparse products (the rows' log-powers Z @
+log(zeta), the gradient Zt @ T and the hessian entries P @ t0) go through
+one numpy kernel, ``_sparse_sums``: each output is 0 plus its entries,
+weighted by their multiplicity, added a row at a time in ascending input
+order, the order of scipy.sparse's CSR and CSC products, so each sum is
+scipy's up to the sign of a zero, which every consumer drops (an abs or a
+Gram matrix).
+
 ``NormalFormHamiltonian`` is the one normal-form type: a constant, a
 frequency vector, one Hermitian block per partition class and one real
 hyperbolic block.  The model builders' h, the homological solver's h_tilde
@@ -75,6 +83,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads these two on first use, inside a run: numpy.ma at the
+# first np.unique, numpy.random at class_norm's first default_rng
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .algebra import (WeightParams, decay_norm, site_weight,
                       spectral_norm_2x2)
@@ -1125,11 +1137,11 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
     Each column is reduced on its own, never by a matrix product across
     columns, so a sample's value does not depend on its batch.  The hessian
     is taken at each angle's first sample, on the site blocks that the
-    rows name only (``_hessian_norm``), for the whole batch at once.
+    rows name only (``_hessian_norm``), after the batches, for groups of
+    angles at once.
     """
     if not len(poly):
         return 0.0
-    from scipy import sparse as _sparse
     n = poly.n
     rng = np.random.default_rng(p.seed)
     zvars, Zid = _live(poly)      # ids over the variables in use, pads -1
@@ -1137,9 +1149,9 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
     C, K, M = poly.C, poly.K, poly.M
     N = len(C)
     rows, cols = np.nonzero(Zid >= 0)
-    Z = _sparse.csr_matrix((np.ones(len(rows)), (rows, Zid[rows, cols])),
-                           shape=(N, V))          # repeated ids sum to powers
-    Zt = Z.T.tocsr()
+    ids = Zid[rows, cols]
+    Z = _sparse_sums(rows, ids, N)    # repeated ids sum to powers
+    Zt = _sparse_sums(ids, rows, V)
 
     # angle samples along a fixed direction; nested under n_theta doubling
     direction = np.array([1.0 + 0.61803398875 * j for j in range(n)])
@@ -1175,7 +1187,7 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
                   axis=1)
     if V:
         ZV = np.stack([rad * dvec for dvec in dirs for rad in radii], axis=1)
-        Zf = np.exp(Z @ np.log(ZV))
+        Zf = np.exp(Z(np.log(ZV)))
         ZVs = np.repeat(ZV, len(r_vals), axis=1)   # zeta of each sample
     else:
         Zf = np.ones((N, 1))
@@ -1191,7 +1203,7 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
              * Zf[:, None, :, None]).reshape(N, -1)
         val = np.abs(T.sum(axis=0)).max()
         if V:
-            G = (Zt @ T).reshape(V, Ph.shape[1], -1) / ZVs[:, None]
+            G = Zt(T).reshape(V, Ph.shape[1], -1) / ZVs[:, None]
             ag2 = (np.abs(G) ** 2).reshape(V, -1)
             val = max(val, p.mu * np.sqrt((ag2 * grad_w * grad_w)
                                           .sum(axis=1)).max())
@@ -1203,21 +1215,22 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
     DR = Zf.shape[1] * len(r_vals)
     step = max(1, _SAMPLE_BUDGET // (max(N, 3 * V) * DR)) if DR > 1 else 1
     best = 0.0
+    firsts = []          # each angle's first sample (d = a = 0)
     for first in range(0, len(thetas), step):
         phases = [np.exp(1j * (K @ th)) * C
                   for th in thetas[first:first + step]]
         Ph = np.stack(phases, axis=1) if step > 1 else phases[0][:, None]
         best = max(best, sample_norm(Ph))
-        if has_quad:     # at each angle's first sample (d = a = 0)
-            best = max(best, p.mu ** 2
-                       * hessian_norm(Ph * Rf[:, :1] * Zf[:, :1]))
+        firsts.append(Ph * Rf[:, :1] * Zf[:, :1])
+    if has_quad:
+        best = max(best, p.mu ** 2 * hessian_norm(np.hstack(firsts)))
     return float(best)
 
 
 def _hessian_norm(Zid, zvars: list, zeta, gammas: list):
     """The hessian norm of ``class_norm`` at points, as a function of the
-    rows' values t0 there, an (N, m) block with one column per point: the
-    max over the points and over the weights ``gammas`` of the
+    rows' values t0 there, an (N,) or (N, m) block with one column per
+    point: the max over the points and over the weights ``gammas`` of the
     largest row or column sum of the decay-weighted spectral norms of the
     hessian's 2x2 site blocks, over the (xi, eta) pairs of the sites of
     ``zvars``.  Zid holds the rows' ids into ``zvars`` (pads -1, as
@@ -1228,8 +1241,10 @@ def _hessian_norm(Zid, zvars: list, zeta, gammas: list):
     names the site blocks of those pairs, and only the named blocks are
     formed: the sparse P maps t0 to their entries, P's rows indexing (named
     block, 2x2 entry), and ``algebra.decay_norm`` takes the row and column
-    sums over the blocks' sites.  No (sites x sites) array is formed."""
-    from scipy import sparse as _sparse
+    sums over the blocks' sites.  No (sites x sites) array is formed.  The
+    points go through in groups whose blocks hold at most
+    ``_SAMPLE_BUDGET`` entries; each point's value is its own, so the
+    grouping does not change the max."""
     sites = sorted({v[0] for v in zvars})
     S = len(sites)
     at = {s: i for i, s in enumerate(sites)}
@@ -1239,9 +1254,8 @@ def _hessian_norm(Zid, zvars: list, zeta, gammas: list):
     t, q = np.nonzero((Pa >= 0) & (Pb >= 0))
     a, b = slot[Pa[t, q]], slot[Pb[t, q]]
     blocks, blk = np.unique(a // 2 * S + b // 2, return_inverse=True)
-    entry = 4 * blk + 2 * (a % 2) + b % 2
-    P = _sparse.csc_matrix((np.ones(len(t)), (entry, t)),
-                           shape=(4 * len(blocks), len(Zid)))  # pairs sum
+    P = _sparse_sums(4 * blk + 2 * (a % 2) + b % 2, t,
+                     4 * len(blocks))                     # pairs sum
     sa, sb = np.divmod(blocks, S)
     zpad = np.ones(2 * S, dtype=complex)        # 1 at absent components
     zpad[slot] = zeta
@@ -1249,12 +1263,57 @@ def _hessian_norm(Zid, zvars: list, zeta, gammas: list):
     za = zpad[2 * sa[:, None, None] + e[:, None]]
     zb = zpad[2 * sb[:, None, None] + e]
     block_norm = decay_norm(np.array(sites, dtype=np.int64), sa, sb, gammas)
+    step = max(1, _SAMPLE_BUDGET // (4 * len(blocks)))
 
     def norm(t0):
-        # P @ t0 once for all points, then (point, named block, 2x2 entry)
-        H = np.ascontiguousarray(
-            (P @ t0).reshape(len(blocks), 2, 2, -1).transpose(3, 0, 1, 2))
-        H /= za
-        H /= zb
-        return block_norm(spectral_norm_2x2(H))
+        t0 = t0.reshape(len(t0), -1)
+        best = 0.0
+        for first in range(0, t0.shape[1], step):
+            # (point, named block, 2x2 entry) for the group's points
+            H = np.ascontiguousarray(P(t0[:, first:first + step])
+                                     .reshape(len(blocks), 2, 2, -1)
+                                     .transpose(3, 0, 1, 2))
+            H /= za
+            H /= zb
+            best = max(best, block_norm(spectral_norm_2x2(H)))
+        return best
     return norm
+
+
+def _sparse_sums(out, inp, n_out: int):
+    """The product A @ X, A the (n_out, inputs) matrix with a one added at
+    (out[k], inp[k]) for each k, as a function of a complex X, (inputs,) or
+    (inputs, m).
+
+    Output o is 0 plus, over o's distinct inputs in ascending order, the
+    input's count times its row of X, added a row at a time: the order of
+    scipy.sparse's CSR and CSC products, so each sum is theirs up to the
+    sign of a zero.  The outputs are ranked by entry count, descending, and
+    the entries laid out rank-major, so one slice add adds the r-th entry
+    of every output that has more than r; the rows are gathered from a
+    float view of X, and only those whose count is not 1 are scaled."""
+    n_in = int(inp.max()) + 1 if len(inp) else 1
+    keys, count = np.unique(out * n_in + inp, return_counts=True)
+    o, i = np.divmod(keys, n_in)            # sorted by (out, in)
+    per_out = np.bincount(o, minlength=n_out)
+    rank = np.arange(len(keys)) - (np.cumsum(per_out) - per_out)[o]
+    lay = np.lexsort((o, -per_out[o], rank))
+    src, count = i[lay], count[lay]
+    scaled = np.flatnonzero(count != 1)
+    weight = count[scaled, None].astype(float)
+    heights = np.bincount(rank).tolist()
+    ends = np.cumsum([0] + heights).tolist()
+    rounds = [(slice(0, h), slice(e, e + h))
+              for h, e in zip(heights[1:], ends[1:])]
+    filled = np.argsort(-per_out, kind="stable")[:np.count_nonzero(per_out)]
+
+    def apply(X):
+        Xf = np.ascontiguousarray(X, dtype=complex)
+        G = np.take(Xf.reshape(len(Xf), -1).view(np.float64), src, axis=0)
+        G[scaled] *= weight
+        for ys, gs in rounds:
+            G[ys] += G[gs]
+        Y = np.zeros((n_out, G.shape[1]))
+        Y[filled] = G[:len(filled)]
+        return Y.view(complex).reshape((n_out,) + np.shape(X)[1:])
+    return apply

@@ -16,8 +16,9 @@ import math
 
 import numpy as np
 
-from kamkit.algebra import (I2, J2, SeqVector, WeightedMatrix, WeightParams,
-                            _bsr, _stack, matrix_norm, site_weight)
+from kamkit.algebra import I2, J2, WeightParams, site_weight
+from kamkit.blockmatrix import (SeqVector, WeightedMatrix, _bsr, _stack,
+                                matrix_norm)
 from kamkit.lattice import BlockPartition, norm_sq
 
 from _reference_lattice import pseudo_dist

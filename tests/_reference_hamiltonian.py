@@ -23,8 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from kamkit import hamiltonian as rows
-from kamkit.algebra import (WeightedMatrix, WeightParams, _stack,
-                            decay_weight, site_weight, spectral_norm_2x2)
+from kamkit.algebra import (WeightParams, decay_weight, site_weight,
+                            spectral_norm_2x2)
+from kamkit.blockmatrix import WeightedMatrix, _stack
 from kamkit.hamiltonian import (_JET_DEGREES, StageAbort, _passes_screen,
                                 _remap)
 

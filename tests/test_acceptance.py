@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from kamkit.algebra import (SeqVector, WeightParams, WeightedMatrix, J2,
-                            matrix_norm, seq_norm)
+from kamkit.algebra import J2, WeightParams
+from kamkit.blockmatrix import SeqVector, WeightedMatrix, matrix_norm, seq_norm
 from kamkit.divisors import ParameterGrid, lemma_cj, lemma_hermitian
 from kamkit.hamiltonian import ClassNormParams, class_norm
 from kamkit.homological import DivisorGuard, class_tables, solve_homological

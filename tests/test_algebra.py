@@ -3,18 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from kamkit.algebra import (
-    I2,
-    J2,
-    SeqVector,
-    WeightParams,
-    WeightedMatrix,
-    _stack,
-    decay_weight,
-    matrix_norm,
-    seq_norm,
-    spectral_norm_2x2,
-)
+from kamkit.algebra import (I2, J2, WeightParams, decay_weight,
+                            spectral_norm_2x2)
+from kamkit.blockmatrix import (SeqVector, WeightedMatrix, _stack,
+                                matrix_norm, seq_norm)
 from kamkit.hamiltonian import NormalFormHamiltonian
 from kamkit.lattice import ball_points, build_partition
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import kamkit
-from kamkit import kam, models
+from kamkit import algebra, kam, models
 from kamkit.cli import build_model, main
 from kamkit.kam import Schedule
 from kamkit.lattice import build_partition
@@ -849,18 +849,17 @@ def test_hyperbolic_example_reports_its_unstable_site(tmp_path):
     assert [r["guard_failures"] for r in rows] == [0] * len(rows)
 
 
-# imports kamkit.cli, prints the blocked modules it loaded, then runs one
-# command with those modules made unimportable
-_WITHOUT_SCIPY_EXTRAS = """
+# imports kamkit.cli, prints the scipy modules it loaded, then runs one
+# command with scipy made unimportable
+_WITHOUT_SCIPY = """
 import sys
 import kamkit.cli
-BLOCKED = ("scipy.spatial", "scipy.sparse.csgraph", "scipy.special")
-print(sorted(m for m in sys.modules if m.startswith(BLOCKED)))
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
 
 
 class Block:
     def find_spec(self, name, path=None, target=None):
-        if name.startswith(BLOCKED):
+        if name == "scipy" or name.startswith("scipy."):
             raise ImportError(f"{name} is blocked")
 
 
@@ -869,25 +868,46 @@ sys.exit(kamkit.cli.main(sys.argv[1:]))
 """
 
 
+def _run_python(tmp_path, *args):
+    """A fresh interpreter on this checkout's kamkit, run in tmp_path."""
+    src = str(Path(kamkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=tmp_path, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+
+
 @pytest.mark.parametrize("name, command", [
     ("desk_beam", "blocks"), ("desk_beam", "kam"), ("singular_gate", "kam"),
+    ("scan_beam", "scan"), ("hyperbolic_beam", "kam"),
 ])
-def test_commands_run_without_scipy_spatial_csgraph_special(tmp_path, name,
-                                                            command):
-    """``import kamkit.cli`` loads none of scipy.spatial,
-    scipy.sparse.csgraph and scipy.special, and the commands run with all
-    three blocked, in a fresh interpreter."""
+def test_commands_run_without_scipy(tmp_path, name, command):
+    """``import kamkit.cli`` loads no scipy module, and the commands run
+    with all of scipy blocked, in a fresh interpreter.  The hyperbolic
+    beam's kam run takes a finite hyperbolic class through ``class_norm``."""
     example = Path(__file__).parents[1] / "examples" / f"{name}.json"
     cfg = dict(json.loads(example.read_text()),
                output_dir=str(tmp_path / "out"))
-    src = str(Path(kamkit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_SCIPY_EXTRAS, command,
-         write_cfg(tmp_path, cfg)], cwd=tmp_path, capture_output=True,
-        text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    proc = _run_python(tmp_path, "-c", _WITHOUT_SCIPY, command,
+                       write_cfg(tmp_path, cfg))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "[]"
+
+
+def test_algebra_loads_blockmatrix_on_first_access(tmp_path):
+    """``import kamkit.algebra`` loads no scipy; its block-matrix names are
+    ``blockmatrix``'s own objects, read from there on first access."""
+    proc = _run_python(tmp_path, "-c", """
+import sys
+from kamkit import algebra
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+from kamkit import blockmatrix
+print(all(getattr(algebra, name) is getattr(blockmatrix, name) for name in
+          ("WeightedMatrix", "SeqVector", "matrix_norm", "seq_norm")))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]
+    assert not hasattr(algebra, "bsr_array")
 
 
 def test_bad_json_is_a_config_error(tmp_path, capsys):

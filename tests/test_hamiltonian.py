@@ -7,9 +7,11 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
+from scipy import sparse
 
 from kamkit import hamiltonian as H
-from kamkit.algebra import WeightedMatrix, WeightParams, matrix_norm
+from kamkit.algebra import WeightParams
+from kamkit.blockmatrix import WeightedMatrix, matrix_norm
 from kamkit.hamiltonian import (
     ClassNormParams,
     NormalFormHamiltonian,
@@ -1153,11 +1155,14 @@ def _batch_jet(name):
 # (jet, mu, budget); budget None is the default.  The desk beam's R=3 f0
 # jet (144 terms, 54 mode variables, 36 samples per angle) takes 2 angles
 # per batch, and 5 at a budget of 5 x 162 x 36, so that its 56 angles split
-# 11 x 5 + 1; the R=5 jet (512 terms) takes one angle per batch.  The
-# negative-mode beam's jet has a hyperbolic finite set.  At mu = 0.01 the
-# V = 0 jet has one sample per angle, which stays one angle per batch.
+# 11 x 5 + 1; the R=5 jet (512 terms) takes one angle per batch.  The R=3
+# hessian names 124 blocks, so at a budget of 3 x 4 x 124 its angles go
+# through in hessian groups of 3 (18 x 3 + 2) and in sample batches of 1.
+# The negative-mode beam's jet has a hyperbolic finite set.  At mu = 0.01
+# the V = 0 jet has one sample per angle, which stays one angle per batch.
 @pytest.mark.parametrize("name, mu, budget", [
     ("desk_R3", 0.25, None), ("desk_R3", 0.25, 5 * 162 * 36),
+    ("desk_R3", 0.25, 3 * 4 * 124),
     ("desk_R3", 0.25, 2 ** 40), ("desk_R5", 0.25, None),
     ("hyperbolic", 0.25, None), ("n0", 0.25, None), ("V0", 0.25, 2 ** 40),
     ("V0", 0.01, 2 ** 40), ("linear", 0.25, None), ("linear", 0.05, 1)])
@@ -1233,6 +1238,64 @@ def test_hessian_norm_is_matrix_norm(poly, seed, w):
         Wm.set(sites[a], sites[b], B[a, b])
     assert (H._hessian_norm(Zid, zvars, zeta, gammas)(t0)
             == max(matrix_norm(Wm, g) for g in gammas))
+
+
+@st.composite
+def sparse_sum_operands(draw):
+    """(out, inp, n_out, X): a pattern of (output, input) pairs, repeats
+    allowed, and a complex X, 1-D or with 1 to 3 columns."""
+    n_out = draw(st.integers(1, 6))
+    n_in = draw(st.integers(1, 30))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_out - 1),
+                                    st.integers(0, n_in - 1)), max_size=80))
+    out, inp = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    cols = draw(st.sampled_from([None, 1, 3]))
+    shape = (n_in,) if cols is None else (n_in, cols)
+    parts = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False),
+                          min_size=2 * n_in * (cols or 1),
+                          max_size=2 * n_in * (cols or 1)))
+    X = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+    return out, inp, n_out, X.reshape(shape)
+
+
+@cache
+def _desk_products():
+    """``class_norm``'s three products on the desk beam's R=3 jet, Z @
+    log(ZV), Zt @ T and P @ t0, as (out, inp, n_out, X) at each one's first
+    X."""
+    plan, cases = H._sparse_sums, []
+
+    def recording(out, inp, n_out):
+        apply, case = plan(out, inp, n_out), [out, inp, n_out]
+        cases.append(case)
+
+        def first(X):
+            if len(case) == 3:
+                case.append(X.copy())
+            return apply(X)
+        return first
+    with mock.patch.object(H, "_sparse_sums", recording):
+        class_norm(_batch_jet("desk_R3"), ClassNormParams(), W)
+    return [tuple(case) for case in cases]
+
+
+# output 0 sums 25 entries, 2 sums a repeated pair, 1 and 3 have none
+@example(case=(np.array([0] * 25 + [2, 2]),
+               np.array(list(range(24, -1, -1)) + [7, 7]), 4,
+               np.exp(1j * np.arange(25.0)) * 10.0 ** np.arange(-12, 13)))
+@example(case=_desk_products()[0])
+@example(case=_desk_products()[1])
+@example(case=_desk_products()[2])
+@given(sparse_sum_operands())
+def test_sparse_sums_match_scipy(case):
+    """The kernel equals scipy.sparse's CSR and CSC products, bit for bit
+    (``np.array_equal``, so up to the sign of a zero)."""
+    out, inp, n_out, X = case
+    got = H._sparse_sums(out, inp, n_out)(X)
+    A = (np.ones(len(out)), (out, inp))
+    for fmt in (sparse.csr_matrix, sparse.csc_matrix):
+        want = fmt(A, shape=(n_out, len(X))) @ X
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_class_norm_homogeneous():
