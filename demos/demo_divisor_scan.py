@@ -29,7 +29,7 @@ def run():
                               core_cutoff=p.core_cutoff, exclude=p.exclude)
     sites = [a for cl in p.classes for a in cl]
     rep = check_A1(sites, h.lambda_fn, spheres, grid,
-                   delta0=1e-8, beta=1.0, c_const=1.0)
+                   delta0=1e-8, beta=1.0, c_const=1.0, H=h.hyperbolic_block)
     print(f"frequency-map hypothesis: bad measure {rep.bad_measure:.4f}")
 
     for C in (1.0, 0.1, 0.01):

@@ -1,5 +1,4 @@
-"""Spectral-hypothesis scans on parameter grids, bad-set excision, and the
-two measure lemmas used for hyperbolic divisor control.
+"""Spectral-hypothesis scans on parameter grids and bad-set excision.
 
 The parameter domain (an open ball in the paper) is approximated by its
 bounding box with an inside-ball mask; all measure statements are exact cell
@@ -82,10 +81,6 @@ class DivisorReport:
     params: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return not self.bad_cells
-
     def dump_lines(self) -> list[str]:
         lines = [f"tag={self.tag} bad_measure={self.bad_measure:.6g} "
                  f"bad_cells={len(self.bad_cells)} "
@@ -125,12 +120,13 @@ def _min_cross_class_gap(vals: np.ndarray, labels: np.ndarray) -> float:
 
 def check_A1(sites, lambda_fn, partition: BlockPartition, grid: ParameterGrid,
              delta0: float, beta: float, c_const: float,
-             H: np.ndarray | None = None) -> DivisorReport:
+             H: np.ndarray) -> DivisorReport:
     """Spectral asymptotics and separation on every surviving grid cell.
 
     (a) |L_a| >= delta0; (b) |L_a - |a|^2| <= c <a>^-beta;
     (c) smallest singular values of JH and L_a I - iJH >= delta0, for the
-    hyperbolic block H over the finite set (no check when H is None);
+    hyperbolic block H over the finite set ((0, 0) and no check without
+    one);
     (d) |L_a + L_b| >= delta0; (e) |L_a - L_b| >= delta0 across classes.
 
     ``lambda_fn(X, rho)`` takes the sites as the rows of an (m, d) int64
@@ -145,7 +141,7 @@ def check_A1(sites, lambda_fn, partition: BlockPartition, grid: ParameterGrid,
     nsq = (X * X).sum(axis=1).astype(float)
     br_pow = np.maximum(np.sqrt(nsq), 1.0) ** (-beta)
     F = len(partition.finite_set)
-    JH = symplectic(F) @ H if H is not None and F > 0 else None
+    JH = symplectic(F) @ H if F > 0 else None
 
     def c_fails(lam) -> bool:
         L = np.unique(lam)[:, None, None] * np.eye(2 * F) - 1j * JH
@@ -247,62 +243,3 @@ def excise(grid: ParameterGrid, bad):
     bad = np.asarray(bad, dtype=bool).reshape(out.mask.shape) & out.mask
     out.mask &= ~bad
     return float(bad.sum()) * grid.cell_measure, out
-
-
-def lemma_hermitian(A_path, B_path, eps: float, N: int, samples: int = 4096,
-                    interval=(0.0, 1.0)):
-    """Measured size of {t : smallest singular value of A(t)+B(t) < eps}.
-
-    A(t) is diagonal with derivatives >= 1, B(t) Hermitian with derivative
-    norm <= 1/2 (checked by finite differences, reported not asserted).
-    Returns (bad_measure, hypothesis_report).
-    """
-    ts = np.linspace(interval[0], interval[1], samples)
-    dt = ts[1] - ts[0]
-    bad = 0
-    for t in ts:
-        M = np.diag(np.asarray(A_path(t), dtype=complex)) \
-            + np.asarray(B_path(t), dtype=complex)
-        if np.linalg.svd(M, compute_uv=False)[-1] < eps:
-            bad += 1
-    # hypothesis spot checks
-    h = dt / 4
-    mid = (interval[0] + interval[1]) / 2
-    dA = (np.asarray(A_path(mid + h)) - np.asarray(A_path(mid - h))) / (2 * h)
-    dB = (np.asarray(B_path(mid + h), dtype=complex)
-          - np.asarray(B_path(mid - h), dtype=complex)) / (2 * h)
-    report = {
-        "diag_derivative_min": float(np.min(dA.real)),
-        "diag_derivative_ok": bool(np.min(dA.real) >= 1.0 - 1e-6),
-        "B_derivative_norm": float(np.linalg.norm(dB, 2)),
-        "B_derivative_ok": bool(np.linalg.norm(dB, 2) <= 0.5 + 1e-6),
-        "N": N, "eps": eps,
-    }
-    measure = bad / samples * (interval[1] - interval[0])
-    return measure, report
-
-
-def lemma_cj(f, j: int, delta: float, eps: float, samples: int = 8192,
-             interval=(-1.0, 1.0)):
-    """Measured size of {x : |f(x)| < eps} with a j-th derivative floor.
-
-    The floor |f^(j)| >= delta is checked by central finite differences on a
-    coarse subsample; returns (bad_measure, hypothesis_report).
-    """
-    xs = np.linspace(interval[0], interval[1], samples)
-    vals = np.array([f(x) for x in xs])
-    bad = int((np.abs(vals) < eps).sum())
-    measure = bad / samples * (interval[1] - interval[0])
-    # j-th derivative by iterated differences on a coarse grid
-    coarse = np.linspace(interval[0], interval[1], 65)
-    fv = np.array([f(x) for x in coarse])
-    dx = coarse[1] - coarse[0]
-    for _ in range(j):
-        fv = np.diff(fv) / dx
-    report = {
-        "deriv_min": float(np.abs(fv).min()) if len(fv) else 0.0,
-        "deriv_ok": bool(len(fv) and np.abs(fv).min() >= delta * (1 - 1e-6)),
-        "j": j, "delta": delta, "eps": eps,
-        "closed_form_bound": 2 * (eps / delta) ** (1.0 / j),
-    }
-    return measure, report

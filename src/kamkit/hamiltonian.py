@@ -18,9 +18,9 @@ sorted variable list ``zvars`` per monomial, a variable of power p
 repeated p times, ascending, padded at the end with len(zvars), the one
 pad.  ``zvars`` may hold variables no row uses.  ``terms`` is a read-only
 copy as a dict {(k, m, z): c} in row order, z the sorted (variable, power)
-pairs, for ``dump_lines`` and the tests; ``Polynomial(n, terms)`` and
-``add_term`` take such keys in.  Each operation is an array pass over the
-rows, after aligning its operands' variable lists (``_align``).
+pairs, for the tests; ``Polynomial(n, terms)`` and ``add_term`` take such
+keys in.  Each operation is an array pass over the rows, after aligning its
+operands' variable lists (``_align``).
 
 Like terms sum by one rule (``_merge``): a monomial's sum starts at 0.0
 and adds its rows in row order, the monomial keeps the place of its first
@@ -163,7 +163,7 @@ class Polynomial:
     @property
     def terms(self) -> dict:
         """The monomials as a new dict {(k, m, z): c} in row order: a
-        read-only copy, for ``dump_lines`` and the tests."""
+        read-only copy, for the tests."""
         intern = {}.setdefault
         keys = zip([intern(t, t) for t in _tuples(self.K)],
                    [intern(t, t) for t in _tuples(self.M)],
@@ -174,10 +174,6 @@ class Polynomial:
     @classmethod
     def zero(cls, n: int) -> "Polynomial":
         return cls._of(n, [], *_no_rows(n, 0))
-
-    @classmethod
-    def constant(cls, n: int, c) -> "Polynomial":
-        return cls(n, {((0,) * n, (0,) * n, ()): complex(c)} if c != 0 else {})
 
     def add_term(self, c, k=None, m=None, z=()):
         """Accumulate one monomial; z is a dict var->power or a zkey tuple."""
@@ -235,25 +231,6 @@ class Polynomial:
     def __len__(self):
         return len(self.C)
 
-    # -- calculus -----------------------------------------------------------
-    def z_vars(self) -> list:
-        """The variables the terms use, sorted."""
-        return _live(self)[0]
-
-    def sites(self) -> list:
-        return sorted({v[0] for v in self.z_vars()})
-
-    def evaluate(self, theta, r, zvals: dict) -> complex:
-        """The sum of c e^{i k.theta} r^m z^p over the terms, in one pass;
-        variables missing from ``zvals`` are 0."""
-        theta = np.asarray(theta, dtype=complex)
-        r = np.asarray(r, dtype=complex)
-        z = np.array([zvals.get(v, 0.0) for v in self.zvars] + [1.0],
-                     dtype=complex)          # the pad reads 1
-        return complex((self.C * np.exp(1j * (self.K @ theta))
-                        * np.prod(r ** self.M, axis=1)
-                        * np.prod(z[self.Z], axis=1)).sum())
-
     # -- structure -----------------------------------------------------------
     def _in_jet(self) -> np.ndarray:
         return _jet_rows(self.M, self.Z, len(self.zvars))
@@ -265,16 +242,6 @@ class Polynomial:
     def without_jet(self) -> "Polynomial":
         """The terms ``jet`` leaves out, in term order."""
         return self._take(~self._in_jet())
-
-    def dump_lines(self) -> list[str]:
-        lines = []
-        for (k, m, z), c in sorted(self.terms.items()):
-            zs = ";".join(
-                f"{','.join(str(x) for x in v[0])}:{v[1]}:{p}" for v, p in z)
-            lines.append(
-                f"k={','.join(map(str, k))} m={','.join(map(str, m))} "
-                f"z={zs} c={c.real:.17g}{c.imag:+.17g}j")
-        return lines
 
 
 # -- rows: alignment, merging, views ------------------------------------------
@@ -987,15 +954,14 @@ def encode(n: int, zvars: list, Z, C, K=None, M=None) -> Polynomial:
     return Polynomial._of(n, list(zvars), C, K[at], M[at], Z[at])
 
 
-def decode_jet(P: Polynomial, var_id: dict | None = None):
+def decode_jet(P: Polynomial, var_id: dict):
     """The degree <= 2 jet of P as rows: ``encode``'s inverse, and the one
     place that reads a quadratic monomial as a form entry.
 
-    Returns (var_id, K, M, U, V, C).  ``var_id`` maps variables to ids; by
-    default it numbers the jet's variables in sorted order, and variables
-    missing from a given map get the next free ids, in sorted order.  The
-    jet's rows are read from P's: in place when every row of P is in the
-    jet (the solver's f_T), else sliced.  Each jet
+    Returns (K, M, U, V, C).  ``var_id`` maps variables to ids and must
+    hold every variable of the jet; a missing one is a KeyError, and the
+    map is only read.  The jet's rows are read from P's: in place when
+    every row of P is in the jet (the solver's f_T), else sliced.  Each jet
     term gives a row, in term order: K and M its (N, n) k and m, U and V
     its variable ids or -1 (both -1 without z, V = -1 for a linear term), C
     its coefficient.  Quadratic rows hold entries of the symmetric H of
@@ -1008,14 +974,13 @@ def decode_jet(P: Polynomial, var_id: dict | None = None):
     inside = P._in_jet()
     J = P if inside.all() else P._take(inside)
     zvars, Z = _live(J)
-    var_id = {} if var_id is None else var_id
-    ids = np.array([var_id.setdefault(v, len(var_id)) for v in zvars] + [-1],
+    ids = np.array([var_id[v] for v in zvars] + [-1],
                    dtype=np.int64)                 # the -1 pads stay -1
     C, K, M = J.C, J.K, J.M
     U, V = np.hstack([ids[Z], np.full((len(C), 2 - Z.shape[1]), -1)]).T
     C = np.where((U == V) & (U >= 0), 2 * C, C)
     two = (U != V) & (V >= 0)
-    return (var_id, np.vstack([K, K[two]]), np.vstack([M, M[two]]),
+    return (np.vstack([K, K[two]]), np.vstack([M, M[two]]),
             np.concatenate([U, V[two]]), np.concatenate([V, U[two]]),
             np.concatenate([C, C[two]]))
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +46,7 @@ from .hamiltonian import (
 )
 from .lattice import _tuples, pseudo_dist_sq
 
-PRUNE_TOL = 1e-18       # the Picard brackets and the residual drop terms below
+PRUNE_TOL = 1e-18       # the Picard brackets drop terms below
 PICARD_TOL = 1e-14      # Picard stops at an update below this times S's scale
 
 
@@ -84,21 +83,6 @@ class HomologicalSolution:
     skipped_report: list          # (k, ci, cj, coeff_norm, bound)
     guard: DivisorGuard           # its log: the last Picard round's checks
     picard_updates: list
-    h: NormalFormHamiltonian      # operands of the residual
-    f_T: Polynomial
-    f_rest: Polynomial
-
-    @cached_property
-    def residual(self) -> Polynomial:
-        """{h,S} + jet({f - jet(f), S}) + jet(f) - h_tilde, evaluated
-        independently with full polynomial brackets on first read."""
-        fset = self.h.finite_set
-        residual = (poisson(self.h.to_polynomial(), self.S, finite_set=fset,
-                            max_degree=2, tol=PRUNE_TOL).jet()
-                    + poisson(self.f_rest, self.S, finite_set=fset,
-                              max_degree=2, tol=PRUNE_TOL).jet()
-                    + self.f_T - self.h_tilde.to_polynomial())
-        return residual.prune(PRUNE_TOL)
 
 
 # -- the class table ----------------------------------------------------------
@@ -238,7 +222,7 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
     t = tables
     n = h.n
     omega = np.asarray(h.omega, dtype=float)
-    _, K, M, U, V, C = decode_jet(F_poly, t.var_id)
+    K, M, U, V, C = decode_jet(F_poly, t.var_id)
     ht = NormalFormHamiltonian(omega=np.zeros(n, dtype=complex),
                                partition=h.partition)
     guard.log, guard.failures = {}, []
@@ -526,9 +510,9 @@ def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
 
     Picard rounds: the first solve is linear; each following round feeds the
     nonlinear bracket of the previous S back into the right-hand side, with
-    the one ``guard``, whose log and failures end as the last round's.  The
-    residual is evaluated independently with full polynomial brackets, on
-    the first read of ``residual``.
+    the one ``guard``, whose log and failures end as the last round's.
+    The result keeps no slice of f, so f_T and f_rest are freed on
+    return.
     """
     fset = h.finite_set
     inside = f._in_jet()
@@ -556,5 +540,4 @@ def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
                              "nonlinear feedback is not contracting: "
                              f"updates {updates}")
     return HomologicalSolution(S=S, h_tilde=ht, skipped_report=skipped,
-                               guard=guard, picard_updates=updates, h=h,
-                               f_T=f_T, f_rest=f_rest)
+                               guard=guard, picard_updates=updates)

@@ -363,7 +363,9 @@ def singular_threshold(eps: float, delta0: float, chi: float, xi: float,
 
     Checks chi, xi <= c * delta0^(1 - aleph) and
     eps * log(1/eps)^beta_bar <= eps0 * delta0^(1 + kappa*aleph).
-    Returns (ok, margins), the bound/value ratios (>= 1 passes; 0 gives inf).
+    Returns (ok, margins), the bound/value ratios (>= 1 passes; 0 gives
+    inf).  eps >= 1, where log(1/eps) is not positive, fails with an eps
+    margin of 0.
     """
     unknown = set(constants or ()) - set(THRESHOLD_CONSTANTS)
     if unknown:
@@ -377,8 +379,8 @@ def singular_threshold(eps: float, delta0: float, chi: float, xi: float,
     margins = {
         "chi": gate / chi if chi > 0 else math.inf,
         "xi": gate / xi if xi > 0 else math.inf,
-        "eps": rhs / (eps * max(math.log(1.0 / eps), 1e-300)
-                      ** c["beta_bar"]) if eps > 0 else math.inf,
+        "eps": (math.inf if eps == 0 else 0.0 if eps >= 1 else
+                rhs / (eps * math.log(1.0 / eps) ** c["beta_bar"])),
     }
     ok = all(v >= 1.0 for v in margins.values())
     return ok, margins

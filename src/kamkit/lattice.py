@@ -68,15 +68,6 @@ def _sphere(nsq: int, d: int) -> np.ndarray:
     return X[(X * X).sum(axis=1) == nsq]
 
 
-def sphere_points(nsq: int, d: int, R: float | None = None) -> list[Point]:
-    """Integer points with |x|^2 = nsq, lexicographically ordered."""
-    if nsq < 0:
-        raise ValueError("norm_sq must be nonnegative")
-    if R is not None and nsq > R * R:
-        raise ValueError(f"norm_sq {nsq} exceeds truncation R^2 = {R * R}")
-    return _tuples(_sphere(nsq, d))
-
-
 _CHUNK = 1 << 12     # points whose coordinates ``dump_lines`` reads at once
 
 
@@ -121,9 +112,6 @@ class BlockPartition:
         ascending order."""
         return np.flatnonzero(np.arange(len(self.ends) - 1)
                               != self.finite_index)
-
-    def class_index(self, a) -> int:
-        return self.class_of[_as_point(a)]
 
     def sites(self) -> list[Point]:
         return _tuples(self.points)
@@ -421,12 +409,10 @@ def class_diameters(p: BlockPartition) -> list[float]:
     return out.tolist()
 
 
-def max_diameter(p: BlockPartition, include_boundary: bool = True) -> float:
+def max_diameter(p: BlockPartition) -> float:
     """d_Delta: max class diameter, excluding the core and finite classes."""
     keep = np.ones(len(p.ends) - 1, dtype=bool)
     keep[[i for i in (p.finite_index, p.core_index) if i is not None]] = False
-    if not include_boundary:
-        keep &= ~np.array(p.boundary_flags, dtype=bool)
     return float(np.array(p.diameters)[keep].max(initial=0.0))
 
 

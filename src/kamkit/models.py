@@ -669,7 +669,7 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
     frest = frest + gPQ_aa.without_jet()
     var_id = site_layout(sites)
     zvars = list(var_id)
-    _, K, _, U, V, C = decode_jet(gPQ_aa, var_id)
+    K, _, U, V, C = decode_jet(gPQ_aa, var_id)
     bad = K.any(axis=1) | (V < 0)
     if bad.any():
         raise AssertionError("gauge left a resonant term that is not an "

@@ -25,7 +25,7 @@ from kamkit.hamiltonian import (ClassNormParams, Polynomial, _halving_grid,
                                 _live, site_layout)
 from kamkit.lattice import norm_sq
 
-from _reference_hamiltonian import _pack
+from _reference_hamiltonian import _pack, as_dict
 
 
 def _site_geometry(sites: list):
@@ -59,7 +59,7 @@ def reference_class_norm(poly: Polynomial, p: ClassNormParams,
     from scipy import sparse as _sparse
     n = poly.n
     rng = np.random.default_rng(p.seed)
-    zvars = poly.z_vars()
+    zvars = as_dict(poly).z_vars()
     V = len(zvars)
     C, K, M, Zid = _pack(poly, {v: i for i, v in enumerate(zvars)})
     rows, cols = np.nonzero(Zid >= 0)

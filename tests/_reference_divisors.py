@@ -5,7 +5,11 @@
 distinct eigenvalue in condition (c).  ``beam_lambda`` and ``nls_lambda``
 are the scalar closed forms of the beam's and the NLS model's Lambda_a that
 went with them.  The array scans and the array Lambda_a must agree with
-these exactly.  Not used by the package.
+these exactly.
+
+``lemma_hermitian`` and ``lemma_cj``, the two measure lemmas of hyperbolic
+divisor control checked by sampling, moved here from the package
+unchanged.  Not used by the package.
 """
 from __future__ import annotations
 
@@ -144,3 +148,62 @@ def melnikov_scan(omega_fn, lambda_fn, partition: BlockPartition,
         params={"C": C, "tau": tau, "K_max": K_max},
         details={"some_cell_passes": some_pass,
                  "worst_margin": min(worst.values(), default=math.inf)})
+
+
+def lemma_hermitian(A_path, B_path, eps: float, N: int, samples: int = 4096,
+                    interval=(0.0, 1.0)):
+    """Measured size of {t : smallest singular value of A(t)+B(t) < eps}.
+
+    A(t) is diagonal with derivatives >= 1, B(t) Hermitian with derivative
+    norm <= 1/2 (checked by finite differences, reported not asserted).
+    Returns (bad_measure, hypothesis_report).
+    """
+    ts = np.linspace(interval[0], interval[1], samples)
+    dt = ts[1] - ts[0]
+    bad = 0
+    for t in ts:
+        M = np.diag(np.asarray(A_path(t), dtype=complex)) \
+            + np.asarray(B_path(t), dtype=complex)
+        if np.linalg.svd(M, compute_uv=False)[-1] < eps:
+            bad += 1
+    # hypothesis spot checks
+    h = dt / 4
+    mid = (interval[0] + interval[1]) / 2
+    dA = (np.asarray(A_path(mid + h)) - np.asarray(A_path(mid - h))) / (2 * h)
+    dB = (np.asarray(B_path(mid + h), dtype=complex)
+          - np.asarray(B_path(mid - h), dtype=complex)) / (2 * h)
+    report = {
+        "diag_derivative_min": float(np.min(dA.real)),
+        "diag_derivative_ok": bool(np.min(dA.real) >= 1.0 - 1e-6),
+        "B_derivative_norm": float(np.linalg.norm(dB, 2)),
+        "B_derivative_ok": bool(np.linalg.norm(dB, 2) <= 0.5 + 1e-6),
+        "N": N, "eps": eps,
+    }
+    measure = bad / samples * (interval[1] - interval[0])
+    return measure, report
+
+
+def lemma_cj(f, j: int, delta: float, eps: float, samples: int = 8192,
+             interval=(-1.0, 1.0)):
+    """Measured size of {x : |f(x)| < eps} with a j-th derivative floor.
+
+    The floor |f^(j)| >= delta is checked by central finite differences on a
+    coarse subsample; returns (bad_measure, hypothesis_report).
+    """
+    xs = np.linspace(interval[0], interval[1], samples)
+    vals = np.array([f(x) for x in xs])
+    bad = int((np.abs(vals) < eps).sum())
+    measure = bad / samples * (interval[1] - interval[0])
+    # j-th derivative by iterated differences on a coarse grid
+    coarse = np.linspace(interval[0], interval[1], 65)
+    fv = np.array([f(x) for x in coarse])
+    dx = coarse[1] - coarse[0]
+    for _ in range(j):
+        fv = np.diff(fv) / dx
+    report = {
+        "deriv_min": float(np.abs(fv).min()) if len(fv) else 0.0,
+        "deriv_ok": bool(len(fv) and np.abs(fv).min() >= delta * (1 - 1e-6)),
+        "j": j, "delta": delta, "eps": eps,
+        "closed_form_bound": 2 * (eps / delta) ** (1.0 / j),
+    }
+    return measure, report

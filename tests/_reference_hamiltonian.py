@@ -14,9 +14,10 @@ even while its sum is zero, and zero sums are dropped at the end of the
 operation.  ``add_term`` adds one term at a time, dropping a key whose sum
 reaches zero.
 
-Two checks that only the tests call moved here from the package
-unchanged: ``reality_defect`` of a package polynomial (once its method)
-and ``hessian_decay_check`` of a ``WeightedMatrix``.  Not used by the
+Code that only the tests call moved here from the package unchanged:
+``reality_defect`` of a package polynomial and ``evaluate``, its
+vectorised value at a point (once its methods), and
+``hessian_decay_check`` of a ``WeightedMatrix``.  Not used by the
 package."""
 from __future__ import annotations
 
@@ -453,6 +454,18 @@ def reality_defect(P: rows.Polynomial, finite_set=()) -> float:
     mate = rows.Polynomial._of(P.n, zvars, P.C.conj(), -P.K, P.M,
                                np.sort(_remap(P.Z, mates, zvars), axis=1))
     return (mate - P).max_coeff()
+
+
+def evaluate(P: rows.Polynomial, theta, r, zvals: dict) -> complex:
+    """The sum of c e^{i k.theta} r^m z^p over the terms, in one pass;
+    variables missing from ``zvals`` are 0."""
+    theta = np.asarray(theta, dtype=complex)
+    r = np.asarray(r, dtype=complex)
+    z = np.array([zvals.get(v, 0.0) for v in P.zvars] + [1.0],
+                 dtype=complex)          # the pad reads 1
+    return complex((P.C * np.exp(1j * (P.K @ theta))
+                    * np.prod(r ** P.M, axis=1)
+                    * np.prod(z[P.Z], axis=1)).sum())
 
 
 def hessian_decay_check(M: WeightedMatrix, w: WeightParams,

@@ -13,6 +13,9 @@
   pair and channel; the oracle of the batched ``solve_linear``.  It solves
   each block with its own copy of ``invert_L_elliptic``, so it shares no
   divisor or product kernel with the batched solve.
+- ``residual``: {h,S} + jet({f - jet(f), S}) + jet(f) - h_tilde of a
+  solution, with full polynomial brackets (once a property of the
+  solution, which kept h and f's two parts for it).
 """
 import math
 from dataclasses import dataclass
@@ -23,8 +26,8 @@ from kamkit.algebra import (WeightParams, decay_weight, spectral_norm_2x2,
                             symplectic)
 from kamkit.hamiltonian import (ETA, XI, NormalFormHamiltonian, Polynomial,
                                 block_rows, class_ids, decode_jet, encode,
-                                site_layout)
-from kamkit.homological import DivisorGuard
+                                poisson, site_layout)
+from kamkit.homological import PRUNE_TOL, DivisorGuard
 from kamkit.lattice import _tuples, norm_sq, pseudo_dist_sq
 
 
@@ -46,6 +49,21 @@ def det_certificate(L_of_t, delta0: float, j_max: int, t_span=(0.0, 1.0),
         if m > best[1]:
             best = (None, m)
     return None, best[1]
+
+
+def residual(h: NormalFormHamiltonian, f: Polynomial, sol) -> Polynomial:
+    """{h,S} + jet({f - jet(f), S}) + jet(f) - h_tilde of sol, the
+    ``solve_homological`` solution for (h, f), evaluated independently
+    with full polynomial brackets; f is split as the solver splits it."""
+    fset = h.finite_set
+    inside = f._in_jet()
+    f_T, f_rest = f._take(inside), f._take(~inside)
+    residual = (poisson(h.to_polynomial(), sol.S, finite_set=fset,
+                        max_degree=2, tol=PRUNE_TOL).jet()
+                + poisson(f_rest, sol.S, finite_set=fset,
+                          max_degree=2, tol=PRUNE_TOL).jet()
+                + f_T - sol.h_tilde.to_polynomial())
+    return residual.prune(PRUNE_TOL)
 
 
 def _solve_guarded(L, rhs, guard: DivisorGuard, key):
@@ -159,7 +177,7 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
     nv = len(var_id)
     sites = sorted(p.sites())      # in the order of site_layout
     class_of = np.array([p.class_of[s] for s in sites], dtype=np.int64)
-    _, K, M, U, V, C = decode_jet(F_poly, var_id)
+    K, M, U, V, C = decode_jet(F_poly, var_id)
     ht = NormalFormHamiltonian(omega=np.zeros(n, dtype=complex), partition=p)
     skipped = []
     divlog = {}

@@ -25,7 +25,7 @@ def _fold_h_acc(h: NormalFormHamiltonian, h_acc: Polynomial,
     from the xi_a eta_b entries, gathered per class of the new partition,
     and the hyperbolic block from the entries over the finite node set."""
     var_id = site_layout(h.partition.sites())
-    _, K, M, U, V, C = decode_jet(h.to_polynomial() + h_acc, var_id)
+    K, M, U, V, C = decode_jet(h.to_polynomial() + h_acc, var_id)
     bad = np.flatnonzero(K.any(axis=1))
     if len(bad):
         raise StageAbort("fold", tuple(K[bad[0]].tolist()),

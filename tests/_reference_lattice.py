@@ -47,9 +47,6 @@ class Partition:
     finite_index: int | None = None
     core_index: int | None = None
 
-    def class_index(self, a) -> int:
-        return self.class_of[_as_point(a)]
-
 
 FIELDS = ("delta", "radius", "d", "classes", "finite_set", "core_cutoff",
           "exclude", "boundary_flags", "finite_index", "core_index")
@@ -209,7 +206,7 @@ def class_diameters(p) -> list[float]:
 
 def class_points(p, a) -> tuple[Point, ...]:
     """The class of the point a; was ``BlockPartition.class_points``."""
-    return p.classes[p.class_index(a)]
+    return p.classes[p.class_of[tuple(a)]]
 
 
 _CHUNK = 1 << 12

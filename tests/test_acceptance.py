@@ -11,7 +11,6 @@ import pytest
 
 from kamkit.algebra import J2, WeightParams
 from kamkit.blockmatrix import SeqVector, WeightedMatrix, matrix_norm, seq_norm
-from kamkit.divisors import ParameterGrid, lemma_cj, lemma_hermitian
 from kamkit.hamiltonian import ClassNormParams, class_norm
 from kamkit.homological import DivisorGuard, class_tables, solve_homological
 from kamkit.kam import Schedule, inner_count, run
@@ -20,6 +19,8 @@ from kamkit.lattice import (ball_points, build_partition, check_admissible,
 from kamkit.models import (BeamModel, NlsModel, SingularBeamModel,
                            build_beam, build_nls, build_singular)
 
+from _reference_divisors import lemma_cj, lemma_hermitian
+from _reference_homological import residual
 from _reference_lattice import sphere_points
 from _reference_models import enumerate_Z4
 
@@ -147,7 +148,7 @@ def test_homological_residual_small(beam_solution):
     t0 = time.time()
     h, f, sol = beam_solution
     p = ClassNormParams()
-    res = class_norm(sol.residual.jet(), p, W)
+    res = class_norm(residual(h, f, sol).jet(), p, W)
     inp = class_norm(f.jet(), p, W)
     assert inp > 0
     assert res <= 1e-2 * inp

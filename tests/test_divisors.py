@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import _reference_divisors as ref
+from _reference_divisors import lemma_cj, lemma_hermitian
 from kamkit.divisors import (DivisorReport, ParameterGrid, _min_abs_sum_pairs,
-                             check_A1, excise, lemma_cj, lemma_hermitian,
-                             melnikov_scan)
+                             check_A1, excise, melnikov_scan)
 from kamkit.lattice import ball_points, build_partition, norm_sq
 from kamkit.models import BeamModel, NlsModel, build_beam, build_nls
 
@@ -100,8 +100,8 @@ def test_check_A1_beam_all_pass():
     p = build_partition(math.inf, 3, 2)
     g = ParameterGrid(bounds=[(1.0, 2.0)], resolution=16)
     rep = check_A1(p.sites(), beam_lambda, p, g, delta0=1e-3, beta=2.0,
-                   c_const=5.0)
-    assert rep.passed
+                   c_const=5.0, H=np.zeros((0, 0)))
+    assert not rep.bad_cells
     assert rep.bad_measure == 0.0
 
 
@@ -114,8 +114,9 @@ def test_check_A1_detects_small_eigenvalue():
                         beam_lambda(X, rho))
 
     g = ParameterGrid(bounds=[(1.0, 2.0)], resolution=32)
-    rep = check_A1(p.sites(), lam, p, g, delta0=5e-2, beta=2.0, c_const=5.0)
-    assert not rep.passed
+    rep = check_A1(p.sites(), lam, p, g, delta0=5e-2, beta=2.0, c_const=5.0,
+                   H=np.zeros((0, 0)))
+    assert rep.bad_cells
     tags = set()
     for fails in rep.details["per_cell"].values():
         tags.update(fails)
@@ -126,7 +127,7 @@ def test_check_A1_condition_c_vacuous_without_hyperbolic():
     p = build_partition(math.inf, 2, 2)
     g = ParameterGrid(bounds=[(1.0, 2.0)], resolution=4)
     rep = check_A1(p.sites(), beam_lambda, p, g, delta0=1e-3, beta=2.0,
-                   c_const=5.0, H=None)
+                   c_const=5.0, H=np.zeros((0, 0)))
     assert rep.details["per_condition_bad_cells"]["c"] == 0
 
 
@@ -159,7 +160,7 @@ def test_melnikov_zero_C_excises_nothing():
     p = build_partition(math.inf, 3, 2)
     g = ParameterGrid(bounds=[(1.0, 2.0)], resolution=16)
     rep = melnikov_scan(omega_13, beam_lambda, p, g, C=0.0, tau=3.0, K_max=5)
-    assert rep.passed
+    assert not rep.bad_cells
 
 
 def test_melnikov_bad_measure_monotone_in_C():
@@ -199,7 +200,8 @@ def test_scans_call_lambda_once(scan):
         return beam_lambda(X, rho)
 
     if scan == "A1":
-        check_A1(p.sites(), lam, p, g, delta0=1e-3, beta=2.0, c_const=5.0)
+        check_A1(p.sites(), lam, p, g, delta0=1e-3, beta=2.0, c_const=5.0,
+                 H=np.zeros((0, 0)))
     else:
         melnikov_scan(omega_13, lam, p, g, C=1e-2, tau=3.0, K_max=5)
     assert calls == [(64, 2)]
@@ -293,16 +295,14 @@ def test_array_scans_match_per_site_oracle(tail, well, dip, R, delta, lo,
     spheres = build_partition(math.inf, R, 2, finite_set=fin)
     blocks = build_partition(delta, R, 2, finite_set=fin)
     H = h.hyperbolic_block
-    if H is not None:
-        H = {"model": H, "zero": np.zeros_like(H),
-             "lambda": h.omega[0] * np.eye(len(H))}[H_kind]
+    H = {"model": H, "zero": np.zeros_like(H),
+         "lambda": h.omega[0] * np.eye(len(H))}[H_kind]
     grid = ParameterGrid(bounds=[(x, x + width) for x in lo],
                          resolution=resolution, ball=ball)
     a1 = dict(delta0=delta0, beta=1.0, c_const=c_const)
     assert check_A1(blocks.sites(), h.lambda_fn, spheres, grid, H=H, **a1) \
         == ref.check_A1(blocks.sites(), ref.beam_lambda(model), spheres,
-                        grid, H_fn=None if H is None else lambda rho: H,
-                        **a1)
+                        grid, H_fn=lambda rho: H, **a1)
     omega = lambda rho: np.asarray(rho, dtype=float)
     mel = dict(C=C, tau=3.0, K_max=K_max)
     assert melnikov_scan(omega, h.lambda_fn, blocks, grid, **mel) \

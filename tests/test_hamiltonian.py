@@ -31,7 +31,8 @@ from _reference_class_norm import (dense_hessian, dense_hessian_norm,
                                    per_angle_class_norm, reference_class_norm)
 import _reference_hamiltonian as ref
 from _reference_hamiltonian import (_mul_dict, _z_derivative_table, diff_r,
-                                    hessian_decay_check, reality_defect)
+                                    evaluate, hessian_decay_check,
+                                    reality_defect)
 from test_acceptance import desk_beam
 from test_kam_runs import negative_mode_beam
 
@@ -56,7 +57,7 @@ def random_poly(rng, n=1, nterms=6, sites=(A, B)):
 
 
 def test_polynomial_ring_ops():
-    p = Polynomial.constant(1, 2.0)
+    p = ref.as_rows(ref.Polynomial.constant(1, 2.0))
     q = Polynomial(1)
     q.add_term(3.0, k=(1,), m=(1,))
     prod = p.mul(q)
@@ -115,7 +116,8 @@ def test_row_operations_match_dict_oracle(case, c, tol, degree):
     n, rows1, rows2 = case
     (P, R), (Q, S) = _built(n, rows1), _built(n, rows2)
     assert _items(P) == _items(R) and _items(Q) == _items(S)
-    assert P.z_vars() == R.z_vars() and P.max_coeff() == R.max_coeff()
+    assert ref.as_dict(P).z_vars() == R.z_vars()
+    assert P.max_coeff() == R.max_coeff()
     D, E = P - Q, R - S
     N, O = Q.scale(-1.0), S.scale(-1.0)
     T, U = P.scale(5e-324), R.scale(5e-324)
@@ -125,7 +127,7 @@ def test_row_operations_match_dict_oracle(case, c, tol, degree):
              (D.jet(), E.jet()), (D.without_jet(), E.without_jet())]
     for got, want in pairs:
         assert _items(got) == _items(want)
-        assert got.z_vars() == want.z_vars()
+        assert ref.as_dict(got).z_vars() == want.z_vars()
         assert got.max_coeff() == want.max_coeff()
     for (k, m, z), c1 in rows1[:2]:
         N.add_term(c1, k=k, m=m, z=z)
@@ -152,7 +154,7 @@ def test_evaluate_matches_term_loop(case, seed):
              for c in (0, 1)}
     each = [ref.Polynomial(n, {key: c}).evaluate(theta, r, zvals)
             for key, c in R.terms.items()]
-    assert abs(P.evaluate(theta, r, zvals) - R.evaluate(theta, r, zvals)) \
+    assert abs(evaluate(P, theta, r, zvals) - R.evaluate(theta, r, zvals)) \
         <= 1e-13 * sum(map(abs, each))
 
 
@@ -223,7 +225,7 @@ def test_product_tol_cut_is_pythons_abs():
     by ``np.abs``: the product keeps the term, as the pair loop does."""
     c, tol = 0.345584192064786 + 0.8216181435011584j, 0.8913387725973558
     assert abs(c) > tol
-    P, Q = Polynomial.constant(0, c), Polynomial.constant(0, 1.0)
+    P, Q = (ref.as_rows(ref.Polynomial.constant(0, x)) for x in (c, 1.0))
     got = P.mul(Q, tol=tol)
     assert len(got) == 1
     assert _items(got) == _items(_mul_dict(P, Q, None, tol))
@@ -298,7 +300,7 @@ def test_evaluate_and_diff():
     p = Polynomial(1)
     p.add_term(2.0, k=(1,), m=(1,), z={((1, 0), 0): 2})
     th, r, zv = np.array([0.3]), np.array([0.7]), {((1, 0), 0): 1.5 + 0.5j}
-    val = p.evaluate(th, r, zv)
+    val = evaluate(p, th, r, zv)
     assert val == pytest.approx(2.0 * np.exp(0.3j) * 0.7 * (1.5 + 0.5j) ** 2)
     dp = diff_r(p, 0)
     assert dp.evaluate(th, r, zv) == pytest.approx(val / 0.7)
@@ -306,8 +308,15 @@ def test_evaluate_and_diff():
     assert dz.evaluate(th, r, zv) == pytest.approx(2 * val / (1.5 + 0.5j))
 
 
+def _layout(P) -> dict:
+    """Ids for P's variables in sorted order: a layout ``decode_jet`` can
+    read P's jet over."""
+    return {v: i for i, v in enumerate(P.zvars)}
+
+
 def _encode_jet(var_id, K, M, U, V, C):
-    """``decode_jet``'s rows encoded back into a polynomial."""
+    """``decode_jet``'s rows over ``var_id`` encoded back into a
+    polynomial."""
     quad = V >= 0
     Z = np.stack([np.where(quad, np.minimum(U, V), U),
                   np.where(quad, np.maximum(U, V), V)], axis=1)
@@ -320,15 +329,14 @@ def test_jet_extract_examples():
     # H = r_1 -> one jet row, the r-linear term e_1 at k=0
     p = Polynomial(2)
     p.add_term(1.0, m=(1, 0))
-    var_id, K, M, U, V, C = decode_jet(p)
-    assert var_id == {}
+    K, M, U, V, C = decode_jet(p, {})
     assert (K.tolist(), M.tolist()) == ([[0, 0]], [[1, 0]])
     assert (U.tolist(), V.tolist(), C.tolist()) == ([-1], [-1], [1.0])
     # H = |zeta_a|^2 r_1 -> empty jet
     q = Polynomial(2)
     q.add_term(1.0, m=(1, 0), z={((2, 1), 0): 1, ((2, 1), 1): 1})
-    var_id, K, M, U, V, C = decode_jet(q)
-    assert var_id == {} and len(C) == 0
+    K, M, U, V, C = decode_jet(q, {})
+    assert len(C) == 0
 
 
 def test_jet_idempotent_and_roundtrip():
@@ -342,7 +350,7 @@ def test_jet_idempotent_and_roundtrip():
         assert ([kv for kv in items if kv[0] in jp.terms],
                 [kv for kv in items if kv[0] not in jp.terms]) == \
             (list(jp.terms.items()), list(p.without_jet().terms.items()))
-        back = _encode_jet(*decode_jet(p))
+        back = _encode_jet(_layout(p), *decode_jet(p, _layout(p)))
         diff = back - jp
         assert diff.max_coeff() < 1e-12
 
@@ -355,7 +363,7 @@ def _normal(P) -> bool:
 
 @given(polynomials(2).filter(_normal))
 def test_decode_then_encode_gives_back_the_jet(P):
-    back = _encode_jet(*decode_jet(P))
+    back = _encode_jet(_layout(P), *decode_jet(P, _layout(P)))
     assert repr(list(back.terms.items())) == repr(list(P.jet().terms.items()))
 
 
@@ -365,13 +373,28 @@ def test_decode_jet_reads_a_whole_jet_in_place(monkeypatch):
     P = random_poly(np.random.default_rng(3), n=2, nterms=12)
     J = P.jet()
     assert 0 < len(J) < len(P)
-    want = decode_jet(P)
+    want = decode_jet(P, _layout(P))
     monkeypatch.setattr(Polynomial, "_take", lambda *args: pytest.fail(
         "decode_jet copied a polynomial that is all jet"))
-    got = decode_jet(J)
-    assert got[0] == want[0]
-    assert [(x.dtype, repr(x.tolist())) for x in got[1:]] == \
-        [(x.dtype, repr(x.tolist())) for x in want[1:]]
+    got = decode_jet(J, _layout(P))
+    assert [(x.dtype, repr(x.tolist())) for x in got] == \
+        [(x.dtype, repr(x.tolist())) for x in want]
+
+
+def test_decode_jet_reads_a_complete_layout_only():
+    """A layout without one of the jet's variables is a KeyError and is
+    left as it was; a variable outside the jet need not be in it."""
+    P = Polynomial(1)
+    P.add_term(1.0, z={(A, 0): 1, (B, 1): 1})
+    P.add_term(2.0, z={((0, 1), 0): 3})
+    var_id = {(A, 0): 0}
+    with pytest.raises(KeyError):
+        decode_jet(P, var_id)
+    assert var_id == {(A, 0): 0}
+    var_id[(B, 1)] = 1
+    K, M, U, V, C = decode_jet(P, var_id)
+    # (B, 1) sorts before (A, 0): the row reads (1, 0), its mirror (0, 1)
+    assert (U.tolist(), V.tolist(), C.tolist()) == ([1, 0], [0, 1], [1, 1])
 
 
 # (k, m, id pair over MERGE_VARS, z-key): a few monomials, so rows repeat
@@ -420,24 +443,29 @@ def flow_oracle_bracket(F, G, finite_set, theta, r, zvals, n, eps=1e-6):
     # dG/d(theta, r, z) drive the flow; compute directional derivative of F
     val = 0.0 + 0.0j
     for j in range(n):
-        dG_th = (G.evaluate(theta + eps * np.eye(n)[j], r, zvals)
-                 - G.evaluate(theta - eps * np.eye(n)[j], r, zvals)) / (2 * eps)
-        dG_r = (G.evaluate(theta, r + eps * np.eye(n)[j], zvals)
-                - G.evaluate(theta, r - eps * np.eye(n)[j], zvals)) / (2 * eps)
-        dF_th = (F.evaluate(theta + eps * np.eye(n)[j], r, zvals)
-                 - F.evaluate(theta - eps * np.eye(n)[j], r, zvals)) / (2 * eps)
-        dF_r = (F.evaluate(theta, r + eps * np.eye(n)[j], zvals)
-                - F.evaluate(theta, r - eps * np.eye(n)[j], zvals)) / (2 * eps)
+        dG_th = (evaluate(G, theta + eps * np.eye(n)[j], r, zvals)
+                 - evaluate(G, theta - eps * np.eye(n)[j], r, zvals)) \
+            / (2 * eps)
+        dG_r = (evaluate(G, theta, r + eps * np.eye(n)[j], zvals)
+                - evaluate(G, theta, r - eps * np.eye(n)[j], zvals)) \
+            / (2 * eps)
+        dF_th = (evaluate(F, theta + eps * np.eye(n)[j], r, zvals)
+                 - evaluate(F, theta - eps * np.eye(n)[j], r, zvals)) \
+            / (2 * eps)
+        dF_r = (evaluate(F, theta, r + eps * np.eye(n)[j], zvals)
+                - evaluate(F, theta, r - eps * np.eye(n)[j], zvals)) \
+            / (2 * eps)
         val += dF_r * dG_th - dF_th * dG_r
     fset = set(finite_set)
-    sites = set(F.sites()) | set(G.sites())
+    sites = set(ref.as_dict(F).sites()) | set(ref.as_dict(G).sites())
 
     def dz(P, v):
         zp = dict(zvals)
         zm = dict(zvals)
         zp[v] = zp.get(v, 0.0) + eps
         zm[v] = zm.get(v, 0.0) - eps
-        return (P.evaluate(theta, r, zp) - P.evaluate(theta, r, zm)) / (2 * eps)
+        return (evaluate(P, theta, r, zp) - evaluate(P, theta, r, zm)) \
+            / (2 * eps)
 
     for s in sites:
         f0, f1 = dz(F, (s, 0)), dz(F, (s, 1))
@@ -460,7 +488,7 @@ def test_poisson_matches_flow_oracle():
         r = np.array([0.8])
         zvals = {(s, c): complex(rng.standard_normal(), rng.standard_normal())
                  for s in (A, (1, 2)) for c in (0, 1)}
-        lhs = br.evaluate(theta, r, zvals)
+        lhs = evaluate(br, theta, r, zvals)
         rhs = flow_oracle_bracket(F, G, fset, theta, r, zvals, 1)
         assert abs(lhs - rhs) < 1e-5 * max(1.0, abs(rhs))
 
@@ -536,7 +564,8 @@ def test_poisson_restricted_tables_match_full_tables():
     for site in (grid[4], grid[13], (5, 5, 5), (6, 0, 0)):
         G.add_term(rng.standard_normal() + 1j, z={(site, 0): 1, (A, 1): 1})
     fset = (grid[13],)
-    assert len(F.sites()) == 27 and len(G.sites()) == 5
+    assert len(ref.as_dict(F).sites()) == 27
+    assert len(ref.as_dict(G).sites()) == 5
 
     dF, dG = _z_derivative_table(F), _z_derivative_table(G)
     want = ref.Polynomial(0)
@@ -1027,7 +1056,7 @@ def test_class_norm_basics():
     w = W
     p = ClassNormParams()
     assert class_norm(Polynomial(1), p, w) == 0.0
-    c = Polynomial.constant(1, -3.0)
+    c = ref.as_rows(ref.Polynomial.constant(1, -3.0))
     assert class_norm(c, p, w) == pytest.approx(3.0)
 
 
@@ -1140,7 +1169,7 @@ def _linear_jet():
     p = Polynomial(1)
     for i, s in enumerate(SITES):
         p.add_term(1.0 - 0.25j * i, k=(i - 1,), z={(s, i % 2): 1})
-    return p + Polynomial.constant(1, 0.5)
+    return p + ref.as_rows(ref.Polynomial.constant(1, 0.5))
 
 
 @cache
@@ -1339,7 +1368,7 @@ def test_normal_form_hamiltonian_poly():
     for s in part.sites():
         zvals[(s, 0)] = complex(rng.standard_normal(), rng.standard_normal())
         zvals[(s, 1)] = complex(rng.standard_normal(), rng.standard_normal())
-    val = poly.evaluate(np.zeros(2), np.zeros(2), zvals)
+    val = evaluate(poly, np.zeros(2), np.zeros(2), zvals)
     expect = 0.5
     for ci, cl in enumerate(part.classes):
         if ci == part.finite_index:

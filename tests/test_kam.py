@@ -356,6 +356,14 @@ def test_singular_threshold_gate():
         singular_threshold(-1.0, 0.1, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("eps", [1.0, 2.0])
+def test_singular_threshold_fails_from_eps_one(eps):
+    """log(1/eps) <= 0 from eps = 1 on, where a floor on the log once
+    turned the eps margin into about 1e299: the gate fails, margin 0."""
+    ok, margins = singular_threshold(eps, 0.1, 1e-3, 1e-3)
+    assert not ok and margins["eps"] == 0.0
+
+
 def test_singular_threshold_rejects_unknown_constants():
     ok, _ = singular_threshold(1e-12, 0.1, 1e-3, 1e-3, {"eps0": 100.0})
     assert ok

@@ -15,7 +15,8 @@ from kamkit.models import (BeamModel, Letter, NlsModel, SingularBeamModel,
                            build_singular, expand_product, field_letters)
 
 import _reference_models
-from _reference_hamiltonian import _z_derivative_table, reality_defect
+from _reference_hamiltonian import (_z_derivative_table, as_dict, evaluate,
+                                    reality_defect)
 from _reference_models import _is_resonant_quartic, enumerate_Z4
 from kamkit import models
 
@@ -130,7 +131,7 @@ def test_beam_quartic_fft_quadrature_oracle():
             / math.sqrt(2 * lam[a])
     u *= TWO_PI ** -1
     quad = (u.real ** 4).sum() * (TWO_PI / N) ** 2
-    val = f.evaluate([], [], zvals)
+    val = evaluate(f, [], [], zvals)
     assert abs(u.imag).max() < 1e-12
     assert val.imag == pytest.approx(0.0, abs=1e-10)
     assert val.real == pytest.approx(model.epsilon * quad, rel=1e-10)
@@ -155,7 +156,7 @@ def test_beam_cubic_with_forcing_wave_oracle():
         u += (xi[a] * ph + np.conj(xi[a] * ph)) / math.sqrt(2 * lam[a])
     u = u.real * TWO_PI ** -1
     quad = (np.exp(1j * X) * u ** 3).sum() * (TWO_PI / N) ** 2
-    val = f.evaluate([], [], zvals)
+    val = evaluate(f, [], [], zvals)
     assert val == pytest.approx(model.epsilon * 2.0 * quad, rel=1e-9)
 
 
@@ -345,7 +346,7 @@ def test_beam_internal_modes_leave_partition_and_f():
                                nonlinearity=((3, None, 1.0),))
     h, f = build_beam(model)
     assert (1, 0) not in h.partition.class_of
-    assert all(site not in model.nodes for site in f.sites())
+    assert all(site not in model.nodes for site in as_dict(f).sites())
     assert h.omega[0] == pytest.approx(math.sqrt(1 + 0.3))
     assert reality_defect(f) < 1e-12
 
@@ -387,7 +388,7 @@ def test_nls_pure_normal_form():
     h, f = build_nls(model)
     assert len(f) == 0
     assert h.omega[0] == pytest.approx(1.3)
-    Q = h.class_Q(h.partition.class_index((1, 1)))
+    Q = h.class_Q(h.partition.class_of[(1, 1)])
     assert Q[0, 0].real == pytest.approx(3.0)  # |a|^2 + m on the sphere
 
 
@@ -604,11 +605,12 @@ def singular_golden_files(nf) -> dict:
     summary += [f"lambda {','.join(map(str, a))} {v!r}"
                 for a, v in nf.lambda_sites.items()]
     return {"summary.txt": "\n".join(summary) + "\n",
-            "f_tilde.txt": "\n".join(nf.f_tilde.dump_lines()) + "\n"}
+            "f_tilde.txt":
+                "\n".join(as_dict(nf.f_tilde).dump_lines()) + "\n"}
 
 
 def nls_golden_files(f) -> dict:
-    return {"f.txt": "\n".join(f.dump_lines()) + "\n"}
+    return {"f.txt": "\n".join(as_dict(f).dump_lines()) + "\n"}
 
 
 def _golden_outputs() -> dict:
