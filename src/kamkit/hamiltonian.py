@@ -948,8 +948,8 @@ def encode(n: int, zvars: list, Z, C, K=None, M=None) -> Polynomial:
         return Polynomial.zero(n)
     K, M = (np.broadcast_to(np.asarray(0 if X is None else X, dtype=np.int64),
                             (len(C), n))[live] for X in (K, M))
-    Z, C = np.asarray(Z, dtype=np.int64)[live], C[live]
-    Z = np.where(Z < 0, len(zvars), Z).astype(_id_type(len(zvars)))
+    Z = np.asarray(Z)[live].astype(_id_type(len(zvars)), copy=False)
+    Z, C = np.where(Z < 0, len(zvars), Z), C[live]
     at, C = _merge(_key(K, M, Z), C.real, C.imag)
     return Polynomial._of(n, list(zvars), C, K[at], M[at], Z[at])
 

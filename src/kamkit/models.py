@@ -11,7 +11,7 @@ u(x) = (2 pi)^{-d/2} sum_a (xi_a e^{iax} + eta_a e^{-iax}) / sqrt(2 L_a).
 arrays.  The choices of each head pool and the fronts of the tail pool (its
 first count - 1 letters) are rows of combinations with replacement; momenta
 are integer codes summed by gather-add; the closing letter is found by
-``searchsorted`` on the tail's sorted codes; multiplicities are exact
+one ``searchsorted`` on the tail's distinct codes; multiplicities are exact
 integers from run lengths, and each coefficient is pref * mult times the
 letter amplitudes, one letter at a time.  Rows come out in the order of the
 nested loop this replaces (head choice, front, closing letter) and like
@@ -19,11 +19,11 @@ monomials merge by the package's one rule of sums (``encode``): each
 monomial's sum starts at 0.0 and adds its rows in loop order, and the
 monomial keeps the place of its first row, so the result has the keys,
 order and coefficient bits of the loop summed by that rule.  Fronts are
-built in blocks of ``_BLOCK_ROWS`` rows to bound memory.  The quartic of the
-singular beam at d=2, R=5 (165,357 monomials) takes 0.18 s as rows
-against 3.4 s for the loop (Python 3.11, numpy 2.4, one core of a 2-vCPU
-Xeon VM); ``build_singular`` classifies those rows in arrays and keeps
-only the 4,313 resonant ones as terms.
+built and handed on in blocks of ``_BLOCK_ROWS`` rows to bound memory.
+``build_singular`` streams the quartic of the singular beam (165,357
+monomials at d=2, R=5) block by block through its Birkhoff classification
+and keeps only the resonant rows (4,313) as terms: no quartic table
+outlives its block, and nothing is cached between builds.
 """
 from __future__ import annotations
 
@@ -33,15 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonian import (ETA, XI, NormalFormHamiltonian, Polynomial, _cmul,
-                          _complex, _cut, _degree, _remap, _runs, _stack_z,
-                          _zkeys, class_ids, decode_jet, encode, site_layout)
+                          _complex, _cut, _degree, _remap, _stack_z, _zkeys,
+                          class_ids, decode_jet, encode, site_layout)
 from .algebra import symplectic
 from .lattice import (_ranges, ball_points, build_partition, check_admissible,
                       components, norm_sq)
 
 TWO_PI = 2 * math.pi
-
-_F4_CACHE = {}      # quartic beam integrals are reused across action values
 
 
 class ModelError(ValueError):
@@ -123,10 +121,12 @@ def _expansion(pools, xwave, d: int, coeff):
     monomial loop visits them (head choice, then tail front, then closing
     letter).
 
-    Returns (zvars, Z, c): the sorted variables, Z (N, total) sorted rows of
-    variable ids (one entry per letter) and c (N,) complex coefficients,
-    exact zeros dropped.  A row is a monomial; rows repeat a monomial only
-    when pools share variables.  ``pools`` holds positive counts only.
+    Returns (zvars, blocks): the sorted variables and an iterator over
+    consecutive blocks (Z, c), one per block of fronts (``_BLOCK_ROWS``),
+    Z (N, total) sorted rows of variable ids (one entry per letter) and c
+    (N,) complex coefficients, exact zeros dropped; a block may be empty.
+    A row is a monomial; rows repeat a monomial only when pools share
+    variables.  ``pools`` holds positive counts only.
     """
     total = sum(c for c, _ in pools)
     pref = complex(coeff * TWO_PI ** (d * (1 - total / 2.0)))
@@ -145,8 +145,8 @@ def _expansion(pools, xwave, d: int, coeff):
     mcode = mom @ radix
     offsets = np.cumsum([0] + [len(ls) for _, ls in pools])
     if any(not ls for _, ls in pools):
-        return zvars, np.zeros((0, total), dtype=np.intp), \
-            np.zeros(0, dtype=complex)
+        return zvars, iter([(np.zeros((0, total), dtype=np.intp),
+                             np.zeros(0, dtype=complex))])
 
     # head choices in lexicographic order, as global letter ids
     *head, (cl, tail) = pools
@@ -161,19 +161,21 @@ def _expansion(pools, xwave, d: int, coeff):
     hcode = np.asarray(xwave, dtype=np.int64) @ radix + mcode[H].sum(axis=1)
 
     # closing letters sorted by momentum (stable: ascending index within a
-    # momentum)
+    # momentum), and each distinct momentum's run in that order
     toff = offsets[-2]
     tcode = mcode[toff:]
     tord = np.argsort(tcode, kind="stable")
-    tsorted = tcode[tord]
+    ucode, ufirst, ucount = np.unique(tcode[tord], return_index=True,
+                                      return_counts=True)
 
     def block(h: np.ndarray, F: np.ndarray):
         """Rows for head choices h crossed with tail fronts F."""
         hi = np.repeat(h, len(F))
         fi = np.tile(np.arange(len(F)), len(h))
         want = -(hcode[hi] + tcode[F].sum(axis=1)[fi])
-        first = np.searchsorted(tsorted, want, "left")
-        count = np.searchsorted(tsorted, want, "right") - first
+        at = np.minimum(np.searchsorted(ucode, want), len(ucode) - 1)
+        first = ufirst[at]
+        count = np.where(ucode[at] == want, ucount[at], 0)
         row = np.repeat(np.arange(len(want)), count)
         last = tord[_ranges(first, count)]
         if cl > 1:
@@ -198,16 +200,18 @@ def _expansion(pools, xwave, d: int, coeff):
         nz = c != 0
         return np.sort(var[ids[nz]], axis=1), c[nz]
 
-    step = _BLOCK_ROWS // math.comb(len(tail) + cl - 2, cl - 1)
-    if step:        # all fronts fit one block: several head choices per block
-        F = _cwr(len(tail), cl - 1)
-        out = [block(np.arange(h, min(h + step, len(H))), F)
-               for h in range(0, len(H), step)]
-    else:
-        out = [block(np.array([h]), F) for h in range(len(H))
-               for F in _cwr_chunks(len(tail), cl - 1, _BLOCK_ROWS)]
-    return zvars, np.vstack([z for z, _ in out]), \
-        np.concatenate([c for _, c in out])
+    def blocks():
+        step = _BLOCK_ROWS // math.comb(len(tail) + cl - 2, cl - 1)
+        if step:    # all fronts fit one block: several head choices per block
+            F = _cwr(len(tail), cl - 1)
+            for h in range(0, len(H), step):
+                yield block(np.arange(h, min(h + step, len(H))), F)
+        else:
+            for h in range(len(H)):
+                for F in _cwr_chunks(len(tail), cl - 1, _BLOCK_ROWS):
+                    yield block(np.array([h]), F)
+
+    return zvars, blocks()
 
 
 def expand_product(n: int, pools, xwave, d: int, coeff, k=None) -> Polynomial:
@@ -223,7 +227,9 @@ def expand_product(n: int, pools, xwave, d: int, coeff, k=None) -> Polynomial:
     if not pools:
         return encode(n, [], np.zeros((1, 0)),
                       [coeff * TWO_PI ** (d * (1 - total / 2.0))], K=k)
-    return encode(n, *_expansion(pools, xwave, d, coeff), K=k)
+    zvars, blocks = _expansion(pools, xwave, d, coeff)
+    Z, c = zip(*blocks)
+    return encode(n, zvars, np.vstack(Z), np.concatenate(c), K=k)
 
 
 def _binom(n: float, k: int) -> float:
@@ -556,31 +562,33 @@ def _gauge_r_shift(poly: Polynomial, node_of: dict, max_degree: int,
         M[:, j] = t
         re, im = _cmul(count.astype(float), 0.0, re[rep], im[rep])
         # a site b of the combination adds xi_b eta_b; r_j adds nothing
-        ids = np.array([[at[(b, c)] for b in pool] + [V] for c in (XI, ETA)])
+        ids = np.array([[at[(b, c)] for b in pool] + [V] for c in (XI, ETA)],
+                       dtype=Z.dtype)
         added = [a[rep] for a in added] + [ids[0][combo], ids[1][combo]]
     Z = np.sort(np.hstack([Z[src]] + added), axis=1)
     return encode(n, zvars, Z, _complex(re, im), K[src], M)
 
 
-def _classify_quartic(zvars: list, Z: np.ndarray, lam: dict):
-    """Resonance and Birkhoff divisor of each quartic row.
+def _classify_quartic(Z: np.ndarray, xi_of, nsq_of, slam) -> tuple:
+    """Resonance and Birkhoff divisor of each quartic row, from per-variable
+    tables: the xi flag, |a|^2 and sign * Lambda (+ on xi, - on eta).
 
     A row is resonant when its sorted xi-slot norms equal its sorted
-    eta-slot norms.  The divisor sums sign * power * Lambda over the row's
-    variables in z-tuple order, as a loop over the monomial would.
+    eta-slot norms.  The divisor sums sign * Lambda * power over the row's
+    variables in z-tuple order from 0.0, as a loop over the monomial would:
+    column by column, each run of equal ids adds once, at its first column.
     """
-    xi = np.array([v[1] == XI for v in zvars])[Z]
-    nsq = np.array([norm_sq(v[0]) for v in zvars], dtype=np.int64)[Z]
+    xi, nsq = xi_of[Z], nsq_of[Z]
     top = np.iinfo(np.int64).max
     xs = np.sort(np.where(xi, nsq, top), axis=1)[:, :2]
     es = np.sort(np.where(xi, top, nsq), axis=1)[:, :2]
     resonant = (xi.sum(axis=1) == 2) & (xs == es).all(axis=1)
-    del nsq, xs, es         # the quartic table sets the build's memory peak
-    # each variable once, with its power; bincount adds in row order
-    rows, cols, power = _runs(Z, len(zvars))
-    term = np.array([lam[v[0]] for v in zvars])[Z[rows, cols]] * power
-    term[~xi[rows, cols]] *= -1         # -(p lam) is (-p) lam, bitwise
-    return resonant, np.bincount(rows, weights=term, minlength=len(Z))
+    div = np.zeros(len(Z))
+    for j in range(Z.shape[1]):
+        power = (Z[:, j:] == Z[:, j, None]).sum(axis=1)
+        start = (Z[:, j] != Z[:, j - 1]) if j else True
+        div += np.where(start, slam[Z[:, j]] * power, 0.0)
+    return resonant, div
 
 
 def build_singular(model: SingularBeamModel) -> SingularNormalForm:
@@ -603,31 +611,36 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
     n = len(nodes)
     letters = field_letters(sites, lam)
 
-    # the quartic integral as classified rows; only the resonant rows
+    # the quartic integral, streamed block by block: only the resonant rows
     # become terms, the others are counted as killed by the Birkhoff step
-    key = (model.d, model.radius, model.mass)
-    if key not in _F4_CACHE:
-        zvars, Z, c = _expansion([(4, letters)], (0,) * model.d, model.d,
-                                 1.0)
-        _F4_CACHE[key] = (zvars, Z, c) + _classify_quartic(zvars, Z, lam)
-    zvars, Z, c, resonant, div = _F4_CACHE[key]
-    nint = np.array([v[0] in nodes for v in zvars])[Z].sum(axis=1)
-    three = resonant & (nint == 3)
-    small = ~resonant & (np.abs(div) < model.birkhoff_threshold)
-    bad = np.flatnonzero(three | small)
-    if len(bad):
-        i = bad[0]
-        zk = _zkeys(Z[i:i + 1], zvars)[0]
-        if three[i]:
-            raise AssertionError(
-                "resonant quartic with three node slots contradicts "
-                "admissibility: %r" % (zk,))
-        raise ModelError("non-generic mass: Birkhoff divisor %.3e at %r"
-                         % (div[i], zk))
-    killed = int(np.count_nonzero(~resonant))
-    min_div = float(np.abs(div[~resonant]).min(initial=math.inf))
-    f4 = encode(n, zvars, Z[resonant], c[resonant])    # distinct monomials
-    ni = nint[resonant]
+    zvars, blocks = _expansion([(4, letters)], (0,) * model.d, model.d, 1.0)
+    xi = np.array([v[1] == XI for v in zvars])
+    lam_of = np.array([lam[v[0]] for v in zvars])
+    tables = (xi, np.array([nsq_of[v[0]] for v in zvars], dtype=np.int64),
+              np.where(xi, lam_of, -lam_of))
+    at_node = np.array([v[0] in nodes for v in zvars])
+    killed, min_div, kept = 0, math.inf, []
+    for Z, c in blocks:
+        resonant, div = _classify_quartic(Z, *tables)
+        nint = at_node[Z].sum(axis=1)
+        three = resonant & (nint == 3)
+        small = ~resonant & (np.abs(div) < model.birkhoff_threshold)
+        bad = np.flatnonzero(three | small)
+        if len(bad):
+            i = bad[0]
+            zk = _zkeys(Z[i:i + 1], zvars)[0]
+            if three[i]:
+                raise AssertionError(
+                    "resonant quartic with three node slots contradicts "
+                    "admissibility: %r" % (zk,))
+            raise ModelError("non-generic mass: Birkhoff divisor %.3e at %r"
+                             % (div[i], zk))
+        killed += int(np.count_nonzero(~resonant))
+        min_div = min(min_div, float(np.abs(div[~resonant]).min(
+            initial=math.inf)))
+        kept.append((Z[resonant], c[resonant], nint[resonant]))
+    Z, c, ni = (np.concatenate(x) for x in zip(*kept))
+    f4 = encode(n, zvars, Z, c)     # distinct monomials
     g4 = f4._take(ni == 4)          # all four slots on nodes
     gPQ = f4._take(ni == 2)         # exactly two slots on nodes
     frest = f4._take((ni != 4) & (ni != 2))

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -526,6 +528,65 @@ def test_singular_nongeneric_mass_names_first_monomial(threshold):
         build_singular(model)
     assert str(err.value) == ("non-generic mass: Birkhoff divisor %.3e at %r"
                               % (div, zk))
+
+
+def test_singular_build_does_not_depend_on_block_size(monkeypatch):
+    """The quartic streams through the Birkhoff classification one block at
+    a time.  Blocks of a few rows split the fronts, and some come out
+    empty; the build keeps the same rows, bit for bit, the same counts and
+    the same first offending monomial."""
+    def outcome(model):
+        try:
+            return build_singular(model)
+        except ValueError as exc:
+            return str(exc)
+
+    cases = [golden_singular_model()] + [
+        singular_model(radius=2, birkhoff_threshold=t) for t in (10.0, 3.0)]
+    want = [outcome(m) for m in cases]
+    monkeypatch.setattr(models, "_BLOCK_ROWS", 7)
+    expansion, sizes = models._expansion, []
+
+    def counted(*args):
+        zvars, blocks = expansion(*args)
+        sizes.append([])
+
+        def each(mine=sizes[-1]):
+            for Z, c in blocks:
+                mine.append(len(c))
+                yield Z, c
+        return zvars, each()
+
+    monkeypatch.setattr(models, "_expansion", counted)
+    got = [outcome(m) for m in cases]
+    assert 0 in sizes[0]            # the first expansion is the quartic
+    f, g = want[0].f_tilde, got[0].f_tilde
+    assert f.zvars == g.zvars
+    for a, b in zip(f.rows, g.rows):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got[0].birkhoff_killed == want[0].birkhoff_killed
+    assert repr(got[0].birkhoff_min_divisor) \
+        == repr(want[0].birkhoff_min_divisor)
+    assert got[1:] == want[1:]
+    assert all(msg.startswith("non-generic mass") for msg in got[1:])
+
+
+def test_singular_build_memory_is_bounded():
+    """The singular_build benchmark model: no quartic table outlives its
+    block, so the traced peak stays under 12 MiB (34.6 MiB when the whole
+    table was classified at once), and nothing but the result is kept
+    (10.4 MiB when the table was cached for the process)."""
+    model = singular_model(t=1e-2, max_degree=5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        nf = build_singular(model)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nf.birkhoff_killed > 0
+    assert peak < 12 * 2 ** 20
+    assert held < 3 * 2 ** 20
 
 
 def test_singular_empty_node_set():
