@@ -9,7 +9,7 @@ where k, m run over n internal angle/action pairs and the zeta variables are
 (site, component) pairs over the truncated lattice: components (0, 1) mean
 (xi, eta) on elliptic sites and the real symplectic pair on the finite
 hyperbolic node set.  Degree counts r twice and each zeta once; the jet is
-the part of degree <= 2 with no mixed r*zeta terms.
+the part of degree <= 2 (``Polynomial._in_jet``, the one jet rule).
 
 A ``Polynomial`` is rows of distinct monomials, the packed layout of
 Monagan & Pearce's sparse-polynomial arithmetic in Maple's POLY: C (N,)
@@ -49,13 +49,15 @@ with u = 1 on the hyperbolic sites of ``finite_set`` and i elsewhere.  One
 left and one right operand, each row tagged by its factor, only rows of
 one factor pair, and the factor is a digit of the key, so each factor's
 product is merged and cut at ``tol`` as if on its own.  ``_merge`` then
-adds the signed rows in factor order.  Under a degree cap and no screen,
-a row that pairs with no row of the other side within the cap, deg F +
-deg G - 2 on every factor, is dropped before it is differentiated
-(``_reach_cut``); it would form no pair, so the output is the same.
-``lie_transform`` cuts each order's bracket at ``tol``, scales it by 1/m
-and cuts it by the jet rule (``_jet_rows``) before adding it.  Given
-``rest_tol``, it also screens its brackets' products (``_pairs``): a pair
+adds the signed rows in factor order and cuts the sums at ``tol``.  Every
+cut is one rule (``_kept``), which never drops a non-finite coefficient.
+Under a degree cap and no screen, a row that pairs with no row of the
+other side within the cap, deg F + deg G - 2 on every factor, is dropped
+before it is differentiated (``_reach_cut``); it would form no pair, so
+the output is the same.
+``lie_transform`` scales each order's bracket by 1/m and, given
+``rest_tol``, cuts it at ``tol`` in the jet and ``rest_tol`` outside before
+adding it; it also screens its brackets' products (``_pairs``): a pair
 whose monomial is outside the jet is not formed when |c_a| |c_b| <=
 rest_tol / min(|A|, |B|), |A| and |B| the rows of its factor, which takes
 at most ``rest_tol`` from a coefficient per product; jet pairs are always
@@ -94,16 +96,14 @@ from .lattice import BlockPartition, _ranges, _tuples
 
 XI, ETA = 0, 1
 
-# (action degree, mode degree) pairs forming the normal-form jet
-_JET_DEGREES = ((0, 0), (1, 0), (0, 1), (0, 2))
-
 
 class StageAbort(RuntimeError):
     """A deliberate stop of the iteration, named by its stage.
 
-    ``stage`` is one of ``divisors``, ``excision``, ``fold``, ``picard`` or
-    ``lie``; ``key`` locates the failure inside the stage (a divisor key, a
-    class index, a Fourier index, a round or an order) or is None."""
+    ``stage`` is one of ``divisors``, ``excision``, ``fold``, ``picard``,
+    ``lie`` or ``norm``; ``key`` locates the failure inside the stage (a
+    divisor key, a class index, a Fourier index, a round or an order) or
+    is None."""
 
     def __init__(self, stage: str, key, detail: str):
         super().__init__(stage, key, detail)
@@ -212,14 +212,12 @@ class Polynomial:
         return Polynomial._of(self.n, zvars, *_product(A, B, len(zvars),
                                                        max_degree, tol))
 
-    def prune(self, tol: float):
-        """Drop the terms with |c| <= tol, in place."""
-        return self._keep(~(_abs(self.C, tol) <= tol))
-
-    def prune_split(self, jet_tol: float, rest_tol: float):
-        """Prune with a tighter tolerance on normal-form-direction terms."""
-        cut = np.where(self._in_jet(), jet_tol, rest_tol)
-        return self._keep(~(_abs(self.C, cut) <= cut))
+    def prune(self, tol: float, rest_tol: float | None = None):
+        """Drop the terms with |c| <= tol, in place; given ``rest_tol``,
+        the cut is ``rest_tol`` outside the jet."""
+        cut = tol if rest_tol is None else \
+            np.where(self._in_jet(), tol, rest_tol)
+        return self._keep(_kept(self.C, cut))
 
     def truncate_degree(self, max_degree: int) -> "Polynomial":
         return self._take(_degree(self.M, self.Z, len(self.zvars))
@@ -233,10 +231,12 @@ class Polynomial:
 
     # -- structure -----------------------------------------------------------
     def _in_jet(self) -> np.ndarray:
-        return _jet_rows(self.M, self.Z, len(self.zvars))
+        """The one jet rule, of ``jet``, ``prune`` and the pair screen
+        (``_pair_runs``): the mask of the rows of degree <= 2."""
+        return _degree(self.M, self.Z, len(self.zvars)) <= 2
 
     def jet(self) -> "Polynomial":
-        """Degree <= 2 part: constant, r-linear, zeta-linear, zeta-quadratic."""
+        """The terms in the jet, in term order."""
         return self._take(self._in_jet())
 
     def without_jet(self) -> "Polynomial":
@@ -384,9 +384,8 @@ def _product(A: tuple, B: tuple, V: int, max_degree: int | None,
         else:
             key = _key(X1[i] + X2[j], Z)
         at, c = _merge(key, re, im)
-        if tol:
-            keep = _abs(c, tol) > tol
-            at, c = at[keep], c[keep]
+        keep = _kept(c, tol)
+        at, c = at[keep], c[keep]
         i, j = i[at], j[at]
         if sign is not None:
             u = sign[fa[i]]
@@ -411,8 +410,9 @@ _CHUNK_PAIRS = 1 << 12
 
 def _passes_screen(a, b, cut):
     """The pair screen's one float test: a non-jet pair whose coefficients
-    have sizes a and b (``_abs``) is formed only when a * b > cut."""
-    return a * b > cut
+    have sizes a and b (``_abs``) is formed unless a * b <= cut, the
+    comparison of ``_kept``, so a non-finite product is always formed."""
+    return ~np.less_equal(a * b, cut)
 
 
 def _pairs(A: tuple, B: tuple, V: int, max_degree: int | None,
@@ -461,11 +461,10 @@ def _pair_runs(A: tuple, B: tuple, V: int, max_degree: int | None,
     their left rows: left row qi[r] pairs with the right rows
     by_size[at[r]:at[r] + count[r]].
 
-    With a ``screen``, a pair whose monomial is outside the jet (its action
-    and mode degrees, sums over the two rows, are not in ``_JET_DEGREES``)
-    is kept only when it passes the screen at cut = screen / min(|A_f|,
-    |B_f|), |A_f| and |B_f| the rows of its factor.  Right rows give a
-    fixed left row distinct monomials, so a monomial gets at most
+    With a ``screen``, a pair whose monomial is outside the jet (of degree
+    above 2) is kept only when it passes the screen at cut = screen /
+    min(|A_f|, |B_f|), |A_f| and |B_f| the rows of its factor.  Right rows
+    give a fixed left row distinct monomials, so a monomial gets at most
     min(|A_f|, |B_f|) pairs and loses at most ``screen`` in all.  Those
     pairs are never formed: B's rows are grouped by their factor and two
     degrees and sorted by |c| within a group, so each left row keeps a
@@ -500,11 +499,11 @@ def _pair_runs(A: tuple, B: tuple, V: int, max_degree: int | None,
         group[f[lo[q]]] = q
         i = np.flatnonzero(group[fa] >= 0)
         q = group[fa[i]]
-        sm, zd = degrees // width + c // width, degrees % width + c % width
+        deg = 2 * (degrees // width + c // width) + degrees % width + c % width
         fits = np.full(len(degrees), True) if max_degree is None else \
-            2 * sm + zd <= max_degree
+            deg <= max_degree
         # per left degrees: the group's pairs all formed, or screened
-        whole = fits if screen is None else fits & _jet_degrees(sm, zd)
+        whole = fits if screen is None else fits & (deg <= 2)
         count = np.where(whole[d1[i]], hi[q] - lo[q], 0)
         if screen is not None:
             rest = np.flatnonzero((fits & ~whole)[d1[i]])
@@ -628,20 +627,11 @@ def _merge(key: np.ndarray, re, im) -> tuple:
     return first[order][keep], c[keep]
 
 
-def _jet_rows(M, Z, V: int) -> np.ndarray:
-    """The mask of the rows whose (action degree, mode degree) is one of
-    ``_JET_DEGREES``: the one jet rule, of ``jet``, ``prune_split``, the
-    Lie series cut and its pair screen (``_jet_degrees``)."""
-    return _jet_degrees(M.sum(axis=1), (Z < V).sum(axis=1))
-
-
-def _jet_degrees(sm, zd) -> np.ndarray:
-    """The mask of the action degrees sm and mode degrees zd in
-    ``_JET_DEGREES``."""
-    jet = np.zeros(len(sm), dtype=bool)
-    for a, b in _JET_DEGREES:
-        jet |= (sm == a) & (zd == b)
-    return jet
+def _kept(C, cut) -> np.ndarray:
+    """The one coefficient cut: the mask of the rows to keep, those
+    without |c| <= ``cut``, a scalar or one value per row.  A non-finite
+    |c| is never <= a cut, so it is never dropped."""
+    return ~(_abs(C, cut) <= cut)
 
 
 def _cut(rows: tuple, keep) -> tuple:
@@ -771,7 +761,8 @@ def _bracket(F: tuple, G: tuple, zvars: list, finite_set,
     index of each row: the 2n r/theta factors, then two per shared site in
     ascending order.  One ``_product`` forms every factor's product (with
     ``screen``, the Lie series' pair screen), each row takes its factor's
-    sign, and ``_merge`` sums the rows in bracket order."""
+    sign, ``_merge`` sums the rows in bracket order, and the sums with
+    |c| <= ``tol`` are dropped (``_kept``)."""
     V = len(zvars)
     n = F[1].shape[1]
     if max_degree is not None and screen is None:
@@ -811,7 +802,9 @@ def _bracket(F: tuple, G: tuple, zvars: list, finite_set,
         return _no_rows(n, 0)
     Z = _live_width(Z, V)
     at, C = _merge(_key(K, M, Z), C.real, C.imag)
-    return C, K[at], M[at], Z[at]
+    keep = _kept(C, tol)
+    at = at[keep]
+    return C[keep], K[at], M[at], Z[at]
 
 
 def _stack_rows(parts: list, V: int) -> tuple:
@@ -835,57 +828,51 @@ def poisson(F: Polynomial, G: Polynomial, finite_set=(),
     differentiated (``_reach_cut``), which leaves the output as it is.
     """
     zvars, (PF, PG) = _align(F, G)
-    rows = _bracket(PF, PG, zvars, finite_set, max_degree, tol)
-    if tol:
-        rows = _cut(rows, _abs(rows[0], tol) > tol)
-    return Polynomial._of(F.n, zvars, *rows)
+    return Polynomial._of(F.n, zvars, *_bracket(PF, PG, zvars, finite_set,
+                                                max_degree, tol))
 
 
 def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
-                  max_degree: int = 4, tol: float = 1e-18,
+                  max_degree: int | None = None, tol: float = 1e-18,
                   max_order: int = 16,
                   rest_tol: float | None = None) -> Polynomial:
     """F composed with the time-one flow of S: sum_m ad_S^m(F)/m!.
 
-    ``rest_tol``, when given, prunes terms outside the normal-form jet
-    directions at a looser threshold: those terms only influence later jets
-    through further brackets, so they tolerate a coarser cut.  It also
-    screens each bracket's products: a pair of rows whose monomial is
-    outside the jet is never formed when |c_a| |c_b| <= rest_tol /
-    min(|A|, |B|), |A| and |B| the factors' rows.  That moves a
+    ``max_degree`` caps F and every bracket.  It defaults to the degree of
+    F, which brackets with a jet S (degree <= 2) never exceed, so that cap
+    cuts nothing.  Each order's bracket is cut at ``tol`` and scaled by
+    1/m.  ``rest_tol``, when given, prunes terms outside the jet at a
+    looser threshold (``prune``), each order's before it is added and
+    feeds the next: those terms only influence later jets through further
+    brackets.  It also screens each bracket's products: a pair of rows
+    whose monomial is outside the jet is never formed when |c_a| |c_b| <=
+    rest_tol / min(|A|, |B|), |A| and |B| the factors' rows.  That moves a
     coefficient by at most ``rest_tol`` per product and leaves each
     bracket's jet rows exact.  Without ``rest_tol`` the brackets are exact,
     as ``poisson`` and ``Polynomial.mul`` always are.  A series whose term
     of order ``max_order`` is still above ``tol`` raises
     ``StageAbort("lie", ...)`` rather than being cut there.
-
-    F and S are aligned once; each order's bracket is cut at ``tol``,
-    scaled by 1/m and cut again by the jet rule before it is added to the
-    sum and feeds the next order.
     """
+    if max_degree is None:
+        max_degree = int(_degree(F.M, F.Z, len(F.zvars)).max(initial=0))
     out = F.truncate_degree(max_degree)
-    zvars, (term, PS) = _align(out, S)
-    V = len(zvars)
+    zvars, (rows, PS) = _align(out, S)
     for m in range(1, max_order + 1):
-        term = _bracket(term, PS, zvars, finite_set, max_degree, tol,
-                        rest_tol)
-        if tol:
-            term = _cut(term, _abs(term[0], tol) > tol)
-        C = term[0]
-        term = (_complex(*_cmul(1.0 / m, 0.0, C.real, C.imag)), *term[1:])
+        term = Polynomial._of(out.n, zvars, *_bracket(
+            rows, PS, zvars, finite_set, max_degree, tol, rest_tol))
+        del rows                      # freed before this order is added
+        term = term.scale(1.0 / m)
         if rest_tol is not None:
-            cut = np.where(_jet_rows(term[2], term[3], V), tol, rest_tol)
-            term = _cut(term, _abs(term[0], cut) > cut)
-        if not len(term[0]) or _abs(term[0], tol).max() < tol:
+            term.prune(tol, rest_tol)
+        if not len(term) or _abs(term.C, tol).max() < tol:
             break
-        out = out + Polynomial._of(out.n, zvars, *term)
+        out = out + term
+        rows = term.rows
     else:
         raise StageAbort("lie", max_order,
                          f"term of order {max_order} is "
-                         f"{_abs(term[0]).max():.3e}, above tol {tol:.3e}")
-    if rest_tol is not None:
-        return out.prune_split(tol, rest_tol)
-    return out.prune(tol)
+                         f"{term.max_coeff():.3e}, above tol {tol:.3e}")
+    return out.prune(tol, rest_tol)
 
 
 # -- the codec: rows of (k, m, variable ids, coefficient) <-> polynomials ------
@@ -1031,8 +1018,10 @@ class NormalFormHamiltonian:
         if ci == self.partition.finite_index:
             raise ValueError("the finite class has no elliptic block")
         Q = np.asarray(Q, dtype=complex)
-        if np.linalg.norm(Q - Q.conj().T) > 1e-10 * max(1.0, np.linalg.norm(Q)):
-            raise ValueError("elliptic class block must be Hermitian")
+        if not (np.isfinite(Q).all() and np.linalg.norm(Q - Q.conj().T)
+                <= 1e-10 * max(1.0, np.linalg.norm(Q))):
+            raise ValueError("elliptic class block must be finite and "
+                             "Hermitian")
         self.elliptic_blocks[ci] = Q
 
     def to_polynomial(self) -> Polynomial:
@@ -1053,6 +1042,15 @@ class NormalFormHamiltonian:
 
 
 # -- sampled domain norm -------------------------------------------------------
+
+def check_finite(P: Polynomial, stage: str, key=None):
+    """``StageAbort(stage, key, ...)`` when a coefficient of P, which no
+    cut drops (``_kept``), is not finite."""
+    bad = np.flatnonzero(~np.isfinite(P.C))
+    if len(bad):
+        raise StageAbort(stage, key, f"{len(bad)} of {len(P)} coefficients "
+                         f"are not finite, the first {P.C[bad[0]]}")
+
 
 @dataclass(frozen=True)
 class ClassNormParams:
@@ -1103,10 +1101,12 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
     columns, so a sample's value does not depend on its batch.  The hessian
     is taken at each angle's first sample, on the site blocks that the
     rows name only (``_hessian_norm``), after the batches, for groups of
-    angles at once.
+    angles at once.  A non-finite coefficient raises ``StageAbort("norm",
+    ...)``: no sample could bound it.
     """
     if not len(poly):
         return 0.0
+    check_finite(poly, "norm")
     n = poly.n
     rng = np.random.default_rng(p.seed)
     zvars, Zid = _live(poly)      # ids over the variables in use, pads -1

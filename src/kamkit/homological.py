@@ -38,6 +38,7 @@ from .hamiltonian import (
     StageAbort,
     _key,
     block_rows,
+    check_finite,
     class_ids,
     decode_jet,
     encode,
@@ -510,9 +511,9 @@ def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
 
     Picard rounds: the first solve is linear; each following round feeds the
     nonlinear bracket of the previous S back into the right-hand side, with
-    the one ``guard``, whose log and failures end as the last round's.
-    The result keeps no slice of f, so f_T and f_rest are freed on
-    return.
+    the one ``guard``, whose log and failures end as the last round's, or
+    stops at stage ``picard`` on a non-finite coefficient.  The result
+    keeps no slice of f, so f_T and f_rest are freed on return.
     """
     fset = h.finite_set
     inside = f._in_jet()
@@ -523,11 +524,12 @@ def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
     for _ in range(max_picard - 1):
         if not len(f_rest) or not len(S):
             break
-        # only the jet of the bracket feeds back, so degree 2 suffices
+        # only the jet feeds back, and a bracket capped at degree 2 is one
         corr = poisson(f_rest, S, finite_set=fset,
-                       max_degree=2, tol=PRUNE_TOL).jet()
+                       max_degree=2, tol=PRUNE_TOL)
         if not len(corr):
             break
+        check_finite(corr, "picard", len(updates) + 1)
         S_new, ht, skipped = solve_linear(h, f_T + corr, guard, gamma1,
                                           tables)
         upd = (S_new - S).max_coeff()

@@ -18,10 +18,11 @@ names the stage; ``run`` reports those and lets any other error through.
 
 The method's choices are module constants, fixed for every run: the
 partition growth ``DELTA_THETA``, the decays ``GAMMA_DECAY`` and
-``DOMAIN_DECAY``, the Lie series' ``WORK_DEGREE``, the prune cuts
-``REL_PRUNE`` and ``REL_PRUNE_REST`` (floored at the Picard cut
-``homological.PRUNE_TOL``), ``STALL_RATIO`` and the spectrum's
-``UNSTABLE_FACTOR``.  A ``Schedule`` holds only what a run varies.
+``DOMAIN_DECAY``, the prune cuts ``REL_PRUNE`` and ``REL_PRUNE_REST``
+(floored at the Picard cut ``homological.PRUNE_TOL``), ``STALL_RATIO`` and
+the spectrum's ``UNSTABLE_FACTOR``.  A ``Schedule`` holds only what a run
+varies.  No constant caps the degree: the Lie series keeps that of its
+input, so f keeps the model's ``max_degree``.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ STALL_RATIO = 0.5
 DELTA_THETA = 2.0
 GAMMA_DECAY = 0.9       # gamma_{k+1} = GAMMA_DECAY * gamma_k
 DOMAIN_DECAY = 0.5      # approach to the sigma/2, mu/2 endpoint
-WORK_DEGREE = 4         # the Lie series' degree cap
 REL_PRUNE = 1e-10       # cutoff relative to the f scale
 # looser cutoff for non-jet terms, relative to the f scale; the Lie series
 # also screens its brackets' non-jet pairs at it
@@ -167,11 +167,10 @@ def inner_step(state: IterationState, tables: ClassTable,
     scale = F.max_coeff()
     cut = max(PRUNE_TOL, REL_PRUNE * scale)
     cut_rest = max(cut, REL_PRUNE_REST * scale)
-    G = lie_transform(h_poly + F, sol.S, finite_set=h.finite_set,
-                      max_degree=WORK_DEGREE, tol=cut,
+    G = lie_transform(h_poly + F, sol.S, finite_set=h.finite_set, tol=cut,
                       rest_tol=cut_rest)
     f_next = G - h_poly - ht_poly
-    f_next.prune_split(cut, cut_rest)
+    f_next.prune(cut, cut_rest)
     state.f = f_next
     state.h_acc = sol.h_tilde
     state.transform_log.append(sol.S)

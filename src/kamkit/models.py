@@ -737,9 +737,7 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
         mags = np.abs(ev)
         if mags.max() > 0:
             a2_floor = min(a2_floor,
-                           float(mags[mags > 1e-13 * mags.max()].min()
-                                 if (mags > 1e-13 * mags.max()).any()
-                                 else 0.0))
+                           float(mags[mags > 1e-13 * mags.max()].min()))
         hyper = np.abs(ev.real).max() > 1e-10 * max(1.0, mags.max())
         if hyper:
             lambda_h.extend(lam_f[i] for i in comp)

@@ -27,8 +27,11 @@ from kamkit import hamiltonian as rows
 from kamkit.algebra import (WeightParams, decay_weight, site_weight,
                             spectral_norm_2x2)
 from kamkit.blockmatrix import WeightedMatrix, _stack
-from kamkit.hamiltonian import (_JET_DEGREES, StageAbort, _passes_screen,
-                                _remap)
+from kamkit.hamiltonian import StageAbort, _passes_screen, _remap
+
+# the (action degree, mode degree) pairs of the jet, the oracle's own
+# statement of the package's rule of degree <= 2
+_JET_DEGREES = ((0, 0), (1, 0), (0, 1), (0, 2))
 
 
 def _zkey(z: dict) -> tuple:
@@ -94,23 +97,17 @@ class Polynomial:
             terms[key] = terms.get(key, 0j) + sign * c
         return self
 
-    def prune(self, tol: float):
-        if not self.terms:
-            return self
-        drop = [key for key, c in self.terms.items() if abs(c) <= tol]
-        for key in drop:
-            del self.terms[key]
-        return self
-
-    def prune_split(self, jet_tol: float, rest_tol: float):
-        """Prune with a tighter tolerance on normal-form-direction terms."""
+    def prune(self, tol: float, rest_tol: float | None = None):
+        """Drop the terms with |c| <= tol, or, given ``rest_tol``, with
+        |c| <= rest_tol outside the jet."""
         if not self.terms:
             return self
         drop = []
         for key, c in self.terms.items():
             _, m, z = key
             deg = (sum(m), sum(p for _, p in z))
-            cut = jet_tol if deg in _JET_DEGREES else rest_tol
+            cut = tol if rest_tol is None or deg in _JET_DEGREES \
+                else rest_tol
             if abs(c) <= cut:
                 drop.append(key)
         for key in drop:
@@ -361,7 +358,7 @@ def poisson(F: Polynomial, G: Polynomial, finite_set=(),
 
 
 def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
-                  max_degree: int = 4, tol: float = 1e-18,
+                  max_degree: int | None = None, tol: float = 1e-18,
                   max_order: int = 16,
                   rest_tol: float | None = None) -> Polynomial:
     """F composed with the time-one flow of S: sum_m ad_S^m(F)/m!.
@@ -371,15 +368,19 @@ def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
     through further brackets, so they tolerate a coarser cut.  It also
     screens the brackets' products at ``rest_tol``.  A series whose term of
     order ``max_order`` is still above ``tol`` raises ``StageAbort("lie",
-    ...)`` rather than being cut there.
+    ...)`` rather than being cut there.  ``max_degree`` defaults to the
+    degree of F.
     """
+    if max_degree is None:
+        max_degree = max((2 * sum(m) + sum(p for _, p in z)
+                          for _, m, z in F.terms), default=0)
     out = F.truncate_degree(max_degree)
     term = out
     for m in range(1, max_order + 1):
         term = poisson(term, S, finite_set, max_degree, tol,
                        rest_tol).scale(1.0 / m)
         if rest_tol is not None:
-            term.prune_split(tol, rest_tol)
+            term.prune(tol, rest_tol)
         if not term.terms or term.max_coeff() < tol:
             break
         out = out + term
@@ -387,9 +388,7 @@ def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
         raise StageAbort("lie", max_order,
                          f"term of order {max_order} is "
                          f"{term.max_coeff():.3e}, above tol {tol:.3e}")
-    if rest_tol is not None:
-        return out.prune_split(tol, rest_tol)
-    return out.prune(tol)
+    return out.prune(tol, rest_tol)
 
 
 def bracket_per_factor(F: tuple, G: tuple, zvars: list, finite_set,
@@ -398,7 +397,8 @@ def bracket_per_factor(F: tuple, G: tuple, zvars: list, finite_set,
     """``rows._bracket`` as a loop over its factors: one ``_product`` per
     factor, in bracket order, the r/theta factors then the site factors
     sliced out of the derivative rows site by site; ``_merge`` sums the
-    signed products' rows in that order."""
+    signed products' rows in that order, and the sums with |c| <= ``tol``
+    are dropped."""
     V = len(zvars)
     n = F[1].shape[1]
     factors = []
@@ -437,7 +437,9 @@ def bracket_per_factor(F: tuple, G: tuple, zvars: list, finite_set,
     re, im, K, M = (np.concatenate(x) for x in (re, im, K, M))
     Z = rows._live_width(rows._stack_z(Z, V), V)
     at, C = rows._merge(rows._key(K, M, Z), re, im)
-    return C, K[at], M[at], Z[at]
+    keep = ~(rows._abs(C, tol) <= tol)
+    at = at[keep]
+    return C[keep], K[at], M[at], Z[at]
 
 
 def reality_defect(P: rows.Polynomial, finite_set=()) -> float:

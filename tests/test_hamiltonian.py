@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 from contextlib import contextmanager
@@ -136,8 +137,8 @@ def test_row_operations_match_dict_oracle(case, c, tol, degree):
     F, G = D - P, E - R
     assert F.prune(tol) is F and _items(F) == _items(G.prune(tol))
     F, G = D + Q, E + S
-    assert F.prune_split(tol / 4, tol) is F
-    assert _items(F) == _items(G.prune_split(tol / 4, tol))
+    assert F.prune(tol / 4, tol) is F
+    assert _items(F) == _items(G.prune(tol / 4, tol))
     top = P.max_coeff()                # a cut at a coefficient drops it
     assert _items(P.prune(top)) == _items(R.prune(top))
 
@@ -782,6 +783,69 @@ def test_lie_transform_matches_dict_oracle(case, max_degree, tol, rest_tol,
         assert _items(lie_transform(F, S, *args)) == want
 
 
+def _nan_case(c):
+    """F = z_a z_b + c z_a^2 z_b and S = z_a' z_a / 2: {F, S} is i/2 z_a z_b,
+    in the jet, plus i c z_a^2 z_b, out of it."""
+    (a, a1), b = ((A, 0), (A, 1)), (B, 0)
+    F, S = Polynomial(0), Polynomial(0)
+    F.add_term(1.0, z={a: 1, b: 1})
+    F.add_term(c, z={a: 2, b: 1})
+    S.add_term(0.5, z={a1: 1, a: 1})
+    return F, S, ((), (), tuple(sorted({a: 2, b: 1}.items())))
+
+
+def _nan_keys(P) -> list:
+    return [key for key, c in P.terms.items() if cmath.isnan(c)]
+
+
+@given(st.sampled_from([1e-12, 1e-3, 1.0]),
+       st.none() | st.sampled_from([1e-2, 10.0]),
+       st.sampled_from([complex(math.nan, 0.0), complex(1.0, math.nan)]))
+@example(tol=1e-3, rest_tol=None, c=complex(math.nan, 0.0))
+@example(tol=1e-3, rest_tol=1e-2, c=complex(math.nan, 0.0))
+@example(tol=1.0, rest_tol=10.0, c=complex(1.0, math.nan))
+def test_a_nan_coefficient_survives_every_cut(tol, rest_tol, c):
+    """|c| <= cut is false for a NaN, so no cut drops one: not a product's
+    or the bracket's ``tol`` cut, not the Lie series' pair screen, not
+    ``prune`` with or without ``rest_tol``.  The Lie series never gets
+    below ``tol`` and stops at its order cap, at stage ``lie``."""
+    F, S, cubic = _nan_case(c)
+    assert _nan_keys(poisson(F, S, tol=tol)) == [cubic]
+    zvars, (PF, PS) = H._align(F, S)
+    got = Polynomial._of(0, zvars, *H._bracket(PF, PS, zvars, (), 3, tol,
+                                               rest_tol))
+    assert _nan_keys(got) == [cubic]
+    for cut in ((tol,), (tol, rest_tol)):
+        assert _nan_keys(F.scale(1.0).prune(*cut)) == [cubic]
+    with pytest.raises(StageAbort) as err:
+        lie_transform(F, S, tol=tol, rest_tol=rest_tol)
+    assert (err.value.stage, err.value.key) == ("lie", 16)
+
+
+def test_lie_transform_keeps_the_degree_of_its_input():
+    """Without ``max_degree``, the cap is the degree of F: brackets with a
+    jet S never go above it, so F's rows of degree 5 and 6 and the
+    brackets of degree 5 stay, as with the cap given, and as in the dict
+    oracle."""
+    (a, a1), (b, b1) = ((A, 0), (A, 1)), ((B, 0), (B, 1))
+    F, S = Polynomial(1), Polynomial(1)
+    F.add_term(1.0, m=(1,), z={a: 1, b: 1})
+    F.add_term(0.5, m=(2,), z={a: 1, b1: 1})
+    F.add_term(0.25, m=(1,), z={a: 2, b: 1})
+    S.add_term(1e-2, k=(1,), z={a1: 1})
+    S.add_term(2e-2, z={a1: 1, b: 1})
+    S.add_term(3e-2, m=(1,))
+    G = lie_transform(F, S, tol=1e-30)
+    degree = {key: 2 * sum(key[1]) + sum(p for _, p in key[2])
+              for key in G.terms}
+    assert set(F.terms) <= set(G.terms)
+    assert max(degree.values()) == 6
+    assert any(d == 5 and key not in F.terms for key, d in degree.items())
+    assert _items(G) == _items(lie_transform(F, S, max_degree=6, tol=1e-30))
+    assert _items(G) == _items(ref.lie_transform(ref.as_dict(F),
+                                                 ref.as_dict(S), tol=1e-30))
+
+
 # relative to |S|^2 |F| in _size; the truncated series compose exactly, so
 # only roundoff and the tol cuts remain (largest seen: 1.3e-12)
 LIE_ROUND_TRIP_RTOL = 1e-8
@@ -850,7 +914,8 @@ def test_screened_bracket_keeps_its_jet_rows(case, max_degree, tol, screen,
     """A jet monomial only receives jet pairs, which the screen keeps: the
     jet rows of a screened bracket are those of the exact one, keys, order
     and bits.  Each product drops at most ``screen`` from a monomial, and
-    its ``tol`` cut at most ``tol`` more."""
+    its ``tol`` cut at most ``tol`` more; the bracket's own ``tol`` cut of
+    the sum can drop a monomial that is within ``tol`` on one side only."""
     F, G, fset = case
     zvars, (PF, PG) = H._align(F, G)
     with _screen_spy() as seen:
@@ -860,7 +925,7 @@ def test_screened_bracket_keeps_its_jet_rows(case, max_degree, tol, screen,
     got, want = (Polynomial._of(F.n, zvars, *rows) for rows in (got, want))
     assert _items(got.jet()) == _items(want.jet())
     assert (got - want).max_coeff() <= \
-        (screen + tol) * seen["products"][0] * (1 + 1e-12)
+        ((screen + tol) * seen["products"][0] + tol) * (1 + 1e-12)
 
 
 @given(bracket_oracle_cases(), st.sampled_from([2, 4]),
@@ -926,7 +991,7 @@ def test_screened_pairs_are_the_mask(A, B, max_degree, screen):
     fits = np.ones((len(C1), len(C2)), dtype=bool) if max_degree is None \
         else 2 * (s1 + s2) + z1 + z2 <= max_degree
     jet = np.zeros_like(fits)
-    for sm, zd in H._JET_DEGREES:
+    for sm, zd in ref._JET_DEGREES:
         jet |= (s1 + s2 == sm) & (z1 + z2 == zd)
     cut = screen / max(1, min(len(C1), len(C2)))
     mask = fits & (jet | H._passes_screen(H._abs(C1)[:, None],
@@ -1058,6 +1123,23 @@ def test_class_norm_basics():
     assert class_norm(Polynomial(1), p, w) == 0.0
     c = ref.as_rows(ref.Polynomial.constant(1, -3.0))
     assert class_norm(c, p, w) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("row", ["cubic", "linear"])
+def test_class_norm_names_a_nan_coefficient(row):
+    """The max over the samples would drop a NaN value: a cubic NaN row
+    next to xi_a eta_a (1e-3) would give 0.0, and a zeta-linear one only
+    the hessian part.  So a non-finite coefficient stops at stage
+    ``norm``."""
+    f = Polynomial(0)
+    f.add_term(1e-3, z={(A, 0): 1, (A, 1): 1})
+    assert class_norm(f, ClassNormParams(), W) > 0
+    f.add_term(math.nan, z={(A, 0): 2, (B, 1): 1} if row == "cubic"
+               else {(B, 0): 1})
+    with pytest.raises(StageAbort) as err:
+        class_norm(f, ClassNormParams(), W)
+    assert (err.value.stage, err.value.key) == ("norm", None)
+    assert "1 of 2 coefficients are not finite" in str(err.value)
 
 
 @pytest.mark.parametrize("field", ["n_theta", "n_dirs", "radial_levels"])
@@ -1380,6 +1462,20 @@ def test_normal_form_hamiltonian_poly():
     wvec = np.array([zvals[((0, 1), c)] for c in (0, 1)])
     expect += 0.5 * wvec @ h.hyperbolic_block @ wvec
     assert val == pytest.approx(expect)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_set_block_rejects_a_non_finite_block(bad):
+    """The Hermitian test alone reads an all-NaN block as Hermitian (NaN >
+    bound is false), and eigh would fail on it later, unnamed."""
+    part = build_partition(2, 3, 2)
+    h = NormalFormHamiltonian(omega=np.zeros(0), partition=part)
+    ci = max(part.nonfinite.tolist(), key=lambda c: len(part.classes[c]))
+    m = len(part.classes[ci])
+    assert m >= 2
+    with pytest.raises(ValueError, match="finite"):
+        h.set_block(ci, np.full((m, m), bad, dtype=complex))
+    assert not h.elliptic_blocks
 
 
 def test_normal_form_finite_class_holds_only_the_hyperbolic_block():

@@ -294,6 +294,59 @@ def test_growing_picard_updates_abort(monkeypatch):
     assert report.block_stops == []
 
 
+def _degrees(P) -> list:
+    return [2 * sum(m) + sum(p for _, p in z) for _, m, z in P.terms]
+
+
+def test_a_nan_in_f_ends_the_run_at_stage_picard():
+    """No cut drops a NaN, so one in a cubic row of f reaches the Picard
+    bracket, and the run aborts there, at a named stage, before any step.
+    A product cut that dropped the NaN would let the run end at ``target``
+    with eps 0."""
+    h, f = beam_instance()
+    _, m, z = next(key for key, d in zip(f.terms, _degrees(f)) if d == 3)
+    f.add_term(math.nan, m=m, z=z)
+    report = run(h, f, Schedule(max_super=2), W)
+    assert isinstance(report.aborted, StageAbort)
+    assert (report.aborted.stage, report.aborted.key) == ("picard", 1)
+    assert "not finite" in str(report.aborted)
+    assert report.block_stops == [] and report.state.step == 0
+
+
+def test_a_nan_in_the_jet_ends_the_run_at_stage_norm(monkeypatch):
+    """A step whose transform leaves a NaN in the jet of f: the class norm
+    names it, and ``run`` reports the abort."""
+    h, f = beam_instance()
+    lie = kam.lie_transform
+    _, m, z = next(iter(f.jet().terms))
+
+    def nan_jet(*args, **kwargs):
+        G = lie(*args, **kwargs)
+        G.add_term(math.nan, m=m, z=z)
+        return G
+
+    monkeypatch.setattr(kam, "lie_transform", nan_jet)
+    report = run(h, f, Schedule(max_super=2), W)
+    assert isinstance(report.aborted, StageAbort)
+    assert (report.aborted.stage, report.aborted.key) == ("norm", None)
+    assert report.block_stops == [] and report.state.step == 1
+
+
+def test_the_iteration_keeps_the_models_degree():
+    """The model's ``max_degree`` is the run's only degree cap: on the R=3
+    beam with max_degree 6, f has rows of degree 5, and so has the f that
+    the run ends with."""
+    model = BeamModel(d=2, radius=3.0, nodes=((1, 0), (0, 2)),
+                      rho=(0.7, 1.3), actions=(0.05, 0.04),
+                      tail={0: 0.5}, nonlinearity=((3, (0, 0), 1.0),),
+                      epsilon=1e-4, delta=2, max_degree=6)
+    h, f = build_beam(model)
+    assert max(_degrees(f)) == 5
+    report = run(h, f, Schedule(max_super=1), W)
+    assert report.aborted is None and report.state.step > 0
+    assert max(_degrees(report.state.f)) == 5
+
+
 def test_unrelated_error_in_an_inner_step_propagates(monkeypatch):
     h, f = beam_instance()
 
