@@ -849,9 +849,9 @@ def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
     rest_tol / min(|A|, |B|), |A| and |B| the factors' rows.  That moves a
     coefficient by at most ``rest_tol`` per product and leaves each
     bracket's jet rows exact.  Without ``rest_tol`` the brackets are exact,
-    as ``poisson`` and ``Polynomial.mul`` always are.  A series whose term
-    of order ``max_order`` is still above ``tol`` raises
-    ``StageAbort("lie", ...)`` rather than being cut there.
+    as ``poisson`` and ``Polynomial.mul`` always are.  A term that is not
+    finite, or one of order ``max_order`` still above ``tol``, raises
+    ``StageAbort("lie", order)`` rather than being cut there.
     """
     if max_degree is None:
         max_degree = int(_degree(F.M, F.Z, len(F.zvars)).max(initial=0))
@@ -861,6 +861,7 @@ def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
         term = Polynomial._of(out.n, zvars, *_bracket(
             rows, PS, zvars, finite_set, max_degree, tol, rest_tol))
         del rows                      # freed before this order is added
+        check_finite(term, "lie", m)
         term = term.scale(1.0 / m)
         if rest_tol is not None:
             term.prune(tol, rest_tol)

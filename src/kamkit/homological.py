@@ -48,7 +48,6 @@ from .hamiltonian import (
 from .lattice import _tuples, pseudo_dist_sq
 
 PRUNE_TOL = 1e-18       # the Picard brackets drop terms below
-PICARD_TOL = 1e-14      # Picard stops at an update below this times S's scale
 
 
 @dataclass
@@ -82,7 +81,7 @@ class HomologicalSolution:
     S: Polynomial
     h_tilde: NormalFormHamiltonian    # on h's partition, chi as its omega
     skipped_report: list          # (k, ci, cj, coeff_norm, bound)
-    guard: DivisorGuard           # its log: the last Picard round's checks
+    guard: DivisorGuard           # its log: the last linear solve's checks
     picard_updates: list
 
 
@@ -217,8 +216,8 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
     The order of the solve is the contract: k in order of first occurrence,
     then class pairs (ci <= cj) ascending, then channels xi-xi, xi-eta,
     eta-xi, eta-eta.  Guard failures, log entries, ``set_block`` calls and
-    the skip report come in it; one stable sort puts S's rows in it (each
-    block's mirror right after it) for the one ``encode``.
+    the skip report come in it; one stable sort puts S's rows in it for
+    the one ``encode``.
     """
     t = tables
     n = h.n
@@ -301,13 +300,15 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, solved,
     shape (|ci|, |cj|), the blocks of one shape stacked together, and each
     stack's elliptic blocks solve (kw)X + sL Q_ci X + sR X Q_cj = iG in one
     pass.  A hyperbolic or mixed pair reads its four blocks from the
-    scatter, and is one stack of dense systems for ``_solve_guarded``: one Kronecker system for a hyperbolic pair, and for
-    a mixed pair one row system per component and elliptic eigenvalue, the
-    xi rows then the eta rows, which stops at its first failing system.  One
+    scatter, and is one stack of dense systems for ``_solve_guarded``: one
+    Kronecker system for a hyperbolic pair, and for a mixed pair one row
+    system per component and elliptic eigenvalue, the xi rows then the eta
+    rows, which stops at its first failing system.  One
     walk over the items, in order, emits the guard checks (each logs a row
     of its stack's sorted divisors), ``set_block`` calls and skip report.
-    A solved block's place is 2 (4 item + channel), and 1 more for its
-    mirror (cj, ci); a hyperbolic item's is 8 item.
+    Each solved block is emitted once, at place 4 item + channel (a
+    hyperbolic item's is 4 item); a same-class block carries X/2, since
+    its transposed entries lie in the same block.
     """
     n = h.n
     ncl = len(t.size)
@@ -429,7 +430,7 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, solved,
                 guard, ht)
             if block is not None:
                 solved.append(block)
-                place.append(8 * i)
+                place.append(4 * i)
             continue
         for x in range(first[i], first[i + 1]):
             if set_b_[x]:
@@ -438,7 +439,7 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, solved,
                 ok[x] = guard.check((k, classes, tags[ech_[x]]), dmin_[x],
                                     sorted_div[x])
 
-    # -- S's rows: each solved block, and its mirror (cj, ci) --------------
+    # -- S's rows: each solved block once ------------------------------------
     out = [(np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=complex),
             np.zeros(0, dtype=np.int64))]
     for Es, at, Gs, div, m, w in stacks:
@@ -447,17 +448,14 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, solved,
         X = _elliptic_solve(t.V[m][t.slot[eci[Es]], c1[Es]],
                             t.V[w][t.slot[ecj[Es]], 1 - c2[Es]],
                             1j * Gs[at], div[good])
+        X[eci[Es] == ecj[Es]] /= 2
         Ue = t.ids[m][t.slot[eci[Es]], c1[Es]][:, :, None]
         Ve = t.ids[w][t.slot[ecj[Es]], c2[Es]][:, None, :]
         Z = np.stack([np.minimum(Ue, Ve), np.maximum(Ue, Ve)], axis=-1)
-        both = np.concatenate([np.arange(len(Es)),
-                               np.flatnonzero(eci[Es] != ecj[Es])])
-        code = 2 * entries[Es[both]]
-        code[len(Es):] += 1
-        out.append((Z[both].reshape(-1, 2), X[both].ravel() / 2,
-                    np.repeat(code, m * w)))
+        out.append((Z.reshape(-1, 2), X.ravel(),
+                    np.repeat(entries[Es], m * w)))
     Z, Cs, code = (np.concatenate(x) for x in zip(*out))
-    Ks = np.array(ks, dtype=np.int64).reshape(len(ks), n)[ig[code // 8]]
+    Ks = np.array(ks, dtype=np.int64).reshape(len(ks), n)[ig[code // 4]]
     skipped = [(k, i, j, coeff, C_fit * math.exp(-gamma1 * gp))
                for k, i, j, coeff, gp in skipped]
     return (Z, Cs, Ks, np.zeros((len(Cs), n)), code), skipped
@@ -503,43 +501,39 @@ def _solve_hyperbolic_pair(k, kw, ci, cj, t, G, guard, ht):
 
 
 def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
-                      guard: DivisorGuard, gamma1: float = 1.0,
-                      max_picard: int = 3, *,
+                      guard: DivisorGuard, gamma1: float = 1.0, *,
                       tables: ClassTable) -> HomologicalSolution:
     """Solve {h,S} + jet({f - jet(f), S}) + jet(f) = h_tilde, with h's
     class table ``tables`` (``class_tables``).
 
-    Picard rounds: the first solve is linear; each following round feeds the
-    nonlinear bracket of the previous S back into the right-hand side, with
-    the one ``guard``, whose log and failures end as the last round's, or
-    stops at stage ``picard`` on a non-finite coefficient.  The result
-    keeps no slice of f, so f_T and f_rest are freed on return.
+    The equation is triangular in S's degree (r counts 2, each z 1): {h, .}
+    keeps degrees, and jet({f - jet(f), S}), the bracket capped at degree
+    2, reads only S's rows of degree <= 1 and has none of degree 0.  So the
+    solve of jet(f) fixes S's angle-only rows, and each feedback solve, of
+    jet(f) plus that bracket of the last S, one degree more.  A solve that
+    leaves the rows of degree <= 1 as they were ends the loop (the next
+    would repeat it bit for bit); a third that moves them, or a non-finite
+    bracket, stops at stage ``picard``.  ``guard`` keeps the last solve's log.
     """
-    fset = h.finite_set
-    inside = f._in_jet()
-    f_T, f_rest = f._take(inside), f._take(~inside)
+    f_T, f_rest = f.jet(), f.without_jet()
     updates = []
     S, ht, skipped = solve_linear(h, f_T, guard, gamma1, tables)
-    scale = max(f_T.max_coeff(), 1e-300)
-    for _ in range(max_picard - 1):
-        if not len(f_rest) or not len(S):
+    for _ in range(2):
+        if not len(f_rest) or not len(S.truncate_degree(1)):
             break
-        # only the jet feeds back, and a bracket capped at degree 2 is one
-        corr = poisson(f_rest, S, finite_set=fset,
+        corr = poisson(f_rest, S, finite_set=h.finite_set,
                        max_degree=2, tol=PRUNE_TOL)
         if not len(corr):
             break
         check_finite(corr, "picard", len(updates) + 1)
-        S_new, ht, skipped = solve_linear(h, f_T + corr, guard, gamma1,
-                                          tables)
-        upd = (S_new - S).max_coeff()
-        updates.append(upd)
-        S = S_new
-        if upd <= PICARD_TOL * max(S.max_coeff(), scale):
+        prev = S
+        S, ht, skipped = solve_linear(h, f_T + corr, guard, gamma1, tables)
+        D = S - prev
+        updates.append(D.max_coeff())
+        if not len(D.truncate_degree(1)):
             break
-        if len(updates) >= 2 and updates[-1] > updates[-2]:
-            raise StageAbort("picard", len(updates),
-                             "nonlinear feedback is not contracting: "
-                             f"updates {updates}")
+    else:
+        raise StageAbort("picard", 2, "the third solve still moves S's rows "
+                         f"of degree <= 1: updates {updates}")
     return HomologicalSolution(S=S, h_tilde=ht, skipped_report=skipped,
                                guard=guard, picard_updates=updates)

@@ -76,14 +76,14 @@ class IterationState:
     ``weights.gamma1`` decays and the domain (``norm``'s sigma and mu)
     shrinks toward ``sigma_end`` and ``mu_end`` at each super step.
     ``h_acc`` is the last step's h_tilde, None before a block's first."""
-    step: int
-    eps: float
-    K: int
     h: NormalFormHamiltonian
     f: Polynomial
-    h_acc: NormalFormHamiltonian | None
     weights: WeightParams
     norm: ClassNormParams
+    step: int = 0
+    eps: float = math.inf                 # inf until the first norm
+    K: int = 0
+    h_acc: NormalFormHamiltonian | None = None
     grid: ParameterGrid | None = None
     sigma_end: float = 0.0
     mu_end: float = 0.0
@@ -96,18 +96,26 @@ def jet_norm(state: IterationState) -> float:
     return class_norm(state.f.jet(), state.norm, state.weights)
 
 
+def _measure(state: IterationState, schedule: Schedule) -> IterationState:
+    """Set eps, the jet norm, and K, the block's inner-step budget."""
+    state.eps = jet_norm(state)
+    state.K = inner_count(state.eps, schedule)
+    return state
+
+
+def _new_state(h, f, weights, norm, grid, guard_delta0) -> IterationState:
+    return IterationState(h, f, weights, norm, grid=grid,
+                          sigma_end=norm.sigma / 2, mu_end=norm.mu / 2,
+                          guard=DivisorGuard(guard_delta0))
+
+
 def initial_state(h: NormalFormHamiltonian, f: Polynomial,
                   schedule: Schedule, weights: WeightParams,
                   norm: ClassNormParams = ClassNormParams(),
                   grid: ParameterGrid | None = None,
                   guard_delta0: float = 1e-8) -> IterationState:
-    st = IterationState(step=0, eps=math.inf, K=0, h=h, f=f, h_acc=None,
-                        weights=weights, norm=norm, grid=grid,
-                        sigma_end=norm.sigma / 2, mu_end=norm.mu / 2,
-                        guard=DivisorGuard(guard_delta0))
-    st.eps = jet_norm(st)
-    st.K = inner_count(st.eps, schedule)
-    return st
+    return _measure(_new_state(h, f, weights, norm, grid, guard_delta0),
+                    schedule)
 
 
 def inner_count(eps: float, schedule: Schedule) -> int:
@@ -231,9 +239,7 @@ def super_step(state: IterationState, schedule: Schedule) -> IterationState:
     state.norm = replace(
         nrm, sigma=state.sigma_end + (nrm.sigma - state.sigma_end) * decay,
         mu=state.mu_end + (nrm.mu - state.mu_end) * decay)
-    state.eps = jet_norm(state)
-    state.K = inner_count(state.eps, schedule)
-    return state
+    return _measure(state, schedule)
 
 
 @dataclass
@@ -287,14 +293,13 @@ def run(h: NormalFormHamiltonian, f: Polynomial, schedule: Schedule,
     """Full two-level iteration; see the step operations for the bookkeeping.
 
     Stops at the eps target, the super-step budget, or a ``StageAbort``,
-    which is reported in ``aborted``; any other exception propagates.
+    reported in ``aborted`` (the first norm's too); other errors propagate.
     """
-    state = initial_state(h, f, schedule, weights, norm, grid, guard_delta0)
+    state = _new_state(h, f, weights, norm, grid, guard_delta0)
     omega0 = np.array(state.h.omega, dtype=float)
-    eps_history = [state.eps]
-    block_stops = []
-    aborted = None
+    eps_history, block_stops, aborted = [], [], None
     try:
+        eps_history.append(_measure(state, schedule).eps)
         for _ in range(schedule.max_super):
             if state.eps <= schedule.eps_target:
                 break

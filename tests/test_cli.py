@@ -451,6 +451,28 @@ def test_kam_stage_abort_exits_4(tmp_path, capsys, monkeypatch):
     assert report[-1] == f"aborted={message}"
 
 
+def test_kam_nan_in_the_first_jet_writes_its_report(tmp_path, capsys,
+                                                   monkeypatch):
+    """A NaN in the model's jet stops the run at its first norm: ``kam``
+    exits 4 and still writes metrics.jsonl and final_report.txt."""
+    from kamkit import cli
+
+    def nan_jet(section):
+        kind, model, (h, f) = build_model(section)
+        _, m, z = next(iter(f.jet().terms))
+        f.add_term(math.nan, m=m, z=z)
+        return kind, model, (h, f)
+
+    monkeypatch.setattr(cli, "build_model", nan_jet)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"output_dir": str(out), "model": BEAM_MODEL})
+    assert main(["kam", cfg]) == 4
+    assert "stage abort: norm" in capsys.readouterr().err
+    assert (out / "metrics.jsonl").is_file()
+    report = (out / "final_report.txt").read_text().splitlines()
+    assert report[-1].startswith("aborted=norm")
+
+
 def test_kam_excision_abort_exits_4(tmp_path, capsys):
     """A grid so small around rho* that the first guard failure's band
     covers all of it: the excision empties it, and ``kam`` exits 4."""
@@ -847,6 +869,18 @@ def test_hyperbolic_example_reports_its_unstable_site(tmp_path):
     rows = [json.loads(x)
             for x in (out / "metrics.jsonl").read_text().splitlines()]
     assert [r["guard_failures"] for r in rows] == [0] * len(rows)
+
+
+def test_momentum_example_reports_its_eps(tmp_path):
+    """README's figures for examples/momentum_beam.json: its first block
+    stalls, and the super step after it reaches the eps target."""
+    example = Path(__file__).parents[1] / "examples" / "momentum_beam.json"
+    out = tmp_path / "out"
+    assert main(["kam", write_cfg(tmp_path, dict(
+        json.loads(example.read_text()), output_dir=str(out)))]) == 0
+    report = (out / "final_report.txt").read_text().splitlines()
+    assert report[0] == "reached_target=True eps_final=8.11288e-13"
+    assert "eps_history=6.22461e-06 8.11288e-13" in report
 
 
 # imports kamkit.cli, prints the scipy modules it loaded, then runs one

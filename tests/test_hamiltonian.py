@@ -807,8 +807,9 @@ def _nan_keys(P) -> list:
 def test_a_nan_coefficient_survives_every_cut(tol, rest_tol, c):
     """|c| <= cut is false for a NaN, so no cut drops one: not a product's
     or the bracket's ``tol`` cut, not the Lie series' pair screen, not
-    ``prune`` with or without ``rest_tol``.  The Lie series never gets
-    below ``tol`` and stops at its order cap, at stage ``lie``."""
+    ``prune`` with or without ``rest_tol``.  So the Lie series' first
+    bracket holds it, and the series stops there, at stage ``lie``, order
+    1, naming the coefficient that is not finite."""
     F, S, cubic = _nan_case(c)
     assert _nan_keys(poisson(F, S, tol=tol)) == [cubic]
     zvars, (PF, PS) = H._align(F, S)
@@ -819,7 +820,8 @@ def test_a_nan_coefficient_survives_every_cut(tol, rest_tol, c):
         assert _nan_keys(F.scale(1.0).prune(*cut)) == [cubic]
     with pytest.raises(StageAbort) as err:
         lie_transform(F, S, tol=tol, rest_tol=rest_tol)
-    assert (err.value.stage, err.value.key) == ("lie", 16)
+    assert (err.value.stage, err.value.key) == ("lie", 1)
+    assert "not finite" in str(err.value)
 
 
 def test_lie_transform_keeps_the_degree_of_its_input():

@@ -272,9 +272,10 @@ def test_excision_that_empties_the_grid_aborts():
 
 
 def test_growing_picard_updates_abort(monkeypatch):
-    """Nonlinear feedback whose correction grows tenfold each round: the
-    second update exceeds the first, and the solve stops at stage
-    ``picard``, key 2; ``run`` reports the abort."""
+    """A bracket that breaks the degree structure (f's jet, tenfold each
+    call, angle-only rows included) still moves S's rows of degree <= 1 on
+    the third solve: the solve stops at stage ``picard``, key 2, after two
+    bracket calls; ``run`` reports the abort."""
     h, f = beam_instance()
     calls = []
 
@@ -311,6 +312,34 @@ def test_a_nan_in_f_ends_the_run_at_stage_picard():
     assert (report.aborted.stage, report.aborted.key) == ("picard", 1)
     assert "not finite" in str(report.aborted)
     assert report.block_stops == [] and report.state.step == 0
+
+
+def test_a_nan_in_a_lie_term_ends_the_run_at_its_order():
+    """A NaN in a degree-4 row of f reaches no Picard bracket, since S has
+    no angle-only row, but the first Lie bracket: the run aborts at stage
+    ``lie``, order 1, naming the NaN, not at the order cap after 16 orders
+    of NaN brackets."""
+    h, f = beam_instance()
+    _, m, z = next(key for key, d in zip(f.terms, _degrees(f)) if d == 4)
+    f.add_term(math.nan, m=m, z=z)
+    report = run(h, f, Schedule(max_super=2), W)
+    assert isinstance(report.aborted, StageAbort)
+    assert (report.aborted.stage, report.aborted.key) == ("lie", 1)
+    assert "not finite" in str(report.aborted)
+    assert report.block_stops == [] and report.state.step == 0
+
+
+def test_a_nan_in_the_first_jet_is_reported_at_stage_norm():
+    """The first class norm runs under ``run``'s abort handling: a NaN in
+    the jet of the input is reported, with eps inf and no block."""
+    h, f = beam_instance()
+    _, m, z = next(iter(f.jet().terms))
+    f.add_term(math.nan, m=m, z=z)
+    report = run(h, f, Schedule(max_super=2), W)
+    assert isinstance(report.aborted, StageAbort)
+    assert (report.aborted.stage, report.aborted.key) == ("norm", None)
+    assert report.block_stops == [] and report.eps_history == []
+    assert report.state.step == 0 and report.state.eps == math.inf
 
 
 def test_a_nan_in_the_jet_ends_the_run_at_stage_norm(monkeypatch):
