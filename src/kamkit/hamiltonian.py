@@ -51,10 +51,6 @@ one factor pair, and the factor is a digit of the key, so each factor's
 product is merged and cut at ``tol`` as if on its own.  ``_merge`` then
 adds the signed rows in factor order and cuts the sums at ``tol``.  Every
 cut is one rule (``_kept``), which never drops a non-finite coefficient.
-Under a degree cap and no screen, a row that pairs with no row of the
-other side within the cap, deg F + deg G - 2 on every factor, is dropped
-before it is differentiated (``_reach_cut``); it would form no pair, so
-the output is the same.
 ``lie_transform`` scales each order's bracket by 1/m and, given
 ``rest_tol``, cuts it at ``tol`` in the jet and ``rest_tol`` outside before
 adding it; it also screens its brackets' products (``_pairs``): a pair
@@ -703,70 +699,20 @@ def _diff_z(P: tuple, V: int, keep) -> tuple:
     return Z[rows, cols], (c[nz], K[rows], M[rows], drop)
 
 
-def _reach_cut(F: tuple, G: tuple, zvars: list, max_degree: int) -> tuple:
-    """F and G without the rows that form no pair of {F, G} within
-    ``max_degree``.
-
-    Each factor pairs a derivative of an F row with one of a G row, on a
-    monomial of degree deg f + deg g - 2 (r counts twice).  A row's factor
-    slots are j where m_j > 0, n + j where k_j != 0 and 2n + v for each
-    variable v it holds; a slot pairs with the other side's slot ``flip``:
-    m_j with k_j, and (s, c) with (s, 1 - c), on elliptic and hyperbolic
-    sites alike.  A row is kept when some slot of it meets the least degree
-    of the other side's rows at the flipped slot within reach.  A dropped
-    row forms no pair that the degree filter keeps, so the bracket's pairs,
-    their order and its rows are those without the cut."""
-    V, n = len(zvars), F[1].shape[1]
-    at = {v: i for i, v in enumerate(zvars)}
-    partner = [at.get((s, 1 - c), V) for s, c in zvars] + [V]
-    pad = 2 * n + V                   # no slot; pairs with no slot
-    flip = np.r_[n + np.arange(n), np.arange(n), 2 * n + np.array(partner)]
-    top = max(max_degree, 0) + 3      # past the reach of every pair
-
-    def slots(P):                     # each row's slots, a column at a time
-        _, K, M, Z = P
-        for j in range(n):
-            yield np.where(M[:, j] > 0, j, pad)
-            yield np.where(K[:, j] != 0, n + j, pad)
-        for z in Z.T:
-            yield z.astype(np.int64) + 2 * n
-
-    deg = [np.minimum(_degree(P[2], P[3], V), top) for P in (F, G)]
-    least = []                        # per slot, the least degree there
-    for P, d in zip((F, G), deg):
-        seen = np.zeros((top + 1, pad + 1), dtype=bool)
-        for s in slots(P):
-            seen[d, s] = True
-        low = np.where(seen.any(axis=0), seen.argmax(axis=0), top)
-        low[pad] = top
-        least.append(low)
-    out = []
-    for P, d, other in zip((F, G), deg, least[::-1]):
-        reach, other = np.full(len(d), top), other[flip]
-        for s in slots(P):
-            np.minimum(reach, other[s], out=reach)
-        keep = d + reach <= max_degree + 2
-        out.append(P if keep.all() else _cut(P, keep))
-    return tuple(out)
-
-
 def _bracket(F: tuple, G: tuple, zvars: list, finite_set,
              max_degree: int | None, tol: float,
              screen: float | None = None) -> tuple:
     """{F, G} on rows over ``zvars`` (``_align``), in ``poisson``'s
-    term order (see the module docstring).  Under a degree cap and no
-    ``screen``, the rows that cannot reach it are dropped first
-    (``_reach_cut``).  The derivatives are array passes over F's and G's
-    rows, stacked into one left and one right operand with the factor
-    index of each row: the 2n r/theta factors, then two per shared site in
-    ascending order.  One ``_product`` forms every factor's product (with
-    ``screen``, the Lie series' pair screen), each row takes its factor's
-    sign, ``_merge`` sums the rows in bracket order, and the sums with
-    |c| <= ``tol`` are dropped (``_kept``)."""
+    term order (see the module docstring).  The derivatives are array
+    passes over F's and G's rows, stacked into one left and one right
+    operand with the factor index of each row: the 2n r/theta factors,
+    then two per shared site in ascending order.  One ``_product`` forms
+    every factor's product within ``max_degree`` (with ``screen``, the Lie
+    series' pair screen), each row takes its factor's sign, ``_merge`` sums
+    the rows in bracket order, and the sums with |c| <= ``tol`` are
+    dropped (``_kept``)."""
     V = len(zvars)
     n = F[1].shape[1]
-    if max_degree is not None and screen is None:
-        F, G = _reach_cut(F, G, zvars, max_degree)
     left, right, signs = [], [], [1.0, -1.0] * n
     for j in range(n):
         left += [_diff_r(F, j), _k_scale(F, j)]
@@ -823,9 +769,7 @@ def poisson(F: Polynomial, G: Polynomial, finite_set=(),
     plus, per lattice site, i(dF/dxi dG/deta - dF/deta dG/dxi) on elliptic
     sites and (dF/dp dG/dq - dF/dq dG/dp) on hyperbolic ones.  Products
     skip pairs above ``max_degree``; each product and the bracket drop
-    terms with |c| <= ``tol``.  Under ``max_degree``, the rows of F and G
-    that can form no pair within it are dropped before they are
-    differentiated (``_reach_cut``), which leaves the output as it is.
+    terms with |c| <= ``tol``.
     """
     zvars, (PF, PG) = _align(F, G)
     return Polynomial._of(F.n, zvars, *_bracket(PF, PG, zvars, finite_set,
@@ -1102,8 +1046,9 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
     columns, so a sample's value does not depend on its batch.  The hessian
     is taken at each angle's first sample, on the site blocks that the
     rows name only (``_hessian_norm``), after the batches, for groups of
-    angles at once.  A non-finite coefficient raises ``StageAbort("norm",
-    ...)``: no sample could bound it.
+    angles at once.  A non-finite coefficient, or a sample that overflows
+    or turns invalid, raises ``StageAbort("norm", ...)``: no finite sup
+    could be taken.
     """
     if not len(poly):
         return 0.0
@@ -1182,14 +1127,21 @@ def class_norm(poly: Polynomial, p: ClassNormParams, w: WeightParams) -> float:
     step = max(1, _SAMPLE_BUDGET // (max(N, 3 * V) * DR)) if DR > 1 else 1
     best = 0.0
     firsts = []          # each angle's first sample (d = a = 0)
-    for first in range(0, len(thetas), step):
-        phases = [np.exp(1j * (K @ th)) * C
-                  for th in thetas[first:first + step]]
-        Ph = np.stack(phases, axis=1) if step > 1 else phases[0][:, None]
-        best = max(best, sample_norm(Ph))
-        firsts.append(Ph * Rf[:, :1] * Zf[:, :1])
-    if has_quad:
-        best = max(best, p.mu ** 2 * hessian_norm(np.hstack(firsts)))
+    try:                 # the coefficients enter the samples only here
+        with np.errstate(over="raise", invalid="raise"):
+            for first in range(0, len(thetas), step):
+                phases = [np.exp(1j * (K @ th)) * C
+                          for th in thetas[first:first + step]]
+                Ph = np.stack(phases, axis=1) if step > 1 else \
+                    phases[0][:, None]
+                best = max(best, sample_norm(Ph))
+                firsts.append(Ph * Rf[:, :1] * Zf[:, :1])
+            if has_quad:
+                best = max(best, p.mu ** 2
+                           * hessian_norm(np.hstack(firsts)))
+    except FloatingPointError as exc:
+        raise StageAbort("norm", None, f"a sample is not finite ({exc})") \
+            from None
     return float(best)
 
 

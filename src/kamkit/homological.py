@@ -507,22 +507,26 @@ def solve_homological(h: NormalFormHamiltonian, f: Polynomial,
     class table ``tables`` (``class_tables``).
 
     The equation is triangular in S's degree (r counts 2, each z 1): {h, .}
-    keeps degrees, and jet({f - jet(f), S}), the bracket capped at degree
-    2, reads only S's rows of degree <= 1 and has none of degree 0.  So the
-    solve of jet(f) fixes S's angle-only rows, and each feedback solve, of
-    jet(f) plus that bracket of the last S, one degree more.  A solve that
-    leaves the rows of degree <= 1 as they were ends the loop (the next
-    would repeat it bit for bit); a third that moves them, or a non-finite
-    bracket, stops at stage ``picard``.  ``guard`` keeps the last solve's log.
+    keeps degrees, and a row of {f - jet(f), S} has degree deg f + deg S -
+    2, so jet({f - jet(f), S}), the bracket capped at degree 2, pairs only
+    S's rows of degree <= 1 with f's of degree <= 4 (it is given only
+    those: the others form no pair, so no bit changes), and has no row of
+    degree 0.  So the solve of jet(f) fixes S's angle-only rows, and each
+    feedback solve, of jet(f) plus that bracket of the last S, one degree
+    more.  A solve that leaves the rows of degree <= 1 as they were ends
+    the loop (the next would repeat it bit for bit); a third that moves
+    them, or a non-finite bracket, stops at stage ``picard``.  ``guard``
+    keeps the last solve's log.
     """
-    f_T, f_rest = f.jet(), f.without_jet()
+    f_T = f.jet()
     updates = []
     S, ht, skipped = solve_linear(h, f_T, guard, gamma1, tables)
     for _ in range(2):
-        if not len(f_rest) or not len(S.truncate_degree(1)):
+        S_low = S.truncate_degree(1)
+        if not len(S_low):
             break
-        corr = poisson(f_rest, S, finite_set=h.finite_set,
-                       max_degree=2, tol=PRUNE_TOL)
+        corr = poisson(f.without_jet().truncate_degree(4), S_low,
+                       finite_set=h.finite_set, max_degree=2, tol=PRUNE_TOL)
         if not len(corr):
             break
         check_finite(corr, "picard", len(updates) + 1)

@@ -352,12 +352,15 @@ def _beam_mu(model: BeamModel, X, rho=None) -> np.ndarray:
     return (q * q).astype(float) + v
 
 
-def _nodes_in_ball(nodes, ball, radius: float):
-    """Reject a node that is not a key of ``ball``, the truncation."""
-    for a in nodes:
+def _torus_data(nodes, actions, ball, radius: float):
+    """Reject a node that is not a key of ``ball``, the truncation, and an
+    action I that is not > 0: (I + r)^(e/2) (``_half_power``) needs I > 0."""
+    for j, (a, I) in enumerate(zip(nodes, actions, strict=True)):
         if a not in ball:
             raise ModelError(f"node {a} lies outside the ball |a| <= "
                              f"{radius:g}")
+        if not I > 0:
+            raise ModelError(f"actions[{j}] is {I!r}; an action must be > 0")
 
 
 def build_beam(model: BeamModel):
@@ -371,7 +374,7 @@ def build_beam(model: BeamModel):
     sites = ball_points(model.radius, model.d)
     X = np.array(sites, dtype=np.int64).reshape(len(sites), model.d)
     mu = dict(zip(sites, _beam_mu(model, X).tolist()))
-    _nodes_in_ball(model.nodes, mu, model.radius)
+    _torus_data(model.nodes, model.actions, mu, model.radius)
     if any(v == 0 for v in mu.values()):
         raise ModelError("degenerate model: mu_a = 0 on the truncation")
     by_sphere = {}
@@ -606,7 +609,7 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
         raise ModelError("node set is not strongly admissible")
     sites = ball_points(model.radius, model.d)
     nsq_of = {a: norm_sq(a) for a in sites}
-    _nodes_in_ball(nodes, nsq_of, model.radius)
+    _torus_data(nodes, model.actions, nsq_of, model.radius)
     lam = {a: math.sqrt(nsq_of[a] ** 2 + model.mass) for a in sites}
     n = len(nodes)
     letters = field_letters(sites, lam)

@@ -39,11 +39,7 @@ def _site_geometry(sites: list):
 
 def _weighted_block_norm(B: np.ndarray, pd, br, w: WeightParams) -> float:
     """Row/col weighted sums of 2x2-block spectral norms (vectorized)."""
-    G = np.einsum("abki,abkj->abij", B.conj(), B)
-    t = (G[..., 0, 0] + G[..., 1, 1]).real
-    det = (G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]).real
-    disc = np.clip(t * t - 4 * det, 0.0, None)
-    bn = np.sqrt(np.clip((t + np.sqrt(disc)) / 2, 0.0, None))
+    bn = np.linalg.svd(B, compute_uv=False)[..., 0]
     wt = (np.exp(w.gamma1 * pd) * np.maximum(pd, 1.0) ** w.gamma2
           * np.minimum(br[:, None], br[None, :]) ** w.kappa)
     wb = bn * wt

@@ -473,6 +473,19 @@ def test_kam_nan_in_the_first_jet_writes_its_report(tmp_path, capsys,
     assert report[-1].startswith("aborted=norm")
 
 
+def test_kam_overflowing_norm_writes_its_report(tmp_path, capsys):
+    """A finite model whose class norm overflows (epsilon 1e300) stops at
+    stage ``norm``: ``kam`` exits 4 and writes both report files."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"output_dir": str(out),
+                               "model": dict(BEAM_MODEL, epsilon=1e300)})
+    assert main(["kam", cfg]) == 4
+    assert "stage abort: norm" in capsys.readouterr().err
+    assert (out / "metrics.jsonl").is_file()
+    report = (out / "final_report.txt").read_text().splitlines()
+    assert report[-1].startswith("aborted=norm")
+
+
 def test_kam_excision_abort_exits_4(tmp_path, capsys):
     """A grid so small around rho* that the first guard failure's band
     covers all of it: the excision empties it, and ``kam`` exits 4."""
@@ -596,6 +609,24 @@ def test_kam_degenerate_model_is_a_config_error(tmp_path, capsys):
     assert main(["kam", cfg]) == 2
     assert ("config error: node with nonpositive mu"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("model", [BEAM_MODEL, SINGULAR_MODEL],
+                         ids=["beam", "singular"])
+@pytest.mark.parametrize("first", [-0.05, 0.0], ids=["negative", "zero"])
+def test_kam_non_positive_action_is_a_config_error(tmp_path, capsys, model,
+                                                   first):
+    """An action I_j <= 0 has no torus, and its action-angle series
+    (I_j + r_j)^(e/2) has no real expansion: the builder rejects it
+    before expanding, and ``kam`` exits 2 naming ``actions``."""
+    out = tmp_path / "out"
+    actions = [first] + model["actions"][1:]
+    cfg = write_cfg(tmp_path, {"output_dir": str(out),
+                               "model": dict(model, actions=actions)})
+    assert main(["kam", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "actions" in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("model, field", [

@@ -1,8 +1,10 @@
 import cmath
 import itertools
+import json
 import math
 from contextlib import contextmanager
 from functools import cache
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,9 +12,10 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 from scipy import sparse
 
-from kamkit import hamiltonian as H
+from kamkit import hamiltonian as H, homological
 from kamkit.algebra import WeightParams
 from kamkit.blockmatrix import WeightedMatrix, matrix_norm
+from kamkit.cli import build_model
 from kamkit.hamiltonian import (
     ClassNormParams,
     NormalFormHamiltonian,
@@ -25,7 +28,7 @@ from kamkit.hamiltonian import (
     poisson,
 )
 from kamkit.homological import (PRUNE_TOL, DivisorGuard, class_tables,
-                                solve_linear)
+                                solve_homological, solve_linear)
 from kamkit.lattice import build_partition
 
 from _reference_class_norm import (dense_hessian, dense_hessian_norm,
@@ -40,6 +43,7 @@ from test_kam_runs import negative_mode_beam
 A = (2, 1)
 B = (1, 2)
 W = WeightParams(0.3, 1.5, 0.5, m_star=1.0)
+EXAMPLES = Path(__file__).parents[1] / "examples"
 
 
 def random_poly(rng, n=1, nterms=6, sites=(A, B)):
@@ -666,31 +670,34 @@ def test_poisson_matches_dict_oracle(case, max_degree, tol):
         _items(ref.poisson(F, G, fset, max_degree, tol))
 
 
-@pytest.mark.parametrize("case", [_angle_case, _hyperbolic_reach_case,
-                                  _action_reach_case])
-def test_reach_cut_drops_rows_on_both_sides(case):
-    """Each hand case loses rows of F and of G before they are
-    differentiated, and keeps a nonzero bracket."""
-    F, G, fset = case()
-    zvars, (PF, PG) = H._align(F, G)
-    cut_F, cut_G = H._reach_cut(PF, PG, zvars, 2)
-    assert 0 < len(cut_F[0]) < len(F) and 0 < len(cut_G[0]) < len(G)
-    assert len(poisson(F, G, fset, 2))
-
-
-def test_picard_bracket_drops_the_rows_past_its_reach():
-    """The first Picard bracket of the desk beam at R=3, {f_rest, S} at
-    degree 2, differentiates fewer rows of f_rest than it has, and gives
-    the bracket of all of them: keys, order and bits."""
-    h, f = desk_beam(radius=3.0)
-    S = solve_linear(h, f.jet(), DivisorGuard(delta0=1e-8), 0.4,
-                     class_tables(h))[0]
+@pytest.mark.parametrize("name, S_rows, f_rows, angle_only", [
+    ("desk_beam", (48, 6), (140, 140), 0),
+    ("degree6_beam", (144, 14), (692, 684), 0),
+    ("momentum_beam", (294, 22), (1274, 1274), 2),
+], ids=["desk_beam", "degree6_beam", "momentum_beam"])
+def test_feedback_bracket_of_the_rows_it_can_pair_is_exact(
+        name, S_rows, f_rows, angle_only):
+    """The first feedback bracket that ``solve_homological`` forms on an
+    example's model, {f - jet f, S} at degree 2 with S from the linear
+    solve, takes only the rows it can pair (S's of degree <= 1, f's of
+    degree <= 4), and is the bracket of all rows: keys, order and bits.
+    Each case drops rows; degree6's f has rows of degree 5 and 6, and
+    momentum's S has angle-only rows, which pair with f's of degree 4."""
+    cfg = json.loads((EXAMPLES / f"{name}.json").read_text())
+    _, _, (h, f) = build_model(cfg["model"])
+    gamma1, tables = cfg["weights"]["gamma1"], class_tables(h)
+    S = solve_linear(h, f.jet(), DivisorGuard(delta0=1e-8), gamma1,
+                     tables)[0]
     f_rest = f.without_jet()
-    zvars, (F, G) = H._align(f_rest, S)
-    assert len(H._reach_cut(F, G, zvars, 2)[0][0]) < len(f_rest)
-    got = poisson(f_rest, S, h.finite_set, 2, PRUNE_TOL)
-    with mock.patch.object(H, "_reach_cut", lambda F, G, *_: (F, G)):
-        whole = poisson(f_rest, S, h.finite_set, 2, PRUNE_TOL)
+    with mock.patch.object(homological, "poisson", wraps=poisson) as spy:
+        solve_homological(h, f, DivisorGuard(delta0=1e-8), gamma1,
+                          tables=tables)
+    f_low, S_low = spy.call_args_list[0].args
+    assert (len(S), len(S_low)) == S_rows
+    assert (len(f_rest), len(f_low)) == f_rows
+    assert len(S.truncate_degree(0)) == angle_only
+    got = poisson(f_low, S_low, h.finite_set, 2, PRUNE_TOL)
+    whole = poisson(f_rest, S, h.finite_set, 2, PRUNE_TOL)
     assert len(got) and _items(got) == _items(whole)
 
 
@@ -1202,11 +1209,24 @@ def test_class_norm_matches_sample_loop(data):
                              radial_levels=data.draw(st.integers(1, 3)))
     w = data.draw(st.sampled_from([W, WeightParams(0.0, 0.0, 0.0, 1.0)]))
     ref = reference_class_norm(poly, params, w)
-    # the hessian's closed-form 2x2 block norm takes sigma_max from
-    # t^2 - 4 det, which is ill-conditioned when a block's singular values
-    # nearly coincide: summing the hessian in another order moves it by
-    # ~1e-10 relative, so this is the singular margin check's tolerance
+    # the oracle sums the samples and a dense hessian in another order and
+    # takes each 2x2 block's sigma_max from numpy's SVD, which, like
+    # ``spectral_norm_2x2``, keeps its digits when the two singular values
+    # coincide: the orders of summation move the value by ~1e-10 relative,
+    # so this is the singular margin check's tolerance
     assert class_norm(poly, params, w) == pytest.approx(ref, rel=1e-9, abs=0)
+
+
+def test_class_norm_matches_sample_loop_at_equal_singular_values():
+    """e^{i theta} xi_A eta_A has hessian blocks [[0, h], [h, 0]], whose two
+    singular values are equal: there a sigma_max taken from t^2 - 4 det
+    loses half its digits (5.8e-9 relative on this case), so the oracle
+    takes it from an SVD."""
+    poly = Polynomial(1)
+    poly.add_term(1.0, k=(1,), z={(A, 0): 1, (A, 1): 1})
+    params = ClassNormParams(sigma=0.3, mu=0.25, n_dirs=1, radial_levels=1)
+    ref = reference_class_norm(poly, params, W)
+    assert class_norm(poly, params, W) == pytest.approx(ref, rel=1e-9, abs=0)
 
 
 @given(st.data())

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,23 @@ def test_a_nan_in_the_jet_ends_the_run_at_stage_norm(monkeypatch):
     assert isinstance(report.aborted, StageAbort)
     assert (report.aborted.stage, report.aborted.key) == ("norm", None)
     assert report.block_stops == [] and report.state.step == 1
+
+
+@pytest.mark.parametrize("action", ["error", "always"])
+def test_an_overflowing_norm_is_reported_at_stage_norm(action):
+    """epsilon 1e300 leaves every coefficient finite, but the class norm's
+    gradient and hessian overflow: ``run`` reports stage ``norm`` and no
+    warning is issued, under either filter, so no inf norm reaches
+    ``inner_count``'s log(1/eps)."""
+    h, f = beam_instance(epsilon=1e300)
+    assert np.isfinite(f.C).all()
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action, RuntimeWarning)
+        report = run(h, f, Schedule(max_super=2), W)
+    assert seen == []
+    assert isinstance(report.aborted, StageAbort)
+    assert (report.aborted.stage, report.aborted.key) == ("norm", None)
+    assert report.eps_history == [] and report.state.eps == math.inf
 
 
 def test_the_iteration_keeps_the_models_degree():
