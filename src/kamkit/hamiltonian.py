@@ -927,9 +927,11 @@ class NormalFormHamiltonian:
 
     ``elliptic_blocks`` maps a class index to the Hermitian Q over the
     class's sites, set through ``set_block``; the finite class has none.
-    ``hyperbolic_block`` is the real symmetric (2F, 2F) H over the
+    ``hyperbolic_block`` is the complex symmetric (2F, 2F) H over the
     interleaved components w of the F sites of the finite class, in its
-    (sorted) order: zeros until set, and (0, 0) without a finite set.
+    (sorted) order: zeros until set, and (0, 0) without a finite set.  The
+    model builders' H is real; a solve's k = 0 block keeps its imaginary
+    part, which is real under sigma: (a, c) -> (-a, c) on the finite set.
     """
     omega: np.ndarray
     partition: BlockPartition

@@ -470,7 +470,7 @@ def _solve_hyperbolic_pair(k, kw, ci, cj, t, G, guard, ht):
     if t.hyperbolic[cj]:
         Gi = G.transpose(2, 0, 3, 1).reshape(m, m)    # components interleaved
         if not any(k):
-            ht.hyperbolic_block = ((Gi + Gi.T) / 2).real
+            ht.hyperbolic_block = (Gi + Gi.T) / 2
             return None
         # i(kw)Y + HJ Y - Y JH = -G in the Kronecker form
         L = (1j * kw * np.eye(m * m) + np.kron(t.HJ, np.eye(m))

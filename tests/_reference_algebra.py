@@ -135,7 +135,7 @@ def to_real_matrix(h) -> WeightedMatrix:
                     A.set(a, b, blk)
     if h.hyperbolic_block is not None and p.finite_index is not None:
         cl = p.classes[p.finite_index]
-        H = np.asarray(h.hyperbolic_block, dtype=float)
+        H = h.hyperbolic_block
         for i, a in enumerate(cl):
             for j, b in enumerate(cl):
                 blk = H[2 * i:2 * i + 2, 2 * j:2 * j + 2]

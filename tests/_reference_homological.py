@@ -264,7 +264,7 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
                 w = ca.ids.T.ravel()
                 Gi = Mk[np.ix_(w, w)]
                 if not any(k):
-                    ht.hyperbolic_block = ((Gi + Gi.T) / 2).real
+                    ht.hyperbolic_block = (Gi + Gi.T) / 2
                     continue
                 Y, smin = invert_L_hyperbolic(kw, ca.HJ, cb.JH, Gi, guard,
                                               (k, (ci, cj), "hyp"))

@@ -53,7 +53,7 @@ def _fold_h_acc(h: NormalFormHamiltonian, h_acc: Polynomial,
         fin = np.full(len(var_id), -1)
         fin[w] = np.arange(len(w))
         hyp = (V >= 0) & (fin[U] >= 0) & (fin[V] >= 0)
-        H = np.zeros((len(w), len(w)))
-        H[fin[U[hyp]], fin[V[hyp]]] += C[hyp].real
+        H = np.zeros((len(w), len(w)), dtype=complex)
+        H[fin[U[hyp]], fin[V[hyp]]] += C[hyp]
         h_new.hyperbolic_block = H
     return h_new
