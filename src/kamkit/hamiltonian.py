@@ -69,10 +69,10 @@ scipy's up to the sign of a zero, which every consumer drops (an abs or a
 Gram matrix).
 
 ``NormalFormHamiltonian`` is the one normal-form type: a constant, a
-frequency vector, one Hermitian block per partition class and one real
-hyperbolic block.  The model builders' h, the homological solver's h_tilde
-and the super step's fold are all of this type, and ``to_polynomial``
-writes each through ``encode``.
+frequency vector, one Hermitian block per partition class and one complex
+symmetric hyperbolic block.  The model builders' h, the homological
+solver's h_tilde and the super step's fold are all of this type, and
+``to_polynomial`` writes each through ``encode``.
 """
 from __future__ import annotations
 
@@ -96,10 +96,10 @@ XI, ETA = 0, 1
 class StageAbort(RuntimeError):
     """A deliberate stop of the iteration, named by its stage.
 
-    ``stage`` is one of ``divisors``, ``excision``, ``fold``, ``picard``,
-    ``lie`` or ``norm``; ``key`` locates the failure inside the stage (a
-    divisor key, a class index, a Fourier index, a round or an order) or
-    is None."""
+    ``stage`` is one of ``tables``, ``divisors``, ``excision``, ``fold``,
+    ``picard``, ``lie`` or ``norm``; ``key`` locates the failure inside
+    the stage (a divisor key, a class index, a Fourier index, a round or
+    an order) or is None."""
 
     def __init__(self, stage: str, key, detail: str):
         super().__init__(stage, key, detail)
@@ -931,7 +931,7 @@ class NormalFormHamiltonian:
     interleaved components w of the F sites of the finite class, in its
     (sorted) order: zeros until set, and (0, 0) without a finite set.  The
     model builders' H is real; a solve's k = 0 block keeps its imaginary
-    part, which is real under sigma: (a, c) -> (-a, c) on the finite set.
+    part, and H is real under sigma: (a, c) -> (-a, c) on the finite set.
     """
     omega: np.ndarray
     partition: BlockPartition

@@ -11,12 +11,23 @@ r-linear term, and a quadratic part in normal form, so it is a
 Fourier index k and per partition class pair; small divisors below the
 guard threshold are recorded and the corresponding terms left in place.
 
-h's classes are read from one table built once per h (``class_tables``).
-The quadratic part is solved in array passes: the jet's rows are scattered
-into one block per (k, class pair, channel), the blocks of one shape are
-stacked, and each stack is solved in one pass.  The finite (hyperbolic)
-class's systems are dense: each zeta-linear, hyperbolic or mixed item is
-one stack for the guarded solve (``_solve_guarded``).  The solve order is the
+h's classes are read from one table built once per h (``class_tables``),
+which holds one eigenbasis per class: ``eigh`` of an elliptic class's Q,
+and one complex ``eig`` of J H = V diag(nu) V^{-1} for the finite
+(hyperbolic) class.  The quadratic part is solved in array passes: the
+jet's rows are scattered into one block per (k, class pair, channel), the
+blocks of one pair of class groups are stacked, and each stack is divided
+by its divisors in one pass; the zeta-linear part is the one-column case.
+The finite class is one channel over its 2F interleaved components, with
+lam = i nu, so its divisors (times -i) are k.omega + i nu_i (``lin-hyp``),
+k.omega + i (nu_i + nu_j) (``hyp``) and k.omega -+ lam_i + i nu_j
+(``mix-xi``, ``mix-eta``), and each channel is checked on its least |d|
+as an elliptic one is.  Each check's equation as a dense system (i kw I
++ H J; its Kronecker form; i(kw -+ lam_i) I - (J H)^T) has its smallest
+singular value in [min|d| / cond(V)^p, min|d| cond(V)^p], with
+p = 2 for ``hyp`` and 1 for ``lin-hyp`` and the mixed channels; a J H
+with cond(V) > 1/sqrt(machine epsilon), a Jordan block as at a Krein
+collision, stops the run at stage ``tables``.  The solve order is the
 contract (``solve_linear``): guard checks (logged in ``DivisorGuard.log``),
 h_tilde's blocks and, by one stable sort, S's rows come in it; a KAM
 block's divisors are frozen in ``DivisorGuard.frozen``.
@@ -24,6 +35,7 @@ block's divisors are frozen in ``DivisorGuard.frozen``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +67,7 @@ class DivisorGuard:
     """The one record of a KAM block's divisor checks: the last solve's
     (``log`` and ``failures``) and the block's (``frozen``)."""
     delta0: float = 1e-8
-    log: dict = field(default_factory=dict)       # key -> float64 divisors
+    log: dict = field(default_factory=dict)       # key -> sorted divisors
     failures: list = field(default_factory=list)  # (k, classes, channel, val)
     frozen: dict = field(default_factory=dict)
 
@@ -90,56 +102,89 @@ class HomologicalSolution:
 @dataclass
 class ClassTable:
     """h's classes as arrays, built once per h (``class_tables``): the
-    variable layout of h's partition, lookups per site and per class, the
-    elliptic classes' eigenpairs stacked by class size (a class's ``slot``
-    is its row in the stacks of its size), and the finite class's
-    interleaved ids with J H and H J."""
+    variable layout of h's partition, lookups per site, per variable and
+    per class, and each class's eigenbasis, stacked by group (a class's
+    ``slot`` is its row in its group's stacks).  An elliptic class of m
+    sites is in group m, with two channels of size m (its xi and its eta
+    sites); the finite class is group 0, with one channel, ETA, over its
+    2F interleaved variables w.  Per group: ``lam`` the eigenvalues,
+    ``V[.., c]`` the basis that channel c enters with as a left factor and
+    channel 1 - c as a right factor, ``W`` its dual basis (``W^H =
+    V^{-1}``), and ``ids[.., c]`` channel c's variable ids."""
     var_id: dict                  # site_layout of the partition's sites
     pts: np.ndarray               # the sites, in the order of var_id
     class_of: np.ndarray          # site -> class
-    pos: np.ndarray               # site -> its place in its class
-    size: np.ndarray              # class -> number of sites
+    row: np.ndarray               # variable -> its row in its class's block
+    chan: np.ndarray              # variable -> its channel
+    dim: np.ndarray               # class -> the size of its channels
     hyperbolic: np.ndarray        # class -> the finite class or not
     nsq: np.ndarray               # class -> |a|^2 of its first site
-    slot: np.ndarray              # elliptic class -> row in its size's stacks
-    lam: dict                     # size -> (classes, size) eigenvalues
-    V: dict                       # size -> (classes, 2, size, size) bases
-    ids: dict                     # size -> (classes, 2, size) variable ids
-    w: np.ndarray                 # the finite class's ids, interleaved
-    JH: np.ndarray                # (2F, 2F), with H = h.hyperbolic_block
-    HJ: np.ndarray
+    group: np.ndarray             # class -> its stacks' key
+    slot: np.ndarray              # class -> row in its group's stacks
+    lam: dict                     # group -> (classes, dim) eigenvalues
+    V: dict                       # group -> (classes, 2, dim, dim) bases
+    W: dict                       # group -> their dual bases
+    ids: dict                     # group -> (classes, 2, dim) variable ids
 
-    def elliptic(self, ci: int) -> tuple:
-        """(lam, V, ids) of the elliptic class ci, from its size's stacks."""
-        m, s = self.size[ci], self.slot[ci]
-        return self.lam[m][s], self.V[m][s], self.ids[m][s]
+    def basis(self, ci: int) -> tuple:
+        """(lam, V, W, ids) of the class ci, from its group's stacks."""
+        g, s = self.group[ci], self.slot[ci]
+        return self.lam[g][s], self.V[g][s], self.W[g][s], self.ids[g][s]
+
+
+# cond(V) above which J H counts as not diagonalizable: a Jordan block, as
+# at a Krein collision, puts V's columns within roundoff of each other
+COND_MAX = 1 / math.sqrt(sys.float_info.epsilon)
 
 
 def class_tables(h: NormalFormHamiltonian) -> ClassTable:
+    """h's class table.  An elliptic class's basis is the unitary U of
+    Q = U diag(lam) U^H (``eigh``): U for its xi channel and conj(U) for
+    its eta channel, each its own dual.  The finite class's is one complex
+    ``eig`` of J H = V diag(nu) V^{-1}, with lam = i nu.  Since H J =
+    -(J H)^T, the finite class enters a solve on the left as V^{-T} (dual
+    conj(V)) and on the right as V (dual V^{-H}): its divisors are those
+    of an elliptic channel of sign +1 with lam = i nu (``solve_linear``).
+    ``StageAbort("tables")`` when cond(V) exceeds ``COND_MAX``, which is
+    1/sqrt(machine epsilon)."""
     p = h.partition
     sites = sorted(p.sites())      # in the order of site_layout
     var_id = site_layout(sites)
-    place = {s: i for cl in p.classes for i, s in enumerate(cl)}
-    slot = np.zeros(len(p.classes), dtype=np.int64)
-    by_size: dict = {}
+    dim = np.diff(p.ends)
+    group, slot = dim.copy(), np.zeros(len(dim), dtype=np.int64)
+    by_group: dict = {}
     for ci in p.nonfinite.tolist():
         cl = p.classes[ci]
         lam, U = np.linalg.eigh(h.class_Q(ci))
-        group = by_size.setdefault(len(cl), [])
-        slot[ci] = len(group)
-        group.append((lam, np.stack([U, np.conj(U)]), class_ids(var_id, cl)))
-    H, J = h.hyperbolic_block, symplectic(len(p.finite_set))
-    stacks = {m: [np.stack(x) for x in zip(*group)]
-              for m, group in by_size.items()}
+        V = np.stack([U, np.conj(U)])
+        members = by_group.setdefault(len(cl), [])
+        slot[ci] = len(members)
+        members.append((lam, V, V, class_ids(var_id, cl)))
+    place = {s: i for cl in p.classes for i, s in enumerate(cl)}
+    row = np.array([place[s] for s, _ in var_id], dtype=np.int64)
+    chan = np.array([c for _, c in var_id], dtype=np.int64)
+    fi = p.finite_index
+    if fi is not None:
+        F = len(p.finite_set)
+        nu, V = np.linalg.eig(symplectic(F) @ h.hyperbolic_block)
+        cond = float(np.linalg.cond(V))
+        if not cond <= COND_MAX:
+            raise StageAbort("tables", fi, f"J H has no eigenbasis within "
+                             f"roundoff: cond(V) = {cond:.3g}")
+        Vinv = np.linalg.inv(V)
+        w = class_ids(var_id, p.classes[fi]).T.ravel()
+        row[w], chan[w] = np.arange(2 * F), ETA
+        dim[fi], group[fi] = 2 * F, 0
+        by_group[0] = [(1j * nu, np.stack([V, Vinv.T]),
+                        np.stack([Vinv.conj().T, V.conj()]), np.stack([w, w]))]
+    stacks = {g: [np.stack(x) for x in zip(*members)]
+              for g, members in by_group.items()}
     lead = p.points[p.ends[:-1]]
     return ClassTable(
         var_id, np.array(sites, dtype=np.int64),
-        np.array([p.class_of[s] for s in sites], dtype=np.int64),
-        np.array([place[s] for s in sites], dtype=np.int64),
-        np.diff(p.ends), np.arange(len(p.ends) - 1) == p.finite_index,
-        (lead * lead).sum(axis=1), slot,
-        *({m: x[i] for m, x in stacks.items()} for i in range(3)),
-        class_ids(var_id, sorted(p.finite_set)).T.ravel(), J @ H, H @ J)
+        np.array([p.class_of[s] for s in sites], dtype=np.int64), row, chan,
+        dim, np.arange(len(dim)) == fi, (lead * lead).sum(axis=1), group,
+        slot, *({g: x[i] for g, x in stacks.items()} for i in range(4)))
 
 
 # -- elementary inversions --------------------------------------------------------
@@ -150,28 +195,15 @@ def _elliptic_divisors(kw, lam_L, sL, lam_R, sR):
     return kw + sL * lam_L[..., :, None] + sR * lam_R[..., None, :]
 
 
-def _elliptic_solve(V_L, V_R, R, div):
-    """X with (kw)X + sL P_L X + sR X P_R = R, P = V diag(lam) V^{-1} and
-    ``div`` from ``_elliptic_divisors``: X = V_L ((V_L^H R V_R) / div) V_R^H,
-    the products associated left to right; over stacks of blocks as well
-    (one ``matmul`` per product).  The vector equation (kw I + sL P_L) x = R
-    is the one-column case: lam_R = zeros(1), sR = 0, V_R = ones((1, 1))."""
-    Rt = np.swapaxes(V_L.conj(), -1, -2) @ R @ V_R
-    return V_L @ (Rt / div) @ np.swapaxes(V_R.conj(), -1, -2)
-
-
-def _solve_guarded(L, rhs, guard: DivisorGuard, key, channels=None):
-    """x with L[s] x[s] = rhs[s] for the stack (s, m, m), (s, m, 1), or None
-    if a system is too close to singular.  One batched ``svd`` gives each
-    system's smallest singular value; the guard checks them under ``key``
-    in stack order, system s labelled channels[s], up to the first failure;
-    one batched ``solve`` runs only when every system passes."""
-    smin = np.linalg.svd(L, compute_uv=False)[:, -1]
-    for s, value in enumerate(smin.tolist()):
-        if not guard.check(key, value, smin[:s + 1],
-                           channels and channels[s]):
-            return None
-    return np.linalg.solve(L, rhs)
+def _elliptic_solve(V_L, W_L, V_R, W_R, R, div):
+    """X with (kw)X + sL P_L X + sR X P_R = R, P = V diag(lam) V^{-1}, W
+    the dual bases (W^H = V^{-1}) and ``div`` from ``_elliptic_divisors``:
+    X = V_L ((W_L^H R V_R) / div) W_R^H, the products associated left to
+    right; over stacks of blocks as well (one ``matmul`` per product).  The
+    vector equation (kw I + sL P_L) x = R is the one-column case: lam_R =
+    zeros(1), sR = 0, V_R = W_R = ones((1, 1))."""
+    Rt = np.swapaxes(W_L.conj(), -1, -2) @ R @ V_R
+    return V_L @ (Rt / div) @ np.swapaxes(W_R.conj(), -1, -2)
 
 
 # -- the main solver ----------------------------------------------------------------
@@ -208,16 +240,16 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
     zeta-linear rows are solved per Fourier index k (and per class).  The
     zeta-quadratic rows are solved in array passes (``_solve_quadratic``):
     scattered into one block per (k, class pair, channel), and solved in
-    one stacked pass per block shape.  Returns (S polynomial, h_tilde,
+    one stacked pass per pair of class groups.  Returns (S polynomial, h_tilde,
     skipped_report): h_tilde is a ``NormalFormHamiltonian`` on h's
     partition, with the k = 0 constant as its ``const`` and chi as its
     ``omega``.  The solve's checks replace ``guard.log`` and ``failures``.
 
     The order of the solve is the contract: k in order of first occurrence,
     then class pairs (ci <= cj) ascending, then channels xi-xi, xi-eta,
-    eta-xi, eta-eta.  Guard failures, log entries, ``set_block`` calls and
-    the skip report come in it; one stable sort puts S's rows in it for
-    the one ``encode``.
+    eta-xi, eta-eta (the finite class's one channel is eta).  Guard
+    failures, log entries, h_tilde's blocks and the skip report come in
+    it; one stable sort puts S's rows in it for the one ``encode``.
     """
     t = tables
     n = h.n
@@ -226,8 +258,7 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
     ht = NormalFormHamiltonian(omega=np.zeros(n, dtype=complex),
                                partition=h.partition)
     guard.log, guard.failures = {}, []
-    solved = []                # S as block_rows blocks
-    place = []                 # their places in the solve order
+    solved = []                # S's linear rows as block_rows blocks
 
     # -- theta and r parts ----------------------------------------------------
     none, on_r = U < 0, M.any(axis=1)
@@ -250,68 +281,56 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
             solved.append((k, np.eye(n), [-1] * n, None, vec / (-1j * kw)))
 
     # -- zeta-linear part -----------------------------------------------------
+    one = np.ones((1, 1))              # the basis of the one-column side
     for k, gi in _k_rows(K, (U >= 0) & (V < 0)):
         kw = float(np.dot(k, omega))
         Fk = np.zeros(len(t.var_id), dtype=complex)
         Fk[U[gi]] += C[gi]
         for ci in np.unique(t.class_of[U[gi] // 2]).tolist():
-            if t.hyperbolic[ci]:
-                x = _solve_guarded((1j * kw * np.eye(len(t.w)) + t.HJ)[None],
-                                   -Fk[t.w][None, :, None], guard,
-                                   (k, (ci,), "lin-hyp"))
-                if x is not None:
-                    solved.append((k, None, t.w, None, x.ravel()))
-                continue
-            # i[(kw)I - Q] v_xi = -F_xi ; i[(kw)I + conj(Q)] v_eta = -F_eta
-            lam, Vc, ids = t.elliptic(ci)
-            for comp in (XI, ETA):
-                key = (k, (ci,), ("lin-xi", "lin-eta")[comp])
+            # i[(kw)I - Q] v_xi = -F_xi ; i[(kw)I + conj(Q)] v_eta = -F_eta;
+            # i(kw) v_w + H J v_w = -F_w, the finite class's one channel
+            lam, Vc, Wc, ids = t.basis(ci)
+            for comp in (ETA,) if t.hyperbolic[ci] else (XI, ETA):
+                key = (k, (ci,), "lin-hyp" if t.hyperbolic[ci]
+                       else ("lin-xi", "lin-eta")[comp])
                 div = _elliptic_divisors(kw, lam, 2 * comp - 1, np.zeros(1), 0)
                 if guard.check(key, float(np.abs(div).min()),
                                np.sort(div, axis=None)):
                     solved.append((k, None, ids[comp], None, _elliptic_solve(
-                        Vc[comp], np.ones((1, 1)), 1j * Fk[ids[comp], None],
-                        div)))
-    place += [-1] * len(solved)        # before every quadratic block
+                        Vc[comp], Wc[comp], one, one,
+                        1j * Fk[ids[comp], None], div)))
 
     q = V >= 0
-    ell, skipped = _solve_quadratic(h, K[q], U[q], V[q], C[q], t, guard,
-                                    gamma1, ht, solved, place)
+    quad, skipped = _solve_quadratic(h, K[q], U[q], V[q], C[q], t, guard,
+                                     gamma1, ht)
+    lin = block_rows(n, solved)        # placed before every quadratic block
     Z, Cs, Ks, Ms, code = (np.concatenate(x) for x in zip(
-        (*block_rows(n, solved), np.repeat(np.array(place, dtype=np.int64),
-                                            [np.size(b[4]) for b in solved])),
-        ell))
+        (*lin, np.full(len(lin[1]), -1, dtype=np.int64)), quad))
     live = np.flatnonzero(Cs)          # encode would skip the zero rows
     order = live[np.argsort(code[live], kind="stable")]
     S = encode(n, list(t.var_id), Z[order], Cs[order], Ks[order], Ms[order])
     return S, ht, skipped
 
 
-def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, solved,
-                     place) -> tuple:
+def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht) -> tuple:
     """The zeta-quadratic rows (K, U, V, C) of ``solve_linear``'s jet,
-    solved in array passes.  Fills ``ht`` and the guard's log,
-    appends the hyperbolic items' blocks of S to ``solved`` and their
-    places in the solve order to ``place``, and returns (the elliptic
-    blocks' rows of S as (Z, C, K, M, place), skipped_report).
+    solved in array passes.  Fills ``ht`` and the guard's log, and returns
+    (S's rows as (Z, C, K, M, place), skipped_report).
 
     Items are the (k, class pair ci <= cj) that hold a row, in solve order.
     Each pair's rows are scattered into one block per channel (c1, c2) of
-    shape (|ci|, |cj|), the blocks of one shape stacked together, and each
-    stack's elliptic blocks solve (kw)X + sL Q_ci X + sR X Q_cj = iG in one
-    pass.  A hyperbolic or mixed pair reads its four blocks from the
-    scatter, and is one stack of dense systems for ``_solve_guarded``: one
-    Kronecker system for a hyperbolic pair, and for a mixed pair one row
-    system per component and elliptic eigenvalue, the xi rows then the eta
-    rows, which stops at its first failing system.  One
-    walk over the items, in order, emits the guard checks (each logs a row
-    of its stack's sorted divisors), ``set_block`` calls and skip report.
-    Each solved block is emitted once, at place 4 item + channel (a
-    hyperbolic item's is 4 item); a same-class block carries X/2, since
-    its transposed entries lie in the same block.
+    shape (dim ci, dim cj), the blocks of one pair of groups stacked
+    together, and each stack solves (kw)X + sL P_ci X + sR X P_cj = iG in
+    one pass in the classes' eigenbases (``class_tables``).  The finite
+    class has one channel, so a hyperbolic item (both classes finite) has
+    one block and a mixed item one per elliptic component.  One walk over
+    the items, in order, emits the guard checks (each logs a row of its
+    stack's sorted divisors), h_tilde's blocks and the skip report.  Each
+    solved block is emitted once, at place 4 item + channel; a same-class
+    block carries X/2, since its transposed entries lie in the same block.
     """
     n = h.n
-    ncl = len(t.size)
+    ncl = len(t.dim)
     omega = np.asarray(h.omega, dtype=float)
     ks, g = _k_groups(K)
     kws = np.array([float(np.dot(k, omega)) for k in ks])
@@ -343,76 +362,76 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, solved,
     hyp = t.hyperbolic[ci] | t.hyperbolic[cj]
     # skip rule: same sphere, different classes, elliptic pair
     skip = (ci != cj) & ~hyp & (t.nsq[ci] == t.nsq[cj])
-    ell = ~hyp & ~skip
     gap = {x: math.sqrt(pseudo_dist_sq(*(h.partition.classes[c] for c in
                                          divmod(x, ncl))).min())
            for x in np.unique(pair[skip]).tolist()}
 
     # -- entries: item * 4 + channel, channel 2 c1 + c2 ---------------------
-    # each pair's rows oriented ci <= cj; k = 0 diagonal blocks go to
-    # set_block (xi-eta, present with or without rows; eta-xi dropped); a
-    # hyperbolic or mixed item has all four channels
+    # each pair's rows oriented ci <= cj; the k = 0 blocks of h_tilde: an
+    # elliptic class's xi-eta block (present with or without rows; eta-xi
+    # dropped) and the finite class's block
     rows = np.flatnonzero(ca <= cb)
     ri = np.searchsorted(items, (g[rows] * ncl + ca[rows]) * ncl + cb[rows])
-    diag0 = ell & (ci == cj) & zero_k[ig]
-    ent = 4 * ri + 2 * cu[rows] + cv[rows]
+    diag0 = (ci == cj) & zero_k[ig]
+    ent = 4 * ri + 2 * t.chan[U[rows]] + t.chan[V[rows]]
     keep = ~skip[ri] & ~(diag0[ri] & (ent % 4 == 2))
     rows, ent = rows[keep], ent[keep]
-    entries = np.union1d(ent, np.concatenate([
-        4 * np.flatnonzero(diag0) + 1,
-        (4 * np.flatnonzero(hyp)[:, None] + np.arange(4)).ravel()]))
+    entries = np.union1d(ent, 4 * np.flatnonzero(diag0 & ~hyp) + 1)
     eitem, ech = np.divmod(entries, 4)
     c1, c2 = np.divmod(ech, 2)
     eci, ecj = ci[eitem], cj[eitem]
-    na, nb = t.size[eci], t.size[ecj]
-    set_b = diag0[eitem] & (ech == 1)
-    ehyp = hyp[eitem]
+    na, nb = t.dim[eci], t.dim[ecj]
+    to_ht = diag0[eitem] & ((ech == 1) | hyp[eitem])
 
-    # -- scatter: one contiguous stack per block shape ----------------------
-    shape = na * (t.size.max() + 1) + nb
+    # -- scatter: one contiguous stack per pair of groups -------------------
+    gl, gr = t.group[eci], t.group[ecj]
+    shape = gl * (t.group.max() + 1) + gr
     by_shape = np.argsort(shape, kind="stable")
     width = na * nb
     base = np.empty(len(entries), dtype=np.int64)
     base[by_shape] = np.cumsum(width[by_shape]) - width[by_shape]
     G = np.zeros(int(width.sum()), dtype=complex)
     e = np.searchsorted(entries, ent)
-    np.add.at(G, base[e] + t.pos[a[rows]] * nb[e] + t.pos[b[rows]],
-              C[rows])
+    np.add.at(G, base[e] + t.row[U[rows]] * nb[e] + t.row[V[rows]], C[rows])
     del rows, ent, e
 
     # -- divisors per stack -------------------------------------------------
     dmin = np.zeros(len(entries))
     sorted_div = {}
-    herm = {}
+    normal = {}                # h_tilde's blocks
     stacks = []
     runs = np.flatnonzero(np.diff(shape[by_shape])) + 1
     for E in np.split(by_shape, runs) if len(entries) else []:
+        L, R = int(gl[E[0]]), int(gr[E[0]])
         m, w = int(na[E[0]]), int(nb[E[0]])
         Gs = G[base[E[0]]:base[E[0]] + len(E) * m * w].reshape(len(E), m, w)
-        hs = set_b[E]
+        hs = to_ht[E]
         if hs.any():
-            H = Gs[hs]
-            herm.update(zip(E[hs].tolist(),
-                            (H + H.conj().transpose(0, 2, 1)) / 2))
-        live = ~hs & ~ehyp[E] & Gs.any(axis=(1, 2))
+            # Q's Hermitian part; the finite class's H is complex symmetric
+            B = Gs[hs]
+            Bt = np.swapaxes(B, 1, 2)
+            normal.update(zip(E[hs].tolist(),
+                              (B + (Bt if hyp[eitem[E[0]]] else Bt.conj()))
+                              / 2))
+        live = ~hs & Gs.any(axis=(1, 2))
         if not live.any():
             continue
         Es = E[live]
         div = _elliptic_divisors(
-            kws[ig[eitem[Es]]][:, None, None], t.lam[m][t.slot[eci[Es]]],
-            (2.0 * c1[Es] - 1)[:, None, None], t.lam[w][t.slot[ecj[Es]]],
+            kws[ig[eitem[Es]]][:, None, None], t.lam[L][t.slot[eci[Es]]],
+            (2.0 * c1[Es] - 1)[:, None, None], t.lam[R][t.slot[ecj[Es]]],
             (2.0 * c2[Es] - 1)[:, None, None])
         dmin[Es] = np.abs(div).min(axis=(1, 2))
         sorted_div.update(zip(Es.tolist(),
                               np.sort(div.reshape(len(Es), -1), axis=1)))
-        stacks.append((Es, np.flatnonzero(live), Gs, div, m, w))
+        stacks.append((Es, np.flatnonzero(live), Gs, div, L, R))
 
     # -- the walk, in solve order -------------------------------------------
     first = np.searchsorted(entries, 4 * np.arange(len(items) + 1)).tolist()
     ok = np.zeros(len(entries), dtype=bool)
     tags = [f"q-{x}{y}" for x in (XI, ETA) for y in (XI, ETA)]
     skipped = []
-    set_b_, ech_, dmin_ = (x.tolist() for x in (set_b, ech, dmin))
+    to_ht_, ech_, dmin_ = (x.tolist() for x in (to_ht, ech, dmin))
     for i, (gi, cl_i, cl_j, skip_i, hyp_i) in enumerate(zip(
             ig.tolist(), ci.tolist(), cj.tolist(), skip.tolist(),
             hyp.tolist())):
@@ -421,83 +440,38 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht, solved,
             skipped.append((k, cl_i, cl_j, float(peak[i]),
                             gap[cl_i * ncl + cl_j]))
             continue
-        if hyp_i:
-            # the item's four channels lie side by side in the scatter
-            x = first[i]
-            block = _solve_hyperbolic_pair(
-                k, float(kws[gi]), cl_i, cl_j, t,
-                G[base[x]:base[x] + 4 * width[x]].reshape(2, 2, na[x], nb[x]),
-                guard, ht)
-            if block is not None:
-                solved.append(block)
-                place.append(4 * i)
-            continue
         for x in range(first[i], first[i + 1]):
-            if set_b_[x]:
-                ht.set_block(cl_i, herm[x])
+            if to_ht_[x] and hyp_i:
+                ht.hyperbolic_block = normal[x]
+            elif to_ht_[x]:
+                ht.set_block(cl_i, normal[x])
             elif x in sorted_div:
-                ok[x] = guard.check((k, classes, tags[ech_[x]]), dmin_[x],
+                tag = (tags[ech_[x]] if not hyp_i else "hyp" if cl_i == cl_j
+                       else ("mix-xi", "mix-eta")[ech_[x] % 2])
+                ok[x] = guard.check((k, classes, tag), dmin_[x],
                                     sorted_div[x])
 
     # -- S's rows: each solved block once ------------------------------------
     out = [(np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=complex),
             np.zeros(0, dtype=np.int64))]
-    for Es, at, Gs, div, m, w in stacks:
+    for Es, at, Gs, div, L, R in stacks:
         good = ok[Es]
         Es, at = Es[good], at[good]
-        X = _elliptic_solve(t.V[m][t.slot[eci[Es]], c1[Es]],
-                            t.V[w][t.slot[ecj[Es]], 1 - c2[Es]],
+        sl, sr = t.slot[eci[Es]], t.slot[ecj[Es]]
+        X = _elliptic_solve(t.V[L][sl, c1[Es]], t.W[L][sl, c1[Es]],
+                            t.V[R][sr, 1 - c2[Es]], t.W[R][sr, 1 - c2[Es]],
                             1j * Gs[at], div[good])
         X[eci[Es] == ecj[Es]] /= 2
-        Ue = t.ids[m][t.slot[eci[Es]], c1[Es]][:, :, None]
-        Ve = t.ids[w][t.slot[ecj[Es]], c2[Es]][:, None, :]
+        Ue = t.ids[L][sl, c1[Es]][:, :, None]
+        Ve = t.ids[R][sr, c2[Es]][:, None, :]
         Z = np.stack([np.minimum(Ue, Ve), np.maximum(Ue, Ve)], axis=-1)
         out.append((Z.reshape(-1, 2), X.ravel(),
-                    np.repeat(entries[Es], m * w)))
+                    np.repeat(entries[Es], Gs[0].size)))
     Z, Cs, code = (np.concatenate(x) for x in zip(*out))
     Ks = np.array(ks, dtype=np.int64).reshape(len(ks), n)[ig[code // 4]]
     skipped = [(k, i, j, coeff, C_fit * math.exp(-gamma1 * gp))
                for k, i, j, coeff, gp in skipped]
     return (Z, Cs, Ks, np.zeros((len(Cs), n)), code), skipped
-
-
-def _solve_hyperbolic_pair(k, kw, ci, cj, t, G, guard, ht):
-    """One item (k, ci <= cj) with the finite (hyperbolic) class, which is
-    class 0, so ci, from its scatter blocks: G[c1, c2, i, j] is the
-    coefficient of (site i of ci, component c1; site j of cj, component
-    c2).  Returns its block of S for ``block_rows``, or None."""
-    m = len(t.w)
-    if t.hyperbolic[cj]:
-        Gi = G.transpose(2, 0, 3, 1).reshape(m, m)    # components interleaved
-        if not any(k):
-            ht.hyperbolic_block = (Gi + Gi.T) / 2
-            return None
-        # i(kw)Y + HJ Y - Y JH = -G in the Kronecker form
-        L = (1j * kw * np.eye(m * m) + np.kron(t.HJ, np.eye(m))
-             - np.kron(np.eye(m), t.JH.T))
-        Y = _solve_guarded(L[None], -Gi.reshape(1, m * m, 1), guard,
-                           (k, (ci, cj), "hyp"))
-        return None if Y is None else (k, None, t.w, t.w, Y.reshape(m, m) / 2)
-
-    # rows of the elliptic class cj per component, columns of the finite
-    # class interleaved: the rows (cj's site, ci's site) mirror G's rows
-    # with the same coefficients
-    lam, Vc, ids = t.elliptic(cj)
-    ne = len(lam)
-    D = G.transpose(1, 3, 2, 0).reshape(2, ne, m)
-    # one row system x (coef I - JH) = -(V^H D)[c, i] per component c and
-    # eigenvalue i, coef = i(kw -+ lam_i), as the column system with JH^T:
-    # the xi rows, then the eta rows
-    coef = 1j * (kw + np.array([-1, 1])[:, None] * lam).ravel()
-    x = _solve_guarded(
-        coef[:, None, None] * np.eye(m) - t.JH.T,
-        -(np.swapaxes(Vc.conj(), 1, 2) @ D).reshape(2 * ne, m, 1), guard,
-        (k, (ci, cj), "mixed"),
-        [f"mix-{c}-{i}" for c in ("xi", "eta") for i in range(ne)])
-    if x is None:
-        return None
-    return (k, None, ids.ravel(), t.w,
-            (Vc @ x.reshape(2, ne, m)).reshape(2 * ne, m))
 
 
 def solve_homological(h: NormalFormHamiltonian, f: Polynomial,

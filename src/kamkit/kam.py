@@ -128,13 +128,12 @@ def _excise_failures(state: IterationState):
     """Shrink the surviving grid around the step's failed divisor checks.
 
     Each logged check whose least |d| is below delta0 gives its divisor
-    nearest zero, with its sign, extended off the reference parameter to
-    first order through the model frequency map: d* + k.(omega(rho) -
-    omega*) at each cell centre.  The ``lin-hyp``, ``hyp`` and ``mixed``
-    entries are smallest singular values, which have no sign: they are even
-    in the system's s = k.omega (-+ lam_i), so the band is cut on the right
-    side only when s* > 0 at the reference parameter, and on the wrong side
-    when s* < 0."""
+    nearest zero, extended off the reference parameter to first order
+    through the model frequency map: d* + k.(omega(rho) - omega*) at each
+    cell centre, excised where its modulus is below delta0.  The shift
+    moves the real part, k.omega (-+ lam_i), of a signed divisor, so the
+    band is cut on its own side; a finite-class divisor keeps its
+    imaginary part i nu (``homological.class_tables``)."""
     guard = state.guard
     if state.grid is None or not guard.failures or state.h.omega_fn is None:
         return
@@ -144,7 +143,7 @@ def _excise_failures(state: IterationState):
     shift = omegas[1:] - omegas[0]
     bad = np.zeros(len(centres), dtype=bool)
     for (k, _, _), d in guard.log.items():
-        val = float(d[np.abs(d).argmin()])
+        val = d[np.abs(d).argmin()]
         if abs(val) < guard.delta0:
             # one dot product per cell: a stacked product (shift @ k) can
             # round k.(omega - omega*) differently in the last bit

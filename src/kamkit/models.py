@@ -603,6 +603,9 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
     quadratic form over the resonant external modes and splits it into
     elliptic frequencies and the indefinite hyperbolic block.
     """
+    if not model.mass > 0:
+        raise ModelError("mass must be positive: site 0, in every ball, has "
+                         f"Lambda_0 = sqrt(mass), got mass {model.mass!r}")
     nodes = tuple(tuple(a) for a in model.nodes)
     rep = check_admissible(nodes)
     if not rep.strongly_admissible:

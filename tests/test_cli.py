@@ -629,6 +629,21 @@ def test_kam_non_positive_action_is_a_config_error(tmp_path, capsys, model,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mass", [-100.0, 0.0], ids=["negative", "zero"])
+def test_kam_non_positive_singular_mass_is_a_config_error(tmp_path, capsys,
+                                                          mass):
+    """Lambda_0 = sqrt(mass) at site 0, which every ball holds, so a
+    singular model needs mass > 0: the builder rejects it, and ``kam``
+    exits 2 naming ``mass``."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"output_dir": str(out),
+                               "model": dict(SINGULAR_MODEL, mass=mass)})
+    assert main(["kam", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "mass" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model, field", [
     (dict(BEAM_MODEL, nonlinearity=[[3, [0, 0], 1.0], [3, [1, 0, 0], 0.5]]),
      "model.nonlinearity[1]"),
@@ -912,6 +927,21 @@ def test_momentum_example_reports_its_eps(tmp_path):
     report = (out / "final_report.txt").read_text().splitlines()
     assert report[0] == "reached_target=True eps_final=8.11288e-13"
     assert "eps_history=6.22461e-06 8.11288e-13" in report
+
+
+def test_closed_finite_example_reports_its_eps(tmp_path):
+    """examples/closed_finite_beam.json is the closed_finite golden run
+    (tests/golden/kam_runs): its finite set, closed under a -> -a, has four
+    unstable directions, and every super step contracts eps."""
+    example = (Path(__file__).parents[1] / "examples"
+               / "closed_finite_beam.json")
+    out = tmp_path / "out"
+    assert main(["kam", write_cfg(tmp_path, dict(
+        json.loads(example.read_text()), output_dir=str(out)))]) == 0
+    report = (out / "final_report.txt").read_text().splitlines()
+    assert "unstable_count=4 a_inf_max_real=0.000e+00" in report
+    assert ("eps_history=5.3416e-06 1.87638e-11 1.7308e-14 1.20842e-14"
+            in report)
 
 
 # imports kamkit.cli, prints the scipy modules it loaded, then runs one

@@ -5,22 +5,26 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from kamkit.hamiltonian import NormalFormHamiltonian, Polynomial, poisson
+from kamkit.hamiltonian import ETA, XI, NormalFormHamiltonian, Polynomial
 from kamkit.homological import (
     DivisorGuard,
     _elliptic_divisors,
     _elliptic_solve,
-    _solve_guarded,
     class_tables,
     solve_homological,
     solve_linear,
 )
+from kamkit.kam import Schedule, run
 from kamkit.lattice import build_partition
+from kamkit.models import build_singular
 
 from _reference_algebra import check_normal_form, to_real_matrix
 from _reference_hamiltonian import reality_defect
 import _reference_homological as ref
 from _reference_homological import det_certificate, residual
+from test_acceptance import W
+from test_kam_runs import closed_finite_beam, negative_mode_beam
+from test_models import golden_singular_model
 
 
 @dataclass
@@ -166,7 +170,7 @@ def test_single_monomial_closed_form():
     kw = 1.3
     R = np.array([[0.9]])
     div = _elliptic_divisors(kw, lamA, -1, lamB, -1)
-    X = _elliptic_solve(U, np.conj(U), R, div)
+    X = _elliptic_solve(U, U, np.conj(U), np.conj(U), R, div)
     assert div[0, 0] == pytest.approx(kw - 2.0 - 0.7)
     assert X[0, 0] == pytest.approx(0.9 / (kw - 2.7))
 
@@ -181,95 +185,131 @@ def test_elliptic_solver_residual_oracle():
     lamB, UB = np.linalg.eigh(QB)
     kw = 2.345
     R = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    X = _elliptic_solve(UA, UB, R, _elliptic_divisors(kw, lamA, -1, lamB, 1))
+    X = _elliptic_solve(UA, UA, UB, UB, R,
+                        _elliptic_divisors(kw, lamA, -1, lamB, 1))
     # residual of (kw)X - QA X + X QB = R
     res = kw * X - QA @ X + X @ QB - R
     assert np.abs(res).max() < 1e-10
     # the one-column (zeta-linear) case: (kw)x - QA x = r
     r = R[:, :1]
-    x = _elliptic_solve(UA, np.ones((1, 1)), r,
+    x = _elliptic_solve(UA, UA, np.ones((1, 1)), np.ones((1, 1)), r,
                         _elliptic_divisors(kw, lamA, -1, np.zeros(1), 0))
     assert x.shape == (3, 1)
     assert np.abs(kw * x - QA @ x - r).max() < 1e-10
 
 
+def finite_table(H):
+    """``make_h``'s h, d = 1, with the hyperbolic block H on the finite
+    sites 1, .., F (F = len(H) / 2), and its class table."""
+    F = len(H) // 2
+    h, _, _ = make_h(d=1, R=F + 1,
+                     finite=tuple((i,) for i in range(1, F + 1)))
+    h.hyperbolic_block = H
+    return h, class_tables(h)
+
+
+def within_cond(smin, value, factor) -> bool:
+    """smin in [value / factor, value * factor], up to roundoff."""
+    return (value / factor * (1 - 1e-12) <= smin
+            <= value * factor * (1 + 1e-12))
+
+
 def test_mixed_solver_matches_lstsq():
     rng = np.random.default_rng(5)
-    guard = DivisorGuard(1e-10)
     H = rng.standard_normal((4, 4))
     H = H + H.T
     J = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
     JH = J @ H
     coef = 1.7 + 0.4j
     F = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    # the row system x (coef I - JH) = F, as the column system with JH^T
-    key = ((1,), (0,), "mix")
-    x = _solve_guarded((coef * np.eye(4) - JH.T)[None], F.reshape(1, 4, 1),
-                       guard, key)
+    # the row system x (coef I - JH) = F, as the column system with JH^T;
+    # times -i, -JH^T = H J enters on the left as V^{-T} diag(-nu) V^T: the
+    # divisors are -i coef + i nu, the finite class's lam = i nu
+    lam, V, W, _ = finite_table(H)[1].basis(0)
+    div = _elliptic_divisors(-1j * coef, lam, 1, np.zeros(1), 0)
+    x = _elliptic_solve(V[1], W[1], np.ones((1, 1)), np.ones((1, 1)),
+                        -1j * F[:, None], div)
     L = coef * np.eye(4) - JH
     oracle, *_ = np.linalg.lstsq(L.T, F, rcond=None)
     assert np.abs(x.ravel() - oracle).max() < 1e-10
-    assert list(guard.log) == [key]
-    assert tuple(map(float, guard.log[key])) == (
-        float(np.linalg.svd(L.T, compute_uv=False)[-1]),)
+    # the guard value is the least |divisor|: the system's smallest
+    # singular value lies within a factor cond(V) of it
+    assert within_cond(np.linalg.svd(L.T, compute_uv=False)[-1],
+                       np.abs(div).min(), np.linalg.cond(V[0]))
 
 
 def test_hyperbolic_solver_oracle():
     rng = np.random.default_rng(6)
-    guard = DivisorGuard(1e-12)
     H = rng.standard_normal((2, 2))
     H = H + H.T
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
     G = rng.standard_normal((2, 2))
     G = G + G.T
-    # i(kw)Y + HJ Y - Y JH = -G in the Kronecker form
-    L = (1j * 2.1 * np.eye(4) + np.kron(H @ J, np.eye(2))
-         - np.kron(np.eye(2), (J @ H).T))
-    key = ((1,), (0, 0), "hyp")
-    Y = _solve_guarded(L[None], -G.reshape(1, 4, 1), guard, key)
-    assert list(guard.log) == [key]
-    assert tuple(map(float, guard.log[key])) == (
-        float(np.linalg.svd(L, compute_uv=False)[-1]),)
-    Y = Y.reshape(2, 2)
+    # i(kw)Y + HJ Y - Y JH = -G; times -i, the finite class's eigenbasis
+    # on both sides, with divisors kw + i nu_i + i nu_j
+    lam, V, W, _ = finite_table(H)[1].basis(0)
+    div = _elliptic_divisors(2.1, lam, 1, lam, 1)
+    Y = _elliptic_solve(V[1], W[1], V[0], W[0], 1j * G, div)
     res = 1j * 2.1 * Y + H @ J @ Y - Y @ J @ H + G
     assert np.abs(res).max() < 1e-10
     assert np.abs(Y - Y.T).max() < 1e-10
+    # the Kronecker form's smallest singular value lies within a factor
+    # cond(V)^2 of the least |divisor|
+    L = (1j * 2.1 * np.eye(4) + np.kron(H @ J, np.eye(2))
+         - np.kron(np.eye(2), (J @ H).T))
+    assert within_cond(np.linalg.svd(L, compute_uv=False)[-1],
+                       np.abs(div).min(), np.linalg.cond(V[0]) ** 2)
 
 
-@pytest.mark.parametrize("k, ci, j", [((3,), 2, 1), ((-1,), 2, 2)])
-def test_mixed_item_stops_at_its_first_failing_system(k, ci, j):
-    """A mixed item (the finite class 0 with the elliptic class ci) whose
-    j-th system, 0 < j < 2|ci| - 1, is the first to fail the guard: the
-    stacked solve logs exactly j + 1 singular values, records one guard
-    failure and gives no block of S, as the per-pair oracle does."""
-    h, part, rng = make_h(seed=1, d=1, R=3, finite=((1,),))
-    t = class_tables(h)
-    lam = t.elliptic(ci)[0]
-    kw = float(np.dot(k, h.omega))
-    # the item's systems, xi rows then eta rows, one oracle call each
-    smin = [ref.invert_L_mixed(1j * (kw + s * x), t.JH, np.ones(2),
-                               OracleGuard(0.0), ((), (), ""))[1]
-            for s in (-1, 1) for x in lam]
-    assert 0 < j < len(smin) - 1 and smin[j] < min(smin[:j])
-    delta0 = (smin[j] + min(smin[:j])) / 2
-    f = Polynomial(1)
-    for a in part.classes[ci]:
+def mixed_rows(f, k, sites, finite_site, rng):
+    """f plus a mixed row, with a random coefficient, for every variable
+    of ``sites`` and every component of ``finite_site``, at k."""
+    for a in sites:
         for c, e in ((0, 0), (0, 1), (1, 0), (1, 1)):
             f.add_term(rng.standard_normal() + 1j, k=k,
-                       z={(a, c): 1, ((1,), e): 1})
+                       z={(a, c): 1, (finite_site, e): 1})
+    return f
+
+
+@pytest.mark.parametrize("k, ci", [((3,), 2), ((-1,), 2)])
+def test_mixed_item_is_guarded_per_channel(k, ci):
+    """A mixed item (the finite class 0 with the elliptic class ci) has one
+    guard check per channel of ci, xi then eta, on its least |divisor| kw
+    + i nu_i -+ lam_j.  With delta0 between the two channels' values, the
+    solve logs both channels' divisors, records one failure and solves the
+    other channel, whose rows are the per-pair oracle's; each channel's
+    value is within a factor cond(V) of the oracle's smallest singular
+    value over the channel's systems."""
+    h, part, rng = make_h(seed=1, d=1, R=3, finite=((1,),))
+    t = class_tables(h)
+    lam, nu = t.basis(ci)[0], t.basis(0)[0]
+    kw = float(np.dot(k, h.omega))
+    div = [_elliptic_divisors(kw, nu, 1, lam, s) for s in (-1, 1)]
+    value = [float(np.abs(d).min()) for d in div]
+    delta0 = sum(value) / 2
+    fail = int(value[1] < value[0])
+    f = mixed_rows(Polynomial(1), k, part.classes[ci], (1,), rng)
     guard = DivisorGuard(delta0)
     S, _, _ = solve_linear(h, f, guard, 0.4, t)
     key = (k, (0, ci))
-    tag = f"mix-{('xi', 'eta')[j // len(lam)]}-{j % len(lam)}"
-    divlog = {name: tuple(map(float, d)) for name, d in guard.log.items()}
-    assert divlog == {(*key, "mixed"): tuple(smin[:j + 1])}
-    assert guard.failures == [(*key, tag, smin[j])]
-    assert len(S) == 0
-    ref_guard = OracleGuard(delta0)
-    S_ref, _, _, ref_divlog = ref.solve_linear(h, f, ref_guard, 0.4,
-                                               ref.class_tables(h))
-    assert (divlog, guard.failures, len(S_ref)) == (ref_divlog,
-                                                    ref_guard.failures, 0)
+    tags = ("mix-xi", "mix-eta")
+    assert list(guard.log) == [(*key, tag) for tag in tags]
+    for tag, d in zip(tags, div):
+        assert guard.log[(*key, tag)].tobytes() == np.sort(
+            d, axis=None).tobytes()
+    assert guard.failures == [(*key, tags[fail], value[fail])]
+    S_ref, _, _, ref_divlog = ref.solve_linear(
+        h, f, OracleGuard(0.0), 0.4, ref.class_tables(h))
+    passing = {z: c for z, c in S_ref.terms.items()
+               if all(v[0] == (1,) or v[1] != fail for v, _ in z[2])}
+    assert len(S) and S.terms.keys() == passing.keys()
+    assert max(abs(S.terms[z] - c) for z, c in passing.items()) <= (
+        1e-12 * max(map(abs, passing.values())))
+    ne = len(lam)
+    smin = ref_divlog[(*key, "mixed")]      # the xi systems, then the eta
+    cond = np.linalg.cond(t.basis(0)[1][0])
+    for c in (XI, ETA):
+        assert within_cond(min(smin[c * ne:(c + 1) * ne]), value[c], cond)
 
 
 def test_det_certificate():
@@ -370,9 +410,12 @@ def linear_solve_cases(draw):
 
 
 def _linear_solve_text(solve, tables, case) -> list:
-    """Every output of one ``solve_linear`` on ``case``, with h's class
-    tables from ``tables``, in order, floats by repr: S's rows, h_tilde,
-    the skip report, the divisor log and the guard's failures."""
+    """Every output of one ``solve_linear`` on ``case`` but the finite
+    class's items, with h's class tables from ``tables``, in order, floats
+    by repr: S's rows, h_tilde, the skip report, the divisor log and the
+    guard's failures.  (The finite class's items are solved in its
+    eigenbasis, the oracle's by dense systems, so they agree only to
+    roundoff: ``test_finite_items_match_the_dense_oracle``.)"""
     seed, d, R, delta, finite, n, nterms, delta0 = case
     h, part, rng = make_h(seed=seed, d=d, R=R, n=n, delta=delta,
                           finite=((0,) * (d - 1) + (1,),) if finite else ())
@@ -385,13 +428,16 @@ def _linear_solve_text(solve, tables, case) -> list:
         guard = OracleGuard(delta0)
         S, ht, skipped, divlog = solve(h, f, guard, 0.4, tables(h))
     hyp = ht.hyperbolic_block
-    return [repr(list(S.terms.items())),
+    fi = part.finite_index
+    return [repr([(z, c) for z, c in S.terms.items()
+                  if not any(v[0] in part.finite_set for v, _ in z[2])]),
             repr((ht.const, ht.omega.tolist(),
                   [(ci, Q.tolist()) for ci, Q in ht.elliptic_blocks.items()],
                   None if hyp is None else hyp.tolist())),
             repr(skipped),
-            repr([(key, tuple(map(float, v))) for key, v in divlog.items()]),
-            repr(guard.failures)]
+            repr([(key, tuple(map(float, v))) for key, v in divlog.items()
+                  if fi not in key[1]]),
+            repr([x for x in guard.failures if fi not in x[1]])]
 
 
 @given(linear_solve_cases())
@@ -407,7 +453,84 @@ def _linear_solve_text(solve, tables, case) -> list:
 @example(case=(17, 2, 3, math.inf, False, 1, 71, 1e-8))
 def test_batched_solve_matches_per_pair_loop(case):
     """The batched solve gives the per-pair loop's outputs bit for bit and
-    in the same order: S's rows, h_tilde, the skip report, the divisor log
-    and the guard's failures."""
+    in the same order, apart from the finite class's items: S's rows,
+    h_tilde, the skip report, the divisor log and the guard's failures."""
     assert (_linear_solve_text(solve_linear, class_tables, case)
             == _linear_solve_text(ref.solve_linear, ref.class_tables, case))
+
+
+def _finite_block_h(name):
+    """The h of a finite block: the negative_mode and closed_finite beams',
+    the singular R=3 build's H_I on ``make_h``'s h, or ``make_h``'s own
+    (seed, F)."""
+    if name == "negative_mode":
+        return negative_mode_beam()[0]
+    if name == "closed_finite":
+        return closed_finite_beam()[0]
+    if name == "singular_R3":
+        return finite_table(build_singular(golden_singular_model()).H_I)[0]
+    seed, F = {"make_h_1": (1, 1), "make_h_4": (4, 2), "make_h_9": (9, 2)}[
+        name]
+    return make_h(seed=seed, d=1, R=3,
+                  finite=tuple((i,) for i in range(1, F + 1)))[0]
+
+
+@pytest.mark.parametrize("name", ["negative_mode", "closed_finite",
+                                  "singular_R3", "make_h_1", "make_h_4",
+                                  "make_h_9"])
+def test_finite_items_match_the_dense_oracle(name):
+    """Every zeta-linear, hyperbolic and mixed item of the finite class,
+    solved in J H's eigenbasis, against the per-pair oracle's dense
+    systems: S within 1e-12 relative, h_tilde's finite block bit for bit,
+    and each oracle system's smallest singular value within a factor
+    cond(V)^p of the least |divisor| of its check (p = 2 for ``hyp``, the
+    Kronecker system, else 1; a mixed channel against its systems'
+    least)."""
+    h = _finite_block_h(name)
+    rng = np.random.default_rng(0)
+    part, n = h.partition, h.n
+    fin = sorted(part.finite_set)
+    w = [(a, c) for a in fin for c in (0, 1)]
+    ell = next(cl for ci, cl in enumerate(part.classes)
+               if ci != part.finite_index and len(cl) > 1)
+    f = Polynomial(n)
+    for k in [(0,) * n, (1,) + (0,) * (n - 1), (-2,) + (1,) * (n - 1)]:
+        for i, u in enumerate(w):
+            f.add_term(rng.standard_normal() + 1j, k=k, z={u: 1})
+            for v in w[i:]:
+                z = {u: 2} if u == v else {u: 1, v: 1}
+                f.add_term(rng.standard_normal() + 1j, k=k, z=z)
+        for a in fin:
+            f = mixed_rows(f, k, ell, a, rng)
+    t = class_tables(h)
+    guard = DivisorGuard(0.0)
+    S, ht, _ = solve_linear(h, f, guard, 0.4, t)
+    S_ref, ht_ref, _, ref_divlog = ref.solve_linear(
+        h, f, OracleGuard(0.0), 0.4, ref.class_tables(h))
+    assert S.terms.keys() == S_ref.terms.keys()
+    assert max(abs(S.terms[z] - c) for z, c in S_ref.terms.items()) <= (
+        1e-12 * max(map(abs, S_ref.terms.values())))
+    assert ht.hyperbolic_block.tobytes() == ht_ref.hyperbolic_block.tobytes()
+    cond = np.linalg.cond(t.basis(part.finite_index)[1][0])
+    tags = {"lin-hyp", "hyp", "mix-xi", "mix-eta"}
+    checks = [(key, d) for key, d in guard.log.items() if key[2] in tags]
+    assert {key[2] for key, _ in checks} == tags
+    for (k, classes, tag), d in checks:
+        if tag.startswith("mix"):
+            smin = ref_divlog[(k, classes, "mixed")]
+            ne = len(part.classes[classes[1]])
+            c = ("mix-xi", "mix-eta").index(tag)
+            smin, p = min(smin[c * ne:(c + 1) * ne]), 1
+        else:
+            (smin,), p = ref_divlog[(k, classes, tag)], 1 + (tag == "hyp")
+        assert within_cond(smin, float(np.abs(d).min()), cond ** p)
+
+
+def test_a_jordan_block_aborts_the_run_at_tables():
+    """F = 1 with H = diag(1, 0): J H is nilpotent, a Jordan block, so it
+    has no eigenbasis, and ``run`` reports the stage ``tables``."""
+    h, part, rng = make_h(seed=1, d=1, R=3, finite=((1,),))
+    h.hyperbolic_block = np.diag([1.0, 0.0])
+    report = run(h, random_jet(rng, part).scale(1e-3), Schedule(max_super=1),
+                 W)
+    assert report.aborted is not None and report.aborted.stage == "tables"

@@ -50,7 +50,7 @@ def golden_texts(sol) -> dict:
     c = [((0,) * ht.n, ht.const)] if ht.const != 0 else []
     return {
         "divisor_log.txt": _lines(
-            (key, tuple(map(float, val)))
+            (key, tuple(val.tolist()))
             for key, val in sorted(sol.guard.log.items())),
         "h_tilde.txt": _lines([
             ("c", c),

@@ -1,10 +1,13 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kamkit.algebra import WeightParams
+from kamkit.algebra import WeightParams, symplectic
+from kamkit.cli import build_model, read_config
 from kamkit.divisors import ParameterGrid
 from kamkit import homological, kam
 from kamkit.hamiltonian import (NormalFormHamiltonian, Polynomial,
@@ -477,3 +480,39 @@ def test_singular_threshold_passes_a_zero_jet():
     for bad in ((-1e-12, 0.1), (0.0, 0.0), (0.0, -0.1)):
         with pytest.raises(ValueError):
             singular_threshold(*bad, 1e-3, 1e-3)
+
+
+def test_mixed_excision_cuts_its_band_on_its_own_side():
+    """examples/hyperbolic_beam.json's model (J H has eigenvalues +-0.2) at
+    guard_delta0 0.52, on a 200 x 200 grid: the mixed check at k = (-1,
+    -1), whose s* = k.omega* + lam_i is negative, excises exactly the cells
+    where the old dense mixed system i s I - (J H)^T at s = k.omega(rho) +
+    lam_i, with J H and lam held fixed, has its smallest singular value
+    below delta0 (up to cells within 1e-12 of delta0)."""
+    example = Path(__file__).parents[1] / "examples" / "hyperbolic_beam.json"
+    conf = read_config(json.loads(example.read_text()), "kam")
+    _, _, (h, f) = build_model(conf["model"])
+    t = class_tables(h)
+    assert np.allclose(sorted(t.basis(0)[0].imag), [-0.2, 0.2])
+    state = initial_state(h, f, Schedule(), W, guard_delta0=0.52,
+                          grid=ParameterGrid(conf["grid"].bounds, 200))
+    solve_homological(h, f, state.guard, gamma1=0.4, tables=t)
+    key = ((-1, -1), (0, 5), "mix-eta")
+    fail = [x for x in state.guard.failures if x[:3] == key]
+    assert fail and fail[0][3] == pytest.approx(0.5045037103816561)
+    state.guard.log = {key: state.guard.log[key]}
+    kam._excise_failures(state)
+    excised = ~state.grid.mask.ravel()
+    # the oracle: the eta channel's systems, one per eigenvalue of class 5
+    centres = ParameterGrid(conf["grid"].bounds, 200).centers()
+    kw = h.omega_fn(centres) @ np.array(key[0], dtype=float)
+    JH = symplectic(1) @ h.hyperbolic_block
+    smin = np.full(len(centres), np.inf)
+    for lam in t.basis(5)[0]:
+        s = kw + lam
+        assert float(np.dot(key[0], h.omega)) + lam < 0       # s* < 0
+        L = 1j * s[:, None, None] * np.eye(2) - JH.T
+        smin = np.minimum(smin, np.linalg.svd(L, compute_uv=False)[:, -1])
+    clear = np.abs(smin - 0.52) > 1e-12
+    assert (excised == (smin < 0.52))[clear].all()
+    assert excised.sum() == 24442

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from kamkit.algebra import symplectic
-from kamkit.kam import Schedule, run
+from kamkit.kam import Schedule, _fold_h_acc, run
 from kamkit.models import BeamModel, NlsModel, build_beam, build_nls
 
 from test_acceptance import W, desk_beam
@@ -127,14 +127,24 @@ def test_desk_R4_blocks_stop_once_they_stall():
 def test_closed_finite_keeps_the_imaginary_k0_finite_block():
     """The k = 0 finite block of a solve goes whole into h_tilde: its
     imaginary part (the p_a q_a rows of the finite sites) reaches the final
-    h, the run meets the contraction rule at every super step, and
-    ``unstable_count`` is the number of eigenvalues of J H_final with a
-    positive real part.  The first solve's k = 0 block is real, so only
-    the folded h shows this."""
+    h, and the run meets the contraction rule at every super step.  The
+    first solve's k = 0 block is real, so only the folded h shows this."""
     report = run_case("closed_finite")
     H = report.state.h.hyperbolic_block
     assert report.state.h_acc is None and np.abs(H.imag).max() > 1e-12
     hist = report.eps_history
     assert all(b <= max(a ** 1.5, 1e-13) for a, b in zip(hist, hist[1:]))
+
+
+@pytest.mark.parametrize("name, unstable", [("closed_finite", 4),
+                                            ("negative_mode", 1)])
+def test_unstable_count_counts_the_unstable_eigenvalues(name, unstable):
+    """``unstable_count`` is the number of eigenvalues of J H_final, the
+    final h's hyperbolic block, with a positive real part."""
+    report = run_case(name)
+    st = report.state
+    h = st.h if st.h_acc is None else _fold_h_acc(st.h, st.h_acc,
+                                                  st.h.partition)
+    H = h.hyperbolic_block
     ev = np.linalg.eigvals(symplectic(len(H) // 2) @ H)
-    assert report.unstable_count == int((ev.real > 1e-8).sum()) == 4
+    assert report.unstable_count == int((ev.real > 1e-8).sum()) == unstable
