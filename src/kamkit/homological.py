@@ -14,15 +14,16 @@ guard threshold are recorded and the corresponding terms left in place.
 h's classes are read from one table built once per h (``class_tables``),
 which holds one eigenbasis per class: ``eigh`` of an elliptic class's Q,
 and one complex ``eig`` of J H = V diag(nu) V^{-1} for the finite
-(hyperbolic) class.  The quadratic part is solved in array passes: the
-jet's rows are scattered into one block per (k, class pair, channel), the
-blocks of one pair of class groups are stacked, and each stack is divided
-by its divisors in one pass; the zeta-linear part is the one-column case.
-The finite class is one channel over its 2F interleaved components, with
-lam = i nu, so its divisors (times -i) are k.omega + i nu_i (``lin-hyp``),
+(hyperbolic) class.  The zeta part is solved in array passes: the jet's
+rows are scattered into one block per (k, class pair, channel), a
+zeta-linear row's pair being its class and the table's one-column unit,
+the blocks of one pair of class groups are stacked, and each stack with
+rows is checked and divided by its divisors in one pass.  The finite
+class is one channel over its 2F interleaved components, with lam = i
+nu, so its divisors (times -i) are k.omega + i nu_i (``lin-hyp``),
 k.omega + i (nu_i + nu_j) (``hyp``) and k.omega -+ lam_i + i nu_j
-(``mix-xi``, ``mix-eta``), and each channel is checked on its least |d|
-as an elliptic one is.  Each check's equation as a dense system (i kw I
+(``mix-xi``, ``mix-eta``), each channel checked on its least |d| as an
+elliptic one is.  Each check's equation as a dense system (i kw I
 + H J; its Kronecker form; i(kw -+ lam_i) I - (J H)^T) has its smallest
 singular value in [min|d| / cond(V)^p, min|d| cond(V)^p], with
 p = 2 for ``hyp`` and 1 for ``lin-hyp`` and the mixed channels; a J H
@@ -71,12 +72,12 @@ class DivisorGuard:
     failures: list = field(default_factory=list)  # (k, classes, channel, val)
     frozen: dict = field(default_factory=dict)
 
-    def check(self, key, value: float, divisors, channel=None) -> bool:
-        """Log divisors under key = (k, classes, channel); fail, labelled
-        ``channel`` if given, if value (their least |d|) is below delta0."""
+    def check(self, key, value: float, divisors) -> bool:
+        """Log divisors under key = (k, classes, channel); fail if value
+        (their least |d|) is below delta0."""
         self.log[key] = divisors
         if value < self.delta0:
-            self.failures.append((*key[:2], channel or key[2], float(value)))
+            self.failures.append((*key, float(value)))
             return False
         return True
 
@@ -107,10 +108,12 @@ class ClassTable:
     ``slot`` is its row in its group's stacks).  An elliptic class of m
     sites is in group m, with two channels of size m (its xi and its eta
     sites); the finite class is group 0, with one channel, ETA, over its
-    2F interleaved variables w.  Per group: ``lam`` the eigenvalues,
-    ``V[.., c]`` the basis that channel c enters with as a left factor and
-    channel 1 - c as a right factor, ``W`` its dual basis (``W^H =
-    V^{-1}``), and ``ids[.., c]`` channel c's variable ids."""
+    2F interleaved variables w.  The last class, the unit, is a zeta-linear
+    row's one-column right side: lam = 0, basis 1, variable id -1 (site
+    -1, ``class_of``, ``row`` and ``chan``'s last entry).  Per group:
+    ``lam`` the eigenvalues, ``V[.., c]`` the basis that channel c enters
+    with as a left factor and channel 1 - c as a right factor, ``W`` its
+    dual basis (``W^H = V^{-1}``), and ``ids[.., c]`` channel c's ids."""
     var_id: dict                  # site_layout of the partition's sites
     pts: np.ndarray               # the sites, in the order of var_id
     class_of: np.ndarray          # site -> class
@@ -118,18 +121,13 @@ class ClassTable:
     chan: np.ndarray              # variable -> its channel
     dim: np.ndarray               # class -> the size of its channels
     hyperbolic: np.ndarray        # class -> the finite class or not
-    nsq: np.ndarray               # class -> |a|^2 of its first site
+    nsq: np.ndarray               # class -> |a|^2 of its first site (unit -1)
     group: np.ndarray             # class -> its stacks' key
     slot: np.ndarray              # class -> row in its group's stacks
     lam: dict                     # group -> (classes, dim) eigenvalues
     V: dict                       # group -> (classes, 2, dim, dim) bases
     W: dict                       # group -> their dual bases
     ids: dict                     # group -> (classes, 2, dim) variable ids
-
-    def basis(self, ci: int) -> tuple:
-        """(lam, V, W, ids) of the class ci, from its group's stacks."""
-        g, s = self.group[ci], self.slot[ci]
-        return self.lam[g][s], self.V[g][s], self.W[g][s], self.ids[g][s]
 
 
 # cond(V) above which J H counts as not diagonalizable: a Jordan block, as
@@ -145,12 +143,14 @@ def class_tables(h: NormalFormHamiltonian) -> ClassTable:
     -(J H)^T, the finite class enters a solve on the left as V^{-T} (dual
     conj(V)) and on the right as V (dual V^{-H}): its divisors are those
     of an elliptic channel of sign +1 with lam = i nu (``solve_linear``).
+    The unit is in group 1, channel ETA (its divisor term is +0.0).
     ``StageAbort("tables")`` when cond(V) exceeds ``COND_MAX``, which is
     1/sqrt(machine epsilon)."""
     p = h.partition
     sites = sorted(p.sites())      # in the order of site_layout
     var_id = site_layout(sites)
-    dim = np.diff(p.ends)
+    unit = len(p.classes)
+    dim = np.append(np.diff(p.ends), 1)
     group, slot = dim.copy(), np.zeros(len(dim), dtype=np.int64)
     by_group: dict = {}
     for ci in p.nonfinite.tolist():
@@ -160,9 +160,12 @@ def class_tables(h: NormalFormHamiltonian) -> ClassTable:
         members = by_group.setdefault(len(cl), [])
         slot[ci] = len(members)
         members.append((lam, V, V, class_ids(var_id, cl)))
+    slot[unit] = len(by_group.setdefault(1, []))
+    by_group[1].append((np.zeros(1), np.ones((2, 1, 1)), np.ones((2, 1, 1)),
+                        np.full((2, 1), -1)))
     place = {s: i for cl in p.classes for i, s in enumerate(cl)}
-    row = np.array([place[s] for s, _ in var_id], dtype=np.int64)
-    chan = np.array([c for _, c in var_id], dtype=np.int64)
+    row = np.array([place[s] for s, _ in var_id] + [0], dtype=np.int64)
+    chan = np.array([c for _, c in var_id] + [ETA], dtype=np.int64)
     fi = p.finite_index
     if fi is not None:
         F = len(p.finite_set)
@@ -182,9 +185,10 @@ def class_tables(h: NormalFormHamiltonian) -> ClassTable:
     lead = p.points[p.ends[:-1]]
     return ClassTable(
         var_id, np.array(sites, dtype=np.int64),
-        np.array([p.class_of[s] for s in sites], dtype=np.int64), row, chan,
-        dim, np.arange(len(dim)) == fi, (lead * lead).sum(axis=1), group,
-        slot, *({g: x[i] for g, x in stacks.items()} for i in range(4)))
+        np.array([p.class_of[s] for s in sites] + [unit], dtype=np.int64),
+        row, chan, dim, np.arange(len(dim)) == fi,
+        np.append((lead * lead).sum(axis=1), -1), group, slot,
+        *({g: x[i] for g, x in stacks.items()} for i in range(4)))
 
 
 # -- elementary inversions --------------------------------------------------------
@@ -200,8 +204,8 @@ def _elliptic_solve(V_L, W_L, V_R, W_R, R, div):
     the dual bases (W^H = V^{-1}) and ``div`` from ``_elliptic_divisors``:
     X = V_L ((W_L^H R V_R) / div) W_R^H, the products associated left to
     right; over stacks of blocks as well (one ``matmul`` per product).  The
-    vector equation (kw I + sL P_L) x = R is the one-column case: lam_R =
-    zeros(1), sR = 0, V_R = W_R = ones((1, 1))."""
+    vector equation (kw I + sL P_L) x = R is the one-column case, the
+    table's unit: lam_R = zeros(1), V_R = W_R = ones((1, 1))."""
     Rt = np.swapaxes(W_L.conj(), -1, -2) @ R @ V_R
     return V_L @ (Rt / div) @ np.swapaxes(W_R.conj(), -1, -2)
 
@@ -236,20 +240,22 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
     """One linear homological solve {h,S} + F = h_tilde, with h's class
     table (``class_tables``, built once per h).
 
-    F's jet is decoded once over the table's variables.  The theta, r and
-    zeta-linear rows are solved per Fourier index k (and per class).  The
-    zeta-quadratic rows are solved in array passes (``_solve_quadratic``):
-    scattered into one block per (k, class pair, channel), and solved in
-    one stacked pass per pair of class groups.  Returns (S polynomial, h_tilde,
+    F's jet is decoded once over the table's variables.  The theta and r
+    rows are solved per Fourier index k.  The zeta-linear and quadratic
+    rows are solved in array passes (``_solve_zeta``): scattered into
+    one block per (k, class pair, channel), and solved in one stacked pass
+    per pair of class groups.  Returns (S polynomial, h_tilde,
     skipped_report): h_tilde is a ``NormalFormHamiltonian`` on h's
     partition, with the k = 0 constant as its ``const`` and chi as its
     ``omega``.  The solve's checks replace ``guard.log`` and ``failures``.
 
-    The order of the solve is the contract: k in order of first occurrence,
-    then class pairs (ci <= cj) ascending, then channels xi-xi, xi-eta,
-    eta-xi, eta-eta (the finite class's one channel is eta).  Guard
-    failures, log entries, h_tilde's blocks and the skip report come in
-    it; one stable sort puts S's rows in it for the one ``encode``.
+    The order of the solve is the contract: the theta rows, the r rows,
+    the zeta-linear and the zeta-quadratic items, each kind with its k in
+    order of first occurrence among its own rows, then class pairs (ci <=
+    cj) ascending, then channels xi-xi, xi-eta, eta-xi, eta-eta (the
+    finite class's one channel is eta).  Guard failures, log entries,
+    h_tilde's blocks and the skip report come in it; one stable sort puts
+    S's rows in it for the one ``encode``.
     """
     t = tables
     n = h.n
@@ -258,7 +264,7 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
     ht = NormalFormHamiltonian(omega=np.zeros(n, dtype=complex),
                                partition=h.partition)
     guard.log, guard.failures = {}, []
-    solved = []                # S's linear rows as block_rows blocks
+    solved = []                # S's theta and r rows as block_rows blocks
 
     # -- theta and r parts ----------------------------------------------------
     none, on_r = U < 0, M.any(axis=1)
@@ -280,70 +286,58 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
         if guard.check((k, (), "r"), abs(kw), np.array([kw])):
             solved.append((k, np.eye(n), [-1] * n, None, vec / (-1j * kw)))
 
-    # -- zeta-linear part -----------------------------------------------------
-    one = np.ones((1, 1))              # the basis of the one-column side
-    for k, gi in _k_rows(K, (U >= 0) & (V < 0)):
-        kw = float(np.dot(k, omega))
-        Fk = np.zeros(len(t.var_id), dtype=complex)
-        Fk[U[gi]] += C[gi]
-        for ci in np.unique(t.class_of[U[gi] // 2]).tolist():
-            # i[(kw)I - Q] v_xi = -F_xi ; i[(kw)I + conj(Q)] v_eta = -F_eta;
-            # i(kw) v_w + H J v_w = -F_w, the finite class's one channel
-            lam, Vc, Wc, ids = t.basis(ci)
-            for comp in (ETA,) if t.hyperbolic[ci] else (XI, ETA):
-                key = (k, (ci,), "lin-hyp" if t.hyperbolic[ci]
-                       else ("lin-xi", "lin-eta")[comp])
-                div = _elliptic_divisors(kw, lam, 2 * comp - 1, np.zeros(1), 0)
-                if guard.check(key, float(np.abs(div).min()),
-                               np.sort(div, axis=None)):
-                    solved.append((k, None, ids[comp], None, _elliptic_solve(
-                        Vc[comp], Wc[comp], one, one,
-                        1j * Fk[ids[comp], None], div)))
-
-    q = V >= 0
-    quad, skipped = _solve_quadratic(h, K[q], U[q], V[q], C[q], t, guard,
+    z = U >= 0
+    zeta, skipped = _solve_zeta(h, K[z], U[z], V[z], C[z], t, guard,
                                      gamma1, ht)
-    lin = block_rows(n, solved)        # placed before every quadratic block
+    low = block_rows(n, solved)        # placed before every zeta block
     Z, Cs, Ks, Ms, code = (np.concatenate(x) for x in zip(
-        (*lin, np.full(len(lin[1]), -1, dtype=np.int64)), quad))
+        (*low, np.full(len(low[1]), -1, dtype=np.int64)), zeta))
     live = np.flatnonzero(Cs)          # encode would skip the zero rows
     order = live[np.argsort(code[live], kind="stable")]
     S = encode(n, list(t.var_id), Z[order], Cs[order], Ks[order], Ms[order])
     return S, ht, skipped
 
 
-def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht) -> tuple:
-    """The zeta-quadratic rows (K, U, V, C) of ``solve_linear``'s jet,
-    solved in array passes.  Fills ``ht`` and the guard's log, and returns
-    (S's rows as (Z, C, K, M, place), skipped_report).
+def _solve_zeta(h, K, U, V, C, t, guard, gamma1, ht) -> tuple:
+    """The zeta rows (K, U, V, C) of ``solve_linear``'s jet, linear and
+    quadratic, solved in array passes.  Fills ``ht`` and the guard's log,
+    and returns (S's rows as (Z, C, K, M, place), skipped_report).
 
-    Items are the (k, class pair ci <= cj) that hold a row, in solve order.
-    Each pair's rows are scattered into one block per channel (c1, c2) of
-    shape (dim ci, dim cj), the blocks of one pair of groups stacked
-    together, and each stack solves (kw)X + sL P_ci X + sR X P_cj = iG in
-    one pass in the classes' eigenbases (``class_tables``).  The finite
-    class has one channel, so a hyperbolic item (both classes finite) has
-    one block and a mixed item one per elliptic component.  One walk over
-    the items, in order, emits the guard checks (each logs a row of its
-    stack's sorted divisors), h_tilde's blocks and the skip report.  Each
-    solved block is emitted once, at place 4 item + channel; a same-class
-    block carries X/2, since its transposed entries lie in the same block.
+    Items are the (k, class pair ci <= cj) that hold a row, in solve order;
+    a zeta-linear row's pair is (its class, the unit), checked under the
+    key (k, (ci,), "lin-*"), and kept out of the 2x2 site blocks and the
+    skip rule.  Each pair's rows are scattered into one block per channel
+    (c1, c2) of shape (dim ci, dim cj), the blocks of one pair of groups
+    stacked together, and each stack solves (kw)X + sL P_ci X + sR X P_cj
+    = iG in one pass in the classes' eigenbases (``class_tables``).  The
+    finite class has one channel, so a hyperbolic item (both classes
+    finite) has one block and a mixed item one per elliptic component.
+    One walk over the items, in order, emits the guard checks (each logs a
+    row of its stack's sorted divisors; a block without rows has none),
+    h_tilde's blocks and the skip report.  Each solved block is emitted
+    once, at place 4 item + channel; a same-class block carries X/2, since
+    its transposed entries lie in the same block.
     """
     n = h.n
-    ncl = len(t.dim)
+    ncl = len(t.dim)                   # the unit is the last class
     omega = np.asarray(h.omega, dtype=float)
-    ks, g = _k_groups(K)
+    q = V >= 0
+    (ks, g_lin), (ks_q, g_q) = _k_groups(K[~q]), _k_groups(K[q])
+    g = np.zeros(len(K), dtype=np.int64)   # each kind in its own k order
+    g[~q], g[q], ks = g_lin, g_q + len(ks), ks + ks_q
     kws = np.array([float(np.dot(k, omega)) for k in ks])
     zero_k = np.array([not any(k) for k in ks], dtype=bool)
-    a, b = U // 2, V // 2              # sites, and the components
-    cu, cv = U % 2, V % 2
+    a, b = U // 2, V // 2              # sites (the unit's is -1)
     ca, cb = t.class_of[a], t.class_of[b]
+    rows = np.flatnonzero(ca <= cb)    # oriented ci <= cj, the unit last
+    items, ri = np.unique(((g * ncl + ca) * ncl + cb)[rows],
+                          return_inverse=True)
 
-    # -- the 2x2 site blocks of every k: norms, C_fit, and the items -------
+    # -- the quadratic rows' 2x2 site blocks: norms, C_fit, the peaks ------
     ns = len(t.pts)
-    site_pair, at = np.unique((g * ns + a) * ns + b, return_inverse=True)
+    site_pair, at = np.unique(((g * ns + a) * ns + b)[q], return_inverse=True)
     blocks = np.zeros(4 * len(site_pair), dtype=complex)
-    np.add.at(blocks, 4 * at + 2 * cu + cv, C)
+    np.add.at(blocks, 4 * at + (2 * (U % 2) + V % 2)[q], C[q])
     norms = spectral_norm_2x2(blocks.reshape(-1, 2, 2))
     del blocks
     sg, sab = np.divmod(site_pair, ns * ns)
@@ -353,14 +347,14 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht) -> tuple:
         t.pts[sa[off]], t.pts[sb[off]], WeightParams(gamma1, 0.0)),
         initial=0.0))          # fitted decay constant for the skip-rule bound
     fwd = t.class_of[sa] <= t.class_of[sb]
-    items, at = np.unique(((sg * ncl + t.class_of[sa]) * ncl
-                           + t.class_of[sb])[fwd], return_inverse=True)
     peak = np.full(len(items), -np.inf)     # largest site-block norm
-    np.maximum.at(peak, at, norms[fwd])
+    np.maximum.at(peak, np.searchsorted(items, (
+        (sg * ncl + t.class_of[sa]) * ncl + t.class_of[sb])[fwd]), norms[fwd])
     ig, pair = np.divmod(items, ncl * ncl)
     ci, cj = np.divmod(pair, ncl)
     hyp = t.hyperbolic[ci] | t.hyperbolic[cj]
-    # skip rule: same sphere, different classes, elliptic pair
+    # skip rule: same sphere, different classes, elliptic pair (the unit's
+    # nsq, -1, is no sphere)
     skip = (ci != cj) & ~hyp & (t.nsq[ci] == t.nsq[cj])
     gap = {x: math.sqrt(pseudo_dist_sq(*(h.partition.classes[c] for c in
                                          divmod(x, ncl))).min())
@@ -370,8 +364,6 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht) -> tuple:
     # each pair's rows oriented ci <= cj; the k = 0 blocks of h_tilde: an
     # elliptic class's xi-eta block (present with or without rows; eta-xi
     # dropped) and the finite class's block
-    rows = np.flatnonzero(ca <= cb)
-    ri = np.searchsorted(items, (g[rows] * ncl + ca[rows]) * ncl + cb[rows])
     diag0 = (ci == cj) & zero_k[ig]
     ent = 4 * ri + 2 * t.chan[U[rows]] + t.chan[V[rows]]
     keep = ~skip[ri] & ~(diag0[ri] & (ent % 4 == 2))
@@ -435,7 +427,8 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht) -> tuple:
     for i, (gi, cl_i, cl_j, skip_i, hyp_i) in enumerate(zip(
             ig.tolist(), ci.tolist(), cj.tolist(), skip.tolist(),
             hyp.tolist())):
-        k, classes = ks[gi], (cl_i, cl_j)
+        lin = cl_j == ncl - 1
+        k, classes = ks[gi], (cl_i,) if lin else (cl_i, cl_j)
         if skip_i:
             skipped.append((k, cl_i, cl_j, float(peak[i]),
                             gap[cl_i * ncl + cl_j]))
@@ -446,7 +439,9 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht) -> tuple:
             elif to_ht_[x]:
                 ht.set_block(cl_i, normal[x])
             elif x in sorted_div:
-                tag = (tags[ech_[x]] if not hyp_i else "hyp" if cl_i == cl_j
+                tag = (("lin-xi", "lin-eta", "lin-hyp")[ech_[x] // 2 + hyp_i]
+                       if lin else tags[ech_[x]] if not hyp_i
+                       else "hyp" if cl_i == cl_j
                        else ("mix-xi", "mix-eta")[ech_[x] % 2])
                 ok[x] = guard.check((k, classes, tag), dmin_[x],
                                     sorted_div[x])
@@ -464,7 +459,9 @@ def _solve_quadratic(h, K, U, V, C, t, guard, gamma1, ht) -> tuple:
         X[eci[Es] == ecj[Es]] /= 2
         Ue = t.ids[L][sl, c1[Es]][:, :, None]
         Ve = t.ids[R][sr, c2[Es]][:, None, :]
-        Z = np.stack([np.minimum(Ue, Ve), np.maximum(Ue, Ve)], axis=-1)
+        pad = Ve < 0                   # the unit's -1 goes last
+        Z = np.stack([np.where(pad, Ue, np.minimum(Ue, Ve)),
+                      np.where(pad, Ve, np.maximum(Ue, Ve))], axis=-1)
         out.append((Z.reshape(-1, 2), X.ravel(),
                     np.repeat(entries[Es], Gs[0].size)))
     Z, Cs, code = (np.concatenate(x) for x in zip(*out))

@@ -37,7 +37,7 @@ from .hamiltonian import (ClassNormParams, NormalFormHamiltonian, Polynomial,
                           StageAbort, class_norm, lie_transform)
 from .homological import (PRUNE_TOL, ClassTable, DivisorGuard,
                           class_tables, solve_homological)
-from .lattice import BlockPartition, build_partition, norm_sq
+from .lattice import BlockPartition, build_partition
 
 # a block ends once a step leaves eps above this fraction of its old value
 STALL_RATIO = 0.5
@@ -127,13 +127,13 @@ def inner_count(eps: float, schedule: Schedule) -> int:
 def _excise_failures(state: IterationState):
     """Shrink the surviving grid around the step's failed divisor checks.
 
-    Each logged check whose least |d| is below delta0 gives its divisor
-    nearest zero, extended off the reference parameter to first order
-    through the model frequency map: d* + k.(omega(rho) - omega*) at each
-    cell centre, excised where its modulus is below delta0.  The shift
-    moves the real part, k.omega (-+ lam_i), of a signed divisor, so the
-    band is cut on its own side; a finite-class divisor keeps its
-    imaginary part i nu (``homological.class_tables``)."""
+    Each failed check (``guard.failures``) gives its logged divisor nearest
+    zero, extended off the reference parameter to first order through the
+    model frequency map: d* + k.(omega(rho) - omega*) at each cell centre,
+    excised where its modulus is below delta0.  The shift moves the real
+    part, k.omega (-+ lam_i), of a signed divisor, so the band is cut on
+    its own side; a finite-class divisor keeps its imaginary part i nu
+    (``homological.class_tables``)."""
     guard = state.guard
     if state.grid is None or not guard.failures or state.h.omega_fn is None:
         return
@@ -142,13 +142,13 @@ def _excise_failures(state: IterationState):
                                                     centres])), dtype=float)
     shift = omegas[1:] - omegas[0]
     bad = np.zeros(len(centres), dtype=bool)
-    for (k, _, _), d in guard.log.items():
+    for k, classes, channel, _ in guard.failures:
+        d = guard.log[k, classes, channel]
         val = d[np.abs(d).argmin()]
-        if abs(val) < guard.delta0:
-            # one dot product per cell: a stacked product (shift @ k) can
-            # round k.(omega - omega*) differently in the last bit
-            kv = np.array(k, dtype=float)
-            bad |= np.abs([val + kv @ s for s in shift]) < guard.delta0
+        # one dot product per cell: a stacked product (shift @ k) can
+        # round k.(omega - omega*) differently in the last bit
+        kv = np.array(k, dtype=float)
+        bad |= np.abs([val + kv @ s for s in shift]) < guard.delta0
     _, state.grid = excise(state.grid, bad)
     if state.grid.measure() == 0.0:
         raise StageAbort("excision", None,
@@ -342,16 +342,14 @@ def singular_gate_inputs(nform, norm_params: ClassNormParams,
     internal frequencies, and xi the larger of the resonant form's largest
     entry and the largest shift of a nonresonant external frequency."""
     eps = class_norm(nform.jet(), norm_params, weights)
-    lam0 = np.array([math.sqrt(norm_sq(a) ** 2 + nform.model.mass)
-                     for a in nform.model.nodes])
+    lam0 = np.array([nform.lam[tuple(a)] for a in nform.model.nodes])
     chi = float(np.abs(nform.omega_I - lam0).max())
     xi = float(np.abs(nform.C_real).max()) if nform.C_real.size else 0.0
     resonant = set(nform.lambda_f_sites)
     for a, lam in nform.lambda_sites.items():
         if a in resonant:
             continue
-        xi = max(xi, abs(lam - math.sqrt(norm_sq(a) ** 2
-                                         + nform.model.mass)))
+        xi = max(xi, abs(lam - nform.lam[a]))
     return eps, nform.a2_floor, chi, xi
 
 

@@ -495,6 +495,7 @@ class SingularNormalForm:
     model: SingularBeamModel
     omega_I: np.ndarray              # internal frequencies Omega(I)
     const: float
+    lam: dict                        # site -> Lambda_a = sqrt(|a|^4 + mass)
     lambda_sites: dict               # site -> Lambda_a(I), a outside L_h
     lambda_f_sites: tuple            # external sites resonant with a node
     lambda_e: tuple                  # elliptic resonant sites
@@ -760,7 +761,7 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
     f_tilde = _gauge_r_shift(_gauge_k_shift(aa(frest), node_of), node_of,
                              model.max_degree, n)
     return SingularNormalForm(
-        model=model, omega_I=omega_I, const=const,
+        model=model, omega_I=omega_I, const=const, lam=lam,
         lambda_sites=lambda_sites, lambda_f_sites=lam_f,
         lambda_e=tuple(sorted(lambda_e)), lambda_h=lambda_h, H_I=H_I,
         C_real=C, f_tilde=f_tilde, a2_floor=a2_floor,

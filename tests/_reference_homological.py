@@ -4,15 +4,18 @@
 - ``det_certificate``: the determinant certificate of a one-parameter
   matrix family.
 - ``_solve_guarded``, ``invert_L_mixed`` and ``invert_L_hyperbolic``: the
-  one-system guarded solves, one call per system, that the stacked
-  ``_solve_guarded`` replaced.
+  finite class's guarded solves as dense systems, one call per system,
+  which the package replaced by solves in J H's eigenbasis
+  (``kamkit.homological.class_tables``).
 - ``class_tables``: the per-class tables (a dict of ``_ClassData``) that
   the per-pair ``solve_linear`` reads.
 - ``solve_linear``: the per-pair linear homological solve, one dense form
   matrix per Fourier index k and one block gathered and solved per class
   pair and channel; the oracle of the batched ``solve_linear``.  It solves
   each block with its own copy of ``invert_L_elliptic``, so it shares no
-  divisor or product kernel with the batched solve.
+  divisor or product kernel with the batched solve.  As there, an
+  elliptic block whose right side is zero is not checked, zeta-quadratic
+  or zeta-linear.
 - ``residual``: {h,S} + jet({f - jet(f), S}) + jet(f) - h_tilde of a
   solution, with full polynomial brackets (once a property of the
   solution, which kept h and f's two parts for it).
@@ -220,8 +223,11 @@ def solve_linear(h: NormalFormHamiltonian, F_poly: Polynomial,
                 if x is not None:
                     solved.append((k, None, w, None, x))
                 continue
-            # i[(kw)I - Q] v_xi = -F_xi ; i[(kw)I + conj(Q)] v_eta = -F_eta
+            # i[(kw)I - Q] v_xi = -F_xi ; i[(kw)I + conj(Q)] v_eta = -F_eta;
+            # a channel whose right side is zero is not checked
             for comp in (XI, ETA):
+                if not Fk[cd.ids[comp]].any():
+                    continue
                 tag = ("lin-xi", "lin-eta")[comp]
                 x, div = invert_L_elliptic(kw, cd.lam, cd.V[comp], 2 * comp - 1,
                                            None, None, 0, 1j * Fk[cd.ids[comp]],

@@ -208,6 +208,13 @@ def finite_table(H):
     return h, class_tables(h)
 
 
+def basis(t, ci: int) -> tuple:
+    """(lam, V, W, ids) of the class ci of the class table t, read from its
+    group's stacks."""
+    g, s = t.group[ci], t.slot[ci]
+    return t.lam[g][s], t.V[g][s], t.W[g][s], t.ids[g][s]
+
+
 def within_cond(smin, value, factor) -> bool:
     """smin in [value / factor, value * factor], up to roundoff."""
     return (value / factor * (1 - 1e-12) <= smin
@@ -225,7 +232,7 @@ def test_mixed_solver_matches_lstsq():
     # the row system x (coef I - JH) = F, as the column system with JH^T;
     # times -i, -JH^T = H J enters on the left as V^{-T} diag(-nu) V^T: the
     # divisors are -i coef + i nu, the finite class's lam = i nu
-    lam, V, W, _ = finite_table(H)[1].basis(0)
+    lam, V, W, _ = basis(finite_table(H)[1], 0)
     div = _elliptic_divisors(-1j * coef, lam, 1, np.zeros(1), 0)
     x = _elliptic_solve(V[1], W[1], np.ones((1, 1)), np.ones((1, 1)),
                         -1j * F[:, None], div)
@@ -247,7 +254,7 @@ def test_hyperbolic_solver_oracle():
     G = G + G.T
     # i(kw)Y + HJ Y - Y JH = -G; times -i, the finite class's eigenbasis
     # on both sides, with divisors kw + i nu_i + i nu_j
-    lam, V, W, _ = finite_table(H)[1].basis(0)
+    lam, V, W, _ = basis(finite_table(H)[1], 0)
     div = _elliptic_divisors(2.1, lam, 1, lam, 1)
     Y = _elliptic_solve(V[1], W[1], V[0], W[0], 1j * G, div)
     res = 1j * 2.1 * Y + H @ J @ Y - Y @ J @ H + G
@@ -282,7 +289,7 @@ def test_mixed_item_is_guarded_per_channel(k, ci):
     value over the channel's systems."""
     h, part, rng = make_h(seed=1, d=1, R=3, finite=((1,),))
     t = class_tables(h)
-    lam, nu = t.basis(ci)[0], t.basis(0)[0]
+    lam, nu = basis(t, ci)[0], basis(t, 0)[0]
     kw = float(np.dot(k, h.omega))
     div = [_elliptic_divisors(kw, nu, 1, lam, s) for s in (-1, 1)]
     value = [float(np.abs(d).min()) for d in div]
@@ -307,7 +314,7 @@ def test_mixed_item_is_guarded_per_channel(k, ci):
         1e-12 * max(map(abs, passing.values())))
     ne = len(lam)
     smin = ref_divlog[(*key, "mixed")]      # the xi systems, then the eta
-    cond = np.linalg.cond(t.basis(0)[1][0])
+    cond = np.linalg.cond(basis(t, 0)[1][0])
     for c in (XI, ETA):
         assert within_cond(min(smin[c * ne:(c + 1) * ne]), value[c], cond)
 
@@ -451,12 +458,33 @@ def _linear_solve_text(solve, tables, case) -> list:
 @example(case=(23, 2, 2, 1, False, 1, 40, 1e-8))
 # a k = 0 block with off-diagonal entries goes to set_block
 @example(case=(17, 2, 3, math.inf, False, 1, 71, 1e-8))
+# zeta-linear channels without rows, in classes that have rows at k
+@example(case=(5, 2, 3, 2, False, 2, 80, 0.3))
 def test_batched_solve_matches_per_pair_loop(case):
     """The batched solve gives the per-pair loop's outputs bit for bit and
     in the same order, apart from the finite class's items: S's rows,
     h_tilde, the skip report, the divisor log and the guard's failures."""
     assert (_linear_solve_text(solve_linear, class_tables, case)
             == _linear_solve_text(ref.solve_linear, ref.class_tables, case))
+
+
+def test_only_zeta_linear_channels_with_rows_are_checked():
+    """A zeta-linear channel is checked, logged and failed only when it
+    holds a row, as a zeta-quadratic block is.  On make_h seed 5 (d = 2,
+    R = 3, delta = 2, no finite set, n = 2, 80 terms, delta0 0.3) the
+    linear rows fill 34 channels, some of whose classes' other channel is
+    empty at the same k, and those would fail below delta0."""
+    h, part, rng = make_h(seed=5, d=2, R=3, n=2, delta=2, finite=())
+    f = random_jet(rng, part, n=2, nterms=80)
+    rows = {(k, (part.class_of[z[0][0][0]],),
+             ("lin-xi", "lin-eta")[z[0][0][1]])
+            for (k, m, z), c in f.jet().terms.items()
+            if len(z) == 1 and z[0][1] == 1 and c != 0}
+    guard = DivisorGuard(0.3)
+    solve_linear(h, f, guard, 0.4, class_tables(h))
+    assert len(rows) == 34
+    assert {key for key in guard.log if key[2].startswith("lin")} == rows
+    assert {x[:3] for x in guard.failures if x[2].startswith("lin")} <= rows
 
 
 def _finite_block_h(name):
@@ -511,7 +539,7 @@ def test_finite_items_match_the_dense_oracle(name):
     assert max(abs(S.terms[z] - c) for z, c in S_ref.terms.items()) <= (
         1e-12 * max(map(abs, S_ref.terms.values())))
     assert ht.hyperbolic_block.tobytes() == ht_ref.hyperbolic_block.tobytes()
-    cond = np.linalg.cond(t.basis(part.finite_index)[1][0])
+    cond = np.linalg.cond(basis(t, part.finite_index)[1][0])
     tags = {"lin-hyp", "hyp", "mix-xi", "mix-eta"}
     checks = [(key, d) for key, d in guard.log.items() if key[2] in tags]
     assert {key[2] for key, _ in checks} == tags
