@@ -46,19 +46,20 @@ each action j, dF/dr_j dG/dtheta_j (sign +1) then dF/dtheta_j dG/dr_j
 dF/dz_(s,0) dG/dz_(s,1) (sign +u) then dF/dz_(s,1) dG/dz_(s,0) (sign -u),
 with u = 1 on the hyperbolic sites of ``finite_set`` and i elsewhere.  One
 ``_product`` call forms them all: the factors' rows are stacked into one
-left and one right operand, each row tagged by its factor, only rows of
-one factor pair, and the factor is a digit of the key, so each factor's
-product is merged and cut at ``tol`` as if on its own.  ``_merge`` then
-adds the signed rows in factor order and cuts the sums at ``tol``.  Every
-cut is one rule (``_kept``), which never drops a non-finite coefficient.
-``lie_transform`` scales each order's bracket by 1/m and, given
+left and one right operand, each row tagged by its factor, each left row
+times its factor's sign, only rows of one factor pair, and the factor is a
+digit of the key, so each factor's signed product is merged and cut at
+``tol`` as if on its own.  ``_merge`` then adds the rows in factor order
+and cuts the sums at ``tol``.  Every cut is one rule (``_kept``), which
+never drops a non-finite coefficient.  ``poisson`` is the one way in:
+``lie_transform`` forms each order with it, scales it by 1/m and, given
 ``rest_tol``, cuts it at ``tol`` in the jet and ``rest_tol`` outside before
-adding it; it also screens its brackets' products (``_pairs``): a pair
-whose monomial is outside the jet is not formed when |c_a| |c_b| <=
+adding it; ``rest_tol`` is also the bracket's pair screen (``_pairs``): a
+pair whose monomial is outside the jet is not formed when |c_a| |c_b| <=
 rest_tol / min(|A|, |B|), |A| and |B| the rows of its factor, which takes
 at most ``rest_tol`` from a coefficient per product; jet pairs are always
-formed, so the jet rows are those of the exact bracket.  ``poisson`` and
-``Polynomial.mul`` take no screen: their products are exact.
+formed, so the jet rows are those of the exact bracket.  Without a screen,
+as in ``Polynomial.mul``, products are exact.
 
 ``class_norm``'s three sparse products (the rows' log-powers Z @
 log(zeta), the gradient Zt @ T and the hessian entries P @ t0) go through
@@ -321,7 +322,7 @@ def _live_width(Z, V: int):
 
 def _product(A: tuple, B: tuple, V: int, max_degree: int | None,
              tol: float, screen: float | None = None,
-             fa=None, fb=None, sign=None) -> tuple:
+             fa=None, fb=None) -> tuple:
     """The product of two operands' rows over one variable list of length
     V (``_align``) as one broadcast over term pairs, summed by ``_merge``
     on a packed key.
@@ -329,12 +330,11 @@ def _product(A: tuple, B: tuple, V: int, max_degree: int | None,
     A and B may stack the rows of several factors, ``fa`` and ``fb`` the
     ascending factor index of each row (one factor, 0, without them): only
     rows of one factor pair, and each factor's product comes out as if on
-    its own, times its ``sign`` when given.  Pairs run factor by factor,
-    left term outer and, under a degree filter, right terms by ascending
-    degree, stably; like terms sum in that pair order.  With a ``screen``,
-    the non-jet pairs it drops are never formed.  ``_pairs`` hands the
-    pairs over in chunks of consecutive factors, each formed and merged on
-    its own.  Returns the rows (C, K, M, Z) of each factor's monomials in
+    its own.  Pairs run factor by factor, left term outer and, under a
+    degree filter, right terms by ascending degree, stably; like terms sum
+    in that pair order.  With a ``screen``, the non-jet pairs it drops are
+    never formed.  ``_pairs`` hands the pairs over in chunks of consecutive
+    factors, each formed and merged on its own.  Returns the rows (C, K, M, Z) of each factor's monomials in
     the order of their first pair, without those with |c| <= ``tol``
     (exact zeros for tol 0), factor after factor.
     """
@@ -383,9 +383,6 @@ def _product(A: tuple, B: tuple, V: int, max_degree: int | None,
         keep = _kept(c, tol)
         at, c = at[keep], c[keep]
         i, j = i[at], j[at]
-        if sign is not None:
-            u = sign[fa[i]]
-            c = _complex(*_cmul(u.real, u.imag, c.real, c.imag))
         return c, K1[i] + K2[j], M1[i] + M2[j], Z[at]
 
     parts = [chunk(i, j) for i, j in
@@ -706,11 +703,11 @@ def _bracket(F: tuple, G: tuple, zvars: list, finite_set,
     term order (see the module docstring).  The derivatives are array
     passes over F's and G's rows, stacked into one left and one right
     operand with the factor index of each row: the 2n r/theta factors,
-    then two per shared site in ascending order.  One ``_product`` forms
-    every factor's product within ``max_degree`` (with ``screen``, the Lie
-    series' pair screen), each row takes its factor's sign, ``_merge`` sums
-    the rows in bracket order, and the sums with |c| <= ``tol`` are
-    dropped (``_kept``)."""
+    then two per shared site in ascending order.  Each left row takes its
+    factor's sign, one ``_product`` forms every factor's product within
+    ``max_degree`` (with ``screen``, the pair screen), ``_merge`` sums the
+    rows in bracket order, and the sums with |c| <= ``tol`` are dropped
+    (``_kept``)."""
     V = len(zvars)
     n = F[1].shape[1]
     left, right, signs = [], [], [1.0, -1.0] * n
@@ -739,10 +736,13 @@ def _bracket(F: tuple, G: tuple, zvars: list, finite_set,
     fb = np.concatenate([np.full(len(X[0]), f) for f, X in enumerate(right)]
                         + [rf[order]])
     A = _stack_rows(left + [dF], V)
+    # a sign of modulus 1 moves no |c|, so no screen or cut, and no bit of
+    # a sum but the sign of a zero part, which the merge below clears
+    u = np.array(signs, dtype=complex)[fa]
+    A = (_complex(*_cmul(u.real, u.imag, A[0].real, A[0].imag)), *A[1:])
     B = _stack_rows(right + [_cut(dG, order)], V)
-    del left, right, dF, dG
-    C, K, M, Z = _product(A, B, V, max_degree, tol, screen, fa, fb,
-                          np.array(signs, dtype=complex))
+    del left, right, dF, dG, u
+    C, K, M, Z = _product(A, B, V, max_degree, tol, screen, fa, fb)
     del A, B
     if not len(C):
         return _no_rows(n, 0)
@@ -762,18 +762,20 @@ def _stack_rows(parts: list, V: int) -> tuple:
 
 
 def poisson(F: Polynomial, G: Polynomial, finite_set=(),
-            max_degree: int | None = None, tol: float = 0.0) -> Polynomial:
+            max_degree: int | None = None, tol: float = 0.0,
+            screen: float | None = None) -> Polynomial:
     """Canonical bracket {F, G}.
 
     Convention: {F,G} = sum_j (dF/dr_j dG/dtheta_j - dF/dtheta_j dG/dr_j)
     plus, per lattice site, i(dF/dxi dG/deta - dF/deta dG/dxi) on elliptic
     sites and (dF/dp dG/dq - dF/dq dG/dp) on hyperbolic ones.  Products
     skip pairs above ``max_degree``; each product and the bracket drop
-    terms with |c| <= ``tol``.
+    terms with |c| <= ``tol``.  They are exact unless a ``screen`` drops
+    pairs outside the jet (the Lie series', in the module docstring).
     """
     zvars, (PF, PG) = _align(F, G)
     return Polynomial._of(F.n, zvars, *_bracket(PF, PG, zvars, finite_set,
-                                                max_degree, tol))
+                                                max_degree, tol, screen))
 
 
 def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
@@ -784,27 +786,23 @@ def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
 
     ``max_degree`` caps F and every bracket.  It defaults to the degree of
     F, which brackets with a jet S (degree <= 2) never exceed, so that cap
-    cuts nothing.  Each order's bracket is cut at ``tol`` and scaled by
-    1/m.  ``rest_tol``, when given, prunes terms outside the jet at a
-    looser threshold (``prune``), each order's before it is added and
+    cuts nothing.  Each order is ``poisson(term, S)``, cut at ``tol`` and
+    scaled by 1/m.  ``rest_tol``, when given, prunes terms outside the jet
+    at a looser threshold (``prune``), each order's before it is added and
     feeds the next: those terms only influence later jets through further
-    brackets.  It also screens each bracket's products: a pair of rows
-    whose monomial is outside the jet is never formed when |c_a| |c_b| <=
-    rest_tol / min(|A|, |B|), |A| and |B| the factors' rows.  That moves a
-    coefficient by at most ``rest_tol`` per product and leaves each
-    bracket's jet rows exact.  Without ``rest_tol`` the brackets are exact,
-    as ``poisson`` and ``Polynomial.mul`` always are.  A term that is not
-    finite, or one of order ``max_order`` still above ``tol``, raises
-    ``StageAbort("lie", order)`` rather than being cut there.
+    brackets.  It is also each bracket's pair screen (``poisson``), which
+    moves a coefficient by at most ``rest_tol`` per product and leaves
+    each bracket's jet rows exact.  Without ``rest_tol`` the brackets are
+    exact.  A term that is not finite, or one of order ``max_order`` still
+    above ``tol``, raises ``StageAbort("lie", order)`` rather than being
+    cut there.
     """
     if max_degree is None:
         max_degree = int(_degree(F.M, F.Z, len(F.zvars)).max(initial=0))
     out = F.truncate_degree(max_degree)
-    zvars, (rows, PS) = _align(out, S)
+    term = out
     for m in range(1, max_order + 1):
-        term = Polynomial._of(out.n, zvars, *_bracket(
-            rows, PS, zvars, finite_set, max_degree, tol, rest_tol))
-        del rows                      # freed before this order is added
+        term = poisson(term, S, finite_set, max_degree, tol, screen=rest_tol)
         check_finite(term, "lie", m)
         term = term.scale(1.0 / m)
         if rest_tol is not None:
@@ -812,7 +810,6 @@ def lie_transform(F: Polynomial, S: Polynomial, finite_set=(),
         if not len(term) or _abs(term.C, tol).max() < tol:
             break
         out = out + term
-        rows = term.rows
     else:
         raise StageAbort("lie", max_order,
                          f"term of order {max_order} is "

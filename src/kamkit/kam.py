@@ -244,7 +244,6 @@ def super_step(state: IterationState, schedule: Schedule) -> IterationState:
 @dataclass
 class RunReport:
     state: IterationState
-    omega_initial: np.ndarray
     omega_final: np.ndarray
     omega_drift: float
     unstable_count: int
@@ -327,7 +326,7 @@ def run(h: NormalFormHamiltonian, f: Polynomial, schedule: Schedule,
     unstable, a_inf_real = _spectrum_report(h_final)
     omega_final = np.array(h_final.omega, dtype=float)
     return RunReport(
-        state=state, omega_initial=omega0, omega_final=omega_final,
+        state=state, omega_final=omega_final,
         omega_drift=float(np.abs(omega_final - omega0).max(initial=0.0)),
         unstable_count=unstable, a_inf_max_real=a_inf_real,
         eps_history=eps_history, block_stops=block_stops,

@@ -498,7 +498,6 @@ class SingularNormalForm:
     lam: dict                        # site -> Lambda_a = sqrt(|a|^4 + mass)
     lambda_sites: dict               # site -> Lambda_a(I), a outside L_h
     lambda_f_sites: tuple            # external sites resonant with a node
-    lambda_e: tuple                  # elliptic resonant sites
     lambda_h: tuple                  # hyperbolic resonant sites
     H_I: np.ndarray                  # real symmetric block over lambda_h
     C_real: np.ndarray               # full resonant quadratic form
@@ -734,7 +733,7 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
     # numbered by their smallest member, each ascending
     comps = [np.flatnonzero(label == c).tolist()
              for c in dict.fromkeys(label.tolist())]
-    lambda_e, lambda_h = [], []
+    lambda_h = []
     a2_floor = math.inf
     for comp in comps:
         sel = np.array([c2 for i in comp for c2 in (2 * i, 2 * i + 1)])
@@ -752,7 +751,6 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
             freqs = sorted(ev.imag[ev.imag > 0])
             for i, fr in zip(comp, freqs):
                 lambda_sites[lam_f[i]] = float(fr)
-            lambda_e.extend(lam_f[i] for i in comp)
     lambda_h = tuple(sorted(lambda_h))
     hsel = np.array([c2 for i in range(M) if lam_f[i] in lambda_h
                      for c2 in (2 * i, 2 * i + 1)], dtype=int)
@@ -762,7 +760,6 @@ def build_singular(model: SingularBeamModel) -> SingularNormalForm:
                              model.max_degree, n)
     return SingularNormalForm(
         model=model, omega_I=omega_I, const=const, lam=lam,
-        lambda_sites=lambda_sites, lambda_f_sites=lam_f,
-        lambda_e=tuple(sorted(lambda_e)), lambda_h=lambda_h, H_I=H_I,
-        C_real=C, f_tilde=f_tilde, a2_floor=a2_floor,
+        lambda_sites=lambda_sites, lambda_f_sites=lam_f, lambda_h=lambda_h,
+        H_I=H_I, C_real=C, f_tilde=f_tilde, a2_floor=a2_floor,
         birkhoff_killed=killed, birkhoff_min_divisor=min_div)

@@ -56,15 +56,12 @@ def test_block_diameter_bound():
 def _random_matrix(rng, sites, density=0.08):
     """The blocks that ``WeightedMatrix.set`` would store for the sites (as
     tuples), in its order, gathered into one dict (a zero block is not
-    stored)."""
-    blocks = {}
-    for a in sites:
-        for b in sites:
-            if rng.random() < density:
-                M = (rng.standard_normal((2, 2))
-                     + 1j * rng.standard_normal((2, 2)))
-                if M.any():
-                    blocks[a, b] = M
+    stored): a mask over the site pairs, row-major, then the real and
+    imaginary parts of every masked block, each drawn as one array."""
+    pairs = np.argwhere(rng.random((len(sites), len(sites))) < density)
+    re, im = rng.standard_normal((2, len(pairs), 2, 2))
+    blocks = {(sites[a], sites[b]): M
+              for (a, b), M in zip(pairs.tolist(), re + 1j * im) if M.any()}
     return WeightedMatrix(blocks, truncation=8.0)
 
 
@@ -90,10 +87,10 @@ def test_norm_algebra_has_zero_violations():
         wt = WeightParams(rng.uniform(0.0, g1), rng.uniform(0.0, g2))
         A = _random_matrix(rng, sites)
         z = SeqVector()
-        for s in sites:
-            if rng.random() < 0.2:
-                z.set(s, rng.standard_normal(2)
-                      + 1j * rng.standard_normal(2))
+        at = np.flatnonzero(rng.random(len(sites)) < 0.2)
+        re, im = rng.standard_normal((2, len(at), 2))
+        for i, v in zip(at.tolist(), re + 1j * im):
+            z.set(sites[i], v)
         lhs = seq_norm(A.apply(z), wt)
         rhs = matrix_norm(A, w) * seq_norm(z, wt)
         if lhs > rhs * (1 + 1e-12):

@@ -1,7 +1,9 @@
+import inspect
 import json
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from kamkit.algebra import WeightParams, symplectic
 from kamkit.cli import build_model, read_config
 from kamkit.divisors import ParameterGrid
-from kamkit import homological, kam
+from kamkit import hamiltonian, homological, kam
 from kamkit.hamiltonian import (NormalFormHamiltonian, Polynomial,
                                 StageAbort, poisson, lie_transform)
 from kamkit.homological import class_tables, solve_homological, DivisorGuard
@@ -118,6 +120,38 @@ def test_transform_is_symplectic_on_probes():
     diff = (lhs.truncate_degree(2) - rhs).max_coeff()
     scale = max(rhs.max_coeff(), 1.0)
     assert diff <= 1e-8 * scale
+
+
+def test_lie_series_forms_each_order_with_poisson():
+    """``lie_transform`` on the first S of a step goes into the bracket
+    through ``poisson`` alone: one call per order formed, each with S and
+    with ``rest_tol`` as its pair screen, and the spy moves no bit."""
+    h, f = beam_instance()
+    st = initial_state(h, f, Schedule(), W, guard_delta0=1e-10)
+    S = one_step(st).transform_log[0]
+    F = h.to_polynomial() + f
+    tol = max(kam.PRUNE_TOL, kam.REL_PRUNE * f.max_coeff())
+    rest_tol = kam.REL_PRUNE_REST * f.max_coeff()
+
+    def push(max_order=16):
+        return lie_transform(F, S, finite_set=h.finite_set, tol=tol,
+                             rest_tol=rest_tol, max_order=max_order)
+
+    want = push()
+    with mock.patch.object(hamiltonian, "poisson",
+                           wraps=hamiltonian.poisson) as spy:
+        got = push()
+    orders = spy.call_count
+    assert orders >= 2
+    sig = inspect.signature(hamiltonian.poisson)
+    for call in spy.call_args_list:
+        args = sig.bind(*call.args, **call.kwargs).arguments
+        assert args["G"] is S and args["screen"] == rest_tol
+    assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
+    # the series stops at the order it formed last: one order fewer raises
+    with pytest.raises(StageAbort) as abort:
+        push(max_order=orders - 1)
+    assert (abort.value.stage, abort.value.key) == ("lie", orders - 1)
 
 
 def test_super_step_folds_and_coarsens():
